@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from repro.graphblas import Matrix, Vector
+from repro.graphblas.sorting import count_distinct
 from repro.obs.flight import flight_recorder as _freg
 from repro.obs.metrics import metrics_registry as _mreg
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
@@ -148,7 +149,7 @@ def lacc(
 
     if n == 0 or A.nvals == 0:
         labels0 = f.to_numpy()
-        ncomp0 = int(np.unique(labels0).size) if n else 0
+        ncomp0 = count_distinct(labels0)
         return LACCResult(labels0, ncomp0, start_iteration, stats)
 
     # isolated vertices are converged components from the start
@@ -258,7 +259,7 @@ def lacc(
                 )
 
     labels = f.to_numpy()
-    n_components = int(np.unique(labels).size)
+    n_components = count_distinct(labels)
     if fr:
         fr.record("run_end", n_iterations=iteration, n_components=n_components)
     return LACCResult(labels, n_components, iteration, stats)

@@ -26,7 +26,10 @@ import numpy as np
 from repro.combblas.distmatrix import DistMatrix
 from repro.combblas.spmv import dist_mxv
 from repro.graphblas import Vector
+from repro.graphblas import kernels as _kernels
 from repro.graphblas import semirings as sr
+from repro.graphblas.monoid import MIN_INT64
+from repro.graphblas.sorting import count_distinct
 from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
 from repro.mpisim.comm import SimComm
@@ -145,13 +148,10 @@ def lacc_2d(
                 fire = pres & is_star & (prop < f.blocks[r])
             else:
                 fire = pres & is_star & (prop != f.blocks[r])
-            roots = f.blocks[r][fire]
-            proposal = prop[fire]
-            if roots.size:
-                order = np.lexsort((proposal, roots))
-                roots, proposal = roots[order], proposal[order]
-                first = np.r_[True, roots[1:] != roots[:-1]]
-                roots, proposal = roots[first], proposal[first]
+            # pre-combine locally: the smallest proposal per root
+            roots, proposal, _ = _kernels.impl().reduce_by_rows(
+                prop[fire], f.blocks[r][fire], MIN_INT64, n
+            )
             targets.append(roots)
             values.append(proposal)
         return f.scatter_min(targets, values)
@@ -217,15 +217,14 @@ def lacc_2d(
             raise RuntimeError("2D LACC failed to converge (bug)")
 
     parents = f.to_array()
+    n_components = count_distinct(parents)
     if fr:
         fr.record(
-            "run_end",
-            n_iterations=iterations,
-            n_components=int(np.unique(parents).size) if n else 0,
+            "run_end", n_iterations=iterations, n_components=n_components
         )
     return Grid2DResult(
         parents=parents,
-        n_components=int(np.unique(parents).size) if n else 0,
+        n_components=n_components,
         n_iterations=iterations,
         nprocs=nprocs,
         grid_side=grid.side,

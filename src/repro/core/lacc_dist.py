@@ -33,6 +33,7 @@ import numpy as np
 from repro.combblas.distmatrix import DistMatrix
 from repro.combblas.indexing import RoutingReport, charge_assign, charge_extract
 from repro.graphblas import Matrix, Vector
+from repro.graphblas.sorting import count_distinct
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.grid import ProcessGrid
 from repro.mpisim.machine import MachineModel
@@ -223,7 +224,7 @@ def lacc_dist(
         active._active = dmat.to_permuted_bitmap(act0)
     if n == 0 or Ap.nvals == 0:
         labels0 = dmat.to_original_labels(f.to_numpy())
-        ncomp0 = int(np.unique(labels0).size) if n else 0
+        ncomp0 = count_distinct(labels0)
         if fr:
             fr.record("run_end", n_iterations=start_iteration,
                       n_components=ncomp0)
@@ -424,16 +425,17 @@ def lacc_dist(
             )
 
     labels = dmat.to_original_labels(f.to_numpy())
+    n_components = count_distinct(labels)
     if fr:
         fr.record(
             "run_end",
             n_iterations=iteration,
-            n_components=int(np.unique(labels).size),
+            n_components=n_components,
             simulated_seconds=cost.total_seconds,
         )
     return DistLACCResult(
         labels,
-        int(np.unique(labels).size),
+        n_components,
         iteration,
         stats,
         cost,

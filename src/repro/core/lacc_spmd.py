@@ -36,6 +36,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.graphblas import kernels as _kernels
+from repro.graphblas.monoid import MIN_INT64
+from repro.graphblas.sorting import count_distinct, unique_sorted
 from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
 from repro.mpisim.comm import SimComm
@@ -227,6 +230,12 @@ def lacc_spmd(
     ledges: List[Tuple[np.ndarray, np.ndarray]] = [
         (eu[part == r], ev[part == r]) for r in range(ranks)
     ]
+    # Endpoint lookup, computed once per run: the edge list never changes,
+    # so each rank's sorted endpoint set (its gather request) and every
+    # local edge's position in it are fixed.
+    req = [unique_sorted(np.r_[u, v]) for u, v in ledges]
+    iu = [np.searchsorted(req[r], ledges[r][0]) for r in range(ranks)]
+    iv = [np.searchsorted(req[r], ledges[r][1]) for r in range(ranks)]
 
     if initial_parents is not None:
         f0 = validate_initial_parents(initial_parents, n)
@@ -260,34 +269,29 @@ def lacc_spmd(
             star.blocks[r] &= pstar[r]
 
     def hook(conditional: bool) -> int:
-        """One hooking phase; returns #roots whose parent changed."""
-        # resolve f and star at the endpoints of local edges
-        req = [np.unique(np.r_[ledges[r][0], ledges[r][1]]) for r in range(ranks)]
+        """One hooking phase; returns #roots whose parent changed.
+
+        Each rank gathers ``f`` and ``star`` at its sorted endpoint set
+        ``req`` and reads its edges' endpoints off the reply through
+        ``iu``/``iv``.  That endpoint lookup is computed once per run,
+        not on every hook call.
+        """
         fvals = f.gather(req)
         svals = star.gather(req)
         targets, values = [], []
         for r in range(ranks):
-            u, v = ledges[r]
-            lut = {int(x): k for k, x in enumerate(req[r])}
-            iu = np.array([lut[int(x)] for x in u], dtype=np.int64)
-            iv = np.array([lut[int(x)] for x in v], dtype=np.int64)
-            fu, fv = fvals[r][iu], fvals[r][iv]
+            fu, fv = fvals[r][iu[r]], fvals[r][iv[r]]
             if conditional:
-                fire = (svals[r][iu] == 1) & (fv < fu)
+                fire = (svals[r][iu[r]] == 1) & (fv < fu)
             else:
                 # star u hooks onto a nonstar neighbour's parent
-                fire = (svals[r][iu] == 1) & (svals[r][iv] == 0) & (fv != fu)
+                fire = (svals[r][iu[r]] == 1) & (svals[r][iv[r]] == 0) & (fv != fu)
             # proposal: f[f[u]] <- f[v], pre-combined locally per root
-            roots, proposal = fu[fire], fv[fire]
-            if roots.size:
-                order = np.lexsort((proposal, roots))
-                roots, proposal = roots[order], proposal[order]
-                first = np.r_[True, roots[1:] != roots[:-1]]
-                targets.append(roots[first])
-                values.append(proposal[first])
-            else:
-                targets.append(roots)
-                values.append(proposal)
+            roots, proposal, _ = _kernels.impl().reduce_by_rows(
+                fv[fire], fu[fire], MIN_INT64, n
+            )
+            targets.append(roots)
+            values.append(proposal)
         return f.scatter_min(targets, values)
 
     def shortcut() -> int:
@@ -362,15 +366,14 @@ def lacc_spmd(
             raise RuntimeError("SPMD LACC failed to converge (bug)")
 
     parents = f.to_array()
+    n_components = count_distinct(parents)
     if fr:
         fr.record(
-            "run_end",
-            n_iterations=iterations,
-            n_components=int(np.unique(parents).size) if n else 0,
+            "run_end", n_iterations=iterations, n_components=n_components
         )
     return SPMDResult(
         parents=parents,
-        n_components=int(np.unique(parents).size) if n else 0,
+        n_components=n_components,
         n_iterations=iterations,
         ranks=ranks,
         words_sent=f.words + star.words,

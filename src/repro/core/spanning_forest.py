@@ -30,6 +30,7 @@ from repro.graphblas import Matrix, Vector
 from repro.graphblas import binaryops as bop
 from repro.graphblas import semirings as sr
 from repro.graphblas.descriptor import Mask
+from repro.graphblas.sorting import count_distinct
 
 from .convergence import ActiveSet, converged_star_vertices
 from .shortcut import shortcut
@@ -53,7 +54,7 @@ class SpanningForest:
 
     @property
     def n_components(self) -> int:
-        return int(np.unique(self.parents).size) if self.n else 0
+        return count_distinct(self.parents)
 
     def is_spanning(self) -> bool:
         """Exactly n - #components edges and same component structure."""

@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import sparse as sp
 
+from .sorting import pack_pairs, run_starts
 from .types import BOOL, normalize_dtype
 
 __all__ = ["Matrix", "DCSC"]
@@ -90,7 +91,10 @@ class Matrix:
             rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols
         ):
             raise IndexError("edge endpoint out of range")
-        if np.isscalar(values) or (isinstance(values, np.ndarray) and values.ndim == 0):
+        scalar = np.isscalar(values) or (
+            isinstance(values, np.ndarray) and values.ndim == 0
+        )
+        if scalar:
             vals = np.full(rows.shape, values)
         else:
             vals = np.asarray(values)
@@ -105,13 +109,25 @@ class Matrix:
                 np.empty(0, dtype=np.asarray(vals).dtype),
                 symmetric=symmetric,
             )
-        # Build the CSR arrays natively (stable lexsort on (row, col) keys)
-        # rather than round-tripping through a float64 SciPy COO, which
-        # silently corrupted wide integers (> 2^53) and forced an extra
-        # copy for every dtype.
-        order = np.lexsort((cols, rows))
-        r, c, v = rows[order], cols[order], vals[order]
-        key_change = np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])]
+        # Build the CSR arrays natively rather than round-tripping through
+        # a float64 SciPy COO, which silently corrupted wide integers
+        # (> 2^53) and forced an extra copy for every dtype.  Entries are
+        # ordered by one packed row·ncols + col key: a broadcast scalar has
+        # no values to carry, so the key is sorted alone; otherwise a
+        # stable argsort keeps duplicates in input order for dedup="last".
+        key = pack_pairs(rows, cols, nrows, ncols)
+        if key is None:
+            order = np.lexsort((cols, rows))
+            r, c, v = rows[order], cols[order], vals[order]
+            key_change = np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])]
+        else:
+            if scalar:
+                key.sort()
+                v = vals
+            else:
+                order = np.argsort(key, kind="stable")
+                key, v = key[order], vals[order]
+            key_change = run_starts(key)
         if not key_change.all():
             if dedup == "error":
                 raise ValueError("duplicate edges in build")
@@ -126,7 +142,12 @@ class Matrix:
                 v = v[np.r_[starts[1:], v.size] - 1]
             else:
                 raise ValueError(f"unknown dedup mode {dedup!r}")
-            r, c = r[key_change], c[key_change]
+            if key is None:
+                r, c = r[key_change], c[key_change]
+            else:
+                key = key[key_change]
+        if key is not None:
+            r, c = np.divmod(key, ncols)
         indptr = np.zeros(nrows + 1, dtype=np.int64)
         np.cumsum(np.bincount(r, minlength=nrows), out=indptr[1:])
         return cls(
@@ -309,11 +330,15 @@ class DCSC:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values)
-        order = np.lexsort((rows, cols))
+        key = pack_pairs(cols, rows, ncols, nrows)
+        if key is None:
+            order = np.lexsort((rows, cols))
+        else:
+            order = np.argsort(key, kind="stable")
         rows, cols, values = rows[order], cols[order], values[order]
-        jc, counts = np.unique(cols, return_counts=True)
-        cp = np.zeros(jc.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=cp[1:])
+        starts = np.flatnonzero(run_starts(cols))
+        jc = cols[starts]
+        cp = np.r_[starts, cols.size]
         return cls(nrows, ncols, jc, cp, rows, values)
 
     @classmethod

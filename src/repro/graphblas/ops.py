@@ -49,6 +49,7 @@ from .descriptor import NULL, Descriptor, Mask
 from .matrix import Matrix
 from .monoid import Monoid
 from .semiring import Semiring
+from .sorting import unique_sorted
 from .types import promote
 from .vector import Vector
 
@@ -662,7 +663,7 @@ def assign(
                 v_sorted = uv[order]
                 last = np.r_[t_sorted[1:] != t_sorted[:-1], True]
                 t_idx, t_vals = t_sorted[last], v_sorted[last]
-            region = np.unique(idx)
+            region = unique_sorted(idx)
         if span:
             span.add("nvals_in", int(ui.size))
             span.add("nvals_out", int(t_idx.size))
@@ -690,7 +691,7 @@ def assign_scalar(
             idx = np.arange(w.size, dtype=np.int64)
             region = None  # GrB_ALL: the region does not restrict anything
         else:
-            idx = np.unique(idx)
+            idx = unique_sorted(idx)
             region = idx
         t_vals = np.full(idx.size, value, dtype=w.dtype)
         if span:

@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
+from .sorting import run_starts
 from .types import normalize_dtype, promote
 
 __all__ = ["Vector"]
@@ -362,7 +363,8 @@ def _dedup(idx: np.ndarray, vals: np.ndarray, how: str):
     """Collapse duplicate (sorted) indices according to *how*."""
     if how == "error":
         raise ValueError("duplicate indices in build")
-    uniq, start = np.unique(idx, return_index=True)
+    start = np.flatnonzero(run_starts(idx))
+    uniq = idx[start]
     if how == "last":
         # For each unique index, take the last occurrence in the stable order.
         end = np.r_[start[1:], idx.size] - 1

@@ -388,14 +388,26 @@ class Endpoint:
             with self._cv:
                 self._cv.notify_all()
 
+    def _pop(self, key: Tuple[int, int]) -> Optional[np.ndarray]:
+        """Next queued message of *key*'s stream, or ``None``; the caller
+        holds ``_cv``.  A drained queue is dropped: tags are per-collective
+        sequence numbers, so keeping empty queues grows the dict on every
+        collective for the life of the endpoint."""
+        q = self._pending.get(key)
+        if not q:
+            return None
+        arr = q.popleft()
+        if not q:
+            del self._pending[key]
+        return arr
+
     def try_recv(self, src: int, tag: int) -> Optional[np.ndarray]:
         """Non-blocking :meth:`recv`: next queued message on the
         (src, tag) stream, or ``None`` if nothing has arrived.  Never
         raises on a closed transport — liveness monitors poll with this
         during teardown."""
         with self._cv:
-            q = self._pending.get((src, tag))
-            return q.popleft() if q else None
+            return self._pop((src, tag))
 
     def recv(
         self,
@@ -409,9 +421,9 @@ class Endpoint:
         key = (src, tag)
         with self._cv:
             while True:
-                q = self._pending.get(key)
-                if q:
-                    return q.popleft()
+                arr = self._pop(key)
+                if arr is not None:
+                    return arr
                 if self._failure is not None:
                     raise TransportError(
                         f"drainer of endpoint {self.eid} failed"

@@ -15,6 +15,7 @@ end-to-end by test_pool.py and the conformance suite.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -148,6 +149,22 @@ def test_streams_are_independent_per_tag(fabric):
     got1 = [int(b.recv(0, 1, timeout=10)[0]) for _ in range(50)]
     assert got1 == list(range(50))
     assert got2 == [1000 + k for k in range(50)]
+
+
+def test_drained_streams_leave_no_queue_behind(fabric):
+    """Collectives tag each message with a fresh sequence number, so an
+    endpoint that kept a queue per drained (src, tag) would grow on every
+    collective."""
+    t, (a, b, _) = fabric
+    for tag in range(300):
+        a.send(1, tag, np.array([tag], dtype=np.int64))
+    for tag in range(300):
+        assert int(b.recv(0, tag, timeout=10)[0]) == tag
+    a.send(1, 300, np.zeros(1))
+    deadline = time.monotonic() + 10
+    while b.try_recv(0, 300) is None and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert b._pending == {}
 
 
 # ----------------------------------------------------------------------
