@@ -35,9 +35,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.faults.errors import CollectiveError
 from repro.faults.plan import FaultPlan
-from repro.obs.flight import flight_recorder as _freg
+from repro.mpisim.envelope import fail, note_fault
 
 __all__ = ["ChaosInjector", "activate_chaos", "active_injector", "chaos_victim"]
 
@@ -105,6 +104,12 @@ class ChaosInjector:
         self._stopped_pids: List[int] = []
         self._lock = threading.Lock()
 
+    def _victim(self, rule, call, size: int) -> int:
+        """The rule's explicit rank, else the seeded :func:`chaos_victim`."""
+        if rule.rank is not None:
+            return rule.rank % size
+        return chaos_victim(self.plan, call.index, size)
+
     # ------------------------------------------------------------------
     # real faults (proc backend)
     # ------------------------------------------------------------------
@@ -112,32 +117,20 @@ class ChaosInjector:
         """Deliver this call's scheduled faults to *pool*'s workers."""
         call = self.plan.begin_call(collective)
         for rule in call.proc():
-            victim = (
-                rule.rank % pool.size
-                if rule.rank is not None
-                else chaos_victim(self.plan, call.index, pool.size)
-            )
-            fr = _freg()
+            victim = self._victim(rule, call, pool.size)
             if rule.kind == "kill":
                 self._signal_and_reap(pool, victim, signal.SIGKILL)
-                call.record(rule, 0, victim, f"SIGKILL rank {victim}")
+                detail = f"SIGKILL rank {victim}"
             elif rule.kind == "exit":
                 self._signal_and_reap(pool, victim, signal.SIGTERM)
-                call.record(rule, 0, victim, f"SIGTERM rank {victim}")
+                detail = f"SIGTERM rank {victim}"
             elif rule.kind == "stop":
                 self._stop_and_schedule_cont(pool, victim, rule.stall_seconds)
-                call.record(
-                    rule, 0, victim,
-                    f"SIGSTOP rank {victim} for {rule.stall_seconds:g}s",
-                )
-            elif rule.kind == "frame":
+                detail = f"SIGSTOP rank {victim} for {rule.stall_seconds:g}s"
+            else:  # frame
                 self._corrupt_frame(pool, victim)
-                call.record(
-                    rule, 0, victim, f"corrupt frame header from rank {victim}"
-                )
-            if fr:
-                fr.record("fault", rank=victim, collective=collective,
-                          fault_kind=rule.kind, attempt=0, chaos=True)
+                detail = f"corrupt frame header from rank {victim}"
+            note_fault(call, rule, 0, victim, detail, chaos=True)
 
     def _signal_and_reap(self, pool, victim: int, sig: int) -> None:
         proc = pool.procs[victim]
@@ -200,22 +193,12 @@ class ChaosInjector:
         """Model this call's scheduled faults as the typed errors the
         real injection produces on the proc backend."""
         call = self.plan.begin_call(collective)
-        fired = call.proc()
-        if not fired:
-            return
-        fr = _freg()
         lost: List[int] = []
         frame_hit = False
-        for rule in fired:
-            victim = (
-                rule.rank % size
-                if rule.rank is not None
-                else chaos_victim(self.plan, call.index, size)
-            )
-            call.record(rule, 0, victim, f"sim-modeled {rule.kind}")
-            if fr:
-                fr.record("fault", rank=victim, collective=collective,
-                          fault_kind=rule.kind, attempt=0, chaos=True)
+        for rule in call.proc():
+            victim = self._victim(rule, call, size)
+            note_fault(call, rule, 0, victim, f"sim-modeled {rule.kind}",
+                       chaos=True)
             if rule.kind in ("kill", "exit"):
                 lost.append(victim)
             elif rule.kind == "frame":
@@ -224,29 +207,9 @@ class ChaosInjector:
             # worker only costs wall-clock, which the simulator does not
             # model — the collective simply completes
         if lost:
-            from repro.mpisim.envelope import calling_iteration
-
-            if fr:
-                for r in lost:
-                    fr.record("rank_lost", rank=r, collective=collective,
-                              survivors=size - len(lost))
-                fr.record("collective_error", collective=collective,
-                          kinds=["rank_lost"], attempts=1, lost_ranks=lost,
-                          stalled_ranks=[])
-            raise CollectiveError(
-                collective, 1, ["rank_lost"],
-                iteration=calling_iteration(), lost_ranks=lost,
-            )
+            fail(collective, 1, ["rank_lost"], size=size, lost=lost)
         if frame_hit:
-            from repro.mpisim.envelope import calling_iteration
-
-            if fr:
-                fr.record("collective_error", collective=collective,
-                          kinds=["worker_died"], attempts=1,
-                          lost_ranks=[], stalled_ranks=[])
-            raise CollectiveError(
-                collective, 1, ["worker_died"], iteration=calling_iteration()
-            )
+            fail(collective, 1, ["worker_died"], lost=[])
 
     # ------------------------------------------------------------------
     def close(self) -> None:

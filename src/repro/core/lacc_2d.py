@@ -53,6 +53,9 @@ class Grid2DResult:
     nprocs: int
     grid_side: int
     words_sent: int  # indexing traffic (the mxv moves data internally)
+    #: simulated seconds lost to injected faults (backoff/stragglers)
+    #: when no cost model was attached to price them properly
+    fault_seconds: float = 0.0
 
     @property
     def labels(self) -> np.ndarray:
@@ -229,4 +232,5 @@ def lacc_2d(
         nprocs=nprocs,
         grid_side=grid.side,
         words_sent=f.words + star.words,
+        fault_seconds=comm.fault_seconds,
     )

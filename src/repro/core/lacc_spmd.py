@@ -24,9 +24,8 @@ another rank's block directly.  Per iteration:
    (min/max neighbour parents piggy-back on step 1's replies).
 
 The test suite checks this execution against serial LACC and ground truth
-on every grid size, which closes the loop on the simulator's ownership
-arithmetic: the analytic layer counts the words this implementation
-actually sends.
+on every grid size, and checks that :attr:`SPMDResult.words_sent` equals
+the words its ``alltoallv`` spans report.
 """
 
 from __future__ import annotations
@@ -71,7 +70,12 @@ class SPMDResult:
 
 
 class _Dist:
-    """Block-distributed int64 vector with request/reply gather."""
+    """Block-distributed int64 vector with request/reply gather.
+
+    :attr:`words` counts the payload words that crossed a rank boundary:
+    a rank's requests to itself are routed through the collectives like
+    any other but never leave the rank, so they are not counted.
+    """
 
     def __init__(self, comm: SimComm, n: int, init: np.ndarray):
         self.comm = comm
@@ -113,7 +117,8 @@ class _Dist:
             for r in range(p):
                 idx = recv_idx[o][r]
                 send_val[o][r] = self.blocks[o][idx - base] if idx.size else idx
-                self.words += int(idx.size) * 2  # request + reply payloads
+                if o != r:
+                    self.words += int(idx.size) * 2  # request + reply payloads
         recv_val = self.comm.alltoallv(send_val)  # recv_val[r][o]
         out = []
         for r in range(p):
@@ -126,9 +131,10 @@ class _Dist:
             out.append(vals)
         return out
 
-    def scatter_min(self, targets: List[np.ndarray], values: List[np.ndarray]) -> int:
-        """Route (index, value) pairs to owners; owners apply
-        ``block[i] = min(block[i], v)``.  Returns #elements changed."""
+    def _route(self, targets: List[np.ndarray], values: List[np.ndarray]):
+        """Send each rank's (index, value) pairs to the indices' owners;
+        returns ``(recv_t, recv_v)`` with ``recv_t[o][r]`` the indices
+        rank *o* received from rank *r*."""
         p = self.p
         send_t = [[None] * p for _ in range(p)]
         send_v = [[None] * p for _ in range(p)]
@@ -140,9 +146,15 @@ class _Dist:
                 sel = owners == o
                 send_t[r][o] = t[sel]
                 send_v[r][o] = v[sel]
-                self.words += int(sel.sum()) * 2
-        recv_t = self.comm.alltoallv(send_t)
-        recv_v = self.comm.alltoallv(send_v)
+                if o != r:
+                    self.words += int(send_t[r][o].size) * 2
+        return self.comm.alltoallv(send_t), self.comm.alltoallv(send_v)
+
+    def scatter_min(self, targets: List[np.ndarray], values: List[np.ndarray]) -> int:
+        """Route (index, value) pairs to owners; owners apply
+        ``block[i] = min(block[i], v)``.  Returns #elements changed."""
+        recv_t, recv_v = self._route(targets, values)
+        p = self.p
         changed = 0
         for o in range(p):
             base = self.lo(o)
@@ -157,20 +169,8 @@ class _Dist:
 
     def scatter_store(self, targets: List[np.ndarray], values: List[np.ndarray]) -> None:
         """Route (index, value) pairs to owners; owners overwrite."""
+        recv_t, recv_v = self._route(targets, values)
         p = self.p
-        send_t = [[None] * p for _ in range(p)]
-        send_v = [[None] * p for _ in range(p)]
-        for r in range(p):
-            t = np.asarray(targets[r], dtype=np.int64)
-            v = np.asarray(values[r], dtype=np.int64)
-            owners = self.owner(t) if t.size else t
-            for o in range(p):
-                sel = owners == o
-                send_t[r][o] = t[sel]
-                send_v[r][o] = v[sel]
-                self.words += int(sel.sum()) * 2
-        recv_t = self.comm.alltoallv(send_t)
-        recv_v = self.comm.alltoallv(send_v)
         for o in range(p):
             base = self.lo(o)
             for r in range(p):

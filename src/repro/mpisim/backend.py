@@ -84,7 +84,7 @@ def use(name: str) -> Iterator[str]:
         set_backend(previous)
 
 
-def make_comm(size, faults=None, cost=None, backoff_base: float = 1e-4):
+def make_comm(size, faults=None, cost=None):
     """A communicator of *size* ranks on the active backend.
 
     Same constructor contract as :class:`~repro.mpisim.comm.SimComm`
@@ -95,7 +95,7 @@ def make_comm(size, faults=None, cost=None, backoff_base: float = 1e-4):
     if _ACTIVE == "proc":
         from repro.parallel import ProcComm
 
-        return ProcComm(size, faults=faults, cost=cost, backoff_base=backoff_base)
+        return ProcComm(size, faults=faults, cost=cost)
     from .comm import SimComm
 
-    return SimComm(size, faults=faults, cost=cost, backoff_base=backoff_base)
+    return SimComm(size, faults=faults, cost=cost)

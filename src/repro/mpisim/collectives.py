@@ -21,13 +21,16 @@ ownership bincounts over the distributed objects.
 Fault injection
 ---------------
 When the cost model carries a :class:`~repro.faults.FaultPlan`
-(``CostModel(..., faults=plan)``), every collective consults it:
-straggler ``delay`` faults multiply the collective's priced time,
-data/transport faults force retransmissions — each retry re-charges the
-full collective plus exponential backoff
-(``machine.retry_backoff_base · 2^k``), recorded as a nested ``retry``
-span so the simulated-clock trace shows recovery time honestly — and a
-fault that outlives the bounded retries raises
+(``CostModel(..., faults=plan)``), every collective runs through the
+fault loop the literal communicators share
+(:func:`repro.mpisim.envelope.fault_envelope`), with analytic pricing:
+a straggler ``delay`` charges ``(delay_factor − 1)×`` the collective's
+priced time; there is no payload to checksum, so delivery fails while
+any data/transport rule is active, and each retry re-charges the full
+collective plus the backoff
+``machine.retry_backoff_base · 2^(k−1) · jitter(k)`` inside a nested
+``retry`` span, so the simulated-clock trace shows recovery time
+honestly; a fault that outlives the bounded retries raises
 :class:`~repro.faults.CollectiveError`.  Two composition notes: the
 analytic ``allreduce`` decomposes into ``reduce_scatter`` + ``allgather``
 (match those names), and ``alltoallv_sparse`` delegates to
@@ -39,14 +42,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-import numpy as np
-
-from repro.faults.errors import CollectiveError
-from repro.obs.flight import flight_recorder as _freg
 from repro.obs.metrics import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 from .costmodel import CostModel
+from .envelope import fault_envelope, note_fault
 
 __all__ = [
     "bcast",
@@ -64,141 +64,64 @@ def _log2(p: int) -> float:
     return math.log2(p) if p > 1 else 0.0
 
 
-def _calling_iteration() -> Optional[int]:
-    """Iteration of the innermost open ``iteration`` span, if any."""
-    sp = _obs().innermost("iteration")
-    return None if sp is None else sp.attrs.get("iteration")
-
-
-def _straggler_rank(plan, ranks: int) -> int:
-    """Deterministic victim rank for a plan's ``delay`` faults.
-
-    A real straggler is a *node*: every delay of one run hits the same
-    rank.  Deriving it from the seed (Fibonacci hashing, so neighbouring
-    seeds land on different ranks) keeps the fault log byte-reproducible
-    while giving the flight record — and the straggler detector — a
-    persistent rank to name.
-    """
-    return (0x9E3779B9 * (plan.seed + 1)) % max(ranks, 1)
-
-
-def _with_faults(
-    cost: CostModel, name: str, phase: Optional[str], charge: Callable[[], float]
+def _collective(
+    cost: CostModel, name: str, p: int, phase: Optional[str],
+    charge: Callable[[], float],
 ) -> float:
-    """Charge one collective, then replay the cost model's fault plan.
+    """Charge one collective inside its span and replay the cost model's
+    fault plan through the shared fault envelope.
 
     *charge* performs the fault-free charges and returns the seconds it
     added; it is invoked again for every retransmission so retries are
     priced identically to first deliveries.
     """
-    reg = _mreg()
-    if reg:
-        reg.counter("sim_collective_calls_total",
-                    "simulated collective invocations", collective=name).inc()
-    plan = getattr(cost, "faults", None)
-    if plan is None:
-        return charge()
-    fr = _freg()
-    call = plan.begin_call(name, phase)
-    crashed = call.crashes()
-    if crashed:
-        # a rank died mid-collective — the collective never completes, so
-        # nothing further is charged and no retry is priced; recovery is
-        # the supervisor's job (repro.recovery)
-        for rule in crashed:
-            call.record(rule, 0, None, "rank died mid-collective")
-            if fr:
-                fr.record("fault", step=phase, collective=name,
-                          fault_kind="crash", attempt=0)
+    with _obs().span(name, "collective", ranks=p), cost.kind(name):
+        reg = _mreg()
         if reg:
-            reg.counter("sim_faults_total", "injected faults, by kind",
-                        collective=name, kind="crash").inc(len(crashed))
-            reg.counter("sim_collective_errors_total",
-                        "collectives that failed permanently",
-                        collective=name).inc()
-        if fr:
-            fr.record("collective_error", step=phase, collective=name,
-                      kinds=["crash"], attempts=1)
-        raise CollectiveError(
-            name, 1, ["crash"], phase, iteration=_calling_iteration()
-        )
-    dt = charge()
-    if not call:
-        return dt
-    for rule in call.delays():
-        extra = (rule.delay_factor - 1.0) * dt
-        with cost.kind("fault_delay"):
-            cost.charge_seconds(extra, phase, "fault_delay")
-        victim = _straggler_rank(plan, cost.ranks)
-        call.record(rule, 0, victim, f"straggler x{rule.delay_factor:g}")
-        if fr:
-            fr.record("fault", rank=victim, step=phase, collective=name,
-                      fault_kind="delay", attempt=0,
-                      delay_factor=rule.delay_factor,
-                      delay_seconds=extra)
-        if reg:
-            reg.counter("sim_faults_total", "injected faults, by kind",
-                        collective=name, kind="delay").inc()
-        dt += extra
-    attempt = 0
-    backoff_base = cost.machine.retry_backoff_base
-    while True:
-        active = call.active(attempt)
-        if not active:
-            return dt
-        for rule in active:
-            call.record(rule, attempt, None, "detected by validation")
-            if fr:
-                fr.record("fault", step=phase, collective=name,
-                          fault_kind=rule.kind, attempt=attempt)
-            if reg:
-                reg.counter("sim_faults_total", "injected faults, by kind",
-                            collective=name, kind=rule.kind).inc()
-        kinds = sorted({r.kind for r in active})
-        attempt += 1
-        if attempt > plan.max_retries:
-            if reg:
-                reg.counter("sim_collective_errors_total",
-                            "collectives that failed permanently",
-                            collective=name).inc()
-            if fr:
-                fr.record("collective_error", step=phase, collective=name,
-                          kinds=kinds, attempts=attempt)
-            raise CollectiveError(
-                name,
-                attempt,
-                kinds,
-                phase,
-                iteration=_calling_iteration(),
-            )
-        if reg:
-            reg.counter("sim_retries_total",
-                        "collective retransmissions after validation failure",
-                        collective=name).inc()
-        backoff = backoff_base * (2 ** (attempt - 1))
-        if fr:
-            fr.record("retry", step=phase, collective=name, attempt=attempt,
-                      kinds=kinds, backoff_seconds=backoff)
-        with _obs().span("retry", "fault", collective=name, attempt=attempt,
-                         kinds=",".join(kinds)) as rsp:
+            reg.counter("sim_collective_calls_total",
+                        "simulated collective invocations", collective=name).inc()
+        plan = cost.faults
+        call = None if plan is None else plan.begin_call(name, phase)
+        if not call:
+            return charge()
+        dt = 0.0
+
+        def first() -> None:
+            nonlocal dt
+            dt += charge()
+
+        def price_delay(factor: float) -> float:
+            nonlocal dt
+            extra = (factor - 1.0) * dt
+            with cost.kind("fault_delay"):
+                cost.charge_seconds(extra, phase, "fault_delay")
+            dt += extra
+            return extra
+
+        def attempt(k, active):
+            # no payload to checksum: every still-active rule fails delivery
+            for rule in active:
+                note_fault(call, rule, k, None, "detected by validation")
+            return not active, dt
+
+        def charge_retry(backoff: float, rsp) -> None:
+            nonlocal dt
             with cost.kind("fault_backoff"):
                 dt += cost.charge_seconds(backoff, phase, "fault_backoff")
             dt += charge()  # full retransmission
-            if rsp:
-                rsp.add("backoff_seconds", backoff)
+
+        return fault_envelope(call, cost.ranks, cost, attempt, price_delay,
+                              charge_retry, first=first)
 
 
 def bcast(cost: CostModel, p: int, words: float, phase: Optional[str] = None) -> float:
     """Binomial-tree broadcast of *words* words to *p* ranks."""
     if p <= 1 or words <= 0:
         return 0.0
-    with _obs().span("bcast", "collective", ranks=p), cost.kind("bcast"):
-        return _with_faults(
-            cost,
-            "bcast",
-            phase,
-            lambda: cost.charge_comm(words * _log2(p), math.ceil(_log2(p)), phase),
-        )
+    return _collective(
+        cost, "bcast", p, phase,
+        lambda: cost.charge_comm(words * _log2(p), math.ceil(_log2(p)), phase),
+    )
 
 
 def allgather(
@@ -212,15 +135,10 @@ def allgather(
     """
     if p <= 1:
         return 0.0
-    with _obs().span("allgather", "collective", ranks=p), cost.kind("allgather"):
-        return _with_faults(
-            cost,
-            "allgather",
-            phase,
-            lambda: cost.charge_comm(
-                (p - 1) * words_per_rank, math.ceil(_log2(p)), phase
-            ),
-        )
+    return _collective(
+        cost, "allgather", p, phase,
+        lambda: cost.charge_comm((p - 1) * words_per_rank, math.ceil(_log2(p)), phase),
+    )
 
 
 def reduce_scatter(
@@ -237,10 +155,7 @@ def reduce_scatter(
         dt += cost.charge_compute(moved, phase)
         return dt
 
-    with _obs().span("reduce_scatter", "collective", ranks=p), cost.kind(
-        "reduce_scatter"
-    ):
-        return _with_faults(cost, "reduce_scatter", phase, charge)
+    return _collective(cost, "reduce_scatter", p, phase, charge)
 
 
 def allreduce(
@@ -267,15 +182,10 @@ def alltoallv_pairwise(
     """
     if p <= 1:
         return 0.0
-    with _obs().span("alltoallv_pairwise", "collective", ranks=p), cost.kind(
-        "alltoallv_pairwise"
-    ):
-        return _with_faults(
-            cost,
-            "alltoallv_pairwise",
-            phase,
-            lambda: cost.charge_comm(words_max_rank, p - 1, phase),
-        )
+    return _collective(
+        cost, "alltoallv_pairwise", p, phase,
+        lambda: cost.charge_comm(words_max_rank, p - 1, phase),
+    )
 
 
 def alltoallv_hypercube(
@@ -292,15 +202,10 @@ def alltoallv_hypercube(
     if p <= 1:
         return 0.0
     lg = math.ceil(_log2(p))
-    with _obs().span("alltoallv_hypercube", "collective", ranks=p), cost.kind(
-        "alltoallv_hypercube"
-    ):
-        return _with_faults(
-            cost,
-            "alltoallv_hypercube",
-            phase,
-            lambda: cost.charge_comm(words_max_rank * max(lg, 1), lg, phase),
-        )
+    return _collective(
+        cost, "alltoallv_hypercube", p, phase,
+        lambda: cost.charge_comm(words_max_rank * max(lg, 1), lg, phase),
+    )
 
 
 def alltoallv_sparse(
@@ -321,10 +226,7 @@ def barrier(cost: CostModel, p: int, phase: Optional[str] = None) -> float:
     """Dissemination barrier: ``α·log p``."""
     if p <= 1:
         return 0.0
-    with _obs().span("barrier", "collective", ranks=p), cost.kind("barrier"):
-        return _with_faults(
-            cost,
-            "barrier",
-            phase,
-            lambda: cost.charge_comm(0.0, math.ceil(_log2(p)), phase),
-        )
+    return _collective(
+        cost, "barrier", p, phase,
+        lambda: cost.charge_comm(0.0, math.ceil(_log2(p)), phase),
+    )

@@ -23,8 +23,8 @@ A :class:`~repro.faults.FaultPlan` passed at construction makes the
 network imperfect: delivered buffers can be truncated, corrupted,
 duplicated or zeroed, collectives can straggle or fail outright.  Every
 delivery then runs through a **retry-with-validation envelope**
-(:class:`repro.mpisim.envelope.CommBase`, shared with the real-process
-backend): payloads are checksummed at the sender, validated at the
+(:func:`repro.mpisim.envelope.fault_envelope`, shared with the
+real-process backend and the analytic collectives): payloads are checksummed at the sender, validated at the
 receiver, and damaged deliveries are retransmitted with exponential
 backoff (priced in simulated time — through the attached
 :class:`~repro.mpisim.costmodel.CostModel` when one is given).  Transient
@@ -56,8 +56,8 @@ class SimComm(CommBase):
     All collectives take ``bufs`` — one entry per rank, ordered by rank
     id — and return one result per rank, performing the same data
     movement their MPI counterparts would.  Constructor parameters
-    (``size`` / ``faults`` / ``cost`` / ``backoff_base``) are documented
-    on :class:`repro.mpisim.envelope.CommBase`.
+    (``size`` / ``faults`` / ``cost``) are documented on
+    :class:`repro.mpisim.envelope.CommBase`.
     """
 
     # ------------------------------------------------------------------

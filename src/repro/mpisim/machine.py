@@ -56,7 +56,8 @@ class MachineModel:
     #: cores are more beneficial than more slower cores" (§VI-C, [34])
     irregular_access_penalty: float = 1.0
     #: base backoff (seconds) before the first retransmission when a
-    #: fault-injected collective fails validation; doubles per retry.
+    #: fault-injected collective fails validation; doubles per retry and
+    #: is stretched by a seeded jitter in [1, 2) (repro.mpisim.envelope).
     #: Scaled to ~100 MPI latencies — the order of a Cray retransmit
     #: timeout — so fault recovery is visible but not dominant in traces.
     retry_backoff_base: float = 1e-4

@@ -38,8 +38,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.faults.errors import CollectiveError
-from repro.mpisim.envelope import CommBase, calling_iteration
+from repro.mpisim.envelope import CommBase, calling_iteration, fail
 from repro.obs.flight import flight_recorder as _freg
 from repro.obs.metrics import metrics_registry
 from repro.obs.tracer import current as _obs
@@ -71,15 +70,17 @@ class ProcComm(CommBase):
 
     backend = "proc"
 
-    def __init__(self, size, faults=None, cost=None, backoff_base: float = 1e-4):
-        super().__init__(size, faults=faults, cost=cost, backoff_base=backoff_base)
+    def __init__(self, size, faults=None, cost=None):
+        super().__init__(size, faults=faults, cost=cost)
         self._pool = get_pool(self.size)
 
     # ------------------------------------------------------------------
     def _fail(self, name: str, sp, status, error: Optional[str] = None):
         """Translate a classified worker failure into the typed
-        :class:`CollectiveError` the recovery supervisor dispatches on,
-        healing the communicator with a fresh pool first.
+        :class:`~repro.faults.CollectiveError` the recovery supervisor
+        dispatches on (raised through the shared
+        :func:`~repro.mpisim.envelope.fail` exit), healing the
+        communicator with a fresh pool first.
 
         Classification → error kind: any ``dead`` rank means the loss is
         permanent (``rank_lost``, retry cannot help, shrink can); only
@@ -95,20 +96,15 @@ class ProcComm(CommBase):
             kinds = ["deadline_exceeded"]
         else:
             kinds = ["worker_died"]
-        iteration = calling_iteration()
         old_pool = self._pool  # holds the dead run's salvage after teardown
         self._pool = get_pool(self.size)
         fr = _freg()
         if fr:
-            for r in lost:
-                fr.record("rank_lost", rank=r, collective=name,
-                          survivors=self.size - len(lost))
-            fr.record("collective_error", collective=name, kinds=kinds,
-                      attempts=1, lost_ranks=lost, stalled_ranks=stalled)
             # the dead pool's sideband was drained at teardown: replay the
-            # salvaged per-rank flight events (a killed rank's last acts)
-            # into the conductor record for the postmortem.  Re-recorded —
-            # not spliced — so the conductor's run_meta/seq stay intact.
+            # salvaged per-rank flight events (a killed rank's last acts,
+            # so they precede the failure verdict) into the conductor
+            # record for the postmortem.  Re-recorded — not spliced — so
+            # the conductor's run_meta/seq stay intact.
             for r, msgs in sorted(getattr(old_pool, "obs_salvage", {}).items()):
                 for ev in salvaged_flight_events(msgs):
                     extra = {
@@ -150,13 +146,11 @@ class ProcComm(CommBase):
                        ";".join(f"{s.rank}:{s.state}" for s in status))
             if error:
                 sp.set("error", error)
-        raise CollectiveError(
-            name, 1, kinds, iteration=iteration, lost_ranks=lost
-        )
+        fail(name, 1, kinds, size=self.size, lost=lost, stalled=stalled)
 
     def _run(self, name: str, sp, fn, *args):
         """Execute one pool collective, translating a dead/wedged worker
-        into a typed :class:`CollectiveError` (never a hang).
+        into a typed :class:`~repro.faults.CollectiveError` (never a hang).
 
         A death is *reported once*: the collective that observes it
         raises, and the communicator heals itself with a fresh pool so

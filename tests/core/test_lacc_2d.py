@@ -80,3 +80,15 @@ class TestExecutionModelsAgree:
         g = gen.erdos_renyi(100, 3.0, seed=5)
         r = lacc_2d(g, nprocs=4)
         assert r.words_sent > 0
+
+    def test_flaky_run_reports_fault_seconds(self):
+        """With no cost model attached, recovery time is pooled into the
+        result's fault_seconds, as lacc_spmd reports it."""
+        from repro.faults import preset
+
+        g = gen.erdos_renyi(100, 3.0, seed=5)
+        plan = preset("flaky", seed=0)
+        r = lacc_2d(g, nprocs=4, faults=plan)
+        assert validate.same_partition(r.parents, validate.ground_truth(g))
+        assert plan.n_injected > 0
+        assert r.fault_seconds > 0
