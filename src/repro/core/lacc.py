@@ -200,11 +200,10 @@ def lacc(
                 it_stats.converged_vertices = active.converged_count
                 sv, sp_ = star.dense_arrays()
                 it_stats.star_vertices = int(np.count_nonzero(sv & sp_))
+                nonstar = sp_ & ~sv
 
                 with tr.span("shortcut", "step"):
-                    nonstar = sp_ & ~sv
-                    scope = nonstar if not use_sparsity else (nonstar & active._active)
-                    shortcut(f, scope if use_sparsity else nonstar)
+                    shortcut(f, nonstar if active.mask is None else nonstar & active.mask)
 
                 if it_span:
                     it_span.set("active_vertices", it_stats.active_vertices)
@@ -239,7 +238,7 @@ def lacc(
                           driver="serial").set(it_stats.active_vertices)
 
             hooked = it_stats.cond_hooks + it_stats.uncond_hooks
-            all_stars = not (sp_ & ~sv).any()
+            all_stars = not nonstar.any()
             if active.all_converged() or (hooked == 0 and all_stars):
                 break
             # after shortcutting, star memberships may have changed

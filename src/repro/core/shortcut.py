@@ -32,23 +32,13 @@ def shortcut(f: Vector, scope: Optional[np.ndarray] = None) -> int:
         (the optimised algorithm passes "active nonstars"); ``None``
         follows the unoptimised Algorithm 1 and jumps everyone.
     """
-    n = f.size
-    if n == 0:
-        return 0
-    if scope is None:
-        idx = np.arange(n, dtype=np.int64)
-    else:
-        idx = np.flatnonzero(scope)
-        if idx.size == 0:
-            return 0
-
+    idx = np.arange(f.size, dtype=np.int64) if scope is None else np.flatnonzero(scope)
     fv = f.to_numpy()
-    # gf = f[f] on the scope (GrB_extract with f-values as indices)
     parents = fv[idx]
-    gf = Vector.empty(idx.size, f.dtype)
-    gb.extract(gf, None, None, f, parents)
-    gi, gv = gf.sparse_arrays()
-    changed = int(np.count_nonzero(gv != parents[gi]))
-    # f ← gf on the scope (GrB_assign)
-    gb.assign(f, None, None, Vector.sparse(idx.size, gi, gv), idx)
+    gv = fv[parents]  # gf = f[f] on the scope
+    moved = gv != parents
+    changed = int(np.count_nonzero(moved))
+    if changed:
+        # f ← gf where the parent moved (GrB_assign)
+        gb.assign(f, None, None, Vector.dense(gv[moved]), idx[moved])
     return changed

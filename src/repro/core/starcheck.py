@@ -13,6 +13,10 @@ The three passes below mirror the paper exactly:
 * every vertex with ``f[v] != gf[v]`` — and its grandparent — is a nonstar
   (this catches all vertices at level ≥ 3 and all roots of deep trees),
 * ``star[v] = star[f[v]]`` fixes up level-2 vertices of nonstar trees.
+
+Each pass is a gather or scatter on the parent array.  The literal
+GraphBLAS transcription (extract → ewise_mult → masked extract → scalar
+assigns) is ``repro.core.lacc_lagraph._starcheck``.
 """
 
 from __future__ import annotations
@@ -21,36 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-import repro.graphblas as gb
 from repro.graphblas import Vector
-from repro.graphblas import binaryops as bop
 
-__all__ = ["starcheck", "grandparents"]
-
-
-def grandparents(f: Vector, scope: Optional[Vector] = None) -> Vector:
-    """``gf = f[f]`` (Algorithm 5, lines 3–4) — optionally only for the
-    vertices stored in *scope* (sparsity per Table I)."""
-    gf = Vector.empty(f.size, f.dtype)
-    if scope is None:
-        index, value = f.extract_tuples()
-        gb.extract(gf, None, None, f, value)
-        # re-scatter onto the original positions in case f is not full
-        out = Vector.empty(f.size, f.dtype)
-        gi, gv = gf.sparse_arrays()
-        hit_vals = Vector.sparse(index.size, gi, gv)
-        gb.assign(out, None, None, hit_vals, index)
-        return out
-    si, _ = scope.sparse_arrays()
-    sub = Vector.empty(si.size, f.dtype)
-    gb.extract(sub, None, None, f, si)  # parents of scoped vertices
-    _, parents = sub.extract_tuples()
-    gsub = Vector.empty(parents.size, f.dtype)
-    gb.extract(gsub, None, None, f, parents)  # grandparents
-    out = Vector.empty(f.size, f.dtype)
-    gi, gv = gsub.sparse_arrays()
-    gb.assign(out, None, None, Vector.sparse(si.size, gi, gv), si)
-    return out
+__all__ = ["starcheck"]
 
 
 def starcheck(f: Vector, active: Optional[np.ndarray] = None) -> Vector:
@@ -71,47 +48,21 @@ def starcheck(f: Vector, active: Optional[np.ndarray] = None) -> Vector:
     Vector
         Dense boolean vector, ``star[v]`` true iff *v* is in a star tree.
     """
-    n = f.size
-    star = Vector.full(n, True, dtype=np.bool_)
-    if n == 0:
-        return star
-
     fv = f.to_numpy()
-    if active is None:
-        scope_idx = np.arange(n, dtype=np.int64)
-    else:
-        scope_idx = np.flatnonzero(active)
-        if scope_idx.size == 0:
-            return star
-
-    # gf over the scope only
-    scope_vec = Vector.sparse(n, scope_idx, fv[scope_idx])
-    gf = grandparents(f, scope=scope_vec)
-
-    # h: scoped vertices whose parent differs from their grandparent,
-    # carrying the grandparent as the value (Algorithm 6 lines 4-5)
-    f_scoped = Vector.sparse(n, scope_idx, fv[scope_idx])
-    neq = Vector.empty(n, np.bool_)
-    gb.ewise_mult(neq, None, None, bop.NE, f_scoped, gf)
-    h = Vector.empty(n, f.dtype)
-    gb.extract(h, neq, None, gf, None)  # value mask keeps only true entries
-
-    # mark those vertices and their grandparents as nonstars (lines 7-10)
-    index, value = h.extract_tuples()
-    gb.assign_scalar(star, None, None, False, index)
-    gb.assign_scalar(star, None, None, False, value)
-
-    # star[v] &= star[f[v]] for scoped vertices (lines 12-14).  The paper
-    # writes this as extract + masked assign; the net effect must only ever
-    # *clear* flags — a level-3 vertex whose level-2 parent is still
-    # (transiently) flagged true must not be resurrected, so we combine
-    # with logical AND rather than overwrite.
-    parent_star = Vector.empty(scope_idx.size, np.bool_)
-    gb.extract(parent_star, None, None, star, fv[scope_idx])
-    self_star = Vector.empty(scope_idx.size, np.bool_)
-    gb.extract(self_star, None, None, star, scope_idx)
-    combined = Vector.empty(scope_idx.size, np.bool_)
-    gb.ewise_mult(combined, None, None, bop.LAND, parent_star, self_star)
-    ci, cv = combined.sparse_arrays()
-    gb.assign(star, None, None, Vector.sparse(scope_idx.size, ci, cv), scope_idx)
-    return star
+    star = np.ones(f.size, dtype=np.bool_)
+    s = np.arange(f.size, dtype=np.int64) if active is None else np.flatnonzero(active)
+    if s.size:
+        p = fv[s]
+        gp = fv[p]
+        # scoped vertices whose parent differs from their grandparent, and
+        # those grandparents, are nonstars (Algorithm 6 lines 4-10)
+        neq = p != gp
+        star[s[neq]] = False
+        star[gp[neq]] = False
+        # star[v] &= star[f[v]] (lines 12-14).  The paper writes this as
+        # extract + masked assign; the net effect must only ever *clear*
+        # flags — a level-3 vertex whose level-2 parent is still
+        # (transiently) flagged true must not be resurrected, so we combine
+        # with logical AND rather than overwrite.
+        star[s] &= star[p]
+    return Vector.dense(star)

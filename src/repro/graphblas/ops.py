@@ -589,9 +589,10 @@ def extract(
     """``GrB_extract`` (vector variant): ``w⟨mask⟩ = u[indices]``.
 
     ``indices=None`` means ``GrB_ALL``.  Result position *k* holds
-    ``u[indices[k]]`` when that element is stored, else nothing.  This is the
-    primitive LACC uses to read grandparents: ``gf = f[f]`` passes the parent
-    values as the index list (Algorithm 5).  A sparse *u* is probed with
+    ``u[indices[k]]`` when that element is stored, else nothing.  The
+    GraphBLAS transcription of LACC in ``repro.core.lacc_lagraph`` reads
+    grandparents with it: ``gf = f[f]`` passes the parent values as the
+    index list (Algorithms 5 and 6).  A sparse *u* is probed with
     searchsorted lookups instead of being densified.
     """
     idx = _as_index_array(indices, u.size, "extract")

@@ -10,7 +10,7 @@ import repro.graphblas as gb
 from repro.core.convergence import ActiveSet, converged_star_vertices
 from repro.core.hooking import cond_hook, uncond_hook
 from repro.core.shortcut import shortcut
-from repro.core.starcheck import grandparents, starcheck
+from repro.core.starcheck import starcheck
 from repro.graphblas import Matrix, Vector
 from repro.graphs import generators as gen
 
@@ -71,23 +71,6 @@ class TestStarcheck:
         f = parent_vec([0, 0, 1])
         star = starcheck(f, np.zeros(3, dtype=bool)).to_numpy()
         assert star.all()
-
-
-class TestGrandparents:
-    def test_full_scope(self):
-        f = parent_vec([1, 2, 2, 0])
-        gf = grandparents(f)
-        np.testing.assert_array_equal(gf.to_numpy(), [2, 2, 2, 1])
-
-    def test_scoped(self):
-        f = parent_vec([1, 2, 2, 0])
-        scope = Vector.sparse(4, [0, 3], [1, 1])
-        gf = grandparents(f, scope=scope)
-        assert dict(zip(*[a.tolist() for a in gf.sparse_arrays()])) == {0: 2, 3: 1}
-
-    def test_identity_on_roots(self):
-        f = Vector.iota(6)
-        np.testing.assert_array_equal(grandparents(f).to_numpy(), np.arange(6))
 
 
 class TestCondHook:
