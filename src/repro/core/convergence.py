@@ -19,13 +19,15 @@ We therefore retire stars using the *semantic* definition of convergence:
 
     a star is converged iff no member has a neighbour outside the star,
 
-checked with two masked ``GrB_mxv`` calls over the surviving star vertices
-(min and max neighbouring parent — both equal the root iff every neighbour
-is internal).  This is sound in every iteration (including the first), and
-costs the same asymptotic work as one hooking phase over a set that
-shrinks geometrically.  Unconverged stars simply stay active and hook in
-the next iteration's conditional phase, exactly as in the original
-Awerbuch–Shiloach schedule.  The deviation is recorded in DESIGN.md.
+checked with one pass over the rows of the surviving star vertices that
+yields both the min and the max neighbouring parent (both equal the root
+iff every neighbour is internal) — the *(Select2nd, min)* and *(Select2nd,
+max)* products fused into one kernel-tier call.  This is sound in every iteration
+(including the first), and costs the same asymptotic work as one hooking
+phase over a set that shrinks geometrically.  Unconverged stars simply stay
+active and hook in the next iteration's conditional phase, exactly as in
+the original Awerbuch–Shiloach schedule.  The deviation is recorded in
+DESIGN.md.
 """
 
 from __future__ import annotations
@@ -34,12 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-import repro.graphblas as gb
 from repro.graphblas import Matrix, Vector
-from repro.graphblas import semirings as sr
-from repro.graphblas.descriptor import Mask
-
-from .hooking import scoped_input
+from repro.graphblas import kernels as _kernels
+from repro.graphblas.ops import MASKED_SPMV_ROW_FRACTION
 
 __all__ = ["ActiveSet", "converged_star_vertices"]
 
@@ -56,7 +55,6 @@ def converged_star_vertices(
     docstring.  Only vertices inside the *active* scope are considered
     (``None`` = all vertices).
     """
-    n = f.size
     sv, sp_ = star.dense_arrays()
     star_allow = sv & sp_
     if active is not None:
@@ -64,30 +62,23 @@ def converged_star_vertices(
     if not star_allow.any():
         return star_allow
 
+    # min and max neighbouring parent of every allowed star vertex in one
+    # pass; past mxv's masked-SpMV row fraction every row is streamed and
+    # the other rows' results are dropped below
+    rows_sel = np.flatnonzero(star_allow)
+    if rows_sel.size > MASKED_SPMV_ROW_FRACTION * A.nrows:
+        rows_sel = None
     fv = f.to_numpy()
-    u_in = scoped_input(f, active)
+    idx, fmin, fmax = _kernels.impl().spmv_rows_minmax(A, fv, active, rows_sel)
 
-    # from_bitmap: a shrinking survivor set gets a sparse structural mask,
-    # so both mxv calls stream only the surviving stars' rows
-    star_mask = Mask.from_bitmap(star_allow)
-    fmin = Vector.empty(n, f.dtype)
-    gb.mxv(fmin, star_mask, None, sr.SEL2ND_MIN_INT64, A, u_in)
-    fmax = Vector.empty(n, f.dtype)
-    gb.mxv(fmax, star_mask, None, sr.SEL2ND_MAX_INT64, A, u_in)
-
-    # a member u sees an external tree iff min or max neighbouring parent
-    # differs from its own root f[u]
-    external = np.zeros(n, dtype=bool)
-    for fn in (fmin, fmax):
-        fi, fvals = fn.sparse_arrays()
-        diff = fvals != fv[fi]
-        external[fi[diff]] = True
+    # a member u sees an external tree iff the min or max parent among its
+    # active neighbours differs from its own root f[u]
+    root = fv[idx]
+    external = idx[star_allow[idx] & ((fmin != root) | (fmax != root))]
 
     # a star converges only when *no* member is external: mark bad roots
-    bad_root = np.zeros(n, dtype=bool)
-    ext_idx = np.flatnonzero(external)
-    if ext_idx.size:
-        bad_root[fv[ext_idx]] = True
+    bad_root = np.zeros(f.size, dtype=bool)
+    bad_root[fv[external]] = True
     return star_allow & ~bad_root[fv]
 
 

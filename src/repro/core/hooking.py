@@ -14,24 +14,28 @@ parents onto the star roots with ``GrB_assign``:
 Multiple vertices of one star may propose different parents; we combine
 proposals per root with *min*, which keeps the algorithm deterministic and
 preserves the min-id labelling convention.
+
+The hook filter and the root lookup act on the mxv output's arrays and the
+parent array.  The literal GraphBLAS transcription (``ewise_mult`` →
+value-masked ``extract`` → ``ewise_mult`` → ``assign``) is
+``repro.core.lacc_lagraph._hook``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 import repro.graphblas as gb
 from repro.graphblas import Vector
-from repro.graphblas import binaryops as bop
+from repro.graphblas import kernels as _kernels
 from repro.graphblas import semirings as sr
 from repro.graphblas.descriptor import Mask
+from repro.graphblas.monoid import MIN_INT64
 
 __all__ = ["cond_hook", "uncond_hook", "scoped_input", "HookReport"]
-
-
-from dataclasses import dataclass
 
 
 @dataclass
@@ -53,23 +57,20 @@ class HookReport:
         return NotImplemented
 
 
-def _scatter_hooks(f: Vector, fn: Vector):
+def _scatter_hooks(
+    f: Vector, fv: np.ndarray, hook_vertices: np.ndarray, proposals: np.ndarray
+) -> HookReport:
     """Steps 2–3 shared by both hooking variants.
 
-    *fn* holds, for each hook vertex, the new parent id to give its root.
-    Identify the roots (``f_h = f`` on fn's pattern — within a star only
-    the root can be a parent), combine duplicate proposals with min, and
-    scatter ``f[f_h] = f_n`` (Algorithm 3, lines 6–12).
-    Returns a :class:`HookReport`.
+    ``proposals[k]`` is the new parent id star vertex ``hook_vertices[k]``
+    offers its root.  Identify the roots (``fv[hook_vertices]`` — within a
+    star only the root can be a parent), combine duplicate proposals with
+    min, and scatter ``f[roots] = proposals`` (Algorithm 3, lines 6–12).
     """
-    fh = Vector.empty(f.size, f.dtype)
-    gb.ewise_mult(fh, None, None, bop.FIRST, f, fn)  # parents of hooks
-    hook_vertices, roots = fh.extract_tuples()
-    _, newpar = fn.extract_tuples()
+    roots = fv[hook_vertices]
     if roots.size == 0:
-        return HookReport(0, roots, newpar, hook_vertices)
-    merged = Vector.sparse(f.size, roots, newpar, dedup="min")
-    idx, vals = merged.extract_tuples()
+        return HookReport(0, roots, proposals, hook_vertices)
+    idx, vals, _ = _kernels.impl().reduce_by_rows(proposals, roots, MIN_INT64, f.size)
     gb.assign(f, None, None, Vector.dense(vals), idx)
     return HookReport(int(idx.size), idx, vals, hook_vertices)
 
@@ -101,23 +102,18 @@ def cond_hook(
     parent id among its neighbours; where that improves on ``f[u]``, hook
     ``f[f[u]] = min``.
     """
-    n = f.size
-    star_mask = _star_scope_mask(star, active)
-
     # Step 1: fn[i] = min parent among neighbours of star vertex i
-    fn = Vector.empty(n, f.dtype)
+    fn = Vector.empty(f.size, f.dtype)
     u_in = scoped_input(f, active)
-    gb.mxv(fn, star_mask, None, sr.SEL2ND_MIN_INT64, A, u_in)
+    gb.mxv(fn, _star_scope_mask(star, active), None, sr.SEL2ND_MIN_INT64, A, u_in)
 
     # Keep strict improvements only (the f[u] > f[v] condition): without
     # this filter stale proposals equal to the current root id would count
     # as hooks and the convergence test would never fire.
-    improves = Vector.empty(n, np.bool_)
-    gb.ewise_mult(improves, None, None, bop.LT, fn, f)
-    hooks = Vector.empty(n, f.dtype)
-    gb.extract(hooks, improves, None, fn, None)  # value mask: true entries
-
-    return _scatter_hooks(f, hooks)
+    idx, vals = fn.sparse_arrays()
+    fv = f.to_numpy()
+    hook = vals < fv[idx]
+    return _scatter_hooks(f, fv, idx[hook], vals[hook])
 
 
 def uncond_hook(
@@ -131,44 +127,41 @@ def uncond_hook(
 
     Stars that survived conditional hooking hook onto any neighbouring
     *nonstar* tree.  The input vector is ``f`` restricted to nonstar
-    vertices (``GrB_extract`` with the structurally-complemented star mask,
-    line 4), so a star vertex's mxv result can only come from a nonstar
+    vertices (the paper's ``GrB_extract`` with the structurally-complemented
+    star mask, line 4, built here straight from the nonstar bitmap), so a
+    star vertex's mxv result can only come from a nonstar
     neighbour — which also makes the step vacuous in iteration 1, exactly
     the guard the paper applies below Lemma 2.
     """
-    n = f.size
     sv, sp_ = star.dense_arrays()
     nonstar_allow = sp_ & ~sv
     if active is not None:
         nonstar_allow = nonstar_allow & active
 
     # Step 1: parents of nonstar vertices (sparse input vector)
-    fns = Vector.empty(n, f.dtype)
-    gb.extract(fns, Mask.from_bitmap(nonstar_allow), None, f, None)
-    if fns.nvals == 0:
+    nonstar = np.flatnonzero(nonstar_allow)
+    if nonstar.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return HookReport(0, empty, empty, empty)
+    fv = f.to_numpy()
+    fns = Vector.sparse(f.size, nonstar, fv[nonstar])
 
     # Step 2: for star vertices, min parent among *nonstar* neighbours
-    star_mask = _star_scope_mask(star, active)
-    fn = Vector.empty(n, f.dtype)
-    gb.mxv(fn, star_mask, None, sr.SEL2ND_MIN_INT64, A, fns)
+    fn = Vector.empty(f.size, f.dtype)
+    gb.mxv(fn, _star_scope_mask(star, active), None, sr.SEL2ND_MIN_INT64, A, fns)
 
     # A star root may be proposed its own id when a level-2 nonstar vertex
     # points back at it; such no-op hooks must not count (f[u] != f[v]).
-    ne = Vector.empty(n, np.bool_)
-    gb.ewise_mult(ne, None, None, bop.NE, fn, f)
-    hooks = Vector.empty(n, f.dtype)
-    gb.extract(hooks, ne, None, fn, None)
-
-    return _scatter_hooks(f, hooks)
+    idx, vals = fn.sparse_arrays()
+    hook = vals != fv[idx]
+    return _scatter_hooks(f, fv, idx[hook], vals[hook])
 
 
 def scoped_input(f: Vector, active: Optional[np.ndarray]) -> Vector:
-    """f restricted to active vertices — the SpMSpV input once components
-    start converging (Table I / Lemma 1).  Shared by both hooking phases
-    and the convergence check.  When nothing has converged yet the vector
-    is returned as-is instead of being rebuilt."""
+    """f restricted to active vertices — conditional hooking's SpMSpV
+    input once components start converging (Table I / Lemma 1).  When
+    nothing has converged yet the vector is returned as-is instead of
+    being rebuilt."""
     if active is None or active.all():
         return f
     idx = np.flatnonzero(active)

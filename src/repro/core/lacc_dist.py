@@ -340,8 +340,8 @@ def lacc_dist(
                 star = starcheck(f, active.mask)
                 charge_starcheck("starcheck", iteration)
                 # convergence detection (strengthened Lemma 1): min and max
-                # neighbouring parent fuse into one semiring pass, so charge
-                # one mxv
+                # neighbouring parent come from one fused pass over the
+                # star rows, so charge one mxv
                 if use_sparsity:
                     conv = converged_star_vertices(Ap, f, star, active.mask)
                     dmat.charge_mxv(cost, active_bitmap(), "starcheck")

@@ -49,6 +49,7 @@ __all__ = [
     "gather_multiply",
     "spmv",
     "spmv_rows",
+    "spmv_rows_minmax",
     "spmspv",
 ]
 
@@ -453,6 +454,35 @@ def _k_spmv_rows_generic(
     return out_i[:k], out_v[:k], flops, total
 
 
+@njit(cache=True)
+def _k_spmv_rows_minmax(indptr, indices, u_vals, u_present, rows_sel):
+    nsel = rows_sel.size
+    out_i = np.empty(nsel, np.int64)
+    out_min = np.empty(nsel, u_vals.dtype)
+    out_max = np.empty(nsel, u_vals.dtype)
+    k = 0
+    for s in range(nsel):
+        r = rows_sel[s]
+        have = False
+        for p in range(indptr[r], indptr[r + 1]):
+            c = indices[p]
+            if not u_present[c]:
+                continue
+            v = u_vals[c]
+            if not have:
+                out_i[k] = r
+                out_min[k] = v
+                out_max[k] = v
+                have = True
+            elif v < out_min[k]:
+                out_min[k] = v
+            elif v > out_max[k]:
+                out_max[k] = v
+        if have:
+            k += 1
+    return out_i[:k], out_min[:k], out_max[:k]
+
+
 # --- SpMSpV column gather (mask filter fused; reduction done after) ----
 # mask_mode: 0 = unmasked, 1 = dense allow bitmap, 2 = sorted allowed rows
 
@@ -708,6 +738,24 @@ def spmv_rows(semiring, A, u, rows_sel: np.ndarray):
         # values array after the *input vector*, not the product
         return _EMPTY_I64, np.empty(0, dtype=u.dtype), 0, "spmv_masked"
     return t_idx, t_vals, int(flops), "spmv_masked"
+
+
+def spmv_rows_minmax(
+    A,
+    u_vals: np.ndarray,
+    u_present: Optional[np.ndarray],
+    rows_sel: Optional[np.ndarray],
+):
+    if u_vals.dtype.kind not in "iu":
+        return _numpy.spmv_rows_minmax(A, u_vals, u_present, rows_sel)
+    if u_present is None:
+        u_present = np.ones(u_vals.size, dtype=bool)
+    if rows_sel is None:
+        rows_sel = np.arange(A.nrows, dtype=np.int64)
+    return _k_spmv_rows_minmax(
+        _c(A.indptr, np.int64), _c(A.indices, np.int64),
+        _c(u_vals), _c(u_present), _c(rows_sel, np.int64),
+    )
 
 
 def spmspv(

@@ -33,6 +33,7 @@ __all__ = [
     "gather_multiply",
     "spmv",
     "spmv_rows",
+    "spmv_rows_minmax",
     "spmspv",
 ]
 
@@ -138,13 +139,16 @@ def segment_reduce(values: np.ndarray, seg_ids: np.ndarray, monoid):
     if seg_ids.size == 0:
         return seg_ids[:0], values[:0]
     boundaries = np.flatnonzero(np.r_[True, seg_ids[1:] != seg_ids[:-1]])
-    uniq = seg_ids[boundaries]
+    return seg_ids[boundaries], _reduce_segments(values, boundaries, monoid)
+
+
+def _reduce_segments(values: np.ndarray, starts: np.ndarray, monoid):
+    """Reduce the non-empty segments of *values* beginning at *starts*."""
     fn = monoid.op.fn
     if isinstance(fn, np.ufunc):
-        return uniq, fn.reduceat(values, boundaries)
+        return fn.reduceat(values, starts)
     # keep-last semantics (ANY / SECOND): last element of each segment
-    last = np.r_[boundaries[1:], values.size] - 1
-    return uniq, values[last]
+    return values[np.r_[starts[1:], values.size] - 1]
 
 
 def reduce_by_rows(
@@ -200,32 +204,69 @@ def gather_multiply(semiring, a_vals: np.ndarray, u_vals: np.ndarray):
 # matrix-vector kernels
 # ----------------------------------------------------------------------
 
+def _concat_ranges(lo: np.ndarray, lengths: np.ndarray, total: int):
+    """``(flat, starts)``: the index ranges ``[lo[k], lo[k] + lengths[k])``
+    laid end to end (*total* entries), and the offset each range starts at."""
+    starts = np.zeros(lengths.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    flat = np.repeat(lo - starts, lengths)
+    flat += np.arange(total, dtype=np.int64)
+    return flat, starts
+
+
+def _row_segments(A, rows_sel: Optional[np.ndarray] = None):
+    """The CSR segments of the non-empty rows among sorted *rows_sel*
+    (``None``: every row of *A*).
+
+    Returns ``(rows, starts, cols)``: the column ids of the rows' entries
+    laid end to end, with row ``rows[k]``'s segment starting at
+    ``starts[k]``.  Over every row the segments are ``A.indices`` itself
+    and the starts are ``indptr``, so no gather index is built.
+    """
+    indptr = A.indptr
+    if rows_sel is None:
+        rows = np.flatnonzero(indptr[1:] != indptr[:-1])
+        return rows, indptr[rows], A.indices
+    lo = indptr[rows_sel]
+    lengths = indptr[rows_sel + 1] - lo
+    nonempty = lengths > 0
+    rows, lo, lengths = rows_sel[nonempty], lo[nonempty], lengths[nonempty]
+    flat, starts = _concat_ranges(lo, lengths, int(lengths.sum()))
+    return rows, starts, A.indices[flat]
+
+
 def spmv(semiring, A, u):
     """Row-streaming kernel: work ∝ nnz(A) restricted to present u entries.
 
     Returns ``(t_idx, t_vals, flops, path)`` where *flops* is the number of
-    semiring multiplies performed (the quantity Figure 8 attributes).  Row
-    ids come from the matrix's cached COO view.
+    semiring multiplies performed (the quantity Figure 8 attributes).  The
+    segments are the CSR rows: their starts are ``indptr`` over the
+    non-empty rows, and entries with an absent input are dropped with the
+    starts recounted per row, so no per-entry row id is ever built.
     """
     u_vals, u_present = u.dense_arrays()
-    cols = A.indices
-    rows = A.coo_rows()
+    rows, starts, cols = _row_segments(A)
+    a_vals = A.values
     kind = semiring.multiply_kind
     keep = u_present[cols]
     if not keep.all():
+        counts = np.add.reduceat(keep, starts, dtype=np.int64)
+        hit = counts > 0
+        rows, counts = rows[hit], counts[hit]
+        starts = np.zeros(rows.size, dtype=np.int64)
+        np.cumsum(counts[:-1], out=starts[1:])
         cols = cols[keep]
-        rows = rows[keep]
-        a_vals = A.values[keep] if kind != "second" else None
-    else:
-        a_vals = A.values if kind != "second" else None
+        if kind != "second":
+            a_vals = a_vals[keep]
     if kind == "second":
         prods = u_vals[cols]
     elif kind == "first":
         prods = a_vals
     else:
         prods = np.asarray(semiring.multiply(a_vals, u_vals[cols]))
-    t_idx, t_vals = segment_reduce(prods, rows, semiring.add)
-    return t_idx, t_vals, int(cols.size), "spmv"
+    if prods.size == 0:
+        return rows, prods[:0], 0, "spmv"
+    return rows, _reduce_segments(prods, starts, semiring.add), int(cols.size), "spmv"
 
 
 def spmv_rows(semiring, A, u, rows_sel: np.ndarray):
@@ -242,9 +283,7 @@ def spmv_rows(semiring, A, u, rows_sel: np.ndarray):
     total = int(lengths.sum())
     if total == 0:
         return _EMPTY_I64, np.empty(0, dtype=u.dtype), 0, "spmv_masked"
-    out_starts = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=out_starts[1:])
-    flat = np.repeat(lo - out_starts, lengths) + np.arange(total, dtype=np.int64)
+    flat, _ = _concat_ranges(lo, lengths, total)
     cols = A.indices[flat]
     rows = np.repeat(rows_sel, lengths)
     keep = u_present[cols]
@@ -259,6 +298,36 @@ def spmv_rows(semiring, A, u, rows_sel: np.ndarray):
         prods = np.asarray(semiring.multiply(A.values[flat], u_vals[cols]))
     t_idx, t_vals = segment_reduce(prods, rows, semiring.add)
     return t_idx, t_vals, int(cols.size), "spmv_masked"
+
+
+def spmv_rows_minmax(
+    A,
+    u_vals: np.ndarray,
+    u_present: Optional[np.ndarray],
+    rows_sel: Optional[np.ndarray],
+):
+    """The *(Select2nd, min)* and *(Select2nd, max)* products over the
+    sorted rows *rows_sel* (``None``: every row) in one pass.
+
+    The input is the integer array *u_vals* with the bitmap *u_present*
+    of its stored entries (``None``: all stored), so a caller holding a
+    dense array and a scope bitmap builds no vector.  Returns ``(t_idx,
+    t_min, t_max)`` for the rows with at least one present input — each
+    equal to what :func:`spmv_rows` gives under either semiring.  Absent
+    inputs read as the identity of each reduction, so a row with no
+    present input ends with ``t_min > t_max`` and is dropped.
+    """
+    rows, starts, cols = _row_segments(A, rows_sel)
+    if rows.size == 0:
+        return rows, u_vals[:0], u_vals[:0]
+    if u_present is None or u_present.all():
+        par = u_vals[cols]
+        return rows, np.minimum.reduceat(par, starts), np.maximum.reduceat(par, starts)
+    info = np.iinfo(u_vals.dtype)
+    t_min = np.minimum.reduceat(np.where(u_present, u_vals, info.max)[cols], starts)
+    t_max = np.maximum.reduceat(np.where(u_present, u_vals, info.min)[cols], starts)
+    hit = t_min <= t_max
+    return rows[hit], t_min[hit], t_max[hit]
 
 
 def spmspv(
@@ -286,9 +355,7 @@ def spmspv(
     total = int(lengths.sum())
     if total == 0:
         return ui[:0], uv[:0], 0, "spmspv"
-    out_starts = np.zeros(lengths.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=out_starts[1:])
-    flat = np.repeat(lo - out_starts, lengths) + np.arange(total, dtype=np.int64)
+    flat, _ = _concat_ranges(lo, lengths, total)
     rows = rowids[flat]
     u_src = np.repeat(uv, lengths)
     masked = allow is not None or allowed_rows is not None

@@ -238,8 +238,9 @@ class Matrix:
         """Row id of every stored entry in CSR order, i.e.
         ``np.repeat(np.arange(nrows), row_degrees())``.
 
-        Cached so the row-streaming SpMV kernel stops rebuilding an
-        O(nnz) array on every call; treat as read-only.
+        Built on first use and cached; treat as read-only.  Used by
+        :meth:`extract_tuples` and ``ops.reduce_matrix``; the SpMV kernels
+        take their row segments from ``indptr`` instead.
         """
         if self._coo_rows is None:
             self._coo_rows = np.repeat(

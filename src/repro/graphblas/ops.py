@@ -410,7 +410,7 @@ def mxv(
                             "output rows considered under a pushed-down mask",
                             op="mxv").inc(float(A.nrows))
         return _masked_write(
-            w, t_idx, t_vals, mask, None if accum is None else accum, desc,
+            w, t_idx, t_vals, mask, accum, desc,
             mask_obj=m, allow=allow,
         )
 

@@ -361,6 +361,25 @@ class TestMxvKernelEquivalence:
         assert_kernel_equal(ref, got)
         assert got[1].dtype == u.dtype
 
+    @pytest.mark.parametrize("presence", [None, 1.0, 0.6, 0.0],
+                             ids=["unscoped", "full", "holes", "none"])
+    @pytest.mark.parametrize("sel", ["every", "empty", "some"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_spmv_rows_minmax(self, presence, sel, dtype):
+        rng = np.random.default_rng(29)
+        vals = rng.integers(-300, 300, 300).astype(dtype)
+        present = None if presence is None else rng.random(300) < presence
+        rows_sel = {
+            "every": None,
+            "empty": np.empty(0, np.int64),
+            "some": np.sort(rng.choice(300, 60, replace=False)).astype(np.int64),
+        }[sel]
+        ref = _numpy.spmv_rows_minmax(self.A, vals, present, rows_sel)
+        got = _compiled.spmv_rows_minmax(self.A, vals, present, rows_sel)
+        for r, g in zip(ref, got):
+            np.testing.assert_array_equal(g, r)
+            assert g.dtype == r.dtype
+
     @pytest.mark.parametrize("semiring", MXV_SEMIRINGS)
     @pytest.mark.parametrize("density", [0.01, 0.05, 0.25, 0.5, 1.0],
                              ids=["d1", "d5", "d25", "d50", "d100"])
