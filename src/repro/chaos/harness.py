@@ -148,7 +148,7 @@ def chaos_run(
     # default lands mid-iteration-2 for both drivers on the bench-corpus
     # graphs — past the first checkpoint, so recovery resumes rather
     # than restarts
-    after: int = 50,
+    after: int = 30,
     backend: Optional[str] = None,
     stall_seconds: float = 1.0,
     rank: Optional[int] = None,

@@ -102,7 +102,7 @@ def _frame(seed: int = 0, after: int = 10, rank: Optional[int] = None) -> FaultP
     )
 
 
-def _shrink(seed: int = 0, after: int = 10, gap: int = 25) -> FaultPlan:
+def _shrink(seed: int = 0, after: int = 10, gap: int = 12) -> FaultPlan:
     """Two rank losses *gap* collectives apart — the repeated failure at
     the same iteration neighbourhood that escalates the supervisor past
     plain respawn into shrink-to-survivors."""

@@ -1060,8 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=sorted(_CHAOS_PRESETS),
                     help="chaos scenario (default: kill)")
     ch.add_argument("--seed", type=int, default=0, help="chaos plan seed")
-    ch.add_argument("--after", type=int, default=50, metavar="N",
-                    help="fire at the N-th collective call (default: 50, "
+    ch.add_argument("--after", type=int, default=30, metavar="N",
+                    help="fire at the N-th collective call (default: 30, "
                          "mid-iteration-2 on the corpus graphs)")
     ch.add_argument("--rank", type=int, default=None,
                     help="victim rank (default: seeded deterministic pick)")

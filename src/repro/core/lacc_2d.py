@@ -8,8 +8,9 @@ Third execution model, completing the fidelity ladder:
 4. **this module** — literal message passing with the paper's actual data
    distribution: the adjacency matrix on a ``√p × √p`` grid, hooking via
    the real two-stage :func:`repro.combblas.dist_mxv` (column allgather →
-   block multiply → row routing), vectors block-distributed with
-   request/reply indexing for starcheck and shortcut.
+   block multiply → row routing), vectors block-distributed, and
+   :mod:`~repro.core.lacc_spmd`'s request/reply starcheck, whose
+   grandparents the shortcut reuses.
 
 Per-rank state only ever moves through :class:`repro.mpisim.SimComm`
 collectives; the tests pin the output to serial LACC and ground truth on
@@ -37,7 +38,7 @@ from repro.mpisim.grid import ProcessGrid
 from repro.obs.flight import flight_recorder as _freg
 from repro.obs.tracer import current as _obs
 
-from .lacc_spmd import _Dist
+from .lacc_spmd import _Dist, _shortcut, _starcheck
 from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
 
 __all__ = ["lacc_2d", "Grid2DResult"]
@@ -97,40 +98,23 @@ def lacc_2d(
         f0 = validate_initial_parents(initial_parents, n)
     else:
         f0 = np.arange(n, dtype=np.int64)
-    f = _Dist(comm, n, f0)
-    star = _Dist(comm, n, np.ones(n, dtype=np.int64))
-
-    def starcheck() -> None:
-        for r in range(nprocs):
-            star.blocks[r][:] = 1
-        parents = [f.blocks[r] for r in range(nprocs)]
-        gf = f.gather(parents)
-        bad_self, bad_gp = [], []
-        for r in range(nprocs):
-            base = f.lo(r)
-            neq = np.flatnonzero(parents[r] != gf[r])
-            bad_self.append(neq + base)
-            bad_gp.append(gf[r][neq])
-        star.scatter_store(bad_self, [np.zeros(b.size, np.int64) for b in bad_self])
-        star.scatter_store(bad_gp, [np.zeros(b.size, np.int64) for b in bad_gp])
-        pstar = star.gather(parents)
-        for r in range(nprocs):
-            star.blocks[r] &= pstar[r]
+    dist = _Dist(comm, n)
+    f = dist.distribute(f0)
+    star = dist.distribute(np.ones(n, dtype=np.int64))
 
     def global_vector(restrict_to_nonstars: bool) -> Vector:
         """Assemble the mxv input from per-rank blocks (each rank
         contributes only its own entries, like the SpMV gather's senders)."""
         idx_parts, val_parts = [], []
         for r in range(nprocs):
-            base = f.lo(r)
             if restrict_to_nonstars:
-                local = np.flatnonzero(star.blocks[r] == 0)
+                local = np.flatnonzero(star[r] == 0)
             else:
-                local = np.arange(f.blocks[r].size)
-            idx_parts.append(local + base)
-            val_parts.append(f.blocks[r][local])
-        idx = np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64)
-        vals = np.concatenate(val_parts) if val_parts else np.empty(0, np.int64)
+                local = np.arange(f[r].size)
+            idx_parts.append(local + dist.lo(r))
+            val_parts.append(f[r][local])
+        idx = np.concatenate(idx_parts)
+        vals = np.concatenate(val_parts)
         return Vector.sparse(n, idx, vals)
 
     def hook(conditional: bool) -> int:
@@ -142,37 +126,27 @@ def lacc_2d(
         fn_vals, fn_present = fn.dense_arrays()
         targets, values = [], []
         for r in range(nprocs):
-            base = f.lo(r)
-            size = f.blocks[r].size
-            pres = fn_present[base : base + size]
-            prop = fn_vals[base : base + size]
-            is_star = star.blocks[r] == 1
+            lo, hi = dist.lo(r), dist.hi(r)
+            pres = fn_present[lo:hi]
+            prop = fn_vals[lo:hi]
+            is_star = star[r] == 1
             if conditional:
-                fire = pres & is_star & (prop < f.blocks[r])
+                fire = pres & is_star & (prop < f[r])
             else:
-                fire = pres & is_star & (prop != f.blocks[r])
+                fire = pres & is_star & (prop != f[r])
             # pre-combine locally: the smallest proposal per root
             roots, proposal, _ = _kernels.impl().reduce_by_rows(
-                prop[fire], f.blocks[r][fire], MIN_INT64, n
+                prop[fire], f[r][fire], MIN_INT64, n
             )
             targets.append(roots)
             values.append(proposal)
-        return f.scatter_min(targets, values)
-
-    def shortcut() -> int:
-        parents = [f.blocks[r] for r in range(nprocs)]
-        gf = f.gather(parents)
-        changed = 0
-        for r in range(nprocs):
-            changed += int(np.count_nonzero(gf[r] != parents[r]))
-            f.blocks[r][:] = gf[r]
-        return changed
+        return dist.scatter_min(f, targets, values)
 
     def snapshot(iteration: int) -> IterationSnapshot:
         return IterationSnapshot(
             iteration=iteration,
-            parents=f.to_array(),
-            star=star.to_array() == 1,
+            parents=np.concatenate(f),
+            star=np.concatenate(star) == 1,
             active=None,
             simulated_seconds=(
                 cost.total_seconds if cost is not None else comm.fault_seconds
@@ -196,18 +170,14 @@ def lacc_2d(
             if fr:
                 fr.set_coords(iteration=iterations)
             with _obs().span("iteration", "iteration", iteration=iterations):
-                starcheck()
+                _starcheck(dist, f, star)
                 hooks = hook(conditional=True)
-                starcheck()
+                _starcheck(dist, f, star)
                 hooks += hook(conditional=False)
-                starcheck()
-                changed = shortcut()
+                gf = _starcheck(dist, f, star)
+                changed = _shortcut(f, gf)
                 nonstars = comm.allreduce(
-                    [
-                        np.array([int((star.blocks[r] == 0).sum())])
-                        for r in range(nprocs)
-                    ],
-                    np.add,
+                    [np.array([int((s == 0).sum())]) for s in star], np.add
                 )[0][0]
             if fr:
                 fr.record("iteration", iteration=iterations, hooks=hooks,
@@ -219,7 +189,7 @@ def lacc_2d(
         else:
             raise RuntimeError("2D LACC failed to converge (bug)")
 
-    parents = f.to_array()
+    parents = np.concatenate(f)
     n_components = count_distinct(parents)
     if fr:
         fr.record(
@@ -231,6 +201,6 @@ def lacc_2d(
         n_iterations=iterations,
         nprocs=nprocs,
         grid_side=grid.side,
-        words_sent=f.words + star.words,
+        words_sent=dist.words,
         fault_seconds=comm.fault_seconds,
     )

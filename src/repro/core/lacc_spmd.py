@@ -7,37 +7,45 @@ edge list is 1D-partitioned, and every step communicates exclusively
 through :class:`repro.mpisim.SimComm` collectives — no rank ever touches
 another rank's block directly.  Per iteration:
 
-1. **endpoint resolution** — each rank requests ``f``/``star`` values for
-   the remote endpoints of its local edges (alltoallv request → reply),
-   the SPMD analogue of the SpMV gather stage;
+1. **endpoint resolution** — each rank's sorted endpoint set never
+   changes, so it is requested from its owners once per run (one
+   alltoallv, at the first hook); every hook then takes one fused reply
+   that carries both ``f`` and ``star`` for those endpoints, the SPMD
+   analogue of the SpMV gather stage;
 2. **conditional hooking** — local proposal generation
    (``star[u] ∧ f[v] < f[u]``), min-combined locally, routed to the root
-   owners with a second alltoallv, min-applied there;
+   owners as one (target, value) array per destination in a single
+   alltoallv, min-applied there;
 3. **unconditional hooking** — same shape with the Lemma-2 condition
    (star hooks onto a *nonstar* neighbour's parent);
-4. **shortcut** — grandparent request/reply (owner of ``f[v]`` answers
-   with its parent), the exact traffic Figure 3 histograms;
-5. **starcheck** — grandparent comparison + a parent-star gather,
-   reproducing Algorithm 6 with message-passing;
-6. **convergence** — an allreduce of (hooks, parent-changes, nonstars)
-   decides termination, plus the semantic converged-star retirement
-   (min/max neighbour parents piggy-back on step 1's replies).
+4. **shortcut** — ``f ← gf`` from the grandparents the preceding
+   starcheck gathered (owner of ``f[v]`` answers with its parent, the
+   exact traffic Figure 3 histograms); ``f`` has not changed since, so
+   the shortcut itself sends nothing;
+5. **starcheck** — Algorithm 6 in four alltoallvs: request the parents,
+   reply with ``f`` (the grandparents), mark ``f ≠ gf`` vertices nonstar
+   locally (each rank owns them), clear their grandparents with a
+   targets-only route, then reply with ``star`` on the same request;
+6. **convergence** — an allreduce of the nonstar count; the run ends
+   when no root hooked, the shortcut changed nothing and every vertex
+   sits in a star.
 
-The test suite checks this execution against serial LACC and ground truth
-on every grid size, and checks that :attr:`SPMDResult.words_sent` equals
-the words its ``alltoallv`` spans report.
+That is 16 alltoallvs per iteration plus one per run.  The test suite
+checks this execution against serial LACC and ground truth on every grid
+size, and checks that :attr:`SPMDResult.words_sent` equals the words its
+``alltoallv`` spans report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.graphblas import kernels as _kernels
 from repro.graphblas.monoid import MIN_INT64
-from repro.graphblas.sorting import count_distinct, unique_sorted
+from repro.graphblas.sorting import count_distinct
 from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
 from repro.mpisim.comm import SimComm
@@ -69,22 +77,37 @@ class SPMDResult:
         return canonical_labels(self.parents)
 
 
-class _Dist:
-    """Block-distributed int64 vector with request/reply gather.
+#: a distributed vector: one block per rank
+Blocks = List[np.ndarray]
 
-    :attr:`words` counts the payload words that crossed a rank boundary:
-    a rank's requests to itself are routed through the collectives like
-    any other but never leave the rank, so they are not counted.
+
+class _Plan(NamedTuple):
+    """A request :meth:`_Dist.request` delivered, kept for its replies."""
+
+    sizes: List[int]  # sizes[r]: how many indices rank r asked for
+    back: List[Blocks]  # back[r][o]: positions in r's request that o owns
+    local: List[Blocks]  # local[o][r]: block offsets o answers r with
+
+
+class _Dist:
+    """Block distribution of length-*n* int64 vectors over *comm*'s ranks.
+
+    A distributed vector is a list of per-rank blocks; block *r* holds
+    global indices ``lo(r):hi(r)``.  Every cross-rank access is one
+    ``alltoallv``: :meth:`request` ships indices to their owners and
+    :meth:`reply` answers them, :meth:`scatter_min` and :meth:`clear`
+    route updates to the owners.
+
+    :attr:`words` counts the payload words that crossed a rank boundary,
+    as the communicator's ``alltoallv`` spans count them: a rank's
+    messages to itself never leave the rank.
     """
 
-    def __init__(self, comm: SimComm, n: int, init: np.ndarray):
+    def __init__(self, comm: SimComm, n: int):
         self.comm = comm
         self.n = n
         self.p = comm.size
         self.block = max(-(-n // self.p), 1)
-        self.blocks: List[np.ndarray] = [
-            init[self.lo(r) : self.hi(r)].copy() for r in range(self.p)
-        ]
         self.words = 0
 
     def lo(self, r: int) -> int:
@@ -93,92 +116,117 @@ class _Dist:
     def hi(self, r: int) -> int:
         return min((r + 1) * self.block, self.n)
 
-    def owner(self, idx: np.ndarray) -> np.ndarray:
-        return np.minimum(idx // self.block, self.p - 1)
+    def distribute(self, init: np.ndarray) -> Blocks:
+        """Per-rank block copies of the global vector *init*."""
+        return [init[self.lo(r) : self.hi(r)].copy() for r in range(self.p)]
 
-    def gather(self, requests: List[np.ndarray]) -> List[np.ndarray]:
-        """``requests[r]`` = global indices rank *r* wants; returns the
-        values, positionally aligned, via a two-phase alltoallv."""
+    def _alltoallv(self, send: List[Blocks]) -> List[Blocks]:
         p = self.p
-        send_idx = [[None] * p for _ in range(p)]
-        send_back = [[None] * p for _ in range(p)]
+        self.words += sum(send[r][o].size for r in range(p) for o in range(p) if o != r)
+        return self.comm.alltoallv(send)
+
+    def _by_owner(self, idx: np.ndarray) -> Blocks:
+        """Positions of *idx*'s entries, one array per owner rank."""
+        owners = np.minimum(idx // self.block, self.p - 1)
+        return [np.flatnonzero(owners == o) for o in range(self.p)]
+
+    def request(self, requests: Blocks) -> _Plan:
+        """``requests[r]`` = global indices rank *r* wants.  One alltoallv
+        ships them to their owners, who keep what they received: the
+        returned plan, which every later :meth:`reply` answers."""
+        reqs = [np.asarray(q, dtype=np.int64) for q in requests]
+        back = [self._by_owner(q) for q in reqs]
+        recv = self._alltoallv([[q[s] for s in sel] for q, sel in zip(reqs, back)])
+        local = [[idx - self.lo(o) for idx in recv[o]] for o in range(self.p)]
+        return _Plan([q.size for q in reqs], back, local)
+
+    def reply(self, plan: _Plan, *vectors: Blocks) -> List[Blocks]:
+        """Owners answer *plan* with every vector's values in one
+        alltoallv.  Returns, per vector, each rank's values positionally
+        aligned with its request."""
+        p, k = self.p, len(vectors)
+        send = [
+            [np.concatenate([v[o][idx] for v in vectors]) for idx in plan.local[o]]
+            for o in range(p)
+        ]
+        recv = self._alltoallv(send)  # recv[r][o]
+        out = [[np.empty(size, dtype=np.int64) for size in plan.sizes] for _ in vectors]
         for r in range(p):
-            req = np.asarray(requests[r], dtype=np.int64)
-            owners = self.owner(req) if req.size else req
-            for o in range(p):
-                sel = np.flatnonzero(owners == o)
-                send_idx[r][o] = req[sel]
-                send_back[r][o] = sel
-        recv_idx = self.comm.alltoallv(send_idx)  # recv_idx[o][r]
-        # owners answer with values
-        send_val = [[None] * p for _ in range(p)]
-        for o in range(p):
-            base = self.lo(o)
-            for r in range(p):
-                idx = recv_idx[o][r]
-                send_val[o][r] = self.blocks[o][idx - base] if idx.size else idx
-                if o != r:
-                    self.words += int(idx.size) * 2  # request + reply payloads
-        recv_val = self.comm.alltoallv(send_val)  # recv_val[r][o]
-        out = []
-        for r in range(p):
-            req = np.asarray(requests[r], dtype=np.int64)
-            vals = np.empty(req.size, dtype=np.int64)
-            for o in range(p):
-                sel = send_back[r][o]
-                if len(sel):
-                    vals[sel] = recv_val[r][o]
-            out.append(vals)
+            for o, sel in enumerate(plan.back[r]):
+                vals = recv[r][o].reshape(k, sel.size)
+                for j in range(k):
+                    out[j][r][sel] = vals[j]
         return out
 
-    def _route(self, targets: List[np.ndarray], values: List[np.ndarray]):
-        """Send each rank's (index, value) pairs to the indices' owners;
-        returns ``(recv_t, recv_v)`` with ``recv_t[o][r]`` the indices
-        rank *o* received from rank *r*."""
-        p = self.p
-        send_t = [[None] * p for _ in range(p)]
-        send_v = [[None] * p for _ in range(p)]
-        for r in range(p):
+    def _route(self, targets: Blocks, values: Optional[Blocks] = None):
+        """Ship each rank's targets, with their values in the same array,
+        to the targets' owners in one alltoallv.  Returns one
+        ``(owner, block offsets, values or None)`` per nonempty message."""
+        send = []
+        for r in range(self.p):
             t = np.asarray(targets[r], dtype=np.int64)
-            v = np.asarray(values[r], dtype=np.int64)
-            owners = self.owner(t) if t.size else t
-            for o in range(p):
-                sel = owners == o
-                send_t[r][o] = t[sel]
-                send_v[r][o] = v[sel]
-                if o != r:
-                    self.words += int(send_t[r][o].size) * 2
-        return self.comm.alltoallv(send_t), self.comm.alltoallv(send_v)
+            sel = self._by_owner(t)
+            if values is None:
+                send.append([t[s] for s in sel])
+            else:
+                v = np.asarray(values[r], dtype=np.int64)
+                send.append([np.concatenate([t[s], v[s]]) for s in sel])
+        out = []
+        for o, row in enumerate(self._alltoallv(send)):
+            for msg in row:
+                if not msg.size:
+                    continue
+                t, v = (msg, None) if values is None else np.split(msg, 2)
+                out.append((o, t - self.lo(o), v))
+        return out
 
-    def scatter_min(self, targets: List[np.ndarray], values: List[np.ndarray]) -> int:
+    def scatter_min(self, vec: Blocks, targets: Blocks, values: Blocks) -> int:
         """Route (index, value) pairs to owners; owners apply
-        ``block[i] = min(block[i], v)``.  Returns #elements changed."""
-        recv_t, recv_v = self._route(targets, values)
-        p = self.p
+        ``vec[i] = min(vec[i], v)``.  Returns #elements changed."""
         changed = 0
-        for o in range(p):
-            base = self.lo(o)
-            for r in range(p):
-                t, v = recv_t[o][r], recv_v[o][r]
-                if t.size:
-                    local = t - base
-                    before = self.blocks[o][local]
-                    np.minimum.at(self.blocks[o], local, v)
-                    changed += int(np.count_nonzero(self.blocks[o][local] != before))
+        for o, local, v in self._route(targets, values):
+            before = vec[o][local]
+            np.minimum.at(vec[o], local, v)
+            changed += int(np.count_nonzero(vec[o][local] != before))
         return changed
 
-    def scatter_store(self, targets: List[np.ndarray], values: List[np.ndarray]) -> None:
-        """Route (index, value) pairs to owners; owners overwrite."""
-        recv_t, recv_v = self._route(targets, values)
-        p = self.p
-        for o in range(p):
-            base = self.lo(o)
-            for r in range(p):
-                if recv_t[o][r].size:
-                    self.blocks[o][recv_t[o][r] - base] = recv_v[o][r]
+    def clear(self, vec: Blocks, targets: Blocks) -> None:
+        """Route indices to owners; owners set ``vec[i] = 0``."""
+        for o, local, _ in self._route(targets):
+            vec[o][local] = 0
 
-    def to_array(self) -> np.ndarray:
-        return np.concatenate(self.blocks) if self.blocks else np.empty(0, np.int64)
+
+def _starcheck(dist: _Dist, f: Blocks, star: Blocks) -> Blocks:
+    """Algorithm 6 with message passing, in four alltoallvs.
+
+    Returns the grandparents ``gf``, per rank: while ``f`` is unchanged,
+    :func:`_shortcut` reuses them instead of gathering again.
+    """
+    plan = dist.request(f)
+    (gf,) = dist.reply(plan, f)
+    # f != gf: the vertex (owned here) and its grandparent are nonstar
+    bad_gp = []
+    for r in range(dist.p):
+        neq = f[r] != gf[r]
+        star[r][:] = 1
+        star[r][neq] = 0
+        bad_gp.append(gf[r][neq])
+    dist.clear(star, bad_gp)
+    # star[v] &= star[f[v]]
+    (pstar,) = dist.reply(plan, star)
+    for r in range(dist.p):
+        star[r] &= pstar[r]
+    return gf
+
+
+def _shortcut(f: Blocks, gf: Blocks) -> int:
+    """``f ← gf`` on every rank, from the grandparents of the starcheck
+    run since ``f`` last changed; no communication.  Returns #changed."""
+    changed = 0
+    for r, g in enumerate(gf):
+        changed += int(np.count_nonzero(g != f[r]))
+        f[r][:] = g
+    return changed
 
 
 def lacc_spmd(
@@ -226,58 +274,44 @@ def lacc_spmd(
     eu = np.r_[g.u[keep], g.v[keep]]  # both directions: (u, v) means u
     ev = np.r_[g.v[keep], g.u[keep]]  # proposes hooks using v's parent
     # 1D cyclic edge partition (balances skewed inputs)
-    part = np.arange(eu.size) % ranks
-    ledges: List[Tuple[np.ndarray, np.ndarray]] = [
-        (eu[part == r], ev[part == r]) for r in range(ranks)
-    ]
+    ledges = [(eu[r::ranks], ev[r::ranks]) for r in range(ranks)]
     # Endpoint lookup, computed once per run: the edge list never changes,
-    # so each rank's sorted endpoint set (its gather request) and every
-    # local edge's position in it are fixed.
-    req = [unique_sorted(np.r_[u, v]) for u, v in ledges]
-    iu = [np.searchsorted(req[r], ledges[r][0]) for r in range(ranks)]
-    iv = [np.searchsorted(req[r], ledges[r][1]) for r in range(ranks)]
+    # so each rank's sorted endpoint set (its hook request) and every
+    # local edge's position in it are fixed.  A mark over the vertices
+    # gives the set, a dense position array the positions.
+    mark = np.zeros(n, dtype=bool)
+    pos = np.zeros(n, dtype=np.int64)
+    req, iu, iv = [], [], []
+    for u, v in ledges:
+        mark[u] = mark[v] = True
+        ends = np.flatnonzero(mark)
+        mark[ends] = False
+        pos[ends] = np.arange(ends.size)
+        req.append(ends)
+        iu.append(pos[u])
+        iv.append(pos[v])
 
     if initial_parents is not None:
         f0 = validate_initial_parents(initial_parents, n)
     else:
         f0 = np.arange(n, dtype=np.int64)
-    f = _Dist(comm, n, f0)
-    star = _Dist(comm, n, np.ones(n, dtype=np.int64))
-
-    def starcheck() -> None:
-        """Algorithm 6 with message passing."""
-        for r in range(ranks):
-            star.blocks[r][:] = 1
-        # gf via request of parents-of-parents
-        parents = [f.blocks[r] for r in range(ranks)]
-        gf = f.gather(parents)
-        # vertices with f != gf: mark self + grandparent nonstar
-        bad_self: List[np.ndarray] = []
-        bad_gp: List[np.ndarray] = []
-        for r in range(ranks):
-            base = f.lo(r)
-            neq = np.flatnonzero(parents[r] != gf[r])
-            bad_self.append(neq + base)
-            bad_gp.append(gf[r][neq])
-        zeros = [np.zeros(b.size, dtype=np.int64) for b in bad_self]
-        star.scatter_store(bad_self, zeros)
-        zeros = [np.zeros(b.size, dtype=np.int64) for b in bad_gp]
-        star.scatter_store(bad_gp, zeros)
-        # star[v] &= star[f[v]]
-        pstar = star.gather(parents)
-        for r in range(ranks):
-            star.blocks[r] &= pstar[r]
+    dist = _Dist(comm, n)
+    f = dist.distribute(f0)
+    star = dist.distribute(np.ones(n, dtype=np.int64))
+    hook_plan: Optional[_Plan] = None
 
     def hook(conditional: bool) -> int:
         """One hooking phase; returns #roots whose parent changed.
 
-        Each rank gathers ``f`` and ``star`` at its sorted endpoint set
-        ``req`` and reads its edges' endpoints off the reply through
-        ``iu``/``iv``.  That endpoint lookup is computed once per run,
-        not on every hook call.
+        Each rank reads ``f`` and ``star`` at its endpoint set ``req``
+        from one fused reply, and its edges' endpoints off that reply
+        through ``iu``/``iv``.  The request itself goes out once per
+        run, at the first hook.
         """
-        fvals = f.gather(req)
-        svals = star.gather(req)
+        nonlocal hook_plan
+        if hook_plan is None:
+            hook_plan = dist.request(req)
+        fvals, svals = dist.reply(hook_plan, f, star)
         targets, values = [], []
         for r in range(ranks):
             fu, fv = fvals[r][iu[r]], fvals[r][iv[r]]
@@ -292,28 +326,18 @@ def lacc_spmd(
             )
             targets.append(roots)
             values.append(proposal)
-        return f.scatter_min(targets, values)
-
-    def shortcut() -> int:
-        parents = [f.blocks[r] for r in range(ranks)]
-        gf = f.gather(parents)
-        changed = 0
-        for r in range(ranks):
-            changed += int(np.count_nonzero(gf[r] != parents[r]))
-            f.blocks[r][:] = gf[r]
-        return changed
+        return dist.scatter_min(f, targets, values)
 
     def snapshot(iteration: int) -> IterationSnapshot:
-        plan = faults
         return IterationSnapshot(
             iteration=iteration,
-            parents=f.to_array(),
-            star=star.to_array() == 1,
+            parents=np.concatenate(f),
+            star=np.concatenate(star) == 1,
             active=None,
             simulated_seconds=(
                 cost.total_seconds if cost is not None else comm.fault_seconds
             ),
-            plan_cursor=0 if plan is None else plan.cursor,
+            plan_cursor=0 if faults is None else faults.cursor,
         )
 
     fr = _freg()
@@ -335,24 +359,21 @@ def lacc_spmd(
             # per-step attribution
             with _obs().span("iteration", "iteration", iteration=iterations):
                 with _obs().span("starcheck", "step"):
-                    starcheck()
+                    _starcheck(dist, f, star)
                 with _obs().span("cond_hook", "step"):
                     hooks = hook(conditional=True)
                 with _obs().span("starcheck", "step"):
-                    starcheck()
+                    _starcheck(dist, f, star)
                 with _obs().span("uncond_hook", "step"):
                     hooks += hook(conditional=False)
                 with _obs().span("starcheck", "step"):
-                    starcheck()
+                    gf = _starcheck(dist, f, star)
                 with _obs().span("shortcut", "step"):
-                    changed = shortcut()
+                    changed = _shortcut(f, gf)
                 with _obs().span("convergence", "step"):
                     # allreduce the termination predicate
                     nonstars = comm.allreduce(
-                        [
-                            np.array([int((star.blocks[r] == 0).sum())])
-                            for r in range(ranks)
-                        ],
+                        [np.array([int((s == 0).sum())]) for s in star],
                         np.add,
                     )[0][0]
             if fr:
@@ -365,7 +386,7 @@ def lacc_spmd(
         else:
             raise RuntimeError("SPMD LACC failed to converge (bug)")
 
-    parents = f.to_array()
+    parents = np.concatenate(f)
     n_components = count_distinct(parents)
     if fr:
         fr.record(
@@ -376,6 +397,6 @@ def lacc_spmd(
         n_components=n_components,
         n_iterations=iterations,
         ranks=ranks,
-        words_sent=f.words + star.words,
+        words_sent=dist.words,
         fault_seconds=comm.fault_seconds,
     )

@@ -31,7 +31,10 @@ Delivery guarantees (the contract the property/fuzz suite in
 Synchronisation is one :class:`multiprocessing.Condition` per channel
 (guarding the ring's head/tail counters) plus one *doorbell* semaphore
 per endpoint that senders release after completing a frame, so idle
-drainers sleep instead of polling.
+drainers sleep instead of polling.  A sender whose frame does not fit
+in the free ring space also rings the doorbell once before it blocks on
+the full ring, so the drainer streams the frame out as it is written
+rather than waking on its poll timeout.
 
 The transport must be created **before** worker processes are forked:
 channels and their synchronisation primitives are inherited through
@@ -178,10 +181,12 @@ class _Channel:
         payload: bytes,
         deadline: Optional[float] = None,
         alive: Optional[Callable[[], bool]] = None,
+        wake: Optional[Callable[[], None]] = None,
     ) -> None:
         """Append *payload* to the ring, waiting for space as the
         consumer drains; may stream in chunks when the payload exceeds
-        the remaining (or total) capacity."""
+        the remaining (or total) capacity.  *wake* (the consumer's
+        doorbell) is called once, before the first wait on a full ring."""
         self._bind()
         mv = memoryview(payload)
         n = len(mv)
@@ -193,6 +198,9 @@ class _Channel:
                 head, tail = int(self._ctrl[0]), int(self._ctrl[1])
                 free = self.capacity - (tail - head)
                 if free == 0:
+                    if wake is not None:
+                        wake()
+                        wake = None
                     self._wait(deadline, alive)
                     continue
                 k = min(free, n - off)
@@ -321,9 +329,10 @@ class Endpoint:
         frame = _encode_header(tag, arr) + arr.tobytes()
         deadline = None if timeout is None else time.monotonic() + timeout
         ch = self.transport.channel(self.eid, dst)
+        bell = self.transport.doorbell(dst)
         with self._send_locks[dst]:
-            ch.write_bytes(frame, deadline, alive)
-        self.transport.doorbell(dst).release()
+            ch.write_bytes(frame, deadline, alive, wake=bell.release)
+        bell.release()
         self.bytes_sent += arr.nbytes
         self.messages_sent += 1
         self.busy_seconds += time.perf_counter() - t0

@@ -86,6 +86,28 @@ def test_large_frame_streams_through_small_ring():
         t.unlink()
 
 
+def test_frame_larger_than_ring_does_not_wait_for_poll(monkeypatch):
+    """A sender blocked on a full ring must wake the drainer itself: with
+    the poll interval at 5 s, a frame of 4x the ring's capacity still
+    streams through in well under a second."""
+    from repro.parallel import shm
+
+    monkeypatch.setattr(shm, "_POLL_S", 5.0)
+    t = ShmTransport(2, capacity=4096)
+    a, b = t.endpoint(0).start(), t.endpoint(1).start()
+    try:
+        big = np.random.default_rng(1).integers(0, 255, 4 * 4096).astype(np.uint8)
+        t0 = time.perf_counter()
+        a.send(1, 3, big, timeout=30)
+        got = b.recv(0, 3, timeout=30)
+        elapsed = time.perf_counter() - t0
+        assert got.tobytes() == big.tobytes()
+        assert elapsed < 1.0, f"frame took {elapsed:.2f}s: the drainer slept"
+    finally:
+        t.close()
+        t.unlink()
+
+
 def test_pack_unpack_roundtrip():
     arrs = [
         np.arange(5, dtype=np.int64),
