@@ -13,11 +13,10 @@ Usage:  python examples/algorithm_walkthrough.py
 
 import numpy as np
 
-from repro.core.convergence import ActiveSet, converged_star_vertices
+from repro.core.convergence import converged_star_vertices
 from repro.core.hooking import cond_hook, uncond_hook
 from repro.core.shortcut import shortcut
 from repro.core.starcheck import starcheck
-from repro.graphblas import Matrix, Vector
 from repro.graphs import generators as gen
 
 
@@ -42,13 +41,11 @@ def forest_art(f: np.ndarray, star: np.ndarray) -> str:
     return "\n".join(lines)
 
 
-def show(step: str, f: Vector, star: Vector) -> None:
-    fv = f.to_numpy()
-    sv = star.to_numpy()
+def show(step: str, f: np.ndarray, star: np.ndarray) -> None:
     print(f"  {step}")
-    print(f"    f    = {fv.tolist()}")
-    print(f"    star = {[int(s) for s in sv]}   (* = star root below)")
-    print(forest_art(fv, sv))
+    print(f"    f    = {f.tolist()}")
+    print(f"    star = {[int(s) for s in star]}   (* = star root below)")
+    print(forest_art(f, star))
     print()
 
 
@@ -64,7 +61,7 @@ def main() -> None:
     n = 12
     print(f"graph: {n} vertices, {g.nedges} edges, 2 true components\n")
 
-    f = Vector.iota(n)
+    f = np.arange(n, dtype=np.int64)
     star = starcheck(f)
     show("initialisation: n single-vertex stars (Alg 1, lines 2-3)", f, star)
 
@@ -82,20 +79,19 @@ def main() -> None:
         print(f"  converged star vertices (strengthened Lemma 1): "
               f"{np.flatnonzero(conv).tolist()}\n")
 
-        sv, sp_ = star.dense_arrays()
-        changed = shortcut(f, sp_ & ~sv)
+        all_stars = star.all()
+        changed = shortcut(f, ~star)
         star = starcheck(f)
         show(f"shortcut (Alg 5): {changed} parents jumped", f, star)
 
-        if sv.all() and changed == 0 and hooks.count == 0:
+        if all_stars and changed == 0 and hooks.count == 0:
             print(f"terminated: every tree is a star and nothing moved")
             break
 
-    fv = f.to_numpy()
-    roots = np.unique(fv)
+    roots = np.unique(f)
     print(f"\nfinal components ({roots.size}):")
     for r in roots:
-        print(f"  root {r}: vertices {np.flatnonzero(fv == r).tolist()}")
+        print(f"  root {r}: vertices {np.flatnonzero(f == r).tolist()}")
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graphblas import Matrix, Vector
+from repro.graphblas import Matrix
 from repro.graphblas import kernels as _kernels
 from repro.graphblas.ops import MASKED_SPMV_ROW_FRACTION
 
@@ -45,22 +45,20 @@ __all__ = ["ActiveSet", "converged_star_vertices"]
 
 def converged_star_vertices(
     A: Matrix,
-    f: Vector,
-    star: Vector,
+    f: np.ndarray,
+    star: np.ndarray,
     active: Optional[np.ndarray],
 ) -> np.ndarray:
     """Bitmap of star vertices whose whole star has no external edges.
 
     Implements the strengthened Lemma-1 check described in the module
-    docstring.  Only vertices inside the *active* scope are considered
-    (``None`` = all vertices).
+    docstring on the parent array *f* and the star bitmap *star*.  Only
+    vertices inside the *active* scope are considered (``None`` = all
+    vertices).
     """
-    sv, sp_ = star.dense_arrays()
-    star_allow = sv & sp_
-    if active is not None:
-        star_allow = star_allow & active
+    star_allow = star if active is None else star & active
     if not star_allow.any():
-        return star_allow
+        return star_allow.copy()
 
     # min and max neighbouring parent of every allowed star vertex in one
     # pass; past mxv's masked-SpMV row fraction every row is streamed and
@@ -68,18 +66,17 @@ def converged_star_vertices(
     rows_sel = np.flatnonzero(star_allow)
     if rows_sel.size > MASKED_SPMV_ROW_FRACTION * A.nrows:
         rows_sel = None
-    fv = f.to_numpy()
-    idx, fmin, fmax = _kernels.impl().spmv_rows_minmax(A, fv, active, rows_sel)
+    idx, fmin, fmax = _kernels.impl().spmv_rows_minmax(A, f, active, rows_sel)
 
     # a member u sees an external tree iff the min or max parent among its
     # active neighbours differs from its own root f[u]
-    root = fv[idx]
+    root = f[idx]
     external = idx[star_allow[idx] & ((fmin != root) | (fmax != root))]
 
     # a star converges only when *no* member is external: mark bad roots
     bad_root = np.zeros(f.size, dtype=bool)
-    bad_root[fv[external]] = True
-    return star_allow & ~bad_root[fv]
+    bad_root[f[external]] = True
+    return star_allow & ~bad_root[f]
 
 
 class ActiveSet:
@@ -114,15 +111,6 @@ class ActiveSet:
         if count:
             self._active &= ~newly
         return count
-
-    def retire_converged_stars(
-        self, A: Matrix, f: Vector, star: Vector
-    ) -> int:
-        """Retire every active star with no external edges (see module
-        docstring).  Valid in every iteration."""
-        if not self.enabled:
-            return 0
-        return self.retire(converged_star_vertices(A, f, star, self._active))
 
     def all_converged(self) -> bool:
         return self.enabled and not self._active.any()

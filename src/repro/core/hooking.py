@@ -15,10 +15,12 @@ Multiple vertices of one star may propose different parents; we combine
 proposals per root with *min*, which keeps the algorithm deterministic and
 preserves the min-id labelling convention.
 
-The hook filter and the root lookup act on the mxv output's arrays and the
-parent array.  The literal GraphBLAS transcription (``ewise_mult`` →
-value-masked ``extract`` → ``ewise_mult`` → ``assign``) is
-``repro.core.lacc_lagraph._hook``.
+The steps work on the parent array: the only GraphBLAS call is the masked
+``mxv`` (the paper's SpMV), whose input is the parent array wrapped as a
+vector; the hook filter, the root lookup and the scatter onto the roots
+act on the mxv output's arrays and the parent array.  The literal
+GraphBLAS transcription (``ewise_mult`` → value-masked ``extract`` →
+``ewise_mult`` → ``assign``) is ``repro.core.lacc_lagraph._hook``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.graphblas import semirings as sr
 from repro.graphblas.descriptor import Mask
 from repro.graphblas.monoid import MIN_INT64
 
-__all__ = ["cond_hook", "uncond_hook", "scoped_input", "HookReport"]
+__all__ = ["cond_hook", "uncond_hook", "HookReport"]
 
 
 @dataclass
@@ -57,69 +59,66 @@ class HookReport:
         return NotImplemented
 
 
+def _min_neighbour_parent(
+    A: "gb.Matrix",
+    f: np.ndarray,
+    star: np.ndarray,
+    active: Optional[np.ndarray],
+    present: Optional[np.ndarray],
+):
+    """Step 1 of both variants: for every (active) star vertex, the minimum
+    parent ``f[v]`` over its neighbours *v* stored in *present* (``None``:
+    all), as the ``(idx, vals)`` of the masked mxv output."""
+    allow = star if active is None else star & active
+    fn = Vector.empty(f.size, f.dtype)
+    gb.mxv(fn, Mask.from_bitmap(allow), None, sr.SEL2ND_MIN_INT64, A,
+           Vector.dense(f, present=present))
+    return fn.sparse_arrays()
+
+
 def _scatter_hooks(
-    f: Vector, fv: np.ndarray, hook_vertices: np.ndarray, proposals: np.ndarray
+    f: np.ndarray, hook_vertices: np.ndarray, proposals: np.ndarray
 ) -> HookReport:
     """Steps 2–3 shared by both hooking variants.
 
     ``proposals[k]`` is the new parent id star vertex ``hook_vertices[k]``
-    offers its root.  Identify the roots (``fv[hook_vertices]`` — within a
+    offers its root.  Identify the roots (``f[hook_vertices]`` — within a
     star only the root can be a parent), combine duplicate proposals with
     min, and scatter ``f[roots] = proposals`` (Algorithm 3, lines 6–12).
     """
-    roots = fv[hook_vertices]
+    roots = f[hook_vertices]
     if roots.size == 0:
         return HookReport(0, roots, proposals, hook_vertices)
     idx, vals, _ = _kernels.impl().reduce_by_rows(proposals, roots, MIN_INT64, f.size)
-    gb.assign(f, None, None, Vector.dense(vals), idx)
+    f[idx] = vals
     return HookReport(int(idx.size), idx, vals, hook_vertices)
-
-
-def _star_scope_mask(star: Vector, active: Optional[np.ndarray]) -> Mask:
-    """Mask of star vertices, intersected with the active bitmap.
-
-    Built with :meth:`Mask.from_bitmap`, so once most components have
-    converged the mask is stored sparse and ``mxv`` can stream only the
-    allowed rows instead of scanning all n.
-    """
-    sv, sp_ = star.dense_arrays()
-    allow = sv & sp_
-    if active is not None:
-        allow = allow & active
-    return Mask.from_bitmap(allow)
 
 
 def cond_hook(
     A: "gb.Matrix",
-    f: Vector,
-    star: Vector,
+    f: np.ndarray,
+    star: np.ndarray,
     active: Optional[np.ndarray] = None,
 ) -> "HookReport":
     """Conditional star hooking (Algorithm 3).  Returns a
     :class:`HookReport` (int-comparable: number of trees hooked).
 
     For every star vertex *u* (within the active scope), find the minimum
-    parent id among its neighbours; where that improves on ``f[u]``, hook
-    ``f[f[u]] = min``.
+    parent id among its (active) neighbours; where that improves on
+    ``f[u]``, hook ``f[f[u]] = min``.  *f* is updated in place.
     """
-    # Step 1: fn[i] = min parent among neighbours of star vertex i
-    fn = Vector.empty(f.size, f.dtype)
-    u_in = scoped_input(f, active)
-    gb.mxv(fn, _star_scope_mask(star, active), None, sr.SEL2ND_MIN_INT64, A, u_in)
-
+    idx, vals = _min_neighbour_parent(A, f, star, active, active)
     # Keep strict improvements only (the f[u] > f[v] condition): without
     # this filter stale proposals equal to the current root id would count
     # as hooks and the convergence test would never fire.
-    idx, vals = fn.sparse_arrays()
-    fv = f.to_numpy()
-    hook = vals < fv[idx]
-    return _scatter_hooks(f, fv, idx[hook], vals[hook])
+    hook = vals < f[idx]
+    return _scatter_hooks(f, idx[hook], vals[hook])
 
 
 def uncond_hook(
     A: "gb.Matrix",
-    f: Vector,
-    star: Vector,
+    f: np.ndarray,
+    star: np.ndarray,
     active: Optional[np.ndarray] = None,
 ) -> "HookReport":
     """Unconditional star hooking (Algorithm 4).  Returns a
@@ -133,37 +132,14 @@ def uncond_hook(
     neighbour — which also makes the step vacuous in iteration 1, exactly
     the guard the paper applies below Lemma 2.
     """
-    sv, sp_ = star.dense_arrays()
-    nonstar_allow = sp_ & ~sv
+    nonstar = ~star
     if active is not None:
-        nonstar_allow = nonstar_allow & active
-
-    # Step 1: parents of nonstar vertices (sparse input vector)
-    nonstar = np.flatnonzero(nonstar_allow)
-    if nonstar.size == 0:
+        nonstar &= active
+    if not nonstar.any():
         empty = np.empty(0, dtype=np.int64)
         return HookReport(0, empty, empty, empty)
-    fv = f.to_numpy()
-    fns = Vector.sparse(f.size, nonstar, fv[nonstar])
-
-    # Step 2: for star vertices, min parent among *nonstar* neighbours
-    fn = Vector.empty(f.size, f.dtype)
-    gb.mxv(fn, _star_scope_mask(star, active), None, sr.SEL2ND_MIN_INT64, A, fns)
-
+    idx, vals = _min_neighbour_parent(A, f, star, active, nonstar)
     # A star root may be proposed its own id when a level-2 nonstar vertex
     # points back at it; such no-op hooks must not count (f[u] != f[v]).
-    idx, vals = fn.sparse_arrays()
-    hook = vals != fv[idx]
-    return _scatter_hooks(f, fv, idx[hook], vals[hook])
-
-
-def scoped_input(f: Vector, active: Optional[np.ndarray]) -> Vector:
-    """f restricted to active vertices — conditional hooking's SpMSpV
-    input once components start converging (Table I / Lemma 1).  When
-    nothing has converged yet the vector is returned as-is instead of
-    being rebuilt."""
-    if active is None or active.all():
-        return f
-    idx = np.flatnonzero(active)
-    fv = f.to_numpy()
-    return Vector.sparse(f.size, idx, fv[idx])
+    hook = vals != f[idx]
+    return _scatter_hooks(f, idx[hook], vals[hook])

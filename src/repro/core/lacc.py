@@ -18,6 +18,12 @@ The ``use_sparsity=False`` mode disables all scoping and runs the plain AS
 algorithm over dense vectors (every vertex, every iteration) — it is both
 the educational LAGraph-style variant and the ablation baseline for the
 sparsity benchmarks.
+
+The driver is a program on the parent array: ``f``, ``star`` and the
+active bitmap stay plain NumPy arrays for the whole run, and GraphBLAS
+objects appear only at the hooks' masked ``mxv`` (the paper's SpMV).  The
+steps are bound at module level and looked up at call time, so a wrapper
+patched into this module sees every call.
 """
 
 from __future__ import annotations
@@ -28,13 +34,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graphblas import Matrix, Vector
+from repro.graphblas import Matrix
 from repro.graphblas.sorting import count_distinct
 from repro.obs.flight import flight_recorder as _freg
 from repro.obs.metrics import metrics_registry as _mreg
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
 
-from .convergence import ActiveSet
+from .convergence import ActiveSet, converged_star_vertices
 from .hooking import cond_hook, uncond_hook
 from .shortcut import shortcut
 from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
@@ -137,9 +143,9 @@ def lacc(
     # initialise: every vertex is its own parent — n single-vertex stars —
     # unless resuming from a checkpointed/repaired forest
     if initial_parents is not None:
-        f = Vector.dense(validate_initial_parents(initial_parents, n))
+        f = validate_initial_parents(initial_parents, n)
     else:
-        f = Vector.iota(n)
+        f = np.arange(n, dtype=np.int64)
     active = ActiveSet(n, enabled=use_sparsity)
     if initial_active is not None and use_sparsity:
         act0 = np.asarray(initial_active, dtype=bool)
@@ -147,10 +153,14 @@ def lacc(
             raise ValueError(f"initial_active must have shape ({n},)")
         active._active = act0.copy()
 
+    fr = _freg()
+    if fr:
+        fr.record("run_start", driver="serial", n=n, nnz=A.nvals)
     if n == 0 or A.nvals == 0:
-        labels0 = f.to_numpy()
-        ncomp0 = count_distinct(labels0)
-        return LACCResult(labels0, ncomp0, start_iteration, stats)
+        ncomp0 = count_distinct(f)
+        if fr:
+            fr.record("run_end", n_iterations=start_iteration, n_components=ncomp0)
+        return LACCResult(f, ncomp0, start_iteration, stats)
 
     # isolated vertices are converged components from the start
     if use_sparsity:
@@ -165,9 +175,6 @@ def lacc(
     tr = tracer if tracer is not None else (Tracer() if collect_stats else NULL_TRACER)
     run_ctx = activate(tr) if tracer is not None else contextlib.nullcontext()
 
-    fr = _freg()
-    if fr:
-        fr.record("run_start", driver="serial", n=n, nnz=A.nvals)
     iteration = start_iteration
     with run_ctx, tr.span("lacc", "run", n=n, nnz=A.nvals,
                           **({"run_id": fr.run_id} if fr else {})):
@@ -196,11 +203,11 @@ def lacc(
                 # Lemma 1 (strengthened, see convergence module): stars
                 # surviving unconditional hooking with no external edges
                 # are converged
-                active.retire_converged_stars(A, f, star)
+                if use_sparsity:
+                    active.retire(converged_star_vertices(A, f, star, active.mask))
                 it_stats.converged_vertices = active.converged_count
-                sv, sp_ = star.dense_arrays()
-                it_stats.star_vertices = int(np.count_nonzero(sv & sp_))
-                nonstar = sp_ & ~sv
+                it_stats.star_vertices = int(np.count_nonzero(star))
+                nonstar = ~star
 
                 with tr.span("shortcut", "step"):
                     shortcut(f, nonstar if active.mask is None else nonstar & active.mask)
@@ -245,20 +252,18 @@ def lacc(
             star = starcheck(f, active.mask)
 
             if on_iteration is not None:
-                sv2, sp2 = star.dense_arrays()
                 on_iteration(
                     IterationSnapshot(
                         iteration=iteration,
-                        parents=f.to_numpy(),
-                        star=sv2 & sp2,
+                        parents=f.copy(),
+                        star=star.copy(),
                         active=(
                             active._active.copy() if use_sparsity else None
                         ),
                     )
                 )
 
-    labels = f.to_numpy()
-    n_components = count_distinct(labels)
+    n_components = count_distinct(f)
     if fr:
         fr.record("run_end", n_iterations=iteration, n_components=n_components)
-    return LACCResult(labels, n_components, iteration, stats)
+    return LACCResult(f, n_components, iteration, stats)

@@ -1,9 +1,10 @@
 """Distributed LACC over the simulated machine (§V of the paper).
 
 The simulator executes the *identical* algorithm as :func:`repro.core.lacc`
-— the serial step functions compute every value, so results are exact —
-while an α–β :class:`~repro.mpisim.costmodel.CostModel` prices each
-primitive as it would run on a ``√p × √p`` CombBLAS process grid:
+— the serial step functions compute every value on the (permuted) parent
+array, so results are exact — while an α–β
+:class:`~repro.mpisim.costmodel.CostModel` prices each primitive as it
+would run on a ``√p × √p`` CombBLAS process grid:
 
 * ``GrB_mxv`` → two-stage SpMV/SpMSpV (column-group allgather + row-group
   reduce-scatter / sparse all-to-all), work ∝ edges incident to active
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.combblas.distmatrix import DistMatrix
 from repro.combblas.indexing import RoutingReport, charge_assign, charge_extract
-from repro.graphblas import Matrix, Vector
+from repro.graphblas import Matrix
 from repro.graphblas.sorting import count_distinct
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.grid import ProcessGrid
@@ -211,11 +212,9 @@ def lacc_dist(
 
     Ap = dmat.A  # permuted adjacency
     if initial_parents is not None:
-        f = Vector.dense(
-            dmat.to_permuted_parents(validate_initial_parents(initial_parents, n))
-        )
+        f = dmat.to_permuted_parents(validate_initial_parents(initial_parents, n))
     else:
-        f = Vector.iota(n)
+        f = np.arange(n, dtype=np.int64)
     active = ActiveSet(n, enabled=use_sparsity)
     if initial_active is not None and use_sparsity:
         act0 = np.asarray(initial_active, dtype=bool)
@@ -223,7 +222,7 @@ def lacc_dist(
             raise ValueError(f"initial_active must have shape ({n},)")
         active._active = dmat.to_permuted_bitmap(act0)
     if n == 0 or Ap.nvals == 0:
-        labels0 = dmat.to_original_labels(f.to_numpy())
+        labels0 = dmat.to_original_labels(f)
         ncomp0 = count_distinct(labels0)
         if fr:
             fr.record("run_end", n_iterations=start_iteration,
@@ -281,11 +280,10 @@ def lacc_dist(
         idx = np.arange(n) if mask is None else np.flatnonzero(mask)
         if idx.size == 0:
             return
-        fv = f.to_numpy()
-        rep = charge_extract(grid, cost, fv[idx], idx, phase, **route_kw)
+        rep = charge_extract(grid, cost, f[idx], idx, phase, **route_kw)
         record_routed(it, phase, rep)
         # marking + fixup are one more assign + extract over the scope
-        charge_assign(grid, cost, fv[idx], idx, phase, **route_kw)
+        charge_assign(grid, cost, f[idx], idx, phase, **route_kw)
         cost.charge_compute(2 * idx.size / max(nprocs, 1), phase)
 
     def step_span(name: str):
@@ -321,8 +319,7 @@ def lacc_dist(
                 star = starcheck(f, active.mask)
                 charge_starcheck("starcheck", iteration)
 
-            sv, sp_ = star.dense_arrays()
-            nonstar_active = sp_ & ~sv
+            nonstar_active = ~star
             if active.mask is not None:
                 nonstar_active = nonstar_active & active.mask
             add_step_delta(it_stats.step_model_seconds, before)
@@ -347,19 +344,17 @@ def lacc_dist(
                     dmat.charge_mxv(cost, active_bitmap(), "starcheck")
                     active.retire(conv)
             it_stats.converged_vertices = active.converged_count
-            sv, sp_ = star.dense_arrays()
-            it_stats.star_vertices = int(np.count_nonzero(sv & sp_))
+            it_stats.star_vertices = int(np.count_nonzero(star))
             add_step_delta(it_stats.step_model_seconds, before)
 
             before = snapshot()
             with step_span("shortcut"):
-                nonstar = sp_ & ~sv
+                nonstar = ~star
                 scope = nonstar & active._active if use_sparsity else nonstar
                 scope_idx = np.flatnonzero(scope)
                 if scope_idx.size:
-                    fv = f.to_numpy()
                     rep2 = charge_extract(
-                        grid, cost, fv[scope_idx], scope_idx, "shortcut", **route_kw
+                        grid, cost, f[scope_idx], scope_idx, "shortcut", **route_kw
                     )
                     record_routed(iteration, "shortcut", rep2)
                     cost.charge_compute(scope_idx.size / max(nprocs, 1), "shortcut")
@@ -409,13 +404,12 @@ def lacc_dist(
         if on_iteration is not None:
             # snapshot in ORIGINAL vertex space — interchangeable with the
             # serial driver's, which the degraded replay path relies on
-            sv2, sp2 = star.dense_arrays()
             plan = getattr(cost, "faults", None)
             on_iteration(
                 IterationSnapshot(
                     iteration=iteration,
-                    parents=dmat.to_original_labels(f.to_numpy()),
-                    star=(sv2 & sp2)[dmat.perm],
+                    parents=dmat.to_original_labels(f),
+                    star=star[dmat.perm],
                     active=(
                         active._active[dmat.perm] if use_sparsity else None
                     ),
@@ -424,7 +418,7 @@ def lacc_dist(
                 )
             )
 
-    labels = dmat.to_original_labels(f.to_numpy())
+    labels = dmat.to_original_labels(f)
     n_components = count_distinct(labels)
     if fr:
         fr.record(

@@ -13,32 +13,27 @@ from typing import Optional
 
 import numpy as np
 
-import repro.graphblas as gb
-from repro.graphblas import Vector
-
 __all__ = ["shortcut"]
 
 
-def shortcut(f: Vector, scope: Optional[np.ndarray] = None) -> int:
+def shortcut(f: np.ndarray, scope: Optional[np.ndarray] = None) -> int:
     """Replace parents by grandparents; returns #vertices whose parent
     changed.
 
     Parameters
     ----------
     f:
-        Parent vector, updated in place.
+        Parent array, updated in place.
     scope:
         Optional boolean bitmap restricting the jump to those vertices
         (the optimised algorithm passes "active nonstars"); ``None``
         follows the unoptimised Algorithm 1 and jumps everyone.
     """
-    idx = np.arange(f.size, dtype=np.int64) if scope is None else np.flatnonzero(scope)
-    fv = f.to_numpy()
-    parents = fv[idx]
-    gv = fv[parents]  # gf = f[f] on the scope
-    moved = gv != parents
+    gf = f[f]  # gathered before any write: one synchronous jump
+    moved = gf != f
+    if scope is not None:
+        moved &= scope
     changed = int(np.count_nonzero(moved))
     if changed:
-        # f ← gf where the parent moved (GrB_assign)
-        gb.assign(f, None, None, Vector.dense(gv[moved]), idx[moved])
+        np.copyto(f, gf, where=moved)
     return changed

@@ -25,14 +25,11 @@ from typing import List, Tuple
 
 import numpy as np
 
-import repro.graphblas as gb
-from repro.graphblas import Matrix, Vector
-from repro.graphblas import binaryops as bop
-from repro.graphblas import semirings as sr
-from repro.graphblas.descriptor import Mask
+from repro.graphblas import Matrix
 from repro.graphblas.sorting import count_distinct
 
 from .convergence import ActiveSet, converged_star_vertices
+from .hooking import _min_neighbour_parent
 from .shortcut import shortcut
 from .starcheck import starcheck
 
@@ -70,45 +67,27 @@ class SpanningForest:
 
 
 def _hook_with_witness(
-    A: Matrix, f: Vector, star: Vector, n: int, conditional: bool
+    A: Matrix, f: np.ndarray, star: np.ndarray, n: int, conditional: bool
 ) -> Tuple[int, np.ndarray, np.ndarray]:
     """One hooking phase over the encoded (parent, vertex) pairs.
 
     Returns (#hooks, winning edge endpoints u, v).
     """
-    enc = Vector.dense(f.to_numpy() * n + np.arange(n, dtype=np.int64))
-    fn = Vector.empty(n, np.int64)
-    if conditional:
-        gb.mxv(fn, star, None, sr.SEL2ND_MIN_INT64, A, enc)
-        # strict improvement on the *parent* digits: fn//n < f
-        keep = Vector.empty(n, np.bool_)
-        gb.ewise_mult(
-            keep, None, None, bop.LT,
-            gb.apply(Vector.empty(n, np.int64), None, None, lambda x: x // n, fn),
-            f,
-        )
-    else:
-        sv, sp_ = star.dense_arrays()
-        nonstar = Vector.dense(sp_ & ~sv)
-        fns = Vector.empty(n, np.int64)
-        gb.extract(fns, Mask(nonstar), None, enc, None)
-        if fns.nvals == 0:
-            return 0, np.empty(0, np.int64), np.empty(0, np.int64)
-        gb.mxv(fn, star, None, sr.SEL2ND_MIN_INT64, A, fns)
-        keep = Vector.empty(n, np.bool_)
-        gb.ewise_mult(
-            keep, None, None, bop.NE,
-            gb.apply(Vector.empty(n, np.int64), None, None, lambda x: x // n, fn),
-            f,
-        )
-    hooks = Vector.empty(n, np.int64)
-    gb.extract(hooks, keep, None, fn, None)
-    hook_vertices, encoded = hooks.extract_tuples()
+    enc = f * n + np.arange(n, dtype=np.int64)
+    # conditional: every vertex's pair; unconditional: nonstars' pairs only
+    present = None if conditional else ~star
+    if present is not None and not present.any():
+        return 0, np.empty(0, np.int64), np.empty(0, np.int64)
+    idx, encoded = _min_neighbour_parent(A, enc, star, None, present)
+    # strict improvement on the *parent* digits (fn//n < f), or any other
+    # parent for unconditional hooks
+    proposed, current = encoded // n, f[idx]
+    keep = proposed < current if conditional else proposed != current
+    hook_vertices, encoded = idx[keep], encoded[keep]
     if hook_vertices.size == 0:
         return 0, hook_vertices, hook_vertices
 
-    fv = f.to_numpy()
-    roots = fv[hook_vertices]
+    roots = f[hook_vertices]
     # dedup per root: min encoded proposal wins, exactly one edge per hook
     order = np.lexsort((encoded, roots))
     roots_s, enc_s, hv_s = roots[order], encoded[order], hook_vertices[order]
@@ -116,12 +95,9 @@ def _hook_with_witness(
     win_roots = roots_s[first]
     win_enc = enc_s[first]
     win_hooker = hv_s[first]
-    new_parent = win_enc // n
-    witness_v = win_enc % n
-
-    gb.assign(f, None, None, Vector.dense(new_parent), win_roots)
+    f[win_roots] = win_enc // n
     # the justifying graph edge is {hooking vertex u, neighbour v}
-    return int(win_roots.size), win_hooker, witness_v
+    return int(win_roots.size), win_hooker, win_enc % n
 
 
 def spanning_forest(A: Matrix, use_sparsity: bool = True) -> SpanningForest:
@@ -137,13 +113,11 @@ def spanning_forest(A: Matrix, use_sparsity: bool = True) -> SpanningForest:
     n = A.nrows
     if n and float(n) * float(n) >= 2.0**63:
         raise ValueError("n too large for the (parent, vertex) pair encoding")
-    f = Vector.iota(n)
+    f = np.arange(n, dtype=np.int64)
     fu: List[np.ndarray] = []
     fv: List[np.ndarray] = []
     if n == 0 or A.nvals == 0:
-        return SpanningForest(
-            n, np.empty(0, np.int64), np.empty(0, np.int64), f.to_numpy()
-        )
+        return SpanningForest(n, np.empty(0, np.int64), np.empty(0, np.int64), f)
 
     active = ActiveSet(n, enabled=use_sparsity)
     if use_sparsity:
@@ -163,8 +137,7 @@ def spanning_forest(A: Matrix, use_sparsity: bool = True) -> SpanningForest:
         star = starcheck(f, active.mask)
         if use_sparsity:
             active.retire(converged_star_vertices(A, f, star, active.mask))
-        sv, sp_ = star.dense_arrays()
-        nonstar = sp_ & ~sv
+        nonstar = ~star
         scope = nonstar & active._active if use_sparsity else nonstar
         shortcut(f, scope)
         all_stars = not nonstar.any()
@@ -176,4 +149,4 @@ def spanning_forest(A: Matrix, use_sparsity: bool = True) -> SpanningForest:
 
     eu = np.concatenate(fu) if fu else np.empty(0, np.int64)
     ev = np.concatenate(fv) if fv else np.empty(0, np.int64)
-    return SpanningForest(n, eu, ev, f.to_numpy())
+    return SpanningForest(n, eu, ev, f)

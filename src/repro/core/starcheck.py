@@ -14,9 +14,10 @@ The three passes below mirror the paper exactly:
   (this catches all vertices at level ≥ 3 and all roots of deep trees),
 * ``star[v] = star[f[v]]`` fixes up level-2 vertices of nonstar trees.
 
-Each pass is a gather or scatter on the parent array.  The literal
-GraphBLAS transcription (extract → ewise_mult → masked extract → scalar
-assigns) is ``repro.core.lacc_lagraph._starcheck``.
+Each pass is a full-length gather, scatter or elementwise op on the parent
+array: a boolean compress of the scope costs more than a pass over all n.
+The literal GraphBLAS transcription (extract → ewise_mult → masked extract
+→ scalar assigns) is ``repro.core.lacc_lagraph._starcheck``.
 """
 
 from __future__ import annotations
@@ -25,44 +26,47 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graphblas import Vector
-
 __all__ = ["starcheck"]
 
 
-def starcheck(f: Vector, active: Optional[np.ndarray] = None) -> Vector:
-    """Return the boolean star-membership vector for the current forest.
+def starcheck(f: np.ndarray, active: Optional[np.ndarray] = None) -> np.ndarray:
+    """Return the boolean star-membership array for the parent array *f*.
 
     Parameters
     ----------
     f:
-        Parent vector (full pattern over all vertices).
+        Parent array (integer, every entry a vertex id).
     active:
         Optional boolean bitmap of non-converged vertices.  Converged
         vertices are stars by definition (Lemma 1) and are reported as
-        such, but no work is spent on them — the sparsity column of
-        Table I ("nonstars after unconditional hooking").
+        such — the sparsity column of Table I ("nonstars after
+        unconditional hooking").
 
     Returns
     -------
-    Vector
-        Dense boolean vector, ``star[v]`` true iff *v* is in a star tree.
+    numpy.ndarray
+        Boolean array, ``star[v]`` true iff *v* is in a star tree.
     """
-    fv = f.to_numpy()
-    star = np.ones(f.size, dtype=np.bool_)
-    s = np.arange(f.size, dtype=np.int64) if active is None else np.flatnonzero(active)
-    if s.size:
-        p = fv[s]
-        gp = fv[p]
-        # scoped vertices whose parent differs from their grandparent, and
-        # those grandparents, are nonstars (Algorithm 6 lines 4-10)
-        neq = p != gp
-        star[s[neq]] = False
-        star[gp[neq]] = False
-        # star[v] &= star[f[v]] (lines 12-14).  The paper writes this as
-        # extract + masked assign; the net effect must only ever *clear*
-        # flags — a level-3 vertex whose level-2 parent is still
-        # (transiently) flagged true must not be resurrected, so we combine
-        # with logical AND rather than overwrite.
-        star[s] &= star[p]
-    return Vector.dense(star)
+    # scoped vertices whose parent differs from their grandparent, and
+    # those grandparents, are nonstars (Algorithm 6 lines 4-10): full-length
+    # passes with no boolean compress, the grandparents scattering into a
+    # spare slot n where v is not a nonstar
+    n = f.size
+    gp = f[f]
+    neq = f != gp
+    if active is not None:
+        neq &= active
+    buf = np.empty(n + 1, dtype=np.bool_)
+    star = buf[:n]
+    np.logical_not(neq, out=star)
+    buf[np.where(neq, gp, n)] = False
+    # star[v] &= star[f[v]] (lines 12-14).  The paper writes this as
+    # extract + masked assign; the net effect must only ever *clear*
+    # flags — a level-3 vertex whose level-2 parent is still
+    # (transiently) flagged true must not be resurrected, so we combine
+    # with logical AND rather than overwrite.
+    fixup = star[f]
+    if active is not None:
+        fixup |= ~active
+    star &= fixup
+    return star

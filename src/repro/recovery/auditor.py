@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.core.snapshot import IterationSnapshot
 from repro.core.starcheck import starcheck
-from repro.graphblas import Vector
 from repro.obs.tracer import current as _obs
 
 __all__ = ["AuditReport", "StateAuditor"]
@@ -132,9 +131,7 @@ class StateAuditor:
     @staticmethod
     def recompute_star(parents: np.ndarray) -> np.ndarray:
         """Fresh star flags for an in-range forest (Algorithm 6)."""
-        sv, sp_ = starcheck(Vector.dense(np.asarray(parents, dtype=np.int64)),
-                            None).dense_arrays()
-        return np.asarray(sv & sp_, dtype=bool)
+        return starcheck(np.asarray(parents, dtype=np.int64))
 
     @staticmethod
     def _reaches_root(parents: np.ndarray) -> np.ndarray:

@@ -1,17 +1,19 @@
-"""Oracle test: hooking and the convergence check on the mxv output's arrays.
+"""Oracle test: hooking and the convergence check on the parent array.
 
-``core.hooking.cond_hook``/``uncond_hook`` filter the masked mxv output and
-scatter onto the roots with array operations, and
-``core.convergence.converged_star_vertices`` takes the min and max
-neighbouring parent from one ``spmv_rows_minmax`` kernel call.  The GraphBLAS formulations they
-replaced (``ewise_mult`` → value-masked ``extract`` → ``ewise_mult`` →
-``Vector.sparse(dedup="min")`` → ``assign`` for hooking, two masked
-``mxv`` calls for the convergence check) are kept below verbatim as
-oracles.  On seeded random graphs, forests and star/active bitmaps the two
-must agree byte for byte: updated parents, every ``HookReport`` field and
-the converged bitmap.  With the oracles patched into the ``lacc`` and
-``lacc_dist`` modules, both drivers must produce the same parents,
-iterations and α–β cost totals on the differential corpus.
+``core.hooking.cond_hook``/``uncond_hook`` take the parent array and the
+star bitmap, filter the masked mxv output and scatter onto the roots with
+array operations, and ``core.convergence.converged_star_vertices`` takes
+the min and max neighbouring parent from one ``spmv_rows_minmax`` kernel
+call.  The GraphBLAS formulations they replaced (``ewise_mult`` →
+value-masked ``extract`` → ``ewise_mult`` → ``Vector.sparse(dedup="min")``
+→ ``assign`` for hooking, two masked ``mxv`` calls for the convergence
+check) are kept below verbatim as oracles, with thin adapters that wrap
+the arrays in ``Vector`` objects.  On seeded random graphs, forests and
+star/active bitmaps the two must agree byte for byte: updated parents,
+every ``HookReport`` field and the converged bitmap.  With the adapted
+oracles patched into the ``lacc`` and ``lacc_dist`` modules, both drivers
+must produce the same parents, iterations and α–β cost totals on the
+differential corpus.
 """
 
 from __future__ import annotations
@@ -179,6 +181,30 @@ def oracle_converged_star_vertices(
 
 
 # ----------------------------------------------------------------------
+# adapters: the oracles on the array signatures of the steps
+# ----------------------------------------------------------------------
+def on_arrays(oracle):
+    """*oracle* (Vector parent and star) as a step on the parent array,
+    which it updates in place."""
+
+    def step(A, f: np.ndarray, star: np.ndarray, active: Optional[np.ndarray] = None):
+        v = Vector.dense(f)
+        report = oracle(A, v, Vector.dense(star), active)
+        f[:] = v.to_numpy()
+        return report
+
+    return step
+
+
+array_oracle_cond_hook = on_arrays(oracle_cond_hook)
+array_oracle_uncond_hook = on_arrays(oracle_uncond_hook)
+
+
+def array_oracle_converged_star_vertices(A, f, star, active):
+    return oracle_converged_star_vertices(A, Vector.dense(f), Vector.dense(star), active)
+
+
+# ----------------------------------------------------------------------
 # seeded random graphs, forests and bitmaps
 # ----------------------------------------------------------------------
 STARS = ("forest", "random", "partial")
@@ -193,19 +219,19 @@ def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
 def fuzz_case(seed: int, star_kind: str, active_kind: str):
     """(A, parents, star, active) for one seed: a random graph on *n*
     vertices with isolated vertices and duplicate edge draws, a random
-    forest, a star vector (the forest's true stars, a random bitmap, or a
-    random bitmap with absent entries) and an active bitmap."""
+    forest, a star bitmap (the forest's true stars, a random bitmap, or the
+    true stars with a random subset cleared) and an active bitmap."""
     rng = np.random.default_rng(seed)
     n = 0 if seed == 0 else int(rng.integers(1, 600))
     m = int(rng.integers(0, 4 * n + 1))
     A = Matrix.adjacency(n, rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m))
     parents = random_forest(rng, n, int(rng.integers(1, 5)))
     if star_kind == "forest":
-        star = starcheck(Vector.dense(parents))
+        star = starcheck(parents)
     elif star_kind == "random":
-        star = Vector.dense(random_bits(rng, n))
+        star = random_bits(rng, n)
     else:
-        star = Vector.dense(random_bits(rng, n), present=random_bits(rng, n))
+        star = starcheck(parents) & random_bits(rng, n)
     active = {
         "none": None,
         "empty": np.zeros(n, dtype=bool),
@@ -228,16 +254,15 @@ def assert_same_report(got: HookReport, want: HookReport):
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 @pytest.mark.parametrize(
     "step, oracle",
-    [(cond_hook, oracle_cond_hook), (uncond_hook, oracle_uncond_hook)],
+    [(cond_hook, array_oracle_cond_hook), (uncond_hook, array_oracle_uncond_hook)],
     ids=["cond_hook", "uncond_hook"],
 )
 def test_hook_matches_graphblas_oracle(step, oracle, seed, star_kind, active_kind):
     A, parents, star, active = fuzz_case(seed, star_kind, active_kind)
-    got, want = Vector.dense(parents), Vector.dense(parents)
+    got, want = parents.copy(), parents.copy()
     assert_same_report(step(A, got, star, active), oracle(A, want, star, active))
     assert got.dtype == want.dtype
-    assert got.to_numpy().tobytes() == want.to_numpy().tobytes()
-    assert got.present_array().all()
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("active_kind", ACTIVES)
@@ -245,9 +270,8 @@ def test_hook_matches_graphblas_oracle(step, oracle, seed, star_kind, active_kin
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_converged_matches_graphblas_oracle(seed, star_kind, active_kind):
     A, parents, star, active = fuzz_case(seed, star_kind, active_kind)
-    f = Vector.dense(parents)
-    got = converged_star_vertices(A, f, star, active)
-    want = oracle_converged_star_vertices(A, f, star, active)
+    got = converged_star_vertices(A, parents, star, active)
+    want = array_oracle_converged_star_vertices(A, parents, star, active)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -255,8 +279,8 @@ def test_converged_matches_graphblas_oracle(seed, star_kind, active_kind):
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_converged_accepts_int32_parents(seed):
     A, parents, star, active = fuzz_case(seed, "random", "subset")
-    want = oracle_converged_star_vertices(A, Vector.dense(parents), star, active)
-    got = converged_star_vertices(A, Vector.dense(parents.astype(np.int32)), star, active)
+    want = array_oracle_converged_star_vertices(A, parents, star, active)
+    got = converged_star_vertices(A, parents.astype(np.int32), star, active)
     assert got.tobytes() == want.tobytes()
 
 
@@ -269,8 +293,7 @@ def test_fuzz_covers_active_stars_with_inactive_neighbours():
         if A.nvals == 0:
             continue
         rows = A.coo_rows()
-        sv, sp_ = star.dense_arrays()
-        star_rows = (sv & sp_ & active)[rows]
+        star_rows = (star & active)[rows]
         seen += int(np.count_nonzero(star_rows & ~active[A.indices]) > 0)
     assert seen >= 10
 
@@ -296,14 +319,11 @@ def _run(driver: str, g):
 def test_drivers_match_graphblas_oracle(monkeypatch, family, seed, driver):
     g = make_graph(family, seed)
     got = _run(driver, g)
-    # the drivers look their steps up in their own module namespace;
-    # lacc's convergence check runs inside ActiveSet, in the convergence
-    # module
+    # the drivers look their steps up in their own module namespace
     mod = importlib.import_module(f"repro.core.{driver}")
-    monkeypatch.setattr(mod, "cond_hook", oracle_cond_hook)
-    monkeypatch.setattr(mod, "uncond_hook", oracle_uncond_hook)
-    conv_mod = importlib.import_module(
-        "repro.core.convergence" if driver == "lacc" else "repro.core.lacc_dist"
+    monkeypatch.setattr(mod, "cond_hook", array_oracle_cond_hook)
+    monkeypatch.setattr(mod, "uncond_hook", array_oracle_uncond_hook)
+    monkeypatch.setattr(
+        mod, "converged_star_vertices", array_oracle_converged_star_vertices
     )
-    monkeypatch.setattr(conv_mod, "converged_star_vertices", oracle_converged_star_vertices)
     assert got == _run(driver, g)

@@ -6,34 +6,33 @@ semantic Lemma-1 check."""
 import numpy as np
 import pytest
 
-import repro.graphblas as gb
 from repro.core.convergence import ActiveSet, converged_star_vertices
 from repro.core.hooking import cond_hook, uncond_hook
 from repro.core.shortcut import shortcut
 from repro.core.starcheck import starcheck
-from repro.graphblas import Matrix, Vector
+from repro.graphblas import Matrix
 from repro.graphs import generators as gen
 
 
 def parent_vec(values):
-    return Vector.dense(np.asarray(values, dtype=np.int64))
+    return np.asarray(values, dtype=np.int64)
 
 
 class TestStarcheck:
     def test_all_singletons_are_stars(self):
-        f = Vector.iota(5)
+        f = np.arange(5)
         star = starcheck(f)
-        assert star.to_numpy().all()
+        assert star.all()
 
     def test_perfect_star(self):
         # root 0 with children 1..4
         f = parent_vec([0, 0, 0, 0, 0])
-        assert starcheck(f).to_numpy().all()
+        assert starcheck(f).all()
 
     def test_depth3_chain_is_not_star(self):
         # 2 -> 1 -> 0
         f = parent_vec([0, 0, 1])
-        star = starcheck(f).to_numpy()
+        star = starcheck(f)
         assert not star.any()
 
     def test_depth3_marks_level2_vertices(self):
@@ -42,34 +41,34 @@ class TestStarcheck:
         class our reproduction found in the naive overwrite reading."""
         # root 0; children 1, 2; grandchildren 4 (under 1), and 3 (under 2)
         f = parent_vec([0, 0, 0, 2, 1])
-        star = starcheck(f).to_numpy()
+        star = starcheck(f)
         assert not star.any()
 
     def test_mixed_forest(self):
         # star {0,1}; chain 4->3->2
         f = parent_vec([0, 0, 2, 2, 3])
-        star = starcheck(f).to_numpy()
+        star = starcheck(f)
         np.testing.assert_array_equal(star, [True, True, False, False, False])
 
     def test_deep_tree(self):
         # chain of length 6
         f = parent_vec([0, 0, 1, 2, 3, 4])
-        assert not starcheck(f).to_numpy().any()
+        assert not starcheck(f).any()
 
     def test_active_scoping_reports_inactive_as_stars(self):
         f = parent_vec([0, 0, 2, 2, 3])  # vertices 2,3,4 form a chain
         active = np.array([True, True, False, False, False])
-        star = starcheck(f, active).to_numpy()
+        star = starcheck(f, active)
         # inactive vertices are stars by fiat (converged), no work spent
         np.testing.assert_array_equal(star, [True, True, True, True, True])
 
     def test_empty_vector(self):
-        star = starcheck(Vector.iota(0))
+        star = starcheck(np.arange(0))
         assert star.size == 0
 
     def test_no_active_vertices(self):
         f = parent_vec([0, 0, 1])
-        star = starcheck(f, np.zeros(3, dtype=bool)).to_numpy()
+        star = starcheck(f, np.zeros(3, dtype=bool))
         assert star.all()
 
 
@@ -77,27 +76,27 @@ class TestCondHook:
     def test_first_iteration_on_path(self):
         g = gen.path_graph(4)
         A = g.to_matrix()
-        f = Vector.iota(4)
+        f = np.arange(4)
         star = starcheck(f)
         hooks = cond_hook(A, f, star)
         # every vertex > 0 hooks onto its smaller neighbour
-        np.testing.assert_array_equal(f.to_numpy(), [0, 0, 1, 2])
+        np.testing.assert_array_equal(f, [0, 0, 1, 2])
         assert hooks == 3
 
     def test_no_hook_without_improvement(self):
         # two singletons, no edges between them
         A = Matrix.adjacency(2, [], [])
-        f = Vector.iota(2)
+        f = np.arange(2)
         star = starcheck(f)
         assert cond_hook(A, f, star) == 0
 
     def test_min_proposal_wins(self):
         # vertex 2 adjacent to 0 and 1: root 2 must hook onto min parent 0
         A = Matrix.adjacency(3, [2, 2], [0, 1])
-        f = Vector.iota(3)
+        f = np.arange(3)
         star = starcheck(f)
         cond_hook(A, f, star)
-        assert f.get(2) == 0
+        assert f[2] == 0
 
     def test_respects_star_mask(self):
         # chain 2->1->0 is a nonstar: no member may hook
@@ -107,28 +106,28 @@ class TestCondHook:
         hooks = cond_hook(A, f, star)
         # vertex 3's neighbour parent f[2]=1 < 3: hook root 3 onto 1
         assert hooks == 1
-        assert f.get(3) == 1
+        assert f[3] == 1
 
     def test_roots_strictly_decrease(self):
         rng = np.random.default_rng(3)
         g = gen.erdos_renyi(50, 2.0, seed=3)
         A = g.to_matrix()
-        f = Vector.iota(50)
+        f = np.arange(50)
         star = starcheck(f)
-        before = f.to_numpy().copy()
+        before = f.copy()
         cond_hook(A, f, star)
-        after = f.to_numpy()
+        after = f
         changed = before != after
         assert (after[changed] < before[changed]).all()
 
     def test_active_scope_prevents_hooks(self):
         g = gen.path_graph(4)
         A = g.to_matrix()
-        f = Vector.iota(4)
+        f = np.arange(4)
         star = starcheck(f)
         hooks = cond_hook(A, f, star, active=np.zeros(4, dtype=bool))
         assert hooks == 0
-        np.testing.assert_array_equal(f.to_numpy(), np.arange(4))
+        np.testing.assert_array_equal(f, np.arange(4))
 
 
 class TestUncondHook:
@@ -137,7 +136,7 @@ class TestUncondHook:
         empty and no star-on-star hook can fire."""
         g = gen.path_graph(4)
         A = g.to_matrix()
-        f = Vector.iota(4)
+        f = np.arange(4)
         star = starcheck(f)
         assert uncond_hook(A, f, star) == 0
 
@@ -148,7 +147,7 @@ class TestUncondHook:
         star = starcheck(f)
         hooks = uncond_hook(A, f, star)
         assert hooks == 1
-        assert f.get(3) == 1  # root 3 hooked onto f[2] = 1
+        assert f[3] == 1  # root 3 hooked onto f[2] = 1
 
     def test_hooks_even_against_id_order(self):
         # star {0,1} rooted at 0 (small id); nonstar 4->3->2; edge 1-4
@@ -157,7 +156,7 @@ class TestUncondHook:
         star = starcheck(f)
         hooks = uncond_hook(A, f, star)
         assert hooks == 1
-        assert f.get(0) == 3  # root 0 hooked onto f[4]=3 despite 3 > 0
+        assert f[0] == 3  # root 0 hooked onto f[4]=3 despite 3 > 0
 
     def test_returns_tree_count_not_vertex_count(self):
         # big star {0..4} rooted 0; nonstar 7->6->5; two edges into it
@@ -171,25 +170,25 @@ class TestShortcut:
     def test_halves_chain(self):
         f = parent_vec([0, 0, 1, 2, 3])
         changed = shortcut(f)
-        np.testing.assert_array_equal(f.to_numpy(), [0, 0, 0, 1, 2])
+        np.testing.assert_array_equal(f, [0, 0, 0, 1, 2])
         assert changed == 3
 
     def test_fixpoint_on_star(self):
         f = parent_vec([0, 0, 0])
         assert shortcut(f) == 0
-        np.testing.assert_array_equal(f.to_numpy(), [0, 0, 0])
+        np.testing.assert_array_equal(f, [0, 0, 0])
 
     def test_scope_restricts(self):
         f = parent_vec([0, 0, 1, 2, 3])
         shortcut(f, scope=np.array([False, False, True, False, False]))
-        np.testing.assert_array_equal(f.to_numpy(), [0, 0, 0, 2, 3])
+        np.testing.assert_array_equal(f, [0, 0, 0, 2, 3])
 
     def test_empty_scope(self):
         f = parent_vec([0, 0, 1])
         assert shortcut(f, scope=np.zeros(3, dtype=bool)) == 0
 
     def test_zero_length(self):
-        assert shortcut(Vector.iota(0)) == 0
+        assert shortcut(np.arange(0)) == 0
 
 
 class TestConvergedStars:
@@ -218,7 +217,7 @@ class TestConvergedStars:
         A = Matrix.adjacency(5, [0, 0, 3, 4], [1, 2, 4, 2])
         f = parent_vec([0, 0, 0, 3, 3])
         star = starcheck(f)
-        assert star.to_numpy().all()  # both trees structurally stars
+        assert star.all()  # both trees structurally stars
         conv = converged_star_vertices(A, f, star, None)
         assert not conv.any()  # neither may retire: they are one component
 
