@@ -3,7 +3,7 @@
 A :class:`DistMatrix` wraps a symmetric adjacency
 :class:`~repro.graphblas.Matrix` with a ``√p × √p``
 :class:`~repro.mpisim.grid.ProcessGrid`, the §V-B load-balancing random
-permutation, and pre-computed per-edge block ownership used by the
+permutation, and pre-computed per-(rank, column) entry counts used by the
 SpMV/SpMSpV cost accounting.
 
 The *values* of every operation are computed by the (tested) serial
@@ -15,9 +15,11 @@ work/word/message counting priced by the α–β model (see
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy import sparse as sp
 
 from repro.graphblas import DCSC, Matrix
 from repro.mpisim import collectives
@@ -29,13 +31,49 @@ from repro.obs.tracer import current as _obs
 __all__ = ["DistMatrix"]
 
 
+def _relabelled(A: Matrix, perm: np.ndarray) -> Matrix:
+    """*A* with vertex *v* renamed ``perm[v]``, rebuilt from the pairs of
+    its strict upper triangle (a boolean pattern without self-loops)."""
+    rows = np.repeat(np.arange(A.nrows, dtype=np.int64), A.row_degrees())
+    upper = A.indices > rows
+    lo, hi = perm[rows[upper]], perm[A.indices[upper]]
+    return Matrix._undirected(A.nrows, np.minimum(lo, hi), np.maximum(lo, hi, out=hi))
+
+
+def _block_counts(A: Matrix, grid: ProcessGrid) -> sp.csr_matrix:
+    """Stored entries of symmetric *A* per (rank, column): a ``p × n`` CSR.
+
+    Column *c* holds row *c*'s entries, sorted, and entry *(r, c)* lives
+    on rank ``block_row(r)·side + block_col(c)``, so the ranks of one
+    column come in runs.  The run lengths are the counts, at most
+    ``min(nnz, √p·n)`` of them.
+    """
+    ptr = A.indptr
+    owner = A.indices // grid.block  # block row; ids < n keep it < side
+    owner *= grid.side
+    col_block_start = ptr[np.minimum(np.arange(grid.side + 1) * grid.block, A.nrows)]
+    owner += np.repeat(np.arange(grid.side), np.diff(col_block_start))
+    run = np.empty(owner.size, dtype=bool)
+    run[:1] = True
+    np.not_equal(owner[1:], owner[:-1], out=run[1:])
+    run[ptr[:-1][ptr[:-1] < owner.size]] = True  # each column starts a run
+    starts = np.flatnonzero(run)
+    return sp.csc_matrix(
+        (np.diff(starts, append=owner.size), owner[starts],
+         np.searchsorted(starts, ptr)),
+        shape=(grid.nprocs, A.nrows),
+    ).tocsr()
+
+
 class DistMatrix:
     """An adjacency matrix distributed over a square process grid.
 
     Parameters
     ----------
     A:
-        Symmetric boolean adjacency matrix.
+        Symmetric boolean adjacency matrix.  Only its strict upper
+        triangle is read: the permuted copy :attr:`A` stores both
+        directions of each edge as a boolean pattern, without self-loops.
     grid:
         The process grid (must be square; CombBLAS limitation the paper
         inherits, §VI-A).
@@ -71,15 +109,9 @@ class DistMatrix:
         self.inv_perm = np.empty_like(self.perm)
         self.inv_perm[self.perm] = np.arange(self.n, dtype=np.int64)
 
-        rows, cols, vals = A.extract_tuples()
-        prows, pcols = self.perm[rows], self.perm[cols]
-        self.A = Matrix.from_edges(
-            self.n, self.n, prows, pcols, vals, symmetric=True
-        )
-        # COO + per-edge ownership for cost accounting
-        self.rows, self.cols, _ = self.A.extract_tuples()
-        self.edge_owner = grid.edge_owner(self.rows, self.cols)
-        self.edges_per_rank = np.bincount(self.edge_owner, minlength=grid.nprocs)
+        self.A = _relabelled(A, self.perm)
+        self._block_counts = _block_counts(self.A, grid)
+        self.edges_per_rank = np.asarray(self._block_counts.sum(axis=1)).ravel()
         # local blocks in CombBLAS's DCSC format (per-rank storage model)
         self._local_blocks: Optional[dict] = None
         reg = _mreg()
@@ -96,6 +128,21 @@ class DistMatrix:
     @property
     def nvals(self) -> int:
         return self.A.nvals
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row id of every stored entry of :attr:`A` (CSR order)."""
+        return self.A.coo_rows()
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Column id of every stored entry of :attr:`A` (CSR order)."""
+        return self.A.indices
+
+    @cached_property
+    def edge_owner(self) -> np.ndarray:
+        """Rank owning every stored entry of :attr:`A` (CSR order)."""
+        return self.grid.edge_owner(self.rows, self.cols)
 
     def local_block(self, rank: int) -> DCSC:
         """The DCSC submatrix rank owns (built lazily, cached).
@@ -171,17 +218,19 @@ class DistMatrix:
             out_words = g.block
             dense = True
         else:
-            sel = active_cols[self.cols]
-            if not sel.any():
+            # stored entries per rank in the active columns: one product
+            # of the per-(rank, column) counts with the bitmap
+            per_rank = self._block_counts @ active_cols
+            flops_rank = int(per_rank.max(initial=0))
+            if flops_rank == 0:  # no stored entry in an active column
                 return
-            owners = self.edge_owner[sel]
-            flops_rank = int(np.bincount(owners, minlength=g.nprocs).max(initial=0))
             # input entries per column block = words each rank in that
             # column group receives during the allgather
-            col_blocks = g.block_col(np.flatnonzero(active_cols))
-            per_col_block = np.bincount(col_blocks, minlength=side)
+            per_col_block = np.add.reduceat(
+                active_cols, np.arange(0, self.n, g.block), dtype=np.int64
+            )
             gather_words = int(per_col_block.max(initial=0))
-            nnz_in = int(np.count_nonzero(active_cols))
+            nnz_in = int(per_col_block.sum())
             dense = nnz_in / max(self.n, 1) > 0.1  # CombBLAS's SpMV/SpMSpV switch
             out_words = min(
                 flops_rank if output_rows_hint is None else output_rows_hint,

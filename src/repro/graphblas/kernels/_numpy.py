@@ -150,12 +150,14 @@ def segment_reduce(values: np.ndarray, seg_ids: np.ndarray, monoid):
     return seg_ids[boundaries], _reduce_segments(values, boundaries, monoid.op.fn)
 
 
-def _short_segment_ids(fn, dtype, starts: np.ndarray, total: int):
+def _short_segment_ids(fn, dtype, starts: np.ndarray, total: int, A=None):
     """Per-entry segment numbers of *total* entries split at *starts* when
     *fn* reduces them with ``ufunc.at``, else ``None`` (``ufunc.reduceat``).
 
     ``ufunc.at`` is taken for integer min/max (order cannot change the
     result) with a mean segment length below :data:`SHORT_SEGMENT_MEAN`.
+    When the segments are all the non-empty rows of matrix *A*, the ids
+    are *A*'s cached :meth:`~repro.graphblas.Matrix.row_segment_ids`.
     """
     if not (
         (fn is np.minimum or fn is np.maximum)
@@ -163,6 +165,8 @@ def _short_segment_ids(fn, dtype, starts: np.ndarray, total: int):
         and total < SHORT_SEGMENT_MEAN * starts.size
     ):
         return None
+    if A is not None:
+        return A.row_segment_ids()
     lengths = np.diff(starts, append=total)
     return np.repeat(np.arange(starts.size, dtype=np.int64), lengths)
 
@@ -303,7 +307,7 @@ def spmv(semiring, A, u):
     if flops == 0:
         return rows[:0], prods[:0], 0, "spmv"
     fn = semiring.add.op.fn
-    seg = _short_segment_ids(fn, prods.dtype, starts, keep.size)
+    seg = _short_segment_ids(fn, prods.dtype, starts, keep.size, A)
     if not dropped:
         return rows, _reduce_segments(prods, starts, fn, seg), flops, "spmv"
     if seg is None:
@@ -372,7 +376,8 @@ def spmv_rows_minmax(
     rows, starts, cols = _row_segments(A, rows_sel)
     if rows.size == 0:
         return rows, u_vals[:0], u_vals[:0]
-    seg = _short_segment_ids(np.minimum, u_vals.dtype, starts, cols.size)
+    seg = _short_segment_ids(np.minimum, u_vals.dtype, starts, cols.size,
+                             A if rows_sel is None else None)
     if u_present is None or u_present.all():
         par = u_vals[cols]
         return (rows, _reduce_segments(par, starts, np.minimum, seg),

@@ -36,7 +36,7 @@ class Matrix:
 
     __slots__ = (
         "nrows", "ncols", "dtype", "indptr", "indices", "values",
-        "_csc", "_symmetric", "_degrees", "_coo_rows",
+        "_csc", "_symmetric", "_degrees", "_coo_rows", "_segment_ids",
     )
 
     def __init__(
@@ -66,6 +66,7 @@ class Matrix:
         # kernels (SpMV row ids, degree scoping) never rebuild them per call.
         self._degrees: Optional[np.ndarray] = None
         self._coo_rows: Optional[np.ndarray] = None
+        self._segment_ids: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -187,11 +188,56 @@ class Matrix:
             raise ValueError(
                 f"endpoint arrays must have equal length, got {u.shape} vs {v.shape}"
             )
-        keep = u != v
-        u, v = u[keep], v[keep]
-        if symmetrize:
-            u, v = np.r_[u, v], np.r_[v, u]
-        return cls.from_edges(n, n, u, v, values=True, symmetric=True)
+        if not symmetrize:
+            keep = u != v
+            return cls.from_edges(n, n, u[keep], v[keep], values=True, symmetric=True)
+        u, v = u.ravel(), v.ravel()
+        return cls._undirected(n, np.minimum(u, v), np.maximum(u, v))
+
+    @classmethod
+    def _undirected(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Matrix":
+        """Symmetric boolean CSR of the undirected edges ``{lo[k], hi[k]}``.
+
+        Takes canonical int64 pairs (``lo <= hi``) and may overwrite them.
+        Self-loops are dropped before the range check.  The *m* pairs are
+        sorted once on a packed ``lo·2^s + hi`` key and deduplicated, which
+        orders the upper triangle; one more sort of the *m* mirrored keys
+        ``hi·2^s + lo`` orders the lower triangle.  Both are sorted runs of
+        the full ``row·2^s + col`` key, so one stable sort of the two laid
+        end to end merges them, in a linear pass, into CSR order.  The
+        result equals ``from_edges`` over both directions of every edge.
+        """
+        keep = lo != hi
+        if not keep.all():
+            lo, hi = lo[keep], hi[keep]
+        if lo.size and (lo.min() < 0 or hi.max() >= n):
+            raise IndexError("edge endpoint out of range")
+        bits = max(int(n) - 1, 1).bit_length()
+        if 2 * bits > 62:
+            raise ValueError(f"{n} vertices do not fit a packed int64 edge key")
+        col_mask = (1 << bits) - 1
+        upper = np.left_shift(lo, bits, out=lo)
+        upper |= hi
+        upper.sort()
+        new = run_starts(upper)
+        if not new.all():
+            upper = upper[new]
+        lo = upper >> bits
+        hi = upper & col_mask
+        degrees = np.bincount(lo, minlength=n)
+        degrees += np.bincount(hi, minlength=n)
+        lower = np.left_shift(hi, bits, out=hi)
+        lower |= lo
+        lower.sort()
+        indices = np.concatenate((upper, lower))
+        indices.sort(kind="stable")  # timsort: one merge of the two runs
+        np.bitwise_and(indices, col_mask, out=indices)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        return cls(
+            n, n, indptr, indices, np.ones(indices.size, dtype=bool),
+            symmetric=True,
+        )
 
     def to_scipy(self) -> sp.csr_matrix:
         """CSR copy as a SciPy matrix (bool data promoted to int8)."""
@@ -247,6 +293,21 @@ class Matrix:
                 np.arange(self.nrows, dtype=np.int64), self.row_degrees()
             )
         return self._coo_rows
+
+    def row_segment_ids(self) -> np.ndarray:
+        """For every stored entry in CSR order, the position of its row
+        among the non-empty rows (``coo_rows()`` when no row is empty).
+
+        Built on first use and cached; treat as read-only.  The NumPy
+        kernels' short-row min/max over every row scatters by these ids.
+        """
+        if self._segment_ids is None:
+            lengths = self.row_degrees()
+            lengths = lengths[lengths > 0]
+            self._segment_ids = np.repeat(
+                np.arange(lengths.size, dtype=np.int64), lengths
+            )
+        return self._segment_ids
 
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """(column indices, values) of row *i*."""

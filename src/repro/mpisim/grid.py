@@ -15,7 +15,7 @@ the distributed layer's bincount-based cost accounting uses.  The paper
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,7 @@ class ProcessGrid:
         self.block = max(-(-n // side), 1)
         #: vector elements per rank under block distribution
         self.vec_block = max(-(-n // nprocs), 1)
+        self._local_sizes: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def coords(self, rank: int) -> Tuple[int, int]:
@@ -118,8 +119,19 @@ class ProcessGrid:
         return hi - lo
 
     def local_sizes(self) -> np.ndarray:
-        """Vector elements per rank, for all ranks."""
-        return np.array([self.local_size(r) for r in range(self.nprocs)], dtype=np.int64)
+        """Vector elements per rank, for all ranks (cached, read-only):
+        :meth:`local_size` of every rank at once."""
+        if self._local_sizes is None:
+            ranks = np.arange(self.nprocs, dtype=np.int64)
+            if self.distribution == "cyclic":
+                full, rem = divmod(self.n, self.nprocs)
+                sizes = full + (ranks < rem)
+            else:
+                lo = np.minimum(ranks * self.vec_block, self.n)
+                sizes = np.minimum(lo + self.vec_block, self.n) - lo
+            sizes.flags.writeable = False
+            self._local_sizes = sizes
+        return self._local_sizes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -215,6 +215,19 @@ def test_spmv_never_builds_coo_rows():
     assert A._coo_rows is None
 
 
+def test_short_row_ids_built_once_per_matrix():
+    rng = np.random.default_rng(1)
+    A = short_row_matrix(rng, 2)
+    u = short_row_input(rng, A.ncols, np.int64, 0.6)
+    _numpy.spmv(sr.SEL2ND_MIN_INT64, A, u)
+    ids = A._segment_ids
+    lengths = A.row_degrees()[A.row_degrees() > 0]
+    np.testing.assert_array_equal(ids, np.repeat(np.arange(lengths.size), lengths))
+    _numpy.spmv(sr.SEL2ND_MIN_INT64, A, u)
+    _numpy.spmv_rows_minmax(A, u.dense_arrays()[0], None, None)
+    assert A._segment_ids is ids
+
+
 # ----------------------------------------------------------------------
 # short rows: integer min/max through ``ufunc.at`` below a mean segment
 # length of ``_numpy.SHORT_SEGMENT_MEAN``, against the reduceat kernels

@@ -44,6 +44,18 @@ class TestCyclicGrid:
             lo, hi = g.local_range(r)
             assert sizes[r] == hi - lo
 
+    @pytest.mark.parametrize("distribution", ["block", "cyclic"])
+    @pytest.mark.parametrize("p", [1, 4, 9, 16, 64, 100, 256])
+    def test_local_sizes_equal_per_rank_sizes(self, distribution, p):
+        for n in (0, 1, 2, 7, 63, 64, 65, 255, 257, 1001, 12345):
+            g = ProcessGrid(p, n, distribution=distribution)
+            want = np.array([g.local_size(r) for r in range(p)], dtype=np.int64)
+            got = g.local_sizes()
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert g.local_sizes() is got  # cached
+            assert not got.flags.writeable
+
     @settings(max_examples=25)
     @given(st.sampled_from([1, 4, 16]), st.integers(min_value=1, max_value=300))
     def test_cyclic_ownership_partition(self, p, n):
