@@ -249,9 +249,24 @@ def reduceat_segment_reduce(values: np.ndarray, seg_ids: np.ndarray, monoid):
     return seg_ids[boundaries], reduceat_reduce_segments(values, boundaries, monoid)
 
 
+def row_segments(A, rows_sel=None):
+    """``(rows, starts, cols)``: the whole-matrix CSR segments of the
+    non-empty rows among sorted *rows_sel* (``None``: every row)."""
+    indptr = A.indptr
+    if rows_sel is None:
+        rows = np.flatnonzero(indptr[1:] != indptr[:-1])
+        return rows, indptr[rows], A.indices
+    lo = indptr[rows_sel]
+    lengths = indptr[rows_sel + 1] - lo
+    nonempty = lengths > 0
+    rows, lo, lengths = rows_sel[nonempty], lo[nonempty], lengths[nonempty]
+    flat, starts = _numpy._concat_ranges(lo, lengths, int(lengths.sum()))
+    return rows, starts, A.indices[flat]
+
+
 def reduceat_spmv(semiring, A, u):
     u_vals, u_present = u.dense_arrays()
-    rows, starts, cols = _numpy._row_segments(A)
+    rows, starts, cols = row_segments(A)
     a_vals = A.values
     kind = semiring.multiply_kind
     keep = u_present[cols]
@@ -301,7 +316,7 @@ def reduceat_spmv_rows(semiring, A, u, rows_sel: np.ndarray):
 
 
 def reduceat_spmv_rows_minmax(A, u_vals, u_present, rows_sel):
-    rows, starts, cols = _numpy._row_segments(A, rows_sel)
+    rows, starts, cols = row_segments(A, rows_sel)
     if rows.size == 0:
         return rows, u_vals[:0], u_vals[:0]
     if u_present is None or u_present.all():
@@ -436,3 +451,164 @@ def test_identity_valued_present_input_keeps_its_row():
     assert idx.tolist() == [0, 2]
     assert t_min.tolist() == [info.max, info.min]
     assert t_max.tolist() == [info.max, info.min]
+
+
+# ----------------------------------------------------------------------
+# row blocks: ``spmv``, ``spmv_rows`` and ``spmv_rows_minmax`` stream the
+# matrix in row-aligned blocks of at most ``_numpy.ROW_BLOCK_ENTRIES``
+# entries.  Patched down to a few entries, small matrices span many blocks;
+# every block size must match the whole-matrix reduceat kernels above byte
+# for byte, flops and path included
+# ----------------------------------------------------------------------
+LONG_ROW, LONG = 5, 30  # one row longer than every patched block
+DARK_ROWS = range(24, 36)  # their columns lie below DARK_COLS ...
+DARK_COLS = 8  # ... which the "dark" presence leaves absent
+BLOCK_SIZES = (1, 3, LONG - 1, None)  # None: the module default
+BLOCK_PRESENCE = ("none", "some", "all", "dark")
+
+
+@pytest.fixture(params=BLOCK_SIZES, ids=lambda b: f"block{b or 'default'}")
+def block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(_numpy, "ROW_BLOCK_ENTRIES", request.param)
+    return request.param
+
+
+def blocked_matrix(rng, value_kind: str) -> Matrix:
+    """48 × 40: rows of 0–9 entries with runs of empty rows (the first and
+    last rows among them), one row of LONG entries, and a band of rows
+    whose columns all lie below DARK_COLS while the others' lie above."""
+    nrows, ncols = 48, 40
+    lengths = rng.choice([0, 0, 1, 2, 3, 5, 9], nrows)
+    lengths[[0, 1, 20, 21, 22, nrows - 1]] = 0
+    lengths[LONG_ROW] = LONG
+    rows, cols = [], []
+    for r, k in enumerate(lengths):
+        lo, hi = (0, DARK_COLS) if r in DARK_ROWS else (DARK_COLS, ncols)
+        k = min(k, hi - lo)
+        rows.append(np.full(k, r))
+        cols.append(lo + rng.choice(hi - lo, k, replace=False))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    if value_kind == "bool":
+        values = True
+    elif value_kind == "fp64":
+        values = rng.normal(size=rows.size)
+    else:
+        values = rng.integers(-9, 9, rows.size)
+    return Matrix.from_edges(nrows, ncols, rows, cols, values=values)
+
+
+def blocked_input(rng, size: int, kind: str, presence: str, dense: bool) -> Vector:
+    if presence != "dark":
+        return make_input(rng, size, kind, presence, dense)
+    vals = _u_values(rng, kind, size)
+    present = rng.random(size) < 0.7
+    present[:DARK_COLS] = False
+    if dense:
+        return Vector.dense(vals, present=present)
+    idx = np.flatnonzero(present)
+    return Vector.sparse(size, idx, vals[idx], dtype=vals.dtype)
+
+
+def block_count(A, rows_sel=None) -> int:
+    _, _, blocks = _numpy._row_blocks(A, rows_sel, np.minimum, np.dtype(np.int64))
+    return sum(1 for _ in blocks)
+
+
+def blocked_row_selections(rng, nrows: int):
+    return (
+        np.arange(nrows, dtype=np.int64),
+        np.flatnonzero(rng.random(nrows) < 0.5),
+        np.arange(3, nrows - 3, dtype=np.int64),  # crosses every block edge
+        np.array([LONG_ROW], dtype=np.int64),
+        np.arange(20, 23, dtype=np.int64),  # empty rows only
+    )
+
+
+def test_blocked_matrices_span_several_blocks(block):
+    rng = np.random.default_rng(0)
+    A = blocked_matrix(rng, "int64")
+    many = block_count(A)
+    nonempty = int(np.count_nonzero(A.row_degrees()))
+    if block is None:
+        assert many == 1
+    else:
+        # one block per row at block size 1, rows grouped above it
+        assert many == nonempty if block == 1 else 1 < many < nonempty
+        assert block_count(A, np.arange(3, 45, dtype=np.int64)) > 1
+    # the long row is a block of its own, so it sets the buffer width
+    _, width, _ = _numpy._row_blocks(A, None, np.minimum, np.dtype(np.int64))
+    assert width == (A.nvals if block is None else max(LONG, min(block, A.nvals)))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse_u", "dense_u"])
+@pytest.mark.parametrize("presence", BLOCK_PRESENCE)
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_blocked_spmv_matches_reduceat(block, name, presence, dense):
+    """Every semiring, float ``plus`` bit for bit: rows never straddle a
+    block, so each row's reduction order is unchanged."""
+    semiring, u_kind = SEMIRINGS[name]
+    a_kind = "fp64" if u_kind == "fp64" else ("bool" if u_kind == "bool" else "int64")
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        A = blocked_matrix(rng, a_kind)
+        u = blocked_input(rng, A.ncols, u_kind, presence, dense)
+        got = _numpy.spmv(semiring, A, u)
+        assert_identical(got, reduceat_spmv(semiring, A, u))
+        assert_identical(got, oracle_spmv(semiring, A, u))
+        for rows_sel in blocked_row_selections(rng, A.nrows):
+            assert_identical(
+                _numpy.spmv_rows(semiring, A, u, rows_sel),
+                reduceat_spmv_rows(semiring, A, u, rows_sel),
+            )
+
+
+@pytest.mark.parametrize("presence", BLOCK_PRESENCE)
+@pytest.mark.parametrize("u_kind", sorted(MINMAX_KINDS))
+def test_blocked_spmv_rows_minmax_matches_reduceat(block, u_kind, presence):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        A = blocked_matrix(rng, "int64")
+        u = blocked_input(rng, A.ncols, u_kind, presence, dense=True)
+        u_vals, u_present = u.dense_arrays()
+        for present in (u_present, None):
+            for rows_sel in (None, *blocked_row_selections(rng, A.nrows)):
+                assert_identical(
+                    _numpy.spmv_rows_minmax(A, u_vals, present, rows_sel),
+                    reduceat_spmv_rows_minmax(A, u_vals, present, rows_sel),
+                )
+
+
+@pytest.mark.parametrize("dtype", SHORT_DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("mean", (1, 2, 3, 5))
+def test_blocked_short_rows_match_reduceat(block, monkeypatch, mean, dtype):
+    """Blocks of short rows scatter with ``ufunc.at`` on their slice of the
+    cached segment ids (every row) or on ids of their own (a subset)."""
+    taken = []
+    short = _numpy._short_segments
+
+    def spy(*args):
+        taken.append(short(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(_numpy, "_short_segments", spy)
+    for op in ("min", "max"):
+        semiring = sr.semiring(op, "second", dtype)
+        for rng, A, u in short_row_cases(mean, dtype):
+            u_vals, u_present = u.dense_arrays()
+            assert_identical(_numpy.spmv(semiring, A, u), reduceat_spmv(semiring, A, u))
+            for rows_sel in (np.arange(A.nrows, dtype=np.int64),
+                             np.flatnonzero(rng.random(A.nrows) < 0.5)):
+                assert_identical(
+                    _numpy.spmv_rows(semiring, A, u, rows_sel),
+                    reduceat_spmv_rows(semiring, A, u, rows_sel),
+                )
+                assert_identical(
+                    _numpy.spmv_rows_minmax(A, u_vals, u_present, rows_sel),
+                    reduceat_spmv_rows_minmax(A, u_vals, u_present, rows_sel),
+                )
+            assert_identical(
+                _numpy.spmv_rows_minmax(A, u_vals, u_present, None),
+                reduceat_spmv_rows_minmax(A, u_vals, u_present, None),
+            )
+    assert any(taken)
