@@ -32,6 +32,8 @@ Top-level convenience::
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
 __version__ = "1.0.0"
@@ -61,22 +63,25 @@ def connected_components(u, v, n: int, method: str = "lacc") -> np.ndarray:
         in *i*'s component (for LACC and union–find; all methods return
         *some* canonical representative per component).
     """
-    from .baselines import bfs_cc, fastsv, label_prop, shiloach_vishkin, union_find
-    from .core.lacc import lacc as run_lacc
-    from .graphblas import Matrix
-
-    dispatch = {
-        "lacc": lambda: run_lacc(Matrix.adjacency(n, u, v)).labels,
-        "union-find": lambda: union_find.connected_components(n, u, v),
-        "sv": lambda: shiloach_vishkin.connected_components(n, u, v),
-        "bfs": lambda: bfs_cc.connected_components(n, u, v),
-        "label-prop": lambda: label_prop.connected_components(n, u, v),
-        "fastsv": lambda: fastsv.connected_components(n, u, v),
+    # import only the chosen method, so default LACC loads no SciPy
+    # (the baselines package does)
+    baselines = {
+        "union-find": "union_find",
+        "sv": "shiloach_vishkin",
+        "bfs": "bfs_cc",
+        "label-prop": "label_prop",
+        "fastsv": "fastsv",
     }
-    try:
-        run = dispatch[method]
-    except KeyError:
+    if method == "lacc":
+        from .core.lacc import lacc
+        from .graphblas import Matrix
+
+        labels = lacc(Matrix.adjacency(n, u, v)).labels
+    elif method in baselines:
+        module = importlib.import_module(f".baselines.{baselines[method]}", __name__)
+        labels = module.connected_components(n, u, v)
+    else:
         raise ValueError(
-            f"unknown method {method!r}; choose from {sorted(dispatch)}"
-        ) from None
-    return np.asarray(run(), dtype=np.int64)
+            f"unknown method {method!r}; choose from {sorted([*baselines, 'lacc'])}"
+        )
+    return np.asarray(labels, dtype=np.int64)

@@ -16,10 +16,9 @@ work/word/message counting priced by the α–β model (see
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import sparse as sp
 
 from repro.graphblas import DCSC, Matrix
 from repro.mpisim import collectives
@@ -27,6 +26,9 @@ from repro.mpisim.costmodel import CostModel
 from repro.mpisim.grid import ProcessGrid
 from repro.obs.metrics import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
+
+if TYPE_CHECKING:
+    from scipy import sparse as sp
 
 __all__ = ["DistMatrix"]
 
@@ -48,6 +50,8 @@ def _block_counts(A: Matrix, grid: ProcessGrid) -> sp.csr_matrix:
     column come in runs.  The run lengths are the counts, at most
     ``min(nnz, √p·n)`` of them.
     """
+    from scipy import sparse as sp
+
     ptr = A.indptr
     owner = A.indices // grid.block  # block row; ids < n keep it < side
     owner *= grid.side
@@ -244,9 +248,9 @@ class DistMatrix:
                         path="spmv" if dense else "spmspv").inc()
         with _obs().span(
             "mxv", "combblas", path="spmv" if dense else "spmspv"
-        ) as sp, cost.phase(phase):
-            if sp:
-                sp.add("flops", flops_rank)
+        ) as span, cost.phase(phase):
+            if span:
+                span.add("flops", flops_rank)
             # stage 1: allgather within column groups (side ranks each)
             collectives.allgather(cost, side, gather_words / max(side, 1), phase)
             # local multiply

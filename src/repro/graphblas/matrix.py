@@ -16,13 +16,15 @@ and the tests verify it round-trips against CSR.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-from scipy import sparse as sp
 
 from .sorting import pack_pairs, run_starts
 from .types import BOOL, normalize_dtype
+
+if TYPE_CHECKING:
+    from scipy import sparse as sp
 
 __all__ = ["Matrix", "DCSC"]
 
@@ -241,6 +243,8 @@ class Matrix:
 
     def to_scipy(self) -> sp.csr_matrix:
         """CSR copy as a SciPy matrix (bool data promoted to int8)."""
+        from scipy import sparse as sp
+
         data = self.values
         if data.dtype == BOOL:
             data = data.astype(np.int8)

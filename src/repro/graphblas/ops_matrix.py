@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Callable, Union
 
 import numpy as np
-from scipy import sparse as sp
 
 from .binaryop import BinaryOp
 from .matrix import Matrix
@@ -62,6 +61,8 @@ def matrix_select(
 
 
 def _ewise(A: Matrix, B: Matrix, op: BinaryOp, union: bool) -> Matrix:
+    from scipy import sparse as sp
+
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
     out_dtype = np.bool_ if op.bool_result else promote(A.dtype, B.dtype)

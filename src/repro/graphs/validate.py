@@ -10,8 +10,6 @@ adjacency matrix) as the independent oracle.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse as sp
-from scipy.sparse import csgraph
 
 from .generators import EdgeList
 
@@ -26,6 +24,9 @@ __all__ = [
 
 def ground_truth(g: EdgeList) -> np.ndarray:
     """Component labels via scipy (independent of everything in repro)."""
+    from scipy import sparse as sp
+    from scipy.sparse import csgraph
+
     adj = sp.coo_matrix(
         (np.ones(g.nedges, dtype=np.int8), (g.u, g.v)), shape=(g.n, g.n)
     )

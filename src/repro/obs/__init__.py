@@ -15,8 +15,10 @@ LACC drivers all hook into:
   (:func:`activate_metrics`/:func:`metrics_registry`), Prometheus text
   exposition and JSONL snapshots.
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
-  JSON-lines exporters (metric counters ride along as ``C`` events).
-* :mod:`repro.obs.render` — ASCII flamegraph and top-table renderers.
+  JSON-lines exporters (metric counters ride along as ``C`` events;
+  loaded on first use).
+* :mod:`repro.obs.render` — ASCII flamegraph and top-table renderers
+  (loaded on first use).
 * :mod:`repro.obs.profile` — ``(result, tracer)`` one-callers behind the
   ``python -m repro profile`` CLI (imported explicitly; it pulls in
   :mod:`repro.core`).
@@ -32,7 +34,7 @@ LACC drivers all hook into:
 * :mod:`repro.obs.anomaly` — streaming detectors over the flight record
   (convergence stall, load-imbalance spikes, retry storms, stragglers,
   checkpoint churn) emitting :class:`Anomaly` verdicts with evidence
-  pointers.
+  pointers (loaded on first use).
 * :mod:`repro.obs.explain` — the run-diagnosis engine behind
   ``python -m repro explain`` (imported explicitly; it pulls in
   :mod:`repro.core`).
@@ -45,26 +47,16 @@ Typical use::
         lacc(A, tracer=tr)
     print(render.top_table(tr))
     export.write_chrome_trace(tr, "out.json")   # open in ui.perfetto.dev
+
+``export``, ``render`` and ``anomaly`` are loaded on first use: the
+package's module ``__getattr__`` imports the submodule the first time it
+or one of its names listed in ``__all__`` is looked up here, so a driver
+run that only traces never imports them.
 """
 
-from . import export, metrics, render
-from .anomaly import (
-    Anomaly,
-    AnomalyDetector,
-    CheckpointChurnDetector,
-    ConvergenceStallDetector,
-    LoadImbalanceDetector,
-    RetryStormDetector,
-    StragglerDetector,
-    default_detectors,
-)
-from .export import (
-    chrome_trace,
-    merge_chrome_traces,
-    span_records,
-    write_chrome_trace,
-    write_jsonl,
-)
+import importlib
+
+from . import metrics
 from .metrics import (
     NULL_REGISTRY,
     Counter,
@@ -85,7 +77,6 @@ from .flight import (
     flight_recorder,
     read_flight_jsonl,
 )
-from .render import flamegraph, html_timeline, top_table, write_html_timeline
 from .tracer import (
     NULL_TRACER,
     NullSpan,
@@ -95,6 +86,34 @@ from .tracer import (
     activate,
     current,
 )
+
+# submodule -> its names in __all__; no driver run needs them, so
+# __getattr__ (PEP 562) imports each on first lookup
+_LAZY = {
+    "export": (
+        "chrome_trace", "merge_chrome_traces", "span_records",
+        "write_chrome_trace", "write_jsonl",
+    ),
+    "render": ("flamegraph", "html_timeline", "top_table", "write_html_timeline"),
+    "anomaly": (
+        "Anomaly", "AnomalyDetector", "CheckpointChurnDetector",
+        "ConvergenceStallDetector", "LoadImbalanceDetector",
+        "RetryStormDetector", "StragglerDetector", "default_detectors",
+    ),
+}
+_LAZY_NAMES = {name: mod for mod, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY and name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY_NAMES.get(name, name)}", __name__)
+    return module if name in _LAZY else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY})
+
 
 __all__ = [
     "Span",
@@ -112,15 +131,6 @@ __all__ = [
     "NULL_REGISTRY",
     "activate_metrics",
     "metrics_registry",
-    "chrome_trace",
-    "merge_chrome_traces",
-    "write_chrome_trace",
-    "write_jsonl",
-    "span_records",
-    "flamegraph",
-    "top_table",
-    "html_timeline",
-    "write_html_timeline",
     "FlightEvent",
     "FlightRecorder",
     "NullFlightRecorder",
@@ -129,14 +139,7 @@ __all__ = [
     "activate_flight",
     "flight_recorder",
     "read_flight_jsonl",
-    "Anomaly",
-    "AnomalyDetector",
-    "ConvergenceStallDetector",
-    "LoadImbalanceDetector",
-    "RetryStormDetector",
-    "StragglerDetector",
-    "CheckpointChurnDetector",
-    "default_detectors",
+    *_LAZY_NAMES,
     "export",
     "metrics",
     "render",
