@@ -19,16 +19,32 @@ algorithm over dense vectors (every vertex, every iteration) — it is both
 the educational LAGraph-style variant and the ablation baseline for the
 sparsity benchmarks.
 
-The driver is a program on the parent array: ``f``, ``star`` and the
-active bitmap stay plain NumPy arrays for the whole run, and GraphBLAS
-objects appear only at the hooks' masked ``mxv`` (the paper's SpMV).  The
-steps are bound at module level and looked up at call time, so a wrapper
-patched into this module sees every call.
+One loop, :func:`_run`, is that program on the parent array: ``f``,
+``star`` and the active bitmap stay plain NumPy arrays for the whole run,
+and GraphBLAS objects appear only at the hooks' masked ``mxv`` (the
+paper's SpMV).  Two drivers run it.  :func:`lacc` passes the no-op
+:class:`_Pricer`, the Null object of pricing in the idiom of
+``NULL_TRACER``; :func:`repro.core.lacc_dist.lacc_dist` passes one that
+charges each step to an α–β machine model and maps the (permuted) working
+vertex space back to the input's.  The loop calls its pricer at fixed
+points and never asks which driver called it.  The two message-passing
+drivers, :func:`~repro.core.lacc_spmd.lacc_spmd` and
+:func:`~repro.core.lacc_2d.lacc_2d`, share the other loop, in
+:mod:`repro.core.lacc_spmd`.
+
+Binding contract: the loop looks up ``cond_hook``, ``uncond_hook``,
+``starcheck`` and ``shortcut`` as globals of *this* module at call time,
+so a wrapper patched in here sees every call of both drivers.
+:mod:`repro.core.lacc_dist` keeps those four names bound too, plus
+``charge_assign``/``charge_extract``, which its pricer calls through its
+own module globals: outside-in timers patch every one of these bindings
+and expect each to exist.
 """
 
 from __future__ import annotations
 
 import contextlib
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,6 +91,93 @@ class LACCResult:
 
     def component_of(self, v: int) -> int:
         return int(self.parents[v])
+
+
+class _Pricer:
+    """Prices the loop's steps.  This one, the serial driver's, prices
+    nothing: a Null object, like ``NULL_TRACER``.
+
+    :func:`_run` calls ``begin_iteration()``/``end_iteration(it_stats)``
+    around each iteration (the latter fills the iteration's traffic and
+    returns extra flight fields), ``end_step(step_model_seconds)`` as each
+    step span closes (adding the step's model seconds by phase), and one
+    charge inside each step: ``hook(phase, it, rep, mask, star=None)``
+    (whose mxv read the columns in *mask*, only the nonstar ones when
+    *star* is given), ``starcheck(f, mask, it)``, ``converged(mask)``
+    (Lemma 1) and ``shortcut(f, scope, it)``.  ``labels``, ``snapshot``
+    and ``run_fields()`` (extra ``run_end`` fields) report in the input's
+    vertex space, here the loop's own.
+    """
+
+    def _charge_nothing(self, *args) -> None:
+        pass
+
+    def _no_fields(self, *args) -> dict:
+        return {}
+
+    begin_iteration = end_step = _charge_nothing
+    hook = starcheck = converged = shortcut = _charge_nothing
+    end_iteration = run_fields = _no_fields
+
+    def labels(self, f: np.ndarray) -> np.ndarray:
+        return f
+
+    def snapshot(self, iteration: int, f, star, active) -> IterationSnapshot:
+        return IterationSnapshot(
+            iteration=iteration,
+            parents=f.copy(),
+            star=star.copy(),
+            active=None if active is None else active.copy(),
+        )
+
+
+_NULL_PRICER = _Pricer()
+
+
+class _StepSpan:
+    """Step span that records host time as a ``wall_seconds`` counter
+    next to the span's extent on the tracer's clock (model vs. actual
+    side by side on the simulated clock), and the model seconds the
+    pricer charged inside it into ``step_model_seconds``."""
+
+    __slots__ = ("_ctx", "_span", "_t0", "_pricer", "_model")
+
+    def __init__(self, tracer, pricer: _Pricer, it_stats: IterationStats, name: str):
+        self._ctx = tracer.span(name, "step")
+        self._pricer = pricer
+        self._model = it_stats.step_model_seconds
+
+    def __enter__(self):
+        self._t0 = time.perf_counter()
+        self._span = self._ctx.__enter__()
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb):
+        self._span.add("wall_seconds", time.perf_counter() - self._t0)
+        out = self._ctx.__exit__(exc_type, exc, tb)
+        self._pricer.end_step(self._model)
+        return out
+
+
+def _start(A: Matrix, initial_parents, initial_active, use_sparsity: bool):
+    """Check *A*, then the identity forest with every vertex active, or
+    the resume state: ``(f, active)`` in *A*'s vertex space."""
+    if A.nrows != A.ncols:
+        raise ValueError(f"adjacency matrix must be square, got {A.shape}")
+    if not A.is_symmetric:
+        raise ValueError("LACC requires an undirected (symmetric) adjacency matrix")
+    n = A.nrows
+    if initial_parents is not None:
+        f = validate_initial_parents(initial_parents, n)
+    else:
+        f = np.arange(n, dtype=np.int64)
+    active = ActiveSet(n, enabled=use_sparsity)
+    if initial_active is not None and use_sparsity:
+        act0 = np.asarray(initial_active, dtype=bool)
+        if act0.shape != (n,):
+            raise ValueError(f"initial_active must have shape ({n},)")
+        active._active = act0.copy()
+    return f, active
 
 
 def lacc(
@@ -131,139 +234,152 @@ def lacc(
     LACCResult
         Min-id component labels, component count, iterations and stats.
     """
-    if A.nrows != A.ncols:
-        raise ValueError(f"adjacency matrix must be square, got {A.shape}")
-    if not A.is_symmetric:
-        raise ValueError("LACC requires an undirected (symmetric) adjacency matrix")
+    f, active = _start(A, initial_parents, initial_active, use_sparsity)
+    # the default private tracer only carries the iteration/step spans
+    # LACCStats is derived from
+    parents, n_components, iterations, stats = _run(
+        A, f, active, _NULL_PRICER, tracer, Tracer() if collect_stats else NULL_TRACER,
+        run_span=("lacc", {}), run_start=dict(driver="serial"),
+        max_iterations=max_iterations, start_iteration=start_iteration,
+        on_iteration=on_iteration, collect_stats=collect_stats,
+    )
+    return LACCResult(parents, n_components, iterations, stats)
+
+
+def _run(
+    A: Matrix,
+    f: np.ndarray,
+    active: ActiveSet,
+    pricer: _Pricer,
+    tracer: Optional[Tracer],
+    default_tracer: Tracer,
+    *,
+    run_span,
+    run_start: dict,
+    max_iterations: Optional[int],
+    start_iteration: int,
+    on_iteration: Optional[IterationHook],
+    collect_stats: bool = True,
+):
+    """The LACC loop on the parent array *f* (updated in place), with
+    *pricer* charging each step.  An explicit *tracer* is activated, so
+    GraphBLAS primitives record leaf spans; else the loop's spans go to
+    the inactive *default_tracer*.  ``run_span`` is the run span's
+    ``(name, attrs)``, ``run_start`` the driver's own fields of the flight
+    record's ``run_start`` event; its ``driver`` labels the metrics.
+    Returns ``(parents in the input's vertex space, n_components,
+    n_iterations, stats)``."""
+    tr = tracer if tracer is not None else default_tracer
+    run_ctx = activate(tr) if tracer is not None else contextlib.nullcontext()
     n = A.nrows
     stats = LACCStats(n_vertices=n)
     if max_iterations is None:
         max_iterations = 4 * max(int(np.ceil(np.log2(max(n, 2)))), 1) + 8
-
-    # initialise: every vertex is its own parent — n single-vertex stars —
-    # unless resuming from a checkpointed/repaired forest
-    if initial_parents is not None:
-        f = validate_initial_parents(initial_parents, n)
-    else:
-        f = np.arange(n, dtype=np.int64)
-    active = ActiveSet(n, enabled=use_sparsity)
-    if initial_active is not None and use_sparsity:
-        act0 = np.asarray(initial_active, dtype=bool)
-        if act0.shape != (n,):
-            raise ValueError(f"initial_active must have shape ({n},)")
-        active._active = act0.copy()
-
+    driver = run_start["driver"]
     fr = _freg()
     if fr:
-        fr.record("run_start", driver="serial", n=n, nnz=A.nvals)
-    if n == 0 or A.nvals == 0:
-        ncomp0 = count_distinct(f)
-        if fr:
-            fr.record("run_end", n_iterations=start_iteration, n_components=ncomp0)
-        return LACCResult(f, ncomp0, start_iteration, stats)
-
-    # isolated vertices are converged components from the start
-    if use_sparsity:
-        deg = A.row_degrees()
-        isolated = deg == 0
-        if isolated.any():
-            active._active &= ~isolated
-
-    # Tracing: an explicit tracer is activated so GraphBLAS primitives
-    # record leaf spans; the default private tracer stays inactive and
-    # only carries the iteration/step spans LACCStats is derived from.
-    tr = tracer if tracer is not None else (Tracer() if collect_stats else NULL_TRACER)
-    run_ctx = activate(tr) if tracer is not None else contextlib.nullcontext()
-
+        fr.record("run_start", n=n, nnz=A.nvals, **run_start)
     iteration = start_iteration
-    with run_ctx, tr.span("lacc", "run", n=n, nnz=A.nvals,
-                          **({"run_id": fr.run_id} if fr else {})):
-        star = starcheck(f, active.mask)
-        while True:
-            iteration += 1
-            if iteration - start_iteration > max_iterations:
-                raise RuntimeError(
-                    f"LACC did not converge within {max_iterations} iterations — "
-                    "this indicates a forest-invariant violation"
-                )
-            it_stats = IterationStats(
-                iteration=iteration, active_vertices=active.active_count
-            )
-
-            with tr.span("iteration", "iteration", iteration=iteration) as it_span:
-                with tr.span("cond_hook", "step"):
-                    it_stats.cond_hooks = cond_hook(A, f, star, active.mask).count
-                with tr.span("starcheck", "step"):
-                    star = starcheck(f, active.mask)
-                with tr.span("uncond_hook", "step"):
-                    it_stats.uncond_hooks = uncond_hook(A, f, star, active.mask).count
-                with tr.span("starcheck", "step"):
-                    star = starcheck(f, active.mask)
-
-                # Lemma 1 (strengthened, see convergence module): stars
-                # surviving unconditional hooking with no external edges
-                # are converged
-                if use_sparsity:
-                    active.retire(converged_star_vertices(A, f, star, active.mask))
-                it_stats.converged_vertices = active.converged_count
-                it_stats.star_vertices = int(np.count_nonzero(star))
-                nonstar = ~star
-
-                with tr.span("shortcut", "step"):
-                    shortcut(f, nonstar if active.mask is None else nonstar & active.mask)
-
-                if it_span:
-                    it_span.set("active_vertices", it_stats.active_vertices)
-                    it_span.set("converged_vertices", it_stats.converged_vertices)
-                    it_span.set("cond_hooks", it_stats.cond_hooks)
-                    it_span.set("uncond_hooks", it_stats.uncond_hooks)
-
-            if it_span:
-                it_stats.step_seconds = steps_from_span(it_span)
-            if collect_stats:
-                stats.iterations.append(it_stats)
-            if fr:
-                fr.set_coords(iteration=iteration)
-                fr.record(
-                    "iteration",
-                    iteration=iteration,
-                    active_vertices=it_stats.active_vertices,
-                    cond_hooks=it_stats.cond_hooks,
-                    uncond_hooks=it_stats.uncond_hooks,
-                    converged_vertices=it_stats.converged_vertices,
-                )
-            reg = _mreg()
-            if reg:
-                reg.counter("lacc_iterations_total",
-                            "LACC iterations executed", driver="serial").inc()
-                reg.counter("lacc_hooks_total", "trees hooked",
-                            driver="serial", kind="cond").inc(it_stats.cond_hooks)
-                reg.counter("lacc_hooks_total", "trees hooked",
-                            driver="serial", kind="uncond").inc(it_stats.uncond_hooks)
-                reg.gauge("lacc_active_vertices",
-                          "active vertices entering the latest iteration",
-                          driver="serial").set(it_stats.active_vertices)
-
-            hooked = it_stats.cond_hooks + it_stats.uncond_hooks
-            all_stars = not nonstar.any()
-            if active.all_converged() or (hooked == 0 and all_stars):
-                break
-            # after shortcutting, star memberships may have changed
+    if n and A.nvals:
+        # isolated vertices are converged components from the start
+        if active.enabled:
+            active._active &= A.row_degrees() != 0
+        name, attrs = run_span
+        with run_ctx, tr.span(name, "run", n=n, nnz=A.nvals, **attrs,
+                              **({"run_id": fr.run_id} if fr else {})):
             star = starcheck(f, active.mask)
-
-            if on_iteration is not None:
-                on_iteration(
-                    IterationSnapshot(
-                        iteration=iteration,
-                        parents=f.copy(),
-                        star=star.copy(),
-                        active=(
-                            active._active.copy() if use_sparsity else None
-                        ),
+            while True:
+                iteration += 1
+                if iteration - start_iteration > max_iterations:
+                    raise RuntimeError(
+                        f"LACC did not converge within {max_iterations} iterations — "
+                        "this indicates a forest-invariant violation"
                     )
+                if fr:
+                    # faults/retries recorded deep inside the collectives
+                    # inherit this coordinate without threading it through
+                    # call signatures
+                    fr.set_coords(iteration=iteration)
+                it_stats = IterationStats(
+                    iteration=iteration, active_vertices=active.active_count
                 )
+                pricer.begin_iteration()
 
-    n_components = count_distinct(f)
+                with tr.span("iteration", "iteration", iteration=iteration) as it_span:
+                    with _StepSpan(tr, pricer, it_stats, "cond_hook"):
+                        rep = cond_hook(A, f, star, active.mask)
+                        it_stats.cond_hooks = rep.count
+                        pricer.hook("cond_hook", iteration, rep, active.mask)
+                    with _StepSpan(tr, pricer, it_stats, "starcheck"):
+                        star = starcheck(f, active.mask)
+                        pricer.starcheck(f, active.mask, iteration)
+                    with _StepSpan(tr, pricer, it_stats, "uncond_hook"):
+                        rep = uncond_hook(A, f, star, active.mask)
+                        it_stats.uncond_hooks = rep.count
+                        pricer.hook("uncond_hook", iteration, rep, active.mask, star)
+                    with _StepSpan(tr, pricer, it_stats, "starcheck"):
+                        star = starcheck(f, active.mask)
+                        pricer.starcheck(f, active.mask, iteration)
+                        # Lemma 1 (strengthened, see convergence module):
+                        # stars surviving unconditional hooking with no
+                        # external edges are converged
+                        if active.enabled:
+                            conv = converged_star_vertices(A, f, star, active.mask)
+                            pricer.converged(active.mask)
+                            active.retire(conv)
+                    it_stats.converged_vertices = active.converged_count
+                    it_stats.star_vertices = int(np.count_nonzero(star))
+                    with _StepSpan(tr, pricer, it_stats, "shortcut"):
+                        nonstar = ~star
+                        scope = nonstar if active.mask is None else nonstar & active.mask
+                        pricer.shortcut(f, scope, iteration)
+                        shortcut(f, scope)
+
+                    if it_span:
+                        it_span.set("active_vertices", it_stats.active_vertices)
+                        it_span.set("converged_vertices", it_stats.converged_vertices)
+                        it_span.set("cond_hooks", it_stats.cond_hooks)
+                        it_span.set("uncond_hooks", it_stats.uncond_hooks)
+
+                extra = pricer.end_iteration(it_stats)
+                if it_span:
+                    it_stats.step_seconds = steps_from_span(it_span)
+                if collect_stats:
+                    stats.iterations.append(it_stats)
+                if fr:
+                    fr.record(
+                        "iteration",
+                        iteration=iteration,
+                        active_vertices=it_stats.active_vertices,
+                        cond_hooks=it_stats.cond_hooks,
+                        uncond_hooks=it_stats.uncond_hooks,
+                        converged_vertices=it_stats.converged_vertices,
+                        **extra,
+                    )
+                reg = _mreg()
+                if reg:
+                    reg.counter("lacc_iterations_total",
+                                "LACC iterations executed", driver=driver).inc()
+                    reg.counter("lacc_hooks_total", "trees hooked",
+                                driver=driver, kind="cond").inc(it_stats.cond_hooks)
+                    reg.counter("lacc_hooks_total", "trees hooked",
+                                driver=driver, kind="uncond").inc(it_stats.uncond_hooks)
+                    reg.gauge("lacc_active_vertices",
+                              "active vertices entering the latest iteration",
+                              driver=driver).set(it_stats.active_vertices)
+
+                hooked = it_stats.cond_hooks + it_stats.uncond_hooks
+                all_stars = not nonstar.any()
+                if active.all_converged() or (hooked == 0 and all_stars):
+                    break
+                # after shortcutting, star memberships may have changed
+                star = starcheck(f, active.mask)
+                if on_iteration is not None:
+                    on_iteration(pricer.snapshot(iteration, f, star, active.mask))
+
+    parents = pricer.labels(f)
+    n_components = count_distinct(parents)
     if fr:
-        fr.record("run_end", n_iterations=iteration, n_components=n_components)
-    return LACCResult(f, n_components, iteration, stats)
+        fr.record("run_end", n_iterations=iteration, n_components=n_components,
+                  **pricer.run_fields())
+    return parents, n_components, iteration, stats

@@ -8,9 +8,10 @@ Third execution model, completing the fidelity ladder:
 4. **this module** — literal message passing with the paper's actual data
    distribution: the adjacency matrix on a ``√p × √p`` grid, hooking via
    the real two-stage :func:`repro.combblas.dist_mxv` (column allgather →
-   block multiply → row routing), vectors block-distributed, and
-   :mod:`~repro.core.lacc_spmd`'s request/reply starcheck, whose
-   grandparents the shortcut reuses.
+   block multiply → row routing), vectors block-distributed.  Everything
+   but the setup and the hooks is :mod:`~repro.core.lacc_spmd`'s loop:
+   its request/reply starcheck, whose grandparents the shortcut reuses,
+   its step spans and its convergence allreduce.
 
 Per-rank state only ever moves through :class:`repro.mpisim.SimComm`
 collectives; the tests pin the output to serial LACC and ground truth on
@@ -30,16 +31,12 @@ from repro.graphblas import Vector
 from repro.graphblas import kernels as _kernels
 from repro.graphblas import semirings as sr
 from repro.graphblas.monoid import MIN_INT64
-from repro.graphblas.sorting import count_distinct
 from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
-from repro.mpisim.comm import SimComm
 from repro.mpisim.grid import ProcessGrid
-from repro.obs.flight import flight_recorder as _freg
-from repro.obs.tracer import current as _obs
 
-from .lacc_spmd import _Dist, _shortcut, _starcheck
-from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
+from .lacc_spmd import _Dist, _run
+from .snapshot import IterationHook, validate_initial_parents
 
 __all__ = ["lacc_2d", "Grid2DResult"]
 
@@ -142,59 +139,11 @@ def lacc_2d(
             values.append(proposal)
         return dist.scatter_min(f, targets, values)
 
-    def snapshot(iteration: int) -> IterationSnapshot:
-        return IterationSnapshot(
-            iteration=iteration,
-            parents=np.concatenate(f),
-            star=np.concatenate(star) == 1,
-            active=None,
-            simulated_seconds=(
-                cost.total_seconds if cost is not None else comm.fault_seconds
-            ),
-            plan_cursor=0 if faults is None else faults.cursor,
-        )
-
-    fr = _freg()
-    if fr:
-        fr.record(
-            "run_start", driver="2d", n=n, nnz=A.nvals,
-            ranks=nprocs, grid_side=grid.side,
-            preset=faults.name if faults is not None else None,
-            seed=faults.seed if faults is not None else None,
-            partition_lambda=dmat.load_imbalance(),
-        )
-    iterations = start_iteration
-    if n and A.nvals:
-        for k in range(1, max_iterations + 1):
-            iterations = start_iteration + k
-            if fr:
-                fr.set_coords(iteration=iterations)
-            with _obs().span("iteration", "iteration", iteration=iterations):
-                _starcheck(dist, f, star)
-                hooks = hook(conditional=True)
-                _starcheck(dist, f, star)
-                hooks += hook(conditional=False)
-                gf = _starcheck(dist, f, star)
-                changed = _shortcut(f, gf)
-                nonstars = comm.allreduce(
-                    [np.array([int((s == 0).sum())]) for s in star], np.add
-                )[0][0]
-            if fr:
-                fr.record("iteration", iteration=iterations, hooks=hooks,
-                          shortcut_changed=changed, nonstars=int(nonstars))
-            if hooks == 0 and changed == 0 and nonstars == 0:
-                break
-            if on_iteration is not None:
-                on_iteration(snapshot(iterations))
-        else:
-            raise RuntimeError("2D LACC failed to converge (bug)")
-
-    parents = np.concatenate(f)
-    n_components = count_distinct(parents)
-    if fr:
-        fr.record(
-            "run_end", n_iterations=iterations, n_components=n_components
-        )
+    parents, n_components, iterations = _run(
+        dist, f, star, hook, bool(A.nvals), max_iterations, start_iteration,
+        on_iteration, driver="2d", n=n, nnz=A.nvals, ranks=nprocs,
+        grid_side=grid.side, partition_lambda=dmat.load_imbalance(),
+    )
     return Grid2DResult(
         parents=parents,
         n_components=n_components,

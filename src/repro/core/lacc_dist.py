@@ -1,10 +1,10 @@
 """Distributed LACC over the simulated machine (§V of the paper).
 
-The simulator executes the *identical* algorithm as :func:`repro.core.lacc`
-— the serial step functions compute every value on the (permuted) parent
-array, so results are exact — while an α–β
-:class:`~repro.mpisim.costmodel.CostModel` prices each primitive as it
-would run on a ``√p × √p`` CombBLAS process grid:
+The simulator runs the *identical* loop as :func:`repro.core.lacc` — the
+serial step functions compute every value on the (permuted) parent array,
+so results are exact — with a pricer that charges an α–β
+:class:`~repro.mpisim.costmodel.CostModel` for each primitive as it would
+run on a ``√p × √p`` CombBLAS process grid:
 
 * ``GrB_mxv`` → two-stage SpMV/SpMSpV (column-group allgather + row-group
   reduce-scatter / sparse all-to-all), work ∝ edges incident to active
@@ -23,9 +23,7 @@ grid that fits ``cores/t`` ranks.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -34,52 +32,29 @@ import numpy as np
 from repro.combblas.distmatrix import DistMatrix
 from repro.combblas.indexing import RoutingReport, charge_assign, charge_extract
 from repro.graphblas import Matrix
-from repro.graphblas.sorting import count_distinct
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.grid import ProcessGrid
 from repro.mpisim.machine import MachineModel
 from repro.obs.flight import flight_recorder as _freg
-from repro.obs.metrics import metrics_registry as _mreg
-from repro.obs.tracer import NULL_TRACER, Tracer, activate
+from repro.obs.tracer import NULL_TRACER, Tracer
 
-from .convergence import ActiveSet, converged_star_vertices
-from .hooking import HookReport, cond_hook, uncond_hook
-from .shortcut import shortcut
-from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
-from .starcheck import starcheck
-from .stats import IterationStats, LACCStats
+# The loop runs the steps bound in repro.core.lacc; these bindings stay so
+# outside-in timers that patch the step names of both driver modules
+# find them here too (see the repro.core.lacc docstring).
+from .hooking import cond_hook, uncond_hook  # noqa: F401
+from .lacc import LACCResult, _Pricer, _run, _start
+from .shortcut import shortcut  # noqa: F401
+from .snapshot import IterationHook, IterationSnapshot
+from .starcheck import starcheck  # noqa: F401
 
 __all__ = ["lacc_dist", "DistLACCResult", "grid_for"]
 
 
-class _StepSpan:
-    """Step-span context that records host time as a ``wall_seconds``
-    counter next to the simulated-clock span extent (model vs. actual
-    side by side)."""
-
-    __slots__ = ("_ctx", "_span", "_t0")
-
-    def __init__(self, tracer, name: str):
-        self._ctx = tracer.span(name, "step")
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        self._span = self._ctx.__enter__()
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb):
-        self._span.add("wall_seconds", time.perf_counter() - self._t0)
-        return self._ctx.__exit__(exc_type, exc, tb)
-
-
 @dataclass
-class DistLACCResult:
-    """Output of a simulated distributed LACC run."""
+class DistLACCResult(LACCResult):
+    """Output of a simulated distributed LACC run: a :class:`LACCResult`
+    (``parents`` in ORIGINAL vertex space) plus the machine it ran on."""
 
-    parents: np.ndarray  # component labels in ORIGINAL vertex space
-    n_components: int
-    n_iterations: int
-    stats: LACCStats
     cost: CostModel
     machine: MachineModel
     nodes: int
@@ -92,11 +67,116 @@ class DistLACCResult:
     def simulated_seconds(self) -> float:
         return self.cost.total_seconds
 
-    @property
-    def labels(self) -> np.ndarray:
-        from repro.graphs.validate import canonical_labels
 
-        return canonical_labels(self.parents)
+class _CostPricer(_Pricer):
+    """Charges each step of the LACC loop to the α–β model of a CombBLAS
+    run on *grid*, and maps the permuted working vertex space of *dmat*
+    back to the input's.  ``charge_assign``/``charge_extract`` are looked
+    up as this module's globals at call time."""
+
+    def __init__(self, dmat: DistMatrix, grid: ProcessGrid, cost: CostModel, **route_kw):
+        self.dmat, self.grid, self.cost = dmat, grid, cost
+        self.route_kw = route_kw
+        self.routing: List[Tuple[int, str, RoutingReport]] = []
+        self.fr = _freg()
+
+    def _phases(self) -> dict:
+        return {k: v.seconds for k, v in self.cost.phases.items()}
+
+    def begin_iteration(self) -> None:
+        _, self._words0, self._msgs0 = self.cost.totals()
+        self._before = self._phases()
+
+    def end_step(self, step_model_seconds: dict) -> None:
+        # nothing is charged between two steps, so each step's charges
+        # are what the phases gained since the last step (or iteration)
+        for k, v in self.cost.phases.items():
+            d = v.seconds - self._before.get(k, 0.0)
+            if d > 0:
+                step_model_seconds[k] = step_model_seconds.get(k, 0.0) + d
+        self._before = self._phases()
+
+    def end_iteration(self, it_stats) -> dict:
+        # per-iteration communication attribution (Figure 8's comm columns)
+        _, words, msgs = self.cost.totals()
+        it_stats.words_communicated = int(round(words - self._words0))
+        it_stats.messages_sent = int(round(msgs - self._msgs0))
+        return {"words": it_stats.words_communicated,
+                "messages": it_stats.messages_sent}
+
+    def _routed(self, it: int, phase: str, rep: RoutingReport) -> None:
+        """Keep the routing report and, when a flight recorder is on,
+        stamp its λ = max/mean skew as a ``step`` event (live Figure 3)."""
+        self.routing.append((it, phase, rep))
+        if self.fr:
+            recv = np.asarray(rep.received_per_rank, dtype=float)
+            mean = recv.mean() if recv.size else 0.0
+            self.fr.record(
+                "step",
+                iteration=it,
+                step=phase,
+                lam=float(recv.max() / mean) if mean > 0 else 1.0,
+                worst_rank=int(np.argmax(recv)) if recv.size else 0,
+                requests=float(recv.sum()),
+            )
+
+    def hook(self, phase: str, it: int, rep, mask, star=None) -> None:
+        """Price one hooking phase: mxv + eWise filtering + hook scatter."""
+        cols = mask if mask is None or star is None else ~star & mask
+        self.dmat.charge_mxv(self.cost, cols, phase)
+        scope = int(np.count_nonzero(cols)) if cols is not None else self.dmat.n
+        self.cost.charge_compute(scope / self.grid.nprocs, phase)  # eWise/extract
+        if rep.roots.size:
+            self._routed(it, phase, charge_assign(
+                self.grid, self.cost, rep.roots, rep.hook_vertices, phase,
+                **self.route_kw,
+            ))
+
+    def starcheck(self, f: np.ndarray, mask, it: int) -> None:
+        """Price one starcheck: grandparent extract (the Figure 3 hot
+        spot), nonstar marking, level-2 fixup."""
+        idx = np.arange(f.size) if mask is None else np.flatnonzero(mask)
+        if idx.size == 0:
+            return
+        grid, cost, kw = self.grid, self.cost, self.route_kw
+        self._routed(it, "starcheck",
+                     charge_extract(grid, cost, f[idx], idx, "starcheck", **kw))
+        # marking + fixup are one more assign + extract over the scope
+        charge_assign(grid, cost, f[idx], idx, "starcheck", **kw)
+        cost.charge_compute(2 * idx.size / grid.nprocs, "starcheck")
+
+    def converged(self, mask) -> None:
+        # min and max neighbouring parent come from one fused pass over
+        # the star rows, so charge one mxv
+        self.dmat.charge_mxv(self.cost, mask, "starcheck")
+
+    def shortcut(self, f: np.ndarray, scope: np.ndarray, it: int) -> None:
+        idx = np.flatnonzero(scope)
+        if idx.size:
+            self._routed(it, "shortcut", charge_extract(
+                self.grid, self.cost, f[idx], idx, "shortcut", **self.route_kw
+            ))
+            self.cost.charge_compute(idx.size / self.grid.nprocs, "shortcut")
+
+    def labels(self, f: np.ndarray) -> np.ndarray:
+        return self.dmat.to_original_labels(f)
+
+    def snapshot(self, iteration: int, f, star, active) -> IterationSnapshot:
+        # ORIGINAL vertex space — interchangeable with the serial
+        # driver's, which the degraded replay path relies on
+        perm = self.dmat.perm
+        plan = getattr(self.cost, "faults", None)
+        return IterationSnapshot(
+            iteration=iteration,
+            parents=self.labels(f),
+            star=star[perm],
+            active=None if active is None else active[perm],
+            simulated_seconds=self.cost.total_seconds,
+            plan_cursor=0 if plan is None else plan.cursor,
+        )
+
+    def run_fields(self) -> dict:
+        return {"simulated_seconds": self.cost.total_seconds}
 
 
 def grid_for(machine: MachineModel, nodes: int) -> Tuple[int, int]:
@@ -172,269 +252,37 @@ def lacc_dist(
     are reported in **original** vertex space (un-permuted), so they are
     interchangeable with every other driver's.
     """
-    if A.nrows != A.ncols or not A.is_symmetric:
-        raise ValueError("LACC requires a square symmetric adjacency matrix")
+    f, active = _start(A, initial_parents, initial_active, use_sparsity)
     n = A.nrows
     nprocs, side = grid_for(machine, nodes)
     grid = ProcessGrid(nprocs, n, distribution=vector_distribution)
     dmat = DistMatrix(A, grid, permute=permute, seed=seed)
     if cost is None:
         cost = CostModel(machine, nprocs, nodes, trace=trace_comm, faults=faults)
-    fr = _freg()
-    if fr:
-        fr.bind_clock(lambda: cost.total_seconds)
-        fr.record(
-            "run_start",
-            driver="dist",
-            graph=run_name,
-            n=n,
-            nnz=A.nvals,
-            machine=machine.name,
-            nodes=nodes,
-            ranks=nprocs,
-            preset=faults.name if faults is not None else None,
-            seed=faults.seed if faults is not None else None,
-            partition_lambda=dmat.load_imbalance(),
-            partition_worst_rank=int(np.argmax(dmat.edges_per_rank)),
-        )
-    stats = LACCStats(n_vertices=n)
-    tr = tracer if tracer is not None else NULL_TRACER
+    _freg().bind_clock(lambda: cost.total_seconds)
     if tracer is not None and not tracer.roots and tracer.current is None:
         # fresh tracer: span extents become simulated seconds
         tracer.clock = lambda: cost.total_seconds
-    run_ctx = activate(tr) if tracer is not None else contextlib.nullcontext()
-    routing: List[Tuple[int, str, RoutingReport]] = []
-    route_kw = dict(
-        use_broadcast_offload=use_broadcast_offload, use_hypercube=use_hypercube
+
+    # into the permuted vertex space the loop works in
+    f = dmat.to_permuted_parents(f)
+    active._active = dmat.to_permuted_bitmap(active._active)
+    pricer = _CostPricer(dmat, grid, cost, use_broadcast_offload=use_broadcast_offload,
+                         use_hypercube=use_hypercube)
+    parents, n_components, iterations, stats = _run(
+        dmat.A, f, active, pricer, tracer, NULL_TRACER,
+        run_span=("lacc_dist", dict(machine=machine.name, nodes=nodes, ranks=nprocs)),
+        run_start=dict(
+            driver="dist", graph=run_name, machine=machine.name, nodes=nodes,
+            ranks=nprocs, preset=faults.name if faults is not None else None,
+            seed=faults.seed if faults is not None else None,
+            partition_lambda=dmat.load_imbalance(),
+            partition_worst_rank=int(np.argmax(dmat.edges_per_rank)),
+        ),
+        max_iterations=max_iterations,
+        start_iteration=start_iteration, on_iteration=on_iteration,
     )
-    if max_iterations is None:
-        max_iterations = 4 * max(int(np.ceil(np.log2(max(n, 2)))), 1) + 8
-
-    Ap = dmat.A  # permuted adjacency
-    if initial_parents is not None:
-        f = dmat.to_permuted_parents(validate_initial_parents(initial_parents, n))
-    else:
-        f = np.arange(n, dtype=np.int64)
-    active = ActiveSet(n, enabled=use_sparsity)
-    if initial_active is not None and use_sparsity:
-        act0 = np.asarray(initial_active, dtype=bool)
-        if act0.shape != (n,):
-            raise ValueError(f"initial_active must have shape ({n},)")
-        active._active = dmat.to_permuted_bitmap(act0)
-    if n == 0 or Ap.nvals == 0:
-        labels0 = dmat.to_original_labels(f)
-        ncomp0 = count_distinct(labels0)
-        if fr:
-            fr.record("run_end", n_iterations=start_iteration,
-                      n_components=ncomp0)
-        return DistLACCResult(
-            labels0, ncomp0, start_iteration, stats, cost,
-            machine, nodes, nprocs, routing,
-        )
-    if use_sparsity:
-        active._active &= ~(Ap.row_degrees() == 0)
-
-    def snapshot() -> dict:
-        return {k: v.seconds for k, v in cost.phases.items()}
-
-    def add_step_delta(stats_dict: dict, before: dict) -> None:
-        for k, v in cost.phases.items():
-            d = v.seconds - before.get(k, 0.0)
-            if d > 0:
-                stats_dict[k] = stats_dict.get(k, 0.0) + d
-
-    def active_bitmap() -> Optional[np.ndarray]:
-        return active.mask
-
-    def record_routed(it: int, phase: str, rep: RoutingReport) -> None:
-        """Keep the routing report and, when a flight recorder is on,
-        stamp its λ = max/mean skew as a ``step`` event (live Figure 3)."""
-        routing.append((it, phase, rep))
-        if fr:
-            recv = np.asarray(rep.received_per_rank, dtype=float)
-            mean = recv.mean() if recv.size else 0.0
-            fr.record(
-                "step",
-                iteration=it,
-                step=phase,
-                lam=float(recv.max() / mean) if mean > 0 else 1.0,
-                worst_rank=int(np.argmax(recv)) if recv.size else 0,
-                requests=float(recv.sum()),
-            )
-
-    def charge_hook(report: HookReport, in_cols: Optional[np.ndarray], phase: str, it: int):
-        """Price one hooking phase: mxv + eWise filtering + hook scatter."""
-        dmat.charge_mxv(cost, in_cols, phase)
-        scope = int(np.count_nonzero(in_cols)) if in_cols is not None else n
-        cost.charge_compute(scope / max(nprocs, 1), phase)  # eWise/extract
-        if report.roots.size:
-            rep = charge_assign(
-                grid, cost, report.roots, report.hook_vertices, phase, **route_kw
-            )
-            record_routed(it, phase, rep)
-
-    def charge_starcheck(phase: str, it: int):
-        """Price one starcheck: grandparent extract (the Figure 3 hot
-        spot), nonstar marking, level-2 fixup."""
-        mask = active_bitmap()
-        idx = np.arange(n) if mask is None else np.flatnonzero(mask)
-        if idx.size == 0:
-            return
-        rep = charge_extract(grid, cost, f[idx], idx, phase, **route_kw)
-        record_routed(it, phase, rep)
-        # marking + fixup are one more assign + extract over the scope
-        charge_assign(grid, cost, f[idx], idx, phase, **route_kw)
-        cost.charge_compute(2 * idx.size / max(nprocs, 1), phase)
-
-    def step_span(name: str):
-        """Open a step span that also measures host ('wall') seconds."""
-        return _StepSpan(tr, name)
-
-    iteration = start_iteration
-    with run_ctx, tr.span("lacc_dist", "run", n=n, nnz=Ap.nvals,
-                          machine=machine.name, nodes=nodes, ranks=nprocs,
-                          **({"run_id": fr.run_id} if fr else {})):
-      star = starcheck(f, active.mask)
-      while True:
-        iteration += 1
-        if iteration - start_iteration > max_iterations:
-            raise RuntimeError("distributed LACC failed to converge (bug)")
-        if fr:
-            # faults/retries recorded deep inside the collectives inherit
-            # this coordinate without threading it through call signatures
-            fr.set_coords(iteration=iteration)
-        it_stats = IterationStats(iteration=iteration, active_vertices=active.active_count)
-        _, words0, msgs0 = cost.totals()
-
-        with tr.span("iteration", "iteration", iteration=iteration) as it_span:
-            before = snapshot()
-            with step_span("cond_hook"):
-                rep = cond_hook(Ap, f, star, active.mask)
-                it_stats.cond_hooks = rep.count
-                charge_hook(rep, active_bitmap(), "cond_hook", iteration)
-            add_step_delta(it_stats.step_model_seconds, before)
-
-            before = snapshot()
-            with step_span("starcheck"):
-                star = starcheck(f, active.mask)
-                charge_starcheck("starcheck", iteration)
-
-            nonstar_active = ~star
-            if active.mask is not None:
-                nonstar_active = nonstar_active & active.mask
-            add_step_delta(it_stats.step_model_seconds, before)
-
-            before = snapshot()
-            with step_span("uncond_hook"):
-                rep = uncond_hook(Ap, f, star, active.mask)
-                it_stats.uncond_hooks = rep.count
-                in_cols = nonstar_active if active.mask is not None else None
-                charge_hook(rep, in_cols, "uncond_hook", iteration)
-            add_step_delta(it_stats.step_model_seconds, before)
-
-            before = snapshot()
-            with step_span("starcheck"):
-                star = starcheck(f, active.mask)
-                charge_starcheck("starcheck", iteration)
-                # convergence detection (strengthened Lemma 1): min and max
-                # neighbouring parent come from one fused pass over the
-                # star rows, so charge one mxv
-                if use_sparsity:
-                    conv = converged_star_vertices(Ap, f, star, active.mask)
-                    dmat.charge_mxv(cost, active_bitmap(), "starcheck")
-                    active.retire(conv)
-            it_stats.converged_vertices = active.converged_count
-            it_stats.star_vertices = int(np.count_nonzero(star))
-            add_step_delta(it_stats.step_model_seconds, before)
-
-            before = snapshot()
-            with step_span("shortcut"):
-                nonstar = ~star
-                scope = nonstar & active._active if use_sparsity else nonstar
-                scope_idx = np.flatnonzero(scope)
-                if scope_idx.size:
-                    rep2 = charge_extract(
-                        grid, cost, f[scope_idx], scope_idx, "shortcut", **route_kw
-                    )
-                    record_routed(iteration, "shortcut", rep2)
-                    cost.charge_compute(scope_idx.size / max(nprocs, 1), "shortcut")
-                shortcut(f, scope)
-            add_step_delta(it_stats.step_model_seconds, before)
-
-            if it_span:
-                it_span.set("active_vertices", it_stats.active_vertices)
-                it_span.set("converged_vertices", it_stats.converged_vertices)
-                it_span.set("cond_hooks", it_stats.cond_hooks)
-                it_span.set("uncond_hooks", it_stats.uncond_hooks)
-
-        # per-iteration communication attribution (Figure 8's comm columns)
-        _, words1, msgs1 = cost.totals()
-        it_stats.words_communicated = int(round(words1 - words0))
-        it_stats.messages_sent = int(round(msgs1 - msgs0))
-        stats.iterations.append(it_stats)
-        if fr:
-            fr.record(
-                "iteration",
-                iteration=iteration,
-                active_vertices=it_stats.active_vertices,
-                cond_hooks=it_stats.cond_hooks,
-                uncond_hooks=it_stats.uncond_hooks,
-                converged_vertices=it_stats.converged_vertices,
-                words=it_stats.words_communicated,
-                messages=it_stats.messages_sent,
-            )
-        reg = _mreg()
-        if reg:
-            reg.counter("lacc_iterations_total",
-                        "LACC iterations executed", driver="dist").inc()
-            reg.counter("lacc_hooks_total", "trees hooked",
-                        driver="dist", kind="cond").inc(it_stats.cond_hooks)
-            reg.counter("lacc_hooks_total", "trees hooked",
-                        driver="dist", kind="uncond").inc(it_stats.uncond_hooks)
-            reg.gauge("lacc_active_vertices",
-                      "active vertices entering the latest iteration",
-                      driver="dist").set(it_stats.active_vertices)
-
-        hooked = it_stats.cond_hooks + it_stats.uncond_hooks
-        all_stars = not nonstar.any()
-        if active.all_converged() or (hooked == 0 and all_stars):
-            break
-        star = starcheck(f, active.mask)
-
-        if on_iteration is not None:
-            # snapshot in ORIGINAL vertex space — interchangeable with the
-            # serial driver's, which the degraded replay path relies on
-            plan = getattr(cost, "faults", None)
-            on_iteration(
-                IterationSnapshot(
-                    iteration=iteration,
-                    parents=dmat.to_original_labels(f),
-                    star=star[dmat.perm],
-                    active=(
-                        active._active[dmat.perm] if use_sparsity else None
-                    ),
-                    simulated_seconds=cost.total_seconds,
-                    plan_cursor=0 if plan is None else plan.cursor,
-                )
-            )
-
-    labels = dmat.to_original_labels(f)
-    n_components = count_distinct(labels)
-    if fr:
-        fr.record(
-            "run_end",
-            n_iterations=iteration,
-            n_components=n_components,
-            simulated_seconds=cost.total_seconds,
-        )
     return DistLACCResult(
-        labels,
-        n_components,
-        iteration,
-        stats,
-        cost,
-        machine,
-        nodes,
-        nprocs,
-        routing,
+        parents, n_components, iterations, stats, cost, machine, nodes, nprocs,
+        pricer.routing,
     )

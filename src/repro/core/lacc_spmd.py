@@ -30,7 +30,10 @@ another rank's block directly.  Per iteration:
    when no root hooked, the shortcut changed nothing and every vertex
    sits in a star.
 
-That is 16 alltoallvs per iteration plus one per run.  The test suite
+That is 16 alltoallvs per iteration plus one per run.  The iteration is
+one loop, :func:`_run`, with the hooks supplied by the driver;
+:func:`repro.core.lacc_2d.lacc_2d` runs it too, with its own setup and
+hooks.  The test suite
 checks this execution against serial LACC and ground truth on every grid
 size, and checks that :attr:`SPMDResult.words_sent` equals the words its
 ``alltoallv`` spans report.
@@ -39,7 +42,7 @@ size, and checks that :attr:`SPMDResult.words_sent` equals the words its
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -328,27 +331,48 @@ def lacc_spmd(
             values.append(proposal)
         return dist.scatter_min(f, targets, values)
 
-    def snapshot(iteration: int) -> IterationSnapshot:
-        return IterationSnapshot(
-            iteration=iteration,
-            parents=np.concatenate(f),
-            star=np.concatenate(star) == 1,
-            active=None,
-            simulated_seconds=(
-                cost.total_seconds if cost is not None else comm.fault_seconds
-            ),
-            plan_cursor=0 if faults is None else faults.cursor,
-        )
+    parents, n_components, iterations = _run(
+        dist, f, star, hook, bool(eu.size), max_iterations, start_iteration,
+        on_iteration, driver="spmd", n=n, ranks=ranks,
+    )
+    return SPMDResult(
+        parents=parents,
+        n_components=n_components,
+        n_iterations=iterations,
+        ranks=ranks,
+        words_sent=dist.words,
+        fault_seconds=comm.fault_seconds,
+    )
 
+
+def _run(
+    dist: _Dist,
+    f: Blocks,
+    star: Blocks,
+    hook: Callable[[bool], int],
+    has_edges: bool,
+    max_iterations: int,
+    start_iteration: int,
+    on_iteration: Optional[IterationHook],
+    **run_start,
+):
+    """The block-distributed LACC loop of :func:`lacc_spmd` and
+    :func:`repro.core.lacc_2d.lacc_2d`: the drivers differ only in their
+    setup and in ``hook(conditional)``, which runs one hooking phase on
+    the blocks *f* and *star* and returns the number of roots whose parent
+    changed.  ``run_start`` holds the driver's own fields of the flight
+    record's ``run_start`` event.  Returns ``(parents, n_components,
+    n_iterations)``."""
+    comm, faults = dist.comm, dist.comm.faults
     fr = _freg()
     if fr:
         fr.record(
-            "run_start", driver="spmd", n=n, ranks=ranks,
+            "run_start", **run_start,
             preset=faults.name if faults is not None else None,
             seed=faults.seed if faults is not None else None,
         )
     iterations = start_iteration
-    if n and eu.size:
+    if dist.n and has_edges:
         for k in range(1, max_iterations + 1):
             iterations = start_iteration + k
             if fr:
@@ -361,11 +385,11 @@ def lacc_spmd(
                 with _obs().span("starcheck", "step"):
                     _starcheck(dist, f, star)
                 with _obs().span("cond_hook", "step"):
-                    hooks = hook(conditional=True)
+                    hooks = hook(True)
                 with _obs().span("starcheck", "step"):
                     _starcheck(dist, f, star)
                 with _obs().span("uncond_hook", "step"):
-                    hooks += hook(conditional=False)
+                    hooks += hook(False)
                 with _obs().span("starcheck", "step"):
                     gf = _starcheck(dist, f, star)
                 with _obs().span("shortcut", "step"):
@@ -382,9 +406,19 @@ def lacc_spmd(
             if hooks == 0 and changed == 0 and nonstars == 0:
                 break
             if on_iteration is not None:
-                on_iteration(snapshot(iterations))
+                on_iteration(IterationSnapshot(
+                    iteration=iterations,
+                    parents=np.concatenate(f),
+                    star=np.concatenate(star) == 1,
+                    active=None,
+                    simulated_seconds=(
+                        comm.fault_seconds if comm.cost is None
+                        else comm.cost.total_seconds
+                    ),
+                    plan_cursor=0 if faults is None else faults.cursor,
+                ))
         else:
-            raise RuntimeError("SPMD LACC failed to converge (bug)")
+            raise RuntimeError("distributed LACC failed to converge (bug)")
 
     parents = np.concatenate(f)
     n_components = count_distinct(parents)
@@ -392,11 +426,4 @@ def lacc_spmd(
         fr.record(
             "run_end", n_iterations=iterations, n_components=n_components
         )
-    return SPMDResult(
-        parents=parents,
-        n_components=n_components,
-        n_iterations=iterations,
-        ranks=ranks,
-        words_sent=dist.words,
-        fault_seconds=comm.fault_seconds,
-    )
+    return parents, n_components, iterations

@@ -10,21 +10,17 @@ those figures without re-instrumenting the algorithm.
 Timing is captured by :mod:`repro.obs` spans (iteration → step →
 primitive); :func:`steps_from_span` derives the per-step seconds of one
 iteration from its span, making :class:`LACCStats` a *view* over the
-trace rather than a second timing mechanism.  :class:`StepTimer` remains
-for code that wants step timing without a tracer.
+trace rather than a second timing mechanism.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = [
     "IterationStats",
     "LACCStats",
-    "StepTimer",
     "STEPS",
     "steps_from_span",
 ]
@@ -92,8 +88,7 @@ def steps_from_span(iteration_span) -> Dict[str, float]:
 
     This is the bridge from the :mod:`repro.obs` trace to
     ``IterationStats.step_seconds``: both starcheck passes of one
-    iteration fold into a single ``"starcheck"`` entry, exactly as the
-    old :class:`StepTimer` accumulated them.
+    iteration fold into a single ``"starcheck"`` entry.
     """
     out: Dict[str, float] = {}
     for child in getattr(iteration_span, "children", ()):
@@ -101,18 +96,3 @@ def steps_from_span(iteration_span) -> Dict[str, float]:
             out[child.name] = out.get(child.name, 0.0) + child.duration
     return out
 
-
-class StepTimer:
-    """Context-manager timer filling ``IterationStats.step_seconds``."""
-
-    def __init__(self, stats: IterationStats):
-        self.stats = stats
-
-    @contextmanager
-    def step(self, name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            dt = time.perf_counter() - t0
-            self.stats.step_seconds[name] = self.stats.step_seconds.get(name, 0.0) + dt

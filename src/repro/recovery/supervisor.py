@@ -110,7 +110,7 @@ class RecoveryEvent:
 class SupervisedResult:
     """A driver result plus the supervision record around it."""
 
-    result: Any  # LACCResult / DistLACCResult / SPMDResult / Grid2DResult
+    result: Any  # LACCResult (DistLACCResult is one) / SPMDResult / Grid2DResult
     events: List[RecoveryEvent] = field(default_factory=list)
     degraded: bool = False
     checkpoints_written: int = 0

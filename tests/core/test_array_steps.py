@@ -1,10 +1,12 @@
 """The serial and simulated-distributed drivers as programs on the parent
 array.
 
-* The drivers bind ``cond_hook``, ``uncond_hook``, ``starcheck`` and
-  ``shortcut`` at module level and look them up at call time, so a wrapper
-  patched into either module (the e2e harness's per-layer timers, the
-  oracle tests) sees every call.
+* Both drivers run the one loop of ``repro.core.lacc``, which looks up
+  ``cond_hook``, ``uncond_hook``, ``starcheck`` and ``shortcut`` as that
+  module's globals at call time, so a wrapper patched in there (the e2e
+  harness's per-layer timers, the oracle tests) sees every call of either
+  driver.  ``repro.core.lacc_dist`` keeps the four names bound as well,
+  for timers that patch both modules.
 * Serial ``lacc`` makes no ``assign`` call: hook scatters and the shortcut
   write the parent array directly.  Its ``mxv`` calls — the paper's SpMV,
   the only GraphBLAS objects left — are pinned per corpus graph.
@@ -56,7 +58,7 @@ def test_step_names_resolve_to_the_step_functions(driver):
 
 @pytest.mark.parametrize("driver", DRIVERS)
 def test_drivers_call_the_module_level_step_names(monkeypatch, driver):
-    mod = importlib.import_module(f"repro.core.{driver}")
+    mod = importlib.import_module("repro.core.lacc")
     calls = dict.fromkeys(STEPS, 0)
 
     def counting(name, fn):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro.core import lacc
 from repro.core.lacc_2d import lacc_2d
+from repro.core.lacc_spmd import lacc_spmd
 from repro.graphs import generators as gen
 from repro.graphs import validate
+from repro.obs import Tracer, activate
 
 
 class TestCorrectness:
@@ -33,6 +35,24 @@ class TestCorrectness:
     def test_empty_graph(self):
         r = lacc_2d(gen.EdgeList(7, [], []), nprocs=4)
         assert r.n_components == 7 and r.n_iterations == 0
+
+    def test_step_spans_match_spmd(self):
+        # both drivers run the one block-distributed loop of lacc_spmd
+        g = gen.component_mixture([25, 10, 4, 4], seed=1)
+        steps = []
+        for run in (lambda: lacc_2d(g, nprocs=4), lambda: lacc_spmd(g, ranks=4)):
+            tr = Tracer()
+            with activate(tr):
+                run()
+            steps.append([
+                [c.name for c in it.children if c.cat == "step"]
+                for it in tr.find("iteration", "iteration")
+            ])
+        assert steps[0] and steps[0] == steps[1]
+        assert steps[0][0] == [
+            "starcheck", "cond_hook", "starcheck", "uncond_hook", "starcheck",
+            "shortcut", "convergence",
+        ]
 
     def test_iteration_guard(self):
         with pytest.raises(RuntimeError):

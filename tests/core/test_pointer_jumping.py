@@ -6,8 +6,9 @@ plain arrays.  The GraphBLAS formulations they replaced (``grandparents``
 ``extract`` → ``assign`` for shortcut) are kept below verbatim as oracles,
 with thin adapters that wrap the parent array in a ``Vector``.  On seeded
 random forests the two must agree byte for byte: star flags, updated
-parents and the changed count.  With the adapted oracles patched into the
-``lacc`` and ``lacc_dist`` modules, both drivers must produce the same
+parents and the changed count.  With the adapted oracles patched into
+``repro.core.lacc``, whose loop both ``lacc`` and ``lacc_dist`` run, both
+drivers must produce the same
 parents and the same α–β cost totals on the differential corpus.
 """
 
@@ -238,8 +239,9 @@ def _run(driver: str, g):
 def test_drivers_match_graphblas_oracle(monkeypatch, family, seed, driver):
     g = make_graph(family, seed)
     got = _run(driver, g)
-    # the drivers look their steps up in their own module namespace
-    mod = importlib.import_module(f"repro.core.{driver}")
+    # both drivers run the loop of repro.core.lacc, which looks its steps
+    # up in that module's namespace
+    mod = importlib.import_module("repro.core.lacc")
     monkeypatch.setattr(mod, "starcheck", array_oracle_starcheck)
     monkeypatch.setattr(mod, "shortcut", array_oracle_shortcut)
     assert got == _run(driver, g)

@@ -1,10 +1,6 @@
 """Tests for the statistics/instrumentation module."""
 
-import time
-
-import pytest
-
-from repro.core.stats import STEPS, IterationStats, LACCStats, StepTimer
+from repro.core.stats import STEPS, IterationStats, LACCStats
 
 
 class TestIterationStats:
@@ -61,21 +57,3 @@ class TestLACCStats:
     def test_steps_constant(self):
         assert STEPS == ("cond_hook", "starcheck", "uncond_hook", "shortcut")
 
-
-class TestStepTimer:
-    def test_measures_and_accumulates(self):
-        it = IterationStats(iteration=1)
-        timer = StepTimer(it)
-        with timer.step("x"):
-            time.sleep(0.01)
-        with timer.step("x"):
-            time.sleep(0.01)
-        assert it.step_seconds["x"] >= 0.02
-
-    def test_records_on_exception(self):
-        it = IterationStats(iteration=1)
-        timer = StepTimer(it)
-        with pytest.raises(RuntimeError):
-            with timer.step("y"):
-                raise RuntimeError("boom")
-        assert "y" in it.step_seconds

@@ -198,6 +198,8 @@ class TestDistTraceInvariants:
         assert per_iter != sorted(set(per_iter))
 
     def test_wall_seconds_ride_on_step_spans(self, traced_run):
-        _, tr = traced_run
-        steps = tr.find(cat="step")
-        assert steps and all("wall_seconds" in s.counters for s in steps)
+        # the serial driver runs the same loop, with the same step spans
+        serial = trace_lacc(gen.component_mixture([40, 25, 10], seed=3).to_matrix())
+        for _, tr in (traced_run, serial):
+            steps = tr.find(cat="step")
+            assert steps and all("wall_seconds" in s.counters for s in steps)
