@@ -35,7 +35,7 @@ def sweep():
         for nodes in NODES:
             tr = Tracer()
             with activate(tr):
-                r = lacc_dist(A, EDISON, nodes=nodes, tracer=tr)
+                r = lacc_dist(A, EDISON, nodes=nodes)
             phases[name, nodes] = r.cost.phase_seconds()
             records.append({
                 "graph": name,

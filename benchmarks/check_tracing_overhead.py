@@ -65,7 +65,7 @@ def main() -> int:
     from repro.graphs import corpus
     from repro.graphs.generators import rmat
     from repro.mpisim import EDISON
-    from repro.obs import NullRegistry, NullTracer, activate, activate_metrics
+    from repro.obs import NullRegistry, NullTracer, activate
     from repro.obs.overhead import measure_overhead
 
     g = rmat(SCALE, edge_factor=EDGE_FACTOR, seed=7)
@@ -97,7 +97,7 @@ def main() -> int:
     null_reg = NullRegistry()
 
     def probe_registry():
-        with activate_metrics(null_reg):
+        with activate(metrics=null_reg):
             lacc_dist(Ad, EDISON, nodes=DIST_NODES)
 
     registry_res = measure_overhead(
@@ -125,8 +125,7 @@ def main() -> int:
             lacc_spmd(gp, ranks=PROC_RANKS)
 
     def proc_probe():
-        with activate(null_tracer), activate_metrics(null_reg), \
-                comm_backend.use("proc"):
+        with activate(null_tracer, metrics=null_reg), comm_backend.use("proc"):
             lacc_spmd(gp, ranks=PROC_RANKS)
 
     # warm the pool so neither side pays the fork+handshake, then pin the

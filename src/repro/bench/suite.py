@@ -27,7 +27,8 @@ from repro.graphblas import kernels
 from repro.graphs import corpus, scale
 from repro.mpisim import EDISON
 from repro.obs.analytics import analyze
-from repro.obs.metrics import MetricRegistry, activate_metrics
+from repro.obs.metrics import MetricRegistry
+from repro.obs.tracer import activate
 
 from .record import make_record, metric
 
@@ -81,13 +82,13 @@ def _bench_serial(name: str, A, in_quick: bool) -> Dict[str, Any]:
 
 def _bench_dist(name: str, A, nodes: int, in_quick: bool) -> Dict[str, Any]:
     from repro.obs.anomaly import default_detectors
-    from repro.obs.flight import FlightRecorder, activate_flight
+    from repro.obs.flight import FlightRecorder
 
     # run under the flight recorder: a clean bench must stay anomaly-free,
     # and the regression comparator holds the count to exactly zero
     fr = FlightRecorder(detectors=default_detectors())
     t0 = time.perf_counter()
-    with activate_flight(fr):
+    with activate(flight=fr):
         res = lacc_dist(A, EDISON, nodes=nodes, run_name=name)
     wall = time.perf_counter() - t0
     fr.finish()
@@ -141,7 +142,7 @@ def _bench_proc(name: str, g, ranks: int, in_quick: bool) -> Dict[str, Any]:
     from repro.mpisim.costmodel import CostModel
     from repro.mpisim.machine import LAPTOP
     from repro.obs.analytics import analyze_proc
-    from repro.obs.tracer import Tracer, activate
+    from repro.obs.tracer import Tracer
     from repro.parallel.obsband import collect_rank_obs, enable_rank_obs
     from repro.parallel.pool import get_pool
 
@@ -277,7 +278,6 @@ def run_suite(
     if backend not in ("sim", "proc"):
         raise ValueError(f"unknown bench backend {backend!r} (sim or proc)")
     say = progress or (lambda _msg: None)
-    ctx = activate_metrics(registry) if registry is not None else None
     benches: Dict[str, Dict[str, Any]] = {}
     graphs = {}
 
@@ -286,9 +286,7 @@ def run_suite(
             graphs[name] = corpus.load(name).to_matrix()
         return graphs[name]
 
-    if ctx is not None:
-        ctx.__enter__()
-    try:
+    with activate(metrics=registry):
         if backend == "proc":
             for gname, ranks, in_quick in PROC_CONFIGS:
                 if quick and not in_quick:
@@ -324,9 +322,6 @@ def run_suite(
             key = f"lacc_dist_{gname}_n{nodes}"
             say(f"bench {key} ...")
             benches[key] = _bench_dist(gname, mat(gname), nodes, in_quick)
-    finally:
-        if ctx is not None:
-            ctx.__exit__(None, None, None)
     return make_record(benches, quick=quick)
 
 

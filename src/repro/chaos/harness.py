@@ -170,7 +170,8 @@ def chaos_run(
     from repro.graphs.validate import same_partition
     from repro.mpisim import backend as backend_mod
     from repro.obs.anomaly import default_detectors
-    from repro.obs.flight import FlightRecorder, activate_flight
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.tracer import activate
     from repro.recovery import Supervisor, SupervisorConfig
 
     backend_name = backend if backend is not None else backend_mod.active()
@@ -216,8 +217,7 @@ def chaos_run(
                 from repro.parallel.obsband import enable_rank_obs
 
                 stack.enter_context(enable_rank_obs())
-            if fr is not None:
-                stack.enter_context(activate_flight(fr))
+            stack.enter_context(activate(flight=fr))
             stack.enter_context(activate_chaos(injector))
             stack.enter_context(backend_mod.use(backend_name))
             res = sup.run(drv, g, **dict(dkw))

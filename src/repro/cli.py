@@ -216,7 +216,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
             tr = Tracer()
             with activate(tr):
-                r = lacc_dist(A, machine, nodes=nodes, tracer=tr)
+                r = lacc_dist(A, machine, nodes=nodes)
             traces.append(
                 chrome_trace(tr, pid=nodes, process_name=f"{machine.name} nodes={nodes}")
             )
@@ -463,9 +463,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         tr = Tracer()
         try:
             with activate(tr):
-                faulted = lacc_dist(
-                    A, machine, nodes=args.nodes, faults=plan2, tracer=tr
-                )
+                faulted = lacc_dist(A, machine, nodes=args.nodes, faults=plan2)
             record["model"] = {
                 "machine": machine.name,
                 "nodes": args.nodes,
@@ -572,12 +570,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         ),
     )
 
-    tracer = None
-    if args.trace:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-
     if args.driver == "spmd":
         from repro.core.lacc_spmd import lacc_spmd
 
@@ -594,20 +586,15 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         driver = lacc_dist
         dargs = (g.to_matrix(), machine)
         dkw = dict(nodes=args.nodes, faults=plan)
-        if tracer is not None:
-            dkw["tracer"] = tracer
     else:  # serial — no simulated network, only watchdog/checkpoint demo
         from repro.core.lacc import lacc
 
         driver, dargs, dkw = lacc, (g.to_matrix(),), {}
 
-    if tracer is not None and "tracer" not in dkw:
-        # literal drivers record through the ambient tracer
-        from repro.obs import activate
+    from repro.obs import Tracer, activate
 
-        with activate(tracer):
-            res = sup.run(driver, *dargs, **dkw)
-    else:
+    tracer = Tracer() if args.trace else None
+    with activate(tracer):
         res = sup.run(driver, *dargs, **dkw)
 
     correct = same_partition(res.labels, uf_labels(g.n, g.u, g.v))

@@ -24,7 +24,7 @@ from repro.graphblas import DCSC, Matrix
 from repro.mpisim import collectives
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.grid import ProcessGrid
-from repro.obs.metrics import metrics_registry as _mreg
+from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 if TYPE_CHECKING:

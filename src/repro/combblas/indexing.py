@@ -32,7 +32,7 @@ import numpy as np
 from repro.mpisim import collectives
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.grid import ProcessGrid
-from repro.obs.metrics import metrics_registry as _mreg
+from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 __all__ = ["RoutingReport", "route_requests", "charge_assign", "charge_extract"]

@@ -43,7 +43,6 @@ and expect each to exist.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -52,9 +51,9 @@ import numpy as np
 
 from repro.graphblas import Matrix
 from repro.graphblas.sorting import count_distinct
-from repro.obs.flight import flight_recorder as _freg
-from repro.obs.metrics import metrics_registry as _mreg
-from repro.obs.tracer import NULL_TRACER, Tracer, activate
+from repro.obs.tracer import NULL_TRACER, Tracer, current
+from repro.obs.tracer import flight_recorder as _freg
+from repro.obs.tracer import metrics_registry as _mreg
 
 from .convergence import ActiveSet, converged_star_vertices
 from .hooking import cond_hook, uncond_hook
@@ -185,7 +184,6 @@ def lacc(
     use_sparsity: bool = True,
     max_iterations: Optional[int] = None,
     collect_stats: bool = True,
-    tracer: Optional[Tracer] = None,
     initial_parents: Optional[np.ndarray] = None,
     initial_active: Optional[np.ndarray] = None,
     start_iteration: int = 0,
@@ -209,14 +207,11 @@ def lacc(
     collect_stats:
         Fill per-iteration counters/timers (cheap; disable only for the
         tightest micro-benchmarks).  Timing rides on iteration/step spans
-        of a private :class:`repro.obs.Tracer`; ``LACCStats`` is derived
-        from those spans.
-    tracer:
-        Explicit :class:`repro.obs.Tracer` to record into.  It is
-        *activated* for the duration of the run, so every GraphBLAS
-        primitive nests its own span (with nvals/flops counters) under
-        the step spans — the ``python -m repro profile`` view.  Default:
-        a private step-level tracer (no primitive spans, near-zero cost).
+        and ``LACCStats`` is derived from those spans.  They are recorded
+        into the active tracer (:func:`repro.obs.activate`) when one is
+        on, nesting each GraphBLAS primitive's span (with nvals/flops
+        counters) under its step — the ``python -m repro profile`` view;
+        otherwise into a private step-level tracer (near-zero cost).
     initial_parents / initial_active / start_iteration:
         Resume state (see :mod:`repro.core.snapshot`): start from this
         parent vector / active bitmap instead of the identity forest.
@@ -238,7 +233,7 @@ def lacc(
     # the default private tracer only carries the iteration/step spans
     # LACCStats is derived from
     parents, n_components, iterations, stats = _run(
-        A, f, active, _NULL_PRICER, tracer, Tracer() if collect_stats else NULL_TRACER,
+        A, f, active, _NULL_PRICER, Tracer() if collect_stats else NULL_TRACER,
         run_span=("lacc", {}), run_start=dict(driver="serial"),
         max_iterations=max_iterations, start_iteration=start_iteration,
         on_iteration=on_iteration, collect_stats=collect_stats,
@@ -251,7 +246,6 @@ def _run(
     f: np.ndarray,
     active: ActiveSet,
     pricer: _Pricer,
-    tracer: Optional[Tracer],
     default_tracer: Tracer,
     *,
     run_span,
@@ -262,15 +256,14 @@ def _run(
     collect_stats: bool = True,
 ):
     """The LACC loop on the parent array *f* (updated in place), with
-    *pricer* charging each step.  An explicit *tracer* is activated, so
-    GraphBLAS primitives record leaf spans; else the loop's spans go to
-    the inactive *default_tracer*.  ``run_span`` is the run span's
+    *pricer* charging each step.  The loop's spans go to the active
+    tracer when it is enabled, else to the driver's *default_tracer*.
+    ``run_span`` is the run span's
     ``(name, attrs)``, ``run_start`` the driver's own fields of the flight
     record's ``run_start`` event; its ``driver`` labels the metrics.
     Returns ``(parents in the input's vertex space, n_components,
     n_iterations, stats)``."""
-    tr = tracer if tracer is not None else default_tracer
-    run_ctx = activate(tr) if tracer is not None else contextlib.nullcontext()
+    tr = current() if current().enabled else default_tracer
     n = A.nrows
     stats = LACCStats(n_vertices=n)
     if max_iterations is None:
@@ -285,8 +278,8 @@ def _run(
         if active.enabled:
             active._active &= A.row_degrees() != 0
         name, attrs = run_span
-        with run_ctx, tr.span(name, "run", n=n, nnz=A.nvals, **attrs,
-                              **({"run_id": fr.run_id} if fr else {})):
+        with tr.span(name, "run", n=n, nnz=A.nvals, **attrs,
+                     **({"run_id": fr.run_id} if fr else {})):
             star = starcheck(f, active.mask)
             while True:
                 iteration += 1

@@ -35,8 +35,8 @@ from repro.graphblas import Matrix
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.grid import ProcessGrid
 from repro.mpisim.machine import MachineModel
-from repro.obs.flight import flight_recorder as _freg
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, current
+from repro.obs.tracer import flight_recorder as _freg
 
 # The loop runs the steps bound in repro.core.lacc; these bindings stay so
 # outside-in timers that patch the step names of both driver modules
@@ -199,7 +199,6 @@ def lacc_dist(
     max_iterations: Optional[int] = None,
     seed: int = 0,
     trace_comm: bool = False,
-    tracer: Optional[Tracer] = None,
     faults=None,
     cost: Optional[CostModel] = None,
     initial_parents: Optional[np.ndarray] = None,
@@ -223,16 +222,17 @@ def lacc_dist(
     :class:`repro.faults.CollectiveError` rather than ever mislabelling
     a component — the results, when the run completes, are exact.
 
-    When a fresh :class:`repro.obs.Tracer` is passed via ``tracer``, its
-    clock is rebound to the cost model's simulated clock so span extents
-    are α–β model seconds (the timeline of the machine being simulated);
-    each step span additionally carries a ``wall_seconds`` counter — the
-    host time spent computing the step's values — so model and actual
-    time sit side by side.  The tracer is activated for the run, nesting
-    GraphBLAS-primitive and collective spans under each step.
+    The run's spans are recorded into the active tracer
+    (:func:`repro.obs.activate`), with GraphBLAS-primitive and collective
+    spans nested under each step.  When that tracer is fresh (nothing
+    recorded, no span open), its clock is rebound to the cost model's
+    simulated clock so span extents are α–β model seconds (the timeline
+    of the machine being simulated); each step span additionally carries
+    a ``wall_seconds`` counter — the host time spent computing the step's
+    values — so model and actual time sit side by side.
 
-    When a flight recorder is active (:func:`repro.obs.flight.
-    activate_flight`), the driver stamps the run record: ``run_start``
+    When a flight recorder is active (``activate(flight=...)``), the
+    driver stamps the run record: ``run_start``
     (topology, fault preset, static partition λ), per-iteration
     ``iteration`` events (active vertices, hooks — what the convergence
     detectors watch), per-routed-step ``step`` events (λ = max/mean
@@ -260,7 +260,8 @@ def lacc_dist(
     if cost is None:
         cost = CostModel(machine, nprocs, nodes, trace=trace_comm, faults=faults)
     _freg().bind_clock(lambda: cost.total_seconds)
-    if tracer is not None and not tracer.roots and tracer.current is None:
+    tracer = current()
+    if tracer.enabled and not tracer.roots and tracer.current is None:
         # fresh tracer: span extents become simulated seconds
         tracer.clock = lambda: cost.total_seconds
 
@@ -270,7 +271,7 @@ def lacc_dist(
     pricer = _CostPricer(dmat, grid, cost, use_broadcast_offload=use_broadcast_offload,
                          use_hypercube=use_hypercube)
     parents, n_components, iterations, stats = _run(
-        dmat.A, f, active, pricer, tracer, NULL_TRACER,
+        dmat.A, f, active, pricer, NULL_TRACER,
         run_span=("lacc_dist", dict(machine=machine.name, nodes=nodes, ranks=nprocs)),
         run_start=dict(
             driver="dist", graph=run_name, machine=machine.name, nodes=nodes,

@@ -52,7 +52,7 @@ from repro.graphblas.sorting import count_distinct
 from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
 from repro.mpisim.comm import SimComm
-from repro.obs.flight import flight_recorder as _freg
+from repro.obs.tracer import flight_recorder as _freg
 from repro.obs.tracer import current as _obs
 
 from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from repro.obs.metrics import metrics_registry as _mreg
+from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 from .costmodel import CostModel

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import metrics_registry as _mreg
+from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 from .machine import MachineModel

@@ -40,8 +40,8 @@ import numpy as np
 
 from repro.faults.errors import CollectiveError
 from repro.faults.injector import checksums, inject
-from repro.obs.flight import flight_recorder as _freg
-from repro.obs.metrics import metrics_registry as _mreg
+from repro.obs.tracer import flight_recorder as _freg
+from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 from .machine import MachineModel

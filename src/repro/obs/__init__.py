@@ -8,12 +8,13 @@ the GraphBLAS primitives, the simulated collectives/cost model, and the
 LACC drivers all hook into:
 
 * :mod:`repro.obs.tracer` — :class:`Span`, :class:`Tracer`,
-  :class:`NullTracer` (zero-overhead off switch), and the
-  :func:`activate`/:func:`current` process-wide plumbing.
+  :class:`NullTracer` (zero-overhead off switch), and the one obs scope:
+  :func:`activate` scopes the process-wide tracer, metric registry and
+  flight recorder together, and :func:`current`,
+  :func:`metrics_registry` and :func:`flight_recorder` read them.
 * :mod:`repro.obs.metrics` — labelled :class:`MetricRegistry` (counters,
-  gauges, log-bucketed histograms) with the same null-object off switch
-  (:func:`activate_metrics`/:func:`metrics_registry`), Prometheus text
-  exposition and JSONL snapshots.
+  gauges, log-bucketed histograms) with the same null-object off switch,
+  Prometheus text exposition and JSONL snapshots.
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
   JSON-lines exporters (metric counters ride along as ``C`` events;
   loaded on first use).
@@ -30,7 +31,7 @@ LACC drivers all hook into:
 * :mod:`repro.obs.flight` — the flight recorder: one append-only,
   causally-ordered, schema-versioned run record merging spans, metric
   samples, fault/retry injections and recovery events, with the same
-  null-object off switch (:func:`activate_flight`/:func:`flight_recorder`).
+  null-object off switch.
 * :mod:`repro.obs.anomaly` — streaming detectors over the flight record
   (convergence stall, load-imbalance spikes, retry storms, stragglers,
   checkpoint churn) emitting :class:`Anomaly` verdicts with evidence
@@ -41,10 +42,10 @@ LACC drivers all hook into:
 
 Typical use::
 
-    from repro.obs import Tracer, activate, render, export
-    tr = Tracer()
-    with activate(tr):
-        lacc(A, tracer=tr)
+    from repro.obs import MetricRegistry, Tracer, activate, render, export
+    tr, reg = Tracer(), MetricRegistry()
+    with activate(tr, metrics=reg):
+        lacc(A)                # run/iteration/step spans nest in tr
     print(render.top_table(tr))
     export.write_chrome_trace(tr, "out.json")   # open in ui.perfetto.dev
 
@@ -64,8 +65,6 @@ from .metrics import (
     Histogram,
     MetricRegistry,
     NullRegistry,
-    activate_metrics,
-    metrics_registry,
 )
 from .flight import (
     NULL_FLIGHT,
@@ -73,8 +72,6 @@ from .flight import (
     FlightEvent,
     FlightRecorder,
     NullFlightRecorder,
-    activate_flight,
-    flight_recorder,
     read_flight_jsonl,
 )
 from .tracer import (
@@ -85,6 +82,8 @@ from .tracer import (
     Tracer,
     activate,
     current,
+    flight_recorder,
+    metrics_registry,
 )
 
 # submodule -> its names in __all__; no driver run needs them, so
@@ -123,21 +122,19 @@ __all__ = [
     "NULL_TRACER",
     "activate",
     "current",
+    "metrics_registry",
+    "flight_recorder",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "activate_metrics",
-    "metrics_registry",
     "FlightEvent",
     "FlightRecorder",
     "NullFlightRecorder",
     "NULL_FLIGHT",
     "SCHEMA_VERSION",
-    "activate_flight",
-    "flight_recorder",
     "read_flight_jsonl",
     *_LAZY_NAMES,
     "export",

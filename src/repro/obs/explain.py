@@ -347,7 +347,8 @@ def explain_lacc_dist(
     from repro.obs.analytics import analyze
 
     from .anomaly import default_detectors
-    from .flight import FlightRecorder, activate_flight
+    from .flight import FlightRecorder
+    from .tracer import activate
 
     plan = make_preset(preset, seed=seed) if preset else None
     fr = FlightRecorder(
@@ -358,7 +359,7 @@ def explain_lacc_dist(
     result = None
     error: Optional[str] = None
     try:
-        with activate_flight(fr):
+        with activate(flight=fr):
             result = lacc_dist(
                 A,
                 machine,

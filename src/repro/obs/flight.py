@@ -55,8 +55,9 @@ Design constraints (shared with the tracer and the metric registry)
 * **No repro dependencies** above the standard library, so every layer
   (graphblas, mpisim, core, faults, recovery, cli) can hook in without
   import cycles.
-* **Same activation idiom**: :func:`activate_flight` scopes the
-  process-wide recorder; nesting restores the previous one.
+* **One obs scope**: :func:`repro.obs.tracer.activate` (``flight=``)
+  scopes the process-wide recorder next to the tracer and the metric
+  registry; :func:`repro.obs.tracer.flight_recorder` reads it.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ __all__ = [
     "FlightRecorder",
     "NullFlightRecorder",
     "NULL_FLIGHT",
-    "flight_recorder",
-    "activate_flight",
     "read_flight_jsonl",
     "merge_flight_events",
 ]
@@ -416,51 +415,6 @@ class NullFlightRecorder:
 
 #: Shared disabled recorder — the default target of :func:`flight_recorder`.
 NULL_FLIGHT = NullFlightRecorder()
-
-_active = NULL_FLIGHT
-
-
-def flight_recorder():
-    """The process-wide active recorder (:data:`NULL_FLIGHT` when off).
-
-    Instrumented library code reads this instead of taking a recorder
-    parameter, so turning the flight recorder on never changes a call
-    signature — the same contract as :func:`repro.obs.tracer.current`.
-    """
-    return _active
-
-
-class _Activation:
-    __slots__ = ("_recorder", "_prev")
-
-    def __init__(self, recorder):
-        self._recorder = recorder
-        self._prev = None
-
-    def __enter__(self):
-        global _active
-        self._prev = _active
-        _active = self._recorder
-        return self._recorder
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _active
-        _active = self._prev
-        return False
-
-
-def activate_flight(recorder) -> _Activation:
-    """Scope *recorder* as the process-wide active flight recorder::
-
-        fr = FlightRecorder(detectors=default_detectors())
-        with activate_flight(fr):
-            lacc_dist(A, EDISON, nodes=16, faults=plan)
-        fr.finish()
-        print([a.data["message"] for a in fr.anomalies()])
-
-    Activations nest; the previous recorder is restored on exit.
-    """
-    return _Activation(recorder)
 
 
 def merge_flight_events(

@@ -33,8 +33,9 @@ Design constraints (shared with the tracer)
   one-off sites; they absorb every method.)
 * **No repro dependencies.**  Standard library only, so every layer can
   hook in without import cycles.
-* **Same activation idiom as the tracer**: :func:`activate_metrics`
-  scopes the process-wide registry; nesting restores the previous one.
+* **One obs scope**: :func:`repro.obs.tracer.activate` (``metrics=``)
+  scopes the process-wide registry next to the tracer and the flight
+  recorder; :func:`repro.obs.tracer.metrics_registry` reads it.
 
 Exports: :meth:`MetricRegistry.to_prometheus` (text exposition format),
 :meth:`MetricRegistry.snapshot` / :meth:`MetricRegistry.write_jsonl`
@@ -55,8 +56,6 @@ __all__ = [
     "MetricRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "metrics_registry",
-    "activate_metrics",
 ]
 
 #: (name, sorted (label, value) pairs) — one instrument per distinct key
@@ -447,47 +446,3 @@ class NullRegistry:
 
 #: Shared disabled registry — the default target of :func:`metrics_registry`.
 NULL_REGISTRY = NullRegistry()
-
-_active = NULL_REGISTRY
-
-
-def metrics_registry():
-    """The process-wide active registry (:data:`NULL_REGISTRY` when off).
-
-    Instrumented library code reads this instead of taking a registry
-    parameter, so turning metrics on never changes a call signature —
-    the same contract as :func:`repro.obs.tracer.current`.
-    """
-    return _active
-
-
-class _Activation:
-    __slots__ = ("_registry", "_prev")
-
-    def __init__(self, registry):
-        self._registry = registry
-        self._prev = None
-
-    def __enter__(self):
-        global _active
-        self._prev = _active
-        _active = self._registry
-        return self._registry
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _active
-        _active = self._prev
-        return False
-
-
-def activate_metrics(registry) -> _Activation:
-    """Scope *registry* as the process-wide active registry::
-
-        reg = MetricRegistry()
-        with activate_metrics(reg):
-            lacc_dist(A, EDISON, nodes=16)
-        print(reg.to_prometheus())
-
-    Activations nest; the previous registry is restored on exit.
-    """
-    return _Activation(registry)

@@ -28,7 +28,7 @@ def trace_lacc(A, **kwargs) -> Tuple["object", Tracer]:
 
     tracer = Tracer()
     with activate(tracer):
-        res = lacc(A, tracer=tracer, **kwargs)
+        res = lacc(A, **kwargs)
     return res, tracer
 
 
@@ -45,7 +45,7 @@ def trace_lacc_dist(A, machine, nodes: int = 1, **kwargs) -> Tuple["object", Tra
 
     tracer = Tracer()
     with activate(tracer):
-        res = lacc_dist(A, machine, nodes=nodes, tracer=tracer, **kwargs)
+        res = lacc_dist(A, machine, nodes=nodes, **kwargs)
     return res, tracer
 
 
@@ -72,14 +72,14 @@ def trace_lacc_proc(
     from repro.parallel.pool import get_pool
 
     from .anomaly import default_detectors
-    from .flight import FlightRecorder, activate_flight
-    from .metrics import MetricRegistry, activate_metrics
+    from .flight import FlightRecorder
+    from .metrics import MetricRegistry
 
     tracer = Tracer(clock=time.monotonic)
     registry = MetricRegistry()
     fr = FlightRecorder(path=flight_path, detectors=default_detectors())
-    with enable_rank_obs(), backend_mod.use("proc"), activate(tracer), \
-            activate_metrics(registry), activate_flight(fr):
+    with enable_rank_obs(), backend_mod.use("proc"), \
+            activate(tracer, metrics=registry, flight=fr):
         res = lacc_spmd(g, ranks=ranks, **kwargs)
         obs = collect_rank_obs(get_pool(ranks))
     fr.finish()

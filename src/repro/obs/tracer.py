@@ -19,17 +19,25 @@ Design constraints
   With no tracer activated, :func:`current` returns the singleton
   :data:`NULL_TRACER`, whose :meth:`~NullTracer.span` hands back one shared
   falsy no-op span — no allocation, no clock read, no dict updates.
-* **No repro dependencies.**  This module imports only the standard
-  library, so every layer (graphblas, mpisim, core, cli) can hook into it
-  without import cycles.
+* **No repro dependencies.**  Beyond the standard library this module
+  imports only the null objects of :mod:`repro.obs.metrics` and
+  :mod:`repro.obs.flight` (themselves stdlib-only), so every layer
+  (graphblas, mpisim, core, cli) can hook into it without import cycles.
+* **One obs scope.**  :func:`activate` scopes the process-wide tracer,
+  metric registry and flight recorder together; :func:`current`,
+  :func:`metrics_registry` and :func:`flight_recorder` read them.
 * **Single-threaded program order.**  Spans close LIFO; the span stack is
-  per-tracer, and :func:`activate` scopes the process-wide current tracer.
+  per-tracer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+from .flight import NULL_FLIGHT
+from .metrics import NULL_REGISTRY
 
 __all__ = [
     "Span",
@@ -38,6 +46,8 @@ __all__ = [
     "NullSpan",
     "NULL_TRACER",
     "current",
+    "metrics_registry",
+    "flight_recorder",
     "activate",
 ]
 
@@ -344,7 +354,9 @@ class NullTracer:
 #: Shared disabled tracer — the default target of :func:`current`.
 NULL_TRACER = NullTracer()
 
-_active = NULL_TRACER
+_tracer = NULL_TRACER
+_metrics = NULL_REGISTRY
+_flight = NULL_FLIGHT
 
 
 def current():
@@ -354,35 +366,43 @@ def current():
     cost model) reads this instead of taking a tracer parameter, so turning
     tracing on never changes a call signature.
     """
-    return _active
+    return _tracer
 
 
-class _Activation:
-    __slots__ = ("_tracer", "_prev")
-
-    def __init__(self, tracer):
-        self._tracer = tracer
-        self._prev = None
-
-    def __enter__(self):
-        global _active
-        self._prev = _active
-        _active = self._tracer
-        return self._tracer
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _active
-        _active = self._prev
-        return False
+def metrics_registry():
+    """The process-wide active metric registry (:data:`NULL_REGISTRY`
+    when off) — the same contract as :func:`current`."""
+    return _metrics
 
 
-def activate(tracer) -> _Activation:
-    """Scope *tracer* as the process-wide active tracer::
+def flight_recorder():
+    """The process-wide active flight recorder (:data:`NULL_FLIGHT` when
+    off) — the same contract as :func:`current`."""
+    return _flight
 
-        tr = Tracer()
-        with activate(tr):
-            lacc(A)                # primitives now record into tr
 
-    Activations nest; the previous tracer is restored on exit.
+@contextlib.contextmanager
+def activate(tracer=None, *, metrics=None, flight=None):
+    """Scope any of tracer, metric registry and flight recorder as the
+    process-wide active ones::
+
+        tr, reg = Tracer(), MetricRegistry()
+        with activate(tr, metrics=reg):
+            lacc(A)                # spans land in tr, counters in reg
+
+    A facet left as ``None`` keeps its current value.  Activations nest;
+    on exit, also on an exception, all three are restored.  Yields the
+    first facet given.
     """
-    return _Activation(tracer)
+    global _tracer, _metrics, _flight
+    prev = _tracer, _metrics, _flight
+    if tracer is not None:
+        _tracer = tracer
+    if metrics is not None:
+        _metrics = metrics
+    if flight is not None:
+        _flight = flight
+    try:
+        yield next((f for f in (tracer, metrics, flight) if f is not None), None)
+    finally:
+        _tracer, _metrics, _flight = prev

@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.flight import FlightEvent, FlightRecorder, merge_flight_events
-from repro.obs.metrics import MetricRegistry, metrics_registry
-from repro.obs.tracer import Tracer
+from repro.obs.metrics import MetricRegistry
+from repro.obs.tracer import Tracer, metrics_registry
 
 from .shm import TransportError, _Channel, _register_segments
 
@@ -76,7 +76,7 @@ __all__ = [
 
 #: sideband ring bytes per rank — flight events are ~200 B frames, so
 #: this holds thousands of eagerly-streamed events between drains
-OBS_CAPACITY = int(os.environ.get("REPRO_PROC_OBS_CAPACITY", str(1 << 20)))
+OBS_CAPACITY = 1 << 20
 
 #: largest sideband frame a reader will believe; a length prefix beyond
 #: this means a torn/corrupt stream, not a real frame
@@ -134,12 +134,11 @@ class ObsSideband:
     draining helpers live here so the pool stays protocol-agnostic.
     """
 
-    def __init__(self, ctx, nranks: int, capacity: int = OBS_CAPACITY):
+    def __init__(self, ctx, nranks: int):
         token = os.urandom(4).hex()
         self.nranks = int(nranks)
-        self.capacity = int(capacity)
         self.channels: List[_Channel] = [
-            _Channel(ctx, capacity, name=f"rp{token}obs{r}") for r in range(nranks)
+            _Channel(ctx, OBS_CAPACITY, name=f"rp{token}obs{r}") for r in range(nranks)
         ]
         # same leak registry as the data fabric: orphaned sideband
         # segments are attributable and sweepable after an abnormal exit

@@ -39,8 +39,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.mpisim.envelope import CommBase, calling_iteration, fail
-from repro.obs.flight import flight_recorder as _freg
-from repro.obs.metrics import metrics_registry
+from repro.obs.tracer import flight_recorder as _freg
+from repro.obs.tracer import metrics_registry
 from repro.obs.tracer import current as _obs
 
 from .detector import FailureDetector

@@ -32,14 +32,16 @@
   performance story weakens (``SupervisedResult.degraded`` flags it).
 
 Every action lands in :attr:`SupervisedResult.events` and as ``recovery``
--category spans on the active tracer, so a Chrome trace of a supervised
-run shows checkpoint writes, repairs and rollbacks on the simulated
-timeline next to the algorithm's own phases.
+-category spans on the active tracer.  The supervisor activates nothing
+itself: the caller's one obs scope (:func:`repro.obs.activate`) covers
+the driver's attempts and the recovery actions between them alike, so a
+Chrome trace of a supervised run shows checkpoint writes, repairs and
+rollbacks on the simulated timeline next to the algorithm's own phases
+(and the serial replay's spans after a degrade).
 """
 
 from __future__ import annotations
 
-import contextlib
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -50,9 +52,8 @@ import numpy as np
 from repro.core.snapshot import IterationSnapshot
 from repro.faults.errors import CollectiveError
 from repro.mpisim.costmodel import CostModel
-from repro.obs.flight import flight_recorder as _freg
-from repro.obs.metrics import metrics_registry as _mreg
-from repro.obs.tracer import activate
+from repro.obs.tracer import flight_recorder as _freg
+from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 from .auditor import StateAuditor
@@ -229,13 +230,6 @@ class Supervisor:
         latest: List[Optional[IterationSnapshot]] = [None]  # freshest in-memory
         ckpts_written = [0]
         last_sim = [0.0]
-        tracer = kw.get("tracer")
-
-        def rec_ctx():
-            # recovery actions run outside the driver (which activates the
-            # tracer itself); re-activate it here so audit/rollback/degrade
-            # spans land in the same trace, on the same simulated clock
-            return activate(tracer) if tracer is not None else contextlib.nullcontext()
 
         def now() -> float:
             if master_cost is not None:
@@ -320,60 +314,59 @@ class Supervisor:
                 )
                 if rank_lost:
                     rank_losses += 1
-                with rec_ctx():
-                    if recoveries > cfg.max_recoveries:
-                        return self._degrade(
-                            exc, args, kw, events, latest[0], resume,
-                            ckpts_written[0], attempts, master_cost,
-                        )
-                    repeated = (
-                        last_failure_iter is not None
-                        and fail_iter is not None
-                        and fail_iter <= last_failure_iter
+                if recoveries > cfg.max_recoveries:
+                    return self._degrade(
+                        exc, args, kw, events, latest[0], resume,
+                        ckpts_written[0], attempts, master_cost,
                     )
-                    shrunk = False
-                    if (
-                        cfg.allow_shrink
-                        and rank_lost
-                        and (rank_losses >= 2 or repeated)
+                repeated = (
+                    last_failure_iter is not None
+                    and fail_iter is not None
+                    and fail_iter <= last_failure_iter
+                )
+                shrunk = False
+                if (
+                    cfg.allow_shrink
+                    and rank_lost
+                    and (rank_losses >= 2 or repeated)
+                ):
+                    # a second permanent rank loss (or one that keeps
+                    # recurring at the same iteration): respawning at
+                    # full size is not converging — re-partition
+                    # across the survivors and resume from the best
+                    # known original-vertex-space state
+                    shrunk, resume = self._shrink(
+                        kw, latest[0], events,
+                        getattr(exc, "lost_ranks", ()),
+                    )
+                    if shrunk:
+                        rollback_depth = 0
+                if not shrunk:
+                    if repeated:
+                        # audit-repair did not get us past this point —
+                        # the in-memory state is suspect, fall back to
+                        # durable, CRC-verified checkpoints, one older
+                        # per repeat
+                        rollback_depth += 1
+                        resume = self._rollback(rollback_depth, events)
+                    else:
+                        rollback_depth = 0
+                        resume = self._audit_repair(latest[0], events)
+                last_failure_iter = fail_iter
+                if master_cost is not None and cfg.charge_recovery:
+                    with _obs().span(
+                        "recovery", "recovery", action=events[-1].action
                     ):
-                        # a second permanent rank loss (or one that keeps
-                        # recurring at the same iteration): respawning at
-                        # full size is not converging — re-partition
-                        # across the survivors and resume from the best
-                        # known original-vertex-space state
-                        shrunk, resume = self._shrink(
-                            kw, latest[0], events,
-                            getattr(exc, "lost_ranks", ()),
+                        master_cost.charge_seconds(
+                            cfg.restart_penalty_seconds, "recovery", "recovery"
                         )
-                        if shrunk:
-                            rollback_depth = 0
-                    if not shrunk:
-                        if repeated:
-                            # audit-repair did not get us past this point —
-                            # the in-memory state is suspect, fall back to
-                            # durable, CRC-verified checkpoints, one older
-                            # per repeat
-                            rollback_depth += 1
-                            resume = self._rollback(rollback_depth, events)
-                        else:
-                            rollback_depth = 0
-                            resume = self._audit_repair(latest[0], events)
-                    last_failure_iter = fail_iter
-                    if master_cost is not None and cfg.charge_recovery:
-                        with _obs().span(
-                            "recovery", "recovery", action=events[-1].action
-                        ):
-                            master_cost.charge_seconds(
-                                cfg.restart_penalty_seconds, "recovery", "recovery"
+                        if resume is not None:
+                            # reading the resume state back moves words
+                            master_cost.charge_comm(
+                                Checkpoint.from_snapshot(resume).words,
+                                1,
+                                "recovery",
                             )
-                            if resume is not None:
-                                # reading the resume state back moves words
-                                master_cost.charge_comm(
-                                    Checkpoint.from_snapshot(resume).words,
-                                    1,
-                                    "recovery",
-                                )
                 last_sim[0] = now() if master_cost is not None else (
                     resume.simulated_seconds if resume is not None else 0.0
                 )

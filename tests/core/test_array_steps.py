@@ -29,8 +29,8 @@ from repro.core.starcheck import starcheck
 from repro.graphblas import Matrix
 from repro.graphs import generators as gen
 from repro.mpisim.machine import EDISON
-from repro.obs.flight import FlightRecorder, activate_flight
-from repro.obs.tracer import Tracer
+from repro.obs.flight import FlightRecorder
+from repro.obs.tracer import Tracer, activate
 
 from ..differential.corpus import FAMILIES, SEEDS, make_graph
 
@@ -91,7 +91,8 @@ MXV_CALLS = {
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_serial_lacc_primitive_counts(family, seed):
     tr = Tracer()
-    lacc(make_graph(family, seed).to_matrix(), tracer=tr)
+    with activate(tr):
+        lacc(make_graph(family, seed).to_matrix())
     names = [sp.name for sp, _ in tr.walk() if sp.cat == "graphblas"]
     assert names.count("assign") == 0
     assert names.count("mxv") == MXV_CALLS[(family, seed)]
@@ -102,7 +103,7 @@ def test_serial_lacc_primitive_counts(family, seed):
 @pytest.mark.parametrize("driver", DRIVERS)
 def test_edgeless_run_leaves_a_flight_record(driver, n):
     fr = FlightRecorder()
-    with activate_flight(fr):
+    with activate(flight=fr):
         res = _run(driver, Matrix.adjacency(n, [], []))
     assert res.n_components == n
     np.testing.assert_array_equal(res.parents, np.arange(n))

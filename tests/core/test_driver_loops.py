@@ -23,7 +23,8 @@ from repro.core.lacc_2d import lacc_2d
 from repro.core.lacc_dist import lacc_dist
 from repro.graphs import corpus
 from repro.mpisim.machine import EDISON
-from repro.obs.flight import FlightRecorder, activate_flight
+from repro.obs.flight import FlightRecorder
+from repro.obs.tracer import activate
 
 GRAPHS = ("archaea", "queen_4147", "eukarya", "uk-2002", "M3", "twitter7")
 COUNTS = (
@@ -126,7 +127,7 @@ def test_2d_traffic_is_pinned(name):
     words, events = GRID_2D[name]
     g = corpus.load(name)
     fr = FlightRecorder()
-    with activate_flight(fr):
+    with activate(flight=fr):
         res = lacc_2d(g, nprocs=4)
     assert res.words_sent == words
     assert res.n_iterations == len(events)

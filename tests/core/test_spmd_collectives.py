@@ -40,7 +40,7 @@ from repro.mpisim.backend import make_comm
 from repro.mpisim.comm import SimComm
 from repro.mpisim.grid import ProcessGrid
 from repro.obs import Tracer, activate
-from repro.obs.flight import flight_recorder as _freg
+from repro.obs.tracer import flight_recorder as _freg
 from repro.obs.tracer import current as _obs
 
 from ..differential.corpus import FAMILIES, SEEDS, make_graph

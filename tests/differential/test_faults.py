@@ -22,7 +22,7 @@ from repro.core.lacc_spmd import lacc_spmd
 from repro.faults import CollectiveError, preset
 from repro.graphs.validate import same_partition
 from repro.mpisim.machine import LAPTOP
-from repro.obs import Tracer, chrome_trace
+from repro.obs import Tracer, activate, chrome_trace
 
 from .corpus import make_graph, oracle_labels
 
@@ -111,7 +111,8 @@ def test_retries_appear_as_priced_spans():
     g = make_graph("many_tiny", 0)
     plan = preset("outage", seed=0)
     tr = Tracer()
-    res = lacc_dist(g.to_matrix(), LAPTOP, nodes=1, faults=plan, tracer=tr)
+    with activate(tr):
+        res = lacc_dist(g.to_matrix(), LAPTOP, nodes=1, faults=plan)
     assert same_partition(res.labels, oracle_labels(g))
     retries = tr.find("retry", "fault")
     assert retries, "outage preset produced no retry spans"

@@ -27,7 +27,8 @@ RANKS = 4
 
 
 def _run_dist(g, plan, tr):
-    lacc_dist(g.to_matrix(), MACHINE, nodes=1, faults=plan, tracer=tr)
+    with activate(tr):
+        lacc_dist(g.to_matrix(), MACHINE, nodes=1, faults=plan)
 
 
 def _run_spmd(g, plan, tr):

@@ -16,7 +16,7 @@ from repro.graphs import corpus
 from repro.mpisim import EDISON
 from repro.obs import Tracer, activate
 from repro.obs.export import span_records
-from repro.obs.flight import FlightRecorder, activate_flight
+from repro.obs.flight import FlightRecorder
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +28,10 @@ def _faulted_run(A, preset_name, seed, nodes=4, with_flight=False):
     plan = preset(preset_name, seed=seed)
     tr = Tracer()
     fr = FlightRecorder(run_id=f"{preset_name}-{seed}") if with_flight else None
-    with activate(tr):
-        if fr is not None:
-            with activate_flight(fr):
-                res = lacc_dist(A, EDISON, nodes=nodes, faults=plan, tracer=tr)
-            fr.finish()
-        else:
-            res = lacc_dist(A, EDISON, nodes=nodes, faults=plan, tracer=tr)
+    with activate(tr, flight=fr):
+        res = lacc_dist(A, EDISON, nodes=nodes, faults=plan)
+    if fr is not None:
+        fr.finish()
     return plan, tr, fr, res
 
 

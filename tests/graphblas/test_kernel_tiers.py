@@ -39,7 +39,7 @@ from repro.graphblas import semirings as sr
 from repro.graphblas.descriptor import Descriptor, Mask
 from repro.graphblas.kernels import _compiled, _numpy
 from repro.obs import Tracer, activate
-from repro.obs.metrics import MetricRegistry, activate_metrics
+from repro.obs.metrics import MetricRegistry
 
 NUMBA_MISSING_REASON = (
     "numba is not installed — the 'compiled' kernel tier is unregistered "
@@ -743,7 +743,7 @@ class TestTierObservability:
 
     def test_metrics_carry_tier_label(self):
         reg = MetricRegistry()
-        with activate_metrics(reg):
+        with activate(metrics=reg):
             self._mxv()
         tier = kernels.active()
         assert reg.value("graphblas_mxv_total", path="spmv", tier=tier) == 1.0

@@ -10,10 +10,9 @@ from repro.obs.flight import (
     FlightEvent,
     FlightRecorder,
     NullFlightRecorder,
-    activate_flight,
-    flight_recorder,
     read_flight_jsonl,
 )
+from repro.obs.tracer import activate, flight_recorder
 
 
 def test_record_assigns_monotone_seq_and_coords():
@@ -171,9 +170,9 @@ def test_finish_is_idempotent_and_flushes_detectors():
 def test_activation_nests_and_restores():
     assert flight_recorder() is NULL_FLIGHT
     outer, inner = FlightRecorder(), FlightRecorder()
-    with activate_flight(outer):
+    with activate(flight=outer):
         assert flight_recorder() is outer
-        with activate_flight(inner):
+        with activate(flight=inner):
             assert flight_recorder() is inner
         assert flight_recorder() is outer
     assert flight_recorder() is NULL_FLIGHT

@@ -11,9 +11,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricRegistry,
     NullRegistry,
-    activate_metrics,
-    metrics_registry,
 )
+from repro.obs.tracer import activate, metrics_registry
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +203,10 @@ class TestNullAndActivation:
     def test_activation_scopes_and_nests(self):
         outer, inner = MetricRegistry(), MetricRegistry()
         assert metrics_registry() is NULL_REGISTRY
-        with activate_metrics(outer) as got:
+        with activate(metrics=outer) as got:
             assert got is outer
             assert metrics_registry() is outer
-            with activate_metrics(inner):
+            with activate(metrics=inner):
                 assert metrics_registry() is inner
                 metrics_registry().counter("seen").inc()
             assert metrics_registry() is outer
@@ -218,7 +217,7 @@ class TestNullAndActivation:
     def test_activation_restores_on_exception(self):
         reg = MetricRegistry()
         with pytest.raises(RuntimeError):
-            with activate_metrics(reg):
+            with activate(metrics=reg):
                 raise RuntimeError("boom")
         assert metrics_registry() is NULL_REGISTRY
 
@@ -231,7 +230,7 @@ class TestNullAndActivation:
 
         instrumented()  # off: no-op
         live = MetricRegistry()
-        with activate_metrics(live):
+        with activate(metrics=live):
             instrumented()
         assert live.value("calls_total") == 1.0
 
@@ -248,7 +247,7 @@ class TestWiring:
 
         A = rmat(10, edge_factor=8, seed=3).to_matrix()
         reg = MetricRegistry()
-        with activate_metrics(reg):
+        with activate(metrics=reg):
             res = lacc_dist(A, EDISON, nodes=4)
         return reg, res
 
@@ -284,7 +283,7 @@ class TestWiring:
 
         A = rmat(8, edge_factor=8, seed=3).to_matrix()
         reg = MetricRegistry()
-        with activate_metrics(reg):
+        with activate(metrics=reg):
             res = lacc(A)
         assert reg.value("lacc_iterations_total", driver="serial") == float(
             res.n_iterations
@@ -293,12 +292,12 @@ class TestWiring:
     def test_chrome_trace_counter_ride_on(self):
         from repro.core import lacc
         from repro.graphs.generators import rmat
-        from repro.obs import Tracer, activate, chrome_trace
+        from repro.obs import Tracer, chrome_trace
 
         A = rmat(8, edge_factor=8, seed=3).to_matrix()
         reg, tr = MetricRegistry(), Tracer()
-        with activate(tr), activate_metrics(reg):
-            lacc(A, tracer=tr)
+        with activate(tr, metrics=reg):
+            lacc(A)
         doc = chrome_trace(tr, registry=reg)
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         assert counters, "metric counter events must ride on the trace"

@@ -17,7 +17,7 @@ from repro.core import lacc
 from repro.core.lacc_dist import lacc_dist
 from repro.graphs.generators import rmat
 from repro.mpisim import EDISON
-from repro.obs import NullRegistry, NullTracer, activate, activate_metrics
+from repro.obs import NullRegistry, NullTracer, activate
 from repro.obs.overhead import OverheadResult, measure_overhead
 
 SCALE = 12  # 4096 vertices — a few ms per run
@@ -51,7 +51,7 @@ def test_nullregistry_overhead_within_budget(A):
     reg = NullRegistry()
 
     def probe():
-        with activate_metrics(reg):
+        with activate(metrics=reg):
             lacc_dist(A, EDISON, nodes=4)
 
     res = measure_overhead(
@@ -65,10 +65,10 @@ def test_nullregistry_overhead_within_budget(A):
 
 
 def test_nullflight_overhead_within_budget(A):
-    from repro.obs.flight import NULL_FLIGHT, activate_flight
+    from repro.obs.flight import NULL_FLIGHT
 
     def probe():
-        with activate_flight(NULL_FLIGHT):
+        with activate(flight=NULL_FLIGHT):
             lacc_dist(A, EDISON, nodes=4)
 
     res = measure_overhead(

@@ -12,7 +12,8 @@ import re
 
 import pytest
 
-from repro.obs.metrics import MetricRegistry, activate_metrics
+from repro.obs.metrics import MetricRegistry
+from repro.obs.tracer import activate
 
 SAMPLE_RE = re.compile(
     r"^(?P<family>[a-zA-Z_:][a-zA-Z0-9_:]*?)"
@@ -133,7 +134,7 @@ def test_real_lacc_dist_run_exposition_is_conformant():
 
     A = corpus.load("archaea").to_matrix()
     reg = MetricRegistry()
-    with activate_metrics(reg):
+    with activate(metrics=reg):
         lacc_dist(A, EDISON, nodes=4)
     families = _assert_conformant(reg.to_prometheus())
     assert len(families) >= 3  # the instrumented layers actually emitted

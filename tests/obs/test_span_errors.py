@@ -129,8 +129,8 @@ class TestErrorPropagationAcrossLayers:
 
         g = path_graph(64)
         tr = Tracer()
-        with pytest.raises(RuntimeError, match="converge"):
-            lacc_dist(g.to_matrix(), LAPTOP, nodes=1, max_iterations=1, tracer=tr)
+        with pytest.raises(RuntimeError, match="converge"), activate(tr):
+            lacc_dist(g.to_matrix(), LAPTOP, nodes=1, max_iterations=1)
         assert all(s.t1 is not None for s, _ in tr.walk())
         errored = [s for s, _ in tr.walk() if "error" in s.attrs]
         assert errored, "divergence left no error on any span"

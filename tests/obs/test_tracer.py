@@ -3,7 +3,21 @@ objects, and activation scoping."""
 
 import pytest
 
-from repro.obs import NULL_TRACER, NullSpan, NullTracer, Span, Tracer, activate, current
+from repro.obs import (
+    NULL_FLIGHT,
+    NULL_REGISTRY,
+    NULL_TRACER,
+    FlightRecorder,
+    MetricRegistry,
+    NullSpan,
+    NullTracer,
+    Span,
+    Tracer,
+    activate,
+    current,
+    flight_recorder,
+    metrics_registry,
+)
 
 
 class FakeClock:
@@ -162,15 +176,41 @@ class TestNullObjects:
                 raise ValueError("boom")
 
 
+#: the facets of the one obs scope, by their ``activate`` keyword
+FACETS = {"tracer": Tracer, "metrics": MetricRegistry, "flight": FlightRecorder}
+NULLS = {"tracer": NULL_TRACER, "metrics": NULL_REGISTRY, "flight": NULL_FLIGHT}
+ALL = ("tracer", "metrics", "flight")
+
+
+def _fresh(names):
+    return {name: FACETS[name]() for name in names}
+
+
+def _assert_scope(expected):
+    active = {
+        "tracer": current(), "metrics": metrics_registry(), "flight": flight_recorder(),
+    }
+    for name, want in expected.items():
+        assert active[name] is want, name
+
+
 class TestActivation:
     def test_default_is_null_tracer(self):
         assert current() is NULL_TRACER
+        _assert_scope(NULLS)
 
     def test_activate_scopes_and_restores(self):
         tr = Tracer()
-        with activate(tr):
-            assert current() is tr
+        with activate(tr) as got:  # the tracer stays positional
+            assert got is tr and current() is tr
         assert current() is NULL_TRACER
+        # any subset of the facets; the scope yields the first one given
+        for names in [("metrics",), ("flight",), ALL]:
+            facets = _fresh(names)
+            with activate(**facets) as got:
+                assert got is facets[names[0]]
+                _assert_scope({**NULLS, **facets})
+            _assert_scope(NULLS)
 
     def test_activations_nest(self):
         t1, t2 = Tracer(), Tracer()
@@ -179,6 +219,18 @@ class TestActivation:
                 assert current() is t2
             assert current() is t1
         assert current() is NULL_TRACER
+        for outer, inner in [
+            (("tracer",), ("metrics",)),  # a metrics-only scope keeps the tracer
+            (ALL, ("flight",)),
+            (("metrics",), ALL),
+        ]:
+            o, i = _fresh(outer), _fresh(inner)
+            with activate(**o):
+                _assert_scope({**NULLS, **o})
+                with activate(**i):
+                    _assert_scope({**NULLS, **o, **i})
+                _assert_scope({**NULLS, **o})
+            _assert_scope(NULLS)
 
     def test_restores_on_exception(self):
         tr = Tracer()
@@ -186,6 +238,14 @@ class TestActivation:
             with activate(tr):
                 raise RuntimeError("boom")
         assert current() is NULL_TRACER
+        for names in [("metrics", "flight"), ALL]:
+            outer = _fresh(["tracer"])
+            with activate(**outer):
+                with pytest.raises(RuntimeError):
+                    with activate(**_fresh(names)):
+                        raise RuntimeError("boom")
+                _assert_scope({**NULLS, **outer})
+            _assert_scope(NULLS)
 
     def test_instrumented_code_records_only_when_active(self):
         import numpy as np

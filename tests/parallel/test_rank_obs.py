@@ -31,8 +31,9 @@ import pytest
 
 from repro.faults import CollectiveError
 from repro.mpisim import backend
-from repro.obs.flight import FlightRecorder, activate_flight
-from repro.obs.metrics import MetricRegistry, activate_metrics
+from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import MetricRegistry
+from repro.obs.tracer import activate
 from repro.parallel import ProcComm, get_pool, shutdown_pools
 from repro.parallel.obsband import (
     collect_rank_obs,
@@ -133,7 +134,7 @@ class TestRoundTrip:
 
     def test_worker_metrics_merge_with_rank_label(self):
         reg = MetricRegistry()
-        with activate_metrics(reg), enable_rank_obs():
+        with activate(metrics=reg), enable_rank_obs():
             _two_collectives(2)
             collect_rank_obs(get_pool(2))
         for r in ("0", "1"):
@@ -232,7 +233,7 @@ class TestWorkerDeath:
         stats round — survivors merge, the unreachable rank is counted in
         ``proccomm_ranks_unmerged``."""
         reg = MetricRegistry()
-        with activate_metrics(reg):
+        with activate(metrics=reg):
             comm = ProcComm(3)
             chunks = [np.arange(4, dtype=np.int64)] * 3
             comm.allgather(chunks)  # workers idle at cmd_wait afterwards
@@ -252,7 +253,7 @@ class TestWorkerDeath:
         conductor record as ``rank_event`` rows with ``salvaged=True`` —
         the chaos-postmortem acceptance criterion."""
         fr = FlightRecorder()
-        with activate_flight(fr), enable_rank_obs():
+        with activate(flight=fr), enable_rank_obs():
             comm = ProcComm(3)
             chunks = [np.arange(4, dtype=np.int64)] * 3
             comm.allgather(chunks)

@@ -22,7 +22,7 @@ from repro.core.lacc_spmd import lacc_spmd
 from repro.faults import FaultPlan, FaultRule, preset
 from repro.graphs import generators as gen
 from repro.mpisim.machine import LAPTOP
-from repro.obs import Tracer, chrome_trace
+from repro.obs import Tracer, activate, chrome_trace
 from repro.recovery import (
     MemoryCheckpointStore,
     RecoveryExhausted,
@@ -158,9 +158,8 @@ class TestCrashRecovery:
         g = multi_iter_graph()
         tracer = Tracer()
         plan = preset("crash", seed=0, after=25)
-        Supervisor().run(
-            lacc_dist, g.to_matrix(), LAPTOP, nodes=1, faults=plan, tracer=tracer
-        )
+        with activate(tracer):
+            Supervisor().run(lacc_dist, g.to_matrix(), LAPTOP, nodes=1, faults=plan)
         cats = {(s.name, s.cat) for s in all_spans(tracer)}
         assert ("checkpoint", "recovery") in cats
         assert ("audit_repair", "recovery") in cats
@@ -189,8 +188,6 @@ class TestEscalation:
         )
 
     def test_escalates_to_rollback_then_degrade(self):
-        from repro.obs import activate
-
         g = multi_iter_graph()
         cfg = SupervisorConfig(max_recoveries=3)
         with activate(Tracer()):  # iteration spans attribute the failures
