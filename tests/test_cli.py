@@ -277,6 +277,37 @@ class TestFaults:
             build_parser().parse_args(["faults", "g.mtx", "--preset", "gremlins"])
 
 
+#: ``repro recover archaea --driver D --preset crash --seed 0 --json``:
+#: (components, iterations, attempts, recoveries, correct,
+#: [(event action, event iteration)], top-level simulated_seconds or None)
+RECOVER_PINS = {
+    "serial": (3001, 5, 1, 0, True, [], None),
+    "dist": (3001, 5, 2, 1, True, [("fault", None), ("audit_repair", None)],
+             0.0035736300044943844),
+    "spmd": (3001, 5, 2, 1, True, [("fault", None), ("audit_repair", None)],
+             None),
+    "2d": (3001, 5, 2, 1, True, [("fault", None), ("audit_repair", None)],
+           None),
+}
+
+
+class TestRecover:
+    @pytest.mark.parametrize("driver", sorted(RECOVER_PINS))
+    def test_crash_record_is_pinned(self, driver, capsys):
+        assert main(
+            ["recover", "archaea", "--driver", driver, "--preset", "crash",
+             "--seed", "0", "--json"]
+        ) == 0
+        rec = json.loads(capsys.readouterr().out)
+        got = (
+            rec["components"], rec["iterations"], rec["attempts"],
+            rec["recoveries"], rec["correct"],
+            [(e["action"], e["iteration"]) for e in rec["events"]],
+            rec.get("simulated_seconds"),
+        )
+        assert got == RECOVER_PINS[driver]
+
+
 class TestAnalyze:
     def test_json_output(self, mtx, capsys):
         assert main(["analyze", mtx, "--nodes", "4", "--json"]) == 0
