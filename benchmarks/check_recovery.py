@@ -87,7 +87,7 @@ def main() -> int:
             plan2 = preset("crash", seed=seed, after=10 + 7 * seed)
             runs.append(
                 (f"lacc_2d@call{10 + 7 * seed}",
-                 lambda p=plan2: Supervisor().run(lacc_2d, g, nprocs=4, faults=p))
+                 lambda p=plan2: Supervisor().run(lacc_2d, g, ranks=4, faults=p))
             )
         for cell_name, run in runs:
             res = run()

@@ -100,43 +100,14 @@ def _merge_surviving_rank_obs(fr) -> None:
     This pass adds the *survivors* — the other side of the same collective
     — so the merged postmortem shows both halves.
     """
-    from repro.parallel.obsband import drain_active_obs_pools
+    from repro.parallel.obsband import drain_active_obs_pools, record_rank_events
 
     try:
         per_pool = drain_active_obs_pools()
     except Exception:  # a half-dead pool must not sink the verdict
         return
     for _size, obs in sorted(per_pool.items()):
-        for r in sorted(obs.flight_events):
-            for ev in obs.flight_events[r]:
-                extra = {
-                    k: v
-                    for k, v in ev.data.items()
-                    if k not in ("rank", "iteration", "step")
-                }
-                fr.record(
-                    "rank_event",
-                    rank=ev.rank if ev.rank is not None else r,
-                    iteration=ev.iteration,
-                    step=ev.step,
-                    rank_kind=ev.kind,
-                    rank_seq=ev.seq,
-                    rank_ts=ev.ts,
-                    **extra,
-                )
-
-
-def _driver_for(name: str, ranks: int):
-    """(driver, kwargs) for one of the two distributed literal drivers."""
-    if name == "spmd":
-        from repro.core.lacc_spmd import lacc_spmd
-
-        return lacc_spmd, {"ranks": ranks}
-    if name == "2d":
-        from repro.core.lacc_2d import lacc_2d
-
-        return lacc_2d, {"nprocs": ranks}
-    raise ValueError(f"chaos drives 'spmd' or '2d', not {name!r}")
+        record_rank_events(fr, obs.flight_events)
 
 
 def chaos_run(
@@ -167,6 +138,7 @@ def chaos_run(
     ``repro explain``.
     """
     from repro.baselines.union_find import connected_components as uf_labels
+    from repro.core.drivers import DRIVERS
     from repro.graphs.validate import same_partition
     from repro.mpisim import backend as backend_mod
     from repro.obs.anomaly import default_detectors
@@ -175,12 +147,15 @@ def chaos_run(
     from repro.recovery import Supervisor, SupervisorConfig
 
     backend_name = backend if backend is not None else backend_mod.active()
-    drv, dkw = _driver_for(driver, ranks)
+    entry = DRIVERS.get(driver)
+    if entry is None or entry.runs_at is None:
+        raise ValueError(f"chaos drives a driver with ranks, not {driver!r}")
+    drv, (dargs, dkw) = entry.fn, entry.call(g, ranks=ranks)
 
     # fault-free reference (simulator: byte-identical to proc by the
     # differential suite, and orders of magnitude cheaper)
     with backend_mod.use("sim"):
-        ref = drv(g, **dkw)
+        ref = drv(*dargs, **dkw)
 
     pkw: Dict[str, Any] = {"after": after}
     if preset == "stall":
@@ -220,7 +195,7 @@ def chaos_run(
             stack.enter_context(activate(flight=fr))
             stack.enter_context(activate_chaos(injector))
             stack.enter_context(backend_mod.use(backend_name))
-            res = sup.run(drv, g, **dict(dkw))
+            res = sup.run(drv, *dargs, **dkw)
         wall = perf_counter() - t0
         if rank_obs:
             _merge_surviving_rank_obs(fr)

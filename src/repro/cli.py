@@ -132,23 +132,17 @@ def _iteration_records(stats, model: bool = False) -> List[dict]:
 def _cmd_cc(args: argparse.Namespace) -> int:
     import repro
     from repro.core import lacc
+    from repro.obs import Tracer, activate
 
     g = _load_graph(args.graph)
-    tracer = None
+    tracer = Tracer() if args.trace else None
     res = None
     t0 = time.perf_counter()
     if args.method == "lacc":
-        if args.trace:
-            from repro.obs.profile import trace_lacc
-
-            res, tracer = trace_lacc(g.to_matrix())
-        else:
+        with activate(tracer):
             res = lacc(g.to_matrix())
         labels = res.labels
     elif args.trace:
-        from repro.obs import Tracer, activate
-
-        tracer = Tracer()
         with activate(tracer), tracer.span(args.method, "cc"):
             labels = repro.connected_components(g.u, g.v, g.n, method=args.method)
     else:
@@ -283,7 +277,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import chrome_trace, flamegraph, top_table, write_chrome_trace, write_jsonl
+    from repro.obs import (
+        Tracer, activate, chrome_trace, flamegraph, top_table,
+        write_chrome_trace, write_jsonl,
+    )
 
     g = _load_graph(args.graph)
     A = g.to_matrix()
@@ -324,18 +321,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             write_jsonl(tracer, args.jsonl)
             print(f"conductor span records written to {args.jsonl}")
         return 0
+    tracer = Tracer()
     if args.machine:
+        from repro.core.lacc_dist import lacc_dist
         from repro.mpisim.machine import load_machine
-        from repro.obs.profile import trace_lacc_dist
 
         machine = load_machine(args.machine)
-        res, tracer = trace_lacc_dist(A, machine, nodes=args.nodes)
+        with activate(tracer):  # a fresh tracer runs on the α–β clock
+            res = lacc_dist(A, machine, nodes=args.nodes)
         clock = f"α–β model seconds ({machine.name}, {args.nodes} nodes, {res.ranks} ranks)"
         total = res.simulated_seconds
     else:
-        from repro.obs.profile import trace_lacc
+        from repro.core.lacc import lacc
 
-        res, tracer = trace_lacc(A)
+        with activate(tracer):
+            res = lacc(A)
         clock = "wall seconds"
         total = sum(r.duration for r in tracer.roots)
 
@@ -537,6 +537,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.baselines.union_find import connected_components as uf_labels
+    from repro.core.drivers import DRIVERS
     from repro.faults import preset
     from repro.graphs.validate import same_partition
     from repro.recovery import (
@@ -570,32 +571,15 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         ),
     )
 
-    if args.driver == "spmd":
-        from repro.core.lacc_spmd import lacc_spmd
-
-        driver, dargs, dkw = lacc_spmd, (g,), dict(ranks=args.ranks, faults=plan)
-    elif args.driver == "2d":
-        from repro.core.lacc_2d import lacc_2d
-
-        driver, dargs, dkw = lacc_2d, (g,), dict(nprocs=args.ranks, faults=plan)
-    elif args.driver == "dist":
-        from repro.core.lacc_dist import lacc_dist
-        from repro.mpisim.machine import load_machine
-
-        machine = load_machine(args.machine)
-        driver = lacc_dist
-        dargs = (g.to_matrix(), machine)
-        dkw = dict(nodes=args.nodes, faults=plan)
-    else:  # serial — no simulated network, only watchdog/checkpoint demo
-        from repro.core.lacc import lacc
-
-        driver, dargs, dkw = lacc, (g.to_matrix(),), {}
+    entry = DRIVERS[args.driver]
+    dargs, dkw = entry.call(g, ranks=args.ranks, machine=args.machine,
+                            nodes=args.nodes, faults=plan)
 
     from repro.obs import Tracer, activate
 
     tracer = Tracer() if args.trace else None
     with activate(tracer):
-        res = sup.run(driver, *dargs, **dkw)
+        res = sup.run(entry.fn, *dargs, **dkw)
 
     correct = same_partition(res.labels, uf_labels(g.n, g.u, g.v))
     record = {
@@ -879,6 +863,8 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.drivers import DRIVERS
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="LACC reproduction: connected components in (simulated) "
@@ -995,8 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
         "injected crash and verify exact recovery",
     )
     rec.add_argument("graph", help=".mtx / edge-list file or corpus name")
-    rec.add_argument("--driver", default="spmd",
-                     choices=["serial", "spmd", "2d", "dist"],
+    rec.add_argument("--driver", default="spmd", choices=list(DRIVERS),
                      help="which LACC driver to supervise (default: spmd)")
     rec.add_argument("--preset", default="crash",
                      choices=["crash", "permanent", "none"],
@@ -1009,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="restrict the crash to one algorithm phase "
                           "(cond_hook/starcheck/uncond_hook/shortcut)")
     rec.add_argument("--ranks", type=int, default=4,
-                     help="ranks for spmd / nprocs for 2d")
+                     help="ranks for spmd / 2d")
     rec.add_argument("--machine", default="edison",
                      help="machine preset for --driver dist")
     rec.add_argument("--nodes", type=int, default=4,
@@ -1037,7 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.chaos.plan import CHAOS_PRESETS as _CHAOS_PRESETS
 
     ch.add_argument("graph", help=".mtx / edge-list file or corpus name")
-    ch.add_argument("--driver", default="spmd", choices=["spmd", "2d"],
+    ch.add_argument("--driver", default="spmd",
+                    choices=[n for n, d in DRIVERS.items() if d.runs_at],
                     help="which distributed driver to attack (default: spmd)")
     ch.add_argument("--backend", default=os.environ.get("REPRO_BACKEND", "proc"),
                     choices=["proc", "sim"],
@@ -1055,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--stall-seconds", type=float, default=1.0,
                     help="SIGSTOP duration for the stall preset")
     ch.add_argument("--ranks", type=int, default=4,
-                    help="ranks for spmd / nprocs for 2d")
+                    help="ranks for spmd / 2d (a perfect square)")
     ch.add_argument("--interval", type=int, default=1,
                     help="checkpoint every K iterations")
     ch.add_argument("--max-recoveries", type=int, default=5,

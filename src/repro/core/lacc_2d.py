@@ -20,7 +20,6 @@ every grid size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,46 +34,25 @@ from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
 from repro.mpisim.grid import ProcessGrid
 
-from .lacc_spmd import _Dist, _run
+from .lacc_spmd import SPMDResult, _Dist, _run
 from .snapshot import IterationHook, validate_initial_parents
 
-__all__ = ["lacc_2d", "Grid2DResult"]
-
-
-@dataclass
-class Grid2DResult:
-    """Output of a 2D literal LACC run."""
-
-    parents: np.ndarray
-    n_components: int
-    n_iterations: int
-    nprocs: int
-    grid_side: int
-    words_sent: int  # indexing traffic (the mxv moves data internally)
-    #: simulated seconds lost to injected faults (backoff/stragglers)
-    #: when no cost model was attached to price them properly
-    fault_seconds: float = 0.0
-
-    @property
-    def labels(self) -> np.ndarray:
-        from repro.graphs.validate import canonical_labels
-
-        return canonical_labels(self.parents)
+__all__ = ["lacc_2d"]
 
 
 def lacc_2d(
     g: EdgeList,
-    nprocs: int = 4,
+    ranks: int = 4,
     max_iterations: int = 10_000,
     faults=None,
     cost=None,
     initial_parents: Optional[np.ndarray] = None,
     start_iteration: int = 0,
     on_iteration: Optional[IterationHook] = None,
-) -> Grid2DResult:
+) -> SPMDResult:
     """Run LACC with the 2D-distributed matrix and literal communication.
 
-    *nprocs* must be a perfect square (the CombBLAS grid restriction the
+    *ranks* must be a perfect square (the CombBLAS grid restriction the
     paper inherits, §VI-A).  An optional :class:`repro.faults.FaultPlan`
     runs every collective through the :class:`SimComm` retry envelope
     (transient faults recover; permanent ones raise
@@ -86,8 +64,8 @@ def lacc_2d(
     :class:`~repro.faults.CollectiveError`\\ s carry the iteration number.
     """
     n = g.n
-    grid = ProcessGrid(nprocs, n)  # validates squareness
-    comm = make_comm(nprocs, faults=faults, cost=cost)
+    grid = ProcessGrid(ranks, n)  # validates squareness
+    comm = make_comm(ranks, faults=faults, cost=cost)
     A = g.to_matrix()
     dmat = DistMatrix(A, grid, permute=False)
 
@@ -103,7 +81,7 @@ def lacc_2d(
         """Assemble the mxv input from per-rank blocks (each rank
         contributes only its own entries, like the SpMV gather's senders)."""
         idx_parts, val_parts = [], []
-        for r in range(nprocs):
+        for r in range(ranks):
             if restrict_to_nonstars:
                 local = np.flatnonzero(star[r] == 0)
             else:
@@ -122,7 +100,7 @@ def lacc_2d(
         fn = dist_mxv(dmat, x, sr.SEL2ND_MIN_INT64)
         fn_vals, fn_present = fn.dense_arrays()
         targets, values = [], []
-        for r in range(nprocs):
+        for r in range(ranks):
             lo, hi = dist.lo(r), dist.hi(r)
             pres = fn_present[lo:hi]
             prop = fn_vals[lo:hi]
@@ -139,17 +117,8 @@ def lacc_2d(
             values.append(proposal)
         return dist.scatter_min(f, targets, values)
 
-    parents, n_components, iterations = _run(
+    return _run(
         dist, f, star, hook, bool(A.nvals), max_iterations, start_iteration,
-        on_iteration, driver="2d", n=n, nnz=A.nvals, ranks=nprocs,
+        on_iteration, driver="2d", n=n, nnz=A.nvals, ranks=ranks,
         grid_side=grid.side, partition_lambda=dmat.load_imbalance(),
-    )
-    return Grid2DResult(
-        parents=parents,
-        n_components=n_components,
-        n_iterations=iterations,
-        nprocs=nprocs,
-        grid_side=grid.side,
-        words_sent=dist.words,
-        fault_seconds=comm.fault_seconds,
     )

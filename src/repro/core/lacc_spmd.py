@@ -62,13 +62,14 @@ __all__ = ["lacc_spmd", "SPMDResult"]
 
 @dataclass
 class SPMDResult:
-    """Output of an SPMD LACC run."""
+    """Output of a block-distributed LACC run (:func:`lacc_spmd` or
+    :func:`repro.core.lacc_2d.lacc_2d`)."""
 
     parents: np.ndarray
     n_components: int
     n_iterations: int
     ranks: int
-    words_sent: int  # total payload words that crossed rank boundaries
+    words_sent: int  # vector payload words that crossed rank boundaries
     #: simulated seconds lost to injected faults (backoff/stragglers)
     #: when no cost model was attached to price them properly
     fault_seconds: float = 0.0
@@ -331,17 +332,9 @@ def lacc_spmd(
             values.append(proposal)
         return dist.scatter_min(f, targets, values)
 
-    parents, n_components, iterations = _run(
+    return _run(
         dist, f, star, hook, bool(eu.size), max_iterations, start_iteration,
         on_iteration, driver="spmd", n=n, ranks=ranks,
-    )
-    return SPMDResult(
-        parents=parents,
-        n_components=n_components,
-        n_iterations=iterations,
-        ranks=ranks,
-        words_sent=dist.words,
-        fault_seconds=comm.fault_seconds,
     )
 
 
@@ -355,14 +348,13 @@ def _run(
     start_iteration: int,
     on_iteration: Optional[IterationHook],
     **run_start,
-):
+) -> SPMDResult:
     """The block-distributed LACC loop of :func:`lacc_spmd` and
     :func:`repro.core.lacc_2d.lacc_2d`: the drivers differ only in their
     setup and in ``hook(conditional)``, which runs one hooking phase on
     the blocks *f* and *star* and returns the number of roots whose parent
     changed.  ``run_start`` holds the driver's own fields of the flight
-    record's ``run_start`` event.  Returns ``(parents, n_components,
-    n_iterations)``."""
+    record's ``run_start`` event."""
     comm, faults = dist.comm, dist.comm.faults
     fr = _freg()
     if fr:
@@ -426,4 +418,11 @@ def _run(
         fr.record(
             "run_end", n_iterations=iterations, n_components=n_components
         )
-    return parents, n_components, iterations
+    return SPMDResult(
+        parents=parents,
+        n_components=n_components,
+        n_iterations=iterations,
+        ranks=dist.p,
+        words_sent=dist.words,
+        fault_seconds=comm.fault_seconds,
+    )

@@ -1,8 +1,5 @@
-"""One-call profiling entry points used by ``python -m repro profile``.
-
-Each helper runs an algorithm with a freshly activated tracer and returns
-``(result, tracer)``; the caller renders/exports the tracer as it likes
-(see :mod:`repro.obs.render` and :mod:`repro.obs.export`).
+"""The one-call real-process profile of ``python -m repro profile
+--backend=proc``.
 
 This module imports :mod:`repro.core`, so it is *not* re-exported from
 ``repro.obs`` — import it explicitly (``from repro.obs import profile``)
@@ -15,38 +12,7 @@ from typing import Optional, Tuple
 
 from .tracer import Tracer, activate
 
-__all__ = ["trace_lacc", "trace_lacc_dist", "trace_lacc_proc"]
-
-
-def trace_lacc(A, **kwargs) -> Tuple["object", Tracer]:
-    """Run serial :func:`repro.core.lacc` under a fresh wall-clock tracer.
-
-    Returns ``(LACCResult, Tracer)`` with iteration → step → primitive
-    span nesting.
-    """
-    from repro.core.lacc import lacc
-
-    tracer = Tracer()
-    with activate(tracer):
-        res = lacc(A, **kwargs)
-    return res, tracer
-
-
-def trace_lacc_dist(A, machine, nodes: int = 1, **kwargs) -> Tuple["object", Tracer]:
-    """Run simulated-distributed LACC under a *simulated-clock* tracer.
-
-    ``lacc_dist`` rebinds a fresh tracer's clock to its cost model, so
-    span extents are α–β model seconds — the exported timeline is the
-    machine the paper measured, not this host.  Each charge's ``words``,
-    ``messages`` and ``model_seconds`` counters ride on the enclosing
-    span.
-    """
-    from repro.core.lacc_dist import lacc_dist
-
-    tracer = Tracer()
-    with activate(tracer):
-        res = lacc_dist(A, machine, nodes=nodes, **kwargs)
-    return res, tracer
+__all__ = ["trace_lacc_proc"]
 
 
 def trace_lacc_proc(
@@ -68,7 +34,11 @@ def trace_lacc_proc(
 
     from repro.core.lacc_spmd import lacc_spmd
     from repro.mpisim import backend as backend_mod
-    from repro.parallel.obsband import collect_rank_obs, enable_rank_obs
+    from repro.parallel.obsband import (
+        collect_rank_obs,
+        enable_rank_obs,
+        record_rank_events,
+    )
     from repro.parallel.pool import get_pool
 
     from .anomaly import default_detectors
@@ -83,25 +53,8 @@ def trace_lacc_proc(
         res = lacc_spmd(g, ranks=ranks, **kwargs)
         obs = collect_rank_obs(get_pool(ranks))
     fr.finish()
-    # fold each rank's deterministic record into the conductor record as
-    # rank_event rows (re-recorded so the conductor's seq stays dense)
-    for r in sorted(obs.flight_events):
-        for ev in obs.flight_events[r]:
-            extra = {
-                k: v
-                for k, v in ev.data.items()
-                if k not in ("rank", "iteration", "step")
-            }
-            fr.record(
-                "rank_event",
-                rank=ev.rank if ev.rank is not None else r,
-                iteration=ev.iteration,
-                step=ev.step,
-                rank_kind=ev.kind,
-                rank_seq=ev.seq,
-                rank_ts=ev.ts,
-                **extra,
-            )
+    # fold each rank's deterministic record into the conductor record
+    record_rank_events(fr, obs.flight_events)
     fr.close()
     res.registry = registry
     res.flight = fr

@@ -517,6 +517,33 @@ def salvaged_flight_events(msgs: List[dict]) -> List[FlightEvent]:
     return out
 
 
+def record_rank_events(
+    fr, events: Dict[int, List[FlightEvent]], **flags: Any
+) -> None:
+    """Fold each rank's flight events, ranks in order, into the conductor
+    record *fr* as ``rank_event`` rows.  Re-recorded, not spliced, so the
+    conductor's run_meta and dense seq stay intact; *flags* (the salvage
+    path's ``salvaged=True``) ride on every row."""
+    for r in sorted(events):
+        for ev in events[r]:
+            extra = {
+                k: v
+                for k, v in ev.data.items()
+                if k not in ("rank", "iteration", "step")
+            }
+            fr.record(
+                "rank_event",
+                rank=ev.rank if ev.rank is not None else r,
+                iteration=ev.iteration,
+                step=ev.step,
+                rank_kind=ev.kind,
+                rank_seq=ev.seq,
+                rank_ts=ev.ts,
+                **flags,
+                **extra,
+            )
+
+
 def merged_chrome_trace(
     result: RankObsResult,
     conductor: Optional[Tracer] = None,

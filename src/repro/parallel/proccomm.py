@@ -44,7 +44,7 @@ from repro.obs.tracer import metrics_registry
 from repro.obs.tracer import current as _obs
 
 from .detector import FailureDetector
-from .obsband import STEP_TO_CODE, salvaged_flight_events
+from .obsband import STEP_TO_CODE, record_rank_events, salvaged_flight_events
 from .pool import WorkerDied, get_pool
 
 __all__ = ["ProcComm"]
@@ -103,26 +103,13 @@ class ProcComm(CommBase):
             # the dead pool's sideband was drained at teardown: replay the
             # salvaged per-rank flight events (a killed rank's last acts,
             # so they precede the failure verdict) into the conductor
-            # record for the postmortem.  Re-recorded — not spliced — so
-            # the conductor's run_meta/seq stay intact.
-            for r, msgs in sorted(getattr(old_pool, "obs_salvage", {}).items()):
-                for ev in salvaged_flight_events(msgs):
-                    extra = {
-                        k: v
-                        for k, v in ev.data.items()
-                        if k not in ("rank", "iteration", "step")
-                    }
-                    fr.record(
-                        "rank_event",
-                        rank=ev.rank if ev.rank is not None else r,
-                        iteration=ev.iteration,
-                        step=ev.step,
-                        rank_kind=ev.kind,
-                        rank_seq=ev.seq,
-                        rank_ts=ev.ts,
-                        salvaged=True,
-                        **extra,
-                    )
+            # record for the postmortem
+            salvage = getattr(old_pool, "obs_salvage", {})
+            record_rank_events(
+                fr,
+                {r: salvaged_flight_events(m) for r, m in salvage.items()},
+                salvaged=True,
+            )
         # survivor transport counters were captured just before teardown;
         # merge what reached us and count the rest as unmerged
         self._merge_rank_metrics(old_pool)

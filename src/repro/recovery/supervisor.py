@@ -1,6 +1,7 @@
 """Checkpoint/restart supervision of LACC drivers.
 
-:class:`Supervisor` wraps any of the four drivers (:func:`repro.core.lacc`,
+:class:`Supervisor` wraps any of the four drivers of
+:data:`repro.core.drivers.DRIVERS` (:func:`repro.core.lacc`,
 :func:`~repro.core.lacc_dist.lacc_dist`,
 :func:`~repro.core.lacc_spmd.lacc_spmd`,
 :func:`~repro.core.lacc_2d.lacc_2d`) with a recovery state machine::
@@ -25,6 +26,8 @@
   self-stabilizing, see the auditor's module docstring) — and escalates
   to **rollback** (newest CRC-valid durable checkpoint, walking older on
   repeats) when failures recur at the same iteration;
+* a repeated permanent rank loss **shrinks** a driver with ranks to the
+  largest count its table entry runs at and resumes there;
 * when the bounded budget (``max_recoveries``) is spent, the run
   **degrades**: the repaired best-known state replays on the serial
   single-node driver, which bypasses the faulty simulated network
@@ -43,12 +46,12 @@ rollbacks on the simulated timeline next to the algorithm's own phases
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
 import numpy as np
 
+from repro.core.drivers import driver_of
 from repro.core.snapshot import IterationSnapshot
 from repro.faults.errors import CollectiveError
 from repro.mpisim.costmodel import CostModel
@@ -82,7 +85,7 @@ class SupervisorConfig:
     #: extra simulated seconds charged per recovery (job-restart cost)
     restart_penalty_seconds: float = 0.0
     #: on repeated permanent rank loss, re-partition across the survivors
-    #: (P−1 ranks, or the next lower perfect square for the 2D grid)
+    #: (the largest count the driver runs at, see ``Supervisor._shrink``)
     #: instead of respawning at full size forever
     allow_shrink: bool = True
     #: never shrink below this many ranks
@@ -111,7 +114,7 @@ class RecoveryEvent:
 class SupervisedResult:
     """A driver result plus the supervision record around it."""
 
-    result: Any  # LACCResult (DistLACCResult is one) / SPMDResult / Grid2DResult
+    result: Any  # LACCResult (DistLACCResult is one) / SPMDResult (spmd, 2d)
     events: List[RecoveryEvent] = field(default_factory=list)
     degraded: bool = False
     checkpoints_written: int = 0
@@ -336,7 +339,7 @@ class Supervisor:
                     # across the survivors and resume from the best
                     # known original-vertex-space state
                     shrunk, resume = self._shrink(
-                        kw, latest[0], events,
+                        driver, kw, latest[0], events,
                         getattr(exc, "lost_ranks", ()),
                     )
                     if shrunk:
@@ -389,11 +392,8 @@ class Supervisor:
     ) -> Optional[IterationSnapshot]:
         """Repair the freshest in-memory snapshot and resume from it; fall
         back to the newest durable checkpoint, then to a fresh start."""
-        source = latest
-        if source is None:
-            ck = self.store.latest_valid()
-            source = None if ck is None else ck.to_snapshot()
-        if source is None:
+        snap, report = self._repaired_copy(latest)
+        if snap is None:
             events.append(
                 RecoveryEvent("audit_repair", None, 0.0, "no state yet — fresh start")
             )
@@ -402,15 +402,6 @@ class Supervisor:
                 fr.record("recovery", action="audit_repair",
                           detail="no state yet — fresh start")
             return None
-        snap = IterationSnapshot(
-            iteration=source.iteration,
-            parents=np.array(source.parents, dtype=np.int64, copy=True),
-            star=None if source.star is None else source.star.copy(),
-            active=None if source.active is None else source.active.copy(),
-            simulated_seconds=source.simulated_seconds,
-            plan_cursor=source.plan_cursor,
-        )
-        report = self.auditor.repair(snap)
         events.append(
             RecoveryEvent(
                 "audit_repair", snap.iteration, snap.simulated_seconds,
@@ -427,64 +418,61 @@ class Supervisor:
                         "audit-repair recoveries performed").inc()
         return snap
 
+    def _repaired_copy(self, latest: Optional[IterationSnapshot]):
+        """``(snapshot, audit report)`` of a repaired copy of the freshest
+        state: *latest*, else the newest durable checkpoint; ``(None,
+        None)`` when there is neither."""
+        source = latest
+        if source is None:
+            ck = self.store.latest_valid()
+            if ck is None:
+                return None, None
+            source = ck.to_snapshot()
+        snap = IterationSnapshot(
+            iteration=source.iteration,
+            parents=np.array(source.parents, dtype=np.int64, copy=True),
+            star=None if source.star is None else source.star.copy(),
+            active=None if source.active is None else source.active.copy(),
+            simulated_seconds=source.simulated_seconds,
+            plan_cursor=source.plan_cursor,
+        )
+        return snap, self.auditor.repair(snap)
+
     def _shrink(
         self,
+        driver: Callable,
         kw: dict,
         latest: Optional[IterationSnapshot],
         events: List[RecoveryEvent],
         lost_ranks,
     ):
-        """Shrink-to-survivors: drop the run's rank count and resume from
-        the best known state.
+        """Shrink-to-survivors: drop the run's rank count to the one the
+        driver's :data:`~repro.core.drivers.DRIVERS` entry picks
+        (:meth:`~repro.core.drivers.Driver.shrink`) and resume from the
+        best known state.
 
         Snapshots live in the **original vertex space** (the drivers'
         ``to_permuted_parents`` surface maps back before ``on_iteration``
-        fires), so re-partitioning across P−1 survivors is nothing more
+        fires), so re-partitioning across the survivors is nothing more
         than the drivers' normal ``initial_parents`` scatter at the new
         size — and Awerbuch–Shiloach is self-stabilizing from any
         in-range parent forest, so the final labels stay byte-identical
         to the fault-free run.
 
         Returns ``(shrunk, resume_snapshot)``; ``(False, None)`` when the
-        call carries no shrinkable rank kwarg or is already at
-        ``min_ranks``.
+        driver is not in the table or has no smaller count to run at.
         """
-        cfg = self.config
-        key = old = new = None
-        if "ranks" in kw:
-            # 1D layout: any positive rank count works — drop one per
-            # lost rank
-            key, old = "ranks", int(kw["ranks"])
-            new = max(cfg.min_ranks, old - max(1, len(tuple(lost_ranks))))
-        elif "nprocs" in kw:
-            # 2D grid: the CombBLAS perfect-square restriction — drop to
-            # the next strictly lower square
-            key, old = "nprocs", int(kw["nprocs"])
-            side = math.isqrt(old)
-            while side > 1 and side * side >= old:
-                side -= 1
-            new = max(cfg.min_ranks, side * side)
-        if key is None or new is None or new >= old:
+        entry = driver_of(driver)
+        if entry is None or "ranks" not in kw:
             return False, None
-        kw[key] = new
-        source = latest
-        if source is None:
-            ck = self.store.latest_valid()
-            source = None if ck is None else ck.to_snapshot()
-        snap: Optional[IterationSnapshot] = None
-        from_what = "scratch"
-        if source is not None:
-            snap = IterationSnapshot(
-                iteration=source.iteration,
-                parents=np.array(source.parents, dtype=np.int64, copy=True),
-                star=None if source.star is None else source.star.copy(),
-                active=None if source.active is None else source.active.copy(),
-                simulated_seconds=source.simulated_seconds,
-                plan_cursor=source.plan_cursor,
-            )
-            self.auditor.repair(snap)
-            from_what = f"iteration {snap.iteration}"
         lost = sorted(int(r) for r in lost_ranks)
+        old = int(kw["ranks"])
+        new = entry.shrink(old, len(lost), self.config.min_ranks)
+        if new is None:
+            return False, None
+        kw["ranks"] = new
+        snap, _ = self._repaired_copy(latest)
+        from_what = "scratch" if snap is None else f"iteration {snap.iteration}"
         detail = (
             f"re-partitioned {old}→{new} ranks"
             + (f" after losing rank(s) {lost}" if lost else "")

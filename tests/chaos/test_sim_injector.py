@@ -9,6 +9,8 @@ be exercised quickly, without forking anything.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,16 @@ class TestSupervisedSimChaos:
         assert r.ok
         assert r.shrunk_to == 1  # next square below 4
         assert any(e["action"] == "shrink" for e in r.recovery_events)
+
+    def test_2d_never_shrinks_below_min_ranks(self):
+        # the only square in [2, 3] is none: no shrink, and no 2-rank grid
+        r = chaos_run(star_graph(150), driver="2d", ranks=4,
+                      preset="shrink", seed=3, backend="sim", min_ranks=2)
+        assert r.oracle_ok
+        for e in r.recovery_events:
+            if e["action"] == "shrink":
+                new = int(e["detail"].split("→")[1].split()[0])
+                assert new >= 2 and math.isqrt(new) ** 2 == new
 
     def test_stall_is_a_clean_run_on_sim(self):
         r = chaos_run(path_graph(200), driver="spmd", ranks=4,

@@ -108,7 +108,7 @@ def _it(i, hooks, changed, nonstars):
     return i, {"hooks": hooks, "shortcut_changed": changed, "nonstars": nonstars}
 
 
-#: lacc_2d(g, nprocs=4): (words_sent, flight ``iteration`` events)
+#: lacc_2d(g, ranks=4): (words_sent, flight ``iteration`` events)
 GRID_2D = {
     "archaea": (295812, [
         _it(1, 22780, 5307, 14400), _it(2, 236, 3541, 9244),
@@ -128,7 +128,7 @@ def test_2d_traffic_is_pinned(name):
     g = corpus.load(name)
     fr = FlightRecorder()
     with activate(flight=fr):
-        res = lacc_2d(g, nprocs=4)
+        res = lacc_2d(g, ranks=4)
     assert res.words_sent == words
     assert res.n_iterations == len(events)
     assert [

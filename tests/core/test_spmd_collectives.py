@@ -23,7 +23,6 @@ import pytest
 
 from repro.combblas.distmatrix import DistMatrix
 from repro.combblas.spmv import dist_mxv
-from repro.core.lacc_2d import Grid2DResult
 from repro.core.lacc_2d import lacc_2d as new_2d
 from repro.core.lacc_spmd import SPMDResult
 from repro.core.lacc_spmd import lacc_spmd as new_spmd
@@ -370,7 +369,7 @@ def lacc_2d(
     initial_parents: Optional[np.ndarray] = None,
     start_iteration: int = 0,
     on_iteration: Optional[IterationHook] = None,
-) -> Grid2DResult:
+) -> SPMDResult:
     """Run LACC with the 2D-distributed matrix and literal communication.
 
     *nprocs* must be a perfect square (the CombBLAS grid restriction the
@@ -522,12 +521,11 @@ def lacc_2d(
         fr.record(
             "run_end", n_iterations=iterations, n_components=n_components
         )
-    return Grid2DResult(
+    return SPMDResult(
         parents=parents,
         n_components=n_components,
         n_iterations=iterations,
-        nprocs=nprocs,
-        grid_side=grid.side,
+        ranks=nprocs,
         words_sent=f.words + star.words,
         fault_seconds=comm.fault_seconds,
     )
@@ -575,7 +573,7 @@ def test_2d_matches_gather_oracle(family, seed, faults):
     g = make_graph(family, seed)
     plan = _plan(faults)
     with backend.use("sim"):
-        new = new_2d(g, nprocs=4, faults=plan)
+        new = new_2d(g, ranks=4, faults=plan)
         old = lacc_2d(g, nprocs=4, faults=_plan(faults))
     _assert_same(new, old, plan)
     assert new.words_sent <= old.words_sent

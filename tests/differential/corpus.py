@@ -118,7 +118,7 @@ def oracle_labels(g: EdgeList) -> np.ndarray:
 IMPLEMENTATIONS: Dict[str, Callable[[EdgeList], np.ndarray]] = {
     "lacc": lambda g: lacc(g.to_matrix()).labels,
     "lacc_lagraph": lambda g: lacc_lagraph(g.to_matrix()),
-    "lacc_2d": lambda g: lacc_2d(g, nprocs=4).labels,
+    "lacc_2d": lambda g: lacc_2d(g, ranks=4).labels,
     "lacc_spmd": lambda g: lacc_spmd(g, ranks=3).labels,
     "lacc_dist": lambda g: lacc_dist(g.to_matrix(), LAPTOP, nodes=1).labels,
     "fastsv": lambda g: fastsv.connected_components(g.n, g.u, g.v),

@@ -36,7 +36,7 @@ def _run(impl: str, g, plan):
     if impl == "lacc_spmd":
         return lacc_spmd(g, ranks=3, faults=plan).labels
     if impl == "lacc_2d":
-        return lacc_2d(g, nprocs=4, faults=plan).labels
+        return lacc_2d(g, ranks=4, faults=plan).labels
     if impl == "lacc_dist":
         return lacc_dist(g.to_matrix(), LAPTOP, nodes=1, faults=plan).labels
     raise AssertionError(impl)

@@ -56,7 +56,7 @@ def graphs():
 PROC_RUNS = [
     ("lacc_spmd-r2", lambda g: lacc_spmd(g, ranks=2)),
     ("lacc_spmd-r4", lambda g: lacc_spmd(g, ranks=4)),
-    ("lacc_2d-p4", lambda g: lacc_2d(g, nprocs=4)),
+    ("lacc_2d-p4", lambda g: lacc_2d(g, ranks=4)),
 ]
 
 

@@ -6,12 +6,21 @@ import numpy as np
 import pytest
 
 import repro.graphblas as gb
+from repro.core.lacc import lacc
+from repro.core.lacc_dist import lacc_dist
 from repro.core.stats import steps_from_span
 from repro.graphblas import Matrix, Vector, semirings as sr
 from repro.graphs import generators as gen
 from repro.mpisim import EDISON
 from repro.obs import Tracer, activate
-from repro.obs.profile import trace_lacc, trace_lacc_dist
+
+
+def run_traced(driver, *args, **kwargs):
+    """``(result, tracer)`` of *driver* under a fresh activated tracer."""
+    tr = Tracer()
+    with activate(tr):
+        res = driver(*args, **kwargs)
+    return res, tr
 
 
 def traced(fn):
@@ -117,7 +126,7 @@ class TestSerialTraceInvariants:
     @pytest.fixture(scope="class")
     def traced_run(self):
         g = gen.component_mixture([40, 25, 10], seed=3)
-        return trace_lacc(g.to_matrix())
+        return run_traced(lacc, g.to_matrix())
 
     def test_nesting_depth(self, traced_run):
         _, tr = traced_run
@@ -161,7 +170,7 @@ class TestDistTraceInvariants:
     @pytest.fixture(scope="class")
     def traced_run(self):
         g = gen.component_mixture([40, 25, 10], seed=3)
-        return trace_lacc_dist(g.to_matrix(), EDISON, nodes=4)
+        return run_traced(lacc_dist, g.to_matrix(), EDISON, nodes=4)
 
     def test_nesting_depth(self, traced_run):
         _, tr = traced_run
@@ -199,7 +208,9 @@ class TestDistTraceInvariants:
 
     def test_wall_seconds_ride_on_step_spans(self, traced_run):
         # the serial driver runs the same loop, with the same step spans
-        serial = trace_lacc(gen.component_mixture([40, 25, 10], seed=3).to_matrix())
+        serial = run_traced(
+            lacc, gen.component_mixture([40, 25, 10], seed=3).to_matrix()
+        )
         for _, tr in (traced_run, serial):
             steps = tr.find(cat="step")
             assert steps and all("wall_seconds" in s.counters for s in steps)

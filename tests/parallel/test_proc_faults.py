@@ -35,7 +35,7 @@ def multi_iter_graph(seed=0):
 
 DRIVERS = [
     ("lacc_spmd", lacc_spmd, {"ranks": 3}),
-    ("lacc_2d", lacc_2d, {"nprocs": 4}),
+    ("lacc_2d", lacc_2d, {"ranks": 4}),
 ]
 
 
@@ -94,7 +94,7 @@ class TestSupervisedRecovery:
         g = multi_iter_graph(seed)
         plan = preset("crash", seed=seed, after=8 + 5 * seed)
         with backend.use("proc"):
-            res = Supervisor().run(lacc_2d, g, nprocs=4, faults=plan)
+            res = Supervisor().run(lacc_2d, g, ranks=4, faults=plan)
         np.testing.assert_array_equal(res.labels, oracle_labels(g))
         assert not res.degraded and res.n_recoveries == 1
 

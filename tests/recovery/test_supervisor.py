@@ -121,7 +121,7 @@ class TestCrashRecovery:
     def test_2d_crash(self, seed):
         g = multi_iter_graph(seed)
         plan = preset("crash", seed=seed, after=8 + 5 * seed)
-        res = Supervisor().run(lacc_2d, g, nprocs=4, faults=plan)
+        res = Supervisor().run(lacc_2d, g, ranks=4, faults=plan)
         np.testing.assert_array_equal(res.labels, oracle_labels(g))
         assert not res.degraded and res.n_recoveries == 1
 

@@ -105,6 +105,6 @@ class TestMachineComparisons:
         serial = lacc(g.to_matrix()).labels
         dist = lacc_dist(g.to_matrix(), EDISON, nodes=4).labels
         spmd = lacc_spmd(g, ranks=4).labels
-        grid2 = lacc_2d(g, nprocs=4).labels
+        grid2 = lacc_2d(g, ranks=4).labels
         for other in (dist, spmd, grid2):
             np.testing.assert_array_equal(serial, other)
