@@ -3,13 +3,10 @@
 
 Equivalent to ``pytest benchmarks/ --benchmark-only -s`` but without the
 pytest machinery: runs each bench module's table generator and leaves the
-artefacts in ``benchmarks/results/``.  Afterwards the regression-
-observatory suite (``repro.bench``) runs and every ``BENCH_*.json``
-artefact is consolidated into the repo-root ``BENCH_lacc.json`` — the
-single machine-readable record ``python -m repro regress`` compares
-against.
+artefacts in ``benchmarks/results/``.  The end-to-end record that
+``python -m repro regress`` gates comes from ``benchmarks/e2e/run.py``.
 
-Usage:  python benchmarks/run_all.py [--skip-record]
+Usage:  python benchmarks/run_all.py
 """
 
 import subprocess
@@ -69,19 +66,6 @@ def main() -> int:
         print(f"### {bench}: {status} ({time.time()-t0:.1f}s)\n")
     print(f"{len(BENCHES) - failures}/{len(BENCHES)} benches ok; "
           f"tables in benchmarks/results/")
-
-    if "--skip-record" not in sys.argv:
-        print("### consolidating BENCH_lacc.json")
-        sys.path.insert(0, os.path.join(os.path.dirname(here), "src"))
-        from repro.bench import consolidate_artifacts, run_suite, write_record
-
-        record = run_suite(quick=False, progress=print)
-        record["artifacts"] = consolidate_artifacts(
-            os.path.join(here, "results")
-        )
-        out = os.path.join(os.path.dirname(here), "BENCH_lacc.json")
-        write_record(record, out)
-        print(f"[consolidated record written to {out}]")
     return 1 if failures else 0
 
 

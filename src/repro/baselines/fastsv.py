@@ -1,4 +1,4 @@
-"""FastSV (Zhang, Azad & Saule) — the successor algorithm the repro bands
+"""FastSV (Zhang, Azad & Hu) — the successor algorithm the repro bands
 mention (LAGraph's connected components is FastSV-based).
 
 FastSV simplifies SV/AS by dropping star detection entirely: every

@@ -38,13 +38,10 @@ Commands
     streaming anomaly detection, or replay a recorded ``.jsonl`` flight
     record, and print a human-readable diagnosis of what went wrong
     (convergence stalls, stragglers, retry storms, checkpoint churn).
-``bench``
-    Run the benchmark suite (:mod:`repro.bench`) and write the
-    schema-versioned ``BENCH_lacc.json`` record; optionally dump the
-    accumulated metric registry as Prometheus text.
 ``regress``
-    Compare a fresh benchmark record against the committed baseline with
-    noise-aware per-metric thresholds; exits nonzero on regression.
+    Compare an end-to-end benchmark record (``benchmarks/e2e/run.py
+    --out``) with the committed ``BENCH_e2e.json``: every deterministic
+    per-layer counter must match exactly and every rep must have passed.
 
 Examples
 --------
@@ -67,8 +64,7 @@ Examples
     python -m repro analyze archaea --machine edison --nodes 16
     python -m repro explain archaea --preset stragglers --seed 0 --html fr.html
     python -m repro explain flight.jsonl --json
-    python -m repro bench --quick --prom metrics.prom
-    python -m repro regress --baseline BENCH_lacc.json
+    python -m repro regress --current BENCH_current.json
 """
 
 from __future__ import annotations
@@ -812,54 +808,63 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import consolidate_artifacts, run_suite, write_record
-    from repro.obs import MetricRegistry
-
-    reg = MetricRegistry()
-    record = run_suite(quick=args.quick, registry=reg, progress=print,
-                       backend=args.backend)
-    if args.artifacts:
-        arts = consolidate_artifacts(args.artifacts)
-        if arts:
-            record["artifacts"] = arts
-            print(f"consolidated {len(arts)} artifact records from "
-                  f"{args.artifacts}")
-    out = args.out or (
-        "BENCH_proc.json" if args.backend == "proc" else "BENCH_lacc.json"
-    )
-    write_record(record, out)
-    print(f"[record written to {out}]")
-    if args.prom:
-        reg.write_prometheus(args.prom)
-        print(f"[prometheus dump written to {args.prom}]")
-    if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    return 0
+#: per-layer units of the e2e record whose values do not depend on timing
+_EXACT_UNITS = ("count", "words", "B", "model_s")
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
-    from repro.bench import compare, load_record, run_suite, validate_record
-
+    spec_path = os.path.join(os.path.dirname(os.path.abspath(args.baseline)),
+                             "BENCHMARK.json")
     try:
-        baseline = load_record(args.baseline)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read baseline: {exc}", file=sys.stderr)
+        docs = []
+        for path in (spec_path, args.baseline, args.current):
+            with open(path) as fh:
+                docs.append(json.load(fh))
+        spec, base, cur = docs
+        exact = {m["name"] for m in spec["per_layer"]
+                 if m["unit"] in _EXACT_UNITS}
+        runs = {"baseline": dict(base["workloads"]),
+                "current": dict(cur["workloads"])}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"cannot read records: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
-    if args.current:
-        try:
-            current = load_record(args.current)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read current record: {exc}", file=sys.stderr)
+    for key in ("seed", "smoke"):
+        if base.get(key) != cur.get(key):
+            print(f"records are not comparable: {key} is {base.get(key)!r} "
+                  f"in the baseline, {cur.get(key)!r} in the current record",
+                  file=sys.stderr)
             return 2
-    else:
-        quick = bool(baseline.get("quick", True))
-        print(f"no --current given; running the "
-              f"{'quick' if quick else 'full'} suite to compare ...")
-        current = validate_record(run_suite(quick=quick, progress=print))
-    report = compare(baseline, current)
-    print(report.render(verbose=args.verbose))
-    return 1 if report.failed else 0
+
+    problems = []
+    checked = 0
+    for name in sorted(runs["baseline"].keys() | runs["current"].keys()):
+        entries = {side: run.get(name) for side, run in runs.items()}
+        missing = [side for side, e in entries.items() if e is None]
+        if missing:
+            problems.append(f"{name}: missing from the {missing[0]} record")
+            continue
+        for side, e in entries.items():
+            if e.get("failed", 0) > 0 or e.get("attempted", 0) == 0:
+                problems.append(f"{name}: {e.get('failed', 0)} failed of "
+                                f"{e.get('attempted', 0)} attempted reps in "
+                                f"the {side} record")
+        old, new = (e.get("layers", {}) for e in entries.values())
+        for metric in sorted(exact & (old.keys() | new.keys())):
+            checked += 1
+            if metric not in old or metric not in new:
+                side = "baseline" if metric not in old else "current"
+                problems.append(f"{name} {metric}: missing from the {side} "
+                                f"record")
+            elif old[metric] != new[metric]:
+                problems.append(f"{name} {metric}: {old[metric]!r} -> "
+                                f"{new[metric]!r}")
+    for line in problems:
+        print(line)
+    verdict = f"{len(problems)} problem(s)" if problems else "all match"
+    print(f"regress: {checked} exact counters over {len(runs['baseline'])} "
+          f"workloads against {args.baseline}: {verdict}")
+    return 1 if problems else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1108,38 +1113,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit 1 if any anomaly is detected (CI gate)")
     ex.set_defaults(fn=_cmd_explain)
 
-    be = sub.add_parser(
-        "bench", help="run the benchmark suite and write BENCH_lacc.json"
-    )
-    be.add_argument("--quick", action="store_true",
-                    help="fast subset (archaea only) — the CI setting")
-    be.add_argument("--backend", default="sim", choices=["sim", "proc"],
-                    help="communicator backend: sim (default, the α–β "
-                         "simulated suite) or proc (real worker processes: "
-                         "measured wall-clock next to the α–β prediction)")
-    be.add_argument("--out", default=None,
-                    help="output record path (default: BENCH_lacc.json, or "
-                         "BENCH_proc.json with --backend=proc)")
-    be.add_argument("--prom", metavar="PATH",
-                    help="also dump accumulated metrics as Prometheus text")
-    be.add_argument("--artifacts", metavar="DIR",
-                    help="consolidate BENCH_*.json records from this "
-                         "directory (e.g. benchmarks/results) into the record")
-    be.add_argument("--json", action="store_true",
-                    help="also print the record to stdout")
-    be.set_defaults(fn=_cmd_bench)
-
     rg = sub.add_parser(
         "regress",
-        help="compare a benchmark record against the baseline; exit 1 on "
-             "regression",
+        help="check an e2e benchmark record against the committed one; "
+             "exit 1 if a deterministic counter moved or a rep failed",
     )
-    rg.add_argument("--baseline", default="BENCH_lacc.json",
-                    help="baseline record (default: BENCH_lacc.json)")
-    rg.add_argument("--current", metavar="PATH",
-                    help="record to check; omitted = run the suite now")
-    rg.add_argument("--verbose", action="store_true",
-                    help="also list metrics that passed")
+    rg.add_argument("--current", metavar="PATH", required=True,
+                    help="all-workload record from benchmarks/e2e/run.py --out")
+    rg.add_argument("--baseline", default="BENCH_e2e.json",
+                    help="committed record (default: BENCH_e2e.json); the "
+                         "BENCHMARK.json next to it gives the units")
     rg.set_defaults(fn=_cmd_regress)
     return p
 

@@ -1,6 +1,6 @@
 """Graph generators, Table III corpus analogues, I/O and validation."""
 
-from . import corpus, generators, io, scale, validate
+from . import corpus, generators, io, validate
 from .generators import (
     EdgeList,
     barbell,
@@ -40,6 +40,5 @@ __all__ = [
     "corpus",
     "generators",
     "io",
-    "scale",
     "validate",
 ]

@@ -145,7 +145,7 @@ def rmat(
     Beyond *chunk_edges* edges, generation proceeds chunk by chunk with
     independently seeded child RNGs (``SeedSequence(seed).spawn``) instead
     of materialising the per-bit scratch arrays for the full edge list at
-    once: the 10⁷-edge corpus otherwise needs ~``8·m`` bytes *per scale
+    once: a 10⁷-edge graph otherwise needs ~``8·m`` bytes *per scale
     bit* of transient memory, which is what used to blow past CI limits.
     Small graphs keep the original single-pass RNG stream byte for byte.
     """

@@ -13,8 +13,8 @@ LACC drivers all hook into:
   flight recorder together, and :func:`current`,
   :func:`metrics_registry` and :func:`flight_recorder` read them.
 * :mod:`repro.obs.metrics` — labelled :class:`MetricRegistry` (counters,
-  gauges, log-bucketed histograms) with the same null-object off switch,
-  Prometheus text exposition and JSONL snapshots.
+  gauges, log-bucketed histograms) with the same null-object off switch
+  and JSONL snapshots.
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
   JSON-lines exporters (metric counters ride along as ``C`` events;
   loaded on first use).

@@ -6,9 +6,9 @@ distributions"*: how many mxv calls took the SpMSpV path, how many words
 each collective moved, how skewed the per-rank request counts were, how
 many checkpoints/repairs/rollbacks the supervisor performed.  Where a
 span dies with its trace, a metric accumulates across a whole process
-(or a whole benchmark suite) and exports as a flat, diffable snapshot —
-the raw material of the regression observatory (``python -m repro
-regress``).
+and exports as a flat, diffable snapshot: the flight recorder samples
+it, and the real-process backend ships each worker's snapshot to the
+conductor.
 
 Three instrument kinds, all labelled:
 
@@ -37,9 +37,8 @@ Design constraints (shared with the tracer)
   scopes the process-wide registry next to the tracer and the flight
   recorder; :func:`repro.obs.tracer.metrics_registry` reads it.
 
-Exports: :meth:`MetricRegistry.to_prometheus` (text exposition format),
-:meth:`MetricRegistry.snapshot` / :meth:`MetricRegistry.write_jsonl`
-(machine-readable records), and Chrome-trace counter events via
+Exports: :meth:`MetricRegistry.snapshot` / :meth:`MetricRegistry.write_jsonl`
+(machine-readable records) and Chrome-trace counter events via
 :func:`repro.obs.export.chrome_trace` (``registry=`` argument).
 """
 
@@ -168,16 +167,17 @@ class MetricRegistry:
 
     Instruments are created on first use and cached by ``(name, labels)``;
     a name must keep one kind for its lifetime (registering
-    ``foo`` as both a counter and a gauge is a bug and raises).
+    ``foo`` as both a counter and a gauge is a bug and raises).  The
+    ``help`` argument documents a metric at its call site; it is not
+    stored.
     """
 
     def __init__(self):
         self._metrics: Dict[LabelKey, Any] = {}
         self._kinds: Dict[str, str] = {}
-        self._help: Dict[str, str] = {}
 
     # -- instrument access ---------------------------------------------
-    def _get(self, cls, name: str, help: str, labels: Dict[str, Any]):
+    def _get(self, cls, name: str, labels: Dict[str, Any]):
         key = _label_key(name, labels)
         inst = self._metrics.get(key)
         seen = self._kinds.get(name)
@@ -188,20 +188,18 @@ class MetricRegistry:
             )
         if inst is None:
             self._kinds[name] = cls.kind
-            if help and name not in self._help:
-                self._help[name] = help
             inst = cls(name, key[1])
             self._metrics[key] = inst
         return inst
 
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
-        return self._get(Counter, name, help, labels)
+        return self._get(Counter, name, labels)
 
     def gauge(self, name: str, help: str = "", **labels: Any) -> Gauge:
-        return self._get(Gauge, name, help, labels)
+        return self._get(Gauge, name, labels)
 
     def histogram(self, name: str, help: str = "", **labels: Any) -> Histogram:
-        return self._get(Histogram, name, help, labels)
+        return self._get(Histogram, name, labels)
 
     # -- reading --------------------------------------------------------
     def __bool__(self) -> bool:
@@ -302,73 +300,8 @@ class MetricRegistry:
             merged += 1
         return merged
 
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4).
-
-        Counters/gauges emit one sample per label set; histograms emit
-        cumulative ``_bucket{le=...}`` samples plus ``_sum``/``_count``,
-        exactly as a scrape endpoint would so the dump drops into
-        ``promtool``/Grafana unchanged.  Every family gets ``# HELP``
-        (a generated fallback when none was registered) and ``# TYPE``
-        lines, with help text escaped per the exposition format.
-        """
-        by_name: Dict[str, List[Any]] = {}
-        for m in self:
-            by_name.setdefault(m.name, []).append(m)
-        lines: List[str] = []
-        for name in sorted(by_name):
-            kind = self._kinds[name]
-            help_text = self._help.get(name) or f"{kind} {name}"
-            lines.append(f"# HELP {name} {_prom_escape_help(help_text)}")
-            lines.append(f"# TYPE {name} {kind}")
-            for m in by_name[name]:
-                if isinstance(m, Histogram):
-                    cum = 0
-                    for ub, n in m.bucket_bounds():
-                        cum += n
-                        lines.append(
-                            f"{name}_bucket{_prom_labels(m.labels, le=_prom_float(ub))} {cum}"
-                        )
-                    lines.append(
-                        f"{name}_bucket{_prom_labels(m.labels, le='+Inf')} {m.count}"
-                    )
-                    lines.append(f"{name}_sum{_prom_labels(m.labels)} {_prom_float(m.total)}")
-                    lines.append(f"{name}_count{_prom_labels(m.labels)} {m.count}")
-                else:
-                    lines.append(f"{name}{_prom_labels(m.labels)} {_prom_float(m.value)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_prometheus(self, path: str) -> str:
-        with open(path, "w") as fh:
-            fh.write(self.to_prometheus())
-        return path
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MetricRegistry({len(self)} instruments)"
-
-
-def _prom_float(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return repr(float(v))
-
-
-def _prom_escape(v: str) -> str:
-    return v.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _prom_escape_help(v: str) -> str:
-    # HELP text escapes backslash and newline only (not quotes) — text
-    # exposition format 0.0.4
-    return v.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _prom_labels(labels: Tuple[Tuple[str, str], ...], **extra: str) -> str:
-    items = list(labels) + sorted(extra.items())
-    if not items:
-        return ""
-    body = ",".join(f'{k}="{_prom_escape(v)}"' for k, v in items)
-    return "{" + body + "}"
 
 
 class _NullInstrument:
@@ -439,9 +372,6 @@ class NullRegistry:
 
     def snapshot(self) -> List[Dict[str, Any]]:
         return []
-
-    def to_prometheus(self) -> str:
-        return ""
 
 
 #: Shared disabled registry — the default target of :func:`metrics_registry`.

@@ -1,5 +1,5 @@
 """Unit tests for :mod:`repro.obs.metrics` — registry semantics, the
-null off switch, and the Prometheus / JSONL / Chrome-trace exports."""
+null off switch, and the JSONL / Chrome-trace exports."""
 
 import json
 import math
@@ -129,50 +129,6 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# prometheus exposition
-# ---------------------------------------------------------------------------
-class TestPrometheus:
-    def test_counter_and_gauge_lines(self):
-        reg = MetricRegistry()
-        reg.counter("ops_total", "operations", op="mxv").inc(3)
-        reg.gauge("level", "current level").set(1.5)
-        text = reg.to_prometheus()
-        assert "# HELP ops_total operations" in text
-        assert "# TYPE ops_total counter" in text
-        assert 'ops_total{op="mxv"} 3' in text
-        assert "# TYPE level gauge" in text
-        assert "level 1.5" in text
-        assert text.endswith("\n")
-
-    def test_histogram_exposition_is_cumulative(self):
-        reg = MetricRegistry()
-        h = reg.histogram("sz", "sizes")
-        for v in (1, 2, 1000):
-            h.observe(v)
-        text = reg.to_prometheus()
-        assert 'sz_bucket{le="1"} 1' in text
-        assert 'sz_bucket{le="2"} 2' in text
-        assert 'sz_bucket{le="1024"} 3' in text
-        assert 'sz_bucket{le="+Inf"} 3' in text
-        assert "sz_sum 1003" in text
-        assert "sz_count 3" in text
-
-    def test_label_escaping(self):
-        reg = MetricRegistry()
-        reg.counter("c", path='a"b\\c').inc()
-        assert 'path="a\\"b\\\\c"' in reg.to_prometheus()
-
-    def test_write_prometheus(self, tmp_path):
-        reg = MetricRegistry()
-        reg.counter("c").inc()
-        path = reg.write_prometheus(str(tmp_path / "m.prom"))
-        assert open(path).read() == reg.to_prometheus()
-
-    def test_empty_registry_exposition(self):
-        assert MetricRegistry().to_prometheus() == ""
-
-
-# ---------------------------------------------------------------------------
 # null off switch + activation
 # ---------------------------------------------------------------------------
 class TestNullAndActivation:
@@ -193,7 +149,6 @@ class TestNullAndActivation:
         assert nr.value("x") is None
         assert nr.total("x") == 0.0
         assert nr.snapshot() == []
-        assert nr.to_prometheus() == ""
 
     def test_null_instruments_are_shared_and_falsy(self):
         nr = NullRegistry()

@@ -1,6 +1,8 @@
 """Tests for the command-line interface (python -m repro)."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.graphs import generators as gen
 from repro.graphs import io as gio
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -392,6 +396,112 @@ class TestExplain:
             build_parser().parse_args(
                 ["explain", "archaea", "--preset", "gremlins"]
             )
+
+
+@pytest.fixture()
+def ledger(tmp_path):
+    """The committed e2e record and the BENCHMARK.json next to it, copied
+    into *tmp_path* so a test can plant changes in a current record."""
+    for name in ("BENCH_e2e.json", "BENCHMARK.json"):
+        shutil.copy(ROOT / name, tmp_path / name)
+    return tmp_path
+
+
+def _regress(ledger, edit=None):
+    """``repro regress`` of an edited copy of the committed record."""
+    rec = json.loads((ledger / "BENCH_e2e.json").read_text())
+    if edit is not None:
+        edit(rec)
+    cur = ledger / "current.json"
+    cur.write_text(json.dumps(rec))
+    return main(["regress", "--current", str(cur),
+                 "--baseline", str(ledger / "BENCH_e2e.json")])
+
+
+class TestRegress:
+    def test_committed_record_covers_every_workload(self):
+        rec = json.loads((ROOT / "BENCH_e2e.json").read_text())
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        assert rec["seed"] == 1 and not rec["smoke"]
+        assert set(rec["workloads"]) == {w["name"] for w in spec["workloads"]}
+        for run in rec["workloads"].values():
+            assert run["failed"] == 0 and run["attempted"] > 0
+            assert "core.iterations" in run["layers"]
+
+    def test_identical_records_pass(self, ledger, capsys):
+        assert _regress(ledger) == 0
+        assert "all match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workload, metric, delta", [
+        ("protein-dist64", "mpisim.model_words", 0.5),
+        ("metagenome-serial", "core.iterations", 1),
+        ("rmat-serial", "kernels.spmv_bytes", 8),
+        ("protein-dist64", "mpisim.model_s", 1e-12),
+        ("protein-proc2", "parallel.payload_bytes", -1),
+    ])
+    def test_moved_counter_fails_and_is_named(self, ledger, capsys,
+                                              workload, metric, delta):
+        def edit(rec):
+            rec["workloads"][workload]["layers"][metric] += delta
+
+        assert _regress(ledger, edit) == 1
+        assert f"{workload} {metric}: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("part, metric", [
+        ("layers", "graphblas.mxv_share"),
+        ("layers", "parallel.worker_wait_share"),
+        ("layers", "baselines.fastsv_s"),
+        ("metrics", "wall_s"),
+        ("metrics", "peak_rss_mb"),
+    ])
+    def test_timing_metrics_are_not_gated(self, ledger, part, metric):
+        def edit(rec):
+            for run in rec["workloads"].values():
+                run[part][metric] = 2 * run[part][metric] + 1
+
+        assert _regress(ledger, edit) == 0
+
+    @pytest.mark.parametrize("field, value", [("failed", 1), ("attempted", 0)])
+    def test_failed_or_empty_workload_fails(self, ledger, capsys, field,
+                                            value):
+        def edit(rec):
+            rec["workloads"]["rmat-serial"][field] = value
+
+        assert _regress(ledger, edit) == 1
+        assert "rmat-serial: " in capsys.readouterr().out
+
+    def test_dropped_workload_fails(self, ledger, capsys):
+        def edit(rec):
+            del rec["workloads"]["protein-proc2"]
+
+        assert _regress(ledger, edit) == 1
+        out = capsys.readouterr().out
+        assert "protein-proc2: missing from the current record" in out
+
+    def test_dropped_counter_fails(self, ledger, capsys):
+        def edit(rec):
+            del rec["workloads"]["protein-dist64"]["layers"]["core.iterations"]
+
+        assert _regress(ledger, edit) == 1
+        assert ("protein-dist64 core.iterations: missing from the current "
+                "record") in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [("seed", 2), ("smoke", True)])
+    def test_incomparable_records_exit_2(self, ledger, capsys, key, value):
+        def edit(rec):
+            rec[key] = value
+
+        assert _regress(ledger, edit) == 2
+        assert "not comparable" in capsys.readouterr().err
+
+    def test_missing_file_exits_2(self, ledger, capsys):
+        assert main(["regress", "--current", str(ledger / "nope.json"),
+                     "--baseline", str(ledger / "BENCH_e2e.json")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_current_is_required(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["regress"])
 
 
 class TestParser:
