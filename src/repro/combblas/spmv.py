@@ -1,19 +1,23 @@
-"""Literal 2D-distributed SpMV / SpMSpV over SimComm (§V-A).
+"""Literal 2D-distributed SpMV / SpMSpV over a communicator (§V-A).
 
 :meth:`repro.combblas.distmatrix.DistMatrix.charge_mxv` *prices* the
 paper's matrix-vector product; this module *executes* it, with the exact
-communication structure §V-A describes:
+communication structure §V-A describes.  The input and the output are
+block-distributed vectors: rank *r* holds the ``(local offsets, values)``
+of its own range ``grid.local_range(r)``, and every byte moves through the
+caller's communicator.
 
-1. **gather** — an allgather within each processor *column* assembles the
-   piece of the input vector the column's blocks multiply against
-   ("a gather operation to collect the missing pieces of the vector");
+1. **gather** — each processor *column* assembles the piece of the input
+   vector its blocks multiply against ("a gather operation to collect the
+   missing pieces of the vector"): one ``alltoallv`` in which every rank
+   sends its entries of column-block *j* to each rank of processor column
+   *j*;
 2. **local multiply** — each rank multiplies its DCSC block on the
    *(Select2nd, min)* (or any) semiring;
-3. **reduce-scatter** — within each processor *row*, partial outputs are
-   merged back to the block distribution; the dense path uses an
-   element-wise reduce-scatter, the sparse path exchanges (index, value)
-   pairs and merge-reduces locally, mirroring CombBLAS's SpMV/SpMSpV
-   split.
+3. **route** — within each processor *row*, partial outputs travel back
+   to the block distribution as (index, value) pairs fused in one array
+   per destination, one ``alltoallv``, and each owner merge-reduces what
+   it received — CombBLAS's SpMSpV "all-to-all followed by a local merge".
 
 The result is checked against the serial :func:`repro.graphblas.ops.mxv`
 in the test suite for every grid size — this is the ground truth the
@@ -22,144 +26,89 @@ analytic cost formulas stand on.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.graphblas import Matrix, Vector
 from repro.graphblas.ops import gather_multiply, reduce_by_rows
 from repro.graphblas.semiring import Semiring
-from repro.mpisim.backend import make_comm
-from repro.mpisim.comm import SimComm
-from repro.mpisim.grid import ProcessGrid
 
 from .distmatrix import DistMatrix
 
 __all__ = ["dist_mxv"]
 
+#: a sparse block-distributed vector: rank r's (local offsets, values)
+SparseBlocks = List[Tuple[np.ndarray, np.ndarray]]
 
-def _vector_blocks(grid: ProcessGrid, x: Vector) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Split a sparse vector into per-rank (local indices, values) under
-    the block distribution (vectors are block-distributed over all p)."""
-    idx, vals = x.sparse_arrays()
-    owners = grid.vec_owner(idx) if idx.size else idx
-    out = []
-    for r in range(grid.nprocs):
-        lo, _ = grid.local_range(r)
-        sel = owners == r
-        out.append((idx[sel] - lo, vals[sel]))
-    return out
+
+def _fused(idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """One message carrying (index, value) pairs: indices, then values."""
+    return np.concatenate([idx, np.asarray(vals, dtype=np.int64)])
+
+
+def _unfused(row: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """The indices and the values of the :func:`_fused` messages *row*."""
+    halves = [np.split(msg, 2) for msg in row]
+    return (np.concatenate([h[0] for h in halves]),
+            np.concatenate([h[1] for h in halves]))
 
 
 def dist_mxv(
-    dmat: DistMatrix,
-    x: Vector,
-    semiring: Semiring,
-    comm: Optional[SimComm] = None,
-) -> Vector:
+    dmat: DistMatrix, x: SparseBlocks, semiring: Semiring, comm
+) -> SparseBlocks:
     """Compute ``y = A ⊕.⊗ x`` with literal per-rank data movement.
 
-    *x* is given (and *y* returned) in the **permuted** vertex space of
-    *dmat* — callers working in original coordinates should permute with
-    ``dmat.perm`` / ``dmat.inv_perm``.
-
-    The input is first scattered to its block owners; every collective
-    below moves data between per-rank buffers through *comm*.
+    ``x[r]`` is rank *r*'s ``(local offsets, int64 values)`` under
+    ``dmat.grid``'s block vector distribution; ``y`` is returned the same
+    way.  Both are in the **permuted** vertex space of *dmat* — callers
+    working in original coordinates should permute with ``dmat.perm`` /
+    ``dmat.inv_perm``.  *comm* carries the two ``alltoallv``\\ s; anything
+    with a communicator's ``alltoallv`` serves.
     """
     grid = dmat.grid
-    n = grid.n
-    if x.size != n:
-        raise ValueError(f"vector size {x.size} != matrix dimension {n}")
-    comm = comm or make_comm(grid.nprocs)
-    side = grid.side
+    p, side, blk = grid.nprocs, grid.side, grid.block
+    if len(x) != p:
+        raise ValueError(f"x has {len(x)} blocks, the grid has {p} ranks")
 
-    # vector blocks live on all p ranks; processor column j needs the
-    # subvector covering global columns [j*block, (j+1)*block)
-    blocks = _vector_blocks(grid, x)
+    # --- stage 1: gather within processor columns ----------------------
+    # rank r sends the entries of column-block j (global ids) to every
+    # rank of processor column j, which concatenates them in rank order
+    send = [[None] * p for _ in range(p)]
+    for r, (li, lv) in enumerate(x):
+        gi = np.asarray(li, dtype=np.int64) + grid.local_range(r)[0]
+        col = gi // blk
+        for j in range(side):
+            sel = np.flatnonzero(col == j)
+            msg = _fused(gi[sel], np.asarray(lv)[sel])
+            for i in range(side):
+                send[r][grid.rank_of(i, j)] = msg
+    gathered = comm.alltoallv(send)  # gathered[q][r]
 
-    # --- stage 1: allgather within processor columns -------------------
-    # the ranks whose vector chunks intersect column-block j contribute
-    # their overlapping entries; an allgather shares the assembled
-    # subvector with the whole processor column.  (When n divides evenly,
-    # the contributors are exactly ranks j*side .. j*side+side-1, the
-    # aligned layout CombBLAS uses; the intersection test also covers
-    # ragged sizes.)
-    col_inputs: List[Tuple[np.ndarray, np.ndarray]] = [None] * side
-    for j in range(side):
-        blk_lo, blk_hi = j * grid.block, min((j + 1) * grid.block, n)
-        idx_bufs, val_bufs = [], []
-        for r in range(grid.nprocs):
-            lo, hi = grid.local_range(r)
-            if hi <= blk_lo or lo >= blk_hi:
-                continue
-            li, lv = blocks[r]
-            gi = li + lo
-            sel = (gi >= blk_lo) & (gi < blk_hi)
-            idx_bufs.append(gi[sel])
-            val_bufs.append(lv[sel])
-        if idx_bufs:
-            sub = make_comm(len(idx_bufs))
-            gathered_idx = sub.allgather(idx_bufs)[0]
-            gathered_val = sub.allgather(val_bufs)[0]
-        else:
-            gathered_idx = np.empty(0, dtype=np.int64)
-            gathered_val = np.empty(0, dtype=x.dtype)
-        col_inputs[j] = (gathered_idx, gathered_val)
-
-    # --- stage 2: local multiply on each block --------------------------
-    # partials[i][j] = (local row ids, values) produced by block (i, j)
-    partials = [[None] * side for _ in range(side)]
-    for rank in range(grid.nprocs):
+    # --- stages 2 and 3: multiply each block, route rows to owners -----
+    send = [[None] * p for _ in range(p)]
+    for rank in range(p):
         i, j = grid.coords(rank)
-        block = dmat.local_block(rank)
-        gidx, gval = col_inputs[j]
-        local_cols = gidx - j * grid.block
-        rows, avals, src = block.columns_of(local_cols)
+        gidx, gval = _unfused(gathered[rank])
+        rows, avals, src = dmat.local_block(rank).columns_of(gidx - j * blk)
         if rows.size:
             # Select2nd-kind multiplies gather the vector values directly;
             # the per-row reduce shares the serial kernels' packed-key
             # min/max fast path (local row ids are < grid.block)
             prods = gather_multiply(semiring, avals, gval[src])
-            ri, rv, _ = reduce_by_rows(prods, rows, semiring.add, grid.block)
-            partials[i][j] = (ri, rv)
+            rows, vals, _ = reduce_by_rows(prods, rows, semiring.add, blk)
         else:
-            partials[i][j] = (rows, np.empty(0, dtype=x.dtype))
-
-    # --- stage 3: route outputs back to the vector distribution --------
-    # each partial (row, value) pair travels to the rank owning that
-    # vector element (within a row group when sizes divide evenly; the
-    # irregular all-to-all also covers ragged layouts), then owners merge
-    # duplicates with the add monoid — CombBLAS's SpMSpV
-    # "all-to-all followed by a local merge".
-    p = grid.nprocs
-    send_idx = [[np.empty(0, np.int64)] * p for _ in range(p)]
-    send_val = [[np.empty(0, np.int64)] * p for _ in range(p)]
-    for rank in range(p):
-        i, j = grid.coords(rank)
-        rows, vals = partials[i][j]
-        grows = rows + i * grid.block
-        owners = grid.vec_owner(grows) if grows.size else grows
+            vals = np.empty(0, dtype=np.int64)
+        grows = rows + i * blk
+        owners = grid.vec_owner(grows)
         for o in range(p):
-            sel = owners == o
-            send_idx[rank][o] = grows[sel]
-            send_val[rank][o] = vals[sel]
-    recv_idx = comm.alltoallv(send_idx)
-    recv_val = comm.alltoallv(send_val)
+            sel = np.flatnonzero(owners == o)
+            send[rank][o] = _fused(grows[sel] - grid.local_range(o)[0], vals[sel])
+    routed = comm.alltoallv(send)  # routed[o][rank]
 
-    out_idx_parts: List[np.ndarray] = []
-    out_val_parts: List[np.ndarray] = []
+    out = []
     for o in range(p):
-        allidx = np.concatenate(recv_idx[o]) if recv_idx[o] else np.empty(0, np.int64)
-        allval = np.concatenate(recv_val[o]) if recv_val[o] else np.empty(0, np.int64)
-        if allidx.size:
-            allidx, allval, _ = reduce_by_rows(allval, allidx, semiring.add, n)
-        out_idx_parts.append(allidx)
-        out_val_parts.append(allval)
-
-    if out_idx_parts:
-        oi = np.concatenate(out_idx_parts)
-        ov = np.concatenate(out_val_parts)
-    else:
-        oi = np.empty(0, dtype=np.int64)
-        ov = np.empty(0, dtype=np.int64)
-    return Vector.sparse(n, oi, ov)
+        idx, vals = _unfused(routed[o])
+        if idx.size:
+            idx, vals, _ = reduce_by_rows(vals, idx, semiring.add, grid.local_size(o))
+        out.append((idx, vals))
+    return out

@@ -40,7 +40,16 @@ from repro.graphblas import Matrix
 from repro.graphblas import kernels as _kernels
 from repro.graphblas.ops import MASKED_SPMV_ROW_FRACTION
 
-__all__ = ["ActiveSet", "converged_star_vertices"]
+__all__ = ["ActiveSet", "converged_star_vertices", "iteration_bound"]
+
+
+def iteration_bound(n: int) -> int:
+    """Safety bound on LACC iterations over *n* vertices, ``4·⌈log2 n⌉ + 8``.
+
+    AS converges in ``O(log n)`` iterations, so a driver that reaches the
+    bound has a bug and raises ``RuntimeError``.
+    """
+    return 4 * max(int(np.ceil(np.log2(max(n, 2)))), 1) + 8
 
 
 def converged_star_vertices(

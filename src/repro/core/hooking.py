@@ -13,7 +13,9 @@ parents onto the star roots with ``GrB_assign``:
 
 Multiple vertices of one star may propose different parents; we combine
 proposals per root with *min*, which keeps the algorithm deterministic and
-preserves the min-id labelling convention.
+preserves the min-id labelling convention, and then *assign* the result to
+the root (``GrB_assign``): the root's current parent takes no part in the
+min.  :func:`assign_min` is that write, and every driver's hooks call it.
 
 The steps work on the parent array: the only GraphBLAS call is the masked
 ``mxv`` (the paper's SpMV), whose input is the parent array wrapped as a
@@ -37,7 +39,7 @@ from repro.graphblas import semirings as sr
 from repro.graphblas.descriptor import Mask
 from repro.graphblas.monoid import MIN_INT64
 
-__all__ = ["cond_hook", "uncond_hook", "HookReport"]
+__all__ = ["cond_hook", "uncond_hook", "assign_min", "HookReport"]
 
 
 @dataclass
@@ -76,6 +78,20 @@ def _min_neighbour_parent(
     return fn.sparse_arrays()
 
 
+def assign_min(f: np.ndarray, roots: np.ndarray, proposals: np.ndarray):
+    """The hook write of Algorithms 3–4: combine the proposals per root
+    with min and assign ``f[root] = min`` (Algorithm 3, lines 6–12).
+
+    ``proposals[k]`` is offered to root ``roots[k]``.  Returns the
+    ``(roots, values)`` written, one entry per distinct root.
+    """
+    if roots.size == 0:
+        return roots, proposals
+    idx, vals, _ = _kernels.impl().reduce_by_rows(proposals, roots, MIN_INT64, f.size)
+    f[idx] = vals
+    return idx, vals
+
+
 def _scatter_hooks(
     f: np.ndarray, hook_vertices: np.ndarray, proposals: np.ndarray
 ) -> HookReport:
@@ -83,14 +99,9 @@ def _scatter_hooks(
 
     ``proposals[k]`` is the new parent id star vertex ``hook_vertices[k]``
     offers its root.  Identify the roots (``f[hook_vertices]`` — within a
-    star only the root can be a parent), combine duplicate proposals with
-    min, and scatter ``f[roots] = proposals`` (Algorithm 3, lines 6–12).
+    star only the root can be a parent) and :func:`assign_min` onto them.
     """
-    roots = f[hook_vertices]
-    if roots.size == 0:
-        return HookReport(0, roots, proposals, hook_vertices)
-    idx, vals, _ = _kernels.impl().reduce_by_rows(proposals, roots, MIN_INT64, f.size)
-    f[idx] = vals
+    idx, vals = assign_min(f, f[hook_vertices], proposals)
     return HookReport(int(idx.size), idx, vals, hook_vertices)
 
 

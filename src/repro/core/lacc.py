@@ -55,7 +55,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer, current
 from repro.obs.tracer import flight_recorder as _freg
 from repro.obs.tracer import metrics_registry as _mreg
 
-from .convergence import ActiveSet, converged_star_vertices
+from .convergence import ActiveSet, converged_star_vertices, iteration_bound
 from .hooking import cond_hook, uncond_hook
 from .shortcut import shortcut
 from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
@@ -201,8 +201,8 @@ def lacc(
         Enable the paper's §IV-B optimisations (Lemma 1 convergence
         tracking and Table I scoping).  Off = the unoptimised AS algorithm.
     max_iterations:
-        Safety bound; defaults to ``4·⌈log2 n⌉ + 8``.  AS converges in
-        ``O(log n)`` iterations, so hitting the bound indicates a bug and
+        Safety bound; defaults to
+        :func:`~repro.core.convergence.iteration_bound`, and hitting it
         raises ``RuntimeError``.
     collect_stats:
         Fill per-iteration counters/timers (cheap; disable only for the
@@ -267,7 +267,7 @@ def _run(
     n = A.nrows
     stats = LACCStats(n_vertices=n)
     if max_iterations is None:
-        max_iterations = 4 * max(int(np.ceil(np.log2(max(n, 2)))), 1) + 8
+        max_iterations = iteration_bound(n)
     driver = run_start["driver"]
     fr = _freg()
     if fr:

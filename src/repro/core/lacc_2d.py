@@ -1,21 +1,22 @@
 """LACC over the literal 2D CombBLAS machinery.
 
-Third execution model, completing the fidelity ladder:
+One of four execution models of the same algorithm:
 
 1. :func:`repro.core.lacc` — serial GraphBLAS (the algorithm itself);
 2. :func:`repro.core.lacc_dist` — analytic α–β pricing of a 2D run;
 3. :func:`repro.core.lacc_spmd` — literal message passing, 1D edge layout;
 4. **this module** — literal message passing with the paper's actual data
    distribution: the adjacency matrix on a ``√p × √p`` grid, hooking via
-   the real two-stage :func:`repro.combblas.dist_mxv` (column allgather →
-   block multiply → row routing), vectors block-distributed.  Everything
-   but the setup and the hooks is :mod:`~repro.core.lacc_spmd`'s loop:
-   its request/reply starcheck, whose grandparents the shortcut reuses,
-   its step spans and its convergence allreduce.
+   the real two-stage :func:`repro.combblas.dist_mxv` (column gather →
+   block multiply → row routing) on the driver's communicator, vectors
+   block-distributed.  Everything but the setup and the hook proposals
+   is :mod:`~repro.core.lacc_spmd`'s loop: its request/reply starcheck,
+   whose grandparents the shortcut reuses, its hook write, its step spans
+   and its convergence allreduce.
 
-Per-rank state only ever moves through :class:`repro.mpisim.SimComm`
-collectives; the tests pin the output to serial LACC and ground truth on
-every grid size.
+Per-rank state only ever moves through the one communicator's
+collectives, under its FaultPlan and into :attr:`SPMDResult.words_sent`;
+the tests pin the output to serial LACC's parents and iteration count.
 """
 
 from __future__ import annotations
@@ -26,10 +27,7 @@ import numpy as np
 
 from repro.combblas.distmatrix import DistMatrix
 from repro.combblas.spmv import dist_mxv
-from repro.graphblas import Vector
-from repro.graphblas import kernels as _kernels
 from repro.graphblas import semirings as sr
-from repro.graphblas.monoid import MIN_INT64
 from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
 from repro.mpisim.grid import ProcessGrid
@@ -43,7 +41,7 @@ __all__ = ["lacc_2d"]
 def lacc_2d(
     g: EdgeList,
     ranks: int = 4,
-    max_iterations: int = 10_000,
+    max_iterations: Optional[int] = None,
     faults=None,
     cost=None,
     initial_parents: Optional[np.ndarray] = None,
@@ -58,6 +56,8 @@ def lacc_2d(
     (transient faults recover; permanent ones raise
     :class:`repro.faults.CollectiveError`); an optional
     :class:`repro.mpisim.CostModel` (``cost``) prices recovery time.
+    *max_iterations* defaults to serial LACC's
+    :func:`~repro.core.convergence.iteration_bound`.
     ``initial_parents`` / ``start_iteration`` / ``on_iteration`` are the
     checkpoint-resume hooks of :mod:`repro.core.snapshot`; each iteration
     runs inside an ``iteration`` span so raised
@@ -77,45 +77,23 @@ def lacc_2d(
     f = dist.distribute(f0)
     star = dist.distribute(np.ones(n, dtype=np.int64))
 
-    def global_vector(restrict_to_nonstars: bool) -> Vector:
-        """Assemble the mxv input from per-rank blocks (each rank
-        contributes only its own entries, like the SpMV gather's senders)."""
-        idx_parts, val_parts = [], []
+    def hook(conditional: bool):
+        """One hooking phase's per-rank ``(roots, proposals)``: each rank
+        contributes its block of ``f`` (restricted to nonstars for the
+        unconditional hook) to the paper's mxv over *(Select2nd, min)*,
+        executed on the 2D grid, and reads its own output block."""
+        x = []
         for r in range(ranks):
-            if restrict_to_nonstars:
-                local = np.flatnonzero(star[r] == 0)
-            else:
-                local = np.arange(f[r].size)
-            idx_parts.append(local + dist.lo(r))
-            val_parts.append(f[r][local])
-        idx = np.concatenate(idx_parts)
-        vals = np.concatenate(val_parts)
-        return Vector.sparse(n, idx, vals)
-
-    def hook(conditional: bool) -> int:
-        x = global_vector(restrict_to_nonstars=not conditional)
-        if x.nvals == 0:
-            return 0
-        # the paper's mxv over (Select2nd, min), executed on the 2D grid
-        fn = dist_mxv(dmat, x, sr.SEL2ND_MIN_INT64)
-        fn_vals, fn_present = fn.dense_arrays()
-        targets, values = [], []
-        for r in range(ranks):
-            lo, hi = dist.lo(r), dist.hi(r)
-            pres = fn_present[lo:hi]
-            prop = fn_vals[lo:hi]
-            is_star = star[r] == 1
-            if conditional:
-                fire = pres & is_star & (prop < f[r])
-            else:
-                fire = pres & is_star & (prop != f[r])
-            # pre-combine locally: the smallest proposal per root
-            roots, proposal, _ = _kernels.impl().reduce_by_rows(
-                prop[fire], f[r][fire], MIN_INT64, n
-            )
-            targets.append(roots)
-            values.append(proposal)
-        return dist.scatter_min(f, targets, values)
+            local = np.arange(f[r].size) if conditional else np.flatnonzero(star[r] == 0)
+            x.append((local, f[r][local]))
+        roots, proposals = [], []
+        for r, (idx, prop) in enumerate(dist_mxv(dmat, x, sr.SEL2ND_MIN_INT64, dist)):
+            fu = f[r][idx]
+            fire = star[r][idx] == 1
+            fire &= (prop < fu) if conditional else (prop != fu)
+            roots.append(fu[fire])
+            proposals.append(prop[fire])
+        return roots, proposals
 
     return _run(
         dist, f, star, hook, bool(A.nvals), max_iterations, start_iteration,

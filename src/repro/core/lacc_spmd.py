@@ -15,7 +15,9 @@ another rank's block directly.  Per iteration:
 2. **conditional hooking** — local proposal generation
    (``star[u] ∧ f[v] < f[u]``), min-combined locally, routed to the root
    owners as one (target, value) array per destination in a single
-   alltoallv, min-applied there;
+   alltoallv; each owner combines what it received with min and assigns
+   it, :func:`repro.core.hooking.assign_min` (the root's current parent
+   takes no part in the min);
 3. **unconditional hooking** — same shape with the Lemma-2 condition
    (star hooks onto a *nonstar* neighbour's parent);
 4. **shortcut** — ``f ← gf`` from the grandparents the preceding
@@ -31,18 +33,18 @@ another rank's block directly.  Per iteration:
    sits in a star.
 
 That is 16 alltoallvs per iteration plus one per run.  The iteration is
-one loop, :func:`_run`, with the hooks supplied by the driver;
+one loop, :func:`_run`, with the hook proposals supplied by the driver;
 :func:`repro.core.lacc_2d.lacc_2d` runs it too, with its own setup and
-hooks.  The test suite
-checks this execution against serial LACC and ground truth on every grid
-size, and checks that :attr:`SPMDResult.words_sent` equals the words its
-``alltoallv`` spans report.
+proposals.  The test suite checks that this execution returns serial
+LACC's parents and iteration count on every rank count, and that
+:attr:`SPMDResult.words_sent` equals the words its ``alltoallv`` spans
+report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +57,8 @@ from repro.mpisim.comm import SimComm
 from repro.obs.tracer import flight_recorder as _freg
 from repro.obs.tracer import current as _obs
 
+from .convergence import iteration_bound
+from .hooking import assign_min
 from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
 
 __all__ = ["lacc_spmd", "SPMDResult"]
@@ -99,8 +103,9 @@ class _Dist:
     A distributed vector is a list of per-rank blocks; block *r* holds
     global indices ``lo(r):hi(r)``.  Every cross-rank access is one
     ``alltoallv``: :meth:`request` ships indices to their owners and
-    :meth:`reply` answers them, :meth:`scatter_min` and :meth:`clear`
-    route updates to the owners.
+    :meth:`reply` answers them, :meth:`hook` and :meth:`clear` route
+    updates to the owners.  :func:`repro.combblas.spmv.dist_mxv` takes a
+    ``_Dist`` as its communicator, so its traffic is counted too.
 
     :attr:`words` counts the payload words that crossed a rank boundary,
     as the communicator's ``alltoallv`` spans count them: a rank's
@@ -124,7 +129,8 @@ class _Dist:
         """Per-rank block copies of the global vector *init*."""
         return [init[self.lo(r) : self.hi(r)].copy() for r in range(self.p)]
 
-    def _alltoallv(self, send: List[Blocks]) -> List[Blocks]:
+    def alltoallv(self, send: List[Blocks]) -> List[Blocks]:
+        """``comm.alltoallv``, counting the off-rank words."""
         p = self.p
         self.words += sum(send[r][o].size for r in range(p) for o in range(p) if o != r)
         return self.comm.alltoallv(send)
@@ -140,7 +146,7 @@ class _Dist:
         returned plan, which every later :meth:`reply` answers."""
         reqs = [np.asarray(q, dtype=np.int64) for q in requests]
         back = [self._by_owner(q) for q in reqs]
-        recv = self._alltoallv([[q[s] for s in sel] for q, sel in zip(reqs, back)])
+        recv = self.alltoallv([[q[s] for s in sel] for q, sel in zip(reqs, back)])
         local = [[idx - self.lo(o) for idx in recv[o]] for o in range(self.p)]
         return _Plan([q.size for q in reqs], back, local)
 
@@ -153,7 +159,7 @@ class _Dist:
             [np.concatenate([v[o][idx] for v in vectors]) for idx in plan.local[o]]
             for o in range(p)
         ]
-        recv = self._alltoallv(send)  # recv[r][o]
+        recv = self.alltoallv(send)  # recv[r][o]
         out = [[np.empty(size, dtype=np.int64) for size in plan.sizes] for _ in vectors]
         for r in range(p):
             for o, sel in enumerate(plan.back[r]):
@@ -164,8 +170,8 @@ class _Dist:
 
     def _route(self, targets: Blocks, values: Optional[Blocks] = None):
         """Ship each rank's targets, with their values in the same array,
-        to the targets' owners in one alltoallv.  Returns one
-        ``(owner, block offsets, values or None)`` per nonempty message."""
+        to the targets' owners in one alltoallv.  Returns, per owner, the
+        block offsets it received and their values (``None`` without)."""
         send = []
         for r in range(self.p):
             t = np.asarray(targets[r], dtype=np.int64)
@@ -176,27 +182,33 @@ class _Dist:
                 v = np.asarray(values[r], dtype=np.int64)
                 send.append([np.concatenate([t[s], v[s]]) for s in sel])
         out = []
-        for o, row in enumerate(self._alltoallv(send)):
-            for msg in row:
-                if not msg.size:
-                    continue
-                t, v = (msg, None) if values is None else np.split(msg, 2)
-                out.append((o, t - self.lo(o), v))
+        for o, row in enumerate(self.alltoallv(send)):
+            if values is None:
+                t, v = np.concatenate(row), None
+            else:
+                halves = [np.split(msg, 2) for msg in row]
+                t = np.concatenate([h[0] for h in halves])
+                v = np.concatenate([h[1] for h in halves])
+            out.append((t - self.lo(o), v))
         return out
 
-    def scatter_min(self, vec: Blocks, targets: Blocks, values: Blocks) -> int:
-        """Route (index, value) pairs to owners; owners apply
-        ``vec[i] = min(vec[i], v)``.  Returns #elements changed."""
-        changed = 0
-        for o, local, v in self._route(targets, values):
-            before = vec[o][local]
-            np.minimum.at(vec[o], local, v)
-            changed += int(np.count_nonzero(vec[o][local] != before))
-        return changed
+    def hook(self, f: Blocks, roots: Blocks, proposals: Blocks) -> int:
+        """Write hook proposals onto their roots: ``proposals[r][k]`` is
+        rank *r*'s offer to root ``roots[r][k]``.  Each rank min-combines
+        its offers per root, one alltoallv routes them to the roots'
+        owners, and each owner writes what it received with
+        :func:`~repro.core.hooking.assign_min`.  Returns the number of
+        roots written."""
+        combined = [
+            _kernels.impl().reduce_by_rows(v, t, MIN_INT64, self.n)
+            for t, v in zip(roots, proposals)
+        ]
+        routed = self._route([c[0] for c in combined], [c[1] for c in combined])
+        return sum(int(assign_min(f[o], t, v)[0].size) for o, (t, v) in enumerate(routed))
 
     def clear(self, vec: Blocks, targets: Blocks) -> None:
         """Route indices to owners; owners set ``vec[i] = 0``."""
-        for o, local, _ in self._route(targets):
+        for o, (local, _) in enumerate(self._route(targets)):
             vec[o][local] = 0
 
 
@@ -236,7 +248,7 @@ def _shortcut(f: Blocks, gf: Blocks) -> int:
 def lacc_spmd(
     g: EdgeList,
     ranks: int = 4,
-    max_iterations: int = 10_000,
+    max_iterations: Optional[int] = None,
     faults=None,
     cost=None,
     initial_parents: Optional[np.ndarray] = None,
@@ -252,6 +264,10 @@ def lacc_spmd(
     ranks:
         Number of simulated SPMD ranks (any positive count — this 1D
         layout has no square-grid restriction).
+    max_iterations:
+        Safety bound; defaults to serial LACC's
+        :func:`~repro.core.convergence.iteration_bound`, and hitting it
+        raises ``RuntimeError``.
     faults:
         Optional :class:`repro.faults.FaultPlan`.  Transient faults are
         healed by the :class:`SimComm` retry-with-validation envelope, so
@@ -304,8 +320,8 @@ def lacc_spmd(
     star = dist.distribute(np.ones(n, dtype=np.int64))
     hook_plan: Optional[_Plan] = None
 
-    def hook(conditional: bool) -> int:
-        """One hooking phase; returns #roots whose parent changed.
+    def hook(conditional: bool) -> Tuple[Blocks, Blocks]:
+        """One hooking phase's per-rank ``(roots, proposals)``.
 
         Each rank reads ``f`` and ``star`` at its endpoint set ``req``
         from one fused reply, and its edges' endpoints off that reply
@@ -316,7 +332,7 @@ def lacc_spmd(
         if hook_plan is None:
             hook_plan = dist.request(req)
         fvals, svals = dist.reply(hook_plan, f, star)
-        targets, values = [], []
+        roots, proposals = [], []
         for r in range(ranks):
             fu, fv = fvals[r][iu[r]], fvals[r][iv[r]]
             if conditional:
@@ -324,13 +340,10 @@ def lacc_spmd(
             else:
                 # star u hooks onto a nonstar neighbour's parent
                 fire = (svals[r][iu[r]] == 1) & (svals[r][iv[r]] == 0) & (fv != fu)
-            # proposal: f[f[u]] <- f[v], pre-combined locally per root
-            roots, proposal, _ = _kernels.impl().reduce_by_rows(
-                fv[fire], fu[fire], MIN_INT64, n
-            )
-            targets.append(roots)
-            values.append(proposal)
-        return dist.scatter_min(f, targets, values)
+            # proposal: f[f[u]] <- f[v]
+            roots.append(fu[fire])
+            proposals.append(fv[fire])
+        return roots, proposals
 
     return _run(
         dist, f, star, hook, bool(eu.size), max_iterations, start_iteration,
@@ -342,19 +355,19 @@ def _run(
     dist: _Dist,
     f: Blocks,
     star: Blocks,
-    hook: Callable[[bool], int],
+    hook: Callable[[bool], Tuple[Blocks, Blocks]],
     has_edges: bool,
-    max_iterations: int,
+    max_iterations: Optional[int],
     start_iteration: int,
     on_iteration: Optional[IterationHook],
     **run_start,
 ) -> SPMDResult:
     """The block-distributed LACC loop of :func:`lacc_spmd` and
     :func:`repro.core.lacc_2d.lacc_2d`: the drivers differ only in their
-    setup and in ``hook(conditional)``, which runs one hooking phase on
-    the blocks *f* and *star* and returns the number of roots whose parent
-    changed.  ``run_start`` holds the driver's own fields of the flight
-    record's ``run_start`` event."""
+    setup and in ``hook(conditional)``, which returns one hooking phase's
+    per-rank ``(roots, proposals)`` from the blocks *f* and *star*;
+    :meth:`_Dist.hook` writes them.  ``run_start`` holds the driver's own
+    fields of the flight record's ``run_start`` event."""
     comm, faults = dist.comm, dist.comm.faults
     fr = _freg()
     if fr:
@@ -363,6 +376,8 @@ def _run(
             preset=faults.name if faults is not None else None,
             seed=faults.seed if faults is not None else None,
         )
+    if max_iterations is None:
+        max_iterations = iteration_bound(dist.n)
     iterations = start_iteration
     if dist.n and has_edges:
         for k in range(1, max_iterations + 1):
@@ -377,11 +392,11 @@ def _run(
                 with _obs().span("starcheck", "step"):
                     _starcheck(dist, f, star)
                 with _obs().span("cond_hook", "step"):
-                    hooks = hook(True)
+                    hooks = dist.hook(f, *hook(True))
                 with _obs().span("starcheck", "step"):
                     _starcheck(dist, f, star)
                 with _obs().span("uncond_hook", "step"):
-                    hooks += hook(False)
+                    hooks += dist.hook(f, *hook(False))
                 with _obs().span("starcheck", "step"):
                     gf = _starcheck(dist, f, star)
                 with _obs().span("shortcut", "step"):

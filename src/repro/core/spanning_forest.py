@@ -28,7 +28,7 @@ import numpy as np
 from repro.graphblas import Matrix
 from repro.graphblas.sorting import count_distinct
 
-from .convergence import ActiveSet, converged_star_vertices
+from .convergence import ActiveSet, converged_star_vertices, iteration_bound
 from .hooking import _min_neighbour_parent
 from .shortcut import shortcut
 from .starcheck import starcheck
@@ -122,9 +122,8 @@ def spanning_forest(A: Matrix, use_sparsity: bool = True) -> SpanningForest:
     active = ActiveSet(n, enabled=use_sparsity)
     if use_sparsity:
         active._active &= ~(A.row_degrees() == 0)
-    max_iterations = 4 * max(int(np.ceil(np.log2(max(n, 2)))), 1) + 8
     star = starcheck(f, active.mask)
-    for _ in range(max_iterations):
+    for _ in range(iteration_bound(n)):
         h1, eu, ev = _hook_with_witness(A, f, star, n, conditional=True)
         if h1:
             fu.append(eu)

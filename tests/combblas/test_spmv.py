@@ -7,15 +7,35 @@ from hypothesis import strategies as st
 
 import repro.graphblas as gb
 from repro.combblas import DistMatrix
-from repro.combblas.spmv import dist_mxv
+from repro.combblas import spmv
 from repro.graphblas import Vector
 from repro.graphblas import semirings as sr
 from repro.graphs import generators as gen
-from repro.mpisim import ProcessGrid
+from repro.mpisim import ProcessGrid, SimComm
+from repro.obs import Tracer, activate
 
 
 def dist(g, p, permute=False, seed=0):
     return DistMatrix(g.to_matrix(), ProcessGrid(p, g.n), permute=permute, seed=seed)
+
+
+def dist_mxv(dm, x, semiring, comm=None):
+    """:func:`spmv.dist_mxv` on the vector *x*, split into the grid's
+    blocks; the per-rank output blocks are joined back into a vector."""
+    grid = dm.grid
+    idx, vals = x.sparse_arrays()
+    blocks = []
+    for r in range(grid.nprocs):
+        lo, hi = grid.local_range(r)
+        sel = (idx >= lo) & (idx < hi)
+        blocks.append((idx[sel] - lo, vals[sel]))
+    out = spmv.dist_mxv(dm, blocks, semiring, comm or SimComm(grid.nprocs))
+    assert len(out) == grid.nprocs
+    return Vector.sparse(
+        grid.n,
+        np.concatenate([li + grid.local_range(r)[0] for r, (li, _) in enumerate(out)]),
+        np.concatenate([v for _, v in out]),
+    )
 
 
 def serial(A, x, semiring):
@@ -64,8 +84,21 @@ class TestAgainstSerial:
     def test_size_mismatch(self):
         g = gen.path_graph(10)
         dm = dist(g, 4)
+        empty = np.empty(0, np.int64)
         with pytest.raises(ValueError):
-            dist_mxv(dm, Vector.empty(9), sr.SEL2ND_MIN_INT64)
+            spmv.dist_mxv(dm, [(empty, empty)] * 3, sr.SEL2ND_MIN_INT64, SimComm(4))
+
+    @pytest.mark.parametrize("p", [1, 4, 9])
+    def test_two_alltoallvs_on_the_callers_comm(self, p):
+        """The column gather and the row routing are one alltoallv each on
+        the given communicator, and nothing else communicates."""
+        g = gen.erdos_renyi(60, 3.0, seed=8)
+        tr = Tracer()
+        with activate(tr):
+            dist_mxv(dist(g, p), Vector.iota(g.n), sr.SEL2ND_MIN_INT64)
+        spans = tr.find(cat="simcomm")
+        assert [sp.name for sp in spans] == ["alltoallv", "alltoallv"]
+        assert {sp.attrs["ranks"] for sp in spans} == {p}
 
     def test_other_semirings(self):
         g = gen.erdos_renyi(50, 3.0, seed=5)

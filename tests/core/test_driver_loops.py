@@ -12,7 +12,10 @@ loops are shared cannot move a number:
 * (b) ``lacc_dist``'s cost totals, per-step model seconds and per-iteration
   words/messages equal recorded values exactly;
 * (c) ``lacc_2d``'s words sent, iteration count and flight ``iteration``
-  events equal recorded values.
+  events equal recorded values;
+* (d) ``lacc_spmd`` (1, 2 and 4 ranks) and ``lacc_2d`` (1 and 4 ranks)
+  return the serial driver's parents byte for byte, in as many
+  iterations, hooking as many trees in each.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ import pytest
 from repro.core.lacc import lacc
 from repro.core.lacc_2d import lacc_2d
 from repro.core.lacc_dist import lacc_dist
+from repro.core.lacc_spmd import lacc_spmd
 from repro.graphs import corpus
 from repro.mpisim.machine import EDISON
 from repro.obs.flight import FlightRecorder
@@ -59,6 +63,30 @@ def test_dist_runs_the_serial_program(matrices, name, use_sparsity):
         assert [getattr(it, field) for it in dist.stats.iterations] == [
             getattr(it, field) for it in ser.stats.iterations
         ], field
+
+
+BLOCK_DRIVERS = {
+    "spmd-r1": lambda g: lacc_spmd(g, ranks=1),
+    "spmd-r2": lambda g: lacc_spmd(g, ranks=2),
+    "spmd-r4": lambda g: lacc_spmd(g, ranks=4),
+    "2d-r1": lambda g: lacc_2d(g, ranks=1),
+    "2d-r4": lambda g: lacc_2d(g, ranks=4),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(BLOCK_DRIVERS))
+@pytest.mark.parametrize("name", GRAPHS)
+def test_block_drivers_run_the_serial_program(matrices, name, driver):
+    g = corpus.load(name)
+    ser = lacc(_matrix(matrices, name))
+    fr = FlightRecorder()
+    with activate(flight=fr):
+        res = BLOCK_DRIVERS[driver](g)
+    assert np.array_equal(res.parents, ser.parents)
+    assert res.n_iterations == ser.n_iterations
+    assert [e.data["hooks"] for e in fr.events if e.kind == "iteration"] == [
+        it.cond_hooks + it.uncond_hooks for it in ser.stats.iterations
+    ]
 
 
 #: lacc_dist(A, EDISON, nodes=4) with the default permutation (seed 0)
@@ -110,11 +138,11 @@ def _it(i, hooks, changed, nonstars):
 
 #: lacc_2d(g, ranks=4): (words_sent, flight ``iteration`` events)
 GRID_2D = {
-    "archaea": (295812, [
-        _it(1, 22780, 5307, 14400), _it(2, 236, 3541, 9244),
+    "archaea": (933896, [
+        _it(1, 22728, 5412, 14514), _it(2, 210, 3493, 9073),
         _it(3, 98, 4213, 7813), _it(4, 8, 711, 7813), _it(5, 0, 0, 0),
     ]),
-    "queen_4147": (186371, [
+    "queen_4147": (411651, [
         _it(1, 4095, 4067, 4096), _it(2, 0, 3954, 4096),
         _it(3, 0, 3438, 4096), _it(4, 0, 2361, 4096),
         _it(5, 0, 673, 4096), _it(6, 0, 0, 0),

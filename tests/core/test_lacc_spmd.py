@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import lacc
-from repro.core.lacc_spmd import lacc_spmd
+from repro.core.lacc_2d import lacc_2d
+from repro.core.lacc_spmd import _Dist, lacc_spmd
+from repro.faults import FaultPlan
 from repro.graphs import generators as gen
 from repro.graphs import validate
-from repro.mpisim import backend
+from repro.mpisim import SimComm, backend
 from repro.obs import Tracer, activate
 
 from ..differential.corpus import FAMILIES, SEEDS, make_graph
@@ -21,14 +23,59 @@ CORPUS = [(fam, seed) for fam in FAMILIES for seed in SEEDS]
 @pytest.mark.parametrize("family,seed", CORPUS, ids=[f"{f}-s{s}" for f, s in CORPUS])
 def test_words_sent_equals_alltoallv_span_words(family, seed, ranks):
     """The driver's off-rank word count and the communicator's own
-    ``alltoallv`` accounting describe the same traffic."""
+    accounting describe the same traffic, for ``lacc_spmd`` on *ranks*
+    ranks and ``lacc_2d`` on ``ranks²``: every collective of the run is an
+    ``alltoallv`` carrying ``words_sent`` in total, but the one convergence
+    ``allreduce`` per iteration, and a rule-free FaultPlan's cursor counts
+    each of them."""
     g = make_graph(family, seed)
-    tr = Tracer()
-    with backend.use("sim"), activate(tr):
-        r = lacc_spmd(g, ranks=ranks)
-    span_words = sum(sp.counters.get("words", 0.0)
-                     for sp in tr.find("alltoallv", "simcomm"))
-    assert r.words_sent == span_words
+    for run, p in ((lacc_spmd, ranks), (lacc_2d, ranks * ranks)):
+        tr = Tracer()
+        plan = FaultPlan([])
+        with backend.use("sim"), activate(tr):
+            r = run(g, ranks=p, faults=plan)
+        spans = tr.find(cat="simcomm")
+        alltoallv = [sp for sp in spans if sp.name == "alltoallv"]
+        others = [sp.name for sp in spans if sp.name != "alltoallv"]
+        assert others == ["allreduce"] * r.n_iterations
+        assert r.words_sent == sum(sp.counters.get("words", 0.0) for sp in alltoallv)
+        assert plan.cursor == len(spans)
+
+
+def test_hook_write_assigns_the_min_proposal():
+    """``_Dist.hook`` assigns each root its smallest proposal over all
+    ranks, also one larger than the root's own id (Algorithm 4 hooks
+    against id order); the root's current parent takes no part."""
+    dist = _Dist(SimComm(2), 6)
+    f = dist.distribute(np.arange(6))
+    hooked = dist.hook(
+        f, [np.array([0, 0, 4]), np.array([0])], [np.array([5, 3, 1]), np.array([4])]
+    )
+    assert hooked == 2
+    assert np.concatenate(f).tolist() == [3, 1, 2, 3, 1, 5]
+
+
+def test_2d_proc_run_uses_one_pool(monkeypatch):
+    """On the proc backend, ``lacc_2d`` builds one communicator, so the
+    only worker pool it starts is its own."""
+    from repro.parallel import ProcComm, shutdown_pools
+    from repro.parallel.pool import _POOLS
+
+    sizes = []
+    init = ProcComm.__init__
+
+    def spy(self, size, *args, **kwargs):
+        sizes.append(size)
+        init(self, size, *args, **kwargs)
+
+    monkeypatch.setattr(ProcComm, "__init__", spy)
+    shutdown_pools()
+    g = make_graph("skewed", 0)
+    with backend.use("proc"):
+        r = lacc_2d(g, ranks=4)
+    assert sizes == [4]
+    assert {size for size, _ in _POOLS} == {4}
+    assert np.array_equal(r.parents, lacc(g.to_matrix()).parents)
 
 
 class TestCorrectness:

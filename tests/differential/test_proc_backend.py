@@ -7,7 +7,8 @@ Two acceptance bars, on every (family, seed) corpus graph:
   vertex partition, exactly like the simulated runs;
 * **backend equivalence** — the parent vector from a proc run must be
   *byte-identical* to the sim run of the same graph (the drivers are
-  deterministic, so any divergence is a transport/collective bug).
+  deterministic, so any divergence is a transport/collective bug), and
+  both to serial ``lacc``'s, in as many iterations.
 
 Each test runs under a SIGALRM watchdog so a deadlocked collective fails
 the test instead of hanging the suite (the CI deadlock gate).
@@ -20,6 +21,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro.core.lacc import lacc
 from repro.core.lacc_2d import lacc_2d
 from repro.core.lacc_spmd import lacc_spmd
 from repro.graphs.validate import same_partition
@@ -77,9 +79,14 @@ def test_proc_partition_matches_oracle(graphs, family, seed, impl, run):
 @pytest.mark.parametrize("family,seed", CASES, ids=[f"{f}-s{s}" for f, s in CASES])
 def test_sim_and_proc_parent_vectors_byte_identical(graphs, family, seed, impl, run):
     g, _ = graphs[(family, seed)]
+    ser = lacc(g.to_matrix())
     sim_res = run(g)  # default backend: sim
     with backend.use("proc"):
         proc_res = run(g)
+    assert sim_res.parents.tobytes() == ser.parents.tobytes(), (
+        f"{impl}: sim and serial parent vectors diverge on {family} seed={seed}"
+    )
+    assert sim_res.n_iterations == ser.n_iterations
     assert sim_res.parents.dtype == proc_res.parents.dtype
     assert sim_res.parents.tobytes() == proc_res.parents.tobytes(), (
         f"{impl}: sim and proc parent vectors diverge on {family} seed={seed}"
