@@ -7,11 +7,13 @@ edge list is 1D-partitioned, and every step communicates exclusively
 through :class:`repro.mpisim.SimComm` collectives — no rank ever touches
 another rank's block directly.  Per iteration:
 
-1. **endpoint resolution** — each rank's sorted endpoint set never
-   changes, so it is requested from its owners once per run (one
-   alltoallv, at the first hook); every hook then takes one fused reply
-   that carries both ``f`` and ``star`` for those endpoints, the SPMD
-   analogue of the SpMV gather stage;
+1. **endpoint resolution** — each rank requests its sorted endpoint set
+   from the owners once per iteration (one alltoallv, at the conditional
+   hook), over only the edges whose endpoints still differ in parent:
+   an edge whose endpoints share a parent can never hook again, so the
+   hooks drop it.  Both hooks then take one fused reply that carries
+   ``f`` and ``star`` for those endpoints, the SPMD analogue of the SpMV
+   gather stage;
 2. **conditional hooking** — local proposal generation
    (``star[u] ∧ f[v] < f[u]``), min-combined locally, routed to the root
    owners as one (target, value) array per destination in a single
@@ -32,8 +34,8 @@ another rank's block directly.  Per iteration:
    when no root hooked, the shortcut changed nothing and every vertex
    sits in a star.
 
-That is 16 alltoallvs per iteration plus one per run.  The iteration is
-one loop, :func:`_run`, with the hook proposals supplied by the driver;
+That is 17 alltoallvs per iteration.  The iteration is one loop,
+:func:`_run`, with the hook proposals supplied by the driver;
 :func:`repro.core.lacc_2d.lacc_2d` runs it too, with its own setup and
 proposals.  The test suite checks that this execution returns serial
 LACC's parents and iteration count on every rank count, and that
@@ -245,6 +247,17 @@ def _shortcut(f: Blocks, gf: Blocks) -> int:
     return changed
 
 
+def _endpoints(
+    ends: np.ndarray, iu: np.ndarray, iv: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keep the entries of *ends* some edge refers to: returns them and
+    each edge's endpoint positions (*iu*, *iv* index *ends*) among them."""
+    used = np.zeros(ends.size, dtype=bool)
+    used[iu] = used[iv] = True
+    pos = np.cumsum(used) - 1
+    return ends[used], pos[iu], pos[iv]
+
+
 def lacc_spmd(
     g: EdgeList,
     ranks: int = 4,
@@ -293,23 +306,14 @@ def lacc_spmd(
     keep = g.u != g.v
     eu = np.r_[g.u[keep], g.v[keep]]  # both directions: (u, v) means u
     ev = np.r_[g.v[keep], g.u[keep]]  # proposes hooks using v's parent
-    # 1D cyclic edge partition (balances skewed inputs)
-    ledges = [(eu[r::ranks], ev[r::ranks]) for r in range(ranks)]
-    # Endpoint lookup, computed once per run: the edge list never changes,
-    # so each rank's sorted endpoint set (its hook request) and every
-    # local edge's position in it are fixed.  A mark over the vertices
-    # gives the set, a dense position array the positions.
-    mark = np.zeros(n, dtype=bool)
-    pos = np.zeros(n, dtype=np.int64)
-    req, iu, iv = [], [], []
-    for u, v in ledges:
-        mark[u] = mark[v] = True
-        ends = np.flatnonzero(mark)
-        mark[ends] = False
-        pos[ends] = np.arange(ends.size)
-        req.append(ends)
-        iu.append(pos[u])
-        iv.append(pos[v])
+    has_edges = bool(eu.size)
+    # 1D cyclic edge partition (balances skewed inputs).  Each rank's
+    # hook request is its sorted endpoint set, and each local edge holds
+    # its endpoints' positions in that set.
+    req, iu, iv = map(list, zip(*(
+        _endpoints(np.arange(n), eu[r::ranks], ev[r::ranks]) for r in range(ranks)
+    )))
+    del eu, ev  # free the edge copies: the run needs only the positions
 
     if initial_parents is not None:
         f0 = validate_initial_parents(initial_parents, n)
@@ -325,28 +329,38 @@ def lacc_spmd(
 
         Each rank reads ``f`` and ``star`` at its endpoint set ``req``
         from one fused reply, and its edges' endpoints off that reply
-        through ``iu``/``iv``.  The request itself goes out once per
-        run, at the first hook.
+        through ``iu``/``iv``.  An edge whose endpoints share a parent is
+        dropped for good: trees only merge, so its endpoints stay in one
+        tree, and once that tree is a star both hold the same parent, so
+        neither hook can fire on it again.  The conditional hook, the
+        first of each iteration, re-sends the request over the edges
+        still live.
         """
         nonlocal hook_plan
-        if hook_plan is None:
+        if conditional:
+            if hook_plan is not None:
+                for r in range(ranks):
+                    req[r], iu[r], iv[r] = _endpoints(req[r], iu[r], iv[r])
             hook_plan = dist.request(req)
         fvals, svals = dist.reply(hook_plan, f, star)
         roots, proposals = [], []
         for r in range(ranks):
             fu, fv = fvals[r][iu[r]], fvals[r][iv[r]]
+            live = fu != fv
+            iu[r], iv[r], fu, fv = iu[r][live], iv[r][live], fu[live], fv[live]
+            fire = svals[r][iu[r]] == 1
             if conditional:
-                fire = (svals[r][iu[r]] == 1) & (fv < fu)
+                fire &= fv < fu
             else:
                 # star u hooks onto a nonstar neighbour's parent
-                fire = (svals[r][iu[r]] == 1) & (svals[r][iv[r]] == 0) & (fv != fu)
+                fire &= svals[r][iv[r]] == 0
             # proposal: f[f[u]] <- f[v]
             roots.append(fu[fire])
             proposals.append(fv[fire])
         return roots, proposals
 
     return _run(
-        dist, f, star, hook, bool(eu.size), max_iterations, start_iteration,
+        dist, f, star, hook, has_edges, max_iterations, start_iteration,
         on_iteration, driver="spmd", n=n, ranks=ranks,
     )
 

@@ -1,15 +1,17 @@
 """The fused-collective SPMD drivers against serial LACC.
 
-``lacc_spmd`` and ``lacc_2d`` request each index set once and answer it
-with fused replies, the shortcut reuses the last starcheck's
-grandparents, and their hooks write with serial's rule
-(:func:`repro.core.hooking.assign_min`).  None of that may change what
-they compute: on every differential corpus graph, fault-free and under
-the transient ``flaky`` and ``stragglers`` presets, the parents must be
-byte-identical to serial ``lacc``'s and the iteration counts equal.
+``lacc_spmd`` and ``lacc_2d`` answer their requests with fused replies,
+the shortcut reuses the last starcheck's grandparents, ``lacc_spmd``'s
+hooks drop every edge whose endpoints share a parent, and the hooks of
+both write with serial's rule (:func:`repro.core.hooking.assign_min`).
+None of that may change what they compute: on every differential
+corpus graph, fault-free and under the transient ``flaky`` and
+``stragglers`` presets, the parents must be byte-identical to serial
+``lacc``'s and the iteration counts equal.
 Serial ``lacc`` is itself pinned to ``lacc_lagraph``, the literal
 GraphBLAS transcription of Algorithms 3–6.  ``lacc_spmd`` must also make
-exactly 16 ``alltoallv`` calls per iteration plus one per run.
+exactly 17 ``alltoallv`` calls per iteration.  The premise of its edge
+pruning is checked on serial ``lacc``'s own iterations.
 
 The tests keep their ``gather_oracle`` names from the gather-based
 drivers these ones were first checked against.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pytest
 
 from repro.core.lacc import lacc
@@ -63,7 +66,7 @@ def test_spmd_matches_gather_oracle(family, seed, ranks, faults):
         res = lacc_spmd(g, ranks=ranks, faults=plan)
     _assert_serial(res, family, seed, plan)
     calls = len(tr.find("alltoallv", "simcomm"))
-    assert calls == 16 * res.n_iterations + 1
+    assert calls == 17 * res.n_iterations
 
 
 @pytest.mark.parametrize("faults", PRESETS, ids=lambda p: p or "clean")
@@ -74,3 +77,33 @@ def test_2d_matches_gather_oracle(family, seed, faults):
     with backend.use("sim"):
         res = lacc_2d(g, ranks=4, faults=plan)
     _assert_serial(res, family, seed, plan)
+
+
+def _roots(f):
+    """Each vertex's root: ``f`` pointer-chased to its fixed point."""
+    while True:
+        ff = f[f]
+        if np.array_equal(ff, f):
+            return f
+        f = ff
+
+
+@pytest.mark.parametrize("family,seed", CORPUS, ids=CORPUS_IDS)
+def test_settled_edges_never_hook_again(family, seed):
+    """Once an edge's endpoints share a parent, they share a root in every
+    later iteration (trees only merge), and whenever ``star[u]`` holds
+    they share a parent again, so no hook can fire on the edge: the
+    premise on which ``lacc_spmd`` drops such edges.  ``f[u] == f[v]``
+    itself need not persist, as a root can hook away from its child."""
+    g = make_graph(family, seed)
+    snaps = []
+    res = lacc(g.to_matrix(), on_iteration=snaps.append)
+    u, v = np.r_[g.u, g.v], np.r_[g.v, g.u]
+    settled = np.zeros(u.size, dtype=bool)
+    for f, star in [(s.parents, s.star) for s in snaps] + [(res.parents, None)]:
+        su, sv = u[settled], v[settled]
+        roots = _roots(f)
+        assert np.array_equal(roots[su], roots[sv])
+        if star is not None:
+            assert not np.any(star[su] & (f[su] != f[sv]))
+        settled |= f[u] == f[v]
