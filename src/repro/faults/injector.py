@@ -1,6 +1,7 @@
 """Buffer-level fault injection and checksum validation.
 
-The retry envelope in :class:`repro.mpisim.SimComm` uses these helpers:
+The retry envelope of both communicators
+(:meth:`repro.mpisim.envelope.CommBase._deliver`) uses these helpers:
 every collective's outgoing payload is checksummed at the (simulated)
 sender, the delivered copies are re-checksummed at the receiver, and any
 mismatch triggers a retransmission.  The mutations below model the
@@ -25,8 +26,7 @@ def checksum(buf: Optional[np.ndarray]) -> int:
 
     Length and dtype are folded in so truncation and element-size changes
     are detected even when the surviving bytes happen to collide.
-    ``None`` (a rank that receives nothing, e.g. non-root in ``gather``)
-    checksums to 0.
+    ``None`` (a rank that receives nothing) checksums to 0.
     """
     if buf is None:
         return 0

@@ -10,7 +10,10 @@ them as ``T = F·t_mem + β·W + α·S``, and
 the hypercube and sparse all-to-alls of §V-B.
 :class:`~repro.mpisim.comm.SimComm` additionally performs literal per-rank
 data movement so tests can validate the analytic accounting against a real
-execution.
+execution.  It carries the two collectives LACC's distributed drivers run,
+``alltoallv`` and ``allreduce``, whose one body lives on
+:class:`~repro.mpisim.envelope.CommBase`; the analytic layer also prices
+the broadcasts, allgathers and reduce-scatters of CombBLAS's cost model.
 
 Both layers accept a :class:`repro.faults.FaultPlan` (``SimComm(p,
 faults=plan)`` / ``CostModel(..., faults=plan)``) that injects
@@ -21,7 +24,7 @@ priced in simulated seconds; permanent faults raise
 :class:`~repro.faults.CollectiveError` (re-exported here) rather than
 ever producing wrong data.
 
-:class:`SimComm` is one of two implementations of the collectives API:
+:class:`SimComm` is one of two exchanges behind that body:
 :mod:`repro.mpisim.backend` selects between it and the real-process
 :class:`~repro.parallel.ProcComm` (``REPRO_BACKEND=sim|proc``), and
 drivers obtain communicators through :func:`make_comm` so they run

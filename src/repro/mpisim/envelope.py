@@ -1,14 +1,18 @@
-"""Backend-neutral collective machinery: validation + the one fault envelope.
+"""Backend-neutral collective machinery: the two collectives + the one fault envelope.
 
-Two communicator backends implement the same collectives API — the
-in-process :class:`~repro.mpisim.comm.SimComm` (per-rank buffers moved by
-pure functions) and the real-process :class:`~repro.parallel.ProcComm`
-(ranks are worker OS processes exchanging payloads through shared
-memory).  Everything that must behave *identically* on both lives here:
+Two communicator backends run LACC's two collectives — the in-process
+:class:`~repro.mpisim.comm.SimComm` (per-rank buffers moved by pure
+functions) and the real-process :class:`~repro.parallel.ProcComm` (ranks
+are worker OS processes exchanging payloads through shared memory).
+Everything that must behave *identically* on both lives here:
 
-* argument validation (``_check`` / ``_check_root`` / scatter-chunk
-  normalisation / all-to-all row checks / reduce-scatter length checks),
-  so both backends reject malformed calls with the same errors;
+* the one body of ``alltoallv`` and of ``allreduce`` on
+  :class:`CommBase`: argument validation (so both backends reject
+  malformed calls with the same errors, before any data moves), the
+  words/messages counts, the span, the destination-major leaf order and
+  the delivery.  A backend supplies only the data exchange
+  (``_exchange_alltoallv`` / ``_exchange_allreduce``); the reductions
+  both accept are the wire table :data:`REDUCE_OPS`;
 * the **fault envelope** (:func:`fault_envelope`), the one fault-delivery
   loop of every collective path — the analytic α–β collectives of
   :mod:`repro.mpisim.collectives` and the payload-carrying
@@ -34,7 +38,7 @@ movement once and hands the result to the envelope.
 
 from __future__ import annotations
 
-from typing import List, NoReturn, Optional, Sequence
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +52,8 @@ from .machine import MachineModel
 
 __all__ = [
     "CommBase",
+    "REDUCE_CODES",
+    "REDUCE_OPS",
     "backoff_base",
     "calling_iteration",
     "fail",
@@ -55,6 +61,21 @@ __all__ = [
     "note_fault",
     "straggler_rank",
 ]
+
+
+#: the reductions ``allreduce`` accepts, by wire code: the proc backend
+#: sends the code and its workers resolve it back
+REDUCE_OPS: Dict[int, Callable] = {
+    1: np.add,
+    2: np.minimum,
+    3: np.maximum,
+    4: np.multiply,
+    5: np.logical_or,
+    6: np.logical_and,
+    7: np.bitwise_or,
+    8: np.bitwise_and,
+}
+REDUCE_CODES = {fn: code for code, fn in REDUCE_OPS.items()}
 
 
 def calling_iteration() -> Optional[int]:
@@ -213,7 +234,7 @@ def fault_envelope(call, ranks: int, cost, attempt, price_delay, charge_retry,
 
 
 class CommBase:
-    """Shared state, validation and fault envelope of both backends.
+    """Shared state, collectives and fault envelope of both backends.
 
     Parameters
     ----------
@@ -243,8 +264,14 @@ class CommBase:
         self.fault_seconds = 0.0
 
     # ------------------------------------------------------------------
-    # validation shared by both backends
+    # the two collectives; a backend supplies only the data exchange
     # ------------------------------------------------------------------
+    #: tracer category of the collective spans, one per backend
+    category = "simcomm"
+
+    # a backend defines _exchange_alltoallv(sp, send) -> recv[j][i] and
+    # _exchange_allreduce(sp, arrs, op) -> one total per rank
+
     def _check(self, bufs: Sequence, what: str = "buffer") -> None:
         if len(bufs) != self.size:
             raise ValueError(
@@ -252,65 +279,69 @@ class CommBase:
                 f"{what} per rank ({self.size}), got {len(bufs)}"
             )
 
-    def _check_root(self, root: int) -> None:
-        if not isinstance(root, (int, np.integer)):
-            raise TypeError(f"root must be a rank id (int), got {type(root).__name__}")
-        if not 0 <= root < self.size:
-            raise ValueError(
-                f"root {root} out of range for contiguous ranks 0..{self.size - 1}"
-            )
-
-    def _normalize_scatter_chunks(self, chunks: Optional[Sequence], root: int):
-        """Resolve the two accepted ``scatter`` call shapes to the root's
-        chunk list (see :meth:`SimComm.scatter` for the contract)."""
-        if chunks is not None and len(chunks) == self.size and any(
-            c is None for c in chunks
-        ):
-            # per-rank form: only the root's send buffer is meaningful
-            for r, c in enumerate(chunks):
-                if r != root and c is not None:
-                    raise ValueError(
-                        f"scatter send buffer provided on non-root rank {r} "
-                        f"(per-rank form: every entry except root={root} must "
-                        "be None)"
-                    )
-            chunks = chunks[root]
-            if chunks is None:
-                raise ValueError(
-                    f"scatter per-rank form: root rank {root}'s entry must be "
-                    f"its list of {self.size} chunks, got None"
-                )
-        if chunks is None:
-            raise ValueError(
-                "scatter needs the root's chunk list (one chunk per rank)"
-            )
-        if len(chunks) != self.size:
-            raise ValueError(
-                f"scatter chunk list does not match the communicator: ranks "
-                f"are contiguous 0..{self.size - 1} so the root must provide "
-                f"exactly {self.size} chunks (destination rank i gets "
-                f"chunks[i]), got {len(chunks)}"
-            )
-        return chunks
-
-    def _check_alltoallv_rows(self, send: Sequence[Sequence]) -> None:
+    def alltoallv(
+        self, send: Sequence[Sequence[np.ndarray]]
+    ) -> List[List[np.ndarray]]:
+        """``send[i][j]`` is what rank *i* sends to rank *j*; the result's
+        ``recv[j][i]`` is what rank *j* received from rank *i*."""
+        p = self.size
         self._check(send, what="send-buffer row")
         for i, row in enumerate(send):
-            if len(row) != self.size:
+            if len(row) != p:
                 raise ValueError(
                     f"alltoallv: rank {i} must provide one send buffer for "
-                    f"each of the contiguous ranks 0..{self.size - 1} "
-                    f"({self.size} buffers), got {len(row)}"
+                    f"each of the contiguous ranks 0..{p - 1} "
+                    f"({p} buffers), got {len(row)}"
                 )
+        with _obs().span("alltoallv", self.category, ranks=p) as sp:
+            w = [[int(np.asarray(send[i][j]).size) for j in range(p)] for i in range(p)]
+            off_diag = [w[i][j] for i in range(p) for j in range(p) if i != j]
+            words = sum(off_diag)
+            messages = sum(1 for x in off_diag if x > 0)
+            if sp:
+                sp.add("words", words)
+                sp.add("messages", messages)
+                sp.set("send_words", w)  # send_words[i][j]; recv is transpose
+                sp.set("rank_send_totals", [sum(row) for row in w])
+                sp.set("rank_recv_totals", [sum(w[i][j] for i in range(p)) for j in range(p)])
+            recv = self._exchange_alltoallv(sp, send)
+            # flatten destination-major, so one fault seed damages the
+            # same buffer on both backends
+            flat = [recv[j][i] for j in range(p) for i in range(p)]
 
-    def _check_reduce_bufs(self, arrs: List[np.ndarray], block: bool) -> int:
-        """Equal-length validation for (all)reduce; returns the length."""
-        length = arrs[0].size
-        if any(a.size != length for a in arrs):
-            raise ValueError("reduce_scatter requires equal-length buffers")
-        if block and length % self.size:
-            raise ValueError("buffer length must divide evenly among ranks")
-        return length
+            def rebuild(leaves):
+                return [list(leaves[j * p : (j + 1) * p]) for j in range(p)]
+
+            return self._deliver("alltoallv", flat, rebuild, sp, words, messages)
+
+    def allreduce(
+        self, bufs: Sequence[np.ndarray], op: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    ) -> List[np.ndarray]:
+        """Element-wise reduction, folded in rank order, visible on every
+        rank.  *op* is one of :data:`REDUCE_OPS` and the buffers share
+        one shape."""
+        self._check(bufs)
+        arrs = [np.asarray(b) for b in bufs]
+        if any(a.shape != arrs[0].shape for a in arrs):
+            raise ValueError(
+                "allreduce needs buffers of one shape, got "
+                f"{[a.shape for a in arrs]}"
+            )
+        if op not in REDUCE_CODES:
+            raise TypeError(
+                "allreduce op must be one of "
+                f"{', '.join(fn.__name__ for fn in REDUCE_OPS.values())}, "
+                f"got {getattr(op, '__name__', type(op).__name__)}"
+            )
+        p = self.size
+        with _obs().span("allreduce", self.category, ranks=p) as sp:
+            words = int(arrs[0].size) * 2 * (p - 1)
+            messages = 2 * p * (p - 1)
+            if sp:
+                sp.add("words", words)
+                sp.add("messages", messages)
+            out = self._exchange_allreduce(sp, arrs, op)
+            return self._deliver("allreduce", out, list, sp, words, messages)
 
     # ------------------------------------------------------------------
     # fault-injection delivery
@@ -346,16 +377,6 @@ class CommBase:
         it only if its CRCs match the sender's; the retry, backoff and
         failure policy is :func:`fault_envelope`'s.
         """
-        if getattr(self, "backend", "sim") != "proc":
-            # sim-side chaos: model the typed error a real process fault
-            # would produce, from the same seeded schedule the proc
-            # backend injects physically (ProcComm fires the injector in
-            # _run, before the physical exchange — never twice).
-            from repro.chaos.injector import active_injector
-
-            inj = active_injector()
-            if inj is not None:
-                inj.fire_sim(name, self.size)
         plan = self.faults
         call = None if plan is None else plan.begin_call(name)
         if not call:

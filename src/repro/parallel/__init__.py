@@ -7,12 +7,14 @@ Layering (bottom up):
   registry that lets the next run sweep segments orphaned by abnormal
   exits;
 * :mod:`~repro.parallel.pool` — persistent forked worker pools executing
-  the collective choreography (cached per size, respawned when broken);
+  the ``alltoallv`` and ``allreduce`` choreography (cached per size,
+  respawned when broken);
 * :mod:`~repro.parallel.detector` — heartbeat-based failure detector
   classifying workers ok / slow / stalled / dead;
 * :mod:`~repro.parallel.proccomm` — :class:`ProcComm`, the drop-in
-  implementation of :class:`~repro.mpisim.comm.SimComm`'s collectives
-  API, sharing its validation and CRC/retry fault envelope.
+  replacement for :class:`~repro.mpisim.comm.SimComm`: the same two
+  collectives from :class:`~repro.mpisim.envelope.CommBase` (validation,
+  accounting, CRC/retry fault envelope) over the pool's exchange.
 
 Select with ``REPRO_BACKEND=proc`` or
 :func:`repro.mpisim.backend.make_comm`; see docs/PARALLELISM.md.

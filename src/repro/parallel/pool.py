@@ -3,12 +3,13 @@
 The middle layer of the real-process backend: a :class:`WorkerPool` holds
 ``size`` long-lived worker OS processes (ranks ``0..size-1``) plus the
 parent *conductor* endpoint, all wired through one
-:class:`~repro.parallel.shm.ShmTransport`.  The drivers keep their
-world-view shape — the conductor hands each worker its rank's buffers,
-the workers exchange payloads **among themselves** over the shared-memory
-channels (root relays for bcast/scatter, rank 0 reduces in rank order for
-the reductions, full pairwise exchange for alltoallv), and ship their
-per-rank results back to the conductor.
+:class:`~repro.parallel.shm.ShmTransport`.  It runs the two collectives
+LACC needs.  The drivers keep their world-view shape — the conductor
+hands each worker its rank's buffers, the workers exchange payloads
+**among themselves** over the shared-memory channels (a full pairwise
+exchange for ``alltoallv``; for ``allreduce``, rank 0 folds in rank order
+and sends the total back), and ship their per-rank results back to the
+conductor.
 
 Pools are cached per size (:func:`get_pool`): the SPMD drivers construct
 a fresh communicator per run, and forking + handshaking processes per
@@ -18,15 +19,14 @@ broken, torn down, and transparently respawned on next use.
 
 Protocol
 --------
-Commands travel on the reserved tag ``TAG_CMD`` (0) as ``int64[6]``
-frames ``[opcode, seq, arg, flags, iteration, step_code]`` (the last two
-slots carry the conductor's driver coordinates for per-rank
-observability; workers parse only the slots they know, so shorter legacy
-frames still decode); all data frames of one collective use its unique
-``seq`` as tag, so concurrent state from an aborted collective can never
-bleed into the next one.  Reduction operators are
-named by a small registry of NumPy ufuncs (``arg`` slot); arbitrary
-callables fall back to a pickled payload sent to the reducing rank only.
+Commands travel on the reserved tag ``TAG_CMD`` (0) as ``int64[5]``
+frames ``[opcode, seq, arg, iteration, step_code]`` (the last two slots
+carry the conductor's driver coordinates for per-rank observability;
+control frames may omit them); all data frames of one collective use
+its unique ``seq`` as tag, so concurrent state from an aborted
+collective can never bleed into the next one.  ``allreduce``'s ``arg``
+is the operator's code in the wire table
+:data:`~repro.mpisim.envelope.REDUCE_OPS`; no callable crosses the wire.
 
 Fork, not spawn: a live transport (conditions, semaphores, mapped
 segments) is inherited, never pickled — see docs/PARALLELISM.md.  The
@@ -38,9 +38,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
-import signal
-import sys
 import threading
 import time
 import warnings
@@ -48,6 +45,8 @@ from contextlib import contextmanager, nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.mpisim.envelope import REDUCE_CODES, REDUCE_OPS
 
 from .detector import TAG_HB, FailureDetector, WorkerStatus, heartbeat_interval
 from .obsband import ObsSideband, RankObs, _TracedEndpoint, rank_obs_enabled
@@ -69,44 +68,17 @@ TAG_CMD = 0
     OP_SHUTDOWN,
     OP_PING,
     OP_STATS,
-    OP_BCAST,
-    OP_ALLGATHER,
-    OP_GATHER,
-    OP_SCATTER,
     OP_ALLTOALLV,
-    OP_REDUCE_SCATTER,
     OP_ALLREDUCE,
     OP_CLOCKSYNC,
     OP_OBS,
-) = range(12)
+) = range(7)
 
 #: display names for the opcode-level spans / flight events
 _OPCODE_NAMES: Dict[int, str] = {
-    OP_BCAST: "bcast",
-    OP_ALLGATHER: "allgather",
-    OP_GATHER: "gather",
-    OP_SCATTER: "scatter",
     OP_ALLTOALLV: "alltoallv",
-    OP_REDUCE_SCATTER: "reduce_scatter",
     OP_ALLREDUCE: "allreduce",
 }
-
-FLAG_PICKLED_OP = 1
-
-#: registry of reduction operators addressable by a wire code; the
-#: conductor resolves a callable to its code by identity, workers resolve
-#: the code back — ``np.add`` and friends never cross as pickles
-_OP_REGISTRY: Dict[int, Callable] = {
-    1: np.add,
-    2: np.minimum,
-    3: np.maximum,
-    4: np.multiply,
-    5: np.logical_or,
-    6: np.logical_and,
-    7: np.bitwise_or,
-    8: np.bitwise_and,
-}
-_OP_TO_CODE = {fn: code for code, fn in _OP_REGISTRY.items()}
 
 #: parent-side wait for any single worker round-trip, seconds
 DEFAULT_TIMEOUT_S = float(os.environ.get("REPRO_PROC_TIMEOUT", "60"))
@@ -175,7 +147,6 @@ def _worker_main(transport: ShmTransport, rank: int, size: int, obs_channel=None
             name=f"repro-hb-{rank}",
             daemon=True,
         ).start()
-    pickled_op: Optional[Callable] = None
     try:
         while True:
             if obs is not None:
@@ -185,11 +156,11 @@ def _worker_main(transport: ShmTransport, rank: int, size: int, obs_channel=None
                     cmd = ep.recv(parent, TAG_CMD, timeout=None, alive=alive)
             else:
                 cmd = ep.recv(parent, TAG_CMD, timeout=None, alive=alive)
-            opcode, seq, arg, flags = (int(x) for x in cmd[:4])
-            # coordinate slots are optional: legacy int64[4] frames decode
-            # as "no iteration / no step"
-            it = int(cmd[4]) if cmd.size > 4 else -1
-            step_code = int(cmd[5]) if cmd.size > 5 else 0
+            opcode, seq, arg = (int(x) for x in cmd[:3])
+            # coordinate slots are optional: int64[3] frames decode as
+            # "no iteration / no step"
+            it = int(cmd[3]) if cmd.size > 3 else -1
+            step_code = int(cmd[4]) if cmd.size > 4 else 0
             if opcode == OP_SHUTDOWN:
                 break
             if opcode == OP_PING:
@@ -230,49 +201,7 @@ def _worker_main(transport: ShmTransport, rank: int, size: int, obs_channel=None
                 else nullcontext()
             )
             with span:
-                if opcode == OP_BCAST:
-                    root = arg
-                    if rank == root:
-                        data = dep.recv(parent, seq, alive=alive)
-                        for j in range(size):
-                            if j != rank:
-                                dep.send(j, seq, data, alive=alive)
-                    else:
-                        data = dep.recv(root, seq, alive=alive)
-                    dep.send(parent, seq, data, alive=alive)
-                elif opcode == OP_ALLGATHER:
-                    own = dep.recv(parent, seq, alive=alive)
-                    for j in range(size):
-                        if j != rank:
-                            dep.send(j, seq, own, alive=alive)
-                    parts = [
-                        own if i == rank else dep.recv(i, seq, alive=alive)
-                        for i in range(size)
-                    ]
-                    dep.send(parent, seq, np.concatenate(parts), alive=alive)
-                elif opcode == OP_GATHER:
-                    root = arg
-                    own = dep.recv(parent, seq, alive=alive)
-                    if rank == root:
-                        parts = [
-                            own if i == rank else dep.recv(i, seq, alive=alive)
-                            for i in range(size)
-                        ]
-                        dep.send(parent, seq, np.concatenate(parts), alive=alive)
-                    else:
-                        dep.send(root, seq, own, alive=alive)
-                elif opcode == OP_SCATTER:
-                    root = arg
-                    if rank == root:
-                        chunks = unpack_arrays(dep.recv(parent, seq, alive=alive))
-                        for j in range(size):
-                            if j != rank:
-                                dep.send(j, seq, chunks[j], alive=alive)
-                        mine = np.asarray(chunks[rank])
-                    else:
-                        mine = dep.recv(root, seq, alive=alive)
-                    dep.send(parent, seq, mine, alive=alive)
-                elif opcode == OP_ALLTOALLV:
+                if opcode == OP_ALLTOALLV:
                     row = unpack_arrays(dep.recv(parent, seq, alive=alive))
                     for j in range(size):
                         if j != rank:
@@ -282,14 +211,10 @@ def _worker_main(transport: ShmTransport, rank: int, size: int, obs_channel=None
                         for i in range(size)
                     ]
                     dep.send(parent, seq, pack_arrays(got), alive=alive)
-                else:  # OP_REDUCE_SCATTER / OP_ALLREDUCE
-                    if rank == 0 and flags & FLAG_PICKLED_OP:
-                        blob = dep.recv(parent, seq, alive=alive)
-                        pickled_op = pickle.loads(blob.tobytes())
+                else:  # OP_ALLREDUCE
                     own = dep.recv(parent, seq, alive=alive)
                     if rank == 0:
-                        op = pickled_op if flags & FLAG_PICKLED_OP else _OP_REGISTRY[arg]
-                        pickled_op = None
+                        op = REDUCE_OPS[arg]
                         # reduce in rank order — bit-identical to SimComm's
                         # sequential fold, even for non-commutative floats
                         total = own
@@ -300,16 +225,9 @@ def _worker_main(transport: ShmTransport, rank: int, size: int, obs_channel=None
                                     total = op(total, chunk)
                             else:
                                 total = op(total, chunk)
-                        total = np.asarray(total)
-                        if opcode == OP_ALLREDUCE:
-                            for j in range(1, size):
-                                dep.send(j, seq, total, alive=alive)
-                            mine = total
-                        else:
-                            blk = total.size // size
-                            for j in range(1, size):
-                                dep.send(j, seq, total[j * blk : (j + 1) * blk], alive=alive)
-                            mine = total[:blk]
+                        mine = np.asarray(total)
+                        for j in range(1, size):
+                            dep.send(j, seq, mine, alive=alive)
                     else:
                         dep.send(0, seq, own, alive=alive)
                         mine = dep.recv(0, seq, alive=alive)
@@ -463,11 +381,11 @@ class WorkerPool:
         :data:`~repro.parallel.obsband.STEP_CODES`)."""
         self._coords = (int(iteration), int(step_code))
 
-    def _command(self, opcode: int, arg: int = 0, flags: int = 0) -> int:
+    def _command(self, opcode: int, arg: int = 0) -> int:
         self.detector.poll()  # keep heartbeat ledger fresh, never blocks
         seq = self._next_seq()
         it, step_code = self._coords
-        cmd = np.array([opcode, seq, arg, flags, it, step_code], dtype=np.int64)
+        cmd = np.array([opcode, seq, arg, it, step_code], dtype=np.int64)
         for r in range(self.size):
             self._send(r, TAG_CMD, cmd)
         return seq
@@ -488,7 +406,7 @@ class WorkerPool:
             best_rtt, best_off = float("inf"), 0.0
             for _ in range(rounds):
                 seq = self._next_seq()
-                cmd = np.array([OP_CLOCKSYNC, seq, 0, 0, -1, 0], dtype=np.int64)
+                cmd = np.array([OP_CLOCKSYNC, seq, 0], dtype=np.int64)
                 t0 = time.monotonic()
                 self._send(r, TAG_CMD, cmd)
                 t_worker = float(self._recv(r, seq)[0])
@@ -551,34 +469,12 @@ class WorkerPool:
                 continue
             try:
                 seq = self._next_seq()
-                cmd = np.array([OP_STATS, seq, 0, 0, -1, 0], dtype=np.int64)
+                cmd = np.array([OP_STATS, seq, 0], dtype=np.int64)
                 self.ep.send(r, TAG_CMD, cmd, timeout=timeout)
                 got[r] = self.ep.recv(r, seq, timeout=timeout)
             except TransportError:
                 missed.append(r)
         return got, missed
-
-    def bcast(self, data: np.ndarray, root: int) -> List[np.ndarray]:
-        seq = self._command(OP_BCAST, arg=root)
-        self._send(root, seq, data)
-        return [self._recv(r, seq) for r in range(self.size)]
-
-    def allgather(self, bufs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        seq = self._command(OP_ALLGATHER)
-        for r in range(self.size):
-            self._send(r, seq, np.asarray(bufs[r]))
-        return [self._recv(r, seq) for r in range(self.size)]
-
-    def gather(self, bufs: Sequence[np.ndarray], root: int) -> np.ndarray:
-        seq = self._command(OP_GATHER, arg=root)
-        for r in range(self.size):
-            self._send(r, seq, np.asarray(bufs[r]))
-        return self._recv(root, seq)
-
-    def scatter(self, chunks: Sequence[np.ndarray], root: int) -> List[np.ndarray]:
-        seq = self._command(OP_SCATTER, arg=root)
-        self._send(root, seq, pack_arrays([np.asarray(c) for c in chunks]))
-        return [self._recv(r, seq) for r in range(self.size)]
 
     def alltoallv(self, send: Sequence[Sequence[np.ndarray]]) -> List[List[np.ndarray]]:
         """Returns ``recv`` with ``recv[j][i]`` = what rank *j* got from *i*."""
@@ -587,17 +483,9 @@ class WorkerPool:
             self._send(r, seq, pack_arrays([np.asarray(a) for a in send[r]]))
         return [list(unpack_arrays(self._recv(r, seq))) for r in range(self.size)]
 
-    def reduce(
-        self, bufs: Sequence[np.ndarray], op: Callable, variant: str
-    ) -> List[np.ndarray]:
-        """``variant`` is ``"allreduce"`` or ``"reduce_scatter"``."""
-        opcode = OP_ALLREDUCE if variant == "allreduce" else OP_REDUCE_SCATTER
-        code = _OP_TO_CODE.get(op)
-        flags = 0 if code is not None else FLAG_PICKLED_OP
-        seq = self._command(opcode, arg=code or 0, flags=flags)
-        if code is None:
-            blob = np.frombuffer(bytearray(pickle.dumps(op)), dtype=np.uint8)
-            self._send(0, seq, blob)
+    def allreduce(self, bufs: Sequence[np.ndarray], op: Callable) -> List[np.ndarray]:
+        """Rank 0 folds in rank order; *op* is one of ``REDUCE_OPS``."""
+        seq = self._command(OP_ALLREDUCE, arg=REDUCE_CODES[op])
         for r in range(self.size):
             self._send(r, seq, np.asarray(bufs[r]))
         return [self._recv(r, seq) for r in range(self.size)]
@@ -611,7 +499,7 @@ class WorkerPool:
         if not self.broken and all(p.is_alive() for p in self.procs):
             try:
                 seq = self._next_seq()
-                cmd = np.array([OP_SHUTDOWN, seq, 0, 0], dtype=np.int64)
+                cmd = np.array([OP_SHUTDOWN, seq, 0], dtype=np.int64)
                 for r in range(self.size):
                     self.ep.send(r, TAG_CMD, cmd, timeout=1.0)
             except TransportError:

@@ -1,28 +1,29 @@
-"""ProcComm — SimComm's collectives API with ranks as real OS processes.
+"""ProcComm — SimComm's two collectives with ranks as real OS processes.
 
 The top layer of :mod:`repro.parallel`: a drop-in communicator for
 :class:`~repro.mpisim.comm.SimComm` (selected through
 :func:`repro.mpisim.backend.make_comm`), so ``lacc_spmd`` / ``lacc_2d``
-and the CombBLAS SpMV layer run unchanged while every collective's data
-movement executes in forked worker processes over shared memory.
+and the CombBLAS SpMV layer run unchanged while the data movement of
+every ``alltoallv`` and ``allreduce`` executes in forked worker
+processes over shared memory.
 
-Semantics are pinned to SimComm's by construction:
+Semantics are pinned to SimComm's by construction: both inherit the one
+body of each collective from :class:`~repro.mpisim.envelope.CommBase`
+(validation, words/messages, span, leaf order, the CRC/retry envelope)
+and supply only the exchange — here :meth:`_run` on the worker pool.  So
+malformed calls raise the same errors before any command is sent, the
+α–β model prices both backends identically, and one
+:class:`~repro.faults.FaultPlan` seed yields byte-identical fault
+schedules, retries and :class:`~repro.faults.CollectiveError`\\ s on
+either backend.  What is proc-only:
 
-* **Same validation** — both inherit
-  :class:`~repro.mpisim.envelope.CommBase`, so malformed calls raise the
-  same errors.
-* **Same costs** — words/messages per collective use SimComm's exact
-  formulas, so the α–β model prices both backends identically.
-* **Same fault behaviour** — the physical exchange runs once,
-  fault-free, then the result (flattened in SimComm's exact leaf order)
-  passes through the shared CRC/retry envelope; one
-  :class:`~repro.faults.FaultPlan` seed yields byte-identical fault
-  schedules, retries and :class:`~repro.faults.CollectiveError`\\ s on
-  either backend.
 * **Typed failure, never a hang** — a killed or wedged worker surfaces
   through transport timeouts/liveness probes as a
-  :class:`~repro.faults.CollectiveError` with kind ``worker_died``; the
-  broken pool is torn down and respawned on the next communicator.
+  :class:`~repro.faults.CollectiveError` (``rank_lost``,
+  ``deadline_exceeded`` or ``worker_died``); the broken pool is torn
+  down and respawned on the next collective.
+* **Real chaos** — an active :mod:`repro.chaos` injector fires its
+  process faults in :meth:`_run`, before the physical exchange.
 
 Tracer spans use category ``"proccomm"`` (the ``"simcomm"`` category
 stays sim-only so word-accounting consumers know which machine produced
@@ -34,7 +35,7 @@ root after every collective.
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -48,8 +49,6 @@ from .obsband import STEP_TO_CODE, record_rank_events, salvaged_flight_events
 from .pool import WorkerDied, get_pool
 
 __all__ = ["ProcComm"]
-
-_CAT = "proccomm"
 
 #: optional per-collective deadline budget, seconds (unset = pool timeout)
 _DEADLINE_S: Optional[float] = (
@@ -68,7 +67,7 @@ class ProcComm(CommBase):
     of that size in the process.
     """
 
-    backend = "proc"
+    category = "proccomm"
 
     def __init__(self, size, faults=None, cost=None):
         super().__init__(size, faults=faults, cost=cost)
@@ -227,131 +226,18 @@ class ProcComm(CommBase):
                 ).inc()
 
     # ------------------------------------------------------------------
-    # collectives — words/messages formulas match SimComm line for line
+    # the exchanges; CommBase runs everything around them
     # ------------------------------------------------------------------
-    def bcast(self, bufs: List[Optional[np.ndarray]], root: int = 0) -> List[np.ndarray]:
-        """Every rank receives a copy of the root's buffer."""
-        self._check(bufs)
-        self._check_root(root)
-        with _obs().span("bcast", _CAT, root=root, ranks=self.size) as sp:
-            data = np.asarray(bufs[root])
-            words = int(data.size) * (self.size - 1)
-            messages = self.size - 1
-            if sp:
-                sp.add("words", words)
-                sp.add("messages", messages)
-            out = self._run("bcast", sp, lambda p: p.bcast(data, root))
-            return self._deliver("bcast", out, list, sp, words, messages)
+    def _exchange_alltoallv(self, sp, send) -> List[List[np.ndarray]]:
+        return self._run("alltoallv", sp, lambda p: p.alltoallv(send))
 
-    def allgather(self, bufs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Every rank receives the concatenation of all buffers."""
-        self._check(bufs)
-        with _obs().span("allgather", _CAT, ranks=self.size) as sp:
-            arrs = [np.asarray(b) for b in bufs]
-            words = sum(int(a.size) for a in arrs) * (self.size - 1)
-            messages = self.size * (self.size - 1)
-            if sp:
-                sp.add("words", words)
-                sp.add("messages", messages)
-            res = self._run("allgather", sp, lambda p: p.allgather(arrs))
-            return self._deliver("allgather", res, list, sp, words, messages)
+    def _exchange_allreduce(self, sp, arrs, op) -> List[np.ndarray]:
+        return self._run("allreduce", sp, lambda p: p.allreduce(arrs, op))
 
-    def gather(self, bufs: Sequence[np.ndarray], root: int = 0) -> List[Optional[np.ndarray]]:
-        """Root receives the concatenation; others receive ``None``."""
-        self._check(bufs)
-        self._check_root(root)
-        with _obs().span("gather", _CAT, root=root, ranks=self.size) as sp:
-            arrs = [np.asarray(b) for b in bufs]
-            concat = self._run("gather", sp, lambda p: p.gather(arrs, root))
-            out: List[Optional[np.ndarray]] = [None] * self.size
-            out[root] = concat
-            words = int(concat.size) - int(arrs[root].size)
-            messages = self.size - 1
-            if sp:
-                sp.add("words", words)
-                sp.add("messages", messages)
-            return self._deliver("gather", out, list, sp, words, messages)
+    # restated here, not inherited, so the per-layer timers of
+    # benchmarks/e2e/layers.py can wrap ProcComm's collectives alone
+    def alltoallv(self, send):
+        return super().alltoallv(send)
 
-    def scatter(self, chunks: Optional[Sequence], root: int = 0) -> List[np.ndarray]:
-        """Root's chunks distributed to ranks (contract documented on
-        :meth:`repro.mpisim.comm.SimComm.scatter`; both call shapes)."""
-        self._check_root(root)
-        chunks = self._normalize_scatter_chunks(chunks, root)
-        with _obs().span("scatter", _CAT, root=root, ranks=self.size) as sp:
-            out = self._run("scatter", sp, lambda p: p.scatter(chunks, root))
-            words = sum(int(c.size) for r, c in enumerate(out) if r != root)
-            messages = self.size - 1
-            if sp:
-                sp.add("words", words)
-                sp.add("messages", messages)
-            return self._deliver("scatter", out, list, sp, words, messages)
-
-    def alltoallv(
-        self, send: Sequence[Sequence[np.ndarray]]
-    ) -> List[List[np.ndarray]]:
-        """``send[i][j]`` is what rank *i* sends to rank *j*; the result's
-        ``recv[j][i]`` is what rank *j* received from rank *i*."""
-        self._check_alltoallv_rows(send)
-        with _obs().span("alltoallv", _CAT, ranks=self.size) as sp:
-            w = [
-                [int(np.asarray(send[i][j]).size) for j in range(self.size)]
-                for i in range(self.size)
-            ]
-            off_diag = [
-                w[i][j] for i in range(self.size) for j in range(self.size) if i != j
-            ]
-            words = sum(off_diag)
-            messages = sum(1 for x in off_diag if x > 0)
-            if sp:
-                sp.add("words", words)
-                sp.add("messages", messages)
-                sp.set("send_words", w)  # send_words[i][j]; recv is transpose
-                sp.set("rank_send_totals", [sum(row) for row in w])
-                sp.set(
-                    "rank_recv_totals",
-                    [sum(w[i][j] for i in range(self.size)) for j in range(self.size)],
-                )
-            rows = self._run("alltoallv", sp, lambda p: p.alltoallv(send))
-            # flatten destination-major — SimComm's exact leaf order, so
-            # one fault seed damages the same buffer on both backends
-            flat = [rows[j][i] for j in range(self.size) for i in range(self.size)]
-
-            def rebuild(leaves):
-                p = self.size
-                return [list(leaves[j * p : (j + 1) * p]) for j in range(p)]
-
-            return self._deliver("alltoallv", flat, rebuild, sp, words, messages)
-
-    def reduce_scatter_block(
-        self, bufs: Sequence[np.ndarray], op: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ) -> List[np.ndarray]:
-        """Element-wise reduce all equal-length buffers then split the
-        result into *p* contiguous blocks, block *i* to rank *i*."""
-        self._check(bufs)
-        arrs = [np.asarray(b) for b in bufs]
-        length = self._check_reduce_bufs(arrs, block=True)
-        with _obs().span("reduce_scatter", _CAT, ranks=self.size) as sp:
-            words = int(length) * (self.size - 1)
-            messages = self.size * (self.size - 1)
-            if sp:
-                sp.add("words", words)
-                sp.add("messages", messages)
-            out = self._run(
-                "reduce_scatter", sp, lambda p: p.reduce(arrs, op, "reduce_scatter")
-            )
-            return self._deliver("reduce_scatter", out, list, sp, words, messages)
-
-    def allreduce(
-        self, bufs: Sequence[np.ndarray], op: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ) -> List[np.ndarray]:
-        """Element-wise reduction visible on every rank."""
-        self._check(bufs)
-        with _obs().span("allreduce", _CAT, ranks=self.size) as sp:
-            arrs = [np.asarray(b) for b in bufs]
-            words = int(arrs[0].size) * 2 * (self.size - 1)
-            messages = 2 * self.size * (self.size - 1)
-            if sp:
-                sp.add("words", words)
-                sp.add("messages", messages)
-            out = self._run("allreduce", sp, lambda p: p.reduce(arrs, op, "allreduce"))
-            return self._deliver("allreduce", out, list, sp, words, messages)
+    def allreduce(self, bufs, op):
+        return super().allreduce(bufs, op)

