@@ -1,24 +1,14 @@
 """Process-level chaos engineering for the distributed drivers.
 
 Real faults — SIGKILL, SIGSTOP stragglers, abnormal exits, corrupted
-shared-memory frames — delivered to live worker processes on a seeded,
-byte-reproducible schedule, plus the harness that verifies the recovery
-machinery survives them with byte-identical results.  See
-``docs/ROBUSTNESS.md`` ("Elastic recovery & chaos") and
-``python -m repro chaos --help``.
+shared-memory frames — ride the run's one :class:`~repro.faults.FaultPlan`
+(presets ``kill``, ``stall``, ``exit``, ``frame``, ``shrink`` of
+:data:`repro.faults.PRESETS`) on a seeded, byte-reproducible schedule.
+This package is the harness that verifies the recovery machinery
+survives them with byte-identical results.  See ``docs/ROBUSTNESS.md``
+("Elastic recovery & chaos") and ``python -m repro chaos --help``.
 """
 
 from .harness import ChaosReport, chaos_run
-from .injector import ChaosInjector, activate_chaos, active_injector, chaos_victim
-from .plan import CHAOS_PRESETS, chaos_preset
 
-__all__ = [
-    "CHAOS_PRESETS",
-    "chaos_preset",
-    "ChaosInjector",
-    "activate_chaos",
-    "active_injector",
-    "chaos_victim",
-    "ChaosReport",
-    "chaos_run",
-]
+__all__ = ["ChaosReport", "chaos_run"]

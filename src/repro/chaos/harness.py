@@ -2,8 +2,10 @@
 
 :func:`chaos_run` is the programmatic core of ``python -m repro chaos``
 and of the CI chaos matrix: it runs one distributed driver under the
-recovery supervisor while a :class:`~repro.chaos.ChaosInjector` delivers
-scheduled process faults, then verifies the **full** acceptance
+recovery supervisor with a process-fault preset of
+:data:`repro.faults.PRESETS` as the driver's ``faults=`` plan, whose
+communicator delivers the scheduled faults (signals on the proc backend,
+typed errors on the simulator), then verifies the **full** acceptance
 contract — the run completed without a fresh start, the final parent
 vector is byte-identical to a fault-free reference, and the labels match
 the union-find oracle.
@@ -24,8 +26,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .injector import ChaosInjector, activate_chaos
-from .plan import chaos_preset
+from repro.faults import preset as make_preset
 
 __all__ = ["ChaosReport", "chaos_run"]
 
@@ -53,7 +54,8 @@ class ChaosReport:
     #: labels match the union-find oracle
     oracle_ok: bool
     wall_seconds: float
-    #: chaos injection log (byte-reproducible given the seed)
+    #: fault injection log (byte-reproducible given the seed, and the
+    #: same on both backends)
     chaos_log: str
     injected: Dict[str, int] = field(default_factory=dict)
     rank_lost_events: int = 0
@@ -132,10 +134,10 @@ def chaos_run(
     """Run *driver* on *g* under chaos and verify the recovery contract.
 
     Parameters mirror the ``repro chaos`` CLI: *preset*/*seed*/*after*
-    seed the chaos schedule (see :func:`~repro.chaos.plan.chaos_preset`),
-    *backend* picks ``sim``/``proc`` (default: whatever is active), and
-    *record_path* streams the flight record to a JSONL file for
-    ``repro explain``.
+    seed the fault schedule (see :func:`repro.faults.preset`), *rank*
+    picks the victim (below *ranks*; default: seeded), *backend* picks
+    ``sim``/``proc`` (default: whatever is active), and *record_path*
+    streams the flight record to a JSONL file for ``repro explain``.
     """
     from repro.baselines.union_find import connected_components as uf_labels
     from repro.core.drivers import DRIVERS
@@ -150,20 +152,20 @@ def chaos_run(
     entry = DRIVERS.get(driver)
     if entry is None or entry.runs_at is None:
         raise ValueError(f"chaos drives a driver with ranks, not {driver!r}")
+    if rank is not None and rank >= ranks:
+        raise ValueError(f"victim rank {rank} is not one of the {ranks} ranks")
+    pkw: Dict[str, Any] = {"after": after}
+    if preset == "stall":
+        pkw["stall_seconds"] = stall_seconds
+    if rank is not None and preset != "shrink":
+        pkw["rank"] = rank
+    plan = make_preset(preset, seed=seed, **pkw)
     drv, (dargs, dkw) = entry.fn, entry.call(g, ranks=ranks)
 
     # fault-free reference (simulator: byte-identical to proc by the
     # differential suite, and orders of magnitude cheaper)
     with backend_mod.use("sim"):
         ref = drv(*dargs, **dkw)
-
-    pkw: Dict[str, Any] = {"after": after}
-    if preset == "stall":
-        pkw["stall_seconds"] = stall_seconds
-    if rank is not None and preset != "shrink":
-        pkw["rank"] = rank
-    plan = chaos_preset(preset, seed=seed, **pkw)
-    injector = ChaosInjector(plan)
 
     sup = Supervisor(
         config=SupervisorConfig(
@@ -193,9 +195,8 @@ def chaos_run(
 
                 stack.enter_context(enable_rank_obs())
             stack.enter_context(activate(flight=fr))
-            stack.enter_context(activate_chaos(injector))
             stack.enter_context(backend_mod.use(backend_name))
-            res = sup.run(drv, *dargs, **dkw)
+            res = sup.run(drv, *dargs, **dict(dkw, faults=plan))
         wall = perf_counter() - t0
         if rank_obs:
             _merge_surviving_rank_obs(fr)

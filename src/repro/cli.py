@@ -959,9 +959,10 @@ def build_parser() -> argparse.ArgumentParser:
         "the fail-loud-or-answer-right contract",
     )
     fl.add_argument("graph", help=".mtx / edge-list file or corpus name")
-    from repro.faults.plan import PRESETS as _FAULT_PRESETS
+    from repro.faults.plan import PRESETS, PROC_PRESETS
 
-    fl.add_argument("--preset", default="flaky", choices=sorted(_FAULT_PRESETS),
+    _FAULT_PRESETS = sorted(set(PRESETS) - set(PROC_PRESETS))
+    fl.add_argument("--preset", default="flaky", choices=_FAULT_PRESETS,
                     help="named fault scenario (default: flaky)")
     fl.add_argument("--seed", type=int, default=0,
                     help="fault plan seed (same seed → identical faults)")
@@ -1024,8 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
              "corrupt shm frames) into a distributed run and verify "
              "elastic recovery",
     )
-    from repro.chaos.plan import CHAOS_PRESETS as _CHAOS_PRESETS
-
     ch.add_argument("graph", help=".mtx / edge-list file or corpus name")
     ch.add_argument("--driver", default="spmd",
                     choices=[n for n, d in DRIVERS.items() if d.runs_at],
@@ -1035,7 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="proc delivers real signals; sim models the same "
                          "classified errors (default: $REPRO_BACKEND or proc)")
     ch.add_argument("--preset", default="kill",
-                    choices=sorted(_CHAOS_PRESETS),
+                    choices=PROC_PRESETS,
                     help="chaos scenario (default: kill)")
     ch.add_argument("--seed", type=int, default=0, help="chaos plan seed")
     ch.add_argument("--after", type=int, default=30, metavar="N",
@@ -1095,7 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="preset (edison/cori/laptop) or a machine JSON file")
     ex.add_argument("--nodes", type=int, default=16)
     ex.add_argument("--preset", default=None,
-                    choices=sorted(_FAULT_PRESETS) + ["none"],
+                    choices=_FAULT_PRESETS + ["none"],
                     help="fault scenario to inject (default: none)")
     ex.add_argument("--seed", type=int, default=0, help="fault plan seed")
     ex.add_argument("--record", metavar="FILE",

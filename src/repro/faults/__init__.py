@@ -8,8 +8,11 @@ makes the simulator imperfect *on purpose* and deterministically:
 * :mod:`repro.faults.plan` — :class:`FaultPlan` / :class:`FaultRule`:
   seed-reproducible schedules of message truncation, payload corruption,
   duplicated/zeroed buffers, straggler delays and transient or permanent
-  collective failure, with per-collective / per-phase match rules and
-  named presets (``flaky``, ``stragglers``, ``outage``, ``permanent``).
+  collective failure, rank crashes and process faults (``kill`` /
+  ``stop`` / ``exit`` / ``frame``), with per-collective / per-phase
+  match rules and named presets (``flaky``, ``stragglers``, ``outage``,
+  ``permanent``, ``crash``; ``kill``, ``stall``, ``exit``, ``frame``,
+  ``shrink``).
 * :mod:`repro.faults.injector` — checksums and the buffer mutations the
   :class:`repro.mpisim.SimComm` retry-with-validation envelope detects.
 * :mod:`repro.faults.errors` — :class:`CollectiveError`, the typed
@@ -35,6 +38,7 @@ from .plan import (
     FAULT_KINDS,
     PRESETS,
     PROC_FAULT_KINDS,
+    PROC_PRESETS,
     FaultCall,
     FaultEvent,
     FaultPlan,
@@ -51,6 +55,7 @@ __all__ = [
     "FaultCall",
     "FaultPlan",
     "PRESETS",
+    "PROC_PRESETS",
     "preset",
     "FaultError",
     "CollectiveError",

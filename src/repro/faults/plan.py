@@ -3,8 +3,10 @@
 A :class:`FaultPlan` decides — reproducibly, from a seed — which
 collective calls get which faults.  Both communication layers consult it:
 
-* :class:`repro.mpisim.SimComm` (literal buffers) mutates real payloads
-  and relies on checksum validation + retries to recover;
+* the communicators (:class:`repro.mpisim.SimComm`,
+  :class:`repro.parallel.ProcComm`) draw one call per collective: they
+  mutate real payloads and rely on checksum validation + retries to
+  recover, and deliver (or, on the simulator, model) process faults;
 * :mod:`repro.mpisim.collectives` (analytic α–β pricing) charges the
   straggler / retry / backoff time the same faults would cost.
 
@@ -44,6 +46,7 @@ __all__ = [
     "FaultCall",
     "FaultPlan",
     "PRESETS",
+    "PROC_PRESETS",
     "preset",
 ]
 
@@ -54,20 +57,19 @@ __all__ = [
 #: envelope raises :class:`~repro.faults.errors.CollectiveError`
 #: immediately and recovery is the job of ``repro.recovery``).
 DATA_FAULT_KINDS = ("truncate", "corrupt", "duplicate", "zero")
-#: Process-level kinds injected by the chaos harness (:mod:`repro.chaos`)
-#: against **real** worker processes of the proc backend: ``kill``
-#: (SIGKILL), ``stop`` (SIGSTOP, resumed after ``stall_seconds`` — a real
-#: straggler), ``exit`` (SIGTERM, abnormal exit code) and ``frame``
-#: (a corrupt frame header written into a shared-memory ring).  The
-#: CRC/retry envelope never injects these itself
-#: (:meth:`FaultCall.active` excludes them); on the sim backend the chaos
-#: injector models them as the classified
-#: :class:`~repro.faults.errors.CollectiveError` the real fault produces.
+#: Process-level kinds, delivered by the proc backend to its **real**
+#: worker processes: ``kill`` (SIGKILL), ``stop`` (SIGSTOP, resumed after
+#: ``stall_seconds`` — a real straggler), ``exit`` (SIGTERM, abnormal exit
+#: code) and ``frame`` (a corrupt frame header written into a
+#: shared-memory ring).  The CRC/retry envelope never injects these
+#: (:meth:`FaultCall.active` excludes them); the simulator models them as
+#: the classified :class:`~repro.faults.errors.CollectiveError` the real
+#: fault produces.
 PROC_FAULT_KINDS = ("kill", "stop", "exit", "frame")
 FAULT_KINDS = DATA_FAULT_KINDS + ("delay", "fail", "crash") + PROC_FAULT_KINDS
 
 #: kinds the delivery envelope never applies to buffers (handled before
-#: delivery, or injected physically by the chaos harness)
+#: delivery, or delivered to the processes by the communicator)
 _NON_DELIVERY_KINDS = ("delay", "crash") + PROC_FAULT_KINDS
 
 
@@ -80,7 +82,7 @@ class FaultRule:
     kind:
         One of :data:`FAULT_KINDS`.
     collective:
-        Collective name to match (``"alltoallv"``, ``"bcast"``, …);
+        Collective name to match (``"alltoallv"`` or ``"allreduce"``);
         ``None`` matches every collective.
     phase:
         Cost-model phase to match (analytic layer only; the literal
@@ -103,11 +105,11 @@ class FaultRule:
         eligible (models mid-run failures).
     rank:
         For process-level kinds: the worker rank to target (``None`` =
-        a deterministic seed-derived victim, like
-        :func:`~repro.mpisim.envelope.straggler_rank`).
+        :func:`~repro.mpisim.envelope.chaos_victim`; taken modulo the
+        world size, so it still names a rank after a shrink).
     stall_seconds:
         For ``kind="stop"``: how long the victim stays SIGSTOPped before
-        the injector delivers SIGCONT.
+        its pool delivers SIGCONT.
     """
 
     kind: str
@@ -211,7 +213,7 @@ class FaultCall:
     def active(self, attempt: int) -> List[FaultRule]:
         """Rules still corrupting this delivery attempt (``delay`` and
         ``crash`` are handled by the envelope before delivery; process-
-        level kinds are injected physically by :mod:`repro.chaos`)."""
+        level kinds by the communicator before the exchange)."""
         return [
             r
             for r in self.fired
@@ -228,7 +230,7 @@ class FaultCall:
 
     def proc(self) -> List[FaultRule]:
         """Process-level rules that fired on this call (consumed by the
-        chaos injector, never by the delivery envelope)."""
+        communicator's exchange, never by the delivery envelope)."""
         return [r for r in self.fired if r.kind in PROC_FAULT_KINDS]
 
     def rng(self, attempt: int) -> np.random.Generator:
@@ -440,6 +442,11 @@ def _outage(seed: int = 0, rate: float = 0.15, attempts: int = 2) -> FaultPlan:
     )
 
 
+def _once(kind: str, after: int, **kw: Any) -> FaultRule:
+    """One *kind* fault, at the *after*-th matching collective call."""
+    return FaultRule(kind=kind, skip_calls=max(after - 1, 0), max_injections=1, **kw)
+
+
 def _permanent(
     seed: int = 0, collective: Optional[str] = None, after: int = 3
 ) -> FaultPlan:
@@ -472,29 +479,75 @@ def _crash(
     supervisor that restarts the run (``repro.recovery``) then proceeds
     on the surviving schedule."""
     return FaultPlan(
-        [
-            FaultRule(
-                kind="crash",
-                collective=collective,
-                phase=phase,
-                skip_calls=max(after - 1, 0),
-                max_injections=1,
-            )
-        ],
+        [_once("crash", after, collective=collective, phase=phase)],
         seed=seed,
         name="crash",
     )
 
 
+def _kill(seed: int = 0, after: int = 10, rank: Optional[int] = None) -> FaultPlan:
+    """SIGKILL one worker at the *after*-th collective: the canonical
+    rank loss (``rank_lost``; the supervisor respawns and resumes)."""
+    return FaultPlan([_once("kill", after, rank=rank)], seed=seed, name="kill")
+
+
+def _stall(
+    seed: int = 0,
+    after: int = 10,
+    rank: Optional[int] = None,
+    stall_seconds: float = 1.0,
+) -> FaultPlan:
+    """SIGSTOP one worker at the *after*-th collective and SIGCONT it
+    *stall_seconds* later: a real straggler, so the run slows but
+    completes with no error."""
+    return FaultPlan(
+        [_once("stop", after, rank=rank, stall_seconds=stall_seconds)],
+        seed=seed,
+        name="stall",
+    )
+
+
+def _exit(seed: int = 0, after: int = 10, rank: Optional[int] = None) -> FaultPlan:
+    """SIGTERM one worker: the same ``rank_lost`` as ``kill``, but the
+    worker gets to run its teardown."""
+    return FaultPlan([_once("exit", after, rank=rank)], seed=seed, name="exit")
+
+
+def _frame(seed: int = 0, after: int = 10, rank: Optional[int] = None) -> FaultPlan:
+    """Write a corrupt frame header into the victim's ring to the
+    conductor: the drainer sees the bad magic and the pool fails typed
+    (``worker_died``), exercising the respawn path."""
+    return FaultPlan([_once("frame", after, rank=rank)], seed=seed, name="frame")
+
+
+def _shrink(seed: int = 0, after: int = 10, gap: int = 12) -> FaultPlan:
+    """Two kills *gap* collectives apart: the repeated rank loss that
+    escalates the supervisor past respawn into shrink-to-survivors."""
+    return FaultPlan(
+        [_once("kill", after), _once("kill", max(after, 1) + max(gap, 1))],
+        seed=seed,
+        name="shrink",
+    )
+
+
 #: name → factory, for ``FaultPlan`` construction by preset name
-#: (CLI ``--preset`` and the differential fault matrix).
+#: (CLI ``--preset``, the differential fault matrix and the chaos
+#: harness).
 PRESETS = {
     "flaky": _flaky,
     "stragglers": _stragglers,
     "outage": _outage,
     "permanent": _permanent,
     "crash": _crash,
+    "kill": _kill,
+    "stall": _stall,
+    "exit": _exit,
+    "frame": _frame,
+    "shrink": _shrink,
 }
+#: the presets of process faults (``repro chaos``); the rest damage
+#: payloads, delay or fail collectives, or crash a rank
+PROC_PRESETS = ("exit", "frame", "kill", "shrink", "stall")
 
 
 def preset(name: str, seed: int = 0, **kwargs: Any) -> FaultPlan:

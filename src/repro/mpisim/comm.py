@@ -32,8 +32,9 @@ backoff (priced in simulated time — through the attached
 faults therefore recover transparently; permanent faults exhaust the
 bounded retries and raise a typed
 :class:`~repro.faults.CollectiveError` instead of ever returning wrong
-data.  An active chaos injector (:mod:`repro.chaos`) fires its sim model
-of process faults in the exchange, before any delivery.
+data.  The plan's process faults (``kill`` / ``exit`` / ``frame`` /
+``stop``) are modeled in the exchange, before any delivery, as the
+typed errors the real faults produce on the proc backend.
 
 Used by the distributed-LACC drivers and validation tests, the
 differential fault harness and the ``examples/simulated_cluster.py``
@@ -46,7 +47,7 @@ from typing import List
 
 import numpy as np
 
-from .envelope import CommBase
+from .envelope import CommBase, fail
 
 __all__ = ["SimComm"]
 
@@ -61,22 +62,26 @@ class SimComm(CommBase):
     :class:`repro.mpisim.envelope.CommBase`.
     """
 
-    def _chaos(self, name: str) -> None:
-        """Model the typed error a real process fault would produce, from
-        the same seeded schedule the proc backend injects physically."""
-        from repro.chaos.injector import active_injector
+    def _model_process_faults(self, call) -> None:
+        """Raise the typed error the process faults *call* drew produce on
+        the proc backend: ``kill``/``exit`` lose the victim
+        (``rank_lost``), ``frame`` fails the pool (``worker_died``).  A
+        ``stop`` straggler only costs wall-clock, which the simulator does
+        not model, so the collective completes."""
+        hits = self._process_faults(call)
+        lost = [victim for rule, victim in hits if rule.kind in ("kill", "exit")]
+        if lost:
+            fail(call.collective, 1, ["rank_lost"], size=self.size, lost=lost)
+        if any(rule.kind == "frame" for rule, _ in hits):
+            fail(call.collective, 1, ["worker_died"], lost=[])
 
-        inj = active_injector()
-        if inj is not None:
-            inj.fire_sim(name, self.size)
-
-    def _exchange_alltoallv(self, sp, send) -> List[List[np.ndarray]]:
-        self._chaos("alltoallv")
+    def _exchange_alltoallv(self, sp, send, call) -> List[List[np.ndarray]]:
+        self._model_process_faults(call)
         p = self.size
         return [[np.asarray(send[i][j]).copy() for i in range(p)] for j in range(p)]
 
-    def _exchange_allreduce(self, sp, arrs, op) -> List[np.ndarray]:
-        self._chaos("allreduce")
+    def _exchange_allreduce(self, sp, arrs, op, call) -> List[np.ndarray]:
+        self._model_process_faults(call)
         total = arrs[0]
         for a in arrs[1:]:
             total = op(total, a)

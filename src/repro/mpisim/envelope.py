@@ -9,10 +9,14 @@ Everything that must behave *identically* on both lives here:
 * the one body of ``alltoallv`` and of ``allreduce`` on
   :class:`CommBase`: argument validation (so both backends reject
   malformed calls with the same errors, before any data moves), the
-  words/messages counts, the span, the destination-major leaf order and
+  words/messages counts, the span, the collective's one draw from the
+  :class:`~repro.faults.FaultPlan`, the destination-major leaf order and
   the delivery.  A backend supplies only the data exchange
-  (``_exchange_alltoallv`` / ``_exchange_allreduce``); the reductions
-  both accept are the wire table :data:`REDUCE_OPS`;
+  (``_exchange_alltoallv`` / ``_exchange_allreduce``), which takes the
+  drawn call and delivers its process faults — the simulator as typed
+  errors, the proc backend as signals to its workers — with victims and
+  log lines from :meth:`CommBase._process_faults`; the reductions both
+  accept are the wire table :data:`REDUCE_OPS`;
 * the **fault envelope** (:func:`fault_envelope`), the one fault-delivery
   loop of every collective path — the analytic α–β collectives of
   :mod:`repro.mpisim.collectives` and the payload-carrying
@@ -25,7 +29,7 @@ Everything that must behave *identically* on both lives here:
   every path;
 * the **failure exit** (:func:`fail`) every collective error leaves
   through — the envelope's, the proc backend's worker-death
-  classification and the chaos injector's sim model alike.
+  classification and the simulator's model of process faults alike.
 
 In :meth:`CommBase._deliver` payloads are checksummed at the sender,
 validated at the receiver, and damaged deliveries are retransmitted.
@@ -38,12 +42,13 @@ movement once and hands the result to the envelope.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NoReturn, Optional, Sequence
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.faults.errors import CollectiveError
 from repro.faults.injector import checksums, inject
+from repro.faults.plan import FaultRule
 from repro.obs.tracer import flight_recorder as _freg
 from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
@@ -56,6 +61,7 @@ __all__ = [
     "REDUCE_OPS",
     "backoff_base",
     "calling_iteration",
+    "chaos_victim",
     "fail",
     "fault_envelope",
     "note_fault",
@@ -97,6 +103,13 @@ def straggler_rank(plan, ranks: int) -> int:
     return (0x9E3779B9 * (plan.seed + 1)) % max(ranks, 1)
 
 
+def chaos_victim(plan, call_index: int, size: int) -> int:
+    """Deterministic victim rank of a process fault: the hash family of
+    :func:`straggler_rank`, salted with the call index so successive
+    faults of one plan spread across ranks."""
+    return (0x9E3779B9 * (plan.seed + 1) + call_index) % max(size, 1)
+
+
 def backoff_base(cost) -> float:
     """Simulated seconds of backoff before the first retransmission: the
     attached cost model's ``machine.retry_backoff_base``, else the
@@ -129,9 +142,10 @@ def fail(name: str, attempts: int, kinds: Sequence[str],
     :class:`~repro.faults.CollectiveError`.
 
     *lost* is passed by the process-fault paths only (the proc backend's
-    failure detector and the chaos injector's sim model): each lost rank
-    is first recorded as a ``rank_lost`` event (*size* ranks before the
-    loss), and the error event carries the lost and stalled rank lists.
+    failure detector and the simulator's process-fault model): each lost
+    rank is first recorded as a ``rank_lost`` event (*size* ranks before
+    the loss), and the error event carries the lost and stalled rank
+    lists.
     """
     fr = _freg()
     if fr:
@@ -242,7 +256,8 @@ class CommBase:
         Number of ranks (must be an integral value >= 1).
     faults:
         Optional :class:`~repro.faults.FaultPlan`; when given, every
-        collective's delivery runs through :func:`fault_envelope`.
+        collective draws one call from it: its process faults fire in the
+        exchange and its delivery runs through :func:`fault_envelope`.
     cost:
         Optional :class:`~repro.mpisim.costmodel.CostModel`.  When
         attached, straggler delays, retransmissions and backoff are
@@ -269,8 +284,9 @@ class CommBase:
     #: tracer category of the collective spans, one per backend
     category = "simcomm"
 
-    # a backend defines _exchange_alltoallv(sp, send) -> recv[j][i] and
-    # _exchange_allreduce(sp, arrs, op) -> one total per rank
+    # a backend defines _exchange_alltoallv(sp, send, call) -> recv[j][i]
+    # and _exchange_allreduce(sp, arrs, op, call) -> one total per rank,
+    # delivering the process faults of the collective's drawn call
 
     def _check(self, bufs: Sequence, what: str = "buffer") -> None:
         if len(bufs) != self.size:
@@ -304,7 +320,8 @@ class CommBase:
                 sp.set("send_words", w)  # send_words[i][j]; recv is transpose
                 sp.set("rank_send_totals", [sum(row) for row in w])
                 sp.set("rank_recv_totals", [sum(w[i][j] for i in range(p)) for j in range(p)])
-            recv = self._exchange_alltoallv(sp, send)
+            call = None if self.faults is None else self.faults.begin_call("alltoallv")
+            recv = self._exchange_alltoallv(sp, send, call)
             # flatten destination-major, so one fault seed damages the
             # same buffer on both backends
             flat = [recv[j][i] for j in range(p) for i in range(p)]
@@ -312,7 +329,7 @@ class CommBase:
             def rebuild(leaves):
                 return [list(leaves[j * p : (j + 1) * p]) for j in range(p)]
 
-            return self._deliver("alltoallv", flat, rebuild, sp, words, messages)
+            return self._deliver(call, flat, rebuild, sp, words, messages)
 
     def allreduce(
         self, bufs: Sequence[np.ndarray], op: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -340,12 +357,27 @@ class CommBase:
             if sp:
                 sp.add("words", words)
                 sp.add("messages", messages)
-            out = self._exchange_allreduce(sp, arrs, op)
-            return self._deliver("allreduce", out, list, sp, words, messages)
+            call = None if self.faults is None else self.faults.begin_call("allreduce")
+            out = self._exchange_allreduce(sp, arrs, op, call)
+            return self._deliver(call, out, list, sp, words, messages)
 
     # ------------------------------------------------------------------
-    # fault-injection delivery
+    # fault injection
     # ------------------------------------------------------------------
+    def _process_faults(self, call) -> List[Tuple[FaultRule, int]]:
+        """The process-fault rules *call* drew, each with its victim: the
+        rule's rank, else :func:`chaos_victim`.  Each is logged in the
+        same words on both backends, so one seed logs byte-identically;
+        the backend's exchange then delivers them."""
+        hits = []
+        for rule in call.proc() if call else ():
+            victim = (chaos_victim(call.plan, call.index, self.size)
+                      if rule.rank is None else rule.rank % self.size)
+            stall = f" for {rule.stall_seconds:g}s" if rule.kind == "stop" else ""
+            note_fault(call, rule, 0, victim, f"{rule.kind} rank {victim}{stall}")
+            hits.append((rule, victim))
+        return hits
+
     def _price_delay(self, factor: float, words: int, messages: int) -> float:
         """Charge a straggler's excess time over the fault-free delivery."""
         if self.cost is not None:
@@ -367,8 +399,8 @@ class CommBase:
             rsp.add("words", words)
             rsp.add("messages", messages)
 
-    def _deliver(self, name, leaves, rebuild, sp, words: int, messages: int):
-        """Run one collective's receive buffers through the fault plan.
+    def _deliver(self, call, leaves, rebuild, sp, words: int, messages: int):
+        """Run one collective's receive buffers through its drawn *call*.
 
         *leaves* is the flattened list of per-destination buffers the
         fault-free network would deliver; *rebuild* restores the
@@ -377,8 +409,6 @@ class CommBase:
         it only if its CRCs match the sender's; the retry, backoff and
         failure policy is :func:`fault_envelope`'s.
         """
-        plan = self.faults
-        call = None if plan is None else plan.begin_call(name)
         if not call:
             return rebuild(leaves)
         expected = checksums(leaves)

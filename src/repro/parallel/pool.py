@@ -16,6 +16,9 @@ a fresh communicator per run, and forking + handshaking processes per
 run would dominate the wall-clock the backend exists to measure.  A pool
 whose worker died (crash fault tests kill them deliberately) is marked
 broken, torn down, and transparently respawned on next use.
+:meth:`WorkerPool.inject` delivers a fault plan's process faults to the
+pool's own workers (SIGKILL, SIGTERM, SIGSTOP with a timed SIGCONT, or a
+corrupt frame header in a ring); teardown resumes any stopped worker.
 
 Protocol
 --------
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import signal
 import threading
 import time
 import warnings
@@ -52,6 +56,7 @@ from .detector import TAG_HB, FailureDetector, WorkerStatus, heartbeat_interval
 from .obsband import ObsSideband, RankObs, _TracedEndpoint, rank_obs_enabled
 from .shm import (
     DEFAULT_CAPACITY,
+    HEADER_BYTES,
     ShmTransport,
     TransportError,
     pack_arrays,
@@ -82,6 +87,22 @@ _OPCODE_NAMES: Dict[int, str] = {
 
 #: parent-side wait for any single worker round-trip, seconds
 DEFAULT_TIMEOUT_S = float(os.environ.get("REPRO_PROC_TIMEOUT", "60"))
+
+#: how long :meth:`WorkerPool.inject` waits for a SIGKILLed/SIGTERMed
+#: worker to disappear (the kernel reaps asynchronously; classification
+#: must not race ahead of the death it caused)
+_REAP_WAIT_S = 2.0
+
+#: the signal each process-fault kind sends (``frame`` sends none)
+_FAULT_SIGNALS = {"kill": signal.SIGKILL, "exit": signal.SIGTERM, "stop": signal.SIGSTOP}
+
+
+def _resume(pid: int) -> None:
+    """SIGCONT a stopped worker; a worker already gone is not an error."""
+    try:
+        os.kill(pid, signal.SIGCONT)
+    except OSError:
+        pass
 
 
 class WorkerDied(TransportError):
@@ -264,6 +285,8 @@ class WorkerPool:
         self.size = int(size)
         self.timeout = float(timeout)
         self.broken = False
+        #: SIGCONT timers of workers a ``stop`` fault froze
+        self._stalls: List[threading.Timer] = []
         # reclaim /dev/shm litter from conductors that died without
         # unlink() (SIGKILL, OOM) before allocating our own rings
         try:
@@ -490,12 +513,48 @@ class WorkerPool:
             self._send(r, seq, np.asarray(bufs[r]))
         return [self._recv(r, seq) for r in range(self.size)]
 
+    # -- process faults ------------------------------------------------
+    def inject(self, kind: str, rank: int, stall_seconds: float) -> None:
+        """Deliver one process fault to worker *rank*: ``kill`` (SIGKILL)
+        and ``exit`` (SIGTERM) return once the worker is gone, ``stop``
+        (SIGSTOP) arms a timer that resumes it *stall_seconds* later, and
+        ``frame`` appends a garbage frame header to its ring to the
+        conductor, whose drainer sees the bad magic and fails typed."""
+        if kind == "frame":
+            head = np.zeros(HEADER_BYTES // 8, dtype=np.int64)
+            head[0] = 0x0DDBA11  # anything but the frame magic
+            try:
+                self.transport.channel(rank, self.size).write_bytes(
+                    head.tobytes(), deadline=time.monotonic() + 1.0)
+                self.transport.doorbell(self.size).release()
+            except TransportError:  # pragma: no cover - ring full/closed
+                pass
+            return
+        proc = self.procs[rank]
+        try:
+            os.kill(proc.pid, _FAULT_SIGNALS[kind])
+        except OSError:
+            return  # already gone
+        if kind == "stop":
+            timer = threading.Timer(stall_seconds, _resume, (proc.pid,))
+            timer.daemon = True
+            timer.start()
+            self._stalls.append(timer)
+            return
+        deadline = time.monotonic() + _REAP_WAIT_S
+        while proc.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.005)
+
     # -- teardown ------------------------------------------------------
     def close(self) -> None:
-        """Idempotent teardown: drain, reap, release shared segments."""
+        """Idempotent teardown: resume stopped workers, drain, reap,
+        release shared segments."""
         if getattr(self, "_closed", False):
             return
         self._closed = True
+        for timer in self._stalls:
+            timer.cancel()
+            _resume(*timer.args)
         if not self.broken and all(p.is_alive() for p in self.procs):
             try:
                 seq = self._next_seq()

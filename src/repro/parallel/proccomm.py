@@ -9,10 +9,10 @@ processes over shared memory.
 
 Semantics are pinned to SimComm's by construction: both inherit the one
 body of each collective from :class:`~repro.mpisim.envelope.CommBase`
-(validation, words/messages, span, leaf order, the CRC/retry envelope)
-and supply only the exchange — here :meth:`_run` on the worker pool.  So
-malformed calls raise the same errors before any command is sent, the
-α–β model prices both backends identically, and one
+(validation, words/messages, span, the one fault draw, leaf order, the
+CRC/retry envelope) and supply only the exchange — here :meth:`_run` on
+the worker pool.  So malformed calls raise the same errors before any
+command is sent, the α–β model prices both backends identically, and one
 :class:`~repro.faults.FaultPlan` seed yields byte-identical fault
 schedules, retries and :class:`~repro.faults.CollectiveError`\\ s on
 either backend.  What is proc-only:
@@ -22,8 +22,9 @@ either backend.  What is proc-only:
   :class:`~repro.faults.CollectiveError` (``rank_lost``,
   ``deadline_exceeded`` or ``worker_died``); the broken pool is torn
   down and respawned on the next collective.
-* **Real chaos** — an active :mod:`repro.chaos` injector fires its
-  process faults in :meth:`_run`, before the physical exchange.
+* **Real process faults** — the process faults of the collective's
+  drawn call (``kill`` / ``stop`` / ``exit`` / ``frame``) are delivered
+  to the pool's workers in :meth:`_run`, before the physical exchange.
 
 Tracer spans use category ``"proccomm"`` (the ``"simcomm"`` category
 stays sim-only so word-accounting consumers know which machine produced
@@ -134,23 +135,20 @@ class ProcComm(CommBase):
                 sp.set("error", error)
         fail(name, 1, kinds, size=self.size, lost=lost, stalled=stalled)
 
-    def _run(self, name: str, sp, fn, *args):
+    def _run(self, name: str, sp, call, fn, *args):
         """Execute one pool collective, translating a dead/wedged worker
         into a typed :class:`~repro.faults.CollectiveError` (never a hang).
 
         A death is *reported once*: the collective that observes it
         raises, and the communicator heals itself with a fresh pool so
-        the next collective (e.g. a supervisor's retry) succeeds.  When a
-        chaos injector is active (:mod:`repro.chaos`) its scheduled
-        process faults fire here, before the physical exchange — the real
-        counterpart of the simulator's envelope hook.
+        the next collective (e.g. a supervisor's retry) succeeds.  The
+        process faults *call* drew are delivered to the pool here, before
+        the physical exchange — the real counterpart of the simulator's
+        model of them.
         """
         pool = self._pool
-        from repro.chaos.injector import active_injector
-
-        inj = active_injector()
-        if inj is not None:
-            inj.fire_proc(name, pool)
+        for rule, victim in self._process_faults(call):
+            pool.inject(rule.kind, victim, rule.stall_seconds)
         if not pool.alive():
             status = pool.detector.snapshot()
             try:  # survivor counters die with the pool; grab them first
@@ -169,14 +167,8 @@ class ProcComm(CommBase):
                 -1 if it is None else int(it),
                 STEP_TO_CODE.get(st.name, 0) if st is not None else 0,
             )
-        deadline = _DEADLINE_S
-        if inj is not None and inj.deadline_s is not None:
-            deadline = (
-                inj.deadline_s if deadline is None
-                else min(deadline, inj.deadline_s)
-            )
         try:
-            with pool.deadline(deadline):
+            with pool.deadline(_DEADLINE_S):
                 out = fn(pool, *args)
         except WorkerDied as exc:
             self._fail(name, sp, getattr(exc, "status", ()), error=str(exc))
@@ -228,11 +220,11 @@ class ProcComm(CommBase):
     # ------------------------------------------------------------------
     # the exchanges; CommBase runs everything around them
     # ------------------------------------------------------------------
-    def _exchange_alltoallv(self, sp, send) -> List[List[np.ndarray]]:
-        return self._run("alltoallv", sp, lambda p: p.alltoallv(send))
+    def _exchange_alltoallv(self, sp, send, call) -> List[List[np.ndarray]]:
+        return self._run("alltoallv", sp, call, lambda p: p.alltoallv(send))
 
-    def _exchange_allreduce(self, sp, arrs, op) -> List[np.ndarray]:
-        return self._run("allreduce", sp, lambda p: p.allreduce(arrs, op))
+    def _exchange_allreduce(self, sp, arrs, op, call) -> List[np.ndarray]:
+        return self._run("allreduce", sp, call, lambda p: p.allreduce(arrs, op))
 
     # restated here, not inherited, so the per-layer timers of
     # benchmarks/e2e/layers.py can wrap ProcComm's collectives alone

@@ -1,18 +1,25 @@
-"""Chaos plans: process-level fault kinds, presets, seeded determinism.
+"""Process-fault plans: kinds, presets, seeded determinism.
 
-Covers the satellite contracts: the new ``PROC_FAULT_KINDS`` integrate
-with the FaultPlan machinery (rule fields, ``FaultCall.proc()``, the
-``from_json`` round-trip of injection logs), the backoff jitter is
-deterministic per ``(seed, call, attempt)``, and chaos victims derive
-from the seed alone.
+The ``PROC_FAULT_KINDS`` integrate with the FaultPlan machinery (rule
+fields, ``FaultCall.proc()``, the ``from_json`` round-trip of injection
+logs), their presets live in the one :data:`repro.faults.PRESETS`
+table, the backoff jitter is deterministic per ``(seed, call,
+attempt)``, and process-fault victims derive from the seed alone.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chaos import CHAOS_PRESETS, chaos_preset, chaos_victim
-from repro.faults import PROC_FAULT_KINDS, CollectiveError, FaultPlan, FaultRule
+from repro.faults import (
+    PROC_FAULT_KINDS,
+    PROC_PRESETS,
+    CollectiveError,
+    FaultPlan,
+    FaultRule,
+    preset,
+)
+from repro.mpisim.envelope import chaos_victim
 
 
 class TestProcFaultKinds:
@@ -49,7 +56,7 @@ class TestProcFaultKinds:
             ],
             seed=0,
         )
-        call = plan.begin_call("bcast")
+        call = plan.begin_call("allreduce")
         assert [r.kind for r in call.proc()] == ["kill"]
         assert [r.kind for r in call.active(0)] == ["corrupt"]
 
@@ -75,66 +82,66 @@ class TestInjectionLogRoundTrip:
         assert replay.n_calls == plan.n_calls
 
     def test_chaos_run_log_is_seed_reproducible(self):
-        a = chaos_preset("kill", seed=4, after=2)
-        b = chaos_preset("kill", seed=4, after=2)
+        a = preset("kill", seed=4, after=2)
+        b = preset("kill", seed=4, after=2)
         for plan in (a, b):
             for _ in range(3):
-                call = plan.begin_call("allgatherv")
+                call = plan.begin_call("alltoallv")
                 for rule in call.proc():
                     victim = chaos_victim(plan, call.index, 4)
-                    call.record(rule, 0, victim, f"SIGKILL rank {victim}")
+                    call.record(rule, 0, victim, f"kill rank {victim}")
         assert a.to_json() == b.to_json()
         assert a.summary() == {"kill": 1}
 
 
 class TestPresets:
     def test_every_preset_builds(self):
-        for name in CHAOS_PRESETS:
-            plan = chaos_preset(name, seed=1, after=3)
-            assert plan.rules and plan.name == f"chaos-{name}"
+        for name in PROC_PRESETS:
+            plan = preset(name, seed=1, after=3)
+            assert plan.rules and plan.name == name
             assert all(r.kind in PROC_FAULT_KINDS for r in plan.rules)
 
     def test_unknown_preset_raises(self):
-        with pytest.raises(ValueError, match="unknown chaos preset"):
-            chaos_preset("nope")
+        with pytest.raises(ValueError, match="unknown fault preset"):
+            preset("nope")
 
     def test_kill_fires_exactly_at_after(self):
-        plan = chaos_preset("kill", seed=0, after=3)
+        plan = preset("kill", seed=0, after=3)
         fired = []
         for i in range(6):
             fired.extend((i, r.kind) for r in plan.begin_call("x").proc())
         assert fired == [(2, "kill")]  # 3rd call, once, never again
 
     def test_shrink_preset_fires_two_kills(self):
-        plan = chaos_preset("shrink", seed=0, after=2, gap=3)
+        plan = preset("shrink", seed=0, after=2, gap=3)
         fired = []
         for i in range(10):
             fired.extend(i for r in plan.begin_call("x").proc())
         assert fired == [1, 4]
 
     def test_stall_preset_carries_duration(self):
-        plan = chaos_preset("stall", seed=0, after=1, stall_seconds=2.5)
+        plan = preset("stall", seed=0, after=1, stall_seconds=2.5)
         (rule,) = plan.begin_call("x").proc()
         assert rule.kind == "stop" and rule.stall_seconds == 2.5
 
 
 class TestChaosVictim:
     def test_deterministic_in_seed_and_call(self):
-        plan = chaos_preset("kill", seed=11)
+        plan = preset("kill", seed=11)
         assert chaos_victim(plan, 5, 4) == chaos_victim(plan, 5, 4)
 
     def test_spreads_across_calls_and_seeds(self):
-        plan = chaos_preset("kill", seed=11)
+        plan = preset("kill", seed=11)
         victims = {chaos_victim(plan, c, 4) for c in range(8)}
         assert len(victims) > 1
-        other = chaos_preset("kill", seed=12)
+        other = preset("kill", seed=12)
         assert any(
             chaos_victim(plan, c, 4) != chaos_victim(other, c, 4)
             for c in range(8)
         )
 
     def test_always_in_range(self):
-        plan = chaos_preset("kill", seed=3)
+        plan = preset("kill", seed=3)
         for size in (1, 2, 3, 4, 9):
             for c in range(20):
                 assert 0 <= chaos_victim(plan, c, size) < size

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import chaos_run
-from repro.faults import CollectiveError
+from repro.faults import CollectiveError, preset
 from repro.graphs import path_graph
 
 SEEDS = (1, 5, 9)
@@ -106,18 +106,35 @@ class TestReplayDeterminism:
         assert self._signature(paths[0]) == self._signature(paths[1])
 
 
+class TestCrossBackendLog:
+    """One seed, one schedule: the sim model and the real injection log
+    the same faults in the same words."""
+
+    @pytest.mark.parametrize("driver,preset_name", [
+        ("spmd", "kill"), ("spmd", "frame"), ("spmd", "stall"),
+        ("spmd", "shrink"), ("2d", "kill"),
+    ])
+    def test_chaos_log_byte_identical_on_sim_and_proc(self, driver, preset_name):
+        logs = [
+            chaos_run(G, driver=driver, ranks=4, preset=preset_name, seed=3,
+                      backend=backend, stall_seconds=0.5).chaos_log
+            for backend in ("sim", "proc")
+        ]
+        assert logs[0] == logs[1]
+        assert logs[0] != "[]"  # the schedule fired
+
+
 class TestTypedErrorsThroughProc:
     def test_rank_lost_carries_lost_ranks_without_supervision(self):
         """Unsupervised: the raw CollectiveError from a real SIGKILL must
         carry the classified kind and the lost rank list."""
-        from repro.chaos import ChaosInjector, activate_chaos, chaos_preset
         from repro.core.lacc_spmd import lacc_spmd
         from repro.mpisim import backend as B
 
-        inj = ChaosInjector(chaos_preset("kill", seed=1, after=50, rank=2))
-        with activate_chaos(inj), B.use("proc"):
+        plan = preset("kill", seed=1, after=50, rank=2)
+        with B.use("proc"):
             with pytest.raises(CollectiveError) as ei:
-                lacc_spmd(G, ranks=4)
+                lacc_spmd(G, ranks=4, faults=plan)
         err = ei.value
         assert "rank_lost" in err.kinds
         assert err.lost_ranks == (2,)

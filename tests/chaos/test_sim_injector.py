@@ -1,10 +1,11 @@
-"""Sim-side chaos: the injector models real faults as typed errors.
+"""Sim-side chaos: the simulator models real faults as typed errors.
 
-The simulator cannot kill a process, so :meth:`ChaosInjector.fire_sim`
+The simulator cannot kill a process, so :class:`~repro.mpisim.SimComm`
 raises the same classified :class:`~repro.faults.CollectiveError` the
-real injection produces on the proc backend — which is exactly what
-lets the supervisor's escalation chain (including shrink-to-survivors)
-be exercised quickly, without forking anything.
+real injection produces on the proc backend, from the process faults its
+collective drew from the one :class:`~repro.faults.FaultPlan` — which is
+exactly what lets the supervisor's escalation chain (including
+shrink-to-survivors) be exercised quickly, without forking anything.
 """
 
 from __future__ import annotations
@@ -14,71 +15,70 @@ import math
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosInjector, activate_chaos, active_injector, chaos_preset
 from repro.chaos.harness import chaos_run
-from repro.faults import CollectiveError
+from repro.faults import CollectiveError, preset
 from repro.graphs import path_graph, star_graph
+from repro.mpisim import SimComm
+
+ONES = [np.ones(2, dtype=np.int64)] * 4
+SEND = [[np.arange(i + j, dtype=np.int64) for j in range(4)] for i in range(4)]
 
 
-class TestActivation:
-    def test_scoped_activation_restores_previous(self):
-        assert active_injector() is None
-        a = ChaosInjector(chaos_preset("kill", seed=0))
-        b = ChaosInjector(chaos_preset("kill", seed=1))
-        with activate_chaos(a):
-            assert active_injector() is a
-            with activate_chaos(b):
-                assert active_injector() is b
-            assert active_injector() is a
-        assert active_injector() is None
+def _allreduce(comm):
+    return comm.allreduce(ONES, np.add)
+
+
+def _alltoallv(comm):
+    return comm.alltoallv(SEND)
 
 
 class TestFireSim:
     def test_kill_models_rank_lost(self):
-        inj = ChaosInjector(chaos_preset("kill", seed=0, after=2))
-        inj.fire_sim("allreduce", 4)  # call 1: schedule not due yet
+        comm = SimComm(4, faults=preset("kill", seed=0, after=2))
+        _allreduce(comm)  # call 1: schedule not due yet
         with pytest.raises(CollectiveError) as ei:
-            inj.fire_sim("allreduce", 4)
+            _allreduce(comm)
         err = ei.value
         assert list(err.kinds) == ["rank_lost"]
         assert len(err.lost_ranks) == 1
         assert 0 <= err.lost_ranks[0] < 4
-        assert inj.plan.summary() == {"kill": 1}
+        assert comm.faults.summary() == {"kill": 1}
 
     def test_exit_models_rank_lost_too(self):
-        inj = ChaosInjector(chaos_preset("exit", seed=0, after=1))
+        comm = SimComm(4, faults=preset("exit", seed=0, after=1))
         with pytest.raises(CollectiveError) as ei:
-            inj.fire_sim("bcast", 4)
+            _alltoallv(comm)
         assert list(ei.value.kinds) == ["rank_lost"]
 
     def test_frame_models_worker_died(self):
-        inj = ChaosInjector(chaos_preset("frame", seed=0, after=1))
+        comm = SimComm(4, faults=preset("frame", seed=0, after=1))
         with pytest.raises(CollectiveError) as ei:
-            inj.fire_sim("alltoallv", 4)
+            _alltoallv(comm)
         assert list(ei.value.kinds) == ["worker_died"]
         assert ei.value.lost_ranks == ()
 
     def test_stop_has_no_simulated_counterpart(self):
-        inj = ChaosInjector(chaos_preset("stall", seed=0, after=1))
-        inj.fire_sim("allreduce", 4)  # completes: wall-clock only
-        assert inj.plan.summary() == {"stop": 1}
+        comm = SimComm(4, faults=preset("stall", seed=0, after=1))
+        out = _allreduce(comm)  # completes: wall-clock only
+        assert all(np.array_equal(o, [4, 4]) for o in out)
+        assert comm.faults.summary() == {"stop": 1}
 
     def test_explicit_rank_overrides_seeded_victim(self):
-        inj = ChaosInjector(chaos_preset("kill", seed=0, after=1, rank=3))
+        comm = SimComm(4, faults=preset("kill", seed=0, after=1, rank=3))
         with pytest.raises(CollectiveError) as ei:
-            inj.fire_sim("allreduce", 4)
+            _allreduce(comm)
         assert ei.value.lost_ranks == (3,)
 
     def test_log_is_byte_identical_across_replays(self):
         logs = []
         for _ in range(2):
-            inj = ChaosInjector(chaos_preset("kill", seed=6, after=3))
+            comm = SimComm(4, faults=preset("kill", seed=6, after=3))
             for _call in range(5):
                 try:
-                    inj.fire_sim("allgatherv", 4)
+                    _alltoallv(comm)
                 except CollectiveError:
                     pass
-            logs.append(inj.plan.to_json())
+            logs.append(comm.faults.to_json())
         assert logs[0] == logs[1]
 
 
@@ -131,3 +131,8 @@ class TestSupervisedSimChaos:
                       preset="kill", seed=1, backend="sim")
         assert r.injected == {"kill": 1}
         assert "kill" in r.chaos_log
+
+    def test_victim_rank_outside_the_world_is_rejected(self):
+        with pytest.raises(ValueError, match="victim rank 7"):
+            chaos_run(path_graph(200), driver="spmd", ranks=4,
+                      preset="kill", rank=7, backend="sim")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core import lacc
 from repro.core.lacc_2d import lacc_2d
 from repro.core.lacc_spmd import _Dist, lacc_spmd
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, preset
 from repro.graphs import generators as gen
 from repro.graphs import validate
 from repro.mpisim import SimComm, backend
@@ -26,20 +26,23 @@ def test_words_sent_equals_alltoallv_span_words(family, seed, ranks):
     accounting describe the same traffic, for ``lacc_spmd`` on *ranks*
     ranks and ``lacc_2d`` on ``ranks²``: every collective of the run is an
     ``alltoallv`` carrying ``words_sent`` in total, but the one convergence
-    ``allreduce`` per iteration, and a rule-free FaultPlan's cursor counts
-    each of them."""
+    ``allreduce`` per iteration.  A FaultPlan's cursor counts each of
+    them once: a rule-free plan's, and a process-fault plan's, whose
+    ``stall`` (a collective that completes on the simulator) is drawn by
+    the same one draw per collective."""
     g = make_graph(family, seed)
     for run, p in ((lacc_spmd, ranks), (lacc_2d, ranks * ranks)):
-        tr = Tracer()
-        plan = FaultPlan([])
-        with backend.use("sim"), activate(tr):
-            r = run(g, ranks=p, faults=plan)
-        spans = tr.find(cat="simcomm")
-        alltoallv = [sp for sp in spans if sp.name == "alltoallv"]
-        others = [sp.name for sp in spans if sp.name != "alltoallv"]
-        assert others == ["allreduce"] * r.n_iterations
-        assert r.words_sent == sum(sp.counters.get("words", 0.0) for sp in alltoallv)
-        assert plan.cursor == len(spans)
+        for plan in (FaultPlan([]), preset("stall", after=3)):
+            tr = Tracer()
+            with backend.use("sim"), activate(tr):
+                r = run(g, ranks=p, faults=plan)
+            spans = tr.find(cat="simcomm")
+            alltoallv = [sp for sp in spans if sp.name == "alltoallv"]
+            others = [sp.name for sp in spans if sp.name != "alltoallv"]
+            assert others == ["allreduce"] * r.n_iterations
+            assert r.words_sent == sum(sp.counters.get("words", 0.0) for sp in alltoallv)
+            assert plan.cursor == len(spans)
+            assert plan.summary() == ({"stop": 1} if plan.rules else {})
 
 
 def test_hook_write_assigns_the_min_proposal():

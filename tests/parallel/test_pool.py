@@ -26,7 +26,7 @@ import repro
 from repro.faults import CollectiveError
 from repro.mpisim import SimComm, backend, make_comm
 from repro.parallel import ProcComm, WorkerDied, get_pool
-from repro.parallel.pool import _POOLS
+from repro.parallel.pool import _POOLS, WorkerPool
 
 
 # ----------------------------------------------------------------------
@@ -137,6 +137,18 @@ class TestPoolLifecycle:
         comm = ProcComm(2)
         out = comm.allreduce([np.arange(3), np.arange(3)], np.add)
         assert np.array_equal(out[1], 2 * np.arange(3))
+
+    def test_close_resumes_a_stopped_worker(self):
+        """Teardown cancels a ``stop`` fault's SIGCONT timer and resumes
+        the worker itself, which then shuts down cleanly instead of
+        being killed."""
+        pool = WorkerPool(2)
+        pool.inject("stop", 1, stall_seconds=600.0)
+        pool.close()
+        (timer,) = pool._stalls
+        timer.join(timeout=10)
+        assert not timer.is_alive()
+        assert [p.exitcode for p in pool.procs] == [0, 0]
 
 
 # ----------------------------------------------------------------------
