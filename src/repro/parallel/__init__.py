@@ -7,8 +7,9 @@ Layering (bottom up):
   registry that lets the next run sweep segments orphaned by abnormal
   exits;
 * :mod:`~repro.parallel.pool` — persistent forked worker pools executing
-  the ``alltoallv`` and ``allreduce`` choreography (cached per size,
-  respawned when broken);
+  the ``alltoallv`` and ``allreduce`` choreography, one command frame per
+  worker carrying its input row, the diagonal kept on the conductor
+  (cached per size, respawned when broken);
 * :mod:`~repro.parallel.detector` — heartbeat-based failure detector
   classifying workers ok / slow / stalled / dead;
 * :mod:`~repro.parallel.proccomm` — :class:`ProcComm`, the drop-in

@@ -9,7 +9,8 @@ hands each worker its rank's buffers, the workers exchange payloads
 **among themselves** over the shared-memory channels (a full pairwise
 exchange for ``alltoallv``; for ``allreduce``, rank 0 folds in rank order
 and sends the total back), and ship their per-rank results back to the
-conductor.
+conductor.  Only off-rank bytes travel: an ``alltoallv``'s diagonal stays
+on the conductor, which returns its own copy of ``send[r][r]``.
 
 Pools are cached per size (:func:`get_pool`): the SPMD drivers construct
 a fresh communicator per run, and forking + handshaking processes per
@@ -22,13 +23,15 @@ corrupt frame header in a ring); teardown resumes any stopped worker.
 
 Protocol
 --------
-Commands travel on the reserved tag ``TAG_CMD`` (0) as ``int64[5]``
-frames ``[opcode, seq, arg, iteration, step_code]`` (the last two slots
-carry the conductor's driver coordinates for per-rank observability;
-control frames may omit them); all data frames of one collective use
-its unique ``seq`` as tag, so concurrent state from an aborted
-collective can never bleed into the next one.  ``allreduce``'s ``arg``
-is the operator's code in the wire table
+Commands travel on the reserved tag ``TAG_CMD`` (0), one frame per
+worker per command: the ``int64[5]`` head ``[opcode, seq, arg, iteration,
+step_code]`` (the last two slots carry the conductor's driver
+coordinates for per-rank observability), followed for a collective by
+the rank's input row packed with :func:`~repro.parallel.shm.pack_arrays`
+(``None`` in the worker's own ``alltoallv`` slot).  All other frames of
+one collective use its unique ``seq`` as tag, so concurrent state from
+an aborted collective can never bleed into the next one.
+``allreduce``'s ``arg`` is the operator's code in the wire table
 :data:`~repro.mpisim.envelope.REDUCE_OPS`; no callable crosses the wire.
 
 Fork, not spawn: a live transport (conditions, semaphores, mapped
@@ -84,6 +87,22 @@ _OPCODE_NAMES: Dict[int, str] = {
     OP_ALLTOALLV: "alltoallv",
     OP_ALLREDUCE: "allreduce",
 }
+
+#: int64 words of a command frame's head: opcode, seq, arg, iteration,
+#: step code
+_CMD_WORDS = 5
+
+
+def _frame(opcode: int, seq: int, arg: int = 0, coords=(-1, 0), row=None) -> np.ndarray:
+    """One command frame: the ``int64[5]`` head ``[opcode, seq, arg,
+    iteration, step_code]``, followed by the packed *row* (a list of
+    arrays, see :func:`~repro.parallel.shm.pack_arrays`) when the
+    command carries one."""
+    head = (opcode, seq, arg, *coords)
+    if row is None:
+        return np.array(head, dtype=np.int64)
+    return pack_arrays(row, head=head).view(np.int64)
+
 
 #: parent-side wait for any single worker round-trip, seconds
 DEFAULT_TIMEOUT_S = float(os.environ.get("REPRO_PROC_TIMEOUT", "60"))
@@ -177,11 +196,7 @@ def _worker_main(transport: ShmTransport, rank: int, size: int, obs_channel=None
                     cmd = ep.recv(parent, TAG_CMD, timeout=None, alive=alive)
             else:
                 cmd = ep.recv(parent, TAG_CMD, timeout=None, alive=alive)
-            opcode, seq, arg = (int(x) for x in cmd[:3])
-            # coordinate slots are optional: int64[3] frames decode as
-            # "no iteration / no step"
-            it = int(cmd[3]) if cmd.size > 3 else -1
-            step_code = int(cmd[4]) if cmd.size > 4 else 0
+            opcode, seq, arg, it, step_code = (int(x) for x in cmd[:_CMD_WORDS])
             if opcode == OP_SHUTDOWN:
                 break
             if opcode == OP_PING:
@@ -222,18 +237,20 @@ def _worker_main(transport: ShmTransport, rank: int, size: int, obs_channel=None
                 else nullcontext()
             )
             with span:
+                # the collective's input row rode in the command frame
+                row = unpack_arrays(cmd[_CMD_WORDS:])
                 if opcode == OP_ALLTOALLV:
-                    row = unpack_arrays(dep.recv(parent, seq, alive=alive))
+                    # row[rank] is None: the diagonal stays on the conductor
                     for j in range(size):
                         if j != rank:
                             dep.send(j, seq, row[j], alive=alive)
                     got = [
-                        np.asarray(row[i]) if i == rank else dep.recv(i, seq, alive=alive)
+                        None if i == rank else dep.recv(i, seq, alive=alive)
                         for i in range(size)
                     ]
                     dep.send(parent, seq, pack_arrays(got), alive=alive)
                 else:  # OP_ALLREDUCE
-                    own = dep.recv(parent, seq, alive=alive)
+                    (own,) = row
                     if rank == 0:
                         op = REDUCE_OPS[arg]
                         # reduce in rank order — bit-identical to SimComm's
@@ -404,13 +421,14 @@ class WorkerPool:
         :data:`~repro.parallel.obsband.STEP_CODES`)."""
         self._coords = (int(iteration), int(step_code))
 
-    def _command(self, opcode: int, arg: int = 0) -> int:
+    def _command(self, opcode: int, arg: int = 0, rows=None) -> int:
+        """Send every worker one command frame; worker *r*'s carries
+        ``rows[r]`` when *rows* is given."""
         self.detector.poll()  # keep heartbeat ledger fresh, never blocks
         seq = self._next_seq()
-        it, step_code = self._coords
-        cmd = np.array([opcode, seq, arg, it, step_code], dtype=np.int64)
         for r in range(self.size):
-            self._send(r, TAG_CMD, cmd)
+            row = None if rows is None else rows[r]
+            self._send(r, TAG_CMD, _frame(opcode, seq, arg, self._coords, row))
         return seq
 
     def _clock_sync(self, rounds: int = 5) -> Dict[int, float]:
@@ -429,9 +447,8 @@ class WorkerPool:
             best_rtt, best_off = float("inf"), 0.0
             for _ in range(rounds):
                 seq = self._next_seq()
-                cmd = np.array([OP_CLOCKSYNC, seq, 0], dtype=np.int64)
                 t0 = time.monotonic()
-                self._send(r, TAG_CMD, cmd)
+                self._send(r, TAG_CMD, _frame(OP_CLOCKSYNC, seq))
                 t_worker = float(self._recv(r, seq)[0])
                 t1 = time.monotonic()
                 rtt = t1 - t0
@@ -492,25 +509,33 @@ class WorkerPool:
                 continue
             try:
                 seq = self._next_seq()
-                cmd = np.array([OP_STATS, seq, 0], dtype=np.int64)
-                self.ep.send(r, TAG_CMD, cmd, timeout=timeout)
+                self.ep.send(r, TAG_CMD, _frame(OP_STATS, seq), timeout=timeout)
                 got[r] = self.ep.recv(r, seq, timeout=timeout)
             except TransportError:
                 missed.append(r)
         return got, missed
 
     def alltoallv(self, send: Sequence[Sequence[np.ndarray]]) -> List[List[np.ndarray]]:
-        """Returns ``recv`` with ``recv[j][i]`` = what rank *j* got from *i*."""
-        seq = self._command(OP_ALLTOALLV)
-        for r in range(self.size):
-            self._send(r, seq, pack_arrays([np.asarray(a) for a in send[r]]))
-        return [list(unpack_arrays(self._recv(r, seq))) for r in range(self.size)]
+        """Returns ``recv`` with ``recv[j][i]`` = what rank *j* got from *i*.
+
+        Only off-rank buffers travel: worker *r* gets ``None`` in its own
+        slot and returns ``None`` there, and ``recv[r][r]`` is the
+        conductor's own copy of ``send[r][r]``, SimComm's expression."""
+        p = self.size
+        seq = self._command(
+            OP_ALLTOALLV,
+            rows=[[None if j == r else send[r][j] for j in range(p)] for r in range(p)],
+        )
+        recv = []
+        for r in range(p):
+            row = unpack_arrays(self._recv(r, seq))
+            row[r] = np.asarray(send[r][r]).copy()
+            recv.append(row)
+        return recv
 
     def allreduce(self, bufs: Sequence[np.ndarray], op: Callable) -> List[np.ndarray]:
         """Rank 0 folds in rank order; *op* is one of ``REDUCE_OPS``."""
-        seq = self._command(OP_ALLREDUCE, arg=REDUCE_CODES[op])
-        for r in range(self.size):
-            self._send(r, seq, np.asarray(bufs[r]))
+        seq = self._command(OP_ALLREDUCE, arg=REDUCE_CODES[op], rows=[[b] for b in bufs])
         return [self._recv(r, seq) for r in range(self.size)]
 
     # -- process faults ------------------------------------------------
@@ -557,8 +582,7 @@ class WorkerPool:
             _resume(*timer.args)
         if not self.broken and all(p.is_alive() for p in self.procs):
             try:
-                seq = self._next_seq()
-                cmd = np.array([OP_SHUTDOWN, seq, 0], dtype=np.int64)
+                cmd = _frame(OP_SHUTDOWN, self._next_seq())
                 for r in range(self.size):
                     self.ep.send(r, TAG_CMD, cmd, timeout=1.0)
             except TransportError:

@@ -5,7 +5,9 @@ The top layer of :mod:`repro.parallel`: a drop-in communicator for
 :func:`repro.mpisim.backend.make_comm`), so ``lacc_spmd`` / ``lacc_2d``
 and the CombBLAS SpMV layer run unchanged while the data movement of
 every ``alltoallv`` and ``allreduce`` executes in forked worker
-processes over shared memory.
+processes over shared memory.  Only off-rank bytes move: an
+``alltoallv``'s self-messages stay on the conductor (see
+:meth:`~repro.parallel.pool.WorkerPool.alltoallv`).
 
 Semantics are pinned to SimComm's by construction: both inherit the one
 body of each collective from :class:`~repro.mpisim.envelope.CommBase`
@@ -30,7 +32,8 @@ Tracer spans use category ``"proccomm"`` (the ``"simcomm"`` category
 stays sim-only so word-accounting consumers know which machine produced
 a trace); when a metric registry is active, per-rank transport counters
 (bytes/messages/busy-time, labelled by rank) are merged into it at the
-root after every collective.
+root after every collective.  Their byte counts cover only bytes that
+leave a rank, so self-messages add nothing to them.
 """
 
 from __future__ import annotations

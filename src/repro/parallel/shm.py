@@ -8,6 +8,12 @@ are NumPy arrays, framed as a fixed 96-byte header (magic, tag, payload
 bytes, shape, dtype) followed by the raw payload bytes; payloads larger
 than the ring are streamed through it in chunks.
 
+Each hop copies a payload twice: :meth:`Endpoint.send` writes the header
+and then the body straight from the sender's array into the ring, and
+the receiving drainer reads the body once into the array the receiver
+gets.  :func:`pack_arrays` copies each array of a row once into one
+buffer, and :func:`unpack_arrays` returns views into the received one.
+
 Delivery guarantees (the contract the property/fuzz suite in
 ``tests/parallel/test_shm_transport.py`` pins down):
 
@@ -98,7 +104,8 @@ def _contig(a) -> np.ndarray:
     return a
 
 
-def _encode_header(tag: int, arr: np.ndarray) -> bytes:
+def _wire_dtype(arr: np.ndarray) -> bytes:
+    """*arr*'s dtype string, once *arr* is known to fit a frame."""
     if arr.ndim > _MAX_NDIM:
         raise ValueError(
             f"transport frames support at most {_MAX_NDIM} dimensions, "
@@ -106,6 +113,14 @@ def _encode_header(tag: int, arr: np.ndarray) -> bytes:
         )
     if arr.dtype.hasobject:
         raise TypeError("object-dtype arrays cannot cross process boundaries")
+    dt = arr.dtype.str.encode()
+    if len(dt) > _DTYPE_BYTES:
+        raise TypeError(f"dtype string {arr.dtype.str!r} too long for a frame")
+    return dt
+
+
+def _encode_header(tag: int, arr: np.ndarray) -> bytes:
+    dt = _wire_dtype(arr)
     head = np.zeros(_HDR_INT64S, dtype=np.int64)
     head[0] = _MAGIC
     head[1] = tag
@@ -113,9 +128,6 @@ def _encode_header(tag: int, arr: np.ndarray) -> bytes:
     head[3] = arr.ndim
     for d, s in enumerate(arr.shape):
         head[4 + d] = s
-    dt = arr.dtype.str.encode()
-    if len(dt) > _DTYPE_BYTES:
-        raise TypeError(f"dtype string {arr.dtype.str!r} too long for a frame")
     return head.tobytes() + dt.ljust(_DTYPE_BYTES, b"\0")
 
 
@@ -178,60 +190,63 @@ class _Channel:
 
     def write_bytes(
         self,
-        payload: bytes,
+        *parts,
         deadline: Optional[float] = None,
         alive: Optional[Callable[[], bool]] = None,
         wake: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Append *payload* to the ring, waiting for space as the
-        consumer drains; may stream in chunks when the payload exceeds
-        the remaining (or total) capacity.  *wake* (the consumer's
+        """Append *parts* (C-contiguous buffers) to the ring back to back,
+        copying straight from each, and publish them with one tail
+        update when they fit: a frame that fits is never seen torn, even
+        if its writer dies.  Otherwise the written prefix is published
+        before each wait for space, so the consumer drains it and the
+        rest streams through in chunks.  *wake* (the consumer's
         doorbell) is called once, before the first wait on a full ring."""
         self._bind()
-        mv = memoryview(payload)
-        n = len(mv)
-        off = 0
         with self.cond:
-            while off < n:
-                if self._ctrl[2]:
-                    raise ChannelClosed("transport closed")
-                head, tail = int(self._ctrl[0]), int(self._ctrl[1])
-                free = self.capacity - (tail - head)
-                if free == 0:
-                    if wake is not None:
-                        wake()
-                        wake = None
-                    self._wait(deadline, alive)
-                    continue
-                k = min(free, n - off)
-                pos = tail % self.capacity
-                first = min(k, self.capacity - pos)
-                self._data[pos : pos + first] = np.frombuffer(
-                    mv[off : off + first], dtype=np.uint8
-                )
-                if k > first:
-                    self._data[: k - first] = np.frombuffer(
-                        mv[off + first : off + k], dtype=np.uint8
-                    )
-                self._ctrl[1] = tail + k
-                off += k
-                self.cond.notify_all()
+            tail = int(self._ctrl[1])
+            for part in parts:
+                src = np.frombuffer(part, dtype=np.uint8)
+                off = 0
+                while off < src.size:
+                    if self._ctrl[2]:
+                        raise ChannelClosed("transport closed")
+                    free = self.capacity - (tail - int(self._ctrl[0]))
+                    if free == 0:
+                        self._ctrl[1] = tail
+                        self.cond.notify_all()
+                        if wake is not None:
+                            wake()
+                            wake = None
+                        self._wait(deadline, alive)
+                        continue
+                    k = min(free, src.size - off)
+                    pos = tail % self.capacity
+                    first = min(k, self.capacity - pos)
+                    self._data[pos : pos + first] = src[off : off + first]
+                    if k > first:
+                        self._data[: k - first] = src[off + first : off + k]
+                    tail += k
+                    off += k
+            self._ctrl[1] = tail
+            self.cond.notify_all()
 
     def available(self) -> int:
         self._bind()
         with self.cond:
             return int(self._ctrl[1]) - int(self._ctrl[0])
 
-    def read_bytes(
+    def read_into(
         self,
-        n: int,
+        out: np.ndarray,
         deadline: Optional[float] = None,
         alive: Optional[Callable[[], bool]] = None,
-    ) -> bytes:
-        """Consume exactly *n* bytes (blocking until the producer has
-        written them)."""
+    ) -> np.ndarray:
+        """Fill the uint8 array *out* with the next ``out.size`` bytes,
+        copying straight from the ring (blocking until the producer has
+        written them); returns *out*."""
         self._bind()
-        out = bytearray(n)
+        n = out.size
         got = 0
         with self.cond:
             while got < n:
@@ -243,13 +258,23 @@ class _Channel:
                 k = min(avail, n - got)
                 pos = head % self.capacity
                 first = min(k, self.capacity - pos)
-                out[got : got + first] = self._data[pos : pos + first].tobytes()
+                out[got : got + first] = self._data[pos : pos + first]
                 if k > first:
-                    out[got + first : got + k] = self._data[: k - first].tobytes()
+                    out[got + first : got + k] = self._data[: k - first]
                 self._ctrl[0] = head + k
                 got += k
                 self.cond.notify_all()
-        return bytes(out)
+        return out
+
+    def read_bytes(
+        self,
+        n: int,
+        deadline: Optional[float] = None,
+        alive: Optional[Callable[[], bool]] = None,
+    ) -> bytes:
+        """Consume exactly *n* bytes (blocking until the producer has
+        written them)."""
+        return self.read_into(np.empty(n, dtype=np.uint8), deadline, alive).tobytes()
 
     def close(self) -> None:
         """Mark closed and wake any waiter (idempotent, any process).
@@ -323,15 +348,18 @@ class Endpoint:
         timeout: Optional[float] = None,
         alive: Optional[Callable[[], bool]] = None,
     ) -> None:
-        """Frame *arr* and append it to the (self → dst) channel."""
+        """Frame *arr* and append it to the (self → dst) channel: the
+        header, then the body copied straight from *arr* into the ring,
+        under the per-destination lock, so a frame is never interleaved
+        with another local thread's."""
         t0 = time.perf_counter()
         arr = _contig(arr)
-        frame = _encode_header(tag, arr) + arr.tobytes()
+        head = _encode_header(tag, arr)
         deadline = None if timeout is None else time.monotonic() + timeout
         ch = self.transport.channel(self.eid, dst)
         bell = self.transport.doorbell(dst)
         with self._send_locks[dst]:
-            ch.write_bytes(frame, deadline, alive, wake=bell.release)
+            ch.write_bytes(head, arr, deadline=deadline, alive=alive, wake=bell.release)
         bell.release()
         self.bytes_sent += arr.nbytes
         self.messages_sent += 1
@@ -367,9 +395,10 @@ class Endpoint:
         tag, nbytes, shape, dt = _decode_header(raw)
         # the sender has committed the header, so the payload is in
         # flight: a bounded blocking read cannot deadlock (the producer
-        # finishes the frame independently of this endpoint's sends)
-        payload = ch.read_bytes(nbytes) if nbytes else b""
-        arr = np.frombuffer(bytearray(payload), dtype=dt).reshape(shape)
+        # finishes the frame independently of this endpoint's sends).
+        # It is read once, straight into the array the receiver owns
+        payload = ch.read_into(np.empty(nbytes, dtype=np.uint8))
+        arr = payload.view(dt).reshape(shape)
         with self._cv:
             self._pending.setdefault((src, tag), deque()).append(arr)
             self.bytes_received += nbytes
@@ -615,49 +644,65 @@ def preferred_start_method() -> str:
 
 # ----------------------------------------------------------------------
 # multi-array packing: one frame for a list of buffers (collectives ship
-# whole per-rank rows at once, cutting per-message synchronisation cost)
+# whole per-rank rows at once, cutting per-message synchronisation cost).
+# Every field is 8-byte aligned: a count word, then per entry either -1
+# (``None``) or int64[5] (nbytes, ndim, shape0..2), the dtype string and
+# the payload padded to a multiple of 8.
 # ----------------------------------------------------------------------
-def pack_arrays(arrs: List[Optional[np.ndarray]]) -> np.ndarray:
-    """Serialise a list of arrays (``None`` allowed) into one uint8 buffer."""
-    parts: List[bytes] = [np.int64(len(arrs)).tobytes()]
-    for a in arrs:
+_ENTRY_BYTES = 5 * 8 + _DTYPE_BYTES
+
+
+def _padded(nbytes: int) -> int:
+    return nbytes + (-nbytes) % 8
+
+
+def pack_arrays(arrs: List[Optional[np.ndarray]], head=()) -> np.ndarray:
+    """Serialise a list of arrays (``None`` allowed) into one uint8
+    buffer, after the int64 words *head*.  The buffer is sized first and
+    each array is copied into it once, whatever its strides."""
+    arrs = [None if a is None else np.asarray(a) for a in arrs]
+    dts = [None if a is None else _wire_dtype(a) for a in arrs]
+    size = 8 * (len(head) + 1) + sum(
+        8 if a is None else _ENTRY_BYTES + _padded(a.nbytes) for a in arrs
+    )
+    buf = np.zeros(size, dtype=np.uint8)
+    words = buf.view(np.int64)
+    words[: len(head)] = head
+    words[len(head)] = len(arrs)
+    off = 8 * (len(head) + 1)
+    for a, dt in zip(arrs, dts):
+        w = off // 8
         if a is None:
-            parts.append(np.full(1, -1, dtype=np.int64).tobytes())
+            words[w] = -1
+            off += 8
             continue
-        a = _contig(a)
-        if a.ndim > _MAX_NDIM:
-            raise ValueError(f"pack_arrays supports <= {_MAX_NDIM} dims")
-        if a.dtype.hasobject:
-            raise TypeError("object-dtype arrays cannot cross process boundaries")
-        head = np.zeros(5, dtype=np.int64)
-        head[0] = a.nbytes
-        head[1] = a.ndim
-        for d, s in enumerate(a.shape):
-            head[2 + d] = s
-        dt = a.dtype.str.encode().ljust(_DTYPE_BYTES, b"\0")
-        pad = (-a.nbytes) % 8
-        parts.append(head.tobytes() + dt + a.tobytes() + b"\0" * pad)
-    return np.frombuffer(bytearray(b"".join(parts)), dtype=np.uint8)
+        words[w : w + 2] = a.nbytes, a.ndim
+        words[w + 2 : w + 2 + a.ndim] = a.shape
+        buf[off + 40 : off + 40 + len(dt)] = np.frombuffer(dt, dtype=np.uint8)
+        off += _ENTRY_BYTES
+        np.copyto(buf[off : off + a.nbytes].view(a.dtype).reshape(a.shape), a)
+        off += _padded(a.nbytes)
+    return buf
 
 
 def unpack_arrays(buf: np.ndarray) -> List[Optional[np.ndarray]]:
-    """Inverse of :func:`pack_arrays` (arrays are owning copies)."""
-    raw = memoryview(np.ascontiguousarray(buf)).cast("B")
-    k = int(np.frombuffer(raw[:8], dtype=np.int64)[0])
+    """Inverse of :func:`pack_arrays` without the *head* words.  The
+    arrays are views into *buf*, which the caller owns: nothing is
+    copied."""
+    raw = np.ascontiguousarray(buf).reshape(-1).view(np.uint8)
+    words = raw.view(np.int64)
     off = 8
     out: List[Optional[np.ndarray]] = []
-    for _ in range(k):
-        nbytes = int(np.frombuffer(raw[off : off + 8], dtype=np.int64)[0])
+    for _ in range(int(words[0])):
+        w = off // 8
+        nbytes = int(words[w])
         if nbytes == -1:
             out.append(None)
             off += 8
             continue
-        head = np.frombuffer(raw[off : off + 40], dtype=np.int64)
-        ndim = int(head[1])
-        shape = tuple(int(head[2 + d]) for d in range(ndim))
-        dt = np.dtype(bytes(raw[off + 40 : off + 40 + _DTYPE_BYTES]).rstrip(b"\0").decode())
-        off += 40 + _DTYPE_BYTES
-        arr = np.frombuffer(bytearray(raw[off : off + nbytes]), dtype=dt)
-        out.append(arr.reshape(shape))
-        off += nbytes + ((-nbytes) % 8)
+        shape = tuple(int(s) for s in words[w + 2 : w + 2 + int(words[w + 1])])
+        dt = np.dtype(raw[off + 40 : off + _ENTRY_BYTES].tobytes().rstrip(b"\0").decode())
+        off += _ENTRY_BYTES
+        out.append(raw[off : off + nbytes].view(dt).reshape(shape))
+        off += _padded(nbytes)
     return out

@@ -93,6 +93,33 @@ def nothing(dtype):
 # 2-D, bool and ragged buffers that test_alltoallv_matrix does not.
 
 
+#: per-rank buffers larger than one 256 KiB ring, so proc streams each
+#: through the rings in chunks
+RING_SIZED = [(np.int64, 40_000), (np.bool_, 300_000)]
+
+_WHERE = {
+    "diagonal": lambda i, j: i == j,
+    "off-diagonal": lambda i, j: i != j,
+    "everywhere": lambda i, j: True,
+}
+
+
+@pytest.mark.parametrize("where", sorted(_WHERE))
+@pytest.mark.parametrize("dtype,n", RING_SIZED)
+def test_alltoallv_buffers_larger_than_a_ring(ranks, dtype, n, where):
+    """Ring-sized buffers on and off the diagonal: proc keeps the
+    diagonal on the conductor and streams the rest, byte-identical to
+    sim either way."""
+    send = [
+        [
+            fill((n,), dtype, i, seed=j + 1) if _WHERE[where](i, j) else nothing(dtype)
+            for j in range(ranks)
+        ]
+        for i in range(ranks)
+    ]
+    run_alltoallv(ranks, send, ("ring-sized", dtype, where))
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_bcast_matrix(ranks, dtype):
     """Broadcast pattern: the root sends its buffer to every rank."""

@@ -1,6 +1,6 @@
 """Worker pool, backend selection, and worker-death semantics.
 
-Three contracts:
+Four contracts:
 
 * ``REPRO_BACKEND`` selects the communicator at import time exactly like
   ``REPRO_KERNELS`` selects kernel tiers (subprocess probes against a
@@ -11,6 +11,8 @@ Three contracts:
   pool is respawned transparently for the next communicator.
 * Random collective sequences on real processes agree byte-for-byte with
   SimComm (the multiprocess end of the transport fuzz).
+* An ``alltoallv``'s diagonal never crosses a ring: the conductor returns
+  SimComm's own copy of each self-message.
 """
 
 from __future__ import annotations
@@ -149,6 +151,52 @@ class TestPoolLifecycle:
         timer.join(timeout=10)
         assert not timer.is_alive()
         assert [p.exitcode for p in pool.procs] == [0, 0]
+
+
+# ----------------------------------------------------------------------
+# the diagonal never leaves the conductor
+# ----------------------------------------------------------------------
+def _diagonal_only(bufs):
+    """alltoallv send rows with ``bufs[r]`` on the diagonal, nothing off it."""
+    p = len(bufs)
+    return [
+        [bufs[i] if j == i else np.empty(0, dtype=bufs[i].dtype) for j in range(p)]
+        for i in range(p)
+    ]
+
+
+class TestDiagonalStaysHome:
+    def test_diagonal_bytes_never_reach_a_worker(self):
+        """A self-message is no ring traffic: 100,000 int64 per rank on
+        the diagonal (1.6 MB in all) move the workers' received-byte
+        counters by less than 4 KiB, which is command framing only."""
+        comm = ProcComm(2)
+        before = sum(int(s[1]) for s in comm._pool.stats())
+        comm.alltoallv(_diagonal_only([np.arange(100_000, dtype=np.int64) + r for r in range(2)]))
+        grown = sum(int(s[1]) for s in comm._pool.stats()) - before
+        assert grown < 4096, f"workers received {grown} bytes for a diagonal-only alltoallv"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda r: np.arange(100_000, dtype=np.int64) + r,
+            lambda r: (np.arange(300_000, dtype=np.int64) + r)[::3],  # strided
+            lambda r: np.asfortranarray(np.arange(600.0).reshape(20, 30) + r),
+        ],
+        ids=["contiguous", "strided", "fortran-2d"],
+    )
+    def test_diagonal_is_simcomms_fresh_copy(self, make):
+        """``recv[r][r]`` is ``np.asarray(send[r][r]).copy()``: same dtype,
+        shape and bytes, C order, and a buffer of its own."""
+        send = _diagonal_only([make(r) for r in range(2)])
+        recv = ProcComm(2).alltoallv(send)
+        sim = SimComm(2).alltoallv(send)
+        for r in range(2):
+            ref, got = np.asarray(send[r][r]).copy(), recv[r][r]
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert got.tobytes() == ref.tobytes() == sim[r][r].tobytes()
+            assert not np.shares_memory(got, send[r][r])
 
 
 # ----------------------------------------------------------------------

@@ -108,6 +108,87 @@ def test_frame_larger_than_ring_does_not_wait_for_poll(monkeypatch):
         t.unlink()
 
 
+#: the dtypes of tests/mpisim/test_collectives_conformance.py
+CONFORMANCE_DTYPES = [np.int64, np.int32, np.float64, np.bool_]
+_RING = 4096
+
+
+def _payload(dtype, n, seed):
+    rng = np.random.default_rng(seed)
+    if dtype is np.bool_:
+        return rng.integers(0, 2, n).astype(np.bool_)
+    if dtype is np.float64:
+        return rng.standard_normal(n)
+    return rng.integers(np.iinfo(dtype).min, np.iinfo(dtype).max, n, dtype=dtype)
+
+
+def _assert_same(got, ref, ctx):
+    assert got.dtype == ref.dtype and got.shape == ref.shape, ctx
+    assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), ctx
+
+
+@pytest.mark.parametrize("dtype", CONFORMANCE_DTYPES)
+def test_frames_larger_than_three_rings_round_trip(dtype):
+    """A frame is a header write and a body write into the ring; bodies
+    of more than three ring capacities, 2-D blocks, 0-d scalars and
+    empty arrays of every conformance dtype arrive bit-identical."""
+    t = ShmTransport(2, capacity=_RING)
+    a, b = t.endpoint(0).start(), t.endpoint(1).start()
+    try:
+        n = 3 * _RING // np.dtype(dtype).itemsize + 13
+        cases = [
+            _payload(dtype, n, 0),
+            _payload(dtype, 6 * n, 1).reshape(2, 3, n),
+            _payload(dtype, 1, 2).reshape(()),
+            np.empty(0, dtype=dtype),
+            np.empty((3, 0), dtype=dtype),
+            _payload(dtype, 2 * n, 3)[::2],  # strided
+        ]
+        assert cases[0].nbytes > 3 * _RING
+        for k, arr in enumerate(cases):
+            a.send(1, 10 + k, arr, timeout=30)
+        for k, arr in enumerate(cases):
+            _assert_same(b.recv(0, 10 + k, timeout=30), arr, (dtype, k))
+    finally:
+        t.close()
+        t.unlink()
+
+
+def test_two_threads_share_one_endpoint():
+    """The main and heartbeat threads of a worker share its endpoint: the
+    per-destination lock keeps each frame's header and body together, so
+    ring-sized frames from one thread and small ones from the other never
+    interleave and every frame round-trips bit-identically."""
+    t = ShmTransport(2, capacity=_RING)
+    a, b = t.endpoint(0).start(), t.endpoint(1).start()
+    try:
+        big = [_payload(np.int64, 3 * _RING // 8 + 7 * k, k) for k in range(32)]
+        small = [np.array([k, 1.5 * k, -k], dtype=np.float64) for k in range(1000)]
+
+        def pump(tag, frames):
+            for f in frames:
+                a.send(1, tag, f, timeout=30)
+
+        threads = [
+            threading.Thread(target=pump, args=(1, big)),
+            threading.Thread(target=pump, args=(2, small)),
+        ]
+        for th in threads:
+            th.start()
+        got_small = [b.recv(0, 2, timeout=30) for _ in small]
+        got_big = [b.recv(0, 1, timeout=30) for _ in big]
+        for th in threads:
+            th.join(timeout=30)
+            assert not th.is_alive()
+        for k, (got, ref) in enumerate(zip(got_big + got_small, big + small)):
+            _assert_same(got, ref, k)
+        assert b._failure is None
+        assert a.bytes_sent == b.bytes_received == sum(x.nbytes for x in big + small)
+    finally:
+        t.close()
+        t.unlink()
+
+
 def test_pack_unpack_roundtrip():
     arrs = [
         np.arange(5, dtype=np.int64),
@@ -123,6 +204,25 @@ def test_pack_unpack_roundtrip():
             continue
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+def test_pack_takes_head_words_and_any_strides():
+    """Head words come first and unpack skips them; strided, Fortran-
+    ordered and byte-swapped inputs pack as their C-ordered values."""
+    arrs = [
+        np.arange(30, dtype=np.int64)[::3],
+        np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        np.arange(5, dtype=">i4"),
+        np.array([True, False, True]),
+    ]
+    buf = pack_arrays(arrs, head=(7, -1, 3))
+    assert buf.dtype == np.uint8 and buf.size % 8 == 0
+    words = buf.view(np.int64)
+    assert words[:3].tolist() == [7, -1, 3]
+    for ref, got in zip(arrs, unpack_arrays(words[3:])):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 # ----------------------------------------------------------------------
