@@ -1,22 +1,22 @@
 #!/usr/bin/env python
 """Disabled-observability overhead gate (run by CI).
 
-The tracing and metrics hooks across :mod:`repro.graphblas` /
+The tracing and flight-record hooks across :mod:`repro.graphblas` /
 :mod:`repro.mpisim` / :mod:`repro.combblas` are designed to be free when
 off: every instrumented call site costs one module-global lookup, a falsy
 check, and nothing else — no allocation, no clock read.  This script pins
-that property with two checks built on the shared protocol in
+that property with three checks built on the shared protocol in
 :mod:`repro.obs.overhead` (interleaved rounds, best-of minima, 5% budget
 plus a small absolute noise floor):
 
 * **NullTracer** — serial ``lacc`` on a 50k+-vertex RMAT graph with an
   explicitly activated :class:`~repro.obs.tracer.NullTracer` vs. nothing
   activated;
-* **NullRegistry** — the Figure 8 driver ``lacc_dist`` (eukarya on the
-  Edison model, 16 nodes) with an activated
-  :class:`~repro.obs.metrics.NullRegistry` vs. nothing activated.  This
-  is the acceptance criterion for the metrics layer: the per-kernel /
-  per-collective counters must cost nothing when no registry is live.
+* **NullTracer on lacc_dist** — the Figure 8 driver ``lacc_dist``
+  (eukarya on the Edison model, 16 nodes) with an activated
+  :class:`~repro.obs.tracer.NullTracer` vs. nothing activated: the
+  per-collective spans and cost-model counters must cost nothing when
+  no tracer is live.
 * **proc obs-off** — literal-SPMD ``lacc_spmd`` on the real-process
   backend with per-rank observability *disabled* (the default) vs. the
   same run with the null obs objects activated at the conductor.  Workers
@@ -26,7 +26,7 @@ plus a small absolute noise floor):
   so this check gets a larger absolute noise floor.
 
 If someone makes a null object allocate, read a clock, or routes the
-disabled path through a real tracer/registry, this check fails.
+disabled path through a real tracer or flight recorder, this check fails.
 
 The same protocol runs at smaller scale inside tier-1
 (``tests/obs/test_overhead_gate.py``); this script is the full-scale
@@ -65,7 +65,7 @@ def main() -> int:
     from repro.graphs import corpus
     from repro.graphs.generators import rmat
     from repro.mpisim import EDISON
-    from repro.obs import NullRegistry, NullTracer, activate
+    from repro.obs import NullTracer, activate
     from repro.obs.overhead import measure_overhead
 
     g = rmat(SCALE, edge_factor=EDGE_FACTOR, seed=7)
@@ -94,21 +94,19 @@ def main() -> int:
     print(f"{DIST_GRAPH}: {gd.n} vertices, {gd.nedges} edges "
           f"(lacc_dist, Edison, {DIST_NODES} nodes)")
 
-    null_reg = NullRegistry()
-
-    def probe_registry():
-        with activate(metrics=null_reg):
+    def probe_dist():
+        with activate(null_tracer):
             lacc_dist(Ad, EDISON, nodes=DIST_NODES)
 
-    registry_res = measure_overhead(
+    dist_res = measure_overhead(
         baseline=lambda: lacc_dist(Ad, EDISON, nodes=DIST_NODES),
-        probe=probe_registry,
-        name="nullregistry_lacc_dist",
+        probe=probe_dist,
+        name="nulltracer_lacc_dist",
         rounds=ROUNDS,
         tolerance=TOLERANCE,
         noise_floor_s=NOISE_FLOOR_S,
     )
-    print(registry_res.summary())
+    print(dist_res.summary())
 
     from repro.core.lacc_spmd import lacc_spmd
     from repro.mpisim import backend as comm_backend
@@ -125,7 +123,7 @@ def main() -> int:
             lacc_spmd(gp, ranks=PROC_RANKS)
 
     def proc_probe():
-        with activate(null_tracer, metrics=null_reg), comm_backend.use("proc"):
+        with activate(null_tracer), comm_backend.use("proc"):
             lacc_spmd(gp, ranks=PROC_RANKS)
 
     # warm the pool so neither side pays the fork+handshake, then pin the
@@ -159,7 +157,7 @@ def main() -> int:
                      "backend": "proc", "ranks": PROC_RANKS},
         },
         "nulltracer": tracer_res.to_dict(),
-        "nullregistry": registry_res.to_dict(),
+        "nulltracer_lacc_dist": dist_res.to_dict(),
         "proc_obs_off": proc_res.to_dict(),
         # kept for older tooling reading the flat schema
         "baseline_seconds": tracer_res.baseline_seconds,
@@ -174,7 +172,7 @@ def main() -> int:
         json.dump(record, fh, indent=2)
     print(f"[written to {os.path.relpath(out)}]")
 
-    failed = [r.name for r in (tracer_res, registry_res, proc_res)
+    failed = [r.name for r in (tracer_res, dist_res, proc_res)
               if not r.within_budget]
     if failed:
         print(f"FAIL: disabled-mode overhead budget exceeded: {', '.join(failed)}")

@@ -24,7 +24,6 @@ from repro.graphblas import DCSC, Matrix
 from repro.mpisim import collectives
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.grid import ProcessGrid
-from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 if TYPE_CHECKING:
@@ -118,15 +117,6 @@ class DistMatrix:
         self.edges_per_rank = np.asarray(self._block_counts.sum(axis=1)).ravel()
         # local blocks in CombBLAS's DCSC format (per-rank storage model)
         self._local_blocks: Optional[dict] = None
-        reg = _mreg()
-        if reg:
-            h = reg.histogram("combblas_edges_per_rank",
-                              "local edge count per rank at distribution time")
-            for e in self.edges_per_rank:
-                h.observe(int(e))
-            reg.gauge("combblas_load_imbalance",
-                      "max/mean edges per rank of the latest distribution",
-                      permuted=str(bool(permute)).lower()).set(self.load_imbalance())
 
     # ------------------------------------------------------------------
     @property
@@ -241,11 +231,6 @@ class DistMatrix:
                 g.block,
             )
 
-        reg = _mreg()
-        if reg:
-            reg.counter("combblas_mxv_total",
-                        "distributed SpMV/SpMSpV charges by kernel path",
-                        path="spmv" if dense else "spmspv").inc()
         with _obs().span(
             "mxv", "combblas", path="spmv" if dense else "spmspv"
         ) as span, cost.phase(phase):

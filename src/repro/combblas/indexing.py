@@ -32,7 +32,6 @@ import numpy as np
 from repro.mpisim import collectives
 from repro.mpisim.costmodel import CostModel
 from repro.mpisim.grid import ProcessGrid
-from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 __all__ = ["RoutingReport", "route_requests", "charge_assign", "charge_extract"]
@@ -135,19 +134,7 @@ def route_requests(
     # local gather/scatter work at the owners
     seconds += cost.charge_compute(float(received.max(initial=0)), phase)
 
-    rep = RoutingReport(received, broadcast_ranks, active, words_crit, seconds)
-    reg = _mreg()
-    if reg:
-        reg.histogram("combblas_request_skew",
-                      "max/mean received requests per routing batch",
-                      phase=phase).observe(rep.skew)
-        reg.counter("combblas_requests_total",
-                    "index requests routed", phase=phase).inc(float(targets.size))
-        if broadcast_ranks.size:
-            reg.counter("combblas_broadcast_offloads_total",
-                        "hot ranks that offloaded to a broadcast",
-                        phase=phase).inc(float(broadcast_ranks.size))
-    return rep
+    return RoutingReport(received, broadcast_ranks, active, words_crit, seconds)
 
 
 def charge_extract(

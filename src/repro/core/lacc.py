@@ -53,7 +53,6 @@ from repro.graphblas import Matrix
 from repro.graphblas.sorting import count_distinct
 from repro.obs.tracer import NULL_TRACER, Tracer, current
 from repro.obs.tracer import flight_recorder as _freg
-from repro.obs.tracer import metrics_registry as _mreg
 
 from .convergence import ActiveSet, converged_star_vertices, iteration_bound
 from .hooking import cond_hook, uncond_hook
@@ -260,7 +259,7 @@ def _run(
     tracer when it is enabled, else to the driver's *default_tracer*.
     ``run_span`` is the run span's
     ``(name, attrs)``, ``run_start`` the driver's own fields of the flight
-    record's ``run_start`` event; its ``driver`` labels the metrics.
+    record's ``run_start`` event.
     Returns ``(parents in the input's vertex space, n_components,
     n_iterations, stats)``."""
     tr = current() if current().enabled else default_tracer
@@ -268,7 +267,6 @@ def _run(
     stats = LACCStats(n_vertices=n)
     if max_iterations is None:
         max_iterations = iteration_bound(n)
-    driver = run_start["driver"]
     fr = _freg()
     if fr:
         fr.record("run_start", n=n, nnz=A.nvals, **run_start)
@@ -349,17 +347,6 @@ def _run(
                         converged_vertices=it_stats.converged_vertices,
                         **extra,
                     )
-                reg = _mreg()
-                if reg:
-                    reg.counter("lacc_iterations_total",
-                                "LACC iterations executed", driver=driver).inc()
-                    reg.counter("lacc_hooks_total", "trees hooked",
-                                driver=driver, kind="cond").inc(it_stats.cond_hooks)
-                    reg.counter("lacc_hooks_total", "trees hooked",
-                                driver=driver, kind="uncond").inc(it_stats.uncond_hooks)
-                    reg.gauge("lacc_active_vertices",
-                              "active vertices entering the latest iteration",
-                              driver=driver).set(it_stats.active_vertices)
 
                 hooked = it_stats.cond_hooks + it_stats.uncond_hooks
                 all_stars = not nonstar.any()

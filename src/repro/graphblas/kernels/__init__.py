@@ -27,8 +27,8 @@ Selection happens once at import time:
 The active tier can be switched afterwards with :func:`set_tier` or the
 :func:`use` context manager (tests use this to force a tier regardless of
 the environment), and third-party tiers can be added via
-:func:`register_tier`.  Every ``mxv`` span and the
-``graphblas_kernel_tier`` metric record which tier actually ran.
+:func:`register_tier`.  Every ``mxv`` span records which tier actually
+ran in its ``tier`` attribute.
 """
 
 from __future__ import annotations

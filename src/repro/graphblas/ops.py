@@ -40,7 +40,6 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 from . import kernels as _kernels
@@ -328,21 +327,6 @@ def _as_index_array(indices: IndexArray, bound: int, what: str) -> Optional[np.n
 # matrix-vector product
 # ----------------------------------------------------------------------
 
-def _count_primitive(op: str, nvals: float) -> None:
-    """Record one primitive call into the active metric registry.
-
-    Guarded here (not at call sites) so a disabled registry costs one
-    function call and one falsy check per primitive.
-    """
-    reg = _mreg()
-    if reg:
-        reg.counter("graphblas_ops_total", "GraphBLAS primitive calls",
-                    op=op).inc()
-        reg.counter("graphblas_nvals_processed_total",
-                    "stored entries processed by GraphBLAS primitives",
-                    op=op).inc(float(nvals))
-
-
 def mxv(
     w: Vector,
     mask,
@@ -394,25 +378,6 @@ def mxv(
             span.set("tier", _kernels.active())
             span.add("flops", flops)
             span.add("nvals_out", int(t_idx.size))
-        reg = _mreg()
-        if reg:
-            _count_primitive("mxv", u.nvals)
-            reg.counter("graphblas_mxv_total", "mxv calls by kernel path",
-                        path=path, tier=_kernels.active()).inc()
-            reg.gauge("graphblas_kernel_tier", "active kernel tier (info)",
-                      tier=_kernels.active()).set(1.0)
-            reg.counter("graphblas_mxv_flops_total",
-                        "semiring multiplies performed").inc(float(flops))
-            reg.histogram("graphblas_mxv_nvals_in",
-                          "stored input-vector entries per mxv").observe(u.nvals)
-            if allowed_rows is not None:
-                # mask hit rate = allowed/total over these two series
-                reg.counter("graphblas_mask_rows_allowed_total",
-                            "output rows admitted by the mask pushdown",
-                            op="mxv").inc(float(allowed_rows.size))
-                reg.counter("graphblas_mask_rows_total",
-                            "output rows considered under a pushed-down mask",
-                            op="mxv").inc(float(A.nrows))
         return _masked_write(
             w, t_idx, t_vals, mask, accum, desc,
             mask_obj=m, allow=allow,
@@ -545,7 +510,6 @@ def ewise_mult(
             span.add("nvals_in", int(ui.size + vi.size))
             span.add("nvals_out", int(common.size))
             span.add("flops", int(common.size))
-        _count_primitive("ewise_mult", int(ui.size + vi.size))
         return _masked_write(w, common, t_vals, mask, accum, desc)
 
 
@@ -574,7 +538,6 @@ def ewise_add(
             span.add("nvals_in", int(ui.size + vi.size))
             span.add("nvals_out", int(t_idx.size))
             span.add("flops", int(t_idx.size))
-        _count_primitive("ewise_add", int(ui.size + vi.size))
         return _masked_write(w, t_idx, t_vals, mask, accum, desc)
 
 
@@ -626,7 +589,6 @@ def extract(
             span.add("nvals_in", int(idx.size))
             span.add("nvals_out", int(t_idx.size))
             span.add("flops", int(idx.size))
-        _count_primitive("extract", int(idx.size))
         return _masked_write(w, t_idx, t_vals, mask, accum, desc)
 
 
@@ -673,7 +635,6 @@ def assign(
             span.add("nvals_in", int(ui.size))
             span.add("nvals_out", int(t_idx.size))
             span.add("flops", int(t_idx.size))
-        _count_primitive("assign", int(ui.size))
         return _masked_write(w, t_idx, t_vals, mask, accum, desc, region=region)
 
 

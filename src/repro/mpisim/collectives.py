@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 from .costmodel import CostModel
@@ -76,10 +75,6 @@ def _collective(
     priced identically to first deliveries.
     """
     with _obs().span(name, "collective", ranks=p), cost.kind(name):
-        reg = _mreg()
-        if reg:
-            reg.counter("sim_collective_calls_total",
-                        "simulated collective invocations", collective=name).inc()
         plan = cost.faults
         call = None if plan is None else plan.begin_call(name, phase)
         if not call:

@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 from .machine import MachineModel
@@ -161,14 +160,6 @@ class CostModel:
         if sp:
             sp.add("model_seconds", dt)
             sp.add("model_flops", ops_max)
-        reg = _mreg()
-        if reg:
-            reg.counter("sim_model_seconds_total",
-                        "α–β simulated seconds charged on the critical-path rank",
-                        kind="compute",
-                        phase=phase or self._current or "unattributed").inc(dt)
-            reg.counter("sim_flops_total",
-                        "critical-path scalar operations charged").inc(ops_max)
         return dt
 
     def charge_comm(
@@ -192,19 +183,6 @@ class CostModel:
             sp.add("model_seconds", dt)
             sp.add("words", words_max)
             sp.add("messages", messages_max)
-        reg = _mreg()
-        if reg:
-            kind = self._current_kind or "comm"
-            reg.counter("sim_words_total",
-                        "critical-path words moved, by collective",
-                        collective=kind).inc(words_max)
-            reg.counter("sim_messages_total",
-                        "critical-path messages sent, by collective",
-                        collective=kind).inc(messages_max)
-            reg.counter("sim_model_seconds_total",
-                        "α–β simulated seconds charged on the critical-path rank",
-                        kind="comm",
-                        phase=phase or self._current or "unattributed").inc(dt)
         return dt
 
     def comm_seconds(self, words: float, messages: float) -> float:
@@ -230,12 +208,6 @@ class CostModel:
         sp = _obs().current
         if sp:
             sp.add("model_seconds", seconds)
-        reg = _mreg()
-        if reg:
-            reg.counter("sim_model_seconds_total",
-                        "α–β simulated seconds charged on the critical-path rank",
-                        kind=kind,
-                        phase=phase or self._current or "unattributed").inc(seconds)
         return seconds
 
     # ------------------------------------------------------------------

@@ -50,7 +50,6 @@ from repro.faults.errors import CollectiveError
 from repro.faults.injector import checksums, inject
 from repro.faults.plan import FaultRule
 from repro.obs.tracer import flight_recorder as _freg
-from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 from .machine import MachineModel
@@ -127,10 +126,6 @@ def note_fault(call, rule, attempt: int, rank=None, detail: str = "", **extra):
     if fr:
         fr.record("fault", rank=rank, step=call.phase, collective=call.collective,
                   fault_kind=rule.kind, attempt=attempt, **extra)
-    reg = _mreg()
-    if reg:
-        reg.counter("sim_faults_total", "injected faults, by kind",
-                    collective=call.collective, kind=rule.kind).inc()
 
 
 def fail(name: str, attempts: int, kinds: Sequence[str],
@@ -138,7 +133,7 @@ def fail(name: str, attempts: int, kinds: Sequence[str],
          lost: Optional[Sequence[int]] = None,
          stalled: Sequence[int] = ()) -> NoReturn:
     """The one failure exit of every collective path: record the flight
-    ``collective_error``, count it, and raise the typed
+    ``collective_error`` and raise the typed
     :class:`~repro.faults.CollectiveError`.
 
     *lost* is passed by the process-fault paths only (the proc backend's
@@ -157,10 +152,6 @@ def fail(name: str, attempts: int, kinds: Sequence[str],
             extra = {"lost_ranks": list(lost), "stalled_ranks": list(stalled)}
         fr.record("collective_error", step=phase, collective=name,
                   kinds=list(kinds), attempts=attempts, **extra)
-    reg = _mreg()
-    if reg:
-        reg.counter("sim_collective_errors_total",
-                    "collectives that failed permanently", collective=name).inc()
     raise CollectiveError(name, attempts, kinds, phase,
                           iteration=calling_iteration(), lost_ranks=lost or ())
 
@@ -235,11 +226,6 @@ def fault_envelope(call, ranks: int, cost, attempt, price_delay, charge_retry,
         if fr:
             fr.record("retry", step=phase, collective=name, attempt=k,
                       kinds=kinds, backoff_seconds=backoff)
-        reg = _mreg()
-        if reg:
-            reg.counter("sim_retries_total",
-                        "collective retransmissions after validation failure",
-                        collective=name).inc()
         with _obs().span("retry", "fault", collective=name, attempt=k,
                          kinds=",".join(kinds)) as rsp:
             charge_retry(backoff, rsp)

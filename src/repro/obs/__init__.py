@@ -1,4 +1,4 @@
-"""repro.obs — unified tracing & metrics across every layer.
+"""repro.obs — unified tracing across every layer.
 
 The paper's evaluation is an observability exercise: per-step timing
 breakdowns (Fig. 8), converged-vertex fractions (Fig. 7) and
@@ -9,15 +9,10 @@ LACC drivers all hook into:
 
 * :mod:`repro.obs.tracer` — :class:`Span`, :class:`Tracer`,
   :class:`NullTracer` (zero-overhead off switch), and the one obs scope:
-  :func:`activate` scopes the process-wide tracer, metric registry and
-  flight recorder together, and :func:`current`,
-  :func:`metrics_registry` and :func:`flight_recorder` read them.
-* :mod:`repro.obs.metrics` — labelled :class:`MetricRegistry` (counters,
-  gauges, log-bucketed histograms) with the same null-object off switch
-  and JSONL snapshots.
+  :func:`activate` scopes the process-wide tracer and flight recorder
+  together, and :func:`current` and :func:`flight_recorder` read them.
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
-  JSON-lines exporters (metric counters ride along as ``C`` events;
-  loaded on first use).
+  JSON-lines exporters (loaded on first use).
 * :mod:`repro.obs.render` — ASCII flamegraph and top-table renderers
   (loaded on first use).
 * :mod:`repro.obs.profile` — ``(result, tracer)`` one-callers behind the
@@ -29,8 +24,8 @@ LACC drivers all hook into:
 * :mod:`repro.obs.overhead` — disabled-mode overhead measurement shared
   by the CI gate and the tier-1 test suite (imported explicitly).
 * :mod:`repro.obs.flight` — the flight recorder: one append-only,
-  causally-ordered, schema-versioned run record merging spans, metric
-  samples, fault/retry injections and recovery events, with the same
+  causally-ordered, schema-versioned run record merging spans,
+  fault/retry injections and recovery events, with the same
   null-object off switch.
 * :mod:`repro.obs.anomaly` — streaming detectors over the flight record
   (convergence stall, load-imbalance spikes, retry storms, stragglers,
@@ -42,9 +37,9 @@ LACC drivers all hook into:
 
 Typical use::
 
-    from repro.obs import MetricRegistry, Tracer, activate, render, export
-    tr, reg = Tracer(), MetricRegistry()
-    with activate(tr, metrics=reg):
+    from repro.obs import Tracer, activate, render, export
+    tr = Tracer()
+    with activate(tr):
         lacc(A)                # run/iteration/step spans nest in tr
     print(render.top_table(tr))
     export.write_chrome_trace(tr, "out.json")   # open in ui.perfetto.dev
@@ -57,15 +52,6 @@ run that only traces never imports them.
 
 import importlib
 
-from . import metrics
-from .metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    NullRegistry,
-)
 from .flight import (
     NULL_FLIGHT,
     SCHEMA_VERSION,
@@ -83,7 +69,6 @@ from .tracer import (
     activate,
     current,
     flight_recorder,
-    metrics_registry,
 )
 
 # submodule -> its names in __all__; no driver run needs them, so
@@ -122,14 +107,7 @@ __all__ = [
     "NULL_TRACER",
     "activate",
     "current",
-    "metrics_registry",
     "flight_recorder",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "FlightEvent",
     "FlightRecorder",
     "NullFlightRecorder",
@@ -138,6 +116,5 @@ __all__ = [
     "read_flight_jsonl",
     *_LAZY_NAMES,
     "export",
-    "metrics",
     "render",
 ]

@@ -27,7 +27,6 @@ from .tracer import Span, Tracer
 __all__ = [
     "chrome_trace",
     "merge_chrome_traces",
-    "metric_counter_events",
     "write_chrome_trace",
     "span_records",
     "write_jsonl",
@@ -49,7 +48,6 @@ def chrome_trace(
     tracer: Tracer,
     pid: int = 0,
     process_name: str = "repro",
-    registry=None,
     tid: int = 0,
     base: Optional[float] = None,
     sort_index: Optional[int] = None,
@@ -60,17 +58,11 @@ def chrome_trace(
     Every closed span becomes a ``"B"``/``"E"`` pair on thread *tid* of
     *pid*; timestamps are microseconds from the first root's start.
     Program order is single-threaded, so a depth-first emission is already
-    monotone in ``ts`` — the test suite asserts this invariant.
-
-    When a :class:`~repro.obs.metrics.MetricRegistry` is passed as
-    *registry*, its counters and gauges additionally ride along as Chrome
-    ``"C"`` (counter) events at the start and end of the trace, so the
-    viewer shows the run's standing totals next to the span timeline.
-    Counter timestamps are rebased against the same origin as the spans
-    (one clock domain), and the emitted event stream is globally sorted
-    by ``ts`` (metadata first; the sort is stable, so ``B``/``E`` nesting
-    at equal timestamps is preserved) — strict pickier-than-Chrome
-    parsers get monotone timestamps per ``pid``/``tid``.
+    monotone in ``ts`` — the test suite asserts this invariant.  The
+    emitted stream is also sorted by ``ts`` (metadata first; the sort is
+    stable, so ``B``/``E`` nesting at equal timestamps is preserved), so
+    strict pickier-than-Chrome parsers get monotone timestamps per
+    ``pid``/``tid`` whatever order the roots were recorded in.
 
     Multi-lane merges (one pid lane per rank) pass a shared *base* so all
     lanes keep one time origin, *sort_index* to pin lane order in the
@@ -139,52 +131,11 @@ def chrome_trace(
 
     for root in tracer.roots:
         emit(root)
-    if registry is not None:
-        t_end = max(
-            ((r.t1 - base) * 1e6 for r in tracer.roots if r.t1 is not None),
-            default=0.0,
-        )
-        events.extend(metric_counter_events(registry, pid=pid, ts=t_end))
-    # one globally ts-sorted stream: metadata first, then every span and
-    # counter event in timestamp order (stable, so depth-first B/E nesting
+    # one globally ts-sorted stream: metadata first, then every span
+    # event in timestamp order (stable, so depth-first B/E nesting
     # survives ties)
     events.sort(key=lambda e: (0 if e["ph"] == "M" else 1, e.get("ts", 0.0)))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def metric_counter_events(
-    registry, pid: int = 0, ts: float = 0.0
-) -> List[Dict[str, Any]]:
-    """Chrome ``"C"`` (counter) events for a registry's counters/gauges.
-
-    Each metric family becomes one counter track; the label sets become
-    the track's series (``args`` keys).  Two samples are emitted — zero at
-    ``ts=0`` and the final value at *ts* — so the viewer draws the run's
-    accumulation as a ramp rather than a zero-width spike.  Histograms
-    are summarised by their ``_count`` series.
-    """
-    series: Dict[str, Dict[str, float]] = {}
-    for m in registry:
-        label = ",".join(f"{k}={v}" for k, v in m.labels) or "value"
-        if m.kind == "histogram":
-            series.setdefault(m.name + "_count", {})[label] = float(m.count)
-        else:
-            series.setdefault(m.name, {})[label] = float(m.value)
-    events: List[Dict[str, Any]] = []
-    for name in sorted(series):
-        for t, vals in ((0.0, {k: 0.0 for k in series[name]}), (ts, series[name])):
-            events.append(
-                {
-                    "name": name,
-                    "cat": "metric",
-                    "ph": "C",
-                    "ts": t,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": vals,
-                }
-            )
-    return events
 
 
 def merge_chrome_traces(traces: List[Dict[str, Any]]) -> Dict[str, Any]:

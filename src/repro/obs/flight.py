@@ -1,11 +1,11 @@
 """Flight recorder — one causally-ordered run record for a whole run.
 
-Before this module the repo's telemetry lived in four disconnected
-streams: spans (:mod:`repro.obs.tracer`), metric snapshots
-(:mod:`repro.obs.metrics`), fault-injection logs (:mod:`repro.faults`)
-and recovery events (:mod:`repro.recovery.supervisor`).  Correlating a
-convergence stall with the retry storm that caused it meant joining
-those streams by hand.  A :class:`FlightRecorder` merges them into one
+Before this module the repo's telemetry lived in three disconnected
+streams: spans (:mod:`repro.obs.tracer`), fault-injection logs
+(:mod:`repro.faults`) and recovery events
+(:mod:`repro.recovery.supervisor`).  Correlating a convergence stall
+with the retry storm that caused it meant joining those streams by
+hand.  A :class:`FlightRecorder` merges them into one
 **append-only, causally-ordered, schema-versioned** record:
 
 * every record is a :class:`FlightEvent` with a monotone sequence number
@@ -36,12 +36,11 @@ Event kinds written by the instrumented layers
                       model of the same fault)
 ``checkpoint``        supervisor sealed a checkpoint
 ``recovery``          supervisor action: fault/watchdog/repair/rollback/shrink/degrade
-``metric``            a metric-registry sample (see :meth:`FlightRecorder.sample_metrics`)
 ``anomaly``           a detector verdict (see :mod:`repro.obs.anomaly`)
 ``run_end``           driver exit: iterations, components
 
-Design constraints (shared with the tracer and the metric registry)
--------------------------------------------------------------------
+Design constraints (shared with the tracer)
+-------------------------------------------
 * **Zero cost when off.**  Instrumented call sites do::
 
       fr = flight_recorder()
@@ -56,8 +55,8 @@ Design constraints (shared with the tracer and the metric registry)
   (graphblas, mpisim, core, faults, recovery, cli) can hook in without
   import cycles.
 * **One obs scope**: :func:`repro.obs.tracer.activate` (``flight=``)
-  scopes the process-wide recorder next to the tracer and the metric
-  registry; :func:`repro.obs.tracer.flight_recorder` reads it.
+  scopes the process-wide recorder next to the tracer;
+  :func:`repro.obs.tracer.flight_recorder` reads it.
 """
 
 from __future__ import annotations
@@ -274,21 +273,6 @@ class FlightRecorder:
             **{k: v for k, v in d.items() if k not in ("rank", "step")},
         )
 
-    def sample_metrics(self, registry, names: Optional[List[str]] = None) -> int:
-        """Snapshot a metric registry into ``metric`` events (one per
-        instrument, optionally filtered by family *names*); returns the
-        number of samples recorded."""
-        count = 0
-        for rec in registry.snapshot():
-            if names is not None and rec["name"] not in names:
-                continue
-            payload = dict(rec)
-            # the snapshot's instrument kind must not shadow the event kind
-            payload["metric_kind"] = payload.pop("kind", None)
-            self.record("metric", **payload)
-            count += 1
-        return count
-
     def finish(self) -> List[FlightEvent]:
         """Flush the detectors' pending verdicts and the JSONL sink.
 
@@ -374,9 +358,6 @@ class NullFlightRecorder:
 
     def bind_clock(self, clock) -> None:
         pass
-
-    def sample_metrics(self, registry, names=None) -> int:
-        return 0
 
     def finish(self) -> List[FlightEvent]:
         return []

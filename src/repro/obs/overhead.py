@@ -1,8 +1,8 @@
 """Disabled-mode overhead measurement for the observability layer.
 
-Tracing and metrics are designed to be free when off: every instrumented
-call site pays one module-global lookup plus a falsy check
-(:data:`~repro.obs.tracer.NULL_TRACER` / :data:`~repro.obs.metrics.NULL_REGISTRY`).
+Tracing and the flight record are designed to be free when off: every
+instrumented call site pays one module-global lookup plus a falsy check
+(:data:`~repro.obs.tracer.NULL_TRACER` / :data:`~repro.obs.flight.NULL_FLIGHT`).
 This module is the one implementation of the measurement that pins the
 property — shared by ``benchmarks/check_tracing_overhead.py`` (the CI
 gate at full scale) and the tier-1 test suite (smaller scale, same
@@ -95,7 +95,7 @@ def measure_overhead(
 
     Both callables should run the identical workload; the probe wraps it
     in the disabled-mode instrumentation under test (an activated
-    ``NullTracer`` or ``NullRegistry``).
+    ``NullTracer`` or ``NullFlightRecorder``).
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

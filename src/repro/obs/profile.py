@@ -43,19 +43,16 @@ def trace_lacc_proc(
 
     from .anomaly import default_detectors
     from .flight import FlightRecorder
-    from .metrics import MetricRegistry
 
     tracer = Tracer(clock=time.monotonic)
-    registry = MetricRegistry()
     fr = FlightRecorder(path=flight_path, detectors=default_detectors())
     with enable_rank_obs(), backend_mod.use("proc"), \
-            activate(tracer, metrics=registry, flight=fr):
+            activate(tracer, flight=fr):
         res = lacc_spmd(g, ranks=ranks, **kwargs)
         obs = collect_rank_obs(get_pool(ranks))
     fr.finish()
     # fold each rank's deterministic record into the conductor record
     record_rank_events(fr, obs.flight_events)
     fr.close()
-    res.registry = registry
     res.flight = fr
     return res, tracer, obs

@@ -177,7 +177,6 @@ def flamegraph(tracer: Tracer, width: int = 100, min_fraction: float = 0.0,
 _LANES: List[Tuple[str, str, str]] = [
     ("iteration", "iterations", "#4878d0"),
     ("step", "routed steps", "#6acc64"),
-    ("metric", "metric samples", "#82c6e2"),
     ("fault", "faults", "#d65f5f"),
     ("retry", "retries", "#ee854a"),
     ("collective_error", "permanent failures", "#a01515"),

@@ -20,12 +20,12 @@ Design constraints
   :data:`NULL_TRACER`, whose :meth:`~NullTracer.span` hands back one shared
   falsy no-op span — no allocation, no clock read, no dict updates.
 * **No repro dependencies.**  Beyond the standard library this module
-  imports only the null objects of :mod:`repro.obs.metrics` and
-  :mod:`repro.obs.flight` (themselves stdlib-only), so every layer
-  (graphblas, mpisim, core, cli) can hook into it without import cycles.
-* **One obs scope.**  :func:`activate` scopes the process-wide tracer,
-  metric registry and flight recorder together; :func:`current`,
-  :func:`metrics_registry` and :func:`flight_recorder` read them.
+  imports only the null object of :mod:`repro.obs.flight` (itself
+  stdlib-only), so every layer (graphblas, mpisim, core, cli) can hook
+  into it without import cycles.
+* **One obs scope.**  :func:`activate` scopes the process-wide tracer
+  and flight recorder together; :func:`current` and
+  :func:`flight_recorder` read them.
 * **Single-threaded program order.**  Spans close LIFO; the span stack is
   per-tracer.
 """
@@ -37,7 +37,6 @@ import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .flight import NULL_FLIGHT
-from .metrics import NULL_REGISTRY
 
 __all__ = [
     "Span",
@@ -46,7 +45,6 @@ __all__ = [
     "NullSpan",
     "NULL_TRACER",
     "current",
-    "metrics_registry",
     "flight_recorder",
     "activate",
 ]
@@ -355,7 +353,6 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 _tracer = NULL_TRACER
-_metrics = NULL_REGISTRY
 _flight = NULL_FLIGHT
 
 
@@ -369,12 +366,6 @@ def current():
     return _tracer
 
 
-def metrics_registry():
-    """The process-wide active metric registry (:data:`NULL_REGISTRY`
-    when off) — the same contract as :func:`current`."""
-    return _metrics
-
-
 def flight_recorder():
     """The process-wide active flight recorder (:data:`NULL_FLIGHT` when
     off) — the same contract as :func:`current`."""
@@ -382,27 +373,25 @@ def flight_recorder():
 
 
 @contextlib.contextmanager
-def activate(tracer=None, *, metrics=None, flight=None):
-    """Scope any of tracer, metric registry and flight recorder as the
+def activate(tracer=None, *, flight=None):
+    """Scope either or both of tracer and flight recorder as the
     process-wide active ones::
 
-        tr, reg = Tracer(), MetricRegistry()
-        with activate(tr, metrics=reg):
-            lacc(A)                # spans land in tr, counters in reg
+        tr, fr = Tracer(), FlightRecorder()
+        with activate(tr, flight=fr):
+            lacc(A)                # spans land in tr, events in fr
 
     A facet left as ``None`` keeps its current value.  Activations nest;
-    on exit, also on an exception, all three are restored.  Yields the
-    first facet given.
+    on exit, also on an exception, both are restored.  Yields the first
+    facet given.
     """
-    global _tracer, _metrics, _flight
-    prev = _tracer, _metrics, _flight
+    global _tracer, _flight
+    prev = _tracer, _flight
     if tracer is not None:
         _tracer = tracer
-    if metrics is not None:
-        _metrics = metrics
     if flight is not None:
         _flight = flight
     try:
-        yield next((f for f in (tracer, metrics, flight) if f is not None), None)
+        yield tracer if tracer is not None else flight
     finally:
-        _tracer, _metrics, _flight = prev
+        _tracer, _flight = prev

@@ -12,8 +12,6 @@ never reorder or stall a collective), over which each worker ships
   ``fold`` child spans so compute/comm/wait attribution is *measured*,
   plus a second tracer for the heartbeat thread (exported as ``tid=1``
   of the rank's pid lane);
-* a per-rank :class:`~repro.obs.metrics.MetricRegistry` snapshot, merged
-  into the conductor's registry with a ``rank`` label;
 * a per-rank :class:`~repro.obs.flight.FlightRecorder` whose events are
   **streamed eagerly** (frame-per-event), so a SIGKILLed rank's last
   events survive in the ring for the conductor's chaos postmortem
@@ -55,8 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.flight import FlightEvent, FlightRecorder, merge_flight_events
-from repro.obs.metrics import MetricRegistry
-from repro.obs.tracer import Tracer, metrics_registry
+from repro.obs.tracer import Tracer
 
 from .shm import TransportError, _Channel, _register_segments
 
@@ -96,7 +93,7 @@ STEP_TO_CODE: Dict[str, int] = {v: k for k, v in STEP_CODES.items() if v}
 
 
 # ----------------------------------------------------------------------
-# activation toggle (same module-global idiom as tracer/flight/metrics)
+# activation toggle (same module-global idiom as tracer/flight)
 # ----------------------------------------------------------------------
 _RANK_OBS = False
 
@@ -277,10 +274,10 @@ class _TracedEndpoint:
 
 
 class RankObs:
-    """One worker's observability bundle (tracer, metrics, flight).
+    """One worker's observability bundle (tracers and flight record).
 
     Lives inside the forked worker.  ``finalize_and_ship`` dumps the
-    tracer forests and the metric snapshot over the sideband and resets
+    tracer forests over the sideband and resets
     every instrument — a cached pool serves many runs, and each run's
     record must start from zero for byte-identical replays.
     """
@@ -302,7 +299,6 @@ class RankObs:
         self.calls = 0
         self.tracer = Tracer(clock=time.monotonic)
         self.hb_tracer = Tracer(clock=time.monotonic)
-        self.registry = MetricRegistry()
         # deterministic clock: the collective-call counter.  No wall
         # time, no uuid, no pid — same-seed runs replay byte-identical.
         self.flight = FlightRecorder(
@@ -356,9 +352,6 @@ class RankObs:
         self.flight.record(
             "collective", iteration=it, step=step, opcode=opname, call=self.calls
         )
-        self.registry.counter(
-            "rank_collectives_total", "collectives executed by this rank", op=opname
-        ).inc()
         return self.tracer.span(
             opname,
             "collective",
@@ -373,14 +366,13 @@ class RankObs:
         return self.hb_tracer.span("heartbeat", "rank", counter=int(counter))
 
     def finalize_and_ship(self, timeout_s: float = 30.0) -> None:
-        """End the run's record: dump tracers + metrics, then reset."""
+        """End the run's record: dump the tracers, then reset."""
         self.flight.record("worker_finalize", calls=self.calls)
         payload = {
             "kind": "finalize",
             "rank": self.rank,
             "spans": self.tracer.to_dicts(),
             "hb_spans": self.hb_tracer.to_dicts(),
-            "metrics": self.registry.snapshot(),
             "sideband_dropped": self.dropped,
             "flight_dropped": self.flight.dropped,
             "clock": "monotonic",
@@ -405,7 +397,6 @@ class RankObsResult:
     offsets: Dict[int, float] = field(default_factory=dict)
     tracers: Dict[int, Tracer] = field(default_factory=dict)
     hb_tracers: Dict[int, Tracer] = field(default_factory=dict)
-    metrics: Dict[int, List[dict]] = field(default_factory=dict)
     flight_events: Dict[int, List[FlightEvent]] = field(default_factory=dict)
     #: eager frames each worker dropped for lack of ring space
     sideband_dropped: Dict[int, int] = field(default_factory=dict)
@@ -419,9 +410,9 @@ class RankObsResult:
         :func:`~repro.obs.flight.merge_flight_events`)."""
         return merge_flight_events(self.flight_events, conductor=conductor)
 
-    def merged_trace(self, conductor: Optional[Tracer] = None, registry=None) -> dict:
+    def merged_trace(self, conductor: Optional[Tracer] = None) -> dict:
         """One Chrome trace, one pid lane per rank (+ conductor lane)."""
-        return merged_chrome_trace(self, conductor=conductor, registry=registry)
+        return merged_chrome_trace(self, conductor=conductor)
 
 
 def _ingest_rank(
@@ -445,7 +436,6 @@ def _ingest_rank(
                 root.shift(-offset)
             result.tracers[rank] = tr
             result.hb_tracers[rank] = hb
-            result.metrics[rank] = msg.get("metrics") or []
             result.sideband_dropped[rank] = int(msg.get("sideband_dropped", 0))
             result.flight_dropped[rank] = int(msg.get("flight_dropped", 0))
     result.flight_events[rank] = events
@@ -453,13 +443,12 @@ def _ingest_rank(
         result.truncated.append(rank)
 
 
-def collect_rank_obs(pool, merge_registry: bool = True) -> RankObsResult:
+# merge_registry is ignored; it stays only because benchmarks/e2e/run.py passes it
+def collect_rank_obs(pool, *, merge_registry=None) -> RankObsResult:
     """Finalize and fetch every rank's obs bundle over the sideband.
 
     Broadcasts ``OP_OBS`` (each worker dumps-and-resets), then drains
-    each ring until its finalize frame.  When *merge_registry* is true
-    and a conductor :class:`MetricRegistry` is active, every rank's
-    snapshot is merged into it under a ``rank`` label.
+    each ring until its finalize frame.
     """
     if pool.obsband is None:
         raise ValueError(
@@ -476,11 +465,6 @@ def collect_rank_obs(pool, merge_registry: bool = True) -> RankObsResult:
             r, deadline_s=pool.timeout
         )
         _ingest_rank(result, r, msgs, finalized)
-    if merge_registry:
-        reg = metrics_registry()
-        if reg:
-            for r, snap in result.metrics.items():
-                reg.merge_snapshot(snap, rank=str(r))
     return result
 
 
@@ -547,7 +531,6 @@ def record_rank_events(
 def merged_chrome_trace(
     result: RankObsResult,
     conductor: Optional[Tracer] = None,
-    registry=None,
 ) -> dict:
     """Merge per-rank (clock-aligned) tracers into one Chrome trace.
 
@@ -576,7 +559,6 @@ def merged_chrome_trace(
                 conductor,
                 pid=result.size,
                 process_name="conductor",
-                registry=registry,
                 base=base,
                 sort_index=-1,
             )

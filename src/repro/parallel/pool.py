@@ -327,8 +327,6 @@ class WorkerPool:
         self.clock_offsets: Dict[int, float] = {}
         #: sideband frames salvaged from dead/closing workers at teardown
         self.obs_salvage: Dict[int, List[dict]] = {}
-        #: survivor stats captured by :meth:`_died` just before teardown
-        self.stats_salvage: Tuple[Dict[int, np.ndarray], List[int]] = ({}, [])
         self._seq = 0
         self.procs = []
         for rank in range(self.size):
@@ -383,13 +381,6 @@ class WorkerPool:
         every worker, which would turn any classification into
         'all dead'."""
         status = self.detector.snapshot()
-        # last chance to read survivor counters: teardown below kills
-        # every worker.  Ranks wedged inside the aborted collective will
-        # not answer within the short budget — they count as unreached.
-        try:
-            self.stats_salvage = self.stats_survivors(timeout=0.5)
-        except Exception:  # pragma: no cover - salvage must never mask death
-            pass
         self.mark_broken()
         err = WorkerDied(message)
         err.status = status
@@ -488,32 +479,6 @@ class WorkerPool:
         sent/received, busy microseconds, rank id."""
         seq = self._command(OP_STATS)
         return [self._recv(r, seq) for r in range(self.size)]
-
-    def stats_survivors(
-        self, timeout: float = 1.0
-    ) -> Tuple[Dict[int, np.ndarray], List[int]]:
-        """Best-effort per-rank stats that a dead rank cannot poison.
-
-        Unlike :meth:`stats`, a non-responding rank does **not** tear the
-        pool down (``_send``/``_recv`` would mark it broken): each rank is
-        queried independently with a short *timeout*, dead processes are
-        skipped outright, and the result is ``(survivor_stats,
-        unreached_ranks)``.  The metrics merge after a faulty collective
-        uses this so survivor counters are kept instead of dropped.
-        """
-        got: Dict[int, np.ndarray] = {}
-        missed: List[int] = []
-        for r in range(self.size):
-            if not self.procs[r].is_alive():
-                missed.append(r)
-                continue
-            try:
-                seq = self._next_seq()
-                self.ep.send(r, TAG_CMD, _frame(OP_STATS, seq), timeout=timeout)
-                got[r] = self.ep.recv(r, seq, timeout=timeout)
-            except TransportError:
-                missed.append(r)
-        return got, missed
 
     def alltoallv(self, send: Sequence[Sequence[np.ndarray]]) -> List[List[np.ndarray]]:
         """Returns ``recv`` with ``recv[j][i]`` = what rank *j* got from *i*.

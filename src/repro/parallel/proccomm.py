@@ -30,9 +30,8 @@ either backend.  What is proc-only:
 
 Tracer spans use category ``"proccomm"`` (the ``"simcomm"`` category
 stays sim-only so word-accounting consumers know which machine produced
-a trace); when a metric registry is active, per-rank transport counters
-(bytes/messages/busy-time, labelled by rank) are merged into it at the
-root after every collective.  Their byte counts cover only bytes that
+a trace).  The workers' transport counters
+(:meth:`~repro.parallel.pool.WorkerPool.stats`) cover only bytes that
 leave a rank, so self-messages add nothing to them.
 """
 
@@ -45,7 +44,6 @@ import numpy as np
 
 from repro.mpisim.envelope import CommBase, calling_iteration, fail
 from repro.obs.tracer import flight_recorder as _freg
-from repro.obs.tracer import metrics_registry
 from repro.obs.tracer import current as _obs
 
 from .detector import FailureDetector
@@ -113,17 +111,6 @@ class ProcComm(CommBase):
                 {r: salvaged_flight_events(m) for r, m in salvage.items()},
                 salvaged=True,
             )
-        # survivor transport counters were captured just before teardown;
-        # merge what reached us and count the rest as unmerged
-        self._merge_rank_metrics(old_pool)
-        reg = metrics_registry()
-        if reg:
-            for r in lost:
-                reg.counter(
-                    "proc_rank_lost_total",
-                    "workers classified permanently lost, by rank",
-                    rank=str(r),
-                ).inc()
         if sp:
             sp.set("worker_died", True)
             sp.set("failure_kinds", ",".join(kinds))
@@ -154,10 +141,6 @@ class ProcComm(CommBase):
             pool.inject(rule.kind, victim, rule.stall_seconds)
         if not pool.alive():
             status = pool.detector.snapshot()
-            try:  # survivor counters die with the pool; grab them first
-                pool.stats_salvage = pool.stats_survivors(timeout=0.5)
-            except Exception:
-                pass
             pool.mark_broken()
             self._fail(name, sp, status)
         if pool.obsband is not None:
@@ -175,50 +158,7 @@ class ProcComm(CommBase):
                 out = fn(pool, *args)
         except WorkerDied as exc:
             self._fail(name, sp, getattr(exc, "status", ()), error=str(exc))
-        self._merge_rank_metrics(pool)
         return out
-
-    def _merge_rank_metrics(self, pool) -> None:
-        """Fold per-rank transport counters into the active registry (a
-        no-op — no extra round-trip — when metrics are off).
-
-        Partial by design: a dead worker must not cost the survivors
-        their counters.  On a live pool every rank is queried with a
-        per-rank timeout; on a broken pool the rows captured just before
-        teardown (``stats_salvage``) are used.  Ranks that could not be
-        reached either way are recorded under the
-        ``proccomm_ranks_unmerged`` counter instead of silently dropped.
-        """
-        reg = metrics_registry()
-        if not reg:
-            return
-        if pool.broken or not pool.alive():
-            got, _ = getattr(pool, "stats_salvage", ({}, []))
-        else:
-            try:
-                got, _ = pool.stats_survivors(timeout=pool.timeout)
-            except Exception:
-                got = {}
-        for row in got.values():
-            rank = str(int(row[5]))
-            reg.gauge("proc_rank_bytes_sent", "payload bytes sent by rank",
-                      rank=rank).set(int(row[0]))
-            reg.gauge("proc_rank_bytes_received", "payload bytes received by rank",
-                      rank=rank).set(int(row[1]))
-            reg.gauge("proc_rank_messages_sent", "messages sent by rank",
-                      rank=rank).set(int(row[2]))
-            reg.gauge("proc_rank_messages_received", "messages received by rank",
-                      rank=rank).set(int(row[3]))
-            reg.gauge("proc_rank_busy_seconds", "transport busy seconds of rank",
-                      rank=rank).set(int(row[4]) / 1e6)
-        for r in range(pool.size):
-            if r not in got:
-                reg.counter(
-                    "proccomm_ranks_unmerged",
-                    "ranks whose transport counters could not be merged "
-                    "(died or unreachable at merge time)",
-                    rank=str(r),
-                ).inc()
 
     # ------------------------------------------------------------------
     # the exchanges; CommBase runs everything around them

@@ -56,7 +56,6 @@ from repro.core.snapshot import IterationSnapshot
 from repro.faults.errors import CollectiveError
 from repro.mpisim.costmodel import CostModel
 from repro.obs.tracer import flight_recorder as _freg
-from repro.obs.tracer import metrics_registry as _mreg
 from repro.obs.tracer import current as _obs
 
 from .auditor import StateAuditor
@@ -260,13 +259,6 @@ class Supervisor:
                 if fr:
                     fr.record("checkpoint", iteration=snap.iteration,
                               words=float(ck.words))
-                reg = _mreg()
-                if reg:
-                    reg.counter("recovery_checkpoints_total",
-                                "checkpoints sealed to the store").inc()
-                    reg.counter("recovery_checkpoint_words_total",
-                                "words written to checkpoint storage"
-                                ).inc(float(ck.words))
             if user_hook is not None:
                 user_hook(snap)
             if cfg.iteration_deadline is not None and dt > cfg.iteration_deadline:
@@ -307,11 +299,6 @@ class Supervisor:
                 if fr:
                     fr.record("recovery", iteration=fail_iter,
                               action=events[-1].action, detail=str(exc))
-                reg = _mreg()
-                if reg:
-                    reg.counter("recovery_failures_total",
-                                "driver failures intercepted by the supervisor",
-                                kind=events[-1].action).inc()
                 rank_lost = (
                     isinstance(exc, CollectiveError) and "rank_lost" in exc.kinds
                 )
@@ -412,10 +399,6 @@ class Supervisor:
         if fr:
             fr.record("recovery", iteration=snap.iteration,
                       action="audit_repair", detail=report.summary())
-        reg = _mreg()
-        if reg:
-            reg.counter("recovery_repairs_total",
-                        "audit-repair recoveries performed").inc()
         return snap
 
     def _repaired_copy(self, latest: Optional[IterationSnapshot]):
@@ -492,10 +475,6 @@ class Supervisor:
                       iteration=None if snap is None else snap.iteration,
                       action="shrink", detail=detail,
                       old_ranks=old, new_ranks=new, lost_ranks=lost)
-        reg = _mreg()
-        if reg:
-            reg.counter("recovery_shrinks_total",
-                        "shrink-to-survivors re-partitions").inc()
         return True, snap
 
     def _rollback(
@@ -535,10 +514,6 @@ class Supervisor:
         if fr:
             fr.record("recovery", iteration=ck.iteration, action="rollback",
                       detail=f"depth {len(valid)}")
-        reg = _mreg()
-        if reg:
-            reg.counter("recovery_rollbacks_total",
-                        "rollbacks to a durable checkpoint").inc()
         return snap
 
     def _degrade(
@@ -601,10 +576,6 @@ class Supervisor:
             fr.record("recovery",
                       iteration=None if best is None else best.iteration,
                       action="degrade", detail=detail)
-        reg = _mreg()
-        if reg:
-            reg.counter("recovery_degrades_total",
-                        "runs degraded to serial replay").inc()
         return SupervisedResult(
             result=result,
             events=events,

@@ -39,7 +39,6 @@ from repro.graphblas import semirings as sr
 from repro.graphblas.descriptor import Descriptor, Mask
 from repro.graphblas.kernels import _compiled, _numpy
 from repro.obs import Tracer, activate
-from repro.obs.metrics import MetricRegistry
 
 NUMBA_MISSING_REASON = (
     "numba is not installed — the 'compiled' kernel tier is unregistered "
@@ -713,7 +712,7 @@ class TestEnvSelection:
 
 
 # ----------------------------------------------------------------------
-# tier observability: spans and metrics must say which tier ran
+# tier observability: the mxv span must say which tier ran
 # ----------------------------------------------------------------------
 
 class TestTierObservability:
@@ -730,6 +729,7 @@ class TestTierObservability:
         sp = tr.roots[0]
         assert sp.name == "mxv"
         assert sp.attrs["tier"] == kernels.active()
+        assert sp.attrs["path"] == "spmv"
 
     def test_span_tier_follows_tier_switch(self):
         kernels.register_tier("purepy", _compiled)
@@ -740,11 +740,3 @@ class TestTierObservability:
             assert tr.roots[0].attrs["tier"] == "purepy"
         finally:
             kernels._TIERS.pop("purepy", None)
-
-    def test_metrics_carry_tier_label(self):
-        reg = MetricRegistry()
-        with activate(metrics=reg):
-            self._mxv()
-        tier = kernels.active()
-        assert reg.value("graphblas_mxv_total", path="spmv", tier=tier) == 1.0
-        assert reg.value("graphblas_kernel_tier", tier=tier) == 1.0

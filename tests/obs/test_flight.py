@@ -190,21 +190,6 @@ def test_null_flight_is_falsy_and_absorbing():
     assert not NULL_FLIGHT.enabled
 
 
-def test_sample_metrics_records_registry_snapshot():
-    from repro.obs.metrics import MetricRegistry
-
-    reg = MetricRegistry()
-    reg.counter("words_total", help="words moved").inc(42)
-    reg.gauge("active_fraction").set(0.5)
-    fr = FlightRecorder()
-    n = fr.sample_metrics(reg)
-    assert n == 2
-    names = {e.data["name"] for e in fr.find("metric")}
-    assert names == {"words_total", "active_fraction"}
-    filtered = FlightRecorder()
-    assert filtered.sample_metrics(reg, names=["words_total"]) == 1
-
-
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         FlightRecorder(capacity=0)

@@ -7,7 +7,7 @@ driver).  This tier-1 copy runs the *same protocol* from
 with the same 5% relative budget; the absolute noise floor does most of
 the guarding at this size, so what the gate really catches is gross
 regressions — a null object that starts allocating per call, or a
-disabled path routed through a real tracer/registry.
+disabled path routed through a real tracer or flight recorder.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from repro.core import lacc
 from repro.core.lacc_dist import lacc_dist
 from repro.graphs.generators import rmat
 from repro.mpisim import EDISON
-from repro.obs import NullRegistry, NullTracer, activate
+from repro.obs import NullTracer, activate
 from repro.obs.overhead import OverheadResult, measure_overhead
 
 SCALE = 12  # 4096 vertices — a few ms per run
@@ -47,17 +47,17 @@ def test_nulltracer_overhead_within_budget(A):
     assert res.within_budget, res.summary()
 
 
-def test_nullregistry_overhead_within_budget(A):
-    reg = NullRegistry()
+def test_nulltracer_lacc_dist_overhead_within_budget(A):
+    tracer = NullTracer()
 
     def probe():
-        with activate(metrics=reg):
+        with activate(tracer):
             lacc_dist(A, EDISON, nodes=4)
 
     res = measure_overhead(
         baseline=lambda: lacc_dist(A, EDISON, nodes=4),
         probe=probe,
-        name="nullregistry_lacc_dist",
+        name="nulltracer_lacc_dist",
         rounds=ROUNDS,
         noise_floor_s=NOISE_FLOOR_S,
     )

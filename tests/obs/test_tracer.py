@@ -5,10 +5,8 @@ import pytest
 
 from repro.obs import (
     NULL_FLIGHT,
-    NULL_REGISTRY,
     NULL_TRACER,
     FlightRecorder,
-    MetricRegistry,
     NullSpan,
     NullTracer,
     Span,
@@ -16,7 +14,6 @@ from repro.obs import (
     activate,
     current,
     flight_recorder,
-    metrics_registry,
 )
 
 
@@ -177,9 +174,9 @@ class TestNullObjects:
 
 
 #: the facets of the one obs scope, by their ``activate`` keyword
-FACETS = {"tracer": Tracer, "metrics": MetricRegistry, "flight": FlightRecorder}
-NULLS = {"tracer": NULL_TRACER, "metrics": NULL_REGISTRY, "flight": NULL_FLIGHT}
-ALL = ("tracer", "metrics", "flight")
+FACETS = {"tracer": Tracer, "flight": FlightRecorder}
+NULLS = {"tracer": NULL_TRACER, "flight": NULL_FLIGHT}
+ALL = ("tracer", "flight")
 
 
 def _fresh(names):
@@ -187,9 +184,7 @@ def _fresh(names):
 
 
 def _assert_scope(expected):
-    active = {
-        "tracer": current(), "metrics": metrics_registry(), "flight": flight_recorder(),
-    }
+    active = {"tracer": current(), "flight": flight_recorder()}
     for name, want in expected.items():
         assert active[name] is want, name
 
@@ -205,7 +200,7 @@ class TestActivation:
             assert got is tr and current() is tr
         assert current() is NULL_TRACER
         # any subset of the facets; the scope yields the first one given
-        for names in [("metrics",), ("flight",), ALL]:
+        for names in [("flight",), ALL]:
             facets = _fresh(names)
             with activate(**facets) as got:
                 assert got is facets[names[0]]
@@ -220,9 +215,9 @@ class TestActivation:
             assert current() is t1
         assert current() is NULL_TRACER
         for outer, inner in [
-            (("tracer",), ("metrics",)),  # a metrics-only scope keeps the tracer
+            (("tracer",), ("flight",)),  # a flight-only scope keeps the tracer
             (ALL, ("flight",)),
-            (("metrics",), ALL),
+            (("flight",), ALL),
         ]:
             o, i = _fresh(outer), _fresh(inner)
             with activate(**o):
@@ -238,7 +233,7 @@ class TestActivation:
             with activate(tr):
                 raise RuntimeError("boom")
         assert current() is NULL_TRACER
-        for names in [("metrics", "flight"), ALL]:
+        for names in [("flight",), ALL]:
             outer = _fresh(["tracer"])
             with activate(**outer):
                 with pytest.raises(RuntimeError):

@@ -6,7 +6,7 @@ observability"):
 * **Null path** — with rank obs off (the default) a pool allocates no
   sideband at all, and instrumented pools are cached separately from
   null ones.
-* **Round trip** — every worker's tracer/metrics/flight record comes
+* **Round trip** — every worker's tracer and flight record come
   home over the sideband, collectives carry the conductor-stamped
   iteration/step coordinates, and the exchange is attributed into
   ``ring_send``/``ring_recv`` children.
@@ -17,9 +17,10 @@ observability"):
   flight records (the worker flight clock is the collective counter,
   not wall time).
 * **Salvage** — a SIGKILLed rank's eagerly-shipped flight events
-  survive into the conductor's record as ``rank_event`` rows, and the
-  survivors' transport counters still merge
-  (``proccomm_ranks_unmerged`` counts only the unreachable ranks).
+  survive into the conductor's record as ``rank_event`` rows.
+* **Profiling costs no relay frames** — ``trace_lacc_proc`` sends the
+  workers no more frames than the same run with rank obs alone, apart
+  from the one collection command per worker.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import pytest
 from repro.faults import CollectiveError
 from repro.mpisim import backend
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricRegistry
 from repro.obs.tracer import activate
 from repro.parallel import ProcComm, get_pool, shutdown_pools
 from repro.parallel.obsband import (
@@ -89,7 +89,7 @@ class TestRoundTrip:
     def _collect(self, size=2):
         with enable_rank_obs():
             _two_collectives(size)
-            return collect_rank_obs(get_pool(size), merge_registry=False)
+            return collect_rank_obs(get_pool(size))
 
     def test_every_rank_reports(self):
         obs = self._collect()
@@ -132,15 +132,6 @@ class TestRoundTrip:
         assert [ev.data["opcode"] for ev in coll] == ["allreduce", "alltoallv"]
         assert all(ev.rank == 1 for ev in coll)
 
-    def test_worker_metrics_merge_with_rank_label(self):
-        reg = MetricRegistry()
-        with activate(metrics=reg), enable_rank_obs():
-            _two_collectives(2)
-            collect_rank_obs(get_pool(2))
-        for r in ("0", "1"):
-            n = reg.value("rank_collectives_total", op="alltoallv", rank=r)
-            assert n == 1
-
     def test_second_run_starts_from_zero(self):
         """finalize resets the worker instruments: a cached pool must not
         leak one run's spans or calls into the next run's record."""
@@ -175,7 +166,7 @@ class TestMergedViews:
     def _obs(self, size=3):
         with enable_rank_obs():
             _two_collectives(size)
-            return collect_rank_obs(get_pool(size), merge_registry=False)
+            return collect_rank_obs(get_pool(size))
 
     def test_one_pid_lane_per_rank(self):
         obs = self._obs(3)
@@ -225,29 +216,9 @@ class TestMergedViews:
 
 
 # ----------------------------------------------------------------------
-# death: salvage + partial metric merge
+# death: salvage
 # ----------------------------------------------------------------------
 class TestWorkerDeath:
-    def test_survivor_metrics_merge_dead_rank_counted(self):
-        """Satellite contract: one dead worker must not void the whole
-        stats round — survivors merge, the unreachable rank is counted in
-        ``proccomm_ranks_unmerged``."""
-        reg = MetricRegistry()
-        with activate(metrics=reg):
-            comm = ProcComm(3)
-            send = [[np.arange(4, dtype=np.int64)] * 3] * 3
-            comm.alltoallv(send)  # workers idle at cmd_wait afterwards
-            pool = comm._pool
-            pool.procs[1].kill()
-            pool.procs[1].join(timeout=10)
-            with pytest.raises(CollectiveError):
-                comm.alltoallv(send)
-        assert reg.value("proccomm_ranks_unmerged", rank="1") >= 1
-        # the survivors' counters made it home before teardown
-        for r in ("0", "2"):
-            assert reg.value("proc_rank_bytes_sent", rank=r) > 0
-        shutdown_pools()
-
     def test_killed_rank_flight_events_salvaged(self):
         """A dead rank's eagerly-shipped flight events surface in the
         conductor record as ``rank_event`` rows with ``salvaged=True`` —
@@ -323,4 +294,28 @@ class TestEndToEnd:
         diag = diagnose(events)
         assert diag.healthy
         assert diag.n_dropped == 0
+        shutdown_pools()
+
+    def test_profiling_adds_no_per_collective_frames(self):
+        """``trace_lacc_proc`` may send each worker its one ``OP_OBS``
+        collection frame beyond what the same run gets under rank obs
+        alone; a query per collective would add dozens."""
+        from repro.core.lacc_spmd import lacc_spmd
+        from repro.graphs import path_graph
+        from repro.obs.profile import trace_lacc_proc
+
+        g = path_graph(120)
+
+        def frames_received(run):
+            with enable_rank_obs(), backend.use("proc"):
+                pool = get_pool(2)
+                before = sum(int(s[3]) for s in pool.stats())
+                run()
+                assert get_pool(2) is pool
+                return sum(int(s[3]) for s in pool.stats()) - before
+
+        plain = frames_received(lambda: lacc_spmd(g, ranks=2))
+        profiled = frames_received(lambda: trace_lacc_proc(g, ranks=2))
+        assert plain > 0
+        assert 0 <= profiled - plain <= 2  # one OP_OBS frame per worker
         shutdown_pools()
