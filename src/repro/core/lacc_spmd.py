@@ -7,18 +7,20 @@ edge list is 1D-partitioned, and every step communicates exclusively
 through :class:`repro.mpisim.SimComm` collectives — no rank ever touches
 another rank's block directly.  Per iteration:
 
-1. **endpoint resolution** — each rank requests its sorted endpoint set
-   from the owners once per iteration (one alltoallv, at the conditional
+1. **endpoint resolution** — each rank holds one record per undirected
+   edge, cyclic-partitioned, and requests its sorted endpoint set from
+   the owners once per iteration (one alltoallv, at the conditional
    hook), over only the edges whose endpoints still differ in parent:
    an edge whose endpoints share a parent can never hook again, so the
-   hooks drop it.  Both hooks then take one fused reply that carries
-   ``f`` and ``star`` for those endpoints, the SPMD analogue of the SpMV
-   gather stage;
-2. **conditional hooking** — local proposal generation
-   (``star[u] ∧ f[v] < f[u]``), min-combined locally, routed to the root
-   owners as one (target, value) array per destination in a single
-   alltoallv; each owner combines what it received with min and assigns
-   it, :func:`repro.core.hooking.assign_min` (the root's current parent
+   hooks drop it.  Each hook then takes a reply of one word per
+   endpoint, ``f`` for a star and ``~f`` for a nonstar, the SPMD
+   analogue of the SpMV gather stage;
+2. **conditional hooking** — local proposal generation from each edge
+   in both directions (``star[u] ∧ f[v] < f[u]``, and ``u``/``v``
+   swapped), min-combined locally, routed to the root owners as one
+   (target, value) array per destination in a single alltoallv; each
+   owner combines what it received with min and assigns it,
+   :func:`repro.core.hooking.assign_min` (the root's current parent
    takes no part in the min);
 3. **unconditional hooking** — same shape with the Lemma-2 condition
    (star hooks onto a *nonstar* neighbour's parent);
@@ -152,22 +154,16 @@ class _Dist:
         local = [[idx - self.lo(o) for idx in recv[o]] for o in range(self.p)]
         return _Plan([q.size for q in reqs], back, local)
 
-    def reply(self, plan: _Plan, *vectors: Blocks) -> List[Blocks]:
-        """Owners answer *plan* with every vector's values in one
-        alltoallv.  Returns, per vector, each rank's values positionally
-        aligned with its request."""
-        p, k = self.p, len(vectors)
-        send = [
-            [np.concatenate([v[o][idx] for v in vectors]) for idx in plan.local[o]]
-            for o in range(p)
-        ]
-        recv = self.alltoallv(send)  # recv[r][o]
-        out = [[np.empty(size, dtype=np.int64) for size in plan.sizes] for _ in vectors]
-        for r in range(p):
+    def reply(self, plan: _Plan, vec: Blocks) -> Blocks:
+        """Owners answer *plan* with *vec*'s values in one alltoallv.
+        Returns each rank's values positionally aligned with its request."""
+        recv = self.alltoallv(
+            [[vec[o][idx] for idx in plan.local[o]] for o in range(self.p)]
+        )  # recv[r][o]
+        out = [np.empty(size, dtype=np.int64) for size in plan.sizes]
+        for r in range(self.p):
             for o, sel in enumerate(plan.back[r]):
-                vals = recv[r][o].reshape(k, sel.size)
-                for j in range(k):
-                    out[j][r][sel] = vals[j]
+                out[r][sel] = recv[r][o]
         return out
 
     def _route(self, targets: Blocks, values: Optional[Blocks] = None):
@@ -221,7 +217,7 @@ def _starcheck(dist: _Dist, f: Blocks, star: Blocks) -> Blocks:
     :func:`_shortcut` reuses them instead of gathering again.
     """
     plan = dist.request(f)
-    (gf,) = dist.reply(plan, f)
+    gf = dist.reply(plan, f)
     # f != gf: the vertex (owned here) and its grandparent are nonstar
     bad_gp = []
     for r in range(dist.p):
@@ -231,7 +227,7 @@ def _starcheck(dist: _Dist, f: Blocks, star: Blocks) -> Blocks:
         bad_gp.append(gf[r][neq])
     dist.clear(star, bad_gp)
     # star[v] &= star[f[v]]
-    (pstar,) = dist.reply(plan, star)
+    pstar = dist.reply(plan, star)
     for r in range(dist.p):
         star[r] &= pstar[r]
     return gf
@@ -304,8 +300,7 @@ def lacc_spmd(
     n = g.n
     comm = make_comm(ranks, faults=faults, cost=cost)
     keep = g.u != g.v
-    eu = np.r_[g.u[keep], g.v[keep]]  # both directions: (u, v) means u
-    ev = np.r_[g.v[keep], g.u[keep]]  # proposes hooks using v's parent
+    eu, ev = g.u[keep], g.v[keep]  # one record per undirected edge
     has_edges = bool(eu.size)
     # 1D cyclic edge partition (balances skewed inputs).  Each rank's
     # hook request is its sorted endpoint set, and each local edge holds
@@ -327,14 +322,15 @@ def lacc_spmd(
     def hook(conditional: bool) -> Tuple[Blocks, Blocks]:
         """One hooking phase's per-rank ``(roots, proposals)``.
 
-        Each rank reads ``f`` and ``star`` at its endpoint set ``req``
-        from one fused reply, and its edges' endpoints off that reply
-        through ``iu``/``iv``.  An edge whose endpoints share a parent is
-        dropped for good: trees only merge, so its endpoints stay in one
-        tree, and once that tree is a star both hold the same parent, so
-        neither hook can fire on it again.  The conditional hook, the
-        first of each iteration, re-sends the request over the edges
-        still live.
+        Each rank reads its endpoint set ``req`` from a reply of one word
+        per endpoint, ``f`` for a star and ``~f`` for a nonstar (exact,
+        as ``f >= 0``), and each edge, one record hooked in both
+        directions, reads its endpoints off it through ``iu``/``iv``.  An
+        edge whose endpoints share a parent is dropped for good: trees
+        only merge, so its endpoints stay in one tree, and once that tree
+        is a star both hold the same parent, so neither hook can fire on
+        it again.  The conditional hook, the first of each iteration,
+        re-sends the request over the edges still live.
         """
         nonlocal hook_plan
         if conditional:
@@ -342,21 +338,25 @@ def lacc_spmd(
                 for r in range(ranks):
                     req[r], iu[r], iv[r] = _endpoints(req[r], iu[r], iv[r])
             hook_plan = dist.request(req)
-        fvals, svals = dist.reply(hook_plan, f, star)
+        code = [np.where(s == 1, fo, ~fo) for fo, s in zip(f, star)]
+        coded = dist.reply(hook_plan, code)
         roots, proposals = [], []
-        for r in range(ranks):
-            fu, fv = fvals[r][iu[r]], fvals[r][iv[r]]
+        for r, x in enumerate(coded):
+            isstar = x >= 0
+            fx = np.where(isstar, x, ~x)
+            fu, fv, su, sv = fx[iu[r]], fx[iv[r]], isstar[iu[r]], isstar[iv[r]]
             live = fu != fv
-            iu[r], iv[r], fu, fv = iu[r][live], iv[r][live], fu[live], fv[live]
-            fire = svals[r][iu[r]] == 1
+            iu[r], iv[r] = iu[r][live], iv[r][live]
+            # an edge fires one way at most: f[f[u]] <- f[v] if up, else f[f[v]] <- f[u]
             if conditional:
-                fire &= fv < fu
+                up = fv < fu
+                fire = (su & up) | (sv & (fu < fv))
             else:
-                # star u hooks onto a nonstar neighbour's parent
-                fire &= svals[r][iv[r]] == 0
-            # proposal: f[f[u]] <- f[v]
-            roots.append(fu[fire])
-            proposals.append(fv[fire])
+                # a star hooks onto a nonstar neighbour's parent
+                up, fire = su, live & (su != sv)
+            up, fu, fv = up[fire], fu[fire], fv[fire]
+            roots.append(np.where(up, fu, fv))
+            proposals.append(np.where(up, fv, fu))
         return roots, proposals
 
     return _run(

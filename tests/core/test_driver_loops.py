@@ -11,8 +11,9 @@ loops are shared cannot move a number:
   §IV-B sparsity optimisations;
 * (b) ``lacc_dist``'s cost totals, per-step model seconds and per-iteration
   words/messages equal recorded values exactly;
-* (c) ``lacc_2d``'s and ``lacc_spmd``'s words sent, iteration count and
-  flight ``iteration`` events equal recorded values;
+* (c) ``lacc_2d``'s (4 ranks) and ``lacc_spmd``'s (2 and 4 ranks) words
+  sent, iteration count and flight ``iteration`` events equal recorded
+  values;
 * (d) ``lacc_spmd`` (1, 2 and 4 ranks) and ``lacc_2d`` (1 and 4 ranks)
   return the serial driver's parents byte for byte, in as many
   iterations, hooking as many trees in each.
@@ -150,19 +151,19 @@ GRID_2D = {
 }
 
 
-#: lacc_spmd(g, ranks=4): (words_sent, flight ``iteration`` events); the
-#: events are ``lacc_2d``'s, as both run the serial program
+#: lacc_spmd(g, ranks): ({ranks: words_sent}, flight ``iteration`` events);
+#: the events are ``lacc_2d``'s, as both run the serial program
 SPMD_1D = {
-    "archaea": (1340961, GRID_2D["archaea"][1]),
-    "queen_4147": (573239, GRID_2D["queen_4147"][1]),
+    "archaea": ({2: 229233, 4: 942485}, GRID_2D["archaea"][1]),
+    "queen_4147": ({2: 205221, 4: 421661}, GRID_2D["queen_4147"][1]),
 }
 
 
-def _assert_traffic(run, name, words, events):
+def _assert_traffic(run, name, words, events, ranks=4):
     g = corpus.load(name)
     fr = FlightRecorder()
     with activate(flight=fr):
-        res = run(g, ranks=4)
+        res = run(g, ranks=ranks)
     assert res.words_sent == words
     assert res.n_iterations == len(events)
     assert [
@@ -178,4 +179,6 @@ def test_2d_traffic_is_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(SPMD_1D))
 def test_spmd_traffic_is_pinned(name):
-    _assert_traffic(lacc_spmd, name, *SPMD_1D[name])
+    words, events = SPMD_1D[name]
+    for ranks, w in words.items():
+        _assert_traffic(lacc_spmd, name, w, events, ranks)

@@ -13,6 +13,7 @@ from repro.graphs import generators as gen
 from repro.graphs import validate
 from repro.mpisim import SimComm, backend
 from repro.obs import Tracer, activate
+from repro.obs.flight import FlightRecorder
 
 from ..differential.corpus import FAMILIES, SEEDS, make_graph
 
@@ -56,6 +57,27 @@ def test_hook_write_assigns_the_min_proposal():
     )
     assert hooked == 2
     assert np.concatenate(f).tolist() == [3, 1, 2, 3, 1, 5]
+
+
+@pytest.mark.parametrize("ranks", [2, 3])
+def test_star_hooks_unconditionally_onto_vertex_zero(ranks):
+    """The hook reply encodes a nonstar endpoint as ``~f``, so a nonstar
+    whose parent is vertex 0 arrives as -1.  On the star centred at 2
+    with leaves 0, 1, 3, the conditional hook makes 2 -> 0 and 3 -> 2, a
+    nonstar tree rooted at 0; the star {1} then hooks unconditionally
+    onto it through 2, whose reply word is ``~0``."""
+    g = gen.EdgeList(4, [0, 1, 2], [2, 2, 3])
+    serial_fr, spmd_fr = FlightRecorder(), FlightRecorder()
+    with activate(flight=serial_fr):
+        serial = lacc(g.to_matrix())
+    with activate(flight=spmd_fr):
+        r = lacc_spmd(g, ranks=ranks)
+    assert r.parents.tolist() == serial.parents.tolist() == [0, 0, 0, 0]
+    first = [e.data for e in serial_fr.events if e.kind == "iteration"][0]
+    assert (first["cond_hooks"], first["uncond_hooks"]) == (2, 1)
+    hooks = [e.data["hooks"] for e in spmd_fr.events if e.kind == "iteration"]
+    assert hooks[0] == 3
+    assert r.n_iterations == serial.n_iterations
 
 
 def test_2d_proc_run_uses_one_pool(monkeypatch):

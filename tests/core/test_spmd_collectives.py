@@ -1,17 +1,19 @@
 """The fused-collective SPMD drivers against serial LACC.
 
-``lacc_spmd`` and ``lacc_2d`` answer their requests with fused replies,
-the shortcut reuses the last starcheck's grandparents, ``lacc_spmd``'s
-hooks drop every edge whose endpoints share a parent, and the hooks of
-both write with serial's rule (:func:`repro.core.hooking.assign_min`).
+``lacc_spmd``'s hooks read one coded word per endpoint and ``lacc_2d``'s
+route (index, value) pairs in one array, the shortcut reuses the last
+starcheck's grandparents, ``lacc_spmd``'s hooks drop every edge whose
+endpoints share a parent, and the hooks of both write with serial's rule
+(:func:`repro.core.hooking.assign_min`).
 None of that may change what they compute: on every differential
 corpus graph, fault-free and under the transient ``flaky`` and
 ``stragglers`` presets, the parents must be byte-identical to serial
 ``lacc``'s and the iteration counts equal.
 Serial ``lacc`` is itself pinned to ``lacc_lagraph``, the literal
 GraphBLAS transcription of Algorithms 3–6.  ``lacc_spmd`` must also make
-exactly 17 ``alltoallv`` calls per iteration.  The premise of its edge
-pruning is checked on serial ``lacc``'s own iterations.
+exactly 17 ``alltoallv`` calls per iteration, and its hook replies carry
+one word per requested endpoint.  The premise of its edge pruning is
+checked on serial ``lacc``'s own iterations.
 
 The tests keep their ``gather_oracle`` names from the gather-based
 drivers these ones were first checked against.
@@ -67,6 +69,29 @@ def test_spmd_matches_gather_oracle(family, seed, ranks, faults):
     _assert_serial(res, family, seed, plan)
     calls = len(tr.find("alltoallv", "simcomm"))
     assert calls == 17 * res.n_iterations
+
+
+@pytest.mark.parametrize("ranks", [2, 3])
+@pytest.mark.parametrize("family,seed", CORPUS, ids=CORPUS_IDS)
+def test_spmd_hook_replies_one_word_per_endpoint(family, seed, ranks):
+    """Each hook's reply carries one word per endpoint the conditional
+    hook requested (``f`` for a star, ``~f`` for a nonstar): the cond
+    hook's reply is as long as its request, and the uncond hook answers
+    the same request again."""
+    tr = Tracer()
+    with backend.use("sim"), activate(tr):
+        lacc_spmd(make_graph(family, seed), ranks=ranks)
+    for it in tr.find("iteration", "iteration"):
+        words = {
+            step.name: [
+                sp.counters.get("words", 0.0) for sp in step.find("alltoallv", "simcomm")
+            ]
+            for step in it.children
+            if step.name in ("cond_hook", "uncond_hook")
+        }
+        request, reply, _ = words["cond_hook"]
+        assert reply == request
+        assert words["uncond_hook"][0] == request
 
 
 @pytest.mark.parametrize("faults", PRESETS, ids=lambda p: p or "clean")
