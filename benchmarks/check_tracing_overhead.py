@@ -20,8 +20,8 @@ plus a small absolute noise floor):
 * **proc obs-off** — literal-SPMD ``lacc_spmd`` on the real-process
   backend with per-rank observability *disabled* (the default) vs. the
   same run with the null obs objects activated at the conductor.  Workers
-  must fork with no sideband, no tracer and no flight ring
-  (``pool.obsband is None`` is asserted), so the only admissible cost is
+  must fork with no tracer and no flight ring and send no obs frame
+  (``not pool.obs`` is asserted), so the only admissible cost is
   the conductor's falsy checks.  Real forked processes schedule noisily,
   so this check gets a larger absolute noise floor.
 
@@ -127,11 +127,11 @@ def main() -> int:
             lacc_spmd(gp, ranks=PROC_RANKS)
 
     # warm the pool so neither side pays the fork+handshake, then pin the
-    # null-path invariant: an obs-off pool carries no sideband at all
+    # null-path invariant: an obs-off pool builds no worker instruments
     proc_baseline()
     with comm_backend.use("proc"):
-        assert get_pool(PROC_RANKS).obsband is None, \
-            "obs-off worker pool must not allocate an obs sideband"
+        assert not get_pool(PROC_RANKS).obs, \
+            "obs-off worker pool must not build worker obs instruments"
     proc_res = measure_overhead(
         baseline=proc_baseline,
         probe=proc_probe,

@@ -98,7 +98,7 @@ def _merge_surviving_rank_obs(fr) -> None:
     deterministic flight record into *fr* as ``rank_event`` rows.
 
     Dead ranks are already in the record: :class:`~repro.parallel.ProcComm`
-    replays their sideband salvage (``salvaged=True``) at failure time.
+    replays their salvaged obs frames (``salvaged=True``) at failure time.
     This pass adds the *survivors* — the other side of the same collective
     — so the merged postmortem shows both halves.
     """

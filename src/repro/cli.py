@@ -296,14 +296,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
               f"[wall seconds, {obs.size} worker ranks]")
         print(f"trace: {n_spans} conductor spans + {n_rank_spans} worker "
               f"spans across {obs.size} ranks")
-        offs = ", ".join(f"r{r}={o*1e6:+.1f}µs"
-                         for r, o in sorted(obs.offsets.items()))
-        print(f"clock offsets vs conductor: {offs}")
-        sb_drop = sum(obs.sideband_dropped.values())
         fl_drop = sum(obs.flight_dropped.values())
-        if sb_drop or fl_drop:
-            print(f"warning: {sb_drop} sideband frames / "
-                  f"{fl_drop} flight events dropped")
+        if fl_drop:
+            print(f"warning: {fl_drop} flight events dropped")
         print()
         print(top_table(tracer, limit=args.top))
         if args.trace:

@@ -190,7 +190,6 @@ def fault_envelope(call, ranks: int, cost, attempt, price_delay, charge_retry,
             note_fault(call, rule, 0, None, "rank died mid-collective")
         if sp:
             sp.add("faults_detected", len(crashed))
-            sp.set("crashed", True)
         fail(name, 1, ["crash"], phase)
     if first is not None:
         first()
@@ -199,8 +198,6 @@ def fault_envelope(call, ranks: int, cost, attempt, price_delay, charge_retry,
         note_fault(call, rule, 0, straggler_rank(call.plan, ranks),
                    f"straggler x{rule.delay_factor:g}",
                    delay_factor=rule.delay_factor, delay_seconds=extra)
-        if sp:
-            sp.add("fault_delay_seconds", extra)
     base = backoff_base(cost)
     k = 0
     while True:
@@ -303,7 +300,6 @@ class CommBase:
             if sp:
                 sp.add("words", words)
                 sp.add("messages", messages)
-                sp.set("send_words", w)  # send_words[i][j]; recv is transpose
                 sp.set("rank_send_totals", [sum(row) for row in w])
                 sp.set("rank_recv_totals", [sum(w[i][j] for i in range(p)) for j in range(p)])
             call = None if self.faults is None else self.faults.begin_call("alltoallv")

@@ -25,7 +25,7 @@ def trace_lacc_proc(
     conductor tracer runs on ``time.monotonic()`` — the same clock domain
     the workers trace in — so
     :meth:`~repro.parallel.obsband.RankObsResult.merged_trace` yields one
-    Chrome trace with an aligned pid lane per rank plus the conductor.
+    Chrome trace with a pid lane per rank plus the conductor.
     When *flight_path* is given, the conductor's flight record (with each
     rank's record merged in as ``rank_event`` rows) is written there as
     JSONL.

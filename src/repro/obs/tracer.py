@@ -110,8 +110,8 @@ class Span:
     def __bool__(self) -> bool:  # real spans are truthy; NullSpan is not
         return True
 
-    # -- serialization (workers ship span forests to the conductor over
-    #    the obs sideband; only JSON-safe attr/counter values survive) --
+    # -- serialization (workers ship span forests to the conductor as
+    #    obs frames; only JSON-safe attr/counter values survive) --
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -132,15 +132,6 @@ class Span:
         sp.counters.update(d.get("counters") or {})
         sp.children = [cls.from_dict(c) for c in d.get("children") or []]
         return sp
-
-    def shift(self, offset: float) -> None:
-        """Translate this subtree's timestamps by *offset* seconds (used
-        to realign worker clocks onto the conductor timeline)."""
-        self.t0 += offset
-        if self.t1 is not None:
-            self.t1 += offset
-        for c in self.children:
-            c.shift(offset)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = f"{self.duration * 1e3:.3f}ms" if self.t1 is not None else "open"

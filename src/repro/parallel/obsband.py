@@ -3,9 +3,8 @@
 The conductor-side obs stack (:mod:`repro.obs`) only ever saw the parent
 process: the forked workers of :class:`~repro.parallel.pool.WorkerPool`
 executed every collective exchange invisibly.  This module closes that
-gap with a **shm obs sideband**: one extra directed byte ring per rank
-(worker → conductor, separate from the data fabric so obs traffic can
-never reorder or stall a collective), over which each worker ships
+gap.  Each worker ships home, as frames on the data fabric under the
+reserved tag :data:`TAG_OBS`,
 
 * a per-rank :class:`~repro.obs.tracer.Tracer` — opcode-level spans
   around every collective exchange, with ``ring_send`` / ``ring_recv`` /
@@ -13,19 +12,17 @@ never reorder or stall a collective), over which each worker ships
   plus a second tracer for the heartbeat thread (exported as ``tid=1``
   of the rank's pid lane);
 * a per-rank :class:`~repro.obs.flight.FlightRecorder` whose events are
-  **streamed eagerly** (frame-per-event), so a SIGKILLed rank's last
-  events survive in the ring for the conductor's chaos postmortem
-  (:meth:`ObsSideband.drain_ready`, wired into ``WorkerPool.close``).
+  **sent eagerly**, one frame per event, so a SIGKILLed rank's last
+  events are already queued at the conductor for the chaos postmortem
+  (salvaged by ``WorkerPool.close``).
 
-Wire protocol
--------------
-Each sideband frame is ``8-byte little-endian length + JSON payload``.
-Workers write eagerly-streamed frames only when the whole frame fits in
-the ring's free space (single-producer, so the check cannot race) —
-frames are therefore atomic and a reader never blocks on a half-written
-eager frame; frames that do not fit are dropped and counted.  The
-``finalize`` dump at the end of a run may exceed the ring and streams
-under a deadline while the conductor concurrently drains.
+Obs frames
+----------
+An obs frame is a uint8 array holding one JSON object, sent on the
+worker's raw endpoint (so it gets no ``ring_send`` span) to the
+conductor, exactly like a heartbeat on ``TAG_HB``.  The conductor's
+drainer queues it like any other frame; :func:`collect_rank_obs` reads
+a rank's queue up to its ``finalize`` dump.
 
 Determinism
 -----------
@@ -34,36 +31,35 @@ the worker recorder's clock is the rank's collective-call counter (not
 wall time), its ``run_id`` is ``rank-<r>``, and no event carries a PID,
 wall timestamp, or heartbeat-derived (time-driven) quantity.  Tracer
 spans, by contrast, use real ``time.monotonic()`` — they exist to
-measure — and are aligned onto the conductor's monotonic timeline with
-the pool's handshake-measured per-rank clock offset.
+measure — and need no alignment: the backend runs only where ``fork``
+exists (Linux, macOS), and there ``time.monotonic()`` is one system-wide
+clock shared by the conductor and every worker.
 
-Obs-off is a true null path: :func:`rank_obs_enabled` gates sideband
-*creation* in the pool (cache key ``(size, obs)``), so a plain proc run
-allocates no extra segments and sends zero sideband bytes.
+Obs-off is a true null path: :func:`rank_obs_enabled` gates the worker
+instruments in the pool (cache key ``(size, obs)``), so a plain proc
+run builds no tracer or flight ring in its workers and sends no obs
+frame.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
+
+import numpy as np
 
 from repro.obs.flight import FlightEvent, FlightRecorder, merge_flight_events
 from repro.obs.tracer import Tracer
 
-from .shm import TransportError, _Channel, _register_segments
-
 __all__ = [
-    "OBS_CAPACITY",
+    "TAG_OBS",
     "STEP_CODES",
     "STEP_TO_CODE",
     "rank_obs_enabled",
     "enable_rank_obs",
-    "ObsSideband",
     "RankObs",
     "RankObsResult",
     "collect_rank_obs",
@@ -71,13 +67,9 @@ __all__ = [
     "merged_chrome_trace",
 ]
 
-#: sideband ring bytes per rank — flight events are ~200 B frames, so
-#: this holds thousands of eagerly-streamed events between drains
-OBS_CAPACITY = 1 << 20
-
-#: largest sideband frame a reader will believe; a length prefix beyond
-#: this means a torn/corrupt stream, not a real frame
-_MAX_FRAME = 64 << 20
+#: reserved obs tag — below the heartbeats' ``TAG_HB`` (-1), so it can
+#: collide with neither them, ``TAG_CMD`` (0) nor the positive data tags
+TAG_OBS = -2
 
 #: wire codes for the driver step a collective runs under (command frames
 #: carry them in slot 5; 0 = outside any step span)
@@ -99,7 +91,7 @@ _RANK_OBS = False
 
 
 def rank_obs_enabled() -> bool:
-    """Whether new pools should carry the obs sideband."""
+    """Whether new pools should build worker obs instruments."""
     return _RANK_OBS
 
 
@@ -121,121 +113,23 @@ def enable_rank_obs(on: bool = True):
 
 
 # ----------------------------------------------------------------------
-# the sideband fabric
-# ----------------------------------------------------------------------
-class ObsSideband:
-    """Per-rank worker→conductor byte rings for obs traffic.
-
-    Created by the pool (conductor) before forking; workers inherit their
-    ring through ``fork`` exactly like the data fabric.  Framing and
-    draining helpers live here so the pool stays protocol-agnostic.
-    """
-
-    def __init__(self, ctx, nranks: int):
-        token = os.urandom(4).hex()
-        self.nranks = int(nranks)
-        self.channels: List[_Channel] = [
-            _Channel(ctx, OBS_CAPACITY, name=f"rp{token}obs{r}") for r in range(nranks)
-        ]
-        # same leak registry as the data fabric: orphaned sideband
-        # segments are attributable and sweepable after an abnormal exit
-        self._registry_path = _register_segments(
-            token, [ch._shm.name for ch in self.channels]
-        )
-
-    # -- reading (conductor side) --------------------------------------
-    def _read_frame(self, ch: _Channel, deadline: Optional[float]) -> Optional[dict]:
-        raw = ch.read_bytes(8, deadline=deadline)
-        n = int.from_bytes(raw, "little")
-        if not 0 < n <= _MAX_FRAME:
-            raise TransportError(f"obs sideband: implausible frame length {n}")
-        blob = ch.read_bytes(n, deadline=deadline)
-        return json.loads(blob)
-
-    def drain_ready(
-        self, rank: int, deadline_s: float = 0.5
-    ) -> Tuple[List[dict], bool]:
-        """Read every complete frame already in rank *rank*'s ring.
-
-        Returns ``(messages, truncated)``; *truncated* means the stream
-        ended mid-frame (a worker died mid-write) and the tail was
-        discarded.  Used by pool teardown to salvage a dead rank's last
-        eagerly-streamed flight events.
-        """
-        ch = self.channels[rank]
-        msgs: List[dict] = []
-        truncated = False
-        while True:
-            try:
-                if ch.available() < 8:
-                    break
-                msg = self._read_frame(ch, time.monotonic() + deadline_s)
-            except (TransportError, ValueError):
-                truncated = True
-                break
-            if msg is not None:
-                msgs.append(msg)
-        return msgs, truncated
-
-    def drain_until_finalize(
-        self, rank: int, deadline_s: float
-    ) -> Tuple[List[dict], bool, bool]:
-        """Blocking drain of rank *rank* until its ``finalize`` dump.
-
-        Returns ``(messages, finalized, truncated)``.  The conductor
-        calls this right after broadcasting ``OP_OBS``: the worker may
-        stream a dump larger than the ring, so reading concurrently is
-        what lets the write complete.
-        """
-        ch = self.channels[rank]
-        deadline = time.monotonic() + deadline_s
-        msgs: List[dict] = []
-        while True:
-            try:
-                msg = self._read_frame(ch, deadline)
-            except (TransportError, ValueError):
-                return msgs, False, True
-            if msg is None:
-                continue
-            msgs.append(msg)
-            if msg.get("kind") == "finalize":
-                return msgs, True, False
-
-    # -- teardown ------------------------------------------------------
-    def close(self) -> None:
-        for ch in self.channels:
-            ch.close()
-
-    def unlink(self) -> None:
-        for ch in self.channels:
-            ch.unlink()
-        try:
-            os.unlink(self._registry_path)
-        except OSError:
-            pass
-
-
-# ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-class _SidebandFlightSink:
-    """Flight-recorder detector hook that streams each event as a frame.
+class _FlightSink:
+    """Flight-recorder detector hook that sends each event as a frame.
 
     Registered as the (only) detector of the worker's recorder: it sees
     every non-anomaly event at append time — the eager path that keeps a
     killed rank's record salvageable.
     """
 
-    name = "sideband_sink"
+    name = "flight_sink"
 
     def __init__(self, obs: "RankObs"):
         self._obs = obs
 
     def on_event(self, ev: FlightEvent) -> List[Any]:
-        self._obs._ship(
-            {"kind": "flight", "rank": self._obs.rank, "event": ev.to_dict()},
-            eager=True,
-        )
+        self._obs._ship({"kind": "flight", "rank": self._obs.rank, "event": ev.to_dict()})
         return []
 
     def finish(self) -> List[Any]:
@@ -276,22 +170,22 @@ class _TracedEndpoint:
 class RankObs:
     """One worker's observability bundle (tracers and flight record).
 
-    Lives inside the forked worker.  ``finalize_and_ship`` dumps the
-    tracer forests over the sideband and resets
-    every instrument — a cached pool serves many runs, and each run's
-    record must start from zero for byte-identical replays.
+    Lives inside the forked worker and sends its frames on the worker's
+    raw endpoint *ep*; *alive* is the worker's parent-liveness probe, so
+    a send into a full ring gives up once the conductor is gone.
+    ``finalize_and_ship`` dumps the tracer forests and resets every
+    instrument — a cached pool serves many runs, and each run's record
+    must start from zero for byte-identical replays.
     """
 
     #: worker-side flight ring (small: events also stream out eagerly)
     FLIGHT_CAPACITY = 4096
 
-    def __init__(self, rank: int, size: int, channel: _Channel):
+    def __init__(self, rank: int, size: int, ep, alive):
         self.rank = int(rank)
         self.size = int(size)
-        self.channel = channel
-        self.dropped = 0  # eager frames that did not fit in the ring
-        self._broken = False  # a failed streaming write poisons the stream
-        self._lock = threading.Lock()
+        self.ep = ep
+        self.alive = alive
         self.calls = 0
         self._reset()
 
@@ -305,40 +199,17 @@ class RankObs:
             run_id=f"rank-{self.rank}",
             clock=lambda: float(self.calls),
             capacity=self.FLIGHT_CAPACITY,
-            detectors=[_SidebandFlightSink(self)],
+            detectors=[_FlightSink(self)],
         )
         self.flight.set_coords(rank=self.rank)
         self.flight.record("worker_start", rank=self.rank, size=self.size)
 
-    # -- shipping ------------------------------------------------------
-    def _ship(self, obj: dict, eager: bool, timeout_s: float = 30.0) -> bool:
-        if self._broken:
-            self.dropped += 1
-            return False
+    def _ship(self, obj: dict) -> None:
+        """Send *obj* to the conductor (endpoint ``size``) as one obs frame."""
         blob = json.dumps(obj, default=str).encode()
-        frame = len(blob).to_bytes(8, "little") + blob
-        with self._lock:
-            try:
-                if eager:
-                    # only write frames that fit *now*: single producer,
-                    # so free space can only grow — the write below can
-                    # neither block nor tear
-                    free = self.channel.capacity - self.channel.available()
-                    if len(frame) > free:
-                        self.dropped += 1
-                        return False
-                    self.channel.write_bytes(frame)
-                else:
-                    self.channel.write_bytes(
-                        frame, deadline=time.monotonic() + timeout_s
-                    )
-            except TransportError:
-                # a torn frame would desynchronise the stream for good;
-                # stop shipping rather than corrupt future frames
-                self._broken = True
-                self.dropped += 1
-                return False
-        return True
+        self.ep.send(
+            self.size, TAG_OBS, np.frombuffer(blob, dtype=np.uint8), alive=self.alive
+        )
 
     # -- recording hooks (called from the worker command loop) ---------
     def collective(self, opname: str, iteration: int, step_code: int):
@@ -365,19 +236,16 @@ class RankObs:
         the main tracer's span stack is not thread-safe to share."""
         return self.hb_tracer.span("heartbeat", "rank", counter=int(counter))
 
-    def finalize_and_ship(self, timeout_s: float = 30.0) -> None:
+    def finalize_and_ship(self) -> None:
         """End the run's record: dump the tracers, then reset."""
         self.flight.record("worker_finalize", calls=self.calls)
-        payload = {
+        self._ship({
             "kind": "finalize",
             "rank": self.rank,
             "spans": self.tracer.to_dicts(),
             "hb_spans": self.hb_tracer.to_dicts(),
-            "sideband_dropped": self.dropped,
             "flight_dropped": self.flight.dropped,
-            "clock": "monotonic",
-        }
-        self._ship(payload, eager=False, timeout_s=timeout_s)
+        })
         self._reset()
 
 
@@ -386,24 +254,15 @@ class RankObs:
 # ----------------------------------------------------------------------
 @dataclass
 class RankObsResult:
-    """Everything the sideband delivered for one run, per rank.
-
-    ``tracers`` are already clock-aligned: worker ``time.monotonic()``
-    minus the pool's handshake-measured offset puts every span on the
-    conductor's monotonic timeline.
-    """
+    """Everything the workers sent for one run, per rank.  Span times
+    are the workers' ``time.monotonic()``, the conductor's clock too."""
 
     size: int
-    offsets: Dict[int, float] = field(default_factory=dict)
     tracers: Dict[int, Tracer] = field(default_factory=dict)
     hb_tracers: Dict[int, Tracer] = field(default_factory=dict)
     flight_events: Dict[int, List[FlightEvent]] = field(default_factory=dict)
-    #: eager frames each worker dropped for lack of ring space
-    sideband_dropped: Dict[int, int] = field(default_factory=dict)
     #: events each worker's own flight ring evicted
     flight_dropped: Dict[int, int] = field(default_factory=dict)
-    #: ranks whose stream ended mid-frame or without a finalize dump
-    truncated: List[int] = field(default_factory=list)
 
     def merged_flight(self, conductor=None) -> List[FlightEvent]:
         """One rank-stamped flight record (see
@@ -415,61 +274,40 @@ class RankObsResult:
         return merged_chrome_trace(self, conductor=conductor)
 
 
-def _ingest_rank(
-    result: RankObsResult, rank: int, msgs: List[dict], finalized: bool
-) -> None:
-    offset = result.offsets.get(rank, 0.0)
-    events: List[FlightEvent] = []
-    for msg in msgs:
-        kind = msg.get("kind")
-        if kind == "flight":
-            try:
-                events.append(FlightEvent.from_dict(msg["event"]))
-            except (KeyError, ValueError):
-                continue
-        elif kind == "finalize":
-            tr = Tracer.from_dicts(msg.get("spans") or [], clock=time.monotonic)
-            hb = Tracer.from_dicts(msg.get("hb_spans") or [], clock=time.monotonic)
-            for root in tr.roots:
-                root.shift(-offset)
-            for root in hb.roots:
-                root.shift(-offset)
-            result.tracers[rank] = tr
-            result.hb_tracers[rank] = hb
-            result.sideband_dropped[rank] = int(msg.get("sideband_dropped", 0))
-            result.flight_dropped[rank] = int(msg.get("flight_dropped", 0))
-    result.flight_events[rank] = events
-    if not finalized:
-        result.truncated.append(rank)
+def _obs_frame(frame: np.ndarray) -> dict:
+    """The JSON object one obs frame carries."""
+    return json.loads(frame.tobytes())
 
 
 # merge_registry is ignored; it stays only because benchmarks/e2e/run.py passes it
 def collect_rank_obs(pool, *, merge_registry=None) -> RankObsResult:
-    """Finalize and fetch every rank's obs bundle over the sideband.
+    """Finalize and fetch every rank's obs bundle.
 
-    Broadcasts ``OP_OBS`` (each worker dumps-and-resets), then drains
-    each ring until its finalize frame.
+    Broadcasts ``OP_OBS`` (each worker dumps-and-resets), then reads
+    each rank's obs frames up to its finalize dump.
     """
-    if pool.obsband is None:
+    if not pool.obs:
         raise ValueError(
-            "pool has no obs sideband — create it under enable_rank_obs()"
+            "pool has no worker obs instruments — create it under enable_rank_obs()"
         )
     from .pool import OP_OBS  # lazy: pool imports this module at load time
 
     pool._command(OP_OBS)
-    result = RankObsResult(
-        size=pool.size, offsets=dict(getattr(pool, "clock_offsets", {}) or {})
-    )
+    result = RankObsResult(size=pool.size)
     for r in range(pool.size):
-        msgs, finalized, _trunc = pool.obsband.drain_until_finalize(
-            r, deadline_s=pool.timeout
-        )
-        _ingest_rank(result, r, msgs, finalized)
+        msgs = [_obs_frame(pool._recv(r, TAG_OBS))]
+        while msgs[-1].get("kind") != "finalize":
+            msgs.append(_obs_frame(pool._recv(r, TAG_OBS)))
+        fin = msgs.pop()
+        result.flight_events[r] = salvaged_flight_events(msgs)
+        result.tracers[r] = Tracer.from_dicts(fin["spans"], clock=time.monotonic)
+        result.hb_tracers[r] = Tracer.from_dicts(fin["hb_spans"], clock=time.monotonic)
+        result.flight_dropped[r] = int(fin["flight_dropped"])
     return result
 
 
 def drain_active_obs_pools() -> Dict[int, RankObsResult]:
-    """Collect from every live cached pool that carries a sideband.
+    """Collect from every live cached pool that carries obs instruments.
 
     The chaos harness uses this after a run that may have shrunk to a
     different rank count (and therefore a different pool): whatever
@@ -480,7 +318,7 @@ def drain_active_obs_pools() -> Dict[int, RankObsResult]:
 
     out: Dict[int, RankObsResult] = {}
     for key, pool in list(_POOLS.items()):
-        if pool.obsband is not None and pool.alive():
+        if pool.obs and pool.alive():
             try:
                 out[pool.size] = collect_rank_obs(pool)
             except Exception:  # salvage path: never let obs kill the run
@@ -489,8 +327,8 @@ def drain_active_obs_pools() -> Dict[int, RankObsResult]:
 
 
 def salvaged_flight_events(msgs: List[dict]) -> List[FlightEvent]:
-    """The flight events inside a raw drained message list (salvage path:
-    a broken pool's rings are drained without waiting for finalize)."""
+    """The flight events inside a list of obs frames' objects (also the
+    salvage path: a broken pool's frames are read without a finalize)."""
     out: List[FlightEvent] = []
     for msg in msgs:
         if msg.get("kind") == "flight":
@@ -532,14 +370,13 @@ def merged_chrome_trace(
     result: RankObsResult,
     conductor: Optional[Tracer] = None,
 ) -> dict:
-    """Merge per-rank (clock-aligned) tracers into one Chrome trace.
+    """Merge per-rank tracers into one Chrome trace.
 
     One pid lane per rank (``pid == rank``, main thread ``tid=0``,
     heartbeat thread ``tid=1``) plus an optional conductor lane
     (``pid == size``, pinned first via ``process_sort_index``).  All
     lanes share one time origin — the earliest span start across every
-    tracer — so cross-lane alignment reflects the measured clock
-    offsets.  The conductor tracer must run on ``time.monotonic`` to
+    tracer.  The conductor tracer must run on ``time.monotonic`` to
     share the workers' clock domain.
     """
     from repro.obs.export import chrome_trace, merge_chrome_traces

@@ -30,7 +30,9 @@ coordinates for per-rank observability), followed for a collective by
 the rank's input row packed with :func:`~repro.parallel.shm.pack_arrays`
 (``None`` in the worker's own ``alltoallv`` slot).  All other frames of
 one collective use its unique ``seq`` as tag, so concurrent state from
-an aborted collective can never bleed into the next one.
+an aborted collective can never bleed into the next one.  Workers send
+their heartbeats (``TAG_HB``, -1) and, under per-rank obs, their obs
+frames (``TAG_OBS``, -2) to the conductor on reserved negative tags.
 ``allreduce``'s ``arg`` is the operator's code in the wire table
 :data:`~repro.mpisim.envelope.REDUCE_OPS`; no callable crosses the wire.
 
@@ -56,7 +58,7 @@ import numpy as np
 from repro.mpisim.envelope import REDUCE_CODES, REDUCE_OPS
 
 from .detector import TAG_HB, FailureDetector, WorkerStatus, heartbeat_interval
-from .obsband import ObsSideband, RankObs, _TracedEndpoint, rank_obs_enabled
+from .obsband import TAG_OBS, RankObs, _TracedEndpoint, _obs_frame, rank_obs_enabled
 from .shm import (
     DEFAULT_CAPACITY,
     HEADER_BYTES,
@@ -78,9 +80,8 @@ TAG_CMD = 0
     OP_STATS,
     OP_ALLTOALLV,
     OP_ALLREDUCE,
-    OP_CLOCKSYNC,
     OP_OBS,
-) = range(7)
+) = range(6)
 
 #: display names for the opcode-level spans / flight events
 _OPCODE_NAMES: Dict[int, str] = {
@@ -168,15 +169,16 @@ def _heartbeat_loop(ep, parent: int, rank: int, interval: float, stop, alive, ob
         stop.wait(interval)
 
 
-def _worker_main(transport: ShmTransport, rank: int, size: int, obs_channel=None) -> None:  # pragma: no cover
+def _worker_main(transport: ShmTransport, rank: int, size: int, obs: bool = False) -> None:  # pragma: no cover
     parent = size  # conductor endpoint id
     ppid0 = os.getppid()
     alive = lambda: os.getppid() == ppid0  # reparenting means the parent died
     ep = transport.endpoint(rank).start()
-    obs = RankObs(rank, size, obs_channel) if obs_channel is not None else None
+    obs = RankObs(rank, size, ep, alive) if obs else None
     # collective exchanges go through the traced facade so ring sends and
-    # receives become measured comm/wait child spans; control replies and
-    # heartbeats use the raw endpoint (no span, no flight event)
+    # receives become measured comm/wait child spans; control replies,
+    # heartbeats and obs frames use the raw endpoint (no span, no flight
+    # event)
     dep = _TracedEndpoint(ep, obs) if obs is not None else ep
     hb_stop = threading.Event()
     hb_interval = heartbeat_interval()
@@ -201,11 +203,6 @@ def _worker_main(transport: ShmTransport, rank: int, size: int, obs_channel=None
                 break
             if opcode == OP_PING:
                 ep.send(parent, seq, np.array([rank, os.getpid()], dtype=np.int64))
-                continue
-            if opcode == OP_CLOCKSYNC:
-                # the conductor brackets this round-trip with its own
-                # monotonic reads to estimate this rank's clock offset
-                ep.send(parent, seq, np.array([time.monotonic()], dtype=np.float64))
                 continue
             if opcode == OP_OBS:
                 if obs is not None:
@@ -315,29 +312,20 @@ class WorkerPool:
 
         ctx = mp.get_context(ctx_method)
         self.transport = ShmTransport(self.size + 1, capacity, ctx)
-        # the obs sideband (one extra worker→conductor ring per rank) is
-        # only allocated when per-rank observability is on: obs-off pools
-        # carry no extra segments and exchange zero sideband bytes
-        self.obsband = ObsSideband(ctx, self.size) if obs else None
+        #: whether the workers build obs instruments and send obs frames
+        #: (on ``TAG_OBS``); obs-off workers build none and send none
+        self.obs = bool(obs)
         #: driver coordinates stamped into command frames (iteration,
         #: step code); -1/0 = outside any iteration/step
         self._coords: Tuple[int, int] = (-1, 0)
-        #: per-rank worker-clock minus conductor-clock offsets (seconds),
-        #: measured by the clock-sync handshake; empty when obs is off
-        self.clock_offsets: Dict[int, float] = {}
-        #: sideband frames salvaged from dead/closing workers at teardown
+        #: obs frames salvaged from dead/closing workers at teardown
         self.obs_salvage: Dict[int, List[dict]] = {}
         self._seq = 0
         self.procs = []
         for rank in range(self.size):
             p = ctx.Process(
                 target=_worker_main,
-                args=(
-                    self.transport,
-                    rank,
-                    self.size,
-                    self.obsband.channels[rank] if obs else None,
-                ),
+                args=(self.transport, rank, self.size, self.obs),
                 name=f"repro-rank-{rank}",
                 daemon=True,
             )
@@ -353,8 +341,6 @@ class WorkerPool:
         self.detector = FailureDetector(self)
         try:
             self.ping(timeout=max(self.timeout, 10.0))
-            if obs:
-                self.clock_offsets = self._clock_sync()
         except TransportError as exc:
             self.close()
             raise WorkerDied(f"worker pool of {size} failed to start") from exc
@@ -421,32 +407,6 @@ class WorkerPool:
             row = None if rows is None else rows[r]
             self._send(r, TAG_CMD, _frame(opcode, seq, arg, self._coords, row))
         return seq
-
-    def _clock_sync(self, rounds: int = 5) -> Dict[int, float]:
-        """Handshake-measure each worker's ``time.monotonic()`` offset.
-
-        Per rank: *rounds* bracketed round-trips; the sample at minimum
-        RTT gives ``offset = t_worker - (t0 + t1) / 2`` (the midpoint
-        estimate, exact for symmetric transit).  Subtracting the offset
-        from worker timestamps puts them on the conductor's timeline.
-        CLOCK_MONOTONIC is system-wide on Linux, so offsets are near
-        zero — the sync exists to *verify* that and to keep the merge
-        correct on platforms where per-process clocks diverge.
-        """
-        offsets: Dict[int, float] = {}
-        for r in range(self.size):
-            best_rtt, best_off = float("inf"), 0.0
-            for _ in range(rounds):
-                seq = self._next_seq()
-                t0 = time.monotonic()
-                self._send(r, TAG_CMD, _frame(OP_CLOCKSYNC, seq))
-                t_worker = float(self._recv(r, seq)[0])
-                t1 = time.monotonic()
-                rtt = t1 - t0
-                if rtt < best_rtt:
-                    best_rtt, best_off = rtt, t_worker - (t0 + t1) / 2.0
-            offsets[r] = best_off
-        return offsets
 
     @contextmanager
     def deadline(self, seconds: Optional[float]):
@@ -564,22 +524,20 @@ class WorkerPool:
                 # would survive terminate(); SIGKILL reaps it regardless
                 p.kill()
                 p.join(timeout=1.0)
-        if self.obsband is not None:
-            # workers are reaped, so the rings are quiescent: whatever
-            # eagerly-streamed frames remain (a killed rank's last flight
-            # events) are salvaged before the segments go away
+        if self.obs:
+            # the obs frames still queued (a killed rank's last flight
+            # events) are salvaged before the fabric goes away.  A rank's
+            # flight event precedes its reply on the same FIFO channel,
+            # so every event of a collective the conductor saw answered
+            # is already queued
             for r in range(self.size):
-                try:
-                    msgs, _truncated = self.obsband.drain_ready(r, deadline_s=0.2)
-                except Exception:  # pragma: no cover - salvage is best-effort
-                    msgs = []
+                msgs = []
+                while (frame := self.ep.try_recv(r, TAG_OBS)) is not None:
+                    msgs.append(_obs_frame(frame))
                 if msgs:
                     self.obs_salvage[r] = msgs
         self.transport.close()
         self.transport.unlink()
-        if self.obsband is not None:
-            self.obsband.close()
-            self.obsband.unlink()
 
 
 _POOLS: Dict[Tuple[int, bool], WorkerPool] = {}
@@ -590,8 +548,9 @@ def get_pool(size: int) -> WorkerPool:
 
     Pools are keyed by ``(size, obs)`` where *obs* follows
     :func:`~repro.parallel.obsband.rank_obs_enabled`: an instrumented run
-    gets a sideband-equipped pool without disturbing the plain cached one
-    (and vice versa — obs-off stays a true null path)."""
+    gets a pool whose workers build obs instruments without disturbing
+    the plain cached one (and vice versa — obs-off stays a true null
+    path)."""
     obs = rank_obs_enabled()
     key = (size, obs)
     pool = _POOLS.get(key)

@@ -101,7 +101,7 @@ class ProcComm(CommBase):
         self._pool = get_pool(self.size)
         fr = _freg()
         if fr:
-            # the dead pool's sideband was drained at teardown: replay the
+            # the dead pool's obs frames were salvaged at teardown: replay the
             # salvaged per-rank flight events (a killed rank's last acts,
             # so they precede the failure verdict) into the conductor
             # record for the postmortem
@@ -113,14 +113,10 @@ class ProcComm(CommBase):
             )
         if sp:
             sp.set("worker_died", True)
-            sp.set("failure_kinds", ",".join(kinds))
             if lost:
                 sp.set("lost_ranks", lost)
             if stalled:
                 sp.set("stalled_ranks", stalled)
-            if status:
-                sp.set("worker_status",
-                       ";".join(f"{s.rank}:{s.state}" for s in status))
             if error:
                 sp.set("error", error)
         fail(name, 1, kinds, size=self.size, lost=lost, stalled=stalled)
@@ -143,7 +139,7 @@ class ProcComm(CommBase):
             status = pool.detector.snapshot()
             pool.mark_broken()
             self._fail(name, sp, status)
-        if pool.obsband is not None:
+        if pool.obs:
             # stamp the driver coordinates (iteration, enclosing step
             # span) into the command frame so workers tag their spans and
             # flight events with where-in-the-algorithm they served

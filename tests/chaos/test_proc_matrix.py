@@ -156,7 +156,7 @@ class TestRankObsPostmortem:
         events = read_flight_jsonl(path)
         rank_rows = [ev for ev in events if ev.kind == "rank_event"]
         salvaged = [ev for ev in rank_rows if ev.data.get("salvaged")]
-        assert salvaged, "dead pool's sideband salvage missing"
+        assert salvaged, "dead pool's obs salvage missing"
         assert "collective" in {ev.data["rank_kind"] for ev in salvaged}
         # the post-run drain folded the surviving pool's records in too
         assert any(not ev.data.get("salvaged") for ev in rank_rows)

@@ -185,7 +185,6 @@ class TestAnalyzeProc:
 
         return RankObsResult(
             size=2,
-            offsets={0: 0.0, 1: 0.0},
             tracers={0: lane(1.0), 1: lane(0.5)},
         )
 
