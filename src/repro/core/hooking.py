@@ -78,6 +78,11 @@ def _min_neighbour_parent(
     return fn.sparse_arrays()
 
 
+def _no_hooks() -> HookReport:
+    empty = np.empty(0, dtype=np.int64)
+    return HookReport(0, empty, empty, empty)
+
+
 def assign_min(f: np.ndarray, roots: np.ndarray, proposals: np.ndarray):
     """The hook write of Algorithms 3–4: combine the proposals per root
     with min and assign ``f[root] = min`` (Algorithm 3, lines 6–12).
@@ -117,7 +122,17 @@ def cond_hook(
     For every star vertex *u* (within the active scope), find the minimum
     parent id among its (active) neighbours; where that improves on
     ``f[u]``, hook ``f[f[u]] = min``.  *f* is updated in place.
+
+    When every scoped vertex has the same parent no neighbour can improve
+    on a star's root, so the step is vacuous and skips the mxv: on a giant
+    component this is the last iteration's pass over the whole matrix.
     """
+    if f.size:
+        differ = f != f[0 if active is None else np.argmax(active)]
+        if active is not None:
+            differ &= active
+        if not differ.any():
+            return _no_hooks()
     idx, vals = _min_neighbour_parent(A, f, star, active, active)
     # Keep strict improvements only (the f[u] > f[v] condition): without
     # this filter stale proposals equal to the current root id would count
@@ -147,8 +162,7 @@ def uncond_hook(
     if active is not None:
         nonstar &= active
     if not nonstar.any():
-        empty = np.empty(0, dtype=np.int64)
-        return HookReport(0, empty, empty, empty)
+        return _no_hooks()
     idx, vals = _min_neighbour_parent(A, f, star, active, nonstar)
     # A star root may be proposed its own id when a level-2 nonstar vertex
     # points back at it; such no-op hooks must not count (f[u] != f[v]).

@@ -226,7 +226,9 @@ def lacc(
     Returns
     -------
     LACCResult
-        Min-id component labels, component count, iterations and stats.
+        Parents (each vertex's final star root, not necessarily the
+        component's minimum id; ``.labels`` gives min-id labels),
+        component count, iterations and stats.
     """
     f, active = _start(A, initial_parents, initial_active, use_sparsity)
     # the default private tracer only carries the iteration/step spans
@@ -313,9 +315,15 @@ def _run(
                         pricer.starcheck(f, active.mask, iteration)
                         # Lemma 1 (strengthened, see convergence module):
                         # stars surviving unconditional hooking with no
-                        # external edges are converged
+                        # external edges are converged.  After a hook-free
+                        # iteration that is every active star: a nonstar
+                        # neighbour would have hooked it unconditionally, a
+                        # star neighbour under another root conditionally
                         if active.enabled:
-                            conv = converged_star_vertices(A, f, star, active.mask)
+                            if it_stats.cond_hooks or it_stats.uncond_hooks:
+                                conv = converged_star_vertices(A, f, star, active.mask)
+                            else:
+                                conv = star & active.mask
                             pricer.converged(active.mask)
                             active.retire(conv)
                     it_stats.converged_vertices = active.converged_count
