@@ -44,8 +44,8 @@ and expect each to exist.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,23 +61,42 @@ from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
 from .starcheck import starcheck
 from .stats import IterationStats, LACCStats, steps_from_span
 
+if TYPE_CHECKING:
+    from repro.combblas.indexing import RoutingReport
+    from repro.mpisim.costmodel import CostModel
+
 __all__ = ["lacc", "LACCResult"]
 
 
 @dataclass
 class LACCResult:
-    """Output of a LACC run.
+    """Output of a LACC run, from any of the four drivers.
 
     ``parents[i]`` is the root of *i*'s final star — a canonical
     representative of the component, but (as in the paper) not necessarily
     the minimum vertex id: unconditional hooking merges stars onto nonstars
-    regardless of id order.  Use :attr:`labels` for min-id labels.
+    regardless of id order.  Use :attr:`labels` for min-id labels.  The
+    fields after ``stats`` keep their defaults on a serial run.
     """
 
     parents: np.ndarray  # parents[i] = root vertex of i's component
     n_components: int
     n_iterations: int
     stats: LACCStats
+    ranks: int = 1
+    #: vector payload words that crossed rank boundaries (literal runs)
+    words_sent: int = 0
+    #: simulated seconds lost to injected faults that no cost model priced
+    fault_seconds: float = 0.0
+    #: the α–β model the run charged (``cost.machine``, ``cost.nodes``)
+    cost: Optional["CostModel"] = None
+    #: lacc_dist's (iteration, step, report) per distributed extract or
+    #: assign — Figure 3 reads the starcheck/shortcut extract entries
+    routing: List[Tuple[int, str, "RoutingReport"]] = field(default_factory=list)
+
+    @property
+    def simulated_seconds(self) -> float:
+        return self.fault_seconds if self.cost is None else self.cost.total_seconds
 
     @property
     def labels(self) -> np.ndarray:
@@ -86,9 +105,6 @@ class LACCResult:
         from repro.graphs.validate import canonical_labels
 
         return canonical_labels(self.parents)
-
-    def component_of(self, v: int) -> int:
-        return int(self.parents[v])
 
 
 class _Pricer:
@@ -233,13 +249,46 @@ def lacc(
     f, active = _start(A, initial_parents, initial_active, use_sparsity)
     # the default private tracer only carries the iteration/step spans
     # LACCStats is derived from
-    parents, n_components, iterations, stats = _run(
+    return _run(
         A, f, active, _NULL_PRICER, Tracer() if collect_stats else NULL_TRACER,
         run_span=("lacc", {}), run_start=dict(driver="serial"),
         max_iterations=max_iterations, start_iteration=start_iteration,
         on_iteration=on_iteration, collect_stats=collect_stats,
     )
-    return LACCResult(parents, n_components, iterations, stats)
+
+
+def _close_iteration(
+    stats: Optional[LACCStats],
+    it_stats: IterationStats,
+    it_span,
+    *,
+    lemma1: bool,
+    **extra,
+) -> None:
+    """Close one iteration of either LACC loop: append *it_stats* to
+    *stats* (``None``: stats are off), with its step seconds from
+    *it_span*, and write the span's attributes and the flight ``iteration``
+    event from that same record: ``cond_hooks``, ``uncond_hooks`` and
+    ``star_vertices``, plus ``active_vertices`` and ``converged_vertices``
+    when the loop keeps a Lemma-1 active set (*lemma1*).  Without one,
+    every vertex is in scope every iteration, and a constant active count
+    would read as a stall.  *extra* holds the driver's own event fields."""
+    record = dict(
+        cond_hooks=it_stats.cond_hooks,
+        uncond_hooks=it_stats.uncond_hooks,
+        star_vertices=it_stats.star_vertices,
+    )
+    if lemma1:
+        record.update(active_vertices=it_stats.active_vertices,
+                      converged_vertices=it_stats.converged_vertices)
+    if it_span:
+        it_stats.step_seconds = steps_from_span(it_span)
+        it_span.attrs.update(record)
+    if stats is not None:
+        stats.iterations.append(it_stats)
+    fr = _freg()
+    if fr:
+        fr.record("iteration", iteration=it_stats.iteration, **record, **extra)
 
 
 def _run(
@@ -255,15 +304,15 @@ def _run(
     start_iteration: int,
     on_iteration: Optional[IterationHook],
     collect_stats: bool = True,
-):
+    **result,
+) -> LACCResult:
     """The LACC loop on the parent array *f* (updated in place), with
     *pricer* charging each step.  The loop's spans go to the active
     tracer when it is enabled, else to the driver's *default_tracer*.
     ``run_span`` is the run span's
     ``(name, attrs)``, ``run_start`` the driver's own fields of the flight
-    record's ``run_start`` event.
-    Returns ``(parents in the input's vertex space, n_components,
-    n_iterations, stats)``."""
+    record's ``run_start`` event, ``result`` the driver's own
+    :class:`LACCResult` fields.  Parents are in the input's vertex space."""
     tr = current() if current().enabled else default_tracer
     n = A.nrows
     stats = LACCStats(n_vertices=n)
@@ -334,27 +383,10 @@ def _run(
                         pricer.shortcut(f, scope, iteration)
                         shortcut(f, scope)
 
-                    if it_span:
-                        it_span.set("active_vertices", it_stats.active_vertices)
-                        it_span.set("converged_vertices", it_stats.converged_vertices)
-                        it_span.set("cond_hooks", it_stats.cond_hooks)
-                        it_span.set("uncond_hooks", it_stats.uncond_hooks)
-
-                extra = pricer.end_iteration(it_stats)
-                if it_span:
-                    it_stats.step_seconds = steps_from_span(it_span)
-                if collect_stats:
-                    stats.iterations.append(it_stats)
-                if fr:
-                    fr.record(
-                        "iteration",
-                        iteration=iteration,
-                        active_vertices=it_stats.active_vertices,
-                        cond_hooks=it_stats.cond_hooks,
-                        uncond_hooks=it_stats.uncond_hooks,
-                        converged_vertices=it_stats.converged_vertices,
-                        **extra,
-                    )
+                _close_iteration(
+                    stats if collect_stats else None, it_stats, it_span,
+                    lemma1=active.enabled, **pricer.end_iteration(it_stats),
+                )
 
                 hooked = it_stats.cond_hooks + it_stats.uncond_hooks
                 all_stars = not nonstar.any()
@@ -370,4 +402,4 @@ def _run(
     if fr:
         fr.record("run_end", n_iterations=iteration, n_components=n_components,
                   **pricer.run_fields())
-    return parents, n_components, iteration, stats
+    return LACCResult(parents, n_components, iteration, stats, **result)

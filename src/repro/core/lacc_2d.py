@@ -15,8 +15,9 @@ One of four execution models of the same algorithm:
    and its convergence allreduce.
 
 Per-rank state only ever moves through the one communicator's
-collectives, under its FaultPlan and into :attr:`SPMDResult.words_sent`;
-the tests pin the output to serial LACC's parents and iteration count.
+collectives, under its FaultPlan and into the result's ``words_sent``;
+the tests pin its parents, iteration count and per-iteration hook and star
+counts to serial LACC's.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
 from repro.mpisim.grid import ProcessGrid
 
-from .lacc_spmd import SPMDResult, _Dist, _run
+from .lacc import LACCResult
+from .lacc_spmd import _Dist, _run
 from .snapshot import IterationHook, validate_initial_parents
 
 __all__ = ["lacc_2d"]
@@ -47,7 +49,7 @@ def lacc_2d(
     initial_parents: Optional[np.ndarray] = None,
     start_iteration: int = 0,
     on_iteration: Optional[IterationHook] = None,
-) -> SPMDResult:
+) -> LACCResult:
     """Run LACC with the 2D-distributed matrix and literal communication.
 
     *ranks* must be a perfect square (the CombBLAS grid restriction the

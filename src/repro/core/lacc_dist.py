@@ -16,6 +16,9 @@ run on a ``√p × √p`` CombBLAS process grid:
 * per-iteration step times land in ``IterationStats.step_model_seconds``,
   the series behind Figures 4, 5, 6 and 8.
 
+The result is the serial driver's :class:`~repro.core.lacc.LACCResult`
+with ``ranks``, ``cost`` and ``routing`` filled in.
+
 Configuration follows §VI-A: ``t`` threads per MPI process (6 on Edison,
 16 on Cori → 4 processes/node on both), and the largest square process
 grid that fits ``cores/t`` ranks.
@@ -24,7 +27,6 @@ grid that fits ``cores/t`` ranks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -47,25 +49,7 @@ from .shortcut import shortcut  # noqa: F401
 from .snapshot import IterationHook, IterationSnapshot
 from .starcheck import starcheck  # noqa: F401
 
-__all__ = ["lacc_dist", "DistLACCResult", "grid_for"]
-
-
-@dataclass
-class DistLACCResult(LACCResult):
-    """Output of a simulated distributed LACC run: a :class:`LACCResult`
-    (``parents`` in ORIGINAL vertex space) plus the machine it ran on."""
-
-    cost: CostModel
-    machine: MachineModel
-    nodes: int
-    ranks: int
-    #: (iteration, step, report) for every distributed extract/assign —
-    #: Figure 3 reads the starcheck/shortcut extract entries
-    routing: List[Tuple[int, str, RoutingReport]] = field(default_factory=list)
-
-    @property
-    def simulated_seconds(self) -> float:
-        return self.cost.total_seconds
+__all__ = ["lacc_dist", "grid_for"]
 
 
 class _CostPricer(_Pricer):
@@ -206,7 +190,7 @@ def lacc_dist(
     start_iteration: int = 0,
     on_iteration: Optional[IterationHook] = None,
     run_name: Optional[str] = None,
-) -> DistLACCResult:
+) -> LACCResult:
     """Run LACC on the simulated machine.
 
     Parameters mirror :func:`repro.core.lacc` plus the machine/topology
@@ -234,8 +218,9 @@ def lacc_dist(
     When a flight recorder is active (``activate(flight=...)``), the
     driver stamps the run record: ``run_start``
     (topology, fault preset, static partition λ), per-iteration
-    ``iteration`` events (active vertices, hooks — what the convergence
-    detectors watch), per-routed-step ``step`` events (λ = max/mean
+    ``iteration`` events (the serial loop's hooks, stars and Lemma-1
+    counts — what the convergence detectors watch — plus the charged
+    ``words`` and ``messages``), per-routed-step ``step`` events (λ = max/mean
     received requests, worst rank — Figure 3's skew, live), and
     ``run_end``; the recorder's clock is rebound to the simulated clock
     and its ambient iteration coordinate tracks the loop, so fault and
@@ -270,7 +255,7 @@ def lacc_dist(
     active._active = dmat.to_permuted_bitmap(active._active)
     pricer = _CostPricer(dmat, grid, cost, use_broadcast_offload=use_broadcast_offload,
                          use_hypercube=use_hypercube)
-    parents, n_components, iterations, stats = _run(
+    return _run(
         dmat.A, f, active, pricer, NULL_TRACER,
         run_span=("lacc_dist", dict(machine=machine.name, nodes=nodes, ranks=nprocs)),
         run_start=dict(
@@ -282,8 +267,5 @@ def lacc_dist(
         ),
         max_iterations=max_iterations,
         start_iteration=start_iteration, on_iteration=on_iteration,
-    )
-    return DistLACCResult(
-        parents, n_components, iterations, stats, cost, machine, nodes, nprocs,
-        pricer.routing,
+        ranks=nprocs, cost=cost, routing=pricer.routing,
     )

@@ -39,15 +39,15 @@ another rank's block directly.  Per iteration:
 That is 17 alltoallvs per iteration.  The iteration is one loop,
 :func:`_run`, with the hook proposals supplied by the driver;
 :func:`repro.core.lacc_2d.lacc_2d` runs it too, with its own setup and
-proposals.  The test suite checks that this execution returns serial
-LACC's parents and iteration count on every rank count, and that
-:attr:`SPMDResult.words_sent` equals the words its ``alltoallv`` spans
-report.
+proposals.  Both return the serial driver's
+:class:`~repro.core.lacc.LACCResult` and step record.  The test suite
+checks that this execution returns serial LACC's parents, iteration count
+and per-iteration hook and star counts on every rank count, and that
+``words_sent`` equals the words its ``alltoallv`` spans report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -58,35 +58,17 @@ from repro.graphblas.sorting import count_distinct
 from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
 from repro.mpisim.comm import SimComm
-from repro.obs.tracer import flight_recorder as _freg
+from repro.obs.tracer import Tracer
 from repro.obs.tracer import current as _obs
+from repro.obs.tracer import flight_recorder as _freg
 
 from .convergence import iteration_bound
 from .hooking import assign_min
+from .lacc import LACCResult, _close_iteration
 from .snapshot import IterationHook, IterationSnapshot, validate_initial_parents
+from .stats import IterationStats, LACCStats
 
-__all__ = ["lacc_spmd", "SPMDResult"]
-
-
-@dataclass
-class SPMDResult:
-    """Output of a block-distributed LACC run (:func:`lacc_spmd` or
-    :func:`repro.core.lacc_2d.lacc_2d`)."""
-
-    parents: np.ndarray
-    n_components: int
-    n_iterations: int
-    ranks: int
-    words_sent: int  # vector payload words that crossed rank boundaries
-    #: simulated seconds lost to injected faults (backoff/stragglers)
-    #: when no cost model was attached to price them properly
-    fault_seconds: float = 0.0
-
-    @property
-    def labels(self) -> np.ndarray:
-        from repro.graphs.validate import canonical_labels
-
-        return canonical_labels(self.parents)
+__all__ = ["lacc_spmd"]
 
 
 #: a distributed vector: one block per rank
@@ -263,7 +245,7 @@ def lacc_spmd(
     initial_parents: Optional[np.ndarray] = None,
     start_iteration: int = 0,
     on_iteration: Optional[IterationHook] = None,
-) -> SPMDResult:
+) -> LACCResult:
     """Run LACC with literal per-rank data and SimComm message passing.
 
     Parameters
@@ -285,8 +267,8 @@ def lacc_spmd(
     cost:
         Optional :class:`repro.mpisim.CostModel` that prices fault
         recovery (stragglers, retransmissions, backoff) in honest α–β
-        simulated seconds; without one the lost time is summed into
-        :attr:`SPMDResult.fault_seconds`.
+        simulated seconds, and the result carries it as ``cost``; without
+        one the lost time is summed into ``fault_seconds``.
     initial_parents / start_iteration / on_iteration:
         Checkpoint-resume hooks (:mod:`repro.core.snapshot`): seed the
         block-distributed parent vector from a snapshot and report an
@@ -375,14 +357,19 @@ def _run(
     start_iteration: int,
     on_iteration: Optional[IterationHook],
     **run_start,
-) -> SPMDResult:
+) -> LACCResult:
     """The block-distributed LACC loop of :func:`lacc_spmd` and
     :func:`repro.core.lacc_2d.lacc_2d`: the drivers differ only in their
     setup and in ``hook(conditional)``, which returns one hooking phase's
     per-rank ``(roots, proposals)`` from the blocks *f* and *star*;
     :meth:`_Dist.hook` writes them.  ``run_start`` holds the driver's own
-    fields of the flight record's ``run_start`` event."""
-    comm, faults = dist.comm, dist.comm.faults
+    fields of the flight record's ``run_start`` event.  The loop keeps no
+    Lemma-1 active set, so its stats read as serial LACC's without
+    sparsity: every vertex active, none converged."""
+    comm, faults, n = dist.comm, dist.comm.faults, dist.n
+    # as in lacc(), a private tracer carries the spans LACCStats come from
+    tr = _obs() if _obs().enabled else Tracer()
+    stats = LACCStats(n_vertices=n)
     fr = _freg()
     if fr:
         fr.record(
@@ -391,40 +378,40 @@ def _run(
             seed=faults.seed if faults is not None else None,
         )
     if max_iterations is None:
-        max_iterations = iteration_bound(dist.n)
+        max_iterations = iteration_bound(n)
     iterations = start_iteration
-    if dist.n and has_edges:
+    if n and has_edges:
         for k in range(1, max_iterations + 1):
             iterations = start_iteration + k
             if fr:
                 fr.set_coords(iteration=iterations)
+            it_stats = IterationStats(iteration=iterations, active_vertices=n)
             # step spans (cat "step") name the algorithm phase each
             # collective serves; the proc backend stamps the enclosing
             # step into worker-side spans/flight events for measured
             # per-step attribution
-            with _obs().span("iteration", "iteration", iteration=iterations):
-                with _obs().span("starcheck", "step"):
+            with tr.span("iteration", "iteration", iteration=iterations) as it_span:
+                with tr.span("starcheck", "step"):
                     _starcheck(dist, f, star)
-                with _obs().span("cond_hook", "step"):
-                    hooks = dist.hook(f, *hook(True))
-                with _obs().span("starcheck", "step"):
+                with tr.span("cond_hook", "step"):
+                    it_stats.cond_hooks = dist.hook(f, *hook(True))
+                with tr.span("starcheck", "step"):
                     _starcheck(dist, f, star)
-                with _obs().span("uncond_hook", "step"):
-                    hooks += dist.hook(f, *hook(False))
-                with _obs().span("starcheck", "step"):
+                with tr.span("uncond_hook", "step"):
+                    it_stats.uncond_hooks = dist.hook(f, *hook(False))
+                with tr.span("starcheck", "step"):
                     gf = _starcheck(dist, f, star)
-                with _obs().span("shortcut", "step"):
+                with tr.span("shortcut", "step"):
                     changed = _shortcut(f, gf)
-                with _obs().span("convergence", "step"):
+                with tr.span("convergence", "step"):
                     # allreduce the termination predicate
-                    nonstars = comm.allreduce(
+                    nonstars = int(comm.allreduce(
                         [np.array([int((s == 0).sum())]) for s in star],
                         np.add,
-                    )[0][0]
-            if fr:
-                fr.record("iteration", iteration=iterations, hooks=hooks,
-                          shortcut_changed=changed, nonstars=int(nonstars))
-            if hooks == 0 and changed == 0 and nonstars == 0:
+                    )[0][0])
+            it_stats.star_vertices = n - nonstars
+            _close_iteration(stats, it_stats, it_span, lemma1=False)
+            if not (it_stats.cond_hooks or it_stats.uncond_hooks or changed or nonstars):
                 break
             if on_iteration is not None:
                 on_iteration(IterationSnapshot(
@@ -447,11 +434,7 @@ def _run(
         fr.record(
             "run_end", n_iterations=iterations, n_components=n_components
         )
-    return SPMDResult(
-        parents=parents,
-        n_components=n_components,
-        n_iterations=iterations,
-        ranks=dist.p,
-        words_sent=dist.words,
-        fault_seconds=comm.fault_seconds,
+    return LACCResult(
+        parents, n_components, iterations, stats, ranks=dist.p,
+        words_sent=dist.words, fault_seconds=comm.fault_seconds, cost=comm.cost,
     )

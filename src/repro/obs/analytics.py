@@ -4,7 +4,7 @@ The paper's Figure 3 shows why LACC's indexed accesses need skew
 handling: a handful of ranks receive most of the parent-lookup requests.
 The bench scripts used to recompute that diagnostic ad hoc; this module
 promotes it to an API.  :func:`analyze` turns a
-:class:`~repro.core.lacc_dist.DistLACCResult` into an
+:class:`~repro.core.lacc.LACCResult` with a cost model into an
 :class:`AnalyticsReport`:
 
 * **λ per LACC step** — max/mean received requests per rank, aggregated
@@ -240,7 +240,10 @@ def analyze(result, edges_per_rank: Optional[np.ndarray] = None) -> AnalyticsRep
     Parameters
     ----------
     result:
-        A :class:`~repro.core.lacc_dist.DistLACCResult`.  Runs made with
+        A :class:`~repro.core.lacc.LACCResult` whose run charged an α–β
+        ``cost`` model: every ``lacc_dist`` run, or a ``lacc_spmd`` /
+        ``lacc_2d`` run given one.  λ per step reads its ``routing``
+        records, which only ``lacc_dist`` fills.  Runs made with
         ``trace_comm=True`` get an exact compute/comm/delay split; others
         use the α–β reconstruction.
     edges_per_rank:
@@ -251,21 +254,14 @@ def analyze(result, edges_per_rank: Optional[np.ndarray] = None) -> AnalyticsRep
     Raises
     ------
     ValueError
-        When *result* carries no cost model or no routing records —
-        i.e. it is not a :class:`~repro.core.lacc_dist.DistLACCResult`
-        (serial / literal-SPMD results have no α–β attribution to
-        analyze).
+        When *result* carries no cost model (a serial run, or a literal
+        run without one has no α–β attribution to analyze).
     """
-    if getattr(result, "cost", None) is None:
+    if result.cost is None:
         raise ValueError(
             "result has no cost model to analyze — per-rank analytics "
-            "needs a DistLACCResult from lacc_dist (serial and literal "
-            "SPMD results carry no α–β cost data)"
-        )
-    if getattr(result, "routing", None) is None:
-        raise ValueError(
-            "result has no routing records — per-rank analytics needs "
-            "the RoutingReport list a DistLACCResult carries"
+            "needs a run that charged one, such as lacc_dist's (serial "
+            "and unpriced literal SPMD runs carry no α–β cost data)"
         )
     cost: CostModel = result.cost
     steps: List[StepImbalance] = []
@@ -313,7 +309,7 @@ def analyze(result, edges_per_rank: Optional[np.ndarray] = None) -> AnalyticsRep
 
     return AnalyticsReport(
         machine=cost.machine.name,
-        nodes=result.nodes,
+        nodes=cost.nodes,
         ranks=result.ranks,
         n_iterations=result.n_iterations,
         model_seconds=cost.total_seconds,

@@ -21,7 +21,7 @@ def trace_lacc_proc(
     """Run literal-SPMD LACC on the real-process backend with per-rank
     observability, and collect every worker's obs bundle.
 
-    Returns ``(SPMDLACCResult, conductor_tracer, RankObsResult)``.  The
+    Returns ``(LACCResult, conductor_tracer, RankObsResult)``.  The
     conductor tracer runs on ``time.monotonic()`` — the same clock domain
     the workers trace in — so
     :meth:`~repro.parallel.obsband.RankObsResult.merged_trace` yields one
@@ -54,5 +54,4 @@ def trace_lacc_proc(
     # fold each rank's deterministic record into the conductor record
     record_rank_events(fr, obs.flight_events)
     fr.close()
-    res.flight = fr
     return res, tracer, obs

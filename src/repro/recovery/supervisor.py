@@ -52,6 +52,7 @@ from typing import Any, Callable, List, Optional
 import numpy as np
 
 from repro.core.drivers import driver_of
+from repro.core.lacc import LACCResult
 from repro.core.snapshot import IterationSnapshot
 from repro.faults.errors import CollectiveError
 from repro.mpisim.costmodel import CostModel
@@ -113,7 +114,7 @@ class RecoveryEvent:
 class SupervisedResult:
     """A driver result plus the supervision record around it."""
 
-    result: Any  # LACCResult (DistLACCResult is one) / SPMDResult (spmd, 2d)
+    result: LACCResult
     events: List[RecoveryEvent] = field(default_factory=list)
     degraded: bool = False
     checkpoints_written: int = 0
@@ -367,8 +368,7 @@ class Supervisor:
                 degraded=False,
                 checkpoints_written=ckpts_written[0],
                 attempts=attempts,
-                cost=master_cost if master_cost is not None
-                else getattr(result, "cost", None),
+                cost=master_cost if master_cost is not None else result.cost,
             )
 
     # ------------------------------------------------------------------

@@ -12,11 +12,12 @@ loops are shared cannot move a number:
 * (b) ``lacc_dist``'s cost totals, per-step model seconds and per-iteration
   words/messages equal recorded values exactly;
 * (c) ``lacc_2d``'s (4 ranks) and ``lacc_spmd``'s (2 and 4 ranks) words
-  sent, iteration count and flight ``iteration`` events equal recorded
-  values;
+  sent, iteration count, per-iteration stats and flight ``iteration``
+  events equal recorded values;
 * (d) ``lacc_spmd`` (1, 2 and 4 ranks) and ``lacc_2d`` (1 and 4 ranks)
   return the serial driver's parents byte for byte, in as many
-  iterations, hooking as many trees in each.
+  iterations, with the serial step record in each: as many trees hooked
+  conditionally and unconditionally, and as many star vertices.
 """
 
 import numpy as np
@@ -85,9 +86,21 @@ def test_block_drivers_run_the_serial_program(matrices, name, driver):
         res = BLOCK_DRIVERS[driver](g)
     assert np.array_equal(res.parents, ser.parents)
     assert res.n_iterations == ser.n_iterations
-    assert [e.data["hooks"] for e in fr.events if e.kind == "iteration"] == [
-        it.cond_hooks + it.uncond_hooks for it in ser.stats.iterations
+    want = [
+        (it.cond_hooks, it.uncond_hooks, it.star_vertices)
+        for it in ser.stats.iterations
     ]
+    assert [
+        (it.cond_hooks, it.uncond_hooks, it.star_vertices)
+        for it in res.stats.iterations
+    ] == want
+    # the block loop keeps no Lemma-1 active set, so its events carry no
+    # active count for the convergence-stall detector to misread
+    events = [e.data for e in fr.events if e.kind == "iteration"]
+    assert [
+        (d["cond_hooks"], d["uncond_hooks"], d["star_vertices"]) for d in events
+    ] == want
+    assert not any("active_vertices" in d for d in events)
 
 
 #: lacc_dist(A, EDISON, nodes=4) with the default permutation (seed 0)
@@ -133,20 +146,22 @@ def test_dist_charges_are_pinned(matrices, name):
     assert [it.messages_sent for it in res.stats.iterations] == want["it_messages"]
 
 
-def _it(i, hooks, changed, nonstars):
-    return i, {"hooks": hooks, "shortcut_changed": changed, "nonstars": nonstars}
+def _it(i, cond_hooks, uncond_hooks, star_vertices):
+    return i, {
+        "cond_hooks": cond_hooks, "uncond_hooks": uncond_hooks,
+        "star_vertices": star_vertices,
+    }
 
 
 #: lacc_2d(g, ranks=4): (words_sent, flight ``iteration`` events)
 GRID_2D = {
     "archaea": (933896, [
-        _it(1, 22728, 5412, 14514), _it(2, 210, 3493, 9073),
-        _it(3, 98, 4213, 7813), _it(4, 8, 711, 7813), _it(5, 0, 0, 0),
+        _it(1, 22560, 168, 11531), _it(2, 210, 0, 16972),
+        _it(3, 98, 0, 18232), _it(4, 8, 0, 18232), _it(5, 0, 0, 26045),
     ]),
     "queen_4147": (411651, [
-        _it(1, 4095, 4067, 4096), _it(2, 0, 3954, 4096),
-        _it(3, 0, 3438, 4096), _it(4, 0, 2361, 4096),
-        _it(5, 0, 673, 4096), _it(6, 0, 0, 0),
+        _it(1, 4095, 0, 0), _it(2, 0, 0, 0), _it(3, 0, 0, 0),
+        _it(4, 0, 0, 0), _it(5, 0, 0, 0), _it(6, 0, 0, 4096),
     ]),
 }
 
@@ -169,6 +184,17 @@ def _assert_traffic(run, name, words, events, ranks=4):
     assert [
         (e.iteration, e.data) for e in fr.events if e.kind == "iteration"
     ] == events
+    # the flight events are written from the stats, which keep the whole
+    # graph in scope: no Lemma-1 retirement in the block loop
+    assert res.stats.n_vertices == g.n
+    assert [
+        (it.iteration, {k: getattr(it, k) for k in events[0][1]})
+        for it in res.stats.iterations
+    ] == events
+    assert all(
+        (it.active_vertices, it.converged_vertices) == (g.n, 0)
+        for it in res.stats.iterations
+    )
     assert np.array_equal(res.labels, lacc(g.to_matrix()).labels)
 
 

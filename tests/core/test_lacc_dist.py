@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines.parconnect import parconnect
 from repro.core import lacc
-from repro.core.lacc_dist import DistLACCResult, grid_for, lacc_dist
+from repro.core.lacc_dist import grid_for, lacc_dist
 from repro.graphblas import Matrix
 from repro.graphs import corpus, generators as gen, validate
 from repro.mpisim import CORI_KNL, EDISON

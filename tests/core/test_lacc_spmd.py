@@ -73,10 +73,9 @@ def test_star_hooks_unconditionally_onto_vertex_zero(ranks):
     with activate(flight=spmd_fr):
         r = lacc_spmd(g, ranks=ranks)
     assert r.parents.tolist() == serial.parents.tolist() == [0, 0, 0, 0]
-    first = [e.data for e in serial_fr.events if e.kind == "iteration"][0]
-    assert (first["cond_hooks"], first["uncond_hooks"]) == (2, 1)
-    hooks = [e.data["hooks"] for e in spmd_fr.events if e.kind == "iteration"]
-    assert hooks[0] == 3
+    for fr in (serial_fr, spmd_fr):
+        first = [e.data for e in fr.events if e.kind == "iteration"][0]
+        assert (first["cond_hooks"], first["uncond_hooks"]) == (2, 1)
     assert r.n_iterations == serial.n_iterations
 
 

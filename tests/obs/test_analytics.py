@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from repro.core.lacc_dist import grid_for, lacc_dist
+from repro.core.lacc_spmd import lacc_spmd
 from repro.combblas.distmatrix import DistMatrix
+from repro.faults import preset
 from repro.graphs.generators import rmat
-from repro.mpisim import EDISON
+from repro.mpisim import EDISON, CostModel
 from repro.mpisim.grid import ProcessGrid
 from repro.obs.analytics import AnalyticsReport, StepImbalance, analyze
 
@@ -130,24 +132,24 @@ class TestReport:
 
 
 class TestUnanalyzableResults:
-    """Serial / literal-SPMD results carry no α–β cost data; analyze()
-    must refuse them with a clear error, not an AttributeError."""
+    """Serial and unpriced literal-SPMD results carry no α–β cost data;
+    analyze() must refuse them with a clear error, not an AttributeError."""
 
     def test_result_without_cost_rejected(self):
-        class Resultish:
-            cost = None
-            routing = []
-
+        res = lacc_spmd(rmat(6, edge_factor=4, seed=3), ranks=2)
+        assert res.cost is None
         with pytest.raises(ValueError, match="no cost model"):
-            analyze(Resultish())
+            analyze(res)
 
-    def test_result_without_routing_rejected(self, traced):
-        class Resultish:
-            cost = traced.cost
-            routing = None
-
-        with pytest.raises(ValueError, match="no routing records"):
-            analyze(Resultish())
+    def test_spmd_result_carries_its_cost_model(self):
+        """A literal run given a cost model returns that model, and its
+        simulated clock is the model's."""
+        cost = CostModel(EDISON, 2, 1)
+        res = lacc_spmd(rmat(6, edge_factor=4, seed=3), ranks=2, cost=cost,
+                        faults=preset("flaky", seed=1))
+        assert res.cost is cost
+        assert res.simulated_seconds == cost.total_seconds > 0
+        assert res.fault_seconds == 0.0  # priced by the model, not pooled
 
     def test_serial_lacc_result_rejected(self):
         from repro.core import lacc

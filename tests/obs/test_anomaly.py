@@ -4,6 +4,10 @@ job enforces end to end)."""
 
 import pytest
 
+from repro.core.lacc import lacc
+from repro.core.lacc_2d import lacc_2d
+from repro.core.lacc_spmd import lacc_spmd
+from repro.graphs import corpus
 from repro.obs.anomaly import (
     Anomaly,
     CheckpointChurnDetector,
@@ -13,7 +17,8 @@ from repro.obs.anomaly import (
     StragglerDetector,
     default_detectors,
 )
-from repro.obs.flight import FlightEvent
+from repro.obs.flight import FlightEvent, FlightRecorder
+from repro.obs.tracer import activate
 
 
 def ev(kind, seq=0, iteration=None, rank=None, step=None, **data):
@@ -292,3 +297,27 @@ def test_default_detectors_fresh_instances_and_distinct_names():
     assert len(set(names)) == 7
     assert "convergence_stall" in names and "retry_storm" in names
     assert "rank_lost" in names and "shrink_recovery" in names
+
+
+# -- the drivers' own records ---------------------------------------------
+
+UNSCOPED_RUNS = {
+    "serial-unscoped": lambda g: lacc(g.to_matrix(), use_sparsity=False),
+    "spmd-r2": lambda g: lacc_spmd(g, ranks=2),
+    "2d-r4": lambda g: lacc_2d(g, ranks=4),
+}
+
+
+@pytest.mark.parametrize("run", sorted(UNSCOPED_RUNS))
+def test_unscoped_runs_raise_no_convergence_stall(run):
+    """A loop without a Lemma-1 active set keeps every vertex in scope, so
+    a constant active count says nothing about convergence: its
+    ``iteration`` events leave the count out, and the stall detector has
+    nothing to misread."""
+    fr = FlightRecorder(detectors=default_detectors())
+    with activate(flight=fr):
+        UNSCOPED_RUNS[run](corpus.load("archaea"))
+    fr.finish()
+    assert fr.find("iteration")
+    assert [a for a in fr.anomalies()
+            if a.data["detector"] == "convergence_stall"] == []
