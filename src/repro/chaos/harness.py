@@ -138,6 +138,9 @@ def chaos_run(
     picks the victim (below *ranks*; default: seeded), *backend* picks
     ``sim``/``proc`` (default: whatever is active), and *record_path*
     streams the flight record to a JSONL file for ``repro explain``.
+
+    The report's ``resumed`` and ``shrunk_to`` are the
+    :class:`~repro.recovery.SupervisedResult` fields of the same names.
     """
     from repro.baselines.union_find import connected_components as uf_labels
     from repro.core.drivers import DRIVERS
@@ -171,7 +174,6 @@ def chaos_run(
         config=SupervisorConfig(
             checkpoint_interval=checkpoint_interval,
             max_recoveries=max_recoveries,
-            allow_shrink=True,
             min_ranks=min_ranks,
         )
     )
@@ -204,15 +206,6 @@ def chaos_run(
         if fr is not None:
             fr.close()
 
-    # every path back to iteration 0 spells it out in the event detail
-    # ("fresh start" / "restart" / "from scratch") — their absence is the
-    # proof the run resumed instead of starting over
-    resumed = not any(
-        ("fresh start" in e.detail)
-        or ("restart" in e.detail)
-        or ("scratch" in e.detail)
-        for e in res.events
-    )
     anomaly_classes = sorted(
         {ev.data.get("detector", "?") for ev in fr.anomalies()}
     ) if fr is not None else []
@@ -231,7 +224,7 @@ def chaos_run(
         recoveries=res.n_recoveries,
         degraded=res.degraded,
         shrunk_to=res.shrunk_to,
-        resumed=resumed,
+        resumed=res.resumed,
         byte_identical=bool(np.array_equal(res.parents, ref.parents)),
         oracle_ok=bool(same_partition(res.labels, uf_labels(g.n, g.u, g.v))),
         wall_seconds=wall,

@@ -49,7 +49,7 @@ from .shortcut import shortcut  # noqa: F401
 from .snapshot import IterationHook, IterationSnapshot
 from .starcheck import starcheck  # noqa: F401
 
-__all__ = ["lacc_dist", "grid_for"]
+__all__ = ["lacc_dist", "grid_for", "default_cost"]
 
 
 class _CostPricer(_Pricer):
@@ -171,6 +171,15 @@ def grid_for(machine: MachineModel, nodes: int) -> Tuple[int, int]:
     return side * side, side
 
 
+def default_cost(
+    machine: MachineModel, nodes: int = 1, trace_comm: bool = False, faults=None
+) -> CostModel:
+    """The α–β model :func:`lacc_dist` charges into when given none: one
+    rank per cell of the :func:`grid_for` grid on *nodes* nodes."""
+    nprocs, _ = grid_for(machine, nodes)
+    return CostModel(machine, nprocs, nodes, trace=trace_comm, faults=faults)
+
+
 def lacc_dist(
     A: Matrix,
     machine: MachineModel,
@@ -243,7 +252,7 @@ def lacc_dist(
     grid = ProcessGrid(nprocs, n, distribution=vector_distribution)
     dmat = DistMatrix(A, grid, permute=permute, seed=seed)
     if cost is None:
-        cost = CostModel(machine, nprocs, nodes, trace=trace_comm, faults=faults)
+        cost = default_cost(machine, nodes, trace_comm, faults)
     _freg().bind_clock(lambda: cost.total_seconds)
     tracer = current()
     if tracer.enabled and not tracer.roots and tracer.current is None:

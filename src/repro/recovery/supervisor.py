@@ -34,19 +34,21 @@
   entirely and is guaranteed to finish — labels stay exact, only the
   performance story weakens (``SupervisedResult.degraded`` flags it).
 
-Every action lands in :attr:`SupervisedResult.events` and as ``recovery``
--category spans on the active tracer.  The supervisor activates nothing
-itself: the caller's one obs scope (:func:`repro.obs.activate`) covers
-the driver's attempts and the recovery actions between them alike, so a
-Chrome trace of a supervised run shows checkpoint writes, repairs and
-rollbacks on the simulated timeline next to the algorithm's own phases
-(and the serial replay's spans after a degrade).
+Every action is written once, as a row of :attr:`SupervisedResult.events`;
+the flight ``recovery`` event is written from that row, and the action
+lands as ``recovery``-category spans on the active tracer.  The
+supervisor activates nothing itself: the caller's one obs scope
+(:func:`repro.obs.activate`) covers the driver's attempts and the
+recovery actions between them alike, so a Chrome trace of a supervised
+run shows checkpoint writes, repairs and rollbacks on the simulated
+timeline next to the algorithm's own phases (and the serial replay's
+spans after a degrade).
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional
 
 import numpy as np
@@ -80,23 +82,25 @@ class SupervisorConfig:
     iteration_deadline: Optional[float] = None
     #: on budget exhaustion, replay serially instead of raising
     allow_degraded: bool = True
-    #: charge checkpoint traffic + restart penalties into the cost model
-    charge_recovery: bool = True
     #: extra simulated seconds charged per recovery (job-restart cost)
     restart_penalty_seconds: float = 0.0
-    #: on repeated permanent rank loss, re-partition across the survivors
-    #: (the largest count the driver runs at, see ``Supervisor._shrink``)
-    #: instead of respawning at full size forever
-    allow_shrink: bool = True
-    #: never shrink below this many ranks
+    #: never shrink below this many ranks when a repeated permanent rank
+    #: loss re-partitions across the survivors (see ``Supervisor._shrink``)
     min_ranks: int = 1
+
+
+#: the actions that resume (or replay) the run; ``fault`` and ``watchdog``
+#: rows record what triggered them
+RECOVERY_ACTIONS = ("audit_repair", "rollback", "shrink", "degrade")
 
 
 @dataclass
 class RecoveryEvent:
     """One row of the recovery-event record (the CI artifact)."""
 
-    action: str  # "fault" | "watchdog" | "audit_repair" | "rollback" | "shrink" | "degrade"
+    action: str  # "fault" | "watchdog" | one of RECOVERY_ACTIONS
+    #: failing iteration; for a recovery action, the iteration it resumes
+    #: from (None: from scratch)
     iteration: Optional[int]
     simulated_seconds: float
     detail: str = ""
@@ -110,9 +114,34 @@ class RecoveryEvent:
         }
 
 
+def _record(events: List[RecoveryEvent], action: str, iteration: Optional[int],
+            seconds: float, detail: str, **flight_only: Any) -> None:
+    """Append one row to *events* and write the flight ``recovery`` event
+    from that same row.  *flight_only* holds fields only the flight record
+    carries (a shrink's rank counts, read by the ``shrink_recovery``
+    detector)."""
+    ev = RecoveryEvent(action, iteration, seconds, detail)
+    events.append(ev)
+    fr = _freg()
+    if fr:
+        fr.record("recovery", iteration=ev.iteration, action=ev.action,
+                  detail=ev.detail, **flight_only)
+
+
+def _resumed_at(snap: Optional[IterationSnapshot]) -> tuple:
+    """``(iteration, simulated seconds)`` a recovery resumes from;
+    ``(None, 0.0)`` from scratch."""
+    return (None, 0.0) if snap is None else (snap.iteration, snap.simulated_seconds)
+
+
 @dataclass
 class SupervisedResult:
-    """A driver result plus the supervision record around it."""
+    """A driver result plus the supervision record around it.
+
+    :attr:`events` is the run's one recovery record; the flight
+    ``recovery`` events are written from its rows.  :attr:`resumed` and
+    :attr:`shrunk_to` read fields, never the rows' ``detail`` prose.
+    """
 
     result: LACCResult
     events: List[RecoveryEvent] = field(default_factory=list)
@@ -120,6 +149,8 @@ class SupervisedResult:
     checkpoints_written: int = 0
     attempts: int = 1  # driver invocations (1 = clean run)
     cost: Optional[CostModel] = None
+    #: rank count the last shrink-to-survivors set (None: never shrank)
+    shrunk_to: Optional[int] = None
 
     @property
     def parents(self) -> np.ndarray:
@@ -140,26 +171,16 @@ class SupervisedResult:
     @property
     def n_recoveries(self) -> int:
         """Recovery actions taken (repairs + rollbacks + shrinks + degrades)."""
-        return sum(
-            1
-            for e in self.events
-            if e.action in ("audit_repair", "rollback", "shrink", "degrade")
-        )
+        return sum(e.action in RECOVERY_ACTIONS for e in self.events)
 
     @property
-    def shrunk_to(self) -> Optional[int]:
-        """Final rank count after shrink-to-survivors recoveries, or
-        ``None`` when the run never shrank."""
-        sizes = [
-            e.detail for e in self.events if e.action == "shrink"
-        ]
-        if not sizes:
-            return None
-        # detail format: "re-partitioned P→P' ..." — parse the last P'
-        import re
-
-        m = re.search(r"→(\d+)", sizes[-1])
-        return int(m.group(1)) if m else None
+    def resumed(self) -> bool:
+        """Every recovery action resumed from a saved iteration: none went
+        back to iteration 0 (vacuously true for a clean run)."""
+        return all(
+            e.iteration is not None for e in self.events
+            if e.action in RECOVERY_ACTIONS
+        )
 
 
 class Supervisor:
@@ -216,18 +237,12 @@ class Supervisor:
             # and all attempts share a single continuous simulated clock
             machine = kw.get("machine", args[1] if len(args) > 1 else None)
             if machine is not None:
-                from repro.core.lacc_dist import grid_for
+                from repro.core.lacc_dist import default_cost
 
-                nodes = int(kw.get("nodes", 1))
-                nprocs, _ = grid_for(machine, nodes)
-                master_cost = CostModel(
-                    machine,
-                    nprocs,
-                    nodes,
-                    trace=bool(kw.get("trace_comm", False)),
-                    faults=kw.get("faults"),
+                master_cost = kw["cost"] = default_cost(
+                    machine, int(kw.get("nodes", 1)),
+                    bool(kw.get("trace_comm", False)), kw.get("faults"),
                 )
-                kw["cost"] = master_cost
 
         events: List[RecoveryEvent] = []
         latest: List[Optional[IterationSnapshot]] = [None]  # freshest in-memory
@@ -250,7 +265,7 @@ class Supervisor:
                     "checkpoint", "recovery", iteration=snap.iteration
                 ) as sp:
                     self.store.save(ck)
-                    if master_cost is not None and cfg.charge_recovery:
+                    if master_cost is not None:
                         # writing the state to stable storage moves words
                         master_cost.charge_comm(ck.words, 1, "checkpoint")
                     if sp:
@@ -266,16 +281,14 @@ class Supervisor:
                 raise WatchdogTimeout(snap.iteration, dt, cfg.iteration_deadline)
 
         resume: Optional[IterationSnapshot] = None
-        attempts = 0
-        recoveries = 0
-        rank_losses = 0
+        attempts = recoveries = rank_losses = rollback_depth = 0
         last_failure_iter: Optional[int] = None
-        rollback_depth = 0
+        shrunk_to: Optional[int] = None
+        degraded = False
 
         while True:
             attempts += 1
-            kw2 = dict(kw)
-            kw2["on_iteration"] = hook
+            kw2 = dict(kw, on_iteration=hook)
             if resume is not None:
                 kw2["initial_parents"] = resume.parents
                 kw2["start_iteration"] = resume.iteration
@@ -283,44 +296,37 @@ class Supervisor:
                     kw2["initial_active"] = resume.active
             try:
                 result = driver(*args, **kw2)
+                break
             except (CollectiveError, WatchdogTimeout) as exc:
                 recoveries += 1
                 fail_iter = getattr(exc, "iteration", None)
                 if fail_iter is None and latest[0] is not None:
                     fail_iter = latest[0].iteration + 1  # mid-flight iteration
-                events.append(
-                    RecoveryEvent(
-                        "watchdog" if isinstance(exc, WatchdogTimeout) else "fault",
-                        fail_iter,
-                        now(),
-                        str(exc),
-                    )
+                _record(
+                    events,
+                    "watchdog" if isinstance(exc, WatchdogTimeout) else "fault",
+                    fail_iter, now(), str(exc),
                 )
-                fr = _freg()
-                if fr:
-                    fr.record("recovery", iteration=fail_iter,
-                              action=events[-1].action, detail=str(exc))
                 rank_lost = (
                     isinstance(exc, CollectiveError) and "rank_lost" in exc.kinds
                 )
-                if rank_lost:
-                    rank_losses += 1
+                rank_losses += rank_lost
                 if recoveries > cfg.max_recoveries:
-                    return self._degrade(
-                        exc, args, kw, events, latest[0], resume,
-                        ckpts_written[0], attempts, master_cost,
+                    if not cfg.allow_degraded:
+                        raise RecoveryExhausted(attempts, cfg.max_recoveries, exc)
+                    result = self._degrade(
+                        args, kw, events, latest[0], resume, master_cost
                     )
+                    attempts += 1
+                    degraded = True
+                    break
                 repeated = (
                     last_failure_iter is not None
                     and fail_iter is not None
                     and fail_iter <= last_failure_iter
                 )
                 shrunk = False
-                if (
-                    cfg.allow_shrink
-                    and rank_lost
-                    and (rank_losses >= 2 or repeated)
-                ):
+                if rank_lost and (rank_losses >= 2 or repeated):
                     # a second permanent rank loss (or one that keeps
                     # recurring at the same iteration): respawning at
                     # full size is not converging — re-partition
@@ -330,21 +336,20 @@ class Supervisor:
                         driver, kw, latest[0], events,
                         getattr(exc, "lost_ranks", ()),
                     )
-                    if shrunk:
-                        rollback_depth = 0
-                if not shrunk:
-                    if repeated:
-                        # audit-repair did not get us past this point —
-                        # the in-memory state is suspect, fall back to
-                        # durable, CRC-verified checkpoints, one older
-                        # per repeat
-                        rollback_depth += 1
-                        resume = self._rollback(rollback_depth, events)
-                    else:
-                        rollback_depth = 0
-                        resume = self._audit_repair(latest[0], events)
+                if shrunk:
+                    rollback_depth = 0
+                    shrunk_to = kw["ranks"]
+                elif repeated:
+                    # audit-repair did not get us past this point — the
+                    # in-memory state is suspect, fall back to durable,
+                    # CRC-verified checkpoints, one older per repeat
+                    rollback_depth += 1
+                    resume = self._rollback(rollback_depth, events)
+                else:
+                    rollback_depth = 0
+                    resume = self._audit_repair(latest[0], events)
                 last_failure_iter = fail_iter
-                if master_cost is not None and cfg.charge_recovery:
+                if master_cost is not None:
                     with _obs().span(
                         "recovery", "recovery", action=events[-1].action
                     ):
@@ -353,23 +358,20 @@ class Supervisor:
                         )
                         if resume is not None:
                             # reading the resume state back moves words
-                            master_cost.charge_comm(
-                                Checkpoint.from_snapshot(resume).words,
-                                1,
-                                "recovery",
-                            )
-                last_sim[0] = now() if master_cost is not None else (
-                    resume.simulated_seconds if resume is not None else 0.0
+                            words = Checkpoint.from_snapshot(resume).words
+                            master_cost.charge_comm(words, 1, "recovery")
+                last_sim[0] = (
+                    now() if master_cost is not None else _resumed_at(resume)[1]
                 )
-                continue
-            return SupervisedResult(
-                result=result,
-                events=events,
-                degraded=False,
-                checkpoints_written=ckpts_written[0],
-                attempts=attempts,
-                cost=master_cost if master_cost is not None else result.cost,
-            )
+        return SupervisedResult(
+            result=result,
+            events=events,
+            degraded=degraded,
+            checkpoints_written=ckpts_written[0],
+            attempts=attempts,
+            cost=master_cost if master_cost is not None else result.cost,
+            shrunk_to=shrunk_to,
+        )
 
     # ------------------------------------------------------------------
     def _audit_repair(
@@ -377,47 +379,29 @@ class Supervisor:
         latest: Optional[IterationSnapshot],
         events: List[RecoveryEvent],
     ) -> Optional[IterationSnapshot]:
-        """Repair the freshest in-memory snapshot and resume from it; fall
-        back to the newest durable checkpoint, then to a fresh start."""
+        """Repair a copy of the freshest state (*latest*, else the newest
+        durable checkpoint) and resume from it; else start fresh."""
         snap, report = self._repaired_copy(latest)
-        if snap is None:
-            events.append(
-                RecoveryEvent("audit_repair", None, 0.0, "no state yet — fresh start")
-            )
-            fr = _freg()
-            if fr:
-                fr.record("recovery", action="audit_repair",
-                          detail="no state yet — fresh start")
-            return None
-        events.append(
-            RecoveryEvent(
-                "audit_repair", snap.iteration, snap.simulated_seconds,
-                report.summary(),
-            )
+        _record(
+            events, "audit_repair", *_resumed_at(snap),
+            "no state yet — fresh start" if snap is None else report.summary(),
         )
-        fr = _freg()
-        if fr:
-            fr.record("recovery", iteration=snap.iteration,
-                      action="audit_repair", detail=report.summary())
         return snap
 
-    def _repaired_copy(self, latest: Optional[IterationSnapshot]):
-        """``(snapshot, audit report)`` of a repaired copy of the freshest
-        state: *latest*, else the newest durable checkpoint; ``(None,
-        None)`` when there is neither."""
-        source = latest
+    def _repaired_copy(self, source: Optional[IterationSnapshot]):
+        """``(snapshot, audit report)`` of a repaired copy of *source*, else
+        of the newest durable checkpoint; ``(None, None)`` when there is
+        neither.  The snapshot the caller's hook saw is never touched."""
         if source is None:
             ck = self.store.latest_valid()
             if ck is None:
                 return None, None
             source = ck.to_snapshot()
-        snap = IterationSnapshot(
-            iteration=source.iteration,
+        snap = replace(
+            source,
             parents=np.array(source.parents, dtype=np.int64, copy=True),
             star=None if source.star is None else source.star.copy(),
             active=None if source.active is None else source.active.copy(),
-            simulated_seconds=source.simulated_seconds,
-            plan_cursor=source.plan_cursor,
         )
         return snap, self.auditor.repair(snap)
 
@@ -456,25 +440,13 @@ class Supervisor:
         kw["ranks"] = new
         snap, _ = self._repaired_copy(latest)
         from_what = "scratch" if snap is None else f"iteration {snap.iteration}"
-        detail = (
+        _record(
+            events, "shrink", *_resumed_at(snap),
             f"re-partitioned {old}→{new} ranks"
             + (f" after losing rank(s) {lost}" if lost else "")
-            + f"; resume from {from_what}"
+            + f"; resume from {from_what}",
+            old_ranks=old, new_ranks=new, lost_ranks=lost,
         )
-        events.append(
-            RecoveryEvent(
-                "shrink",
-                None if snap is None else snap.iteration,
-                0.0 if snap is None else snap.simulated_seconds,
-                detail,
-            )
-        )
-        fr = _freg()
-        if fr:
-            fr.record("recovery",
-                      iteration=None if snap is None else snap.iteration,
-                      action="shrink", detail=detail,
-                      old_ranks=old, new_ranks=new, lost_ranks=lost)
         return True, snap
 
     def _rollback(
@@ -491,43 +463,27 @@ class Supervisor:
             valid.append(ck)
             before = ck.iteration
         if not valid:
-            events.append(
-                RecoveryEvent("rollback", None, 0.0, "no valid checkpoint — restart")
-            )
-            fr = _freg()
-            if fr:
-                fr.record("recovery", action="rollback",
-                          detail="no valid checkpoint — restart")
+            _record(events, "rollback", None, 0.0, "no valid checkpoint — restart")
             return None
-        ck = valid[-1]
-        snap = ck.to_snapshot()
+        snap = valid[-1].to_snapshot()
         # a CRC-valid checkpoint has exact bytes, but run the semantic
         # audit anyway — it is cheap and recomputes the advisory flags
         self.auditor.repair(snap)
-        events.append(
-            RecoveryEvent(
-                "rollback", ck.iteration, ck.simulated_seconds,
-                f"checkpoint iteration {ck.iteration} (depth {len(valid)})",
-            )
+        _record(
+            events, "rollback", *_resumed_at(snap),
+            f"checkpoint iteration {snap.iteration} (depth {len(valid)})",
         )
-        fr = _freg()
-        if fr:
-            fr.record("recovery", iteration=ck.iteration, action="rollback",
-                      detail=f"depth {len(valid)}")
         return snap
 
     def _degrade(
         self,
-        exc: BaseException,
         args: tuple,
         kw: dict,
         events: List[RecoveryEvent],
         latest: Optional[IterationSnapshot],
         resume: Optional[IterationSnapshot],
-        ckpts_written: int,
-        attempts: int,
         master_cost: Optional[CostModel],
-    ) -> SupervisedResult:
+    ) -> LACCResult:
         """Budget exhausted: replay serially from the best known state.
 
         The serial driver touches no simulated network, so it cannot hit
@@ -535,52 +491,31 @@ class Supervisor:
         the labels stay exact; only the distributed performance story is
         lost, which :attr:`SupervisedResult.degraded` records.
         """
-        cfg = self.config
-        if not cfg.allow_degraded:
-            raise RecoveryExhausted(attempts, cfg.max_recoveries, exc)
         from repro.core.lacc import lacc
 
         target = args[0] if args else kw.get("A", kw.get("g"))
         A = target.to_matrix() if hasattr(target, "to_matrix") else target
         # best known state: freshest of the in-memory snapshot, the current
-        # resume state, and the newest CRC-valid durable checkpoint
+        # resume state, and the newest CRC-valid durable checkpoint —
+        # sanitised as a copy before handing it to lacc
         best = latest if latest is not None else resume
         ck = self.store.latest_valid()
         if ck is not None and (best is None or ck.iteration > best.iteration):
             best = ck.to_snapshot()
-        kw_serial: dict = {}
-        detail = "serial replay from scratch"
-        if best is not None:
-            self.auditor.repair(best)  # sanitise before handing to lacc
-            kw_serial = dict(
-                initial_parents=best.parents, start_iteration=best.iteration
-            )
-            if best.active is not None:
-                kw_serial["initial_active"] = best.active
-            detail = f"serial replay from iteration {best.iteration}"
+        best, _ = self._repaired_copy(best)
+        kw_serial = {} if best is None else dict(
+            initial_parents=best.parents, initial_active=best.active,
+            start_iteration=best.iteration,
+        )
         with _obs().span(
             "degrade", "recovery",
             from_iteration=0 if best is None else best.iteration,
         ):
             result = lacc(A, **kw_serial)
-        events.append(
-            RecoveryEvent(
-                "degrade",
-                None if best is None else best.iteration,
-                0.0 if master_cost is None else master_cost.total_seconds,
-                detail,
-            )
+        _record(
+            events, "degrade", None if best is None else best.iteration,
+            0.0 if master_cost is None else master_cost.total_seconds,
+            "serial replay from scratch" if best is None
+            else f"serial replay from iteration {best.iteration}",
         )
-        fr = _freg()
-        if fr:
-            fr.record("recovery",
-                      iteration=None if best is None else best.iteration,
-                      action="degrade", detail=detail)
-        return SupervisedResult(
-            result=result,
-            events=events,
-            degraded=True,
-            checkpoints_written=ckpts_written,
-            attempts=attempts + 1,
-            cost=master_cost,
-        )
+        return result

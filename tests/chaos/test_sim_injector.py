@@ -114,10 +114,8 @@ class TestSupervisedSimChaos:
         r = chaos_run(star_graph(150), driver="2d", ranks=4,
                       preset="shrink", seed=3, backend="sim", min_ranks=2)
         assert r.oracle_ok
-        for e in r.recovery_events:
-            if e["action"] == "shrink":
-                new = int(e["detail"].split("→")[1].split()[0])
-                assert new >= 2 and math.isqrt(new) ** 2 == new
+        new = r.shrunk_to
+        assert new is None or (new >= 2 and math.isqrt(new) ** 2 == new)
 
     def test_stall_is_a_clean_run_on_sim(self):
         r = chaos_run(path_graph(200), driver="spmd", ranks=4,

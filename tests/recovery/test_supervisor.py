@@ -22,7 +22,9 @@ from repro.core.lacc_spmd import lacc_spmd
 from repro.faults import FaultPlan, FaultRule, preset
 from repro.graphs import generators as gen
 from repro.mpisim.machine import LAPTOP
+from repro.chaos import chaos_run
 from repro.obs import Tracer, activate, chrome_trace
+from repro.obs.flight import FlightRecorder, read_flight_jsonl
 from repro.recovery import (
     MemoryCheckpointStore,
     RecoveryExhausted,
@@ -42,6 +44,20 @@ def all_spans(tracer):
         out.append(sp)
         stack.extend(sp.children)
     return out
+
+
+def record_rows(events):
+    """``(action, iteration, detail)`` of each recovery-record row."""
+    return [(e.action, e.iteration, e.detail) for e in events]
+
+
+def flight_rows(flight_events):
+    """The same triple, read from the flight record's ``recovery`` events."""
+    return [
+        (ev.data["action"], ev.iteration, ev.data["detail"])
+        for ev in flight_events
+        if ev.kind == "recovery"
+    ]
 
 
 def multi_iter_graph(seed=0):
@@ -153,6 +169,7 @@ class TestCrashRecovery:
         assert fault.action == "fault" and fault.simulated_seconds > 0.0
         assert repair.action == "audit_repair"
         assert 0.0 < repair.simulated_seconds <= fault.simulated_seconds
+        assert res.resumed and res.shrunk_to is None
 
     def test_recovery_spans_in_trace(self):
         g = multi_iter_graph()
@@ -175,6 +192,7 @@ class TestCrashRecovery:
         res = Supervisor().run(lacc_spmd, g, ranks=3, faults=plan)
         np.testing.assert_array_equal(res.labels, oracle_labels(g))
         assert "fresh start" in res.events[-1].detail
+        assert res.events[-1].iteration is None and not res.resumed
 
 
 class TestEscalation:
@@ -190,7 +208,9 @@ class TestEscalation:
     def test_escalates_to_rollback_then_degrade(self):
         g = multi_iter_graph()
         cfg = SupervisorConfig(max_recoveries=3)
-        with activate(Tracer()):  # iteration spans attribute the failures
+        fr = FlightRecorder()
+        # iteration spans attribute the failures
+        with activate(Tracer(), flight=fr):
             res = Supervisor(config=cfg).run(
                 lacc_spmd, g, ranks=3, faults=self.permanent_plan()
             )
@@ -201,6 +221,32 @@ class TestEscalation:
         assert "rollback" in actions  # recurring failure escalated
         assert actions[-1] == "degrade"
         assert res.n_recoveries == cfg.max_recoveries + 1
+        # the flight record is written from the same rows, not restated
+        assert flight_rows(fr.find("recovery")) == record_rows(res.events)
+
+    def test_degrade_leaves_caller_snapshots_untouched(self):
+        # the hook's snapshots are the caller's: degrade repairs a copy
+        g = gen.component_mixture([60, 40, 30, 25], avg_degree=2.0, seed=3)
+        seen = []
+
+        def keep(snap):
+            arrays = (snap.parents, snap.star, snap.active)
+            seen.append((snap, arrays, [None if a is None else a.copy()
+                                        for a in arrays]))
+
+        cfg = SupervisorConfig(max_recoveries=1)
+        res = Supervisor(config=cfg).run(
+            lacc_spmd, g, ranks=3, faults=self.permanent_plan(skip=60),
+            on_iteration=keep,
+        )
+        np.testing.assert_array_equal(res.labels, oracle_labels(g))
+        assert res.degraded and seen
+        for snap, arrays, values in seen:
+            now = (snap.parents, snap.star, snap.active)
+            for cur, was, val in zip(now, arrays, values):
+                assert cur is was
+                if val is not None:
+                    np.testing.assert_array_equal(cur, val)
 
     def test_degrade_disallowed_raises(self):
         g = multi_iter_graph()
@@ -236,3 +282,15 @@ class TestEscalation:
             set(r) == {"action", "iteration", "simulated_seconds", "detail"}
             for r in rows
         )
+
+    def test_shrink_record_matches_flight_record(self, tmp_path):
+        path = tmp_path / "shrink.jsonl"
+        r = chaos_run(gen.path_graph(200), driver="spmd", ranks=4,
+                      preset="shrink", seed=2, backend="sim",
+                      record_path=str(path))
+        assert r.shrunk_to == 3 and r.resumed
+        got = flight_rows(read_flight_jsonl(str(path)))
+        want = [(e["action"], e["iteration"], e["detail"])
+                for e in r.recovery_events]
+        assert "shrink" in [a for a, _, _ in want]
+        assert got == want
