@@ -9,6 +9,6 @@ survives them with byte-identical results.  See ``docs/ROBUSTNESS.md``
 ("Elastic recovery & chaos") and ``python -m repro chaos --help``.
 """
 
-from .harness import ChaosReport, chaos_run
+from .harness import ChaosReport, chaos_run, preset_flags
 
-__all__ = ["ChaosReport", "chaos_run"]
+__all__ = ["ChaosReport", "chaos_run", "preset_flags"]

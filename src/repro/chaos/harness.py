@@ -1,14 +1,18 @@
-"""End-to-end chaos runs: inject real process faults, verify recovery.
+"""End-to-end chaos runs: run a driver under faults, verify the answer.
 
-:func:`chaos_run` is the programmatic core of ``python -m repro chaos``
-and of the CI chaos matrix: it runs one distributed driver under the
-recovery supervisor with a process-fault preset of
-:data:`repro.faults.PRESETS` as the driver's ``faults=`` plan, whose
-communicator delivers the scheduled faults (signals on the proc backend,
-typed errors on the simulator), then verifies the **full** acceptance
+:func:`chaos_run` is the programmatic core of ``python -m repro chaos``,
+the one way to run a LACC driver under a fault plan.  It runs any
+:data:`~repro.core.drivers.DRIVERS` entry under the recovery supervisor
+with any preset of :data:`repro.faults.PRESETS` (or ``none``) as the
+driver's ``faults=`` plan, whose communicator delivers the scheduled
+faults (signals on the proc backend, typed errors on the simulator),
+records the run's flight record, then verifies the **full** acceptance
 contract — the run completed without a fresh start, the final parent
 vector is byte-identical to a fault-free reference, and the labels match
-the union-find oracle.
+the union-find oracle.  With a recovery budget of 0 the supervisor
+neither recovers nor degrades: a fault that needs recovery ends the run
+and the report carries the error — the run failed loudly instead of
+answering wrong.
 
 The fault-free reference runs on the simulator: the differential suite
 (``tests/differential/test_proc_backend.py``) pins sim and proc results
@@ -19,6 +23,7 @@ resume can still be checked byte-for-byte.
 
 from __future__ import annotations
 
+import inspect
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -26,9 +31,10 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.faults import PRESETS
 from repro.faults import preset as make_preset
 
-__all__ = ["ChaosReport", "chaos_run"]
+__all__ = ["ChaosReport", "chaos_run", "preset_flags"]
 
 
 @dataclass
@@ -41,18 +47,6 @@ class ChaosReport:
     preset: str
     seed: int
     ranks: int
-    components: int
-    iterations: int
-    attempts: int
-    recoveries: int
-    degraded: bool
-    shrunk_to: Optional[int]
-    #: run completed via resume, never via a from-scratch restart
-    resumed: bool
-    #: final parents byte-identical to the fault-free reference
-    byte_identical: bool
-    #: labels match the union-find oracle
-    oracle_ok: bool
     wall_seconds: float
     #: fault injection log (byte-reproducible given the seed, and the
     #: same on both backends)
@@ -60,11 +54,34 @@ class ChaosReport:
     injected: Dict[str, int] = field(default_factory=dict)
     rank_lost_events: int = 0
     anomaly_classes: List[str] = field(default_factory=list)
+    #: why the run ended without an answer (only with a recovery budget
+    #: of 0: the fault needed a recovery the budget did not allow); the
+    #: fields below then keep their defaults
+    error: Optional[str] = None
+    components: Optional[int] = None
+    iterations: Optional[int] = None
+    attempts: int = 0
+    recoveries: int = 0
+    degraded: bool = False
+    shrunk_to: Optional[int] = None
+    #: run completed via resume, never via a from-scratch restart
+    resumed: bool = False
+    #: final parents byte-identical to the fault-free reference
+    byte_identical: bool = False
+    #: labels match the union-find oracle
+    oracle_ok: bool = False
     recovery_events: List[dict] = field(default_factory=list)
+    #: α–β model seconds of the run and of the fault-free reference
+    #: (``None`` for a driver that charged no cost model)
+    simulated_seconds: Optional[float] = None
+    reference_seconds: Optional[float] = None
 
     @property
     def ok(self) -> bool:
-        """The acceptance verdict: correct, byte-exact, and elastic."""
+        """The acceptance verdict: failed loudly, or correct, byte-exact
+        and elastic."""
+        if self.error is not None:
+            return True
         return self.byte_identical and self.oracle_ok and self.resumed
 
     def to_dict(self) -> Dict[str, Any]:
@@ -85,7 +102,10 @@ class ChaosReport:
             "byte_identical": self.byte_identical,
             "oracle_ok": self.oracle_ok,
             "ok": self.ok,
+            "error": self.error,
             "wall_seconds": round(self.wall_seconds, 4),
+            "simulated_seconds": self.simulated_seconds,
+            "reference_seconds": self.reference_seconds,
             "injected": self.injected,
             "rank_lost_events": self.rank_lost_events,
             "anomaly_classes": self.anomaly_classes,
@@ -112,33 +132,49 @@ def _merge_surviving_rank_obs(fr) -> None:
         record_rank_events(fr, obs.flight_events)
 
 
+def preset_flags(preset: str, **flags: Any) -> Dict[str, Any]:
+    """The fault flags in *flags* that are set (not ``None``) and that
+    *preset*'s factory in :data:`~repro.faults.PRESETS` takes (none for
+    ``none``)."""
+    takes = inspect.signature(PRESETS[preset]).parameters if preset in PRESETS else {}
+    return {k: v for k, v in flags.items() if v is not None and k in takes}
+
+
 def chaos_run(
     g,
     driver: str = "spmd",
     ranks: int = 4,
     preset: str = "kill",
     seed: int = 0,
-    # default lands mid-iteration-2 for both drivers on the bench-corpus
-    # graphs — past the first checkpoint, so recovery resumes rather
-    # than restarts
-    after: int = 30,
-    backend: Optional[str] = None,
-    stall_seconds: float = 1.0,
+    after: Optional[int] = None,
+    phase: Optional[str] = None,
     rank: Optional[int] = None,
+    stall_seconds: Optional[float] = None,
+    backend: Optional[str] = None,
+    machine: str = "edison",
+    nodes: int = 4,
     checkpoint_interval: int = 1,
+    checkpoint_dir: Optional[str] = None,
     max_recoveries: int = 5,
     min_ranks: int = 1,
     record_path: Optional[str] = None,
-    flight: bool = True,
+    trace_path: Optional[str] = None,
 ) -> ChaosReport:
-    """Run *driver* on *g* under chaos and verify the recovery contract.
+    """Run *driver* on *g* under *preset* and verify the recovery contract.
 
-    Parameters mirror the ``repro chaos`` CLI: *preset*/*seed*/*after*
-    seed the fault schedule (see :func:`repro.faults.preset`), *rank*
-    picks the victim (below *ranks*; default: seeded), *backend* picks
-    ``sim``/``proc`` (default: whatever is active), and *record_path*
-    streams the flight record to a JSONL file for ``repro explain``.
+    Parameters mirror the ``repro chaos`` CLI: *preset*/*seed* and the
+    fault flags *after*/*phase*/*rank*/*stall_seconds* (each passed to
+    the preset only when set and only if the preset takes it — see
+    :func:`preset_flags` and :func:`repro.faults.preset`) seed the fault
+    schedule, *rank* picks the victim (below *ranks*; default:
+    seeded), *backend* picks ``sim``/``proc`` (default: whatever is
+    active), *machine*/*nodes* place a ``dist`` run, *checkpoint_dir*
+    makes checkpoints durable (default: in memory), *record_path* streams
+    the flight record to a JSONL file for ``repro explain``, and
+    *trace_path* writes a Chrome trace of the supervised run.
 
+    ``max_recoveries=0`` fails loudly: the supervisor neither recovers
+    nor degrades, and the report's ``error`` says why the run ended.
     The report's ``resumed`` and ``shrunk_to`` are the
     :class:`~repro.recovery.SupervisedResult` fields of the same names.
     """
@@ -146,49 +182,55 @@ def chaos_run(
     from repro.core.drivers import DRIVERS
     from repro.graphs.validate import same_partition
     from repro.mpisim import backend as backend_mod
+    from repro.obs import Tracer
+    from repro.obs.analytics import analyze
     from repro.obs.anomaly import default_detectors
     from repro.obs.flight import FlightRecorder
     from repro.obs.tracer import activate
-    from repro.recovery import Supervisor, SupervisorConfig
+    from repro.recovery import (
+        DiskCheckpointStore,
+        MemoryCheckpointStore,
+        RecoveryExhausted,
+        Supervisor,
+        SupervisorConfig,
+    )
 
     backend_name = backend if backend is not None else backend_mod.active()
-    entry = DRIVERS.get(driver)
-    if entry is None or entry.runs_at is None:
-        raise ValueError(f"chaos drives a driver with ranks, not {driver!r}")
+    entry = DRIVERS[driver]
     if rank is not None and rank >= ranks:
         raise ValueError(f"victim rank {rank} is not one of the {ranks} ranks")
-    pkw: Dict[str, Any] = {"after": after}
-    if preset == "stall":
-        pkw["stall_seconds"] = stall_seconds
-    if rank is not None and preset != "shrink":
-        pkw["rank"] = rank
-    plan = make_preset(preset, seed=seed, **pkw)
-    drv, (dargs, dkw) = entry.fn, entry.call(g, ranks=ranks)
+    flags = preset_flags(preset, after=after, phase=phase, rank=rank,
+                         stall_seconds=stall_seconds)
+    plan = None if preset == "none" else make_preset(preset, seed=seed, **flags)
+    drv, where = entry.fn, dict(ranks=ranks, machine=machine, nodes=nodes)
 
     # fault-free reference (simulator: byte-identical to proc by the
     # differential suite, and orders of magnitude cheaper)
+    dargs, dkw = entry.call(g, **where)
     with backend_mod.use("sim"):
         ref = drv(*dargs, **dkw)
+    dargs, dkw = entry.call(g, faults=plan, **where)
 
     sup = Supervisor(
+        store=DiskCheckpointStore(checkpoint_dir) if checkpoint_dir
+        else MemoryCheckpointStore(),
         config=SupervisorConfig(
             checkpoint_interval=checkpoint_interval,
             max_recoveries=max_recoveries,
+            allow_degraded=max_recoveries > 0,
             min_ranks=min_ranks,
-        )
+        ),
     )
-    fr = (
-        FlightRecorder(detectors=default_detectors(), path=record_path)
-        if flight
-        else None
-    )
+    fr = FlightRecorder(detectors=default_detectors(), path=record_path)
+    tracer = Tracer() if trace_path else None
 
     # proc runs under the flight recorder also trace inside every worker:
     # a SIGKILLed rank's eagerly-shipped flight events get salvaged into
     # this record by ProcComm (kind ``rank_event``, ``salvaged=True``),
     # which is what makes a chaos postmortem show the dead rank's last
     # moments and not just the conductor's view of the loss
-    rank_obs = backend_name == "proc" and fr is not None
+    rank_obs = backend_name == "proc" and entry.runs_at is not None
+    res = error = None
     t0 = perf_counter()
     try:
         with ExitStack() as stack:
@@ -196,41 +238,59 @@ def chaos_run(
                 from repro.parallel.obsband import enable_rank_obs
 
                 stack.enter_context(enable_rank_obs())
-            stack.enter_context(activate(flight=fr))
+            stack.enter_context(activate(tracer, flight=fr))
             stack.enter_context(backend_mod.use(backend_name))
-            res = sup.run(drv, *dargs, **dict(dkw, faults=plan))
+            try:
+                res = sup.run(drv, *dargs, **dkw)
+            except RecoveryExhausted as exc:
+                error = str(exc)
+                fr.record("run_end", error=error)
         wall = perf_counter() - t0
         if rank_obs:
             _merge_surviving_rank_obs(fr)
+        if res is not None and res.result.cost is not None:
+            # the per-step λ / delay attribution, for explain's correlation
+            fr.record("analytics", report=analyze(res.result).to_dict())
     finally:
-        if fr is not None:
-            fr.close()
+        fr.close()
+    if tracer is not None:
+        from repro.obs.export import chrome_trace, write_chrome_trace
 
-    anomaly_classes = sorted(
-        {ev.data.get("detector", "?") for ev in fr.anomalies()}
-    ) if fr is not None else []
-    rank_lost_events = len(fr.find("rank_lost")) if fr is not None else 0
+        write_chrome_trace(
+            chrome_trace(tracer, process_name=f"chaos {g.name} [{driver}]"),
+            trace_path,
+        )
 
+    outcome: Dict[str, Any] = {}
+    if res is not None:
+        outcome = dict(
+            components=res.n_components,
+            iterations=res.n_iterations,
+            attempts=res.attempts,
+            recoveries=res.n_recoveries,
+            degraded=res.degraded,
+            shrunk_to=res.shrunk_to,
+            resumed=res.resumed,
+            byte_identical=bool(np.array_equal(res.parents, ref.parents)),
+            oracle_ok=bool(same_partition(res.labels, uf_labels(g.n, g.u, g.v))),
+            recovery_events=[e.to_dict() for e in res.events],
+            simulated_seconds=None if res.cost is None else res.cost.total_seconds,
+        )
     return ChaosReport(
-        graph=getattr(g, "name", "?"),
+        graph=g.name,
         driver=driver,
         backend=backend_name,
         preset=preset,
         seed=seed,
         ranks=ranks,
-        components=res.n_components,
-        iterations=res.n_iterations,
-        attempts=res.attempts,
-        recoveries=res.n_recoveries,
-        degraded=res.degraded,
-        shrunk_to=res.shrunk_to,
-        resumed=res.resumed,
-        byte_identical=bool(np.array_equal(res.parents, ref.parents)),
-        oracle_ok=bool(same_partition(res.labels, uf_labels(g.n, g.u, g.v))),
         wall_seconds=wall,
-        chaos_log=plan.to_json(),
-        injected=plan.summary(),
-        rank_lost_events=rank_lost_events,
-        anomaly_classes=anomaly_classes,
-        recovery_events=[e.to_dict() for e in res.events],
+        chaos_log="[]" if plan is None else plan.to_json(),
+        injected={} if plan is None else plan.summary(),
+        rank_lost_events=len(fr.find("rank_lost")),
+        anomaly_classes=sorted(
+            {ev.data.get("detector", "?") for ev in fr.anomalies()}
+        ),
+        error=error,
+        reference_seconds=None if ref.cost is None else ref.cost.total_seconds,
+        **outcome,
     )

@@ -13,20 +13,14 @@ Commands
     tree: top table, flamegraph, Chrome ``trace_event`` JSON, JSON lines.
 ``corpus``
     List the Table III corpus analogues or dump one to a file.
-``faults``
-    Run LACC under deterministic fault injection (``repro.faults``):
-    literal SPMD execution through the retry-with-validation envelope,
-    verified against union–find, with an optional α–β-priced simulated
-    run whose trace shows the recovery time.
-``recover``
-    Run LACC under the :mod:`repro.recovery` checkpoint/restart
-    supervisor with an injected crash (or watchdog deadline), print the
-    recovery-event record, and verify the labels against union–find.
 ``chaos``
-    Inject *real* process faults — SIGKILL, SIGSTOP stragglers, corrupt
-    shared-memory frames — into a distributed run on the proc backend
-    (:mod:`repro.chaos`) and verify elastic recovery: byte-identical
-    labels, union–find oracle, resume-not-restart.
+    Run any LACC driver under the :mod:`repro.recovery` supervisor with
+    a fault preset of :mod:`repro.faults` — real SIGKILLs, SIGSTOP
+    stragglers and corrupt shared-memory frames on the proc backend, or
+    the simulator's typed errors, delays and crashes — and verify the
+    answer (:mod:`repro.chaos`): byte-identical labels, union–find
+    oracle, resume-not-restart.  ``--max-recoveries 0`` fails loudly
+    instead of recovering; ``--record`` writes the flight record.
 ``mcl``
     Markov-cluster a graph and print the clusters (HipMCL-lite).
 ``analyze``
@@ -34,10 +28,9 @@ Commands
     requests per rank for each LACC step, compute/comm/delay attribution
     per phase, straggler identification (:mod:`repro.obs.analytics`).
 ``explain``
-    Run LACC under the flight recorder (:mod:`repro.obs.flight`) with
-    streaming anomaly detection, or replay a recorded ``.jsonl`` flight
-    record, and print a human-readable diagnosis of what went wrong
-    (convergence stalls, stragglers, retry storms, checkpoint churn).
+    Replay a ``.jsonl`` flight record (:mod:`repro.obs.flight`, e.g. from
+    ``chaos --record``) and print a human-readable diagnosis of what went
+    wrong (convergence stalls, stragglers, retry storms, checkpoint churn).
 ``regress``
     Compare an end-to-end benchmark record (``benchmarks/e2e/run.py
     --out``) with the committed ``BENCH_e2e.json``: every deterministic
@@ -54,16 +47,15 @@ Examples
     python -m repro profile archaea --machine edison --nodes 16
     python -m repro corpus --list
     python -m repro corpus eukarya --out eukarya.mtx
-    python -m repro faults archaea --preset flaky --seed 7
-    python -m repro faults archaea --preset outage --machine edison --trace f.json
-    python -m repro recover archaea --driver spmd --seed 7 --after 40
-    python -m repro recover archaea --driver dist --machine edison --trace r.json
     python -m repro chaos archaea --preset kill --seed 3 --record chaos.jsonl
     python -m repro chaos archaea --driver 2d --preset shrink --json
+    python -m repro chaos archaea --driver spmd --preset crash --after 40
+    python -m repro chaos archaea --driver dist --preset stragglers --nodes 16
+    python -m repro chaos archaea --driver dist --preset none --record fr.jsonl
     python -m repro mcl similarities.mtx --inflation 2.0
     python -m repro analyze archaea --machine edison --nodes 16
-    python -m repro explain archaea --preset stragglers --seed 0 --html fr.html
-    python -m repro explain flight.jsonl --json
+    python -m repro explain fr.jsonl --html fr.html
+    python -m repro explain fr.jsonl --json
     python -m repro regress --current BENCH_current.json
 """
 
@@ -405,240 +397,19 @@ def _cmd_forest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.baselines.union_find import connected_components as uf_labels
-    from repro.core.lacc_spmd import lacc_spmd
-    from repro.faults import CollectiveError, preset
-    from repro.graphs.validate import same_partition
-
-    g = _load_graph(args.graph)
-    plan = preset(args.preset, seed=args.seed)
-    record = {
-        "graph": g.name,
-        "vertices": g.n,
-        "edges": g.nedges,
-        "preset": args.preset,
-        "seed": args.seed,
-        "ranks": args.ranks,
-    }
-
-    # literal SPMD execution through the retry-with-validation envelope
-    failed_loudly = False
-    try:
-        res = lacc_spmd(g, ranks=args.ranks, faults=plan)
-        correct = same_partition(res.labels, uf_labels(g.n, g.u, g.v))
-        record.update(
-            components=res.n_components,
-            iterations=res.n_iterations,
-            correct=bool(correct),
-            fault_seconds=res.fault_seconds,
-        )
-    except CollectiveError as e:
-        failed_loudly = True
-        correct = None
-        record["collective_error"] = str(e)
-    record["collective_calls"] = plan.n_calls
-    record["faults_injected"] = plan.n_injected
-    record["fault_kinds"] = plan.summary()
-
-    # optional α–β-priced simulated run (fresh plan, same seed)
-    if args.machine:
-        from repro.core.lacc_dist import lacc_dist
-        from repro.mpisim.machine import load_machine
-        from repro.obs import Tracer, activate, chrome_trace, write_chrome_trace
-
-        machine = load_machine(args.machine)
-        A = g.to_matrix()
-        clean = lacc_dist(A, machine, nodes=args.nodes)
-        plan2 = preset(args.preset, seed=args.seed)
-        tr = Tracer()
-        try:
-            with activate(tr):
-                faulted = lacc_dist(A, machine, nodes=args.nodes, faults=plan2)
-            record["model"] = {
-                "machine": machine.name,
-                "nodes": args.nodes,
-                "ranks": faulted.ranks,
-                "seconds_fault_free": clean.simulated_seconds,
-                "seconds_faulted": faulted.simulated_seconds,
-                "retry_spans": len(tr.find("retry", "fault")),
-                "faults_injected": plan2.n_injected,
-            }
-        except CollectiveError as e:
-            record["model"] = {
-                "machine": machine.name,
-                "nodes": args.nodes,
-                "seconds_fault_free": clean.simulated_seconds,
-                "collective_error": str(e),
-            }
-        if args.trace:
-            write_chrome_trace(
-                chrome_trace(tr, process_name=f"faulted {g.name} [{args.preset}]"),
-                args.trace,
-            )
-
-    if args.events:
-        record["events"] = plan.log()[: args.events]
-
-    if args.json:
-        print(json.dumps(record, indent=2))
-        return 0
-
-    print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges)")
-    print(f"fault plan: {args.preset!r} seed={args.seed} "
-          f"({plan.n_injected} faults over {plan.n_calls} collective calls)")
-    if plan.summary():
-        kinds = "  ".join(f"{k}={v}" for k, v in sorted(plan.summary().items()))
-        print(f"injected: {kinds}")
-    if failed_loudly:
-        print("SPMD run: raised CollectiveError (permanent fault — failing "
-              "loudly instead of mislabelling):")
-        print(f"  {record['collective_error']}")
-    else:
-        verdict = "MATCH" if record["correct"] else "MISMATCH (bug!)"
-        print(f"SPMD run ({args.ranks} ranks): {record['components']} components "
-              f"in {record['iterations']} iterations — labels vs union-find: "
-              f"{verdict}")
-        if record["fault_seconds"]:
-            print(f"simulated time lost to recovery: "
-                  f"{record['fault_seconds']*1e3:.3f} ms")
-    if "model" in record:
-        m = record["model"]
-        print(f"α–β model ({m['machine']}, {args.nodes} nodes):")
-        if "collective_error" in m:
-            print(f"  faulted run raised CollectiveError: {m['collective_error']}")
-        else:
-            slow = m["seconds_faulted"] / max(m["seconds_fault_free"], 1e-300)
-            print(f"  fault-free {m['seconds_fault_free']*1e3:.3f} ms → "
-                  f"faulted {m['seconds_faulted']*1e3:.3f} ms "
-                  f"({slow:.2f}x, {m['retry_spans']} retry spans)")
-        if args.trace:
-            print(f"  trace written to {args.trace} (retry spans under each "
-                  "collective)")
-    if args.events:
-        print(f"first {len(record['events'])} fault events:")
-        for e in record["events"]:
-            where = f"{e['collective']}#{e['call']}"
-            print(f"  [{e['index']:3d}] {where:>18s} attempt {e['attempt']} "
-                  f"{e['kind']:<9s} {e['detail']}")
-    if failed_loudly or (correct is not None and not correct):
-        return 0 if failed_loudly else 1
-    return 0
-
-
-def _cmd_recover(args: argparse.Namespace) -> int:
-    from repro.baselines.union_find import connected_components as uf_labels
-    from repro.core.drivers import DRIVERS
-    from repro.faults import preset
-    from repro.graphs.validate import same_partition
-    from repro.recovery import (
-        DiskCheckpointStore,
-        MemoryCheckpointStore,
-        Supervisor,
-        SupervisorConfig,
-    )
-
-    g = _load_graph(args.graph)
-    plan = None
-    if args.preset != "none":
-        pkw = {}
-        if args.preset in ("crash", "permanent") and args.after:
-            pkw["after"] = args.after
-        if args.preset == "crash" and args.phase:
-            pkw["phase"] = args.phase
-        plan = preset(args.preset, seed=args.seed, **pkw)
-
-    store = (
-        DiskCheckpointStore(args.checkpoint_dir)
-        if args.checkpoint_dir
-        else MemoryCheckpointStore()
-    )
-    sup = Supervisor(
-        store=store,
-        config=SupervisorConfig(
-            checkpoint_interval=args.interval,
-            max_recoveries=args.max_recoveries,
-            iteration_deadline=args.deadline,
-        ),
-    )
-
-    entry = DRIVERS[args.driver]
-    dargs, dkw = entry.call(g, ranks=args.ranks, machine=args.machine,
-                            nodes=args.nodes, faults=plan)
-
-    from repro.obs import Tracer, activate
-
-    tracer = Tracer() if args.trace else None
-    with activate(tracer):
-        res = sup.run(entry.fn, *dargs, **dkw)
-
-    correct = same_partition(res.labels, uf_labels(g.n, g.u, g.v))
-    record = {
-        "graph": g.name,
-        "vertices": g.n,
-        "edges": g.nedges,
-        "driver": args.driver,
-        "preset": args.preset if plan is not None else None,
-        "seed": args.seed,
-        "components": res.n_components,
-        "iterations": res.n_iterations,
-        "correct": bool(correct),
-        "attempts": res.attempts,
-        "recoveries": res.n_recoveries,
-        "degraded": res.degraded,
-        "checkpoints_written": res.checkpoints_written,
-        "events": [e.to_dict() for e in res.events],
-    }
-    if res.cost is not None:
-        record["simulated_seconds"] = res.cost.total_seconds
-        record["recovery_phase_seconds"] = {
-            k: v.seconds
-            for k, v in res.cost.phases.items()
-            if k in ("checkpoint", "recovery")
-        }
-
-    if args.trace:
-        from repro.obs import chrome_trace, write_chrome_trace
-
-        write_chrome_trace(
-            chrome_trace(tracer, process_name=f"recover {g.name} [{args.driver}]"),
-            args.trace,
-        )
-
-    if args.json:
-        print(json.dumps(record, indent=2))
-        return 0 if correct else 1
-
-    print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges)")
-    print(f"supervised {args.driver} run: {res.n_components} components in "
-          f"{res.n_iterations} iterations, {res.attempts} attempt(s), "
-          f"{res.checkpoints_written} checkpoint(s)")
-    verdict = "MATCH" if correct else "MISMATCH (bug!)"
-    print(f"labels vs union-find: {verdict}"
-          + ("   [degraded: serial replay]" if res.degraded else ""))
-    if res.events:
-        print("recovery events:")
-        for e in res.events:
-            where = "-" if e.iteration is None else f"iter {e.iteration}"
-            print(f"  [{e.simulated_seconds*1e3:9.4f} ms] {e.action:<12s} "
-                  f"{where:<8s} {e.detail}")
-    else:
-        print("recovery events: none (clean run)")
-    if "simulated_seconds" in record:
-        print(f"simulated time: {record['simulated_seconds']*1e3:.3f} ms "
-              f"(recovery phases: "
-              + ", ".join(f"{k}={v*1e3:.4f} ms"
-                          for k, v in record["recovery_phase_seconds"].items())
-              + ")")
-    if args.trace:
-        print(f"trace written to {args.trace} (recovery spans in the "
-              "'recovery' category)")
-    return 0 if correct else 1
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import chaos_run
+    from repro.chaos import chaos_run, preset_flags
+    from repro.core.drivers import DRIVERS
 
+    flags = dict(after=args.after, phase=args.phase, rank=args.rank,
+                 stall_seconds=args.stall_seconds)
+    stray = sorted(k for k, v in flags.items() if v is not None
+                   and k not in preset_flags(args.preset, **flags))
+    if stray:
+        print(f"repro chaos: preset {args.preset!r} takes no "
+              + ", ".join("--" + k.replace("_", "-") for k in stray),
+              file=sys.stderr)
+        return 2
     g = _load_graph(args.graph)
     report = chaos_run(
         g,
@@ -646,44 +417,56 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         ranks=args.ranks,
         preset=args.preset,
         seed=args.seed,
-        after=args.after,
         backend=args.backend,
-        stall_seconds=args.stall_seconds,
-        rank=args.rank,
+        machine=args.machine,
+        nodes=args.nodes,
         checkpoint_interval=args.interval,
+        checkpoint_dir=args.checkpoint_dir,
         max_recoveries=args.max_recoveries,
         record_path=args.record,
+        trace_path=args.trace,
+        **flags,
     )
 
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
         return 0 if report.ok else 1
 
+    where = f" × {args.ranks} ranks" if DRIVERS[args.driver].runs_at else ""
     print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges)")
-    print(f"chaos '{args.preset}' on {args.driver} × {args.ranks} ranks "
+    print(f"chaos '{args.preset}' on {args.driver}{where} "
           f"[{report.backend} backend], seed {args.seed}: "
-          f"{report.components} components in {report.iterations} "
-          f"iterations, {report.attempts} attempt(s), "
-          f"{report.recoveries} recover{'y' if report.recoveries == 1 else 'ies'}"
-          + (f", shrunk to {report.shrunk_to} ranks"
-             if report.shrunk_to is not None else ""))
+          + (f"failed loudly: {report.error}"
+             if report.error else
+             f"{report.components} components in {report.iterations} "
+             f"iterations, {report.attempts} attempt(s), "
+             f"{report.recoveries} "
+             f"recover{'y' if report.recoveries == 1 else 'ies'}"
+             + (f", shrunk to {report.shrunk_to} ranks"
+                if report.shrunk_to is not None else "")))
     print(f"injected: {report.injected or 'nothing (schedule never fired)'}")
-    for line in (
-        ("byte-identical to fault-free run", report.byte_identical),
-        ("labels match union-find oracle", report.oracle_ok),
-        ("resumed (no restart from scratch)", report.resumed),
-    ):
-        print(f"  {'PASS' if line[1] else 'FAIL'}  {line[0]}")
+    if not report.error:
+        for line in (
+            ("byte-identical to fault-free run", report.byte_identical),
+            ("labels match union-find oracle", report.oracle_ok),
+            ("resumed (no restart from scratch)", report.resumed),
+        ):
+            print(f"  {'PASS' if line[1] else 'FAIL'}  {line[0]}")
     if report.recovery_events:
         print("recovery events:")
         for e in report.recovery_events:
             where = "-" if e["iteration"] is None else f"iter {e['iteration']}"
             print(f"  {e['action']:<12s} {where:<8s} {e['detail']}")
+    if report.simulated_seconds is not None:
+        print(f"simulated time: {report.simulated_seconds * 1e3:.3f} ms "
+              f"(fault-free {report.reference_seconds * 1e3:.3f} ms)")
     if report.anomaly_classes:
         print(f"anomalies detected: {', '.join(report.anomaly_classes)}")
     if args.record:
         print(f"flight record written to {args.record} "
               f"(diagnose with: python -m repro explain {args.record})")
+    if args.trace:
+        print(f"trace written to {args.trace}")
     print(f"wall time: {report.wall_seconds:.2f}s")
     return 0 if report.ok else 1
 
@@ -743,33 +526,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.obs.explain import diagnose, explain_lacc_dist
+    from repro.obs.explain import diagnose
     from repro.obs.flight import read_flight_jsonl
     from repro.obs.render import write_html_timeline
 
-    if args.target.endswith(".jsonl"):
-        # replay mode: diagnose an existing flight record
-        try:
-            events = read_flight_jsonl(args.target)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read flight record: {exc}", file=sys.stderr)
-            return 2
-        diag = diagnose(events)
-    else:
-        from repro.mpisim.machine import load_machine
-
-        g = _load_graph(args.target)
-        machine = load_machine(args.machine)
-        diag, fr = explain_lacc_dist(
-            g.to_matrix(),
-            machine,
-            nodes=args.nodes,
-            preset=None if args.preset in (None, "none") else args.preset,
-            seed=args.seed,
-            graph_name=g.name,
-            record_path=args.record,
-        )
-        events = fr.events
+    try:
+        events = read_flight_jsonl(args.record)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read flight record: {exc}", file=sys.stderr)
+        return 2
+    diag = diagnose(events)
 
     if args.report:
         with open(args.report, "w") as fh:
@@ -781,8 +547,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print(json.dumps(diag.to_dict(), indent=2))
     else:
         print(diag.render())
-        for path, what in ((args.record, "flight record"),
-                           (args.report, "JSON report"),
+        for path, what in ((args.report, "JSON report"),
                            (args.html, "HTML timeline")):
             if path:
                 print(f"{what} written to {path}")
@@ -948,105 +713,52 @@ def build_parser() -> argparse.ArgumentParser:
     forest.add_argument("--out", help="write forest edges to this file")
     forest.set_defaults(fn=_cmd_forest)
 
-    fl = sub.add_parser(
-        "faults",
-        help="run LACC under deterministic fault injection and verify "
-        "the fail-loud-or-answer-right contract",
-    )
-    fl.add_argument("graph", help=".mtx / edge-list file or corpus name")
-    from repro.faults.plan import PRESETS, PROC_PRESETS
-
-    _FAULT_PRESETS = sorted(set(PRESETS) - set(PROC_PRESETS))
-    fl.add_argument("--preset", default="flaky", choices=_FAULT_PRESETS,
-                    help="named fault scenario (default: flaky)")
-    fl.add_argument("--seed", type=int, default=0,
-                    help="fault plan seed (same seed → identical faults)")
-    fl.add_argument("--ranks", type=int, default=4,
-                    help="SPMD ranks for the literal execution")
-    fl.add_argument("--machine", default=None,
-                    help="also price the faulted run on this machine preset "
-                         "/ JSON file with the α–β model")
-    fl.add_argument("--nodes", type=int, default=4,
-                    help="node count for --machine runs")
-    fl.add_argument("--trace", metavar="FILE",
-                    help="write a Chrome trace of the faulted --machine run")
-    fl.add_argument("--events", type=int, default=0, metavar="N",
-                    help="print the first N fault events from the log")
-    fl.add_argument("--json", action="store_true",
-                    help="machine-readable JSON output on stdout")
-    fl.set_defaults(fn=_cmd_faults)
-
-    rec = sub.add_parser(
-        "recover",
-        help="run LACC under the checkpoint/restart supervisor with an "
-        "injected crash and verify exact recovery",
-    )
-    rec.add_argument("graph", help=".mtx / edge-list file or corpus name")
-    rec.add_argument("--driver", default="spmd", choices=list(DRIVERS),
-                     help="which LACC driver to supervise (default: spmd)")
-    rec.add_argument("--preset", default="crash",
-                     choices=["crash", "permanent", "none"],
-                     help="fault scenario; 'none' demonstrates zero-fault "
-                          "checkpointing only")
-    rec.add_argument("--seed", type=int, default=0, help="fault plan seed")
-    rec.add_argument("--after", type=int, default=0, metavar="N",
-                     help="crash on the N-th matching collective call")
-    rec.add_argument("--phase", default=None,
-                     help="restrict the crash to one algorithm phase "
-                          "(cond_hook/starcheck/uncond_hook/shortcut)")
-    rec.add_argument("--ranks", type=int, default=4,
-                     help="ranks for spmd / 2d")
-    rec.add_argument("--machine", default="edison",
-                     help="machine preset for --driver dist")
-    rec.add_argument("--nodes", type=int, default=4,
-                     help="node count for --driver dist")
-    rec.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                     help="durable on-disk checkpoints (default: in-memory)")
-    rec.add_argument("--interval", type=int, default=1,
-                     help="checkpoint every K iterations")
-    rec.add_argument("--max-recoveries", type=int, default=3,
-                     help="bounded recovery budget before degrading")
-    rec.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                     help="watchdog: max simulated seconds per iteration")
-    rec.add_argument("--trace", metavar="FILE",
-                     help="write a Chrome trace with recovery spans")
-    rec.add_argument("--json", action="store_true",
-                     help="machine-readable JSON output on stdout")
-    rec.set_defaults(fn=_cmd_recover)
+    from repro.faults import PRESETS
 
     ch = sub.add_parser(
         "chaos",
-        help="inject real process faults (SIGKILL / SIGSTOP stragglers / "
-             "corrupt shm frames) into a distributed run and verify "
-             "elastic recovery",
+        help="run a LACC driver under a fault preset (real signals on the "
+             "proc backend) and verify the answer: byte-identical labels, "
+             "union-find oracle, resume-not-restart",
     )
     ch.add_argument("graph", help=".mtx / edge-list file or corpus name")
-    ch.add_argument("--driver", default="spmd",
-                    choices=[n for n, d in DRIVERS.items() if d.runs_at],
-                    help="which distributed driver to attack (default: spmd)")
+    ch.add_argument("--driver", default="spmd", choices=list(DRIVERS),
+                    help="which LACC driver to run (default: spmd)")
     ch.add_argument("--backend", default=os.environ.get("REPRO_BACKEND", "proc"),
                     choices=["proc", "sim"],
                     help="proc delivers real signals; sim models the same "
                          "classified errors (default: $REPRO_BACKEND or proc)")
     ch.add_argument("--preset", default="kill",
-                    choices=PROC_PRESETS,
-                    help="chaos scenario (default: kill)")
-    ch.add_argument("--seed", type=int, default=0, help="chaos plan seed")
-    ch.add_argument("--after", type=int, default=30, metavar="N",
-                    help="fire at the N-th collective call (default: 30, "
-                         "mid-iteration-2 on the corpus graphs)")
+                    choices=sorted(PRESETS) + ["none"],
+                    help="fault scenario (default: kill)")
+    ch.add_argument("--seed", type=int, default=0, help="fault plan seed")
+    ch.add_argument("--after", type=int, default=None, metavar="N",
+                    help="fire at the N-th collective call (default: the "
+                         "preset's)")
+    ch.add_argument("--phase", default=None,
+                    help="crash: restrict to one algorithm phase "
+                         "(cond_hook/starcheck/uncond_hook/shortcut)")
     ch.add_argument("--rank", type=int, default=None,
                     help="victim rank (default: seeded deterministic pick)")
-    ch.add_argument("--stall-seconds", type=float, default=1.0,
+    ch.add_argument("--stall-seconds", type=float, default=None,
                     help="SIGSTOP duration for the stall preset")
     ch.add_argument("--ranks", type=int, default=4,
                     help="ranks for spmd / 2d (a perfect square)")
+    ch.add_argument("--machine", default="edison",
+                    help="machine preset or JSON file for --driver dist")
+    ch.add_argument("--nodes", type=int, default=4,
+                    help="node count for --driver dist")
     ch.add_argument("--interval", type=int, default=1,
-                    help="checkpoint every K iterations")
+                    help="checkpoint every K iterations (0: never)")
+    ch.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                    help="durable on-disk checkpoints (default: in-memory)")
     ch.add_argument("--max-recoveries", type=int, default=5,
-                    help="bounded recovery budget before degrading")
+                    help="bounded recovery budget before degrading; 0 "
+                         "fails loudly instead")
     ch.add_argument("--record", metavar="FILE",
                     help="write the flight record as JSONL (for repro explain)")
+    ch.add_argument("--trace", metavar="FILE",
+                    help="write a Chrome trace of the supervised run")
     ch.add_argument("--json", action="store_true",
                     help="machine-readable JSON report on stdout")
     ch.set_defaults(fn=_cmd_chaos)
@@ -1079,21 +791,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser(
         "explain",
-        help="run (or replay) LACC under the flight recorder and diagnose "
+        help="replay a flight record (repro chaos --record) and diagnose "
              "anomalies (stalls, stragglers, retry storms)",
     )
-    ex.add_argument("target",
-                    help=".mtx / edge-list file, corpus name, or a .jsonl "
-                         "flight record to replay")
-    ex.add_argument("--machine", default="edison",
-                    help="preset (edison/cori/laptop) or a machine JSON file")
-    ex.add_argument("--nodes", type=int, default=16)
-    ex.add_argument("--preset", default=None,
-                    choices=_FAULT_PRESETS + ["none"],
-                    help="fault scenario to inject (default: none)")
-    ex.add_argument("--seed", type=int, default=0, help="fault plan seed")
-    ex.add_argument("--record", metavar="FILE",
-                    help="write the flight record as JSONL")
+    ex.add_argument("record", help=".jsonl flight record to replay")
     ex.add_argument("--report", metavar="FILE",
                     help="write the machine-readable diagnosis as JSON")
     ex.add_argument("--html", metavar="FILE",

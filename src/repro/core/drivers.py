@@ -23,7 +23,11 @@ def _matrix(g, ranks, machine, nodes, faults):
 def _priced(g, ranks, machine, nodes, faults):
     from repro.mpisim.machine import load_machine
 
-    return (g.to_matrix(), load_machine(machine)), {"nodes": nodes, "faults": faults}
+    # traced traffic gives the run's analytics an exact compute/comm split
+    return (g.to_matrix(), load_machine(machine)), {
+        "nodes": nodes, "faults": faults, "trace_comm": True,
+        "run_name": g.name,
+    }
 
 
 def _ranked(g, ranks, machine, nodes, faults):

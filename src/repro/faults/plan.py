@@ -485,7 +485,10 @@ def _crash(
     )
 
 
-def _kill(seed: int = 0, after: int = 10, rank: Optional[int] = None) -> FaultPlan:
+# the process presets fire at the 30th collective by default: mid-iteration
+# 2 on the corpus graphs, past the first checkpoint, so recovery resumes
+# rather than restarts
+def _kill(seed: int = 0, after: int = 30, rank: Optional[int] = None) -> FaultPlan:
     """SIGKILL one worker at the *after*-th collective: the canonical
     rank loss (``rank_lost``; the supervisor respawns and resumes)."""
     return FaultPlan([_once("kill", after, rank=rank)], seed=seed, name="kill")
@@ -493,7 +496,7 @@ def _kill(seed: int = 0, after: int = 10, rank: Optional[int] = None) -> FaultPl
 
 def _stall(
     seed: int = 0,
-    after: int = 10,
+    after: int = 30,
     rank: Optional[int] = None,
     stall_seconds: float = 1.0,
 ) -> FaultPlan:
@@ -507,20 +510,20 @@ def _stall(
     )
 
 
-def _exit(seed: int = 0, after: int = 10, rank: Optional[int] = None) -> FaultPlan:
+def _exit(seed: int = 0, after: int = 30, rank: Optional[int] = None) -> FaultPlan:
     """SIGTERM one worker: the same ``rank_lost`` as ``kill``, but the
     worker gets to run its teardown."""
     return FaultPlan([_once("exit", after, rank=rank)], seed=seed, name="exit")
 
 
-def _frame(seed: int = 0, after: int = 10, rank: Optional[int] = None) -> FaultPlan:
+def _frame(seed: int = 0, after: int = 30, rank: Optional[int] = None) -> FaultPlan:
     """Write a corrupt frame header into the victim's ring to the
     conductor: the drainer sees the bad magic and the pool fails typed
     (``worker_died``), exercising the respawn path."""
     return FaultPlan([_once("frame", after, rank=rank)], seed=seed, name="frame")
 
 
-def _shrink(seed: int = 0, after: int = 10, gap: int = 12) -> FaultPlan:
+def _shrink(seed: int = 0, after: int = 30, gap: int = 12) -> FaultPlan:
     """Two kills *gap* collectives apart: the repeated rank loss that
     escalates the supervisor past respawn into shrink-to-survivors."""
     return FaultPlan(

@@ -32,8 +32,8 @@ LACC drivers all hook into:
   checkpoint churn) emitting :class:`Anomaly` verdicts with evidence
   pointers (loaded on first use).
 * :mod:`repro.obs.explain` — the run-diagnosis engine behind
-  ``python -m repro explain`` (imported explicitly; it pulls in
-  :mod:`repro.core`).
+  ``python -m repro explain``: it replays a flight record, such as the
+  one ``python -m repro chaos --record`` writes (imported explicitly).
 
 Typical use::
 

@@ -1,11 +1,12 @@
 """Run diagnosis: turn a flight record into a verdict.
 
-``python -m repro explain`` is the front end.  The engine replays a
-flight record (in memory, or a JSONL file written by
-:class:`~repro.obs.flight.FlightRecorder`), collects the detector
+``python -m repro explain`` is the front end; it only replays.  The
+engine replays a flight record (in memory, or a JSONL file written by
+:class:`~repro.obs.flight.FlightRecorder` — ``repro chaos --record``
+writes one for any driver under any fault preset), collects the detector
 verdicts embedded in it, correlates each one with the per-step λ /
-compute-comm attribution of :mod:`repro.obs.analytics` when the run's
-result is available, and renders:
+compute-comm attribution of :mod:`repro.obs.analytics` when the record
+carries the run's ``analytics`` row, and renders:
 
 * a human-readable verdict — "iterations 7–11 stalled: starcheck
   dominated by rank 3 straggler; 14 alltoallv retries under preset
@@ -14,21 +15,16 @@ result is available, and renders:
   to assert on (`--expect retry_storm,straggler` / `--expect-clean`);
 * optionally a self-contained HTML timeline
   (:func:`repro.obs.render.html_timeline`).
-
-:func:`explain_lacc_dist` is the run harness behind the CLI's run mode:
-it executes the distributed driver under a fresh recorder with the
-default detector set, fault preset and all, and hands back the
-diagnosis plus the raw record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .flight import SCHEMA_VERSION, FlightEvent
 
-__all__ = ["RunDiagnosis", "diagnose", "explain_lacc_dist"]
+__all__ = ["RunDiagnosis", "diagnose"]
 
 _SEVERITY_ORDER = {"critical": 0, "warning": 1, "info": 2}
 
@@ -231,25 +227,17 @@ def _correlate(anomaly: Dict[str, Any], analytics: Dict[str, Any]) -> None:
             }
 
 
-def diagnose(
-    events: List[FlightEvent],
-    analytics: Optional[Any] = None,
-) -> RunDiagnosis:
+def diagnose(events: List[FlightEvent]) -> RunDiagnosis:
     """Replay a flight record into a :class:`RunDiagnosis`.
 
-    Parameters
-    ----------
-    events:
-        The record, e.g. ``recorder.events`` or
-        :func:`~repro.obs.flight.read_flight_jsonl` output.  Must contain
-        the ``run_meta`` header; drivers add ``run_start`` /
-        ``iteration`` / ``run_end`` and the detectors' ``anomaly``
-        events.
-    analytics:
-        Optional :class:`~repro.obs.analytics.AnalyticsReport` (or its
-        ``to_dict()``) of the same run; anomalies then carry a
-        ``correlation`` block tying them to the per-step λ / comm
-        attribution.
+    *events* is the record, e.g. ``recorder.events`` or
+    :func:`~repro.obs.flight.read_flight_jsonl` output.  It must contain
+    the ``run_meta`` header; drivers add ``run_start`` / ``iteration`` /
+    ``run_end`` and the detectors' ``anomaly`` events.  When it carries
+    an ``analytics`` row (the run's
+    :meth:`~repro.obs.analytics.AnalyticsReport.to_dict`), anomalies get
+    a ``correlation`` block tying them to the per-step λ / comm
+    attribution.
     """
     if not events:
         raise ValueError("empty flight record: nothing to diagnose")
@@ -258,10 +246,9 @@ def diagnose(
     # evicted events before this replay (a JSONL sink keeps everything,
     # so file replays normally show zero)
     d.n_dropped = max(0, max(ev.seq for ev in events) + 1 - len(events))
-    adict: Optional[Dict[str, Any]] = None
-    if analytics is not None:
-        adict = analytics if isinstance(analytics, dict) else analytics.to_dict()
-        d.analytics = adict
+    d.analytics = next(
+        (ev.data["report"] for ev in events if ev.kind == "analytics"), None
+    )
 
     saw_end = False
     for ev in events:
@@ -290,8 +277,8 @@ def diagnose(
             # rank/step live on the event's coordinates, not in its data
             a.setdefault("rank", ev.rank)
             a.setdefault("step", ev.step)
-            if adict is not None:
-                _correlate(a, adict)
+            if d.analytics is not None:
+                _correlate(a, d.analytics)
             d.anomalies.append(a)
     if not saw_end and d.error is None:
         # a record that never reached run_end is itself suspicious, but
@@ -315,66 +302,3 @@ def diagnose(
             }
         )
     return d
-
-
-def explain_lacc_dist(
-    A,
-    machine,
-    nodes: int = 4,
-    preset: Optional[str] = None,
-    seed: int = 0,
-    graph_name: Optional[str] = None,
-    record_path: Optional[str] = None,
-    detectors: Optional[List[Any]] = None,
-    capacity: int = 65536,
-) -> Tuple[RunDiagnosis, Any]:
-    """Run ``lacc_dist`` under a fresh flight recorder and diagnose it.
-
-    The harness behind ``python -m repro explain`` (run mode) and the CI
-    anomaly-detection job: activates a :class:`FlightRecorder` with the
-    default detector set (or *detectors*), applies the named fault
-    *preset* (``None`` = clean run), traces communication so the
-    analytics correlation has an exact compute/comm/delay split, and
-    survives a permanent :class:`~repro.faults.CollectiveError` — the
-    failure becomes part of the diagnosis rather than a traceback.
-
-    Returns ``(diagnosis, recorder)``; the recorder is finished (all
-    detector verdicts flushed) and, when *record_path* is given, its
-    JSONL sink is closed and complete.
-    """
-    from repro.core.lacc_dist import lacc_dist
-    from repro.faults import CollectiveError, preset as make_preset
-    from repro.obs.analytics import analyze
-
-    from .anomaly import default_detectors
-    from .flight import FlightRecorder
-    from .tracer import activate
-
-    plan = make_preset(preset, seed=seed) if preset else None
-    fr = FlightRecorder(
-        path=record_path,
-        capacity=capacity,
-        detectors=detectors if detectors is not None else default_detectors(),
-    )
-    result = None
-    error: Optional[str] = None
-    try:
-        with activate(flight=fr):
-            result = lacc_dist(
-                A,
-                machine,
-                nodes=nodes,
-                faults=plan,
-                trace_comm=True,
-                run_name=graph_name,
-            )
-    except CollectiveError as e:
-        error = str(e)
-        fr.record("run_end", error=error)
-    fr.finish()
-
-    analytics = analyze(result) if result is not None else None
-    diagnosis = diagnose(fr.events, analytics=analytics)
-    if record_path:
-        fr.close()
-    return diagnosis, fr

@@ -37,7 +37,9 @@ Event kinds written by the instrumented layers
 ``checkpoint``        supervisor sealed a checkpoint
 ``recovery``          supervisor action: fault/watchdog/repair/rollback/shrink/degrade
 ``anomaly``           a detector verdict (see :mod:`repro.obs.anomaly`)
-``run_end``           driver exit: iterations, components
+``run_end``           driver exit: iterations, components (or the error)
+``analytics``         the run's per-step λ / delay attribution
+                      (:mod:`repro.obs.analytics`), written by ``repro chaos``
 
 Design constraints (shared with the tracer)
 -------------------------------------------

@@ -1,24 +1,30 @@
 """The ``repro explain`` engine end to end: diagnosis of synthetic
 records, and the acceptance scenarios — a clean simulated run diagnoses
 healthy, a stragglers-preset run names the straggler rank and the retry
-storm with correct iteration ranges."""
+storm with correct iteration ranges.  The runs are ``chaos_run`` flight
+records, diagnosed by replay."""
 
 import pytest
 
+from repro.chaos import chaos_run
 from repro.graphs import corpus
-from repro.mpisim.machine import load_machine
-from repro.obs.explain import RunDiagnosis, diagnose, explain_lacc_dist
+from repro.obs.explain import RunDiagnosis, diagnose
 from repro.obs.flight import FlightRecorder, read_flight_jsonl
 
 
 @pytest.fixture(scope="module")
 def archaea():
-    return corpus.load("archaea").to_matrix()
+    return corpus.load("archaea")
 
 
-@pytest.fixture(scope="module")
-def edison():
-    return load_machine("edison")
+def _replay(g, tmp_path, name="run", **kw):
+    """``(report, events, diagnosis)`` of a recorded ``dist`` chaos run
+    (Edison, 16 nodes unless *kw* says otherwise, no checkpoints)."""
+    path = str(tmp_path / f"{name}.jsonl")
+    kw = {"nodes": 16, "preset": "none", "checkpoint_interval": 0, **kw}
+    report = chaos_run(g, driver="dist", backend="sim", record_path=path, **kw)
+    events = read_flight_jsonl(path)
+    return report, events, diagnose(events)
 
 
 # -- diagnose() on synthetic records --------------------------------------
@@ -104,20 +110,18 @@ def test_to_dict_is_json_ready():
 
 # -- the acceptance scenarios ---------------------------------------------
 
-def test_clean_run_diagnoses_healthy(archaea, edison):
-    diag, fr = explain_lacc_dist(archaea, edison, nodes=16)
+def test_clean_run_diagnoses_healthy(archaea, tmp_path):
+    _, _, diag = _replay(archaea, tmp_path)
     assert diag.completed
     assert diag.anomalies == [], [a["message"] for a in diag.anomalies]
     assert diag.healthy
     assert diag.n_components == 3001
     assert diag.analytics is not None  # correlation source was available
-    assert fr.dropped == 0
+    assert diag.n_dropped == 0
 
 
-def test_stragglers_preset_names_rank_and_retry_storm(archaea, edison):
-    diag, fr = explain_lacc_dist(
-        archaea, edison, nodes=16, preset="stragglers", seed=0
-    )
+def test_stragglers_preset_names_rank_and_retry_storm(archaea, tmp_path):
+    _, events, diag = _replay(archaea, tmp_path, preset="stragglers", seed=0)
     assert diag.completed and not diag.healthy
     classes = set(diag.anomaly_classes())
     assert {"straggler", "retry_storm"} <= classes
@@ -139,7 +143,7 @@ def test_stragglers_preset_names_rank_and_retry_storm(archaea, edison):
     assert "retry storm" in storm["message"]
 
     # evidence pointers resolve to fault events in the record
-    by_seq = {e.seq: e for e in fr.events}
+    by_seq = {e.seq: e for e in events}
     for seq in straggler["evidence"]:
         assert by_seq[seq].kind == "fault"
         assert by_seq[seq].rank == straggler["rank"]
@@ -149,40 +153,54 @@ def test_stragglers_preset_names_rank_and_retry_storm(archaea, edison):
     assert storm["correlation"]["delay_seconds"] > 0
 
 
-def test_stragglers_diagnosis_is_deterministic(archaea, edison):
-    d1, _ = explain_lacc_dist(archaea, edison, nodes=16,
-                              preset="stragglers", seed=0)
-    d2, _ = explain_lacc_dist(archaea, edison, nodes=16,
-                              preset="stragglers", seed=0)
+def test_stragglers_diagnosis_is_deterministic(archaea, tmp_path):
+    _, _, d1 = _replay(archaea, tmp_path, "a", preset="stragglers", seed=0)
+    _, _, d2 = _replay(archaea, tmp_path, "b", preset="stragglers", seed=0)
     a1 = [dict(a, seq=None) for a in d1.anomalies]
     a2 = [dict(a, seq=None) for a in d2.anomalies]
     assert [a["message"] for a in a1] == [a["message"] for a in a2]
     assert [a["evidence"] for a in a1] == [a["evidence"] for a in a2]
 
 
-def test_permanent_failure_becomes_diagnosis_not_traceback(archaea, edison):
-    diag, fr = explain_lacc_dist(
-        archaea, edison, nodes=4, preset="permanent", seed=0
-    )
+def test_permanent_failure_becomes_diagnosis_not_traceback(archaea, tmp_path):
+    report, events, diag = _replay(archaea, tmp_path, nodes=4,
+                                   preset="permanent", seed=0,
+                                   max_recoveries=0)
+    assert report.error and report.ok  # failed loudly
     assert not diag.completed
     assert diag.error
     assert not diag.healthy
     # the record carries the collective_error evidence
-    assert any(e.kind == "collective_error" for e in fr.events)
+    assert any(e.kind == "collective_error" for e in events)
 
 
-def test_record_path_round_trips_through_replay(tmp_path, archaea, edison):
-    path = str(tmp_path / "run.jsonl")
-    diag, fr = explain_lacc_dist(
-        archaea, edison, nodes=16, preset="stragglers", seed=0,
-        record_path=path,
-    )
-    replayed = diagnose(read_flight_jsonl(path))
-    assert replayed.run_id == diag.run_id
-    assert replayed.anomaly_classes() == diag.anomaly_classes()
-    assert [a["message"] for a in replayed.anomalies] == [
-        a["message"] for a in diag.anomalies
-    ]
+def test_record_path_round_trips_through_replay(archaea, tmp_path):
+    report, _, replayed = _replay(archaea, tmp_path, preset="stragglers",
+                                  seed=0)
+    assert sorted(replayed.anomaly_classes()) == report.anomaly_classes
+    assert replayed.n_components == report.components
+    assert replayed.n_iterations == report.iterations
+
+
+#: the correlation of the live run's analytics (archaea, Edison, 16
+#: nodes, ``stragglers`` seed 0, no checkpoints): a replay of its record
+#: must carry exactly this
+STRAGGLERS_CORRELATION = {
+    "delay_seconds": 0.0023086936719101123,
+    "note": "fault delays/retries cost 2.309 ms of model time (54.0% of "
+            "the run), concentrated in 'starcheck'",
+}
+
+
+def test_replay_carries_the_run_correlation(archaea, tmp_path):
+    _, _, diag = _replay(archaea, tmp_path, preset="stragglers", seed=0)
+    got = {
+        a["detector"]: {k: a["correlation"][k] for k in STRAGGLERS_CORRELATION}
+        for a in diag.anomalies
+    }
+    assert got == {"retry_storm": STRAGGLERS_CORRELATION,
+                   "straggler": STRAGGLERS_CORRELATION}
+    assert "↳ fault delays/retries cost 2.309 ms" in diag.render()
 
 
 def test_ring_evicted_events_raise_record_truncated():

@@ -232,58 +232,77 @@ class TestMCL:
 
 
 class TestFaults:
+    """``repro chaos`` under the collective-fault presets: fail loudly or
+    answer right."""
+
     def test_transient_preset_matches(self, mtx, capsys):
-        assert main(["faults", mtx, "--preset", "flaky", "--seed", "1"]) == 0
+        assert main(["chaos", mtx, "--preset", "flaky", "--seed", "1",
+                     "--backend", "sim"]) == 0
         out = capsys.readouterr().out
-        assert "fault plan: 'flaky'" in out
-        assert "MATCH" in out
+        assert "chaos 'flaky' on spmd" in out
+        assert "PASS  labels match union-find oracle" in out
 
     def test_permanent_preset_fails_loudly(self, mtx, capsys):
         # failing loudly is the documented contract — exit code stays 0
-        assert main(["faults", mtx, "--preset", "permanent", "--seed", "0"]) == 0
+        assert main(["chaos", mtx, "--preset", "permanent", "--seed", "0",
+                     "--max-recoveries", "0", "--backend", "sim"]) == 0
         out = capsys.readouterr().out
-        assert "CollectiveError" in out or "failing\nloudly" in out or "loudly" in out
+        assert "failed loudly" in out and "CollectiveError" in out
 
     def test_json_record(self, mtx, capsys):
-        assert main(
-            ["faults", mtx, "--preset", "outage", "--seed", "2", "--json"]
-        ) == 0
+        assert main(["chaos", mtx, "--preset", "outage", "--seed", "2",
+                     "--backend", "sim", "--json"]) == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["preset"] == "outage"
-        assert rec["collective_calls"] > 0
-        assert "correct" in rec or "collective_error" in rec
+        assert rec["injected"]["fail"] > 0
+        assert rec["ok"] and rec["oracle_ok"] and rec["error"] is None
 
-    def test_events_listing(self, mtx, capsys):
-        assert main(
-            ["faults", mtx, "--preset", "flaky", "--seed", "0", "--events", "3",
-             "--json"]
-        ) == 0
+    def test_events_listing(self, mtx, tmp_path, capsys):
+        # the flight record holds one fault row per injected fault
+        path = tmp_path / "flaky.jsonl"
+        assert main(["chaos", mtx, "--preset", "flaky", "--seed", "0",
+                     "--backend", "sim", "--record", str(path), "--json"]) == 0
         rec = json.loads(capsys.readouterr().out)
-        assert len(rec["events"]) <= 3
-        for row in rec["events"]:
-            assert {"call", "collective", "kind", "attempt"} <= set(row)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        faults = [r["data"] for r in rows if r["kind"] == "fault"]
+        assert len(faults) == sum(rec["injected"].values()) > 0
+        for row in faults:
+            assert {"collective", "fault_kind", "attempt"} <= set(row)
 
     def test_machine_mode_reports_priced_retries(self, mtx, tmp_path, capsys):
         trace = tmp_path / "faults.json"
         assert main(
-            ["faults", mtx, "--preset", "outage", "--seed", "0",
-             "--machine", "laptop", "--nodes", "1", "--trace", str(trace),
-             "--json"]
+            ["chaos", mtx, "--driver", "dist", "--preset", "outage",
+             "--seed", "0", "--machine", "laptop", "--nodes", "1",
+             "--trace", str(trace), "--json"]
         ) == 0
         rec = json.loads(capsys.readouterr().out)
-        assert rec["model"]["seconds_faulted"] > rec["model"]["seconds_fault_free"]
-        assert rec["model"]["retry_spans"] > 0
+        assert rec["simulated_seconds"] > rec["reference_seconds"]
         events = json.loads(trace.read_text())["traceEvents"]
         assert any(e.get("name") == "retry" for e in events)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["faults", "g.mtx", "--preset", "gremlins"])
+            build_parser().parse_args(["chaos", "g.mtx", "--preset", "gremlins"])
+
+    def test_flag_the_preset_does_not_take_exits_2(self, mtx, capsys):
+        assert main(["chaos", mtx, "--preset", "flaky", "--after", "3",
+                     "--backend", "sim"]) == 2
+        assert "takes no --after" in capsys.readouterr().err
+
+    def test_json_mismatch_exits_1(self, mtx, capsys, monkeypatch):
+        import repro.graphs.validate as validate
+
+        monkeypatch.setattr(validate, "same_partition", lambda a, b: False)
+        assert main(["chaos", mtx, "--driver", "spmd", "--preset", "flaky",
+                     "--backend", "sim", "--json"]) == 1
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["oracle_ok"] is False and rec["ok"] is False
 
 
-#: ``repro recover archaea --driver D --preset crash --seed 0 --json``:
-#: (components, iterations, attempts, recoveries, correct,
-#: [(event action, event iteration)], top-level simulated_seconds or None)
+#: ``repro chaos archaea --driver D --preset crash --seed 0 --after 5
+#: --backend sim --json``: (components, iterations, attempts, recoveries,
+#: oracle_ok, [(event action, event iteration)], simulated_seconds)
 RECOVER_PINS = {
     "serial": (3001, 5, 1, 0, True, [], None),
     "dist": (3001, 5, 2, 1, True, [("fault", None), ("audit_repair", None)],
@@ -298,18 +317,21 @@ RECOVER_PINS = {
 class TestRecover:
     @pytest.mark.parametrize("driver", sorted(RECOVER_PINS))
     def test_crash_record_is_pinned(self, driver, capsys):
-        assert main(
-            ["recover", "archaea", "--driver", driver, "--preset", "crash",
-             "--seed", "0", "--json"]
-        ) == 0
+        code = main(
+            ["chaos", "archaea", "--driver", driver, "--preset", "crash",
+             "--seed", "0", "--after", "5", "--backend", "sim", "--json"]
+        )
         rec = json.loads(capsys.readouterr().out)
         got = (
             rec["components"], rec["iterations"], rec["attempts"],
-            rec["recoveries"], rec["correct"],
-            [(e["action"], e["iteration"]) for e in rec["events"]],
-            rec.get("simulated_seconds"),
+            rec["recoveries"], rec["oracle_ok"],
+            [(e["action"], e["iteration"]) for e in rec["recovery_events"]],
+            rec["simulated_seconds"],
         )
         assert got == RECOVER_PINS[driver]
+        # the crash fires before the first checkpoint: a fresh start
+        assert rec["resumed"] is (driver == "serial")
+        assert code == (0 if rec["ok"] else 1)
 
 
 class TestAnalyze:
@@ -331,46 +353,55 @@ class TestAnalyze:
         assert "cannot analyze" in err and "no cost model" in err
 
 
+@pytest.fixture(scope="module")
+def records(tmp_path_factory):
+    """Flight records of a clean and a stragglers ``dist`` run on
+    archaea, written by ``repro chaos --record``."""
+    out = {}
+    for preset in ("none", "stragglers"):
+        path = str(tmp_path_factory.mktemp("fr") / f"{preset}.jsonl")
+        assert main(["chaos", "archaea", "--driver", "dist", "--machine",
+                     "edison", "--nodes", "16", "--preset", preset,
+                     "--interval", "0", "--record", path]) == 0
+        out[preset] = path
+    return out
+
+
 class TestExplain:
-    def test_clean_run_text_verdict(self, capsys):
-        assert main(["explain", "archaea", "--nodes", "16"]) == 0
+    def test_clean_run_text_verdict(self, records, capsys):
+        assert main(["explain", records["none"]]) == 0
         out = capsys.readouterr().out
         assert "no anomalies detected" in out
         assert "completed" in out
 
-    def test_expect_clean_passes_on_clean_run(self, capsys):
-        assert main(["explain", "archaea", "--nodes", "16",
-                     "--expect-clean"]) == 0
+    def test_expect_clean_passes_on_clean_run(self, records):
+        assert main(["explain", records["none"], "--expect-clean"]) == 0
 
-    def test_stragglers_run_names_rank_and_storm(self, capsys):
-        assert main(["explain", "archaea", "--nodes", "16",
-                     "--preset", "stragglers", "--seed", "0"]) == 0
+    def test_stragglers_run_names_rank_and_storm(self, records, capsys):
+        assert main(["explain", records["stragglers"]]) == 0
         out = capsys.readouterr().out
         assert "straggler" in out and "retry storm" in out
         assert "rank" in out
+        # the record carries the analytics, so the replay correlates
+        assert "↳ fault delays/retries cost" in out
 
-    def test_expect_gate_fails_when_class_missing(self, capsys):
-        assert main(["explain", "archaea", "--nodes", "16",
-                     "--expect", "retry_storm"]) == 1
+    def test_expect_gate_fails_when_class_missing(self, records, capsys):
+        assert main(["explain", records["none"], "--expect", "retry_storm"]) == 1
         err = capsys.readouterr().err
         assert "not detected" in err and "retry_storm" in err
 
-    def test_expect_gate_passes_under_preset(self, capsys):
-        assert main(["explain", "archaea", "--nodes", "16",
-                     "--preset", "stragglers",
+    def test_expect_gate_passes_under_preset(self, records):
+        assert main(["explain", records["stragglers"],
                      "--expect", "retry_storm,straggler"]) == 0
 
-    def test_expect_clean_fails_under_preset(self, capsys):
-        assert main(["explain", "archaea", "--nodes", "16",
-                     "--preset", "stragglers", "--expect-clean"]) == 1
+    def test_expect_clean_fails_under_preset(self, records, capsys):
+        assert main(["explain", records["stragglers"], "--expect-clean"]) == 1
         assert "expected a clean run" in capsys.readouterr().err
 
-    def test_artifacts_and_replay(self, tmp_path, capsys):
-        rec = str(tmp_path / "fr.jsonl")
+    def test_artifacts_and_replay(self, records, tmp_path, capsys):
         rep = str(tmp_path / "fr.json")
         html = str(tmp_path / "fr.html")
-        assert main(["explain", "archaea", "--nodes", "16",
-                     "--preset", "stragglers", "--record", rec,
+        assert main(["explain", records["stragglers"],
                      "--report", rep, "--html", html]) == 0
         capsys.readouterr()
         report = json.loads(open(rep).read())
@@ -379,8 +410,8 @@ class TestExplain:
         page = open(html).read()
         assert "<svg" in page and "straggler" in page
 
-        # replay the JSONL record and get the same verdict
-        assert main(["explain", rec, "--json"]) == 0
+        # replay the JSONL record again and get the same verdict
+        assert main(["explain", records["stragglers"], "--json"]) == 0
         replayed = json.loads(capsys.readouterr().out)
         assert replayed["anomaly_classes"] == report["anomaly_classes"]
         assert replayed["run_id"] == report["run_id"]
@@ -392,10 +423,20 @@ class TestExplain:
         assert "cannot read flight record" in capsys.readouterr().err
 
     def test_unknown_preset_rejected(self):
+        # explain only replays: it takes no fault options at all
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["explain", "archaea", "--preset", "gremlins"]
+                ["explain", "fr.jsonl", "--preset", "stragglers"]
             )
+
+    def test_failed_loudly_replays_as_did_not_complete(self, tmp_path, capsys):
+        path = str(tmp_path / "perm.jsonl")
+        assert main(["chaos", "archaea", "--driver", "dist", "--preset",
+                     "permanent", "--max-recoveries", "0",
+                     "--record", path]) == 0
+        capsys.readouterr()
+        assert main(["explain", path]) == 0
+        assert "DID NOT COMPLETE" in capsys.readouterr().out
 
 
 @pytest.fixture()
