@@ -30,7 +30,7 @@ Commands
 ``explain``
     Replay a ``.jsonl`` flight record (:mod:`repro.obs.flight`, e.g. from
     ``chaos --record``) and print a human-readable diagnosis of what went
-    wrong (convergence stalls, stragglers, retry storms, checkpoint churn).
+    wrong (retry storms, stragglers, checkpoint churn, lost ranks).
 ``regress``
     Compare an end-to-end benchmark record (``benchmarks/e2e/run.py
     --out``) with the committed ``BENCH_e2e.json``: every deterministic
@@ -792,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser(
         "explain",
         help="replay a flight record (repro chaos --record) and diagnose "
-             "anomalies (stalls, stragglers, retry storms)",
+             "anomalies (retry storms, stragglers, checkpoint churn)",
     )
     ex.add_argument("record", help=".jsonl flight record to replay")
     ex.add_argument("--report", metavar="FILE",

@@ -271,8 +271,8 @@ def _close_iteration(
     event from that same record: ``cond_hooks``, ``uncond_hooks`` and
     ``star_vertices``, plus ``active_vertices`` and ``converged_vertices``
     when the loop keeps a Lemma-1 active set (*lemma1*).  Without one,
-    every vertex is in scope every iteration, and a constant active count
-    would read as a stall.  *extra* holds the driver's own event fields."""
+    every vertex is in scope every iteration, so the counts would only
+    restate ``n``.  *extra* holds the driver's own event fields."""
     record = dict(
         cond_hooks=it_stats.cond_hooks,
         uncond_hooks=it_stats.uncond_hooks,

@@ -100,5 +100,5 @@ def lacc_2d(
     return _run(
         dist, f, star, hook, bool(A.nvals), max_iterations, start_iteration,
         on_iteration, driver="2d", n=n, nnz=A.nvals, ranks=ranks,
-        grid_side=grid.side, partition_lambda=dmat.load_imbalance(),
+        grid_side=grid.side,
     )

@@ -271,8 +271,6 @@ def lacc_dist(
             driver="dist", graph=run_name, machine=machine.name, nodes=nodes,
             ranks=nprocs, preset=faults.name if faults is not None else None,
             seed=faults.seed if faults is not None else None,
-            partition_lambda=dmat.load_imbalance(),
-            partition_worst_rank=int(np.argmax(dmat.edges_per_rank)),
         ),
         max_iterations=max_iterations,
         start_iteration=start_iteration, on_iteration=on_iteration,

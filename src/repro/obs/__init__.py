@@ -28,8 +28,8 @@ LACC drivers all hook into:
   fault/retry injections and recovery events, with the same
   null-object off switch.
 * :mod:`repro.obs.anomaly` — streaming detectors over the flight record
-  (convergence stall, load-imbalance spikes, retry storms, stragglers,
-  checkpoint churn) emitting :class:`Anomaly` verdicts with evidence
+  (retry storms, stragglers, checkpoint churn, lost ranks, shrink
+  recoveries) emitting :class:`Anomaly` verdicts with evidence
   pointers (loaded on first use).
 * :mod:`repro.obs.explain` — the run-diagnosis engine behind
   ``python -m repro explain``: it replays a flight record, such as the
@@ -81,7 +81,6 @@ _LAZY = {
     "render": ("flamegraph", "html_timeline", "top_table", "write_html_timeline"),
     "anomaly": (
         "Anomaly", "AnomalyDetector", "CheckpointChurnDetector",
-        "ConvergenceStallDetector", "LoadImbalanceDetector",
         "RetryStormDetector", "StragglerDetector", "default_detectors",
     ),
 }

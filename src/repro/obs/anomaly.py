@@ -1,21 +1,15 @@
 """Online anomaly detection over the flight record.
 
-Streaming detectors for the run-time pathologies that dominate LACC's
-behaviour in practice (and that FastSV's aggressive hooking attacks —
-Zhang/Azad/Hu, see PAPERS.md):
+Streaming detectors for the faults a run can suffer — every one fires
+under some fault preset and stays silent on a fault-free run:
 
-* :class:`ConvergenceStallDetector` — the active-vertex count is not
-  shrinking against the geometric decay LACC predicts (Figure 7);
-* :class:`LoadImbalanceDetector` — λ = max/mean spikes, both the static
-  partition λ (:meth:`repro.combblas.distmatrix.DistMatrix.load_imbalance`)
-  and sudden per-step routing spikes against the run's own baseline;
 * :class:`RetryStormDetector` — bursts of injected faults / validation
   retries per iteration (comm retry storms under fault presets);
 * :class:`StragglerDetector` — one rank repeatedly hit by ``delay``
   faults (a persistently slow node);
 * :class:`CheckpointChurnDetector` — the recovery supervisor looping
-  (repair/rollback without forward progress, repeated re-checkpointing
-  of the same iteration, degradation to serial replay);
+  (repair/rollback without forward progress, degradation to serial
+  replay);
 * :class:`RankLossDetector` — worker processes classified permanently
   dead by the proc backend's failure detector (or the sim-side chaos
   model of the same fault);
@@ -35,27 +29,24 @@ The whole layer rides behind the flight recorder's NullFlightRecorder
 off switch: with no recorder active, no detector ever runs, and the CI
 overhead gate pins the disabled cost below 5 %.
 
-Thresholds are conservative by design: a clean (fault-free) run of the
-corpus graphs must produce **zero** anomalies — the CI ``explain`` job
-asserts exactly that — so detectors flag departures from the run's own
-baseline, not absolute structural facts (e.g. the protein graphs route
-with λ ≈ 30 on every iteration; that is LACC's Figure 3 skew, not an
-anomaly — a *spike* against the run's median is).
+No detector reads LACC's own structure: the Figure 7 decay of the
+active set and the Figure 3 owner skew are normal behaviour, reported
+per step by ``repro analyze``, not anomalies.
+``tests/obs/test_anomaly.py::test_clean_corpus_runs_raise_no_anomalies``
+pins zero anomalies on fault-free runs of every corpus graph under every
+driver.
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .flight import FlightEvent
 
 __all__ = [
     "Anomaly",
     "AnomalyDetector",
-    "ConvergenceStallDetector",
-    "LoadImbalanceDetector",
     "RetryStormDetector",
     "StragglerDetector",
     "CheckpointChurnDetector",
@@ -71,7 +62,7 @@ SEVERITIES = ("info", "warning", "critical")
 class Anomaly:
     """One detector verdict, ready to be written into the flight record."""
 
-    detector: str  # anomaly class: "convergence_stall", "retry_storm", ...
+    detector: str  # anomaly class: "retry_storm", "straggler", ...
     severity: str  # "info" | "warning" | "critical"
     message: str  # one-line human verdict
     first_iteration: Optional[int] = None
@@ -116,197 +107,6 @@ class AnomalyDetector:
 
     def finish(self) -> List[Anomaly]:
         return []
-
-
-class ConvergenceStallDetector(AnomalyDetector):
-    """Active vertices not shrinking vs. LACC's predicted geometric decay.
-
-    Awerbuch–Shiloach retires a constant fraction of the active set per
-    iteration in expectation (the Figure 7 curve).  An iteration whose
-    active count shrinks by less than ``1 - decay`` (and is nonzero)
-    counts toward a stall; ``window`` consecutive such iterations flag
-    one anomaly covering the stalled range.
-    """
-
-    name = "convergence_stall"
-
-    def __init__(self, window: int = 3, decay: float = 0.9):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        self.window = window
-        self.decay = decay
-        self._prev: Optional[Tuple[int, int]] = None  # (iteration, active)
-        self._streak: List[FlightEvent] = []
-
-    def _flush(self) -> List[Anomaly]:
-        if len(self._streak) < self.window:
-            self._streak = []
-            return []
-        first, last = self._streak[0], self._streak[-1]
-        out = [
-            Anomaly(
-                detector=self.name,
-                severity="warning",
-                message=(
-                    f"iterations {first.iteration}–{last.iteration} stalled: "
-                    f"active vertices stuck near "
-                    f"{last.data.get('active_vertices')} "
-                    f"(< {100 * (1 - self.decay):.0f}% shrink per iteration "
-                    f"against LACC's geometric decay)"
-                ),
-                first_iteration=first.iteration,
-                last_iteration=last.iteration,
-                evidence=[e.seq for e in self._streak],
-                data={
-                    "stalled_iterations": len(self._streak),
-                    "active_vertices": last.data.get("active_vertices"),
-                },
-            )
-        ]
-        self._streak = []
-        return out
-
-    def on_event(self, ev: FlightEvent) -> List[Anomaly]:
-        if ev.kind != "iteration" or ev.iteration is None:
-            return []
-        active = ev.data.get("active_vertices")
-        if active is None:
-            return []
-        out: List[Anomaly] = []
-        if self._prev is not None:
-            _, prev_active = self._prev
-            stalled = prev_active > 0 and active > self.decay * prev_active
-            if stalled:
-                self._streak.append(ev)
-            else:
-                out = self._flush()
-        self._prev = (ev.iteration, int(active))
-        return out
-
-    def finish(self) -> List[Anomaly]:
-        return self._flush()
-
-
-class LoadImbalanceDetector(AnomalyDetector):
-    """λ = max/mean spikes: static partition imbalance and routing spikes.
-
-    Two triggers:
-
-    * the ``run_start`` event's ``partition_lambda`` (the static edge
-      distribution, :meth:`DistMatrix.load_imbalance`) at or above
-      ``partition_threshold`` — the 2-D partition itself is skewed;
-    * a ``step`` event whose routed-request λ exceeds ``spike_factor`` ×
-      the median λ previously seen *for that step name* (needing at
-      least ``min_history`` prior samples, and λ ≥ ``min_lambda``) — a
-      sudden hot spot against the run's own baseline.  Consecutive
-      spiking iterations of one step merge into a single anomaly.
-
-    Low-volume tails are excluded: once a step's request volume drops
-    below ``volume_floor`` × its own running peak, its λ is small-sample
-    noise (a handful of residual requests landing on one rank makes
-    max/mean explode as the active set converges — that is LACC working,
-    not a hot spot), so those events neither spike nor enter the
-    baseline history.
-    """
-
-    name = "load_imbalance"
-
-    def __init__(
-        self,
-        partition_threshold: float = 4.0,
-        spike_factor: float = 3.0,
-        min_history: int = 2,
-        min_lambda: float = 2.0,
-        volume_floor: float = 0.25,
-    ):
-        self.partition_threshold = partition_threshold
-        self.spike_factor = spike_factor
-        self.min_history = min_history
-        self.min_lambda = min_lambda
-        self.volume_floor = volume_floor
-        self._history: Dict[str, List[float]] = {}
-        self._peak: Dict[str, float] = {}
-        self._spikes: Dict[str, List[FlightEvent]] = {}
-
-    def _flush(self, step: str) -> List[Anomaly]:
-        run = self._spikes.pop(step, [])
-        if not run:
-            return []
-        first, last = run[0], run[-1]
-        lam_max = max(float(e.data.get("lam", 0.0)) for e in run)
-        worst = max(run, key=lambda e: float(e.data.get("lam", 0.0)))
-        return [
-            Anomaly(
-                detector=self.name,
-                severity="warning" if lam_max < 2 * self.spike_factor else "critical",
-                message=(
-                    f"iterations {first.iteration}–{last.iteration}: "
-                    f"'{step}' load spiked to λ={lam_max:.2f} "
-                    f"(rank {worst.data.get('worst_rank')} hot, "
-                    f"≥{self.spike_factor:g}× the run's median)"
-                ),
-                first_iteration=first.iteration,
-                last_iteration=last.iteration,
-                rank=worst.data.get("worst_rank"),
-                step=step,
-                evidence=[e.seq for e in run],
-                data={"lambda_max": lam_max},
-            )
-        ]
-
-    def on_event(self, ev: FlightEvent) -> List[Anomaly]:
-        if ev.kind == "run_start":
-            lam = ev.data.get("partition_lambda")
-            if lam is not None and float(lam) >= self.partition_threshold:
-                return [
-                    Anomaly(
-                        detector=self.name,
-                        severity="warning",
-                        message=(
-                            f"static partition imbalance λ={float(lam):.2f} "
-                            f"(threshold {self.partition_threshold:g}): the 2-D "
-                            "edge distribution itself is skewed"
-                        ),
-                        rank=ev.data.get("partition_worst_rank"),
-                        evidence=[ev.seq],
-                        data={"partition_lambda": float(lam)},
-                    )
-                ]
-            return []
-        if ev.kind != "step" or ev.step is None:
-            return []
-        lam = ev.data.get("lam")
-        if lam is None:
-            return []
-        lam = float(lam)
-        req = float(ev.data.get("requests", 0.0))
-        peak = max(self._peak.get(ev.step, 0.0), req)
-        self._peak[ev.step] = peak
-        if peak > 0 and req < self.volume_floor * peak:
-            # converged tail: tiny volume, λ is noise — close any open
-            # spike run and keep the baseline untouched
-            return self._flush(ev.step) if ev.step in self._spikes else []
-        hist = self._history.setdefault(ev.step, [])
-        out: List[Anomaly] = []
-        spiking = (
-            len(hist) >= self.min_history
-            and lam >= self.min_lambda
-            and lam >= self.spike_factor * statistics.median(hist)
-        )
-        if spiking:
-            self._spikes.setdefault(ev.step, []).append(ev)
-        elif ev.step in self._spikes:
-            out = self._flush(ev.step)
-        hist.append(lam)
-        return out
-
-    def finish(self) -> List[Anomaly]:
-        out: List[Anomaly] = []
-        for step in sorted(self._spikes):
-            out.extend(self._flush(step))
-        return out
 
 
 class RetryStormDetector(AnomalyDetector):
@@ -470,68 +270,56 @@ class StragglerDetector(AnomalyDetector):
 class CheckpointChurnDetector(AnomalyDetector):
     """The recovery machinery looping instead of making progress.
 
-    Three triggers:
+    Two triggers:
 
     * ``loop_threshold`` recovery actions (repair/rollback) none of which
       advanced past the previous failure iteration — the supervisor is
       burning its budget at one spot;
-    * any iteration checkpointed more than once (re-checkpointing after
-      rollback is normal once; repeatedly is churn) at or beyond
-      ``rewrite_threshold`` total rewrites;
     * a ``degrade`` action — the budget was exhausted (always critical).
+      The verdict names the iteration the serial replay started from,
+      read from the row's ``from_iteration`` field (``None``: scratch).
     """
 
     name = "checkpoint_churn"
 
-    def __init__(self, loop_threshold: int = 2, rewrite_threshold: int = 2):
+    def __init__(self, loop_threshold: int = 2):
         self.loop_threshold = loop_threshold
-        self.rewrite_threshold = rewrite_threshold
-        self._ckpt_by_iter: Dict[int, List[FlightEvent]] = {}
-        self._recoveries: List[FlightEvent] = []
         self._stuck: List[FlightEvent] = []
         self._high_water: Optional[int] = None
 
     def on_event(self, ev: FlightEvent) -> List[Anomaly]:
-        out: List[Anomaly] = []
-        if ev.kind == "checkpoint" and ev.iteration is not None:
-            self._ckpt_by_iter.setdefault(int(ev.iteration), []).append(ev)
-        elif ev.kind == "recovery":
-            action = ev.data.get("action")
-            if action in ("audit_repair", "rollback"):
-                self._recoveries.append(ev)
-                if (
-                    self._high_water is not None
-                    and ev.iteration is not None
-                    and ev.iteration <= self._high_water
-                ):
-                    self._stuck.append(ev)
-                else:
-                    self._stuck = [ev]
-                if ev.iteration is not None:
-                    self._high_water = max(
-                        self._high_water or 0, int(ev.iteration)
-                    )
-            elif action == "degrade":
-                out.append(
-                    Anomaly(
-                        detector=self.name,
-                        severity="critical",
-                        message=(
-                            "recovery budget exhausted: run degraded to "
-                            "serial replay"
-                            + (
-                                f" from iteration {ev.iteration}"
-                                if ev.iteration is not None
-                                else ""
-                            )
-                        ),
-                        first_iteration=ev.iteration,
-                        last_iteration=ev.iteration,
-                        evidence=[ev.seq],
-                        data={"action": "degrade"},
-                    )
+        if ev.kind != "recovery":
+            return []
+        action = ev.data.get("action")
+        if action in ("audit_repair", "rollback"):
+            if (
+                self._high_water is not None
+                and ev.iteration is not None
+                and ev.iteration <= self._high_water
+            ):
+                self._stuck.append(ev)
+            else:
+                self._stuck = [ev]
+            if ev.iteration is not None:
+                self._high_water = max(self._high_water or 0, int(ev.iteration))
+        elif action == "degrade":
+            start = ev.data.get("from_iteration")
+            return [
+                Anomaly(
+                    detector=self.name,
+                    severity="critical",
+                    message=(
+                        "recovery budget exhausted: run degraded to serial "
+                        "replay from "
+                        + ("scratch" if start is None else f"iteration {start}")
+                    ),
+                    first_iteration=start,
+                    last_iteration=start,
+                    evidence=[ev.seq],
+                    data={"action": "degrade", "from_iteration": start},
                 )
-        return out
+            ]
+        return []
 
     def finish(self) -> List[Anomaly]:
         out: List[Anomaly] = []
@@ -552,29 +340,7 @@ class CheckpointChurnDetector(AnomalyDetector):
                     data={"actions": len(self._stuck)},
                 )
             )
-        rewrites = {
-            it: evs for it, evs in self._ckpt_by_iter.items() if len(evs) > 1
-        }
-        total_rewrites = sum(len(evs) - 1 for evs in rewrites.values())
-        if rewrites and total_rewrites >= self.rewrite_threshold:
-            evs = [e for it in sorted(rewrites) for e in rewrites[it]]
-            out.append(
-                Anomaly(
-                    detector=self.name,
-                    severity="warning",
-                    message=(
-                        f"checkpoint churn: iterations "
-                        f"{sorted(rewrites)} re-checkpointed "
-                        f"{total_rewrites} extra times"
-                    ),
-                    first_iteration=min(rewrites),
-                    last_iteration=max(rewrites),
-                    evidence=[e.seq for e in evs],
-                    data={"rewrites": total_rewrites},
-                )
-            )
         self._stuck = []
-        self._ckpt_by_iter = {}
         return out
 
 
@@ -663,8 +429,6 @@ class ShrinkRecoveryDetector(AnomalyDetector):
 def default_detectors() -> List[AnomalyDetector]:
     """Fresh instances of every built-in detector (one set per run)."""
     return [
-        ConvergenceStallDetector(),
-        LoadImbalanceDetector(),
         RetryStormDetector(),
         StragglerDetector(),
         CheckpointChurnDetector(),

@@ -4,13 +4,13 @@
 engine replays a flight record (in memory, or a JSONL file written by
 :class:`~repro.obs.flight.FlightRecorder` — ``repro chaos --record``
 writes one for any driver under any fault preset), collects the detector
-verdicts embedded in it, correlates each one with the per-step λ /
-compute-comm attribution of :mod:`repro.obs.analytics` when the record
-carries the run's ``analytics`` row, and renders:
+verdicts embedded in it, correlates each fault verdict with the delay
+attribution of :mod:`repro.obs.analytics` when the record carries the
+run's ``analytics`` row, and renders:
 
-* a human-readable verdict — "iterations 7–11 stalled: starcheck
-  dominated by rank 3 straggler; 14 alltoallv retries under preset
-  ``stragglers``";
+* a human-readable verdict — "rank 3 is a persistent straggler: 14
+  delay faults over iterations 1–5", with the model seconds the fault
+  delays cost;
 * a machine-readable JSON report (:meth:`RunDiagnosis.to_dict`) for CI
   to assert on (`--expect retry_storm,straggler` / `--expect-clean`);
 * optionally a self-contained HTML timeline
@@ -44,6 +44,9 @@ class RunDiagnosis:
     n_iterations: Optional[int] = None
     n_components: Optional[int] = None
     completed: bool = True
+    #: the supervisor exhausted its budget and replayed on serial LACC
+    #: (``driver`` stays the driver the run was started with)
+    degraded: bool = False
     error: Optional[str] = None
     n_events: int = 0
     #: events the recorder's ring buffer evicted before this replay (the
@@ -92,6 +95,7 @@ class RunDiagnosis:
             "n_iterations": self.n_iterations,
             "n_components": self.n_components,
             "completed": self.completed,
+            "degraded": self.degraded,
             "error": self.error,
             "n_events": self.n_events,
             "n_dropped": self.n_dropped,
@@ -115,9 +119,12 @@ class RunDiagnosis:
             )
         if self.preset:
             where.append(f"preset '{self.preset}' seed={self.seed}")
+        driver = self.driver
+        if driver and self.degraded:
+            driver += ", degraded to serial"
         lines = [
             f"run {self.run_id}"
-            + (f" [{self.driver}]" if self.driver else "")
+            + (f" [{driver}]" if driver else "")
             + (": " + ", ".join(where) if where else ""),
         ]
         tally = f"{self.n_events} flight events"
@@ -166,65 +173,32 @@ class RunDiagnosis:
 
 
 def _correlate(anomaly: Dict[str, Any], analytics: Dict[str, Any]) -> None:
-    """Attach an analytics cross-reference to one anomaly (in place).
+    """Attach an analytics cross-reference to one fault anomaly (in place).
 
     The flight record says *when* something went wrong; the analytics
-    report says *where the time went*.  The join key is the anomaly's
-    step (λ table) or, failing that, its detector class (phase table).
+    report says *where the time went*: a retry storm or a straggler is
+    joined to the model seconds the fault delays cost, per phase.
     """
-    steps = {s["step"]: s for s in analytics.get("steps", [])}
-    phases = {p["phase"]: p for p in analytics.get("phases", [])}
-
-    step = anomaly.get("step")
-    if step and step in steps:
-        s = steps[step]
-        anomaly["correlation"] = {
-            "step": step,
-            "lambda": s["lambda"],
-            "worst_rank": s["worst_rank"],
-            "idle_fraction": s["idle_fraction"],
-            "note": (
-                f"'{step}' ran at λ={s['lambda']:.2f} over the whole run "
-                f"(rank {s['worst_rank']} received "
-                f"{100 * s['worst_share']:.1f}% of requests; average rank "
-                f"idle {100 * s['idle_fraction']:.1f}% of the superstep)"
-            ),
-        }
+    if anomaly.get("detector") not in ("retry_storm", "straggler"):
         return
-
-    det = anomaly.get("detector")
-    if det in ("retry_storm", "straggler"):
-        delay = sum(p["delay_seconds"] for p in phases.values())
-        total = analytics.get("model_seconds") or 0.0
-        if delay > 0:
-            hottest = max(phases.values(), key=lambda p: p["delay_seconds"])
-            anomaly["correlation"] = {
-                "delay_seconds": delay,
-                "delay_share": delay / total if total > 0 else 0.0,
-                "hottest_phase": hottest["phase"],
-                "note": (
-                    f"fault delays/retries cost {delay * 1e3:.3f} ms of model "
-                    f"time ({100 * delay / total:.1f}% of the run), "
-                    f"concentrated in '{hottest['phase']}'"
-                    if total > 0
-                    else f"fault delays/retries cost {delay * 1e3:.3f} ms"
-                ),
-            }
-    elif det == "convergence_stall":
-        worst = max(
-            analytics.get("steps", []), key=lambda s: s["lambda"], default=None
-        )
-        if worst is not None and worst["lambda"] > 1.0:
-            anomaly["correlation"] = {
-                "step": worst["step"],
-                "lambda": worst["lambda"],
-                "worst_rank": worst["worst_rank"],
-                "note": (
-                    f"while stalled, '{worst['step']}' was the most skewed "
-                    f"step (λ={worst['lambda']:.2f}, rank "
-                    f"{worst['worst_rank']} hottest)"
-                ),
-            }
+    phases = analytics.get("phases", [])
+    delay = sum(p["delay_seconds"] for p in phases)
+    if delay <= 0:
+        return
+    total = analytics.get("model_seconds") or 0.0
+    hottest = max(phases, key=lambda p: p["delay_seconds"])
+    anomaly["correlation"] = {
+        "delay_seconds": delay,
+        "delay_share": delay / total if total > 0 else 0.0,
+        "hottest_phase": hottest["phase"],
+        "note": (
+            f"fault delays/retries cost {delay * 1e3:.3f} ms of model "
+            f"time ({100 * delay / total:.1f}% of the run), "
+            f"concentrated in '{hottest['phase']}'"
+            if total > 0
+            else f"fault delays/retries cost {delay * 1e3:.3f} ms"
+        ),
+    }
 
 
 def diagnose(events: List[FlightEvent]) -> RunDiagnosis:
@@ -235,9 +209,9 @@ def diagnose(events: List[FlightEvent]) -> RunDiagnosis:
     the ``run_meta`` header; drivers add ``run_start`` / ``iteration`` /
     ``run_end`` and the detectors' ``anomaly`` events.  When it carries
     an ``analytics`` row (the run's
-    :meth:`~repro.obs.analytics.AnalyticsReport.to_dict`), anomalies get
-    a ``correlation`` block tying them to the per-step λ / comm
-    attribution.
+    :meth:`~repro.obs.analytics.AnalyticsReport.to_dict`), fault
+    anomalies get a ``correlation`` block tying them to the model seconds
+    the fault delays cost.
     """
     if not events:
         raise ValueError("empty flight record: nothing to diagnose")
@@ -255,7 +229,9 @@ def diagnose(events: List[FlightEvent]) -> RunDiagnosis:
         if ev.kind == "run_meta":
             d.run_id = ev.data.get("run_id", d.run_id)
         elif ev.kind == "run_start":
-            d.driver = ev.data.get("driver", d.driver)
+            # a degraded run's serial replay starts a second run: the
+            # first run_start names the driver the run was started with
+            d.driver = d.driver or ev.data.get("driver")
             d.graph = ev.data.get("graph", d.graph)
             d.machine = ev.data.get("machine", d.machine)
             d.nodes = ev.data.get("nodes", d.nodes)
@@ -269,6 +245,8 @@ def diagnose(events: List[FlightEvent]) -> RunDiagnosis:
             if ev.data.get("error"):
                 d.completed = False
                 d.error = str(ev.data["error"])
+        elif ev.kind == "recovery" and ev.data.get("action") == "degrade":
+            d.degraded = True
         elif ev.kind == "iteration" and ev.iteration is not None:
             d.n_iterations = max(d.n_iterations or 0, ev.iteration)
         elif ev.kind == "anomaly":

@@ -3,9 +3,8 @@
 Before this module the repo's telemetry lived in three disconnected
 streams: spans (:mod:`repro.obs.tracer`), fault-injection logs
 (:mod:`repro.faults`) and recovery events
-(:mod:`repro.recovery.supervisor`).  Correlating a convergence stall
-with the retry storm that caused it meant joining those streams by
-hand.  A :class:`FlightRecorder` merges them into one
+(:mod:`repro.recovery.supervisor`).  Correlating a recovery loop with
+the retry storm that caused it meant joining those streams by hand.  A :class:`FlightRecorder` merges them into one
 **append-only, causally-ordered, schema-versioned** record:
 
 * every record is a :class:`FlightEvent` with a monotone sequence number

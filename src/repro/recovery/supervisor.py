@@ -119,7 +119,7 @@ def _record(events: List[RecoveryEvent], action: str, iteration: Optional[int],
     """Append one row to *events* and write the flight ``recovery`` event
     from that same row.  *flight_only* holds fields only the flight record
     carries (a shrink's rank counts, read by the ``shrink_recovery``
-    detector)."""
+    detector; a degrade's ``from_iteration``, read by ``checkpoint_churn``)."""
     ev = RecoveryEvent(action, iteration, seconds, detail)
     events.append(ev)
     fr = _freg()
@@ -507,15 +507,16 @@ class Supervisor:
             initial_parents=best.parents, initial_active=best.active,
             start_iteration=best.iteration,
         )
-        with _obs().span(
-            "degrade", "recovery",
-            from_iteration=0 if best is None else best.iteration,
-        ):
-            result = lacc(A, **kw_serial)
+        start = None if best is None else best.iteration
+        # written before the replay: the flight recorder stamps a row with
+        # the ambient iteration, which the replay would move on, so the
+        # start travels as its own field (None: from scratch)
         _record(
-            events, "degrade", None if best is None else best.iteration,
+            events, "degrade", start,
             0.0 if master_cost is None else master_cost.total_seconds,
             "serial replay from scratch" if best is None
-            else f"serial replay from iteration {best.iteration}",
+            else f"serial replay from iteration {start}",
+            from_iteration=start,
         )
-        return result
+        with _obs().span("degrade", "recovery", from_iteration=start or 0):
+            return lacc(A, **kw_serial)

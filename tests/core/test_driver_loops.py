@@ -95,7 +95,7 @@ def test_block_drivers_run_the_serial_program(matrices, name, driver):
         for it in res.stats.iterations
     ] == want
     # the block loop keeps no Lemma-1 active set, so its events carry no
-    # active count for the convergence-stall detector to misread
+    # active count: it would only restate n
     events = [e.data for e in fr.events if e.kind == "iteration"]
     assert [
         (d["cond_hooks"], d["uncond_hooks"], d["star_vertices"]) for d in events

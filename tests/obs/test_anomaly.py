@@ -1,30 +1,31 @@
-"""Anomaly detectors: each fires on its pathology and stays silent on
-healthy telemetry (the zero-false-positive contract the CI clean-run
-job enforces end to end)."""
+"""Anomaly detectors: each fires on its fault and stays silent on
+healthy telemetry — pinned end to end by a fault-free run of every
+corpus graph under every driver, and by a ``permanent``-preset run."""
 
 import pytest
 
+from repro.chaos import chaos_run
+from repro.core.drivers import DRIVERS
 from repro.core.lacc import lacc
 from repro.core.lacc_2d import lacc_2d
 from repro.core.lacc_spmd import lacc_spmd
 from repro.graphs import corpus
+from repro.mpisim import backend
 from repro.obs.anomaly import (
     Anomaly,
     CheckpointChurnDetector,
-    ConvergenceStallDetector,
-    LoadImbalanceDetector,
     RetryStormDetector,
     StragglerDetector,
     default_detectors,
 )
-from repro.obs.flight import FlightEvent, FlightRecorder
+from repro.obs.flight import FlightEvent, FlightRecorder, read_flight_jsonl
 from repro.obs.tracer import activate
 
 
-def ev(kind, seq=0, iteration=None, rank=None, step=None, **data):
+def ev(kind, seq=0, iteration=None, rank=None, **data):
     return FlightEvent(
         seq=seq, ts=float(seq), kind=kind, rank=rank,
-        iteration=iteration, step=step, data=data,
+        iteration=iteration, data=data,
     )
 
 
@@ -50,102 +51,6 @@ def test_anomaly_to_dict_round_trips_fields():
     d = a.to_dict()
     assert d["detector"] == "straggler" and d["evidence"] == [4, 5]
     assert d["first_iteration"] == 1 and d["rank"] == 2
-
-
-# -- convergence stall ----------------------------------------------------
-
-def _iterations(actives):
-    return [
-        ev("iteration", seq=i, iteration=i + 1, active_vertices=a)
-        for i, a in enumerate(actives)
-    ]
-
-
-def test_stall_fires_on_flat_active_count():
-    det = ConvergenceStallDetector(window=3, decay=0.9)
-    out = drain(det, _iterations([1000, 990, 985, 980, 978]))
-    assert len(out) == 1
-    (a,) = out
-    assert a.detector == "convergence_stall" and a.severity == "warning"
-    assert (a.first_iteration, a.last_iteration) == (2, 5)
-    assert len(a.evidence) == 4
-
-
-def test_stall_silent_on_geometric_decay():
-    # the Figure 7 shape: a constant fraction retires every iteration
-    det = ConvergenceStallDetector(window=3, decay=0.9)
-    assert drain(det, _iterations([1000, 600, 350, 200, 90, 10, 0])) == []
-
-
-def test_stall_needs_window_consecutive_iterations():
-    det = ConvergenceStallDetector(window=3, decay=0.9)
-    # two stalled iterations, then healthy shrink resets the streak
-    assert drain(det, _iterations([100, 99, 98, 50, 49, 20])) == []
-
-
-def test_stall_ignores_iterations_without_active_counts():
-    det = ConvergenceStallDetector(window=2)
-    events = [ev("iteration", seq=i, iteration=i, hooks=3) for i in range(6)]
-    assert drain(det, events) == []
-
-
-# -- load imbalance -------------------------------------------------------
-
-def _steps(lams, step="starcheck", requests=10000.0):
-    return [
-        ev("step", seq=i, iteration=i + 1, step=step, lam=lam,
-           requests=requests, worst_rank=5)
-        for i, lam in enumerate(lams)
-    ]
-
-
-def test_partition_imbalance_fires_from_run_start():
-    det = LoadImbalanceDetector(partition_threshold=4.0)
-    out = drain(det, [ev("run_start", partition_lambda=6.5,
-                         partition_worst_rank=2)])
-    assert len(out) == 1 and out[0].rank == 2
-    assert "partition" in out[0].message
-
-
-def test_partition_imbalance_silent_below_threshold():
-    det = LoadImbalanceDetector(partition_threshold=4.0)
-    assert drain(det, [ev("run_start", partition_lambda=1.3)]) == []
-
-
-def test_step_spike_against_run_median_fires_and_merges():
-    det = LoadImbalanceDetector(spike_factor=3.0, min_history=2)
-    out = drain(det, _steps([2.0, 2.2, 2.1, 9.0, 11.0, 2.0]))
-    assert len(out) == 1
-    (a,) = out
-    assert a.detector == "load_imbalance" and a.step == "starcheck"
-    assert (a.first_iteration, a.last_iteration) == (4, 5)
-    assert a.rank == 5 and a.data["lambda_max"] == 11.0
-    assert len(a.evidence) == 2
-
-
-def test_step_spike_silent_on_structural_skew():
-    # the protein graphs route every iteration at λ ≈ 30 (Figure 3);
-    # a steady high λ is not a spike
-    det = LoadImbalanceDetector()
-    assert drain(det, _steps([29.0, 31.0, 30.0, 32.0, 30.5])) == []
-
-
-def test_low_volume_tail_never_spikes():
-    # as the active set converges, residual requests make λ explode on
-    # tiny volume — that is LACC finishing, not a hot spot
-    det = LoadImbalanceDetector()
-    events = _steps([1.2, 1.3], requests=20000.0) + [
-        ev("step", seq=10 + i, iteration=3 + i, step="starcheck",
-           lam=lam, requests=req, worst_rank=0)
-        for i, (lam, req) in enumerate([(12.0, 200.0), (48.0, 8.0), (64.0, 4.0)])
-    ]
-    assert drain(det, events) == []
-
-
-def test_step_spike_critical_when_extreme():
-    det = LoadImbalanceDetector(spike_factor=3.0)
-    out = drain(det, _steps([2.0, 2.0, 2.0, 20.0]))
-    assert len(out) == 1 and out[0].severity == "critical"
 
 
 # -- retry storm ----------------------------------------------------------
@@ -264,19 +169,12 @@ def test_churn_silent_when_recoveries_make_progress():
     assert drain(det, events) == []
 
 
-def test_churn_fires_on_repeated_recheckpointing():
-    det = CheckpointChurnDetector(rewrite_threshold=2)
-    events = [
-        ev("checkpoint", seq=i, iteration=3, words=10.0) for i in range(3)
-    ]
-    out = drain(det, events)
-    assert len(out) == 1 and "re-checkpointed" in out[0].message
-
-
 def test_churn_degrade_is_immediately_critical():
     det = CheckpointChurnDetector()
-    out = det.on_event(ev("recovery", seq=1, iteration=5, action="degrade"))
+    out = det.on_event(ev("recovery", seq=1, iteration=7, action="degrade",
+                          from_iteration=5))
     assert len(out) == 1 and out[0].severity == "critical"
+    assert out[0].message.endswith("serial replay from iteration 5")
 
 
 def test_churn_silent_on_normal_checkpointing():
@@ -291,11 +189,11 @@ def test_churn_silent_on_normal_checkpointing():
 
 def test_default_detectors_fresh_instances_and_distinct_names():
     a, b = default_detectors(), default_detectors()
-    assert len(a) == 7
+    assert len(a) == 5
     assert all(x is not y for x, y in zip(a, b))
     names = [d.name for d in a]
-    assert len(set(names)) == 7
-    assert "convergence_stall" in names and "retry_storm" in names
+    assert len(set(names)) == 5
+    assert "retry_storm" in names and "checkpoint_churn" in names
     assert "rank_lost" in names and "shrink_recovery" in names
 
 
@@ -312,12 +210,60 @@ UNSCOPED_RUNS = {
 def test_unscoped_runs_raise_no_convergence_stall(run):
     """A loop without a Lemma-1 active set keeps every vertex in scope, so
     a constant active count says nothing about convergence: its
-    ``iteration`` events leave the count out, and the stall detector has
-    nothing to misread."""
+    ``iteration`` events leave the count out, and the run raises no
+    anomaly of any kind."""
     fr = FlightRecorder(detectors=default_detectors())
     with activate(flight=fr):
         UNSCOPED_RUNS[run](corpus.load("archaea"))
     fr.finish()
-    assert fr.find("iteration")
-    assert [a for a in fr.anomalies()
-            if a.data["detector"] == "convergence_stall"] == []
+    iterations = fr.find("iteration")
+    assert iterations
+    assert all("active_vertices" not in e.data for e in iterations)
+    assert fr.anomalies() == []
+
+
+# -- end to end -----------------------------------------------------------
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_clean_corpus_runs_raise_no_anomalies(name):
+    """A fault-free run is silent under every driver: LACC's own structure
+    (the Figure 7 decay of the active set, the Figure 3 owner skew) is no
+    anomaly."""
+    g = corpus.load(name)
+    raised = {}
+    for driver in sorted(DRIVERS):
+        args, kw = DRIVERS[driver].call(g, ranks=4, nodes=16)
+        fr = FlightRecorder(detectors=default_detectors())
+        with activate(flight=fr), backend.use("sim"):
+            DRIVERS[driver].fn(*args, **kw)
+        fr.finish()
+        assert fr.find("iteration"), driver
+        raised[driver] = [a.data["message"] for a in fr.anomalies()]
+    assert raised == {driver: [] for driver in DRIVERS}
+
+
+def test_permanent_preset_exhausts_the_budget(tmp_path):
+    """Under ``permanent`` every attempt fails at iteration 1: the
+    supervisor loops without progress, then degrades.  The degrade row is
+    written before the serial replay, and its verdict names where that
+    replay started — here from scratch, as the row's own detail says."""
+    path = tmp_path / "perm.jsonl"
+    report = chaos_run(corpus.load("archaea"), driver="spmd",
+                       preset="permanent", seed=0, backend="sim",
+                       record_path=str(path))
+    assert report.degraded and report.oracle_ok and not report.resumed
+    events = read_flight_jsonl(str(path))
+    degrade = next(e for e in events if e.kind == "recovery"
+                   and e.data["action"] == "degrade")
+    replay = next(e for e in events if e.kind == "run_start"
+                  and e.data["driver"] == "serial")
+    assert degrade.seq < replay.seq
+    assert degrade.data["detail"] == "serial replay from scratch"
+    churn = sorted(e.data["message"] for e in events if e.kind == "anomaly"
+                   and e.data["detector"] == "checkpoint_churn")
+    assert churn == [
+        "recovery budget exhausted: run degraded to serial replay from "
+        "scratch",
+        "recovery loop: 5 repair/rollback actions without progress past "
+        "iteration 1",
+    ]

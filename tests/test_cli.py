@@ -438,6 +438,16 @@ class TestExplain:
         assert main(["explain", path]) == 0
         assert "DID NOT COMPLETE" in capsys.readouterr().out
 
+        # with a budget, the same preset degrades to a serial replay: the
+        # header names the driver the run was started with
+        path = str(tmp_path / "degraded.jsonl")
+        assert main(["chaos", "archaea", "--driver", "spmd", "--preset",
+                     "permanent", "--backend", "sim", "--record", path]) == 1
+        capsys.readouterr()
+        assert main(["explain", path]) == 0
+        out = capsys.readouterr().out
+        assert "[spmd, degraded to serial]" in out and "completed" in out
+
 
 @pytest.fixture()
 def ledger(tmp_path):
