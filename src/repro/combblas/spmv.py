@@ -5,7 +5,8 @@ paper's matrix-vector product; this module *executes* it, with the exact
 communication structure §V-A describes.  The input and the output are
 block-distributed vectors: rank *r* holds the ``(local offsets, values)``
 of its own range ``grid.local_range(r)``, and every byte moves through the
-caller's communicator.
+caller's communicator.  :func:`rank_mxv` is one rank's program, and
+:func:`dist_mxv` runs it on every rank.
 
 1. **gather** — each processor *column* assembles the piece of the input
    vector its blocks multiply against ("a gather operation to collect the
@@ -35,7 +36,7 @@ from repro.graphblas.semiring import Semiring
 
 from .distmatrix import DistMatrix
 
-__all__ = ["dist_mxv"]
+__all__ = ["dist_mxv", "rank_mxv"]
 
 #: a sparse block-distributed vector: rank r's (local offsets, values)
 SparseBlocks = List[Tuple[np.ndarray, np.ndarray]]
@@ -53,6 +54,49 @@ def _unfused(row: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
             np.concatenate([h[1] for h in halves]))
 
 
+def rank_mxv(dmat: DistMatrix, rank: int, x, semiring: Semiring):
+    """Rank *rank*'s program for ``y = A ⊕.⊗ x``: a generator that yields
+    its send row of each of the two ``alltoallv``\\ s and gets back its
+    receive row (:meth:`~repro.mpisim.envelope.CommBase.run_ranks` steps
+    it).  *x* is the rank's ``(local offsets, int64 values)`` under
+    ``dmat.grid``'s block vector distribution; it returns its block of
+    ``y`` the same way."""
+    grid = dmat.grid
+    blk = grid.block
+    i, j = grid.coords(rank)
+
+    # --- stage 1: gather within processor columns ----------------------
+    # send the entries of column-block c (global ids) to every rank of
+    # processor column c, which concatenates them in rank order
+    li, lv = x
+    gi = np.asarray(li, dtype=np.int64) + grid.local_range(rank)[0]
+    col = gi // blk
+    sels = [np.flatnonzero(col == c) for c in range(grid.side)]
+    msgs = [_fused(gi[s], np.asarray(lv)[s]) for s in sels]
+    gathered = yield [msgs[grid.coords(q)[1]] for q in range(grid.nprocs)]
+
+    # --- stages 2 and 3: multiply the block, route rows to owners ------
+    gidx, gval = _unfused(gathered)
+    rows, avals, src = dmat.local_block(rank).columns_of(gidx - j * blk)
+    if rows.size:
+        # Select2nd-kind multiplies gather the vector values directly;
+        # the per-row reduce shares the serial kernels' packed-key
+        # min/max fast path (local row ids are < grid.block)
+        prods = gather_multiply(semiring, avals, gval[src])
+        rows, vals, _ = reduce_by_rows(prods, rows, semiring.add, blk)
+    else:
+        vals = np.empty(0, dtype=np.int64)
+    grows = rows + i * blk
+    owners = grid.vec_owner(grows)
+    sels = [np.flatnonzero(owners == o) for o in range(grid.nprocs)]
+    routed = yield [_fused(grows[s] - grid.local_range(o)[0], vals[s])
+                    for o, s in enumerate(sels)]
+    idx, vals = _unfused(routed)
+    if idx.size:
+        idx, vals, _ = reduce_by_rows(vals, idx, semiring.add, grid.local_size(rank))
+    return idx, vals
+
+
 def dist_mxv(
     dmat: DistMatrix, x: SparseBlocks, semiring: Semiring, comm
 ) -> SparseBlocks:
@@ -62,53 +106,12 @@ def dist_mxv(
     ``dmat.grid``'s block vector distribution; ``y`` is returned the same
     way.  Both are in the **permuted** vertex space of *dmat* — callers
     working in original coordinates should permute with ``dmat.perm`` /
-    ``dmat.inv_perm``.  *comm* carries the two ``alltoallv``\\ s; anything
-    with a communicator's ``alltoallv`` serves.
+    ``dmat.inv_perm``.  Every rank runs :func:`rank_mxv` through
+    *comm*'s :meth:`~repro.mpisim.envelope.CommBase.run_ranks`, which
+    carries the two ``alltoallv``\\ s.
     """
-    grid = dmat.grid
-    p, side, blk = grid.nprocs, grid.side, grid.block
-    if len(x) != p:
-        raise ValueError(f"x has {len(x)} blocks, the grid has {p} ranks")
-
-    # --- stage 1: gather within processor columns ----------------------
-    # rank r sends the entries of column-block j (global ids) to every
-    # rank of processor column j, which concatenates them in rank order
-    send = [[None] * p for _ in range(p)]
-    for r, (li, lv) in enumerate(x):
-        gi = np.asarray(li, dtype=np.int64) + grid.local_range(r)[0]
-        col = gi // blk
-        for j in range(side):
-            sel = np.flatnonzero(col == j)
-            msg = _fused(gi[sel], np.asarray(lv)[sel])
-            for i in range(side):
-                send[r][grid.rank_of(i, j)] = msg
-    gathered = comm.alltoallv(send)  # gathered[q][r]
-
-    # --- stages 2 and 3: multiply each block, route rows to owners -----
-    send = [[None] * p for _ in range(p)]
-    for rank in range(p):
-        i, j = grid.coords(rank)
-        gidx, gval = _unfused(gathered[rank])
-        rows, avals, src = dmat.local_block(rank).columns_of(gidx - j * blk)
-        if rows.size:
-            # Select2nd-kind multiplies gather the vector values directly;
-            # the per-row reduce shares the serial kernels' packed-key
-            # min/max fast path (local row ids are < grid.block)
-            prods = gather_multiply(semiring, avals, gval[src])
-            rows, vals, _ = reduce_by_rows(prods, rows, semiring.add, blk)
-        else:
-            vals = np.empty(0, dtype=np.int64)
-        grows = rows + i * blk
-        owners = grid.vec_owner(grows)
-        for o in range(p):
-            sel = np.flatnonzero(owners == o)
-            send[rank][o] = _fused(grows[sel] - grid.local_range(o)[0], vals[sel])
-    routed = comm.alltoallv(send)  # routed[o][rank]
-
-    out = []
-    for o in range(p):
-        idx, vals = _unfused(routed[o])
-        if idx.size:
-            idx, vals, _ = reduce_by_rows(vals, idx, semiring.add, grid.local_size(o))
-        out.append((idx, vals))
-    return out
+    if len(x) != dmat.grid.nprocs:
+        raise ValueError(f"x has {len(x)} blocks, the grid has {dmat.grid.nprocs} ranks")
+    return comm.run_ranks(
+        [rank_mxv(dmat, r, xr, semiring) for r, xr in enumerate(x)]
+    )[0]

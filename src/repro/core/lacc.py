@@ -181,10 +181,7 @@ def _start(A: Matrix, initial_parents, initial_active, use_sparsity: bool):
     if not A.is_symmetric:
         raise ValueError("LACC requires an undirected (symmetric) adjacency matrix")
     n = A.nrows
-    if initial_parents is not None:
-        f = validate_initial_parents(initial_parents, n)
-    else:
-        f = np.arange(n, dtype=np.int64)
+    f = validate_initial_parents(initial_parents, n)
     active = ActiveSet(n, enabled=use_sparsity)
     if initial_active is not None and use_sparsity:
         act0 = np.asarray(initial_active, dtype=bool)

@@ -7,12 +7,13 @@ One of four execution models of the same algorithm:
 3. :func:`repro.core.lacc_spmd` — literal message passing, 1D edge layout;
 4. **this module** — literal message passing with the paper's actual data
    distribution: the adjacency matrix on a ``√p × √p`` grid, hooking via
-   the real two-stage :func:`repro.combblas.dist_mxv` (column gather →
-   block multiply → row routing) on the driver's communicator, vectors
-   block-distributed.  Everything but the setup and the hook proposals
-   is :mod:`~repro.core.lacc_spmd`'s loop: its request/reply starcheck,
-   whose grandparents the shortcut reuses, its hook write, its step spans
-   and its convergence allreduce.
+   the real two-stage SpMV (column gather → block multiply → row
+   routing), each rank running :func:`repro.combblas.spmv.rank_mxv` on
+   the driver's communicator, vectors block-distributed.  Everything but
+   the setup and the hook proposals is :mod:`~repro.core.lacc_spmd`'s
+   rank program: its request/reply starcheck, whose grandparents the
+   shortcut reuses, its hook write, its step spans and its convergence
+   allreduce.
 
 Per-rank state only ever moves through the one communicator's
 collectives, under its FaultPlan and into the result's ``words_sent``;
@@ -27,14 +28,14 @@ from typing import Optional
 import numpy as np
 
 from repro.combblas.distmatrix import DistMatrix
-from repro.combblas.spmv import dist_mxv
+from repro.combblas.spmv import rank_mxv
 from repro.graphblas import semirings as sr
 from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
 from repro.mpisim.grid import ProcessGrid
 
 from .lacc import LACCResult
-from .lacc_spmd import _Dist, _run
+from .lacc_spmd import _blocks, _run
 from .snapshot import IterationHook, validate_initial_parents
 
 __all__ = ["lacc_2d"]
@@ -70,35 +71,29 @@ def lacc_2d(
     comm = make_comm(ranks, faults=faults, cost=cost)
     A = g.to_matrix()
     dmat = DistMatrix(A, grid, permute=False)
+    f0 = validate_initial_parents(initial_parents, n)
 
-    if initial_parents is not None:
-        f0 = validate_initial_parents(initial_parents, n)
-    else:
-        f0 = np.arange(n, dtype=np.int64)
-    dist = _Dist(comm, n)
-    f = dist.distribute(f0)
-    star = dist.distribute(np.ones(n, dtype=np.int64))
+    def rank(r: int):
+        """Rank *r*'s blocks and hooking program: one hooking phase's
+        ``(roots, proposals)`` come from the rank's block of ``f``
+        (restricted to nonstars for the unconditional hook) put through
+        the paper's mxv over *(Select2nd, min)*, executed on the 2D grid,
+        and the rank reads its own output block."""
+        b, f, star = _blocks(n, ranks, r, f0)
 
-    def hook(conditional: bool):
-        """One hooking phase's per-rank ``(roots, proposals)``: each rank
-        contributes its block of ``f`` (restricted to nonstars for the
-        unconditional hook) to the paper's mxv over *(Select2nd, min)*,
-        executed on the 2D grid, and reads its own output block."""
-        x = []
-        for r in range(ranks):
-            local = np.arange(f[r].size) if conditional else np.flatnonzero(star[r] == 0)
-            x.append((local, f[r][local]))
-        roots, proposals = [], []
-        for r, (idx, prop) in enumerate(dist_mxv(dmat, x, sr.SEL2ND_MIN_INT64, dist)):
-            fu = f[r][idx]
-            fire = star[r][idx] == 1
+        def hook(conditional: bool):
+            local = np.arange(f.size) if conditional else np.flatnonzero(star == 0)
+            x = (local, f[local])
+            idx, prop = yield from rank_mxv(dmat, r, x, sr.SEL2ND_MIN_INT64)
+            fu = f[idx]
+            fire = star[idx] == 1
             fire &= (prop < fu) if conditional else (prop != fu)
-            roots.append(fu[fire])
-            proposals.append(prop[fire])
-        return roots, proposals
+            return fu[fire], prop[fire]
+
+        return b, f, star, hook
 
     return _run(
-        dist, f, star, hook, bool(A.nvals), max_iterations, start_iteration,
-        on_iteration, driver="2d", n=n, nnz=A.nvals, ranks=ranks,
-        grid_side=grid.side,
+        comm, [rank(r) for r in range(ranks)], bool(A.nvals), max_iterations,
+        start_iteration, on_iteration, driver="2d", n=n, nnz=A.nvals,
+        ranks=ranks, grid_side=grid.side,
     )

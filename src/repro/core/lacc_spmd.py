@@ -1,11 +1,15 @@
-"""SPMD LACC: a *literal* distributed execution over SimComm.
+"""SPMD LACC: a *literal* distributed execution, one program per rank.
 
 The scaling sweeps in :mod:`repro.core.lacc_dist` price LACC analytically;
 this module complements them with an execution that is **actually
 distributed**: the parent and star vectors live as per-rank blocks, the
-edge list is 1D-partitioned, and every step communicates exclusively
-through :class:`repro.mpisim.SimComm` collectives — no rank ever touches
-another rank's block directly.  Per iteration:
+edge list is 1D-partitioned, and the algorithm is written as one rank's
+program over its own blocks, as CombBLAS runs it.  The program meets the
+other ranks only at collectives: it is a generator that yields at each
+one, and :meth:`~repro.mpisim.envelope.CommBase.run_ranks` steps the *p*
+programs in lockstep on either backend, :class:`repro.mpisim.SimComm` or
+the worker processes of :class:`repro.parallel.ProcComm` — no rank ever
+touches another rank's block directly.  Per iteration:
 
 1. **endpoint resolution** — each rank holds one record per undirected
    edge, cyclic-partitioned, and requests its sorted endpoint set from
@@ -36,8 +40,9 @@ another rank's block directly.  Per iteration:
    when no root hooked, the shortcut changed nothing and every vertex
    sits in a star.
 
-That is 17 alltoallvs per iteration.  The iteration is one loop,
-:func:`_run`, with the hook proposals supplied by the driver;
+That is 17 alltoallvs per iteration.  The iteration is one rank program,
+:func:`_iteration`, with the hook proposals supplied by the driver's
+per-rank hooking program, and :func:`_run` loops it;
 :func:`repro.core.lacc_2d.lacc_2d` runs it too, with its own setup and
 proposals.  Both return the serial driver's
 :class:`~repro.core.lacc.LACCResult` and step record.  The test suite
@@ -48,7 +53,7 @@ and per-iteration hook and star counts on every rank count, and that
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +62,6 @@ from repro.graphblas.monoid import MIN_INT64
 from repro.graphblas.sorting import count_distinct
 from repro.graphs.generators import EdgeList
 from repro.mpisim.backend import make_comm
-from repro.mpisim.comm import SimComm
 from repro.obs.tracer import Tracer
 from repro.obs.tracer import current as _obs
 from repro.obs.tracer import flight_recorder as _freg
@@ -71,158 +75,130 @@ from .stats import IterationStats, LACCStats
 __all__ = ["lacc_spmd"]
 
 
-#: a distributed vector: one block per rank
-Blocks = List[np.ndarray]
-
-
 class _Plan(NamedTuple):
-    """A request :meth:`_Dist.request` delivered, kept for its replies."""
+    """A request :meth:`_Block.request` delivered, kept for its replies."""
 
-    sizes: List[int]  # sizes[r]: how many indices rank r asked for
-    back: List[Blocks]  # back[r][o]: positions in r's request that o owns
-    local: List[Blocks]  # local[o][r]: block offsets o answers r with
+    size: int  # how many indices this rank asked for
+    back: List[np.ndarray]  # back[o]: positions in the request that o owns
+    local: List[np.ndarray]  # local[r]: block offsets this rank answers r with
 
 
-class _Dist:
-    """Block distribution of length-*n* int64 vectors over *comm*'s ranks.
+class _Block:
+    """Rank *r*'s block of length-*n* int64 vectors over *p* ranks.
 
-    A distributed vector is a list of per-rank blocks; block *r* holds
-    global indices ``lo(r):hi(r)``.  Every cross-rank access is one
-    ``alltoallv``: :meth:`request` ships indices to their owners and
-    :meth:`reply` answers them, :meth:`hook` and :meth:`clear` route
-    updates to the owners.  :func:`repro.combblas.spmv.dist_mxv` takes a
-    ``_Dist`` as its communicator, so its traffic is counted too.
-
-    :attr:`words` counts the payload words that crossed a rank boundary,
-    as the communicator's ``alltoallv`` spans count them: a rank's
-    messages to itself never leave the rank.
+    The block holds global indices ``lo:hi``.  Every cross-rank access is
+    one ``alltoallv``, and each one is a generator step of a rank program
+    (:meth:`~repro.mpisim.envelope.CommBase.run_ranks` steps them): it
+    yields this rank's send row, one array per destination, and gets
+    back its receive row, one array per source.  :meth:`request` ships
+    indices to their owners and :meth:`reply` answers them, :meth:`hook`
+    and :meth:`clear` route updates to the owners.
     """
 
-    def __init__(self, comm: SimComm, n: int):
-        self.comm = comm
-        self.n = n
-        self.p = comm.size
-        self.block = max(-(-n // self.p), 1)
-        self.words = 0
+    def __init__(self, n: int, p: int, r: int):
+        self.n, self.p = n, p
+        self.block = max(-(-n // p), 1)
+        self.lo, self.hi = min(r * self.block, n), min((r + 1) * self.block, n)
 
-    def lo(self, r: int) -> int:
-        return min(r * self.block, self.n)
-
-    def hi(self, r: int) -> int:
-        return min((r + 1) * self.block, self.n)
-
-    def distribute(self, init: np.ndarray) -> Blocks:
-        """Per-rank block copies of the global vector *init*."""
-        return [init[self.lo(r) : self.hi(r)].copy() for r in range(self.p)]
-
-    def alltoallv(self, send: List[Blocks]) -> List[Blocks]:
-        """``comm.alltoallv``, counting the off-rank words."""
-        p = self.p
-        self.words += sum(send[r][o].size for r in range(p) for o in range(p) if o != r)
-        return self.comm.alltoallv(send)
-
-    def _by_owner(self, idx: np.ndarray) -> Blocks:
+    def _by_owner(self, idx: np.ndarray) -> List[np.ndarray]:
         """Positions of *idx*'s entries, one array per owner rank."""
         owners = np.minimum(idx // self.block, self.p - 1)
         return [np.flatnonzero(owners == o) for o in range(self.p)]
 
-    def request(self, requests: Blocks) -> _Plan:
-        """``requests[r]`` = global indices rank *r* wants.  One alltoallv
-        ships them to their owners, who keep what they received: the
-        returned plan, which every later :meth:`reply` answers."""
-        reqs = [np.asarray(q, dtype=np.int64) for q in requests]
-        back = [self._by_owner(q) for q in reqs]
-        recv = self.alltoallv([[q[s] for s in sel] for q, sel in zip(reqs, back)])
-        local = [[idx - self.lo(o) for idx in recv[o]] for o in range(self.p)]
-        return _Plan([q.size for q in reqs], back, local)
+    def request(self, idx: np.ndarray):
+        """Ship the global indices *idx* to their owners, who keep what
+        they received: the returned plan, which every later :meth:`reply`
+        answers."""
+        idx = np.asarray(idx, dtype=np.int64)
+        back = self._by_owner(idx)
+        recv = yield [idx[s] for s in back]
+        return _Plan(idx.size, back, [q - self.lo for q in recv])
 
-    def reply(self, plan: _Plan, vec: Blocks) -> Blocks:
-        """Owners answer *plan* with *vec*'s values in one alltoallv.
-        Returns each rank's values positionally aligned with its request."""
-        recv = self.alltoallv(
-            [[vec[o][idx] for idx in plan.local[o]] for o in range(self.p)]
-        )  # recv[r][o]
-        out = [np.empty(size, dtype=np.int64) for size in plan.sizes]
-        for r in range(self.p):
-            for o, sel in enumerate(plan.back[r]):
-                out[r][sel] = recv[r][o]
+    def reply(self, plan: _Plan, vec: np.ndarray):
+        """Answer *plan* with this rank's block *vec*.  Returns the values
+        this rank asked for, positionally aligned with its request."""
+        recv = yield [vec[q] for q in plan.local]
+        out = np.empty(plan.size, dtype=np.int64)
+        for sel, vals in zip(plan.back, recv):
+            out[sel] = vals
         return out
 
-    def _route(self, targets: Blocks, values: Optional[Blocks] = None):
-        """Ship each rank's targets, with their values in the same array,
-        to the targets' owners in one alltoallv.  Returns, per owner, the
-        block offsets it received and their values (``None`` without)."""
-        send = []
-        for r in range(self.p):
-            t = np.asarray(targets[r], dtype=np.int64)
-            sel = self._by_owner(t)
-            if values is None:
-                send.append([t[s] for s in sel])
-            else:
-                v = np.asarray(values[r], dtype=np.int64)
-                send.append([np.concatenate([t[s], v[s]]) for s in sel])
-        out = []
-        for o, row in enumerate(self.alltoallv(send)):
-            if values is None:
-                t, v = np.concatenate(row), None
-            else:
-                halves = [np.split(msg, 2) for msg in row]
-                t = np.concatenate([h[0] for h in halves])
-                v = np.concatenate([h[1] for h in halves])
-            out.append((t - self.lo(o), v))
-        return out
+    def _route(self, targets: np.ndarray, values: Optional[np.ndarray] = None):
+        """Ship *targets*, with their *values* in the same array, to the
+        targets' owners.  Returns the block offsets this rank received and
+        their values (``None`` without)."""
+        t = np.asarray(targets, dtype=np.int64)
+        sel = self._by_owner(t)
+        if values is None:
+            row = yield [t[s] for s in sel]
+            return np.concatenate(row) - self.lo, None
+        v = np.asarray(values, dtype=np.int64)
+        row = yield [np.concatenate([t[s], v[s]]) for s in sel]
+        halves = [np.split(msg, 2) for msg in row]
+        return (np.concatenate([h[0] for h in halves]) - self.lo,
+                np.concatenate([h[1] for h in halves]))
 
-    def hook(self, f: Blocks, roots: Blocks, proposals: Blocks) -> int:
-        """Write hook proposals onto their roots: ``proposals[r][k]`` is
-        rank *r*'s offer to root ``roots[r][k]``.  Each rank min-combines
-        its offers per root, one alltoallv routes them to the roots'
-        owners, and each owner writes what it received with
+    def hook(self, f: np.ndarray, roots: np.ndarray, proposals: np.ndarray):
+        """Write hook proposals onto their roots: ``proposals[k]`` is this
+        rank's offer to root ``roots[k]``.  The rank min-combines its
+        offers per root, routes them to the roots' owners, and writes what
+        it received into its block *f* with
         :func:`~repro.core.hooking.assign_min`.  Returns the number of
-        roots written."""
-        combined = [
-            _kernels.impl().reduce_by_rows(v, t, MIN_INT64, self.n)
-            for t, v in zip(roots, proposals)
-        ]
-        routed = self._route([c[0] for c in combined], [c[1] for c in combined])
-        return sum(int(assign_min(f[o], t, v)[0].size) for o, (t, v) in enumerate(routed))
+        roots this rank wrote."""
+        t, v, _ = _kernels.impl().reduce_by_rows(proposals, roots, MIN_INT64, self.n)
+        t, v = yield from self._route(t, v)
+        return int(assign_min(f, t, v)[0].size)
 
-    def clear(self, vec: Blocks, targets: Blocks) -> None:
-        """Route indices to owners; owners set ``vec[i] = 0``."""
-        for o, (local, _) in enumerate(self._route(targets)):
-            vec[o][local] = 0
+    def clear(self, vec: np.ndarray, targets: np.ndarray):
+        """Route indices to their owners, who set ``vec[i] = 0``."""
+        local, _ = yield from self._route(targets)
+        vec[local] = 0
 
 
-def _starcheck(dist: _Dist, f: Blocks, star: Blocks) -> Blocks:
-    """Algorithm 6 with message passing, in four alltoallvs.
+def _starcheck(b: _Block, f: np.ndarray, star: np.ndarray):
+    """Algorithm 6 for one rank, in four alltoallvs.
 
-    Returns the grandparents ``gf``, per rank: while ``f`` is unchanged,
-    :func:`_shortcut` reuses them instead of gathering again.
+    Returns the grandparents ``gf`` of the rank's vertices: while ``f``
+    is unchanged, the shortcut reuses them instead of gathering again.
     """
-    plan = dist.request(f)
-    gf = dist.reply(plan, f)
+    plan = yield from b.request(f)
+    gf = yield from b.reply(plan, f)
     # f != gf: the vertex (owned here) and its grandparent are nonstar
-    bad_gp = []
-    for r in range(dist.p):
-        neq = f[r] != gf[r]
-        star[r][:] = 1
-        star[r][neq] = 0
-        bad_gp.append(gf[r][neq])
-    dist.clear(star, bad_gp)
+    neq = f != gf
+    star[:] = 1
+    star[neq] = 0
+    yield from b.clear(star, gf[neq])
     # star[v] &= star[f[v]]
-    pstar = dist.reply(plan, star)
-    for r in range(dist.p):
-        star[r] &= pstar[r]
+    star &= yield from b.reply(plan, star)
     return gf
 
 
-def _shortcut(f: Blocks, gf: Blocks) -> int:
-    """``f ← gf`` on every rank, from the grandparents of the starcheck
-    run since ``f`` last changed; no communication.  Returns #changed."""
-    changed = 0
-    for r, g in enumerate(gf):
-        changed += int(np.count_nonzero(g != f[r]))
-        f[r][:] = g
-    return changed
+def _iteration(b: _Block, f: np.ndarray, star: np.ndarray, hook):
+    """One LACC iteration as rank *b*'s program over its blocks *f* and
+    *star*, yielding each step's name before its work.  *hook* is the
+    driver's per-rank hooking program: ``hook(conditional)`` returns this
+    rank's ``(roots, proposals)``.  Returns the rank's conditional and
+    unconditional hook counts, its shortcut changes and the allreduced
+    nonstar count."""
+    hooked = []
+    for step, conditional in (("cond_hook", True), ("uncond_hook", False)):
+        yield "starcheck"
+        yield from _starcheck(b, f, star)
+        yield step
+        roots, proposals = yield from hook(conditional)
+        hooked.append((yield from b.hook(f, roots, proposals)))
+        del roots, proposals  # hold no proposals through the next step
+    yield "starcheck"
+    gf = yield from _starcheck(b, f, star)
+    # f <- gf from the last starcheck's grandparents: f has not changed
+    # since, so the shortcut sends nothing
+    yield "shortcut"
+    changed = int(np.count_nonzero(gf != f))
+    f[:] = gf
+    yield "convergence"
+    # allreduce the termination predicate
+    nonstars = yield np.array([int((star == 0).sum())])
+    return (*hooked, changed, int(nonstars[0]))
 
 
 def _endpoints(
@@ -246,7 +222,7 @@ def lacc_spmd(
     start_iteration: int = 0,
     on_iteration: Optional[IterationHook] = None,
 ) -> LACCResult:
-    """Run LACC with literal per-rank data and SimComm message passing.
+    """Run LACC with literal per-rank data and message passing.
 
     Parameters
     ----------
@@ -284,51 +260,42 @@ def lacc_spmd(
     keep = g.u != g.v
     eu, ev = g.u[keep], g.v[keep]  # one record per undirected edge
     has_edges = bool(eu.size)
-    # 1D cyclic edge partition (balances skewed inputs).  Each rank's
-    # hook request is its sorted endpoint set, and each local edge holds
-    # its endpoints' positions in that set.
-    req, iu, iv = map(list, zip(*(
-        _endpoints(np.arange(n), eu[r::ranks], ev[r::ranks]) for r in range(ranks)
-    )))
-    del eu, ev  # free the edge copies: the run needs only the positions
+    f0 = validate_initial_parents(initial_parents, n)
 
-    if initial_parents is not None:
-        f0 = validate_initial_parents(initial_parents, n)
-    else:
-        f0 = np.arange(n, dtype=np.int64)
-    dist = _Dist(comm, n)
-    f = dist.distribute(f0)
-    star = dist.distribute(np.ones(n, dtype=np.int64))
-    hook_plan: Optional[_Plan] = None
+    def rank(r: int):
+        """Rank *r*'s blocks and hooking program.  The rank holds every
+        *ranks*-th edge (a 1D cyclic partition, which balances skewed
+        inputs); its hook request is its sorted endpoint set, and each of
+        its edges holds its endpoints' positions in that set."""
+        b, f, star = _blocks(n, ranks, r, f0)
+        req, iu, iv = _endpoints(np.arange(n), eu[r::ranks], ev[r::ranks])
+        plan: Optional[_Plan] = None
 
-    def hook(conditional: bool) -> Tuple[Blocks, Blocks]:
-        """One hooking phase's per-rank ``(roots, proposals)``.
+        def hook(conditional: bool):
+            """One hooking phase's ``(roots, proposals)`` on this rank.
 
-        Each rank reads its endpoint set ``req`` from a reply of one word
-        per endpoint, ``f`` for a star and ``~f`` for a nonstar (exact,
-        as ``f >= 0``), and each edge, one record hooked in both
-        directions, reads its endpoints off it through ``iu``/``iv``.  An
-        edge whose endpoints share a parent is dropped for good: trees
-        only merge, so its endpoints stay in one tree, and once that tree
-        is a star both hold the same parent, so neither hook can fire on
-        it again.  The conditional hook, the first of each iteration,
-        re-sends the request over the edges still live.
-        """
-        nonlocal hook_plan
-        if conditional:
-            if hook_plan is not None:
-                for r in range(ranks):
-                    req[r], iu[r], iv[r] = _endpoints(req[r], iu[r], iv[r])
-            hook_plan = dist.request(req)
-        code = [np.where(s == 1, fo, ~fo) for fo, s in zip(f, star)]
-        coded = dist.reply(hook_plan, code)
-        roots, proposals = [], []
-        for r, x in enumerate(coded):
+            The rank reads its endpoint set ``req`` from a reply of one
+            word per endpoint, ``f`` for a star and ``~f`` for a nonstar
+            (exact, as ``f >= 0``), and each edge, one record hooked in
+            both directions, reads its endpoints off it through
+            ``iu``/``iv``.  An edge whose endpoints share a parent is
+            dropped for good: trees only merge, so its endpoints stay in
+            one tree, and once that tree is a star both hold the same
+            parent, so neither hook can fire on it again.  The
+            conditional hook, the first of each iteration, re-sends the
+            request over the edges still live.
+            """
+            nonlocal plan, req, iu, iv
+            if conditional:
+                if plan is not None:
+                    req, iu, iv = _endpoints(req, iu, iv)
+                plan = yield from b.request(req)
+            x = yield from b.reply(plan, np.where(star == 1, f, ~f))
             isstar = x >= 0
             fx = np.where(isstar, x, ~x)
-            fu, fv, su, sv = fx[iu[r]], fx[iv[r]], isstar[iu[r]], isstar[iv[r]]
+            fu, fv, su, sv = fx[iu], fx[iv], isstar[iu], isstar[iv]
             live = fu != fv
-            iu[r], iv[r] = iu[r][live], iv[r][live]
+            iu, iv = iu[live], iv[live]
             # an edge fires one way at most: f[f[u]] <- f[v] if up, else f[f[v]] <- f[u]
             if conditional:
                 up = fv < fu
@@ -337,21 +304,27 @@ def lacc_spmd(
                 # a star hooks onto a nonstar neighbour's parent
                 up, fire = su, live & (su != sv)
             up, fu, fv = up[fire], fu[fire], fv[fire]
-            roots.append(np.where(up, fu, fv))
-            proposals.append(np.where(up, fv, fu))
-        return roots, proposals
+            return np.where(up, fu, fv), np.where(up, fv, fu)
 
+        return b, f, star, hook
+
+    world = [rank(r) for r in range(ranks)]
+    del eu, ev  # free the edge copies: the ranks keep only positions
     return _run(
-        dist, f, star, hook, has_edges, max_iterations, start_iteration,
-        on_iteration, driver="spmd", n=n, ranks=ranks,
+        comm, world, has_edges, max_iterations, start_iteration, on_iteration,
+        driver="spmd", n=n, ranks=ranks,
     )
 
 
+def _blocks(n: int, p: int, r: int, f0: np.ndarray):
+    """Rank *r*'s block, and its blocks of *f0* and of the all-star vector."""
+    b = _Block(n, p, r)
+    return b, f0[b.lo : b.hi].copy(), np.ones(b.hi - b.lo, dtype=np.int64)
+
+
 def _run(
-    dist: _Dist,
-    f: Blocks,
-    star: Blocks,
-    hook: Callable[[bool], Tuple[Blocks, Blocks]],
+    comm,
+    world: list,
     has_edges: bool,
     max_iterations: Optional[int],
     start_iteration: int,
@@ -360,13 +333,15 @@ def _run(
 ) -> LACCResult:
     """The block-distributed LACC loop of :func:`lacc_spmd` and
     :func:`repro.core.lacc_2d.lacc_2d`: the drivers differ only in their
-    setup and in ``hook(conditional)``, which returns one hooking phase's
-    per-rank ``(roots, proposals)`` from the blocks *f* and *star*;
-    :meth:`_Dist.hook` writes them.  ``run_start`` holds the driver's own
-    fields of the flight record's ``run_start`` event.  The loop keeps no
-    Lemma-1 active set, so its stats read as serial LACC's without
-    sparsity: every vertex active, none converged."""
-    comm, faults, n = dist.comm, dist.comm.faults, dist.n
+    setup and in each rank's hooking program.  *world* holds each rank's
+    ``(block, f, star, hook)``, and each iteration runs
+    :func:`_iteration` on every rank through
+    :meth:`~repro.mpisim.envelope.CommBase.run_ranks`, and sums the hook
+    and shortcut counts the ranks return.  ``run_start`` holds the
+    driver's own fields of the flight record's ``run_start`` event.  The
+    loop keeps no Lemma-1 active set, so its stats read as serial LACC's
+    without sparsity: every vertex active, none converged."""
+    faults, n = comm.faults, world[0][0].n
     # as in lacc(), a private tracer carries the spans LACCStats come from
     tr = _obs() if _obs().enabled else Tracer()
     stats = LACCStats(n_vertices=n)
@@ -380,44 +355,34 @@ def _run(
     if max_iterations is None:
         max_iterations = iteration_bound(n)
     iterations = start_iteration
+    words_sent = 0
     if n and has_edges:
         for k in range(1, max_iterations + 1):
             iterations = start_iteration + k
             if fr:
                 fr.set_coords(iteration=iterations)
             it_stats = IterationStats(iteration=iterations, active_vertices=n)
-            # step spans (cat "step") name the algorithm phase each
-            # collective serves; the proc backend stamps the enclosing
-            # step into worker-side spans/flight events for measured
-            # per-step attribution
+            # the ranks' step spans (cat "step") name the algorithm phase
+            # each collective serves; the proc backend stamps the
+            # enclosing step into worker-side spans/flight events for
+            # measured per-step attribution
             with tr.span("iteration", "iteration", iteration=iterations) as it_span:
-                with tr.span("starcheck", "step"):
-                    _starcheck(dist, f, star)
-                with tr.span("cond_hook", "step"):
-                    it_stats.cond_hooks = dist.hook(f, *hook(True))
-                with tr.span("starcheck", "step"):
-                    _starcheck(dist, f, star)
-                with tr.span("uncond_hook", "step"):
-                    it_stats.uncond_hooks = dist.hook(f, *hook(False))
-                with tr.span("starcheck", "step"):
-                    gf = _starcheck(dist, f, star)
-                with tr.span("shortcut", "step"):
-                    changed = _shortcut(f, gf)
-                with tr.span("convergence", "step"):
-                    # allreduce the termination predicate
-                    nonstars = int(comm.allreduce(
-                        [np.array([int((s == 0).sum())]) for s in star],
-                        np.add,
-                    )[0][0])
+                counts, words = comm.run_ranks(
+                    [_iteration(*rank) for rank in world], tr
+                )
+            words_sent += words
+            cond, uncond, changed, _ = map(sum, zip(*counts))
+            nonstars = counts[0][3]
+            it_stats.cond_hooks, it_stats.uncond_hooks = cond, uncond
             it_stats.star_vertices = n - nonstars
             _close_iteration(stats, it_stats, it_span, lemma1=False)
-            if not (it_stats.cond_hooks or it_stats.uncond_hooks or changed or nonstars):
+            if not (cond or uncond or changed or nonstars):
                 break
             if on_iteration is not None:
                 on_iteration(IterationSnapshot(
                     iteration=iterations,
-                    parents=np.concatenate(f),
-                    star=np.concatenate(star) == 1,
+                    parents=np.concatenate([f for _, f, _, _ in world]),
+                    star=np.concatenate([star for _, _, star, _ in world]) == 1,
                     active=None,
                     simulated_seconds=(
                         comm.fault_seconds if comm.cost is None
@@ -428,13 +393,13 @@ def _run(
         else:
             raise RuntimeError("distributed LACC failed to converge (bug)")
 
-    parents = np.concatenate(f)
+    parents = np.concatenate([f for _, f, _, _ in world])
     n_components = count_distinct(parents)
     if fr:
         fr.record(
             "run_end", n_iterations=iterations, n_components=n_components
         )
     return LACCResult(
-        parents, n_components, iterations, stats, ranks=dist.p,
-        words_sent=dist.words, fault_seconds=comm.fault_seconds, cost=comm.cost,
+        parents, n_components, iterations, stats, ranks=comm.size,
+        words_sent=words_sent, fault_seconds=comm.fault_seconds, cost=comm.cost,
     )

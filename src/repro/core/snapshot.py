@@ -62,7 +62,10 @@ IterationHook = Callable[[IterationSnapshot], None]
 
 
 def validate_initial_parents(parents, n: int) -> np.ndarray:
-    """Check and normalise a resume parent vector (length & range)."""
+    """Check and normalise a resume parent vector (length & range);
+    ``None`` is a fresh start, the identity."""
+    if parents is None:
+        return np.arange(n, dtype=np.int64)
     f0 = np.asarray(parents, dtype=np.int64)
     if f0.shape != (n,):
         raise ValueError(

@@ -27,6 +27,8 @@ Everything that must behave *identically* on both lives here:
   so one :class:`~repro.faults.FaultPlan` seed means one schedule, one
   set of backoffs and one :class:`~repro.faults.CollectiveError` on
   every path;
+* the **rank runner** (:meth:`CommBase.run_ranks`), the only code that
+  hands one rank program's buffers to another;
 * the **failure exit** (:func:`fail`) every collective error leaves
   through — the envelope's, the proc backend's worker-death
   classification and the simulator's model of process faults alike.
@@ -42,6 +44,7 @@ movement once and hands the result to the envelope.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
@@ -342,6 +345,46 @@ class CommBase:
             call = None if self.faults is None else self.faults.begin_call("allreduce")
             out = self._exchange_allreduce(sp, arrs, op, call)
             return self._deliver(call, out, list, sp, words, messages)
+
+    def run_ranks(self, programs: Sequence, tracer=None) -> Tuple[list, int]:
+        """Run one program per rank in lockstep; the one world view.
+
+        A rank program is a generator over its rank's own state, and all
+        yield the same kind at the same point: a list is its ``alltoallv``
+        send row (one array per destination), answered with its receive
+        row; an ndarray its ``allreduce`` contribution under ``np.add``,
+        answered with the total; a str names the ``step`` span on
+        *tracer* (default: the active one) that holds its work up to the
+        next name, its return or an exception.  Returns the programs'
+        return values and the words their ``alltoallv``\\ s moved off-rank.
+        """
+        self._check(programs, what="rank program")
+        tr = _obs() if tracer is None else tracer
+        inbox: list = [None] * self.size
+        words = 0
+        with ExitStack() as step:
+            while True:
+                sent, done = [], []
+                for r, prog in enumerate(programs):
+                    try:
+                        sent.append(prog.send(inbox[r]))
+                    except StopIteration as stop:
+                        done.append(stop.value)
+                    inbox[r] = None  # the rank alone holds what it got
+                kinds = {type(s) for s in sent}
+                if (done and sent) or len(kinds) > 1:
+                    raise RuntimeError("rank programs fell out of lockstep")
+                if done:
+                    return done, words
+                if isinstance(sent[0], str):
+                    step.close()
+                    step.enter_context(tr.span(sent[0], "step"))
+                elif isinstance(sent[0], np.ndarray):
+                    inbox = self.allreduce(sent, np.add)
+                else:
+                    words += sum(m.size for r, row in enumerate(sent)
+                                 for o, m in enumerate(row) if o != r)
+                    inbox = self.alltoallv(sent)
 
     # ------------------------------------------------------------------
     # fault injection

@@ -93,10 +93,6 @@ class ProcessGrid:
         """Rank owning each matrix entry under the 2D block distribution."""
         return self.block_row(rows) * self.side + self.block_col(cols)
 
-    def edge_counts(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Entries per block — per-rank local work for an SpMV."""
-        return np.bincount(self.edge_owner(rows, cols), minlength=self.nprocs)
-
     # ------------------------------------------------------------------
     def local_range(self, rank: int) -> Tuple[int, int]:
         """Half-open range of vector indices rank owns under the *block*

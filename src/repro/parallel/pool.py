@@ -50,7 +50,7 @@ import signal
 import threading
 import time
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -407,23 +407,6 @@ class WorkerPool:
             row = None if rows is None else rows[r]
             self._send(r, TAG_CMD, _frame(opcode, seq, arg, self._coords, row))
         return seq
-
-    @contextmanager
-    def deadline(self, seconds: Optional[float]):
-        """Per-collective deadline budget: every worker round-trip inside
-        the block waits at most *seconds* (never more than the pool's own
-        timeout), so a stalled worker surfaces as a classified
-        :class:`WorkerDied` within the budget instead of after the full
-        pool timeout."""
-        if seconds is None:
-            yield
-            return
-        prev = self.timeout
-        self.timeout = min(prev, float(seconds))
-        try:
-            yield
-        finally:
-            self.timeout = prev
 
     # -- collectives (fault-free data movement; the envelope lives in
     #    ProcComm, which wraps these results) -------------------------

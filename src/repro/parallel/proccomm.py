@@ -37,7 +37,6 @@ leave a rank, so self-messages add nothing to them.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 import numpy as np
@@ -51,13 +50,6 @@ from .obsband import STEP_TO_CODE, record_rank_events, salvaged_flight_events
 from .pool import WorkerDied, get_pool
 
 __all__ = ["ProcComm"]
-
-#: optional per-collective deadline budget, seconds (unset = pool timeout)
-_DEADLINE_S: Optional[float] = (
-    float(os.environ["REPRO_PROC_DEADLINE"])
-    if os.environ.get("REPRO_PROC_DEADLINE")
-    else None
-)
 
 
 class ProcComm(CommBase):
@@ -85,9 +77,10 @@ class ProcComm(CommBase):
 
         Classification → error kind: any ``dead`` rank means the loss is
         permanent (``rank_lost``, retry cannot help, shrink can); only
-        ``stalled`` ranks means the collective ran out of its deadline
-        budget while the worker still exists (``deadline_exceeded``); no
-        classified culprit degrades to the legacy ``worker_died``.
+        ``stalled`` ranks means the collective ran out of the pool's
+        round-trip budget (``REPRO_PROC_TIMEOUT``) while the worker still
+        exists (``deadline_exceeded``); no classified culprit degrades to
+        the legacy ``worker_died``.
         """
         lost = FailureDetector.dead_ranks(status) if status else []
         stalled = FailureDetector.stalled_ranks(status) if status else []
@@ -150,8 +143,7 @@ class ProcComm(CommBase):
                 STEP_TO_CODE.get(st.name, 0) if st is not None else 0,
             )
         try:
-            with pool.deadline(_DEADLINE_S):
-                out = fn(pool, *args)
+            out = fn(pool, *args)
         except WorkerDied as exc:
             self._fail(name, sp, getattr(exc, "status", ()), error=str(exc))
         return out

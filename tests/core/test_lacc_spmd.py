@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import lacc
 from repro.core.lacc_2d import lacc_2d
-from repro.core.lacc_spmd import _Dist, lacc_spmd
+from repro.core.lacc_spmd import _Block, lacc_spmd
 from repro.faults import FaultPlan, preset
 from repro.graphs import generators as gen
 from repro.graphs import validate
@@ -47,15 +47,17 @@ def test_words_sent_equals_alltoallv_span_words(family, seed, ranks):
 
 
 def test_hook_write_assigns_the_min_proposal():
-    """``_Dist.hook`` assigns each root its smallest proposal over all
+    """``_Block.hook`` assigns each root its smallest proposal over all
     ranks, also one larger than the root's own id (Algorithm 4 hooks
     against id order); the root's current parent takes no part."""
-    dist = _Dist(SimComm(2), 6)
-    f = dist.distribute(np.arange(6))
-    hooked = dist.hook(
-        f, [np.array([0, 0, 4]), np.array([0])], [np.array([5, 3, 1]), np.array([4])]
+    blocks = [_Block(6, 2, r) for r in range(2)]
+    f = [np.arange(6)[b.lo : b.hi].copy() for b in blocks]
+    roots = [np.array([0, 0, 4]), np.array([0])]
+    proposals = [np.array([5, 3, 1]), np.array([4])]
+    hooked, _ = SimComm(2).run_ranks(
+        [b.hook(*args) for b, *args in zip(blocks, f, roots, proposals)]
     )
-    assert hooked == 2
+    assert sum(hooked) == 2
     assert np.concatenate(f).tolist() == [3, 1, 2, 3, 1, 5]
 
 

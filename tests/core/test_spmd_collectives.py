@@ -10,9 +10,11 @@ corpus graph, fault-free and under the transient ``flaky`` and
 ``stragglers`` presets, the parents must be byte-identical to serial
 ``lacc``'s and the iteration counts equal.
 Serial ``lacc`` is itself pinned to ``lacc_lagraph``, the literal
-GraphBLAS transcription of Algorithms 3–6.  ``lacc_spmd`` must also make
-exactly 17 ``alltoallv`` calls per iteration, and its hook replies carry
-one word per requested endpoint.  The premise of its edge pruning is
+GraphBLAS transcription of Algorithms 3–6.  Each iteration must make its
+collectives in the steps the rank program names: ``lacc_spmd``'s 17
+``alltoallv``\\ s and ``lacc_2d``'s 18, one ``allreduce`` each, and none
+outside a step.  ``lacc_spmd``'s hook replies carry one word per
+requested endpoint.  The premise of its edge pruning is
 checked on serial ``lacc``'s own iterations.
 
 The tests keep their ``gather_oracle`` names from the gather-based
@@ -49,6 +51,28 @@ def _plan(name):
     return None if name is None else preset(name, seed=7)
 
 
+#: each iteration's collectives, by (step, collective)
+SPMD_STEPS = {("starcheck", "alltoallv"): 12, ("cond_hook", "alltoallv"): 3,
+              ("uncond_hook", "alltoallv"): 2, ("convergence", "allreduce"): 1}
+GRID_STEPS = {**SPMD_STEPS, ("uncond_hook", "alltoallv"): 3}
+
+
+def _assert_steps(tr, res, want):
+    """Every iteration makes the collectives *want* in its step spans,
+    and no collective runs outside a step."""
+    its = tr.find("iteration", "iteration")
+    assert len(its) == res.n_iterations
+    inside = 0
+    for it in its:
+        got = {}
+        for step in it.children:
+            for sp in step.find(cat="simcomm"):
+                got[step.name, sp.name] = got.get((step.name, sp.name), 0) + 1
+        assert got == want
+        inside += sum(got.values())
+    assert inside == len(tr.find(cat="simcomm"))
+
+
 def _assert_serial(res, family, seed, plan):
     ser = _serial(family, seed)
     assert res.parents.dtype == ser.parents.dtype
@@ -67,8 +91,7 @@ def test_spmd_matches_gather_oracle(family, seed, ranks, faults):
     with backend.use("sim"), activate(tr):
         res = lacc_spmd(g, ranks=ranks, faults=plan)
     _assert_serial(res, family, seed, plan)
-    calls = len(tr.find("alltoallv", "simcomm"))
-    assert calls == 17 * res.n_iterations
+    _assert_steps(tr, res, SPMD_STEPS)
 
 
 @pytest.mark.parametrize("ranks", [2, 3])
@@ -98,10 +121,12 @@ def test_spmd_hook_replies_one_word_per_endpoint(family, seed, ranks):
 @pytest.mark.parametrize("family,seed", CORPUS, ids=CORPUS_IDS)
 def test_2d_matches_gather_oracle(family, seed, faults):
     g = make_graph(family, seed)
+    tr = Tracer()
     plan = _plan(faults)
-    with backend.use("sim"):
+    with backend.use("sim"), activate(tr):
         res = lacc_2d(g, ranks=4, faults=plan)
     _assert_serial(res, family, seed, plan)
+    _assert_steps(tr, res, GRID_STEPS)
 
 
 def _roots(f):

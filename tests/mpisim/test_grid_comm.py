@@ -190,3 +190,47 @@ class TestSimComm:
             np.concatenate([v for _, v in out]),
         )
         assert got.isequal(want)
+
+
+def _exchange(r, p):
+    """A rank program: one named step, one alltoallv sending ``r`` to
+    every rank, one allreduce of what arrived; returns both."""
+    yield "exchange"
+    row = yield [np.full(2, r) for _ in range(p)]
+    total = yield np.concatenate(row)
+    return [int(m[0]) for m in row], total.tolist()
+
+
+class TestRunRanks:
+    def test_values_words_and_step_spans(self):
+        from repro.obs import Tracer, activate
+
+        tr = Tracer()
+        with activate(tr):
+            values, words = SimComm(3).run_ranks([_exchange(r, 3) for r in range(3)])
+        assert values == [([0, 1, 2], [0, 0, 3, 3, 6, 6])] * 3
+        assert words == 2 * 3 * 2  # two words to each of the two other ranks
+        (step,) = tr.find(cat="step")
+        assert step.name == "exchange"
+        assert [sp.name for sp in step.find(cat="simcomm")] == ["alltoallv", "allreduce"]
+
+    def test_a_failed_collective_closes_the_step_span(self):
+        from repro.faults import CollectiveError, preset
+        from repro.obs import Tracer, activate
+
+        tr = Tracer()
+        comm = SimComm(2, faults=preset("permanent", seed=0, after=1))
+        with activate(tr), pytest.raises(CollectiveError):
+            with tr.span("iteration", "iteration", iteration=1):
+                comm.run_ranks([_exchange(r, 2) for r in range(2)])
+        (it,) = tr.find("iteration")
+        (step,) = it.find(cat="step")
+        assert "CollectiveError" in step.attrs["error"]
+        assert it.t1 is not None and tr.current is None
+
+    def test_programs_out_of_lockstep_raise(self):
+        def short(r, p):
+            yield "exchange"
+
+        with pytest.raises(RuntimeError, match="lockstep"):
+            SimComm(2).run_ranks([_exchange(0, 2), short(1, 2)])
