@@ -28,6 +28,40 @@ if TYPE_CHECKING:
 
 __all__ = ["Matrix", "DCSC"]
 
+#: Edges per pass of the adjacency build's loops, which bound its temporaries.
+_BUILD_CHUNK = 2 ** 16
+
+
+def _unique_upper_keys(keys: np.ndarray, a, b, n: int, bits: int) -> int:
+    """Write the sorted distinct keys ``min·2^bits + max`` of the non-loop
+    pairs ``(a[k], b[k])`` to the front of *keys*; return how many."""
+    m = 0
+    for s in range(0, a.size, _BUILD_CHUNK):
+        lo, hi = a[s:s + _BUILD_CHUNK], b[s:s + _BUILD_CHUNK]
+        keep = lo != hi
+        if not keep.all():
+            lo, hi = lo[keep], hi[keep]
+        out = np.minimum(lo, hi, out=keys[m:m + lo.size])
+        hi = np.maximum(lo, hi)
+        if out.size and (out.min() < 0 or hi.max() >= n):
+            raise IndexError("edge endpoint out of range")
+        out <<= bits
+        out |= hi
+        m += out.size
+    if 2 * bits > 62:
+        raise ValueError(f"{n} vertices do not fit a packed int64 edge key")
+    keys[:m].sort()
+    kept, last = 0, -1  # keys are non-negative: the first one starts a run
+    for s in range(0, m, _BUILD_CHUNK):  # move each run's first key forward
+        chunk = keys[s:min(s + _BUILD_CHUNK, m)]
+        new = run_starts(chunk)
+        new[0] = chunk[0] != last
+        last = chunk[-1]
+        chunk = chunk[new]
+        keys[kept:kept + chunk.size] = chunk
+        kept += chunk.size
+    return kept
+
 
 class Matrix:
     """A sparse ``nrows × ncols`` matrix over a GraphBLAS value type.
@@ -177,12 +211,13 @@ class Matrix:
         )
 
     @classmethod
-    def adjacency(cls, n: int, u, v, symmetrize: bool = True) -> "Matrix":
+    def adjacency(cls, n: int, u, v) -> "Matrix":
         """Boolean adjacency matrix of an undirected graph.
 
         Self-loops are dropped (they never affect connectivity and the AS
-        hooking conditions ignore them); when *symmetrize* both edge
-        directions are stored, as LACC requires.
+        hooking conditions ignore them) and both directions of every edge
+        are stored, as LACC requires.  *u* and *v* are only read; the peak
+        is the output plus one sort buffer (:meth:`_undirected`).
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -190,56 +225,38 @@ class Matrix:
             raise ValueError(
                 f"endpoint arrays must have equal length, got {u.shape} vs {v.shape}"
             )
-        if not symmetrize:
-            keep = u != v
-            return cls.from_edges(n, n, u[keep], v[keep], values=True, symmetric=True)
-        u, v = u.ravel(), v.ravel()
-        return cls._undirected(n, np.minimum(u, v), np.maximum(u, v))
+        return cls._undirected(n, u.ravel(), v.ravel())
 
     @classmethod
-    def _undirected(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Matrix":
-        """Symmetric boolean CSR of the undirected edges ``{lo[k], hi[k]}``.
+    def _undirected(cls, n: int, a: np.ndarray, b: np.ndarray) -> "Matrix":
+        """Symmetric boolean CSR of the undirected edges ``{a[k], b[k]}``.
 
-        Takes canonical int64 pairs (``lo <= hi``) and may overwrite them.
-        Self-loops are dropped before the range check.  The *m* pairs are
-        sorted once on a packed ``lo·2^s + hi`` key and deduplicated, which
-        orders the upper triangle; one more sort of the *m* mirrored keys
-        ``hi·2^s + lo`` orders the lower triangle.  Both are sorted runs of
-        the full ``row·2^s + col`` key, so one stable sort of the two laid
-        end to end merges them, in a linear pass, into CSR order.  The
-        result equals ``from_edges`` over both directions of every edge.
+        The endpoints of a pair come in either order and are only read.
+        Both triangles share one int64 buffer of *2m* packed
+        ``row·2^s + col`` keys; every other temporary is one chunk long.
+        The sorted distinct upper keys fill its front, their mirrors
+        follow, sorted, and a stable sort (timsort: one linear merge of
+        the two runs, whose buffer of one run sets the peak) puts them in
+        CSR order.  The buffer shrinks in place to the stored entries.
+        The result equals ``from_edges`` over both directions of every edge.
         """
-        keep = lo != hi
-        if not keep.all():
-            lo, hi = lo[keep], hi[keep]
-        if lo.size and (lo.min() < 0 or hi.max() >= n):
-            raise IndexError("edge endpoint out of range")
         bits = max(int(n) - 1, 1).bit_length()
-        if 2 * bits > 62:
-            raise ValueError(f"{n} vertices do not fit a packed int64 edge key")
+        keys = np.empty(2 * a.size, dtype=np.int64)
+        m = _unique_upper_keys(keys, a, b, n, bits)
+        if 2 * m < keys.size:  # loops or duplicates dropped; no view is alive
+            keys.resize(2 * m, refcheck=False)
         col_mask = (1 << bits) - 1
-        upper = np.left_shift(lo, bits, out=lo)
-        upper |= hi
-        upper.sort()
-        new = run_starts(upper)
-        if not new.all():
-            upper = upper[new]
-        lo = upper >> bits
-        hi = upper & col_mask
-        degrees = np.bincount(lo, minlength=n)
-        degrees += np.bincount(hi, minlength=n)
-        lower = np.left_shift(hi, bits, out=hi)
-        lower |= lo
-        lower.sort()
-        indices = np.concatenate((upper, lower))
-        indices.sort(kind="stable")  # timsort: one merge of the two runs
-        np.bitwise_and(indices, col_mask, out=indices)
+        for s in range(0, m, _BUILD_CHUNK):
+            upper = keys[s:min(s + _BUILD_CHUNK, m)]
+            lower = np.bitwise_and(upper, col_mask, out=keys[m + s:m + s + upper.size])
+            lower <<= bits
+            lower |= upper >> bits
+        keys[m:].sort()
+        keys.sort(kind="stable")  # timsort: one merge of the two runs
+        keys &= col_mask
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        return cls(
-            n, n, indptr, indices, np.ones(indices.size, dtype=bool),
-            symmetric=True,
-        )
+        np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])  # column = row counts
+        return cls(n, n, indptr, keys, np.ones(keys.size, dtype=bool), symmetric=True)
 
     def to_scipy(self) -> sp.csr_matrix:
         """CSR copy as a SciPy matrix (bool data promoted to int8)."""

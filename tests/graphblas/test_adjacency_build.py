@@ -1,6 +1,7 @@
 """``Matrix.adjacency`` against the build it replaced.
 
-The adjacency matrix is now built from canonical ``(min, max)`` pairs:
+The adjacency matrix is now built from packed ``(min, max)`` keys in
+one buffer, filled and deduplicated in chunks of ``_BUILD_CHUNK`` edges:
 one sort of the *m* undirected pairs plus one of their mirrors, merged
 into CSR order.  It used to symmetrize the edge list and hand all *2m*
 directed edges to ``from_edges``.  Both builds are kept here verbatim as
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphblas import Matrix
+from repro.graphblas.matrix import _BUILD_CHUNK
 from repro.graphblas.sorting import pack_pairs, run_starts
 from repro.graphs import generators as gen
 
@@ -112,18 +114,18 @@ def assert_same_matrix(got: Matrix, want: Matrix) -> None:
     assert got.is_symmetric == want.is_symmetric
 
 
-def check(n, u, v, symmetrize=True):
-    got = Matrix.adjacency(n, u, v, symmetrize=symmetrize)
-    assert_same_matrix(got, _reference_adjacency(n, u, v, symmetrize=symmetrize))
+def check(n, u, v):
+    got = Matrix.adjacency(n, u, v)
+    assert_same_matrix(got, _reference_adjacency(n, u, v))
     return got
 
 
-def check_error(n, u, v, symmetrize=True):
+def check_error(n, u, v):
     """Both builds raise the same exception type."""
     with pytest.raises((IndexError, ValueError)) as want:
-        _reference_adjacency(n, u, v, symmetrize=symmetrize)
+        _reference_adjacency(n, u, v)
     with pytest.raises(want.type):
-        Matrix.adjacency(n, u, v, symmetrize=symmetrize)
+        Matrix.adjacency(n, u, v)
 
 
 class TestEdgeCases:
@@ -169,11 +171,14 @@ class TestEdgeCases:
     def test_list_and_two_dim_inputs(self):
         check(4, [[0, 1], [2, 3]], [[1, 2], [3, 3]])
 
-    def test_symmetrize_false_unchanged(self):
-        rng = np.random.default_rng(4)
-        u, v = rng.integers(0, 30, 90), rng.integers(0, 30, 90)
-        check(30, u, v, symmetrize=False)
-        check(3, [], [], symmetrize=False)
+    def test_one_direction_is_symmetrized(self):
+        # a `symmetrize=False` build once flagged a one-directional list
+        # symmetric, so lacc() skipped its check and split {0, 1}
+        from repro.core.lacc import lacc
+
+        assert lacc(check(3, [0], [1])).n_components == 2
+        with pytest.raises(TypeError):
+            Matrix.adjacency(3, [0], [1], symmetrize=False)
 
 
 class TestErrors:
@@ -183,16 +188,13 @@ class TestErrors:
 
     def test_negative(self):
         check_error(3, [0, -1], [1, 0])
-        check_error(3, [-1], [2], symmetrize=False)
 
     def test_out_of_range_self_loop_dropped_first(self):
         # a loop at an out-of-range vertex is dropped before the range check
         check(3, [0, 5, -2], [1, 5, -2])
-        check(3, [7], [7], symmetrize=False)
 
     def test_shape_mismatch(self):
         check_error(3, [0, 1], [1])
-        check_error(3, [0, 1], [1], symmetrize=False)
 
     def test_negative_vertex_count(self):
         check_error(-1, [], [])
@@ -233,3 +235,46 @@ class TestFuzz:
         u = rng.integers(0, n, 3000)
         v = rng.integers(0, n, 3000)
         check(n, np.r_[u, n - 1, 0, n - 1], np.r_[v, 0, n - 1, n - 2])
+
+
+class TestChunkBoundaries:
+    """Edge lists longer than one chunk, with the cases that cross a chunk
+    edge: the fill loop's chunks run over the input, the compaction's over
+    the sorted keys."""
+
+    M = 3 * _BUILD_CHUNK + 17
+
+    def edges(self, n, seed=6):
+        rng = np.random.default_rng(seed)
+        u, v = rng.integers(0, n, self.M), rng.integers(0, n, self.M)
+        for edge in range(_BUILD_CHUNK, self.M, _BUILD_CHUNK):
+            u[edge - 2:edge + 2] = v[edge - 2:edge + 2]  # loops across the edge
+            u[edge + 2], v[edge + 2] = v[edge - 3], u[edge - 3]  # a reversed repeat
+        return u, v
+
+    @pytest.mark.parametrize("n", [3, 40, 600, 2 ** 18])
+    def test_loops_and_duplicates_straddle_chunks(self, n):
+        u, v = self.edges(n)
+        check(n, u, v)
+
+    def test_a_whole_chunk_of_loops(self):
+        u, v = self.edges(500)
+        v[_BUILD_CHUNK:2 * _BUILD_CHUNK] = u[_BUILD_CHUNK:2 * _BUILD_CHUNK]
+        check(500, u, v)
+
+    def test_out_of_range_only_in_last_chunk(self):
+        u, v = self.edges(500)
+        v[-1] = 500
+        check_error(500, u, v)
+        with pytest.raises(IndexError):
+            Matrix.adjacency(500, u, v)
+
+    def test_out_of_range_loop_in_later_chunk_dropped(self):
+        u, v = self.edges(500)
+        u[2 * _BUILD_CHUNK + 5] = v[2 * _BUILD_CHUNK + 5] = 900
+        u[-1] = v[-1] = -4
+        check(500, u, v)
+
+    def test_both_directions(self):
+        u, v = self.edges(5000)
+        check(5000, np.r_[u, v], np.r_[v, u])
