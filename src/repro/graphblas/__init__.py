@@ -4,9 +4,9 @@ This package provides the subset of the GraphBLAS C API that the paper's
 algorithms (LACC, Algorithms 3–6) and the Markov-clustering application are
 written in: typed sparse vectors with a dense fast path, CSR/DCSC sparse
 matrices, semirings (notably the paper's *(Select2nd, min)*), and the
-operations ``mxv`` (with SpMV/SpMSpV dispatch), ``eWiseMult``/``eWiseAdd``,
-``extract``, ``assign``, ``apply``, ``select`` and ``reduce`` — all with
-GraphBLAS mask / structural-complement / replace semantics.
+operations ``mxv`` (with SpMV/SpMSpV dispatch), ``eWiseMult``, ``extract``
+and ``assign`` with GraphBLAS mask / structural-complement / replace
+semantics, plus ``mxm`` and matrix ``reduce`` for Markov clustering.
 
 Quick example::
 
@@ -19,7 +19,6 @@ Quick example::
 """
 
 from . import binaryop as binaryops
-from . import indexunary
 from . import kernels
 from . import serialize
 from . import monoid as monoids
@@ -29,28 +28,20 @@ from .descriptor import NULL, REPLACE, SCMP, SCMP_REPLACE, Descriptor, Mask
 from .matrix import DCSC, Matrix
 from .monoid import Monoid
 from .ops import (
-    apply,
     assign,
     assign_scalar,
-    ewise_add,
     ewise_mult,
     extract,
     mxm,
     mxv,
     reduce_matrix,
-    reduce_vector,
-    select,
-    vxm,
 )
-from .ops_kron import kronecker, kronecker_power_graph
 from .ops_matrix import (
     diagonal,
     identity,
     matrix_apply,
     matrix_ewise_add,
-    matrix_ewise_mult,
     matrix_scale_columns,
-    matrix_scale_rows,
     matrix_select,
     transpose,
 )
@@ -75,31 +66,21 @@ __all__ = [
     "monoids",
     "semirings",
     "kernels",
-    "indexunary",
     "serialize",
     "mxv",
-    "vxm",
     "mxm",
     "ewise_mult",
-    "ewise_add",
     "extract",
     "assign",
     "assign_scalar",
-    "apply",
-    "select",
-    "reduce_vector",
     "reduce_matrix",
     "matrix_apply",
     "matrix_select",
     "matrix_ewise_add",
-    "matrix_ewise_mult",
     "matrix_scale_columns",
-    "matrix_scale_rows",
     "diagonal",
     "identity",
     "transpose",
-    "kronecker",
-    "kronecker_power_graph",
     "BOOL",
     "INT32",
     "INT64",

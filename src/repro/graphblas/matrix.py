@@ -197,20 +197,6 @@ class Matrix:
         )
 
     @classmethod
-    def from_scipy(cls, m: sp.spmatrix, symmetric: Optional[bool] = None) -> "Matrix":
-        """Adopt a SciPy sparse matrix (converted to CSR)."""
-        csr = m.tocsr()
-        csr.sort_indices()
-        return cls(
-            csr.shape[0],
-            csr.shape[1],
-            csr.indptr.astype(np.int64),
-            csr.indices.astype(np.int64),
-            csr.data.copy(),
-            symmetric=symmetric,
-        )
-
-    @classmethod
     def adjacency(cls, n: int, u, v) -> "Matrix":
         """Boolean adjacency matrix of an undirected graph.
 
@@ -382,15 +368,16 @@ class Matrix:
 class DCSC:
     """Doubly compressed sparse columns — CombBLAS's local block format.
 
-    Stores only the ``nzc`` non-empty columns:
+    Stores only the non-empty columns:
 
     * ``jc[k]``  — column id of the *k*-th non-empty column (sorted),
     * ``cp[k]:cp[k+1]`` — slice of ``ir``/``num`` holding that column,
     * ``ir``     — row ids,
     * ``num``    — values.
 
-    Memory is ``O(nnz + nzc)`` rather than CSC's ``O(nnz + ncols)``, which
-    is what makes hypersparse 2D blocks affordable on large grids (§V).
+    Memory is ``O(nnz + len(jc))`` rather than CSC's ``O(nnz + ncols)``,
+    which is what makes hypersparse 2D blocks affordable on large grids
+    (§V).
     """
 
     __slots__ = ("nrows", "ncols", "jc", "cp", "ir", "num")
@@ -424,27 +411,9 @@ class DCSC:
         cp = np.r_[starts, cols.size]
         return cls(nrows, ncols, jc, cp, rows, values)
 
-    @classmethod
-    def from_matrix(cls, m: Matrix) -> "DCSC":
-        rows, cols, vals = m.extract_tuples()
-        return cls.from_coo(m.nrows, m.ncols, rows, cols, vals)
-
     @property
     def nvals(self) -> int:
         return int(self.ir.size)
-
-    @property
-    def nzc(self) -> int:
-        """Number of non-empty columns."""
-        return int(self.jc.size)
-
-    def column(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(row ids, values) of column *j* (empty arrays when absent)."""
-        k = int(np.searchsorted(self.jc, j))
-        if k < self.jc.size and self.jc[k] == j:
-            lo, hi = self.cp[k], self.cp[k + 1]
-            return self.ir[lo:hi], self.num[lo:hi]
-        return self.ir[:0], self.num[:0]
 
     def columns_of(self, cols: np.ndarray):
         """Vectorised multi-column gather used by SpMSpV.
@@ -480,5 +449,5 @@ class DCSC:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DCSC({self.nrows}x{self.ncols}, nvals={self.nvals}, nzc={self.nzc})"
+            f"DCSC({self.nrows}x{self.ncols}, nvals={self.nvals}, cols={self.jc.size})"
         )

@@ -36,7 +36,7 @@ See ``docs/PERFORMANCE.md`` for the dispatch rules and thresholds.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,16 +54,11 @@ from .vector import Vector
 
 __all__ = [
     "mxv",
-    "vxm",
     "mxm",
     "ewise_mult",
-    "ewise_add",
     "extract",
     "assign",
     "assign_scalar",
-    "apply",
-    "select",
-    "reduce_vector",
     "reduce_matrix",
     "reduce_by_rows",
     "gather_multiply",
@@ -420,19 +415,6 @@ def _spmspv(
     return _kernels.impl().spmspv(semiring, A, u, allow=allow, allowed_rows=allowed_rows)
 
 
-def vxm(
-    w: Vector,
-    mask,
-    accum: Optional[BinaryOp],
-    semiring: Semiring,
-    u: Vector,
-    A: Matrix,
-    desc: Descriptor = NULL,
-) -> Vector:
-    """``GrB_vxm``: row-vector times matrix, i.e. ``mxv`` with ``Aᵀ``."""
-    return mxv(w, mask, accum, semiring, A.transpose(), u, desc)
-
-
 def mxm(semiring: Semiring, A: Matrix, B: Matrix) -> Matrix:
     """``GrB_mxm`` (unmasked, no accumulator): ``C = A ⊕.⊗ B``.
 
@@ -511,34 +493,6 @@ def ewise_mult(
             span.add("nvals_out", int(common.size))
             span.add("flops", int(common.size))
         return _masked_write(w, common, t_vals, mask, accum, desc)
-
-
-def ewise_add(
-    w: Vector,
-    mask,
-    accum: Optional[BinaryOp],
-    op: Union[BinaryOp, Monoid],
-    u: Vector,
-    v: Vector,
-    desc: Descriptor = NULL,
-) -> Vector:
-    """``GrB_eWiseAdd``: apply *op* on the **union** of patterns."""
-    if u.size != v.size or u.size != w.size:
-        raise ValueError("eWiseAdd operands must have equal size")
-    if isinstance(op, Monoid):
-        op = op.op
-    with _obs().span("ewise_add", "graphblas") as span:
-        ui, uv = u.sparse_arrays()
-        vi, vv = v.sparse_arrays()
-        out_dtype = np.bool_ if op.bool_result else promote(u.dtype, v.dtype)
-        t_idx, t_vals = _merge_union(
-            ui, uv.astype(out_dtype), vi, vv.astype(out_dtype), op, out_dtype
-        )
-        if span:
-            span.add("nvals_in", int(ui.size + vi.size))
-            span.add("nvals_out", int(t_idx.size))
-            span.add("flops", int(t_idx.size))
-        return _masked_write(w, t_idx, t_vals, mask, accum, desc)
 
 
 # ----------------------------------------------------------------------
@@ -665,59 +619,6 @@ def assign_scalar(
             span.add("nvals_out", int(idx.size))
             span.add("flops", int(idx.size))
         return _masked_write(w, idx, t_vals, mask, accum, desc, region=region)
-
-
-# ----------------------------------------------------------------------
-# apply / select / reduce
-# ----------------------------------------------------------------------
-
-def apply(
-    w: Vector,
-    mask,
-    accum: Optional[BinaryOp],
-    fn: Callable[[np.ndarray], np.ndarray],
-    u: Vector,
-    desc: Descriptor = NULL,
-) -> Vector:
-    """``GrB_apply``: map *fn* over u's stored values (pattern unchanged)."""
-    with _obs().span("apply", "graphblas") as span:
-        ui, uv = u.sparse_arrays()
-        t_vals = np.asarray(fn(uv))
-        if t_vals.shape != uv.shape:
-            raise ValueError("apply fn must be elementwise (shape-preserving)")
-        if span:
-            span.add("nvals_in", int(ui.size))
-            span.add("nvals_out", int(ui.size))
-            span.add("flops", int(ui.size))
-        return _masked_write(w, ui.copy(), t_vals, mask, accum, desc)
-
-
-def select(
-    w: Vector,
-    mask,
-    accum: Optional[BinaryOp],
-    keep: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    u: Vector,
-    desc: Descriptor = NULL,
-) -> Vector:
-    """``GxB_select``: keep u's elements where ``keep(indices, values)``."""
-    with _obs().span("select", "graphblas") as span:
-        ui, uv = u.sparse_arrays()
-        sel = np.asarray(keep(ui, uv), dtype=bool)
-        if sel.shape != ui.shape:
-            raise ValueError("select predicate must return one bool per element")
-        t_idx, t_vals = ui[sel], uv[sel]
-        if span:
-            span.add("nvals_in", int(ui.size))
-            span.add("nvals_out", int(t_idx.size))
-            span.add("flops", int(ui.size))
-        return _masked_write(w, t_idx, t_vals, mask, accum, desc)
-
-
-def reduce_vector(monoid: Monoid, u: Vector):
-    """``GrB_reduce`` to scalar: fold u's stored values with the monoid."""
-    _, vals = u.sparse_arrays()
-    return monoid.reduce(vals)
 
 
 def reduce_matrix(monoid: Monoid, A: Matrix, axis: int = 1) -> Vector:

@@ -3,10 +3,10 @@
 LACC itself only reads its (immutable) adjacency matrix through ``mxv``,
 but the surrounding applications — Markov clustering's inflation/pruning,
 graph preprocessing, the test-suite's reference constructions — need the
-matrix forms of ``apply``, ``select``, ``eWiseAdd``/``eWiseMult``, scalar
-scaling and diagonal construction.  These are unmasked, no-accumulator
-variants (the GraphBLAS full write semantics are implemented for vectors
-in :mod:`repro.graphblas.ops`; matrices here are value-producing, fitting
+matrix forms of ``apply``, ``select``, ``eWiseAdd``, column scaling and
+diagonal construction.  These are unmasked, no-accumulator variants (the
+GraphBLAS full write semantics are implemented for vectors in
+:mod:`repro.graphblas.ops`; matrices here are value-producing, fitting
 their immutable role in this library).
 """
 
@@ -25,9 +25,7 @@ __all__ = [
     "matrix_apply",
     "matrix_select",
     "matrix_ewise_add",
-    "matrix_ewise_mult",
     "matrix_scale_columns",
-    "matrix_scale_rows",
     "diagonal",
     "identity",
     "transpose",
@@ -60,9 +58,12 @@ def matrix_select(
     return Matrix.from_edges(A.nrows, A.ncols, rows[sel], cols[sel], vals[sel])
 
 
-def _ewise(A: Matrix, B: Matrix, op: BinaryOp, union: bool) -> Matrix:
+def matrix_ewise_add(op: Union[BinaryOp, Monoid], A: Matrix, B: Matrix) -> Matrix:
+    """``GrB_eWiseAdd`` (matrix): *op* on the union of patterns."""
     from scipy import sparse as sp
 
+    if isinstance(op, Monoid):
+        op = op.op
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
     out_dtype = np.bool_ if op.bool_result else promote(A.dtype, B.dtype)
@@ -74,36 +75,17 @@ def _ewise(A: Matrix, B: Matrix, op: BinaryOp, union: bool) -> Matrix:
     keys_a = ra * A.ncols + ca
     keys_b = rb * A.ncols + cb
     common, ia, ib = np.intersect1d(keys_a, keys_b, return_indices=True)
-    rows_out = [common // A.ncols]
-    cols_out = [common % A.ncols]
-    vals_out = [np.asarray(op(va[ia], vb[ib]))]
-    if union:
-        only_a = np.setdiff1d(np.arange(keys_a.size), ia)
-        only_b = np.setdiff1d(np.arange(keys_b.size), ib)
-        rows_out += [ra[only_a], rb[only_b]]
-        cols_out += [ca[only_a], cb[only_b]]
-        vals_out += [va[only_a], vb[only_b]]
+    only_a = np.setdiff1d(np.arange(keys_a.size), ia)
+    only_b = np.setdiff1d(np.arange(keys_b.size), ib)
     return Matrix.from_edges(
         A.nrows,
         A.ncols,
-        np.concatenate(rows_out).astype(np.int64),
-        np.concatenate(cols_out).astype(np.int64),
-        np.concatenate(vals_out).astype(out_dtype),
+        np.concatenate([common // A.ncols, ra[only_a], rb[only_b]]).astype(np.int64),
+        np.concatenate([common % A.ncols, ca[only_a], cb[only_b]]).astype(np.int64),
+        np.concatenate(
+            [np.asarray(op(va[ia], vb[ib])), va[only_a], vb[only_b]]
+        ).astype(out_dtype),
     )
-
-
-def matrix_ewise_add(op: Union[BinaryOp, Monoid], A: Matrix, B: Matrix) -> Matrix:
-    """``GrB_eWiseAdd`` (matrix): *op* on the union of patterns."""
-    if isinstance(op, Monoid):
-        op = op.op
-    return _ewise(A, B, op, union=True)
-
-
-def matrix_ewise_mult(op: Union[BinaryOp, Monoid], A: Matrix, B: Matrix) -> Matrix:
-    """``GrB_eWiseMult`` (matrix): *op* on the intersection of patterns."""
-    if isinstance(op, Monoid):
-        op = op.op
-    return _ewise(A, B, op, union=False)
 
 
 def matrix_scale_columns(A: Matrix, scale: np.ndarray) -> Matrix:
@@ -112,16 +94,6 @@ def matrix_scale_columns(A: Matrix, scale: np.ndarray) -> Matrix:
     if scale.shape != (A.ncols,):
         raise ValueError(f"scale must have {A.ncols} entries")
     vals = A.values.astype(np.float64) * scale[A.indices]
-    return Matrix(A.nrows, A.ncols, A.indptr.copy(), A.indices.copy(), vals)
-
-
-def matrix_scale_rows(A: Matrix, scale: np.ndarray) -> Matrix:
-    """``A[i, :] *= scale[i]``."""
-    scale = np.asarray(scale, dtype=np.float64)
-    if scale.shape != (A.nrows,):
-        raise ValueError(f"scale must have {A.nrows} entries")
-    row_of = np.repeat(np.arange(A.nrows), A.row_degrees())
-    vals = A.values.astype(np.float64) * scale[row_of]
     return Matrix(A.nrows, A.ncols, A.indptr.copy(), A.indices.copy(), vals)
 
 

@@ -3,8 +3,8 @@
 Long-running pipelines (HipMCL jobs cluster for hours) need to checkpoint
 matrices and result vectors; ``.npz`` keeps the dependency footprint at
 zero while storing the exact CSR/sparse-vector arrays, dtypes included.
-Round-trips are exact (tested), and files are self-describing via a
-``kind`` field so :func:`load` can dispatch.
+Round-trips are exact (tested), and each archive carries a ``kind``
+field that its loader checks.
 """
 
 from __future__ import annotations
@@ -21,18 +21,15 @@ from .vector import Vector
 __all__ = [
     "save_matrix",
     "load_matrix",
-    "save_vector",
-    "load_vector",
     "save_state",
     "load_state",
-    "load",
 ]
 
 PathLike = Union[str, os.PathLike]
 
 
 def save_matrix(path: PathLike, m: Matrix) -> None:
-    """Write a matrix's CSR arrays (and symmetry flag if known)."""
+    """Write a matrix's CSR arrays."""
     np.savez_compressed(
         path,
         kind="matrix",
@@ -41,40 +38,26 @@ def save_matrix(path: PathLike, m: Matrix) -> None:
         indptr=m.indptr,
         indices=m.indices,
         values=m.values,
-        symmetric=np.int8(-1 if m._symmetric is None else int(m._symmetric)),
     )
 
 
 def load_matrix(path: PathLike) -> Matrix:
-    """Read a matrix written by :func:`save_matrix`."""
+    """Read a matrix written by :func:`save_matrix`.
+
+    Symmetry is computed from the pattern on first use, never read from
+    the file: a stored flag would let a one-directional archive skip the
+    check LACC relies on.  Older archives that carry one still load.
+    """
     with np.load(path, allow_pickle=False) as z:
         if str(z["kind"]) != "matrix":
             raise ValueError(f"{path}: not a serialized Matrix")
-        sym = int(z["symmetric"])
         return Matrix(
             int(z["nrows"]),
             int(z["ncols"]),
             z["indptr"],
             z["indices"],
             z["values"],
-            symmetric=None if sym < 0 else bool(sym),
         )
-
-
-def save_vector(path: PathLike, v: Vector) -> None:
-    """Write a vector's sparse (indices, values) arrays and logical size."""
-    idx, vals = v.sparse_arrays()
-    np.savez_compressed(
-        path, kind="vector", size=v.size, indices=idx, values=vals
-    )
-
-
-def load_vector(path: PathLike) -> Vector:
-    """Read a vector written by :func:`save_vector`."""
-    with np.load(path, allow_pickle=False) as z:
-        if str(z["kind"]) != "vector":
-            raise ValueError(f"{path}: not a serialized Vector")
-        return Vector.sparse(int(z["size"]), z["indices"], z["values"])
 
 
 def save_state(
@@ -88,9 +71,9 @@ def save_state(
     holds the parent vector, star flags and active bitmap of a LACC
     iteration, next to scalar facts (iteration number, simulated clock,
     fault-plan cursor, CRC) that must survive a process restart.  Names
-    must be simple identifiers; each vector is stored exactly like
-    :func:`save_vector` (sparse arrays + logical size), so round-trips are
-    lossless across all dtypes and storage modes.
+    must be simple identifiers; each vector is stored as its sparse arrays
+    plus its logical size, so round-trips are lossless across all dtypes
+    and storage modes.
     """
     payload: Dict[str, Any] = {
         "kind": "state",
@@ -122,15 +105,3 @@ def load_state(path: PathLike) -> Tuple[Dict[str, Vector], Dict[str, Any]]:
             )
     return vectors, meta
 
-
-def load(path: PathLike):
-    """Dispatch on the archive's ``kind`` field."""
-    with np.load(path, allow_pickle=False) as z:
-        kind = str(z["kind"])
-    if kind == "matrix":
-        return load_matrix(path)
-    if kind == "vector":
-        return load_vector(path)
-    if kind == "state":
-        return load_state(path)
-    raise ValueError(f"{path}: unknown serialized kind {kind!r}")

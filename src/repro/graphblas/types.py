@@ -29,7 +29,6 @@ __all__ = [
     "GrBType",
     "normalize_dtype",
     "promote",
-    "is_integral",
 ]
 
 # Public aliases mirroring the GrB_* predefined types.
@@ -76,7 +75,3 @@ def promote(a: np.dtype, b: np.dtype) -> np.dtype:
         return a
     return normalize_dtype(np.promote_types(a, b))
 
-
-def is_integral(dtype: np.dtype) -> bool:
-    """True when *dtype* stores integers (vertex ids, counters)."""
-    return np.issubdtype(normalize_dtype(dtype), np.integer)

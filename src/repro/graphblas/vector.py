@@ -311,29 +311,6 @@ class Vector:
         out[present] = vals[present]
         return out
 
-    def dup(self) -> "Vector":
-        """Deep copy (``GrB_Vector_dup``)."""
-        v = Vector(self.size, self.dtype)
-        v._mode = self._mode
-        if self._mode == "dense":
-            v._values = self._values.copy()
-            v._present = self._present.copy()
-            v._indices = None
-            v._nvals = self._nvals
-        else:
-            v._indices = self._indices.copy()
-            v._values = self._values.copy()
-            v._present = None
-        return v
-
-    def astype(self, dtype) -> "Vector":
-        """Copy with values cast to *dtype*."""
-        dtype = normalize_dtype(dtype)
-        v = self.dup()
-        v.dtype = dtype
-        v._values = v._values.astype(dtype)
-        return v
-
     def isequal(self, other: "Vector") -> bool:
         """Same size, same stored pattern, same values (types may differ)."""
         if not isinstance(other, Vector) or self.size != other.size:

@@ -55,7 +55,6 @@ __all__ = [
     "alltoallv_pairwise",
     "alltoallv_hypercube",
     "alltoallv_sparse",
-    "barrier",
 ]
 
 
@@ -215,13 +214,3 @@ def alltoallv_sparse(
     if active_ranks <= 1:
         return 0.0
     return alltoallv_hypercube(cost, active_ranks, words_max_rank, phase)
-
-
-def barrier(cost: CostModel, p: int, phase: Optional[str] = None) -> float:
-    """Dissemination barrier: ``α·log p``."""
-    if p <= 1:
-        return 0.0
-    return _collective(
-        cost, "barrier", p, phase,
-        lambda: cost.charge_comm(0.0, math.ceil(_log2(p)), phase),
-    )

@@ -49,12 +49,6 @@ class PhaseCost:
     messages: float = 0.0  # messages on the critical path
     seconds: float = 0.0
 
-    def add(self, other: "PhaseCost") -> None:
-        self.flops += other.flops
-        self.words += other.words
-        self.messages += other.messages
-        self.seconds += other.seconds
-
 
 class CostModel:
     """Accumulates simulated time for one algorithm run.
@@ -230,11 +224,6 @@ class CostModel:
         """(seconds, words, messages) so far — cheap snapshot for
         per-iteration deltas (Figure 8's communication columns)."""
         return self.total_seconds, self.total_words, self.total_messages
-
-    def merge_from(self, other: "CostModel") -> None:
-        """Fold another model's phases into this one (sub-runs)."""
-        for name, cost in other.phases.items():
-            self._phase(name).add(cost)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

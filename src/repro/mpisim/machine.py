@@ -18,7 +18,7 @@ interconnects at NERSC) are public numbers: ~1.4 µs MPI latency and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "MachineModel",
@@ -93,13 +93,6 @@ class MachineModel:
     def alpha(self) -> float:
         return self.net_alpha
 
-    def with_threads(self, t: int) -> "MachineModel":
-        """Copy with a different threads-per-process setting."""
-        if t < 1 or t > self.cores_per_node:
-            raise ValueError(
-                f"threads per process must be in [1, {self.cores_per_node}]"
-            )
-        return replace(self, threads_per_process=t)
 
 
 #: NERSC Edison: Cray XC30, dual-socket 12-core Ivy Bridge (Table II).

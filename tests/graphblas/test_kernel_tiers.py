@@ -553,15 +553,6 @@ class TestTierWriteEquivalence:
 
         self.check(equiv_tier, w_kind, mask_kind, accum, replace, op)
 
-    def test_ewise_add(self, equiv_tier, w_kind, mask_kind, accum, replace):
-        def op(rng, w, mask, desc, accum):
-            u = make_w("sparse", rng)
-            v = make_w("sparse", rng)
-            gb.ewise_add(w, mask, accum, bop.MIN, u, v, desc)
-
-        self.check(equiv_tier, w_kind, mask_kind, accum, replace, op)
-
-
 @pytest.mark.parametrize("equiv_tier", ["purepy", "compiled"], indirect=True)
 def test_lacc_serial_tier_invariant(equiv_tier):
     """End of the line: the LACC driver's labelling must not depend on the

@@ -162,20 +162,6 @@ class TestEwiseSemantics:
         allow = ref_allow(md, structural, complement, N)
         assert as_dict(w) == ref_write(wd, t, allow, accum, replace)
 
-    @settings(max_examples=100, deadline=None)
-    @given(sparse_dict, sparse_dict, sparse_dict, maybe_accum)
-    def test_ewise_add_matches_reference(self, wd, ud, vd, accum):
-        w = to_vec(wd, N)
-        u = to_vec(ud, N)
-        v = to_vec(vd, N)
-        gb.ewise_add(w, None, accum, bop.MIN, u, v)
-        t = dict(ud)
-        for i, x in vd.items():
-            t[i] = min(t[i], x) if i in t else x
-        allow = np.ones(N, dtype=bool)
-        assert as_dict(w) == ref_write(wd, t, allow, accum, False)
-
-
 class TestMxvSemantics:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), mask_dict, flags, maybe_accum)

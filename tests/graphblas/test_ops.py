@@ -125,13 +125,6 @@ class TestMxv:
         gb.mxv(out, None, None, sr.PLUS_TIMES_FP64, A, u)
         assert as_dict(out) == {0: 302.0, 1: 40.0}
 
-    def test_vxm_uses_transpose(self):
-        A = Matrix.from_edges(2, 3, [0], [2], [1])
-        u = Vector.dense(np.array([5, 0], dtype=np.int64))
-        out = Vector.empty(3, np.int64)
-        gb.vxm(out, None, None, sr.SEL2ND_MIN_INT64, u, A)
-        assert as_dict(out) == {2: 5}
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_against_reference_random(self, seed):
@@ -193,20 +186,6 @@ class TestEwise:
         out = Vector.empty(4, np.bool_)
         gb.ewise_mult(out, None, None, bop.NE, u, v)
         assert as_dict(out) == {0: False, 1: True}
-
-    def test_add_union(self):
-        u = Vector.sparse(6, [1, 2], [10, 20])
-        v = Vector.sparse(6, [2, 4], [5, 40])
-        out = Vector.empty(6)
-        gb.ewise_add(out, None, None, bop.PLUS, u, v)
-        assert as_dict(out) == {1: 10, 2: 25, 4: 40}
-
-    def test_add_with_monoid_argument(self):
-        u = Vector.sparse(3, [0], [1])
-        v = Vector.sparse(3, [0, 1], [2, 3])
-        out = Vector.empty(3)
-        gb.ewise_add(out, None, None, mon.MIN_INT64, u, v)
-        assert as_dict(out) == {0: 1, 1: 3}
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -350,37 +329,6 @@ class TestAssign:
 
 
 class TestApplySelectReduce:
-    def test_apply(self):
-        u = Vector.sparse(5, [1, 3], [2, 4])
-        out = Vector.empty(5)
-        gb.apply(out, None, None, lambda x: x * 10, u)
-        assert as_dict(out) == {1: 20, 3: 40}
-
-    def test_apply_shape_check(self):
-        u = Vector.sparse(5, [1, 3], [2, 4])
-        with pytest.raises(ValueError):
-            gb.apply(Vector.empty(5), None, None, lambda x: x[:1], u)
-
-    def test_select(self):
-        u = Vector.sparse(6, [0, 1, 2], [5, -1, 8])
-        out = Vector.empty(6)
-        gb.select(out, None, None, lambda i, v: v > 0, u)
-        assert as_dict(out) == {0: 5, 2: 8}
-
-    def test_select_by_index(self):
-        u = Vector.dense(np.arange(6, dtype=np.int64))
-        out = Vector.empty(6)
-        gb.select(out, None, None, lambda i, v: i % 2 == 0, u)
-        assert sorted(as_dict(out)) == [0, 2, 4]
-
-    def test_reduce_vector(self):
-        u = Vector.sparse(10, [1, 5], [3, 4])
-        assert gb.reduce_vector(mon.PLUS_INT64, u) == 7
-        assert gb.reduce_vector(mon.MIN_INT64, u) == 3
-
-    def test_reduce_empty(self):
-        assert gb.reduce_vector(mon.PLUS_INT64, Vector.empty(4)) == 0
-
     def test_reduce_matrix_rows(self):
         m = Matrix.from_edges(3, 3, [0, 0, 2], [0, 1, 2], [1.0, 2.0, 3.0])
         v = gb.reduce_matrix(mon.PLUS_FP64, m, axis=1)

@@ -58,12 +58,6 @@ class TestApplySelect:
 
 
 class TestEwise:
-    def test_mult_intersection(self):
-        A = sample()
-        B = Matrix.from_edges(3, 3, [0, 1], [1, 2], [10.0, 100.0])
-        out = gb.matrix_ewise_mult(bop.TIMES, A, B)
-        assert as_dict(out) == {(0, 1): 20.0, (1, 2): 600.0}
-
     def test_add_union(self):
         A = sample()
         B = Matrix.from_edges(3, 3, [0, 0], [0, 1], [1.0, 1.0])
@@ -84,8 +78,6 @@ class TestEwise:
 
     def test_empty_operand(self):
         empty = Matrix.from_edges(3, 3, [], [])
-        out = gb.matrix_ewise_mult(bop.TIMES, sample(), empty)
-        assert out.nvals == 0
         out = gb.matrix_ewise_add(bop.PLUS, sample(), empty)
         assert out.nvals == sample().nvals
 
@@ -110,15 +102,9 @@ class TestScaling:
         out = gb.matrix_scale_columns(sample(), np.array([1.0, 0.5, 2.0]))
         assert as_dict(out) == {(0, 1): 1.0, (1, 0): 4.0, (1, 2): 12.0, (2, 2): 18.0}
 
-    def test_scale_rows(self):
-        out = gb.matrix_scale_rows(sample(), np.array([2.0, 1.0, 0.0]))
-        assert as_dict(out) == {(0, 1): 4.0, (1, 0): 4.0, (1, 2): 6.0, (2, 2): 0.0}
-
     def test_scale_size_validation(self):
         with pytest.raises(ValueError):
             gb.matrix_scale_columns(sample(), np.ones(2))
-        with pytest.raises(ValueError):
-            gb.matrix_scale_rows(sample(), np.ones(4))
 
     def test_column_normalisation_idiom(self):
         """MCL's stochastic normalisation via reduce + scale."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import lacc
 from repro.graphblas import Matrix, Vector, serialize
 from repro.graphs import generators as gen
 
@@ -17,17 +18,24 @@ class TestMatrix:
         assert back.isequal(m)
         assert back.dtype == m.dtype
 
-    def test_symmetry_flag_preserved(self, tmp_path):
+    def test_stored_symmetry_flag_is_ignored(self, tmp_path):
+        # edge 0 -> 1 stored one way only, in an archive that claims symmetry
+        p = tmp_path / "m.npz"
+        np.savez_compressed(
+            p, kind="matrix", nrows=3, ncols=3,
+            indptr=np.array([0, 1, 1, 1]), indices=np.array([1]),
+            values=np.array([True]), symmetric=np.int8(1),
+        )
+        A = serialize.load_matrix(p)
+        assert not A.is_symmetric
+        with pytest.raises(ValueError, match="symmetric"):
+            lacc(A)
+
+    def test_adjacency_reloads_symmetric(self, tmp_path):
         m = Matrix.adjacency(4, [0, 1], [1, 2])
         p = tmp_path / "m.npz"
         serialize.save_matrix(p, m)
-        assert serialize.load_matrix(p)._symmetric is True
-
-    def test_unknown_symmetry_preserved(self, tmp_path):
-        m = Matrix.from_edges(3, 3, [0], [1], [1.5])
-        p = tmp_path / "m.npz"
-        serialize.save_matrix(p, m)
-        assert serialize.load_matrix(p)._symmetric is None
+        assert serialize.load_matrix(p).is_symmetric is True
 
     def test_float_values(self, tmp_path):
         m = Matrix.from_edges(2, 3, [0, 1], [2, 0], [0.25, -1.5])
@@ -43,38 +51,37 @@ class TestMatrix:
         assert serialize.load_matrix(p).nvals == 0
 
     def test_kind_check(self, tmp_path):
-        v = Vector.iota(3)
-        p = tmp_path / "v.npz"
-        serialize.save_vector(p, v)
+        p = tmp_path / "s.npz"
+        serialize.save_state(p, {"v": Vector.iota(3)})
         with pytest.raises(ValueError):
             serialize.load_matrix(p)
+
+
+def roundtrip(tmp_path, v: Vector) -> Vector:
+    """*v* written to a state archive and read back: each vector of a
+    checkpoint is stored this way."""
+    p = tmp_path / "s.npz"
+    serialize.save_state(p, {"v": v})
+    vectors, _ = serialize.load_state(p)
+    return vectors["v"]
 
 
 class TestVector:
     def test_roundtrip_sparse(self, tmp_path):
         v = Vector.sparse(100, [3, 50, 99], [7, -2, 9])
-        p = tmp_path / "v.npz"
-        serialize.save_vector(p, v)
-        assert serialize.load_vector(p).isequal(v)
+        assert roundtrip(tmp_path, v).isequal(v)
 
     def test_roundtrip_dense(self, tmp_path):
         v = Vector.iota(20)
-        p = tmp_path / "v.npz"
-        serialize.save_vector(p, v)
-        assert serialize.load_vector(p).isequal(v)
+        assert roundtrip(tmp_path, v).isequal(v)
 
     def test_bool_vector(self, tmp_path):
         v = Vector.sparse(5, [1, 3], [True, False], dtype=np.bool_)
-        p = tmp_path / "v.npz"
-        serialize.save_vector(p, v)
-        back = serialize.load_vector(p)
+        back = roundtrip(tmp_path, v)
         assert back.dtype == np.bool_ and back.isequal(v)
 
     def test_empty(self, tmp_path):
-        v = Vector.empty(7)
-        p = tmp_path / "v.npz"
-        serialize.save_vector(p, v)
-        back = serialize.load_vector(p)
+        back = roundtrip(tmp_path, Vector.empty(7))
         assert back.size == 7 and back.nvals == 0
 
     def test_kind_check(self, tmp_path):
@@ -82,23 +89,12 @@ class TestVector:
         p = tmp_path / "m.npz"
         serialize.save_matrix(p, m)
         with pytest.raises(ValueError):
-            serialize.load_vector(p)
+            serialize.load_state(p)
 
 
 class TestDispatch:
-    def test_load_dispatches(self, tmp_path):
-        m = Matrix.from_edges(2, 2, [0], [1], [1])
-        v = Vector.iota(4)
-        mp, vp = tmp_path / "m.npz", tmp_path / "v.npz"
-        serialize.save_matrix(mp, m)
-        serialize.save_vector(vp, v)
-        assert isinstance(serialize.load(mp), Matrix)
-        assert isinstance(serialize.load(vp), Vector)
-
     def test_checkpoint_resume_workflow(self, tmp_path):
         """Save a graph, reload it, run LACC — results unchanged."""
-        from repro.core import lacc
-
         g = gen.component_mixture([8, 4], seed=2)
         A = g.to_matrix()
         p = tmp_path / "ckpt.npz"
@@ -130,9 +126,7 @@ class TestDtypeMatrix:
         rng = np.random.default_rng(hash(np.dtype(dtype).name) % 2**32)
         idx = np.sort(rng.choice(64, size=17, replace=False))
         v = Vector.sparse(64, idx, _values_for(dtype, rng, 17), dtype=dtype)
-        p = tmp_path / "v.npz"
-        serialize.save_vector(p, v)
-        back = serialize.load_vector(p)
+        back = roundtrip(tmp_path, v)
         assert back.dtype == np.dtype(dtype)
         assert back.isequal(v)
 
@@ -143,9 +137,7 @@ class TestDtypeMatrix:
         rng = np.random.default_rng(1)
         v = Vector.dense(_values_for(dtype, rng, 40))
         assert v.mode == "dense" and v.nvals == 40
-        p = tmp_path / "v.npz"
-        serialize.save_vector(p, v)
-        back = serialize.load_vector(p)
+        back = roundtrip(tmp_path, v)
         assert back.dtype == np.dtype(dtype)
         assert back.nvals == 40
         assert back.isequal(v)
@@ -155,9 +147,7 @@ class TestDtypeMatrix:
             4, [0, 3], np.array([2**63 + 5, 2**64 - 1], dtype=np.uint64),
             dtype=np.uint64,
         )
-        p = tmp_path / "v.npz"
-        serialize.save_vector(p, v)
-        idx, vals = serialize.load_vector(p).sparse_arrays()
+        idx, vals = roundtrip(tmp_path, v).sparse_arrays()
         np.testing.assert_array_equal(vals, [2**63 + 5, 2**64 - 1])
 
 
@@ -188,14 +178,11 @@ class TestStateBundle:
         with pytest.raises(ValueError, match="identifier"):
             serialize.save_state(tmp_path / "s.npz", {"no-dash": Vector.iota(2)})
 
-    def test_load_dispatches_state(self, tmp_path):
-        p = tmp_path / "state.npz"
-        serialize.save_state(p, {"x": Vector.iota(2)}, meta={"k": 1})
-        vectors, meta = serialize.load(p)
-        assert meta == {"k": 1} and "x" in vectors
-
     def test_vector_archive_is_not_state(self, tmp_path):
+        # the single-vector layout that older versions wrote
         p = tmp_path / "v.npz"
-        serialize.save_vector(p, Vector.iota(3))
+        np.savez_compressed(
+            p, kind="vector", size=3, indices=np.arange(3), values=np.arange(3)
+        )
         with pytest.raises(ValueError, match="not a serialized state"):
             serialize.load_state(p)

@@ -136,14 +136,6 @@ class TestWritePathEquivalence:
 
         self.check(monkeypatch, w_kind, mask_kind, accum, replace, op)
 
-    def test_ewise_add(self, monkeypatch, w_kind, mask_kind, accum, replace):
-        def op(rng, w, mask, desc, accum):
-            u = make_w("sparse", rng)
-            v = make_w("sparse", rng)
-            gb.ewise_add(w, mask, accum, bop.MIN, u, v, desc)
-
-        self.check(monkeypatch, w_kind, mask_kind, accum, replace, op)
-
     def test_extract_all(self, monkeypatch, w_kind, mask_kind, accum, replace):
         def op(rng, w, mask, desc, accum):
             u = make_w("dense", rng)
@@ -174,21 +166,6 @@ class TestWritePathEquivalence:
             gb.assign_scalar(w, mask, accum, 99, idx, desc)
 
         self.check(monkeypatch, w_kind, mask_kind, accum, replace, op)
-
-    def test_apply(self, monkeypatch, w_kind, mask_kind, accum, replace):
-        def op(rng, w, mask, desc, accum):
-            u = make_w("sparse", rng)
-            gb.apply(w, mask, accum, lambda x: x + 1, u, desc)
-
-        self.check(monkeypatch, w_kind, mask_kind, accum, replace, op)
-
-    def test_select(self, monkeypatch, w_kind, mask_kind, accum, replace):
-        def op(rng, w, mask, desc, accum):
-            u = make_w("dense", rng)
-            gb.select(w, mask, accum, lambda i, v: v % 2 == 0, u, desc)
-
-        self.check(monkeypatch, w_kind, mask_kind, accum, replace, op)
-
 
 @pytest.mark.parametrize("mask_kind", MASK_KINDS)
 @pytest.mark.parametrize("replace", REPLACES, ids=["keep", "replace"])

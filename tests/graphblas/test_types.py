@@ -55,13 +55,3 @@ class TestPromote:
     def test_fp32_fp64(self):
         assert t.promote(t.FP32, t.FP64) == t.FP64
 
-
-class TestIsIntegral:
-    def test_int64(self):
-        assert t.is_integral(t.INT64)
-
-    def test_fp64(self):
-        assert not t.is_integral(t.FP64)
-
-    def test_bool_is_not_integral(self):
-        assert not t.is_integral(t.BOOL)

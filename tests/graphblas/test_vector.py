@@ -178,23 +178,6 @@ class TestConversions:
         v = Vector.sparse(4, [1], [7])
         np.testing.assert_array_equal(v.to_numpy(fill=-1), [-1, 7, -1, -1])
 
-    def test_dup_independent(self):
-        v = Vector.sparse(5, [1], [1])
-        d = v.dup()
-        d.set(2, 2)
-        assert v.nvals == 1 and d.nvals == 2
-
-    def test_dup_dense_independent(self):
-        v = Vector.full(5, 3)
-        d = v.dup()
-        d.set(0, 9)
-        assert v.get(0) == 3
-
-    def test_astype(self):
-        v = Vector.sparse(5, [1], [3])
-        f = v.astype(np.float64)
-        assert f.dtype == np.float64 and f.get(1) == 3.0
-
     def test_isequal_same(self):
         a = Vector.sparse(5, [1, 2], [1, 2])
         b = Vector.sparse(5, [1, 2], [1, 2])

@@ -29,17 +29,6 @@ class TestMachineModel:
     def test_ranks_hybrid(self):
         assert EDISON.ranks(256) == 1024
 
-    def test_with_threads(self):
-        m = EDISON.with_threads(1)
-        assert m.processes_per_node == 24
-        assert EDISON.processes_per_node == 4  # original untouched
-
-    def test_with_threads_validation(self):
-        with pytest.raises(ValueError):
-            EDISON.with_threads(0)
-        with pytest.raises(ValueError):
-            EDISON.with_threads(100)
-
     def test_mem_time_scales_with_sharing(self):
         assert EDISON.mem_time_per_op(24) > EDISON.mem_time_per_op(4)
 
@@ -95,36 +84,6 @@ class TestCostModel:
         c = self.make()
         c.charge_compute(3)
         assert c.phases["unattributed"].flops == 3
-
-    def test_merge_from(self):
-        a, b = self.make(), self.make()
-        a.charge_compute(10, "x")
-        b.charge_compute(20, "x")
-        b.charge_compute(5, "y")
-        a.merge_from(b)
-        assert a.phases["x"].flops == 30
-        assert a.phases["y"].flops == 5
-
-    def test_merge_from_folds_every_component(self):
-        a, b = self.make(), self.make()
-        a.charge_compute(10, "x")
-        a.charge_comm(100, 2, "x")
-        b.charge_comm(50, 3, "x")
-        b.charge_seconds(0.5, "y")
-        expect_total = a.total_seconds + b.total_seconds
-        a.merge_from(b)
-        assert a.phases["x"].words == 150
-        assert a.phases["x"].messages == 5
-        assert a.phases["y"].seconds == 0.5
-        assert a.total_seconds == pytest.approx(expect_total)
-        assert a.total_words == 150 and a.total_messages == 5
-
-    def test_merge_from_empty_is_identity(self):
-        a = self.make()
-        a.charge_compute(10, "x")
-        before = a.phase_seconds()
-        a.merge_from(self.make())
-        assert a.phase_seconds() == before
 
     def test_phase_seconds_view(self):
         c = self.make()
@@ -200,12 +159,6 @@ class TestCollectiveFormulas:
         c2 = CostModel(EDISON, 1024, 256)
         collectives.alltoallv_hypercube(c2, 1024, 100)
         assert c1.total_seconds < c2.total_seconds
-
-    def test_barrier(self):
-        c = CostModel(EDISON, 64, 16)
-        collectives.barrier(c, 64)
-        assert c.total_messages == 6
-        assert c.total_words == 0
 
     def test_crossover_pairwise_wins_small_p_large_messages(self):
         """Hypercube trades bandwidth for latency: for big payloads on few

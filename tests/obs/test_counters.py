@@ -71,26 +71,6 @@ class TestPrimitiveCounters:
         assert sp.counters["flops"] == 2  # indices {1, 2}
         assert sp.counters["nvals_out"] == out.nvals == 2
 
-    def test_apply_span(self):
-        u = Vector.sparse(5, [0, 2, 4], [1, 2, 3])
-        out = Vector.empty(5)
-        sp = traced(lambda: gb.apply(out, None, None, lambda x: x * 10, u))
-        assert (sp.name, sp.cat) == ("apply", "graphblas")
-        assert sp.counters["nvals_in"] == 3
-        assert sp.counters["flops"] == 3  # one fn evaluation per element
-        assert sp.counters["nvals_out"] == out.nvals == 3
-
-    def test_select_span(self):
-        u = Vector.sparse(6, [0, 1, 2, 3], [4, 7, 8, 1])
-        out = Vector.empty(6)
-        sp = traced(
-            lambda: gb.select(out, None, None, lambda i, v: v % 2 == 0, u)
-        )
-        assert (sp.name, sp.cat) == ("select", "graphblas")
-        assert sp.counters["nvals_in"] == 4
-        assert sp.counters["flops"] == 4  # predicate sees every element
-        assert sp.counters["nvals_out"] == out.nvals == 2  # values 4 and 8
-
     def test_masked_mxv_records_pushdown_path(self):
         # sparse structural mask over a dense input: the SpMV kernel
         # streams only the allowed rows and says so on the span

@@ -71,12 +71,12 @@ def test_driver_path_loads_nothing_lazy(code):
 # each probe asserts SciPy is absent, does its work, checks the result and
 # leaves SciPy loaded
 _NEEDS_SCIPY = {
-    "to_from_scipy": """
+    "to_scipy": """
         import numpy as np
         from repro.graphblas import Matrix
         A = Matrix.adjacency(5, np.array([0, 1, 3]), np.array([1, 2, 4]))
         assert "scipy" not in sys.modules
-        B = Matrix.from_scipy(A.to_scipy().astype(np.float64))
+        B = A.to_scipy()
         assert np.array_equal(B.indptr, A.indptr)
         assert np.array_equal(B.indices, A.indices)
     """,
