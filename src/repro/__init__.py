@@ -38,7 +38,17 @@ import numpy as np
 
 __version__ = "1.0.0"
 
-__all__ = ["connected_components", "__version__"]
+__all__ = ["BASELINES", "connected_components", "__version__"]
+
+#: the baseline methods of :func:`connected_components` (beside
+#: ``"lacc"``), each the module in :mod:`repro.baselines` that runs it
+BASELINES = {
+    "union-find": "union_find",
+    "sv": "shiloach_vishkin",
+    "bfs": "bfs_cc",
+    "label-prop": "label_prop",
+    "fastsv": "fastsv",
+}
 
 
 def connected_components(u, v, n: int, method: str = "lacc") -> np.ndarray:
@@ -65,23 +75,16 @@ def connected_components(u, v, n: int, method: str = "lacc") -> np.ndarray:
     """
     # import only the chosen method, so default LACC loads no SciPy
     # (the baselines package does)
-    baselines = {
-        "union-find": "union_find",
-        "sv": "shiloach_vishkin",
-        "bfs": "bfs_cc",
-        "label-prop": "label_prop",
-        "fastsv": "fastsv",
-    }
     if method == "lacc":
         from .core.lacc import lacc
         from .graphblas import Matrix
 
         labels = lacc(Matrix.adjacency(n, u, v)).labels
-    elif method in baselines:
-        module = importlib.import_module(f".baselines.{baselines[method]}", __name__)
+    elif method in BASELINES:
+        module = importlib.import_module(f".baselines.{BASELINES[method]}", __name__)
         labels = module.connected_components(n, u, v)
     else:
         raise ValueError(
-            f"unknown method {method!r}; choose from {sorted([*baselines, 'lacc'])}"
+            f"unknown method {method!r}; choose from {sorted([*BASELINES, 'lacc'])}"
         )
     return np.asarray(labels, dtype=np.int64)

@@ -2,34 +2,34 @@
 
 Commands
 --------
-``cc``
-    Label connected components of a graph file (MatrixMarket ``.mtx`` or
-    whitespace edge list, optionally gzipped) with LACC or any baseline.
-``simulate``
-    Run simulated-distributed LACC (and optionally ParConnect) on a graph
-    file or a named corpus analogue across a node sweep.
-``profile``
-    Run LACC under a :mod:`repro.obs` tracer and render/export the span
-    tree: top table, flamegraph, Chrome ``trace_event`` JSON, JSON lines.
+``run``
+    Run one LACC driver (``--driver serial``, the default, or ``dist``,
+    ``spmd``, ``2d``) or a baseline method on a graph file (MatrixMarket
+    ``.mtx`` or whitespace edge list, optionally gzipped) or a named
+    corpus analogue, under any observers: a Chrome trace (``--trace``;
+    on the proc backend one pid lane per rank plus the conductor), a
+    flight record (``--record``), a hotspot table or flamegraph
+    (``--top``/``--flame``), per-rank analytics (``--analyze``), JSON
+    (``--json``), statistics (``--stats``) and the labels (``--out``).
+    ``dist`` sweeps ``--nodes``.  ``--faults PRESET`` runs the driver
+    under the :mod:`repro.recovery` supervisor with a fault preset of
+    :mod:`repro.faults` — real SIGKILLs, SIGSTOP stragglers and corrupt
+    shared-memory frames on the proc backend, or the simulator's typed
+    errors, delays and crashes — and verifies the answer
+    (:mod:`repro.runner`): byte-identical labels, union–find oracle,
+    resume-not-restart.  ``--max-recoveries 0`` fails loudly instead of
+    recovering.
 ``corpus``
     List the Table III corpus analogues or dump one to a file.
-``chaos``
-    Run any LACC driver under the :mod:`repro.recovery` supervisor with
-    a fault preset of :mod:`repro.faults` — real SIGKILLs, SIGSTOP
-    stragglers and corrupt shared-memory frames on the proc backend, or
-    the simulator's typed errors, delays and crashes — and verify the
-    answer (:mod:`repro.chaos`): byte-identical labels, union–find
-    oracle, resume-not-restart.  ``--max-recoveries 0`` fails loudly
-    instead of recovering; ``--record`` writes the flight record.
+``stats``
+    Structural summary of a graph.
+``forest``
+    Spanning forest of each component.
 ``mcl``
     Markov-cluster a graph and print the clusters (HipMCL-lite).
-``analyze``
-    Per-rank load-imbalance analytics of a simulated run: λ = max/mean
-    requests per rank for each LACC step, compute/comm/delay attribution
-    per phase, straggler identification (:mod:`repro.obs.analytics`).
 ``explain``
     Replay a ``.jsonl`` flight record (:mod:`repro.obs.flight`, e.g. from
-    ``chaos --record``) and print a human-readable diagnosis of what went
+    ``run --record``) and print a human-readable diagnosis of what went
     wrong (retry storms, stragglers, checkpoint churn, lost ranks).
 ``regress``
     Compare an end-to-end benchmark record (``benchmarks/e2e/run.py
@@ -40,20 +40,20 @@ Examples
 --------
 ::
 
-    python -m repro cc graph.mtx --method lacc --stats
-    python -m repro cc graph.mtx --json --trace cc.trace.json
-    python -m repro simulate archaea --machine edison --nodes 1,16,64
-    python -m repro profile archaea --trace out.json --flame
-    python -m repro profile archaea --machine edison --nodes 16
+    python -m repro run graph.mtx --driver union-find --stats
+    python -m repro run graph.mtx --json --trace run.trace.json
+    python -m repro run archaea --driver dist --machine edison --nodes 1,16,64
+    python -m repro run archaea --trace out.json --top --flame
+    python -m repro run archaea --driver dist --nodes 16 --analyze
+    python -m repro run archaea --driver spmd --backend proc --trace merged.json
     python -m repro corpus --list
     python -m repro corpus eukarya --out eukarya.mtx
-    python -m repro chaos archaea --preset kill --seed 3 --record chaos.jsonl
-    python -m repro chaos archaea --driver 2d --preset shrink --json
-    python -m repro chaos archaea --driver spmd --preset crash --after 40
-    python -m repro chaos archaea --driver dist --preset stragglers --nodes 16
-    python -m repro chaos archaea --driver dist --preset none --record fr.jsonl
+    python -m repro run archaea --driver spmd --backend proc --faults kill \
+        --seed 3 --record chaos.jsonl
+    python -m repro run archaea --driver 2d --faults shrink --json
+    python -m repro run archaea --driver dist --faults stragglers --nodes 16
+    python -m repro run archaea --driver dist --nodes 16 --record fr.jsonl
     python -m repro mcl similarities.mtx --inflation 2.0
-    python -m repro analyze archaea --machine edison --nodes 16
     python -m repro explain fr.jsonl --html fr.html
     python -m repro explain fr.jsonl --json
     python -m repro regress --current BENCH_current.json
@@ -65,7 +65,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import List, Optional
 
 import numpy as np
@@ -85,263 +84,206 @@ def _load_graph(path: str):
     return io.read_edge_list(path)
 
 
-def _component_summary(labels: np.ndarray) -> dict:
-    """Method-agnostic component statistics — the ``--stats`` payload
-    shared by every ``cc`` method."""
-    _, sizes = np.unique(labels, return_counts=True)
-    return {
-        "components": int(sizes.size),
-        "largest_component": int(sizes.max()) if sizes.size else 0,
-        "singleton_components": int(np.count_nonzero(sizes == 1)),
+def _node_counts(text: Optional[str]) -> List[int]:
+    """The ``--nodes`` list (default: 4); empty when it holds anything
+    but positive integers."""
+    try:
+        counts = [int(x) for x in (text or "4").split(",")]
+    except ValueError:
+        return []
+    return counts if min(counts) >= 1 else []
+
+
+def _check(args: argparse.Namespace) -> Optional[str]:
+    """Why ``repro run`` cannot run *args*, in one line (``None``: it
+    can).  A flag the driver or the preset would ignore is an error."""
+    from repro.core.drivers import DRIVERS
+    from repro.runner import preset_flags
+
+    entry = DRIVERS.get(args.driver)
+    ranked = entry is not None and entry.runs_at is not None
+    dist = args.driver == "dist"
+    takes = {
+        "--ranks": (args.ranks is not None, ranked),
+        "--machine": (args.machine is not None, dist),
+        "--nodes": (args.nodes is not None, dist),
+        "--parconnect": (args.parconnect, dist),
+        "--faults": (args.faults is not None, entry is not None),
+        "--record": (args.record is not None, entry is not None),
+        "--analyze": (args.analyze, entry is not None),
     }
+    for flag, (given, usable) in takes.items():
+        if given and not usable:
+            return f"--driver {args.driver} takes no {flag}"
+    if ranked and args.ranks is not None and not entry.runs_at(args.ranks):
+        return f"--driver {args.driver} does not run at {args.ranks} ranks"
+    nodes = _node_counts(args.nodes)
+    if not nodes:
+        return f"--nodes takes positive integers, not {args.nodes!r}"
+    if args.record and len(nodes) > 1:
+        return "--record takes one run, not a --nodes sweep"
+    flags = dict(seed=args.seed, after=args.after, phase=args.phase,
+                 rank=args.rank, stall_seconds=args.stall_seconds,
+                 interval=args.interval, checkpoint_dir=args.checkpoint_dir,
+                 max_recoveries=args.max_recoveries)
+    supervised = ("seed", "interval", "checkpoint_dir", "max_recoveries")
+    usable = preset_flags(args.faults, **flags).keys() | (
+        set(supervised) if args.faults else set())
+    stray = sorted(k for k, v in flags.items() if v is not None and k not in usable)
+    if stray:
+        who = (f"preset {args.faults!r}" if args.faults
+               else "a run without --faults")
+        return f"{who} takes no " + ", ".join(
+            "--" + k.replace("_", "-") for k in stray)
+    return None
 
 
-def _iteration_records(stats, model: bool = False) -> List[dict]:
-    """Per-iteration stats as plain dicts (the ``--json`` payload)."""
-    out = []
-    for it in stats.iterations:
-        rec = {
-            "iteration": it.iteration,
-            "active_vertices": it.active_vertices,
-            "cond_hooks": it.cond_hooks,
-            "uncond_hooks": it.uncond_hooks,
-            "converged_vertices": it.converged_vertices,
-            "step_seconds": dict(
-                it.step_model_seconds if model else it.step_seconds
-            ),
-        }
-        if model:
-            rec["words_communicated"] = it.words_communicated
-            rec["messages_sent"] = it.messages_sent
-        out.append(rec)
-    return out
+def _print_run(rep, run: dict, args: argparse.Namespace) -> None:
+    """The text view of one run: what ran, its answer and each observer's
+    output."""
+    from repro.obs import flamegraph, top_table
 
-
-def _cmd_cc(args: argparse.Namespace) -> int:
-    import repro
-    from repro.core import lacc
-    from repro.obs import Tracer, activate
-
-    g = _load_graph(args.graph)
-    tracer = Tracer() if args.trace else None
-    res = None
-    t0 = time.perf_counter()
-    if args.method == "lacc":
-        with activate(tracer):
-            res = lacc(g.to_matrix())
-        labels = res.labels
-    elif args.trace:
-        with activate(tracer), tracer.span(args.method, "cc"):
-            labels = repro.connected_components(g.u, g.v, g.n, method=args.method)
+    where = ""
+    if rep.nodes is not None:
+        where = (f" on simulated {run['machine'] or args.machine or 'edison'}"
+                 f", {rep.nodes} nodes")
+    if run["ranks"] is not None and run["ranks"] > 1:
+        where += f" × {run['ranks']} ranks"
+    head = f"{args.driver}{where} [{rep.backend} backend]"
+    if rep.preset is not None:
+        head += f", faults {rep.preset!r} seed {rep.seed}"
+    if rep.error is not None:
+        print(f"{head}: failed loudly: {rep.error}")
     else:
-        labels = repro.connected_components(g.u, g.v, g.n, method=args.method)
-    dt = time.perf_counter() - t0
+        iters = "" if rep.iterations is None else f" in {rep.iterations} iterations"
+        clock = ("" if rep.simulated_seconds is None
+                 else f"{rep.simulated_seconds * 1e3:.3f} ms simulated, ")
+        print(f"{head}: {run['components']} components{iters}, {clock}"
+              f"{rep.wall_seconds * 1e3:.1f} ms wall")
+    if "parconnect_seconds" in run:
+        pc = run["parconnect_seconds"]
+        print(f"  ParConnect: {pc * 1e3:.3f} ms simulated "
+              f"({pc / rep.simulated_seconds:.2f}x LACC's)")
+    if args.stats and rep.labels is not None:
+        print(f"  largest component: {run['largest_component']}   "
+              f"singletons: {run['singleton_components']}")
+        if run["step_seconds"] is not None:
+            print("  steps: " + "  ".join(
+                f"{s}={t * 1e3:.3f}ms" for s, t in run["step_seconds"].items()))
+            for it in run["iteration_stats"]:
+                traffic = (f" words={it['words_communicated']} "
+                           f"msgs={it['messages_sent']}"
+                           if "words_communicated" in it else "")
+                print(f"  iter {it['iteration']}: "
+                      f"active={it['active_vertices']} "
+                      f"hooks={it['cond_hooks']}+{it['uncond_hooks']} "
+                      f"converged={it['converged_vertices']}{traffic}")
+    if rep.preset is not None:
+        print(f"  injected: {rep.injected or 'nothing (schedule never fired)'}")
+        if rep.error is None:
+            print(f"  {rep.attempts} attempt(s), {rep.recoveries} "
+                  f"recover{'y' if rep.recoveries == 1 else 'ies'}"
+                  + (f", shrunk to {rep.shrunk_to} ranks"
+                     if rep.shrunk_to is not None else ""))
+            for what, passed in (
+                ("byte-identical to fault-free run", rep.byte_identical),
+                ("labels match union-find oracle", rep.oracle_ok),
+                ("resumed (no restart from scratch)", rep.resumed),
+            ):
+                print(f"  {'PASS' if passed else 'FAIL'}  {what}")
+        for e in rep.recovery_events:
+            at = "-" if e["iteration"] is None else f"iter {e['iteration']}"
+            print(f"  recovery: {e['action']:<12s} {at:<8s} {e['detail']}")
+        if rep.reference_seconds is not None:
+            print(f"  fault-free reference: "
+                  f"{rep.reference_seconds * 1e3:.3f} ms simulated")
+        if rep.anomaly_classes:
+            print(f"  anomalies detected: {', '.join(rep.anomaly_classes)}")
+    if rep.tracer is not None and (args.top or args.flame):
+        clock = "α–β model seconds" if rep.nodes is not None else "wall seconds"
+        n = sum(1 for _ in rep.tracer.walk())
+        spans = f"{n} spans"
+        if rep.rank_obs is not None:
+            workers = sum(sum(1 for _ in tr.walk())
+                          for tr in rep.rank_obs.tracers.values())
+            spans = (f"{n} conductor spans + {workers} worker spans across "
+                     f"{rep.rank_obs.size} ranks")
+        print(f"\ntrace: {spans}, {rep.tracer.max_depth()} levels deep "
+              f"[{clock}]\n")
+        if args.top:
+            print(top_table(rep.tracer, limit=args.top))
+        if args.flame:
+            print(flamegraph(rep.tracer))
+    if rep.analytics is not None:
+        print(rep.analytics.render())
 
-    record = {
-        "graph": g.name,
-        "vertices": g.n,
-        "edges": g.nedges,
-        "method": args.method,
-        "seconds": dt,
-        **_component_summary(labels),
-    }
-    if res is not None:
-        record["iterations"] = res.n_iterations
-        record["iteration_stats"] = _iteration_records(res.stats)
 
-    if args.trace:
-        from repro.obs import write_chrome_trace
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.runner import run_driver
 
-        write_chrome_trace(tracer, args.trace)
+    problem = _check(args)
+    if problem:
+        print(f"repro run: {problem}", file=sys.stderr)
+        return 2
+    try:
+        g = _load_graph(args.graph)
+    except OSError as exc:
+        print(f"repro run: cannot read the graph: {exc}", file=sys.stderr)
+        return 2
+    # flags left unset keep run_driver's defaults
+    given = {k: v for k, v in dict(
+        ranks=args.ranks, machine=args.machine, preset=args.faults,
+        seed=args.seed, after=args.after, phase=args.phase, rank=args.rank,
+        stall_seconds=args.stall_seconds, checkpoint_interval=args.interval,
+        checkpoint_dir=args.checkpoint_dir, max_recoveries=args.max_recoveries,
+    ).items() if v is not None}
+    reports, runs = [], []
+    for nodes in _node_counts(args.nodes):
+        try:
+            rep = run_driver(g, args.driver, backend=args.backend, nodes=nodes,
+                             record_path=args.record,
+                             trace=bool(args.trace or args.top or args.flame),
+                             analyze=args.analyze, **given)
+        except ValueError as exc:
+            print(f"repro run: {exc}", file=sys.stderr)
+            return 2
+        run = rep.to_dict()
+        if args.parconnect and rep.result is not None:
+            from repro.baselines.parconnect import parconnect
 
-    if args.json:
-        print(json.dumps(record, indent=2))
-    else:
-        print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges)")
-        print(f"components: {record['components']}   [{args.method}, {dt*1e3:.1f} ms]")
-        if args.stats:
-            print(f"largest component: {record['largest_component']}   "
-                  f"singletons: {record['singleton_components']}")
-        if res is not None:
-            print(f"iterations: {res.n_iterations}")
-            if args.stats:
-                for it in res.stats.iterations:
-                    print(
-                        f"  iter {it.iteration}: active={it.active_vertices} "
-                        f"hooks={it.cond_hooks}+{it.uncond_hooks} "
-                        f"converged={it.converged_vertices}"
-                    )
-        if args.trace:
-            print(f"trace written to {args.trace}")
-    if args.out:
-        np.savetxt(args.out, labels, fmt="%d")
-        if not args.json:
-            print(f"labels written to {args.out}")
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.baselines.parconnect import parconnect
-    from repro.core.lacc_dist import lacc_dist
-    from repro.mpisim.machine import load_machine
-
-    machine = load_machine(args.machine)
-    g = _load_graph(args.graph)
-    A = g.to_matrix()
-    nodes_list = [int(x) for x in args.nodes.split(",")]
-
-    records: List[dict] = []
-    traces: List[dict] = []
-    for nodes in nodes_list:
-        if args.trace:
-            from repro.obs import Tracer, activate, chrome_trace
-
-            tr = Tracer()
-            with activate(tr):
-                r = lacc_dist(A, machine, nodes=nodes)
-            traces.append(
-                chrome_trace(tr, pid=nodes, process_name=f"{machine.name} nodes={nodes}")
-            )
-        else:
-            r = lacc_dist(A, machine, nodes=nodes)
-        rec = {
-            "nodes": nodes,
-            "ranks": r.ranks,
-            "seconds": r.simulated_seconds,
-            "iterations": r.n_iterations,
-            "components": r.n_components,
-            "words": r.cost.total_words,
-            "messages": r.cost.total_messages,
-            "step_seconds": r.stats.step_totals(model=True),
-            "iteration_stats": _iteration_records(r.stats, model=True),
-        }
-        if args.parconnect:
-            pc = parconnect(g.n, g.u, g.v, machine, nodes=nodes)
-            rec["parconnect_seconds"] = pc.simulated_seconds
-        records.append(rec)
+            run["parconnect_seconds"] = parconnect(
+                g.n, g.u, g.v, rep.result.cost.machine, nodes=nodes
+            ).simulated_seconds
+        reports.append(rep)
+        runs.append(run)
 
     if args.trace:
         from repro.obs import merge_chrome_traces, write_chrome_trace
 
-        write_chrome_trace(merge_chrome_traces(traces), args.trace)
-
+        write_chrome_trace(
+            merge_chrome_traces([rep.chrome_trace() for rep in reports]),
+            args.trace)
+    if args.out and reports[-1].labels is not None:
+        np.savetxt(args.out, reports[-1].labels, fmt="%d")
     if args.json:
         print(json.dumps({
             "graph": g.name,
             "vertices": g.n,
             "edges": g.nedges,
-            "machine": machine.name,
-            "runs": records,
+            "driver": args.driver,
+            "backend": reports[0].backend,
+            "runs": runs,
         }, indent=2))
-        return 0
-
-    print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges) "
-          f"on simulated {machine.name}")
-    hdr = f"{'nodes':>6} {'ranks':>6} {'LACC (ms)':>10}"
-    if args.parconnect:
-        hdr += f" {'ParConnect (ms)':>16} {'speedup':>8}"
-    print(hdr)
-    for rec in records:
-        line = f"{rec['nodes']:6d} {rec['ranks']:6d} {rec['seconds']*1e3:10.3f}"
-        if args.parconnect:
-            line += (f" {rec['parconnect_seconds']*1e3:16.3f}"
-                     f" {rec['parconnect_seconds']/rec['seconds']:7.2f}x")
-        print(line)
-        if args.stats:
-            steps = rec["step_seconds"]
-            breakdown = "  ".join(f"{s}={t*1e3:.3f}ms" for s, t in steps.items())
-            print(f"       steps: {breakdown}")
-            for it in rec["iteration_stats"]:
-                print(
-                    f"       iter {it['iteration']}: "
-                    f"active={it['active_vertices']} "
-                    f"words={it['words_communicated']} "
-                    f"msgs={it['messages_sent']}"
-                )
-    if args.trace:
-        print(f"trace written to {args.trace} "
-              f"(one pid lane per node count)")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        Tracer, activate, chrome_trace, flamegraph, top_table,
-        write_chrome_trace, write_jsonl,
-    )
-
-    g = _load_graph(args.graph)
-    A = g.to_matrix()
-    if getattr(args, "backend", None) == "proc":
-        from repro.obs.profile import trace_lacc_proc
-
-        res, tracer, obs = trace_lacc_proc(g, ranks=args.ranks,
-                                           flight_path=args.flight)
-        total = sum(r.duration for r in tracer.roots)
-        n_spans = sum(1 for _ in tracer.walk())
-        n_rank_spans = sum(
-            sum(1 for _ in tr.walk()) for tr in obs.tracers.values()
-        )
-        print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges)")
-        print(f"components: {res.n_components} in {res.n_iterations} "
-              f"iterations, {total*1e3:.3f} ms "
-              f"[wall seconds, {obs.size} worker ranks]")
-        print(f"trace: {n_spans} conductor spans + {n_rank_spans} worker "
-              f"spans across {obs.size} ranks")
-        fl_drop = sum(obs.flight_dropped.values())
-        if fl_drop:
-            print(f"warning: {fl_drop} flight events dropped")
-        print()
-        print(top_table(tracer, limit=args.top))
-        if args.trace:
-            write_chrome_trace(obs.merged_trace(conductor=tracer), args.trace)
-            print(f"\nmerged Chrome trace written to {args.trace} "
-                  f"(one pid lane per rank + conductor; open in "
-                  "chrome://tracing or https://ui.perfetto.dev)")
-        if args.flight:
-            print(f"merged flight record written to {args.flight}")
-        if args.jsonl:
-            write_jsonl(tracer, args.jsonl)
-            print(f"conductor span records written to {args.jsonl}")
-        return 0
-    tracer = Tracer()
-    if args.machine:
-        from repro.core.lacc_dist import lacc_dist
-        from repro.mpisim.machine import load_machine
-
-        machine = load_machine(args.machine)
-        with activate(tracer):  # a fresh tracer runs on the α–β clock
-            res = lacc_dist(A, machine, nodes=args.nodes)
-        clock = f"α–β model seconds ({machine.name}, {args.nodes} nodes, {res.ranks} ranks)"
-        total = res.simulated_seconds
     else:
-        from repro.core.lacc import lacc
-
-        with activate(tracer):
-            res = lacc(A)
-        clock = "wall seconds"
-        total = sum(r.duration for r in tracer.roots)
-
-    n_spans = sum(1 for _ in tracer.walk())
-    print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges)")
-    print(f"components: {res.n_components} in {res.n_iterations} iterations, "
-          f"{total*1e3:.3f} ms [{clock}]")
-    print(f"trace: {n_spans} spans, {tracer.max_depth()} levels deep")
-    print()
-    print(top_table(tracer, limit=args.top))
-    if args.flame:
-        print()
-        print(flamegraph(tracer))
-    if args.trace:
-        write_chrome_trace(
-            chrome_trace(tracer, process_name=f"repro {g.name}"), args.trace
-        )
-        print(f"\nChrome trace written to {args.trace} "
-              "(open in chrome://tracing or https://ui.perfetto.dev)")
-    if args.jsonl:
-        write_jsonl(tracer, args.jsonl)
-        print(f"span records written to {args.jsonl}")
-    return 0
+        print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges)")
+        for rep, run in zip(reports, runs):
+            _print_run(rep, run, args)
+        for path, what in ((args.trace, "Chrome trace"),
+                           (args.record, "flight record"),
+                           (args.out, "labels")):
+            if path:
+                print(f"{what} written to {path}")
+    return 0 if all(rep.ok for rep in reports) else 1
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -397,80 +339,6 @@ def _cmd_forest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import chaos_run, preset_flags
-    from repro.core.drivers import DRIVERS
-
-    flags = dict(after=args.after, phase=args.phase, rank=args.rank,
-                 stall_seconds=args.stall_seconds)
-    stray = sorted(k for k, v in flags.items() if v is not None
-                   and k not in preset_flags(args.preset, **flags))
-    if stray:
-        print(f"repro chaos: preset {args.preset!r} takes no "
-              + ", ".join("--" + k.replace("_", "-") for k in stray),
-              file=sys.stderr)
-        return 2
-    g = _load_graph(args.graph)
-    report = chaos_run(
-        g,
-        driver=args.driver,
-        ranks=args.ranks,
-        preset=args.preset,
-        seed=args.seed,
-        backend=args.backend,
-        machine=args.machine,
-        nodes=args.nodes,
-        checkpoint_interval=args.interval,
-        checkpoint_dir=args.checkpoint_dir,
-        max_recoveries=args.max_recoveries,
-        record_path=args.record,
-        trace_path=args.trace,
-        **flags,
-    )
-
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-        return 0 if report.ok else 1
-
-    where = f" × {args.ranks} ranks" if DRIVERS[args.driver].runs_at else ""
-    print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges)")
-    print(f"chaos '{args.preset}' on {args.driver}{where} "
-          f"[{report.backend} backend], seed {args.seed}: "
-          + (f"failed loudly: {report.error}"
-             if report.error else
-             f"{report.components} components in {report.iterations} "
-             f"iterations, {report.attempts} attempt(s), "
-             f"{report.recoveries} "
-             f"recover{'y' if report.recoveries == 1 else 'ies'}"
-             + (f", shrunk to {report.shrunk_to} ranks"
-                if report.shrunk_to is not None else "")))
-    print(f"injected: {report.injected or 'nothing (schedule never fired)'}")
-    if not report.error:
-        for line in (
-            ("byte-identical to fault-free run", report.byte_identical),
-            ("labels match union-find oracle", report.oracle_ok),
-            ("resumed (no restart from scratch)", report.resumed),
-        ):
-            print(f"  {'PASS' if line[1] else 'FAIL'}  {line[0]}")
-    if report.recovery_events:
-        print("recovery events:")
-        for e in report.recovery_events:
-            where = "-" if e["iteration"] is None else f"iter {e['iteration']}"
-            print(f"  {e['action']:<12s} {where:<8s} {e['detail']}")
-    if report.simulated_seconds is not None:
-        print(f"simulated time: {report.simulated_seconds * 1e3:.3f} ms "
-              f"(fault-free {report.reference_seconds * 1e3:.3f} ms)")
-    if report.anomaly_classes:
-        print(f"anomalies detected: {', '.join(report.anomaly_classes)}")
-    if args.record:
-        print(f"flight record written to {args.record} "
-              f"(diagnose with: python -m repro explain {args.record})")
-    if args.trace:
-        print(f"trace written to {args.trace}")
-    print(f"wall time: {report.wall_seconds:.2f}s")
-    return 0 if report.ok else 1
-
-
 def _cmd_mcl(args: argparse.Namespace) -> int:
     from repro.mcl import markov_clustering
 
@@ -485,43 +353,6 @@ def _cmd_mcl(args: argparse.Namespace) -> int:
         members = ", ".join(map(str, c[:12]))
         more = "" if len(c) <= 12 else f", ... ({len(c)} total)"
         print(f"  cluster {i}: [{members}{more}]")
-    return 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    if getattr(args, "backend", "sim") == "proc":
-        from repro.obs.analytics import analyze_proc
-        from repro.obs.profile import trace_lacc_proc
-
-        res, _tracer, obs = trace_lacc_proc(g, ranks=args.ranks)
-        try:
-            rep = analyze_proc(obs, n_iterations=res.n_iterations)
-        except ValueError as exc:
-            print(f"cannot analyze: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(rep.to_dict(), indent=2))
-        else:
-            print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges)")
-            print(rep.render())
-        return 0
-    from repro.core.lacc_dist import lacc_dist
-    from repro.mpisim.machine import load_machine
-    from repro.obs.analytics import analyze
-
-    machine = load_machine(args.machine)
-    res = lacc_dist(g.to_matrix(), machine, nodes=args.nodes, trace_comm=True)
-    try:
-        rep = analyze(res)
-    except ValueError as exc:
-        print(f"cannot analyze: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(rep.to_dict(), indent=2))
-    else:
-        print(f"graph: {g.name} ({g.n} vertices, {g.nedges} edges)")
-        print(rep.render())
     return 0
 
 
@@ -637,64 +468,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    cc = sub.add_parser("cc", help="label connected components")
-    cc.add_argument("graph", help=".mtx / edge-list file or corpus name")
-    cc.add_argument("--method", default="lacc",
-                    choices=["lacc", "union-find", "sv", "bfs", "label-prop", "fastsv"])
-    cc.add_argument("--stats", action="store_true",
-                    help="component statistics (plus per-iteration detail for lacc)")
-    cc.add_argument("--json", action="store_true",
-                    help="machine-readable JSON output on stdout")
-    cc.add_argument("--trace", metavar="FILE",
-                    help="write a Chrome trace_event JSON of the run")
-    cc.add_argument("--out", help="write labels to this file")
-    cc.set_defaults(fn=_cmd_cc)
+    from repro import BASELINES
+    from repro.faults import PRESETS
 
-    sim = sub.add_parser("simulate", help="simulated distributed run")
-    sim.add_argument("graph")
-    sim.add_argument(
-        "--machine", default="edison",
-        help="preset (edison/cori/laptop) or path to a machine JSON file",
+    run = sub.add_parser(
+        "run",
+        help="run a LACC driver or a baseline under any observers, "
+             "optionally under a fault preset whose answer is verified",
     )
-    sim.add_argument("--nodes", default="1,4,16,64")
-    sim.add_argument("--parconnect", action="store_true",
-                     help="also run the ParConnect competitor")
-    sim.add_argument("--stats", action="store_true",
-                     help="per-step / per-iteration model breakdown per node count")
-    sim.add_argument("--json", action="store_true",
-                     help="machine-readable JSON output on stdout")
-    sim.add_argument("--trace", metavar="FILE",
-                     help="write a merged Chrome trace (one pid lane per node count)")
-    sim.set_defaults(fn=_cmd_simulate)
-
-    prof = sub.add_parser(
-        "profile",
-        help="trace a LACC run (iteration → step → primitive spans)",
-    )
-    prof.add_argument("graph", help=".mtx / edge-list file or corpus name")
-    prof.add_argument("--machine", default=None,
-                      help="profile the simulated-distributed run on this machine "
-                           "(default: serial wall-clock run)")
-    prof.add_argument("--nodes", type=int, default=1,
-                      help="node count for --machine runs")
-    prof.add_argument("--trace", metavar="FILE",
-                      help="write Chrome trace_event JSON (chrome://tracing, Perfetto)")
-    prof.add_argument("--jsonl", metavar="FILE",
-                      help="write one JSON span record per line")
-    prof.add_argument("--top", type=int, default=15,
-                      help="rows in the hotspot table")
-    prof.add_argument("--flame", action="store_true",
-                      help="also print an ASCII flamegraph")
-    prof.add_argument("--backend", choices=["proc"], default=None,
-                      help="proc: run literal SPMD on forked workers with "
-                           "per-rank tracing; --trace then emits one merged "
-                           "Chrome trace with a pid lane per rank")
-    prof.add_argument("--ranks", type=int, default=4,
-                      help="worker ranks for --backend=proc")
-    prof.add_argument("--flight", metavar="FILE",
-                      help="with --backend=proc: write the merged flight "
-                           "record (conductor + rank_event rows) as JSONL")
-    prof.set_defaults(fn=_cmd_profile)
+    run.add_argument("graph", help=".mtx / edge-list file or corpus name")
+    run.add_argument("--driver", default="serial",
+                     choices=[*DRIVERS, *BASELINES],
+                     help="a LACC driver or a baseline method "
+                          "(default: serial)")
+    run.add_argument("--backend", choices=["sim", "proc"], default=None,
+                     help="communicator backend; proc runs spmd and 2d on "
+                          "forked workers (default: $REPRO_BACKEND or sim)")
+    run.add_argument("--ranks", type=int, default=None,
+                     help="spmd / 2d: ranks (default: 4; 2d: a perfect "
+                          "square)")
+    run.add_argument("--machine", default=None,
+                     help="dist: machine preset (edison/cori/laptop) or "
+                          "JSON file (default: edison)")
+    run.add_argument("--nodes", default=None, metavar="N[,N...]",
+                     help="dist: node count, or a comma-separated sweep "
+                          "(default: 4)")
+    run.add_argument("--parconnect", action="store_true",
+                     help="dist: also run the ParConnect competitor")
+    run.add_argument("--faults", default=None, choices=sorted(PRESETS),
+                     help="supervise the run under this fault preset and "
+                          "verify the answer; the verdict sets the exit "
+                          "code")
+    run.add_argument("--seed", type=int, default=None,
+                     help="fault plan seed (default: 0)")
+    run.add_argument("--after", type=int, default=None, metavar="N",
+                     help="fire at the N-th collective call (default: the "
+                          "preset's)")
+    run.add_argument("--phase", default=None,
+                     help="crash: restrict to one algorithm phase "
+                          "(cond_hook/starcheck/uncond_hook/shortcut)")
+    run.add_argument("--rank", type=int, default=None,
+                     help="victim rank (default: seeded deterministic pick)")
+    run.add_argument("--stall-seconds", type=float, default=None,
+                     help="SIGSTOP duration for the stall preset")
+    run.add_argument("--interval", type=int, default=None,
+                     help="checkpoint every K iterations (default: 1; 0: "
+                          "never)")
+    run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                     help="durable on-disk checkpoints (default: in-memory)")
+    run.add_argument("--max-recoveries", type=int, default=None,
+                     help="bounded recovery budget before degrading "
+                          "(default: 5); 0 fails loudly instead")
+    run.add_argument("--trace", metavar="FILE",
+                     help="write a Chrome trace_event JSON (chrome://tracing, "
+                          "Perfetto); on proc one pid lane per rank plus the "
+                          "conductor, for a sweep one per node count")
+    run.add_argument("--record", metavar="FILE",
+                     help="write the flight record as JSONL (for repro "
+                          "explain)")
+    run.add_argument("--top", type=int, nargs="?", const=15, default=None,
+                     metavar="N", help="print the N hottest spans (default "
+                                       "N: 15)")
+    run.add_argument("--flame", action="store_true",
+                     help="print an ASCII flamegraph of the run")
+    run.add_argument("--analyze", action="store_true",
+                     help="per-rank analytics: λ per step and compute/comm/"
+                          "wait, measured on proc, else α–β modelled")
+    run.add_argument("--json", action="store_true",
+                     help="machine-readable JSON record on stdout")
+    run.add_argument("--stats", action="store_true",
+                     help="component statistics and per-iteration detail")
+    run.add_argument("--out", metavar="FILE", help="write labels to this file")
+    run.set_defaults(fn=_cmd_run)
 
     co = sub.add_parser("corpus", help="Table III corpus analogues")
     co.add_argument("name", nargs="?", help="corpus graph name")
@@ -713,56 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     forest.add_argument("--out", help="write forest edges to this file")
     forest.set_defaults(fn=_cmd_forest)
 
-    from repro.faults import PRESETS
-
-    ch = sub.add_parser(
-        "chaos",
-        help="run a LACC driver under a fault preset (real signals on the "
-             "proc backend) and verify the answer: byte-identical labels, "
-             "union-find oracle, resume-not-restart",
-    )
-    ch.add_argument("graph", help=".mtx / edge-list file or corpus name")
-    ch.add_argument("--driver", default="spmd", choices=list(DRIVERS),
-                    help="which LACC driver to run (default: spmd)")
-    ch.add_argument("--backend", default=os.environ.get("REPRO_BACKEND", "proc"),
-                    choices=["proc", "sim"],
-                    help="proc delivers real signals; sim models the same "
-                         "classified errors (default: $REPRO_BACKEND or proc)")
-    ch.add_argument("--preset", default="kill",
-                    choices=sorted(PRESETS) + ["none"],
-                    help="fault scenario (default: kill)")
-    ch.add_argument("--seed", type=int, default=0, help="fault plan seed")
-    ch.add_argument("--after", type=int, default=None, metavar="N",
-                    help="fire at the N-th collective call (default: the "
-                         "preset's)")
-    ch.add_argument("--phase", default=None,
-                    help="crash: restrict to one algorithm phase "
-                         "(cond_hook/starcheck/uncond_hook/shortcut)")
-    ch.add_argument("--rank", type=int, default=None,
-                    help="victim rank (default: seeded deterministic pick)")
-    ch.add_argument("--stall-seconds", type=float, default=None,
-                    help="SIGSTOP duration for the stall preset")
-    ch.add_argument("--ranks", type=int, default=4,
-                    help="ranks for spmd / 2d (a perfect square)")
-    ch.add_argument("--machine", default="edison",
-                    help="machine preset or JSON file for --driver dist")
-    ch.add_argument("--nodes", type=int, default=4,
-                    help="node count for --driver dist")
-    ch.add_argument("--interval", type=int, default=1,
-                    help="checkpoint every K iterations (0: never)")
-    ch.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                    help="durable on-disk checkpoints (default: in-memory)")
-    ch.add_argument("--max-recoveries", type=int, default=5,
-                    help="bounded recovery budget before degrading; 0 "
-                         "fails loudly instead")
-    ch.add_argument("--record", metavar="FILE",
-                    help="write the flight record as JSONL (for repro explain)")
-    ch.add_argument("--trace", metavar="FILE",
-                    help="write a Chrome trace of the supervised run")
-    ch.add_argument("--json", action="store_true",
-                    help="machine-readable JSON report on stdout")
-    ch.set_defaults(fn=_cmd_chaos)
-
     mcl = sub.add_parser("mcl", help="Markov clustering (HipMCL-lite)")
     mcl.add_argument("graph")
     mcl.add_argument("--inflation", type=float, default=2.0)
@@ -770,28 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     mcl.add_argument("--top", type=int, default=10, help="clusters to print")
     mcl.set_defaults(fn=_cmd_mcl)
 
-    an = sub.add_parser(
-        "analyze",
-        help="per-rank load-imbalance analytics (λ per step, stragglers)",
-    )
-    an.add_argument("graph", help=".mtx / edge-list file or corpus name")
-    an.add_argument("--machine", default="edison",
-                    help="preset (edison/cori/laptop) or a machine JSON file")
-    an.add_argument("--nodes", type=int, default=16)
-    an.add_argument("--json", action="store_true",
-                    help="emit the report as JSON instead of text")
-    an.add_argument("--backend", choices=["sim", "proc"], default="sim",
-                    help="sim: α–β cost-model attribution (default); "
-                         "proc: run on forked workers and report *measured* "
-                         "per-step λ and compute/comm/wait from worker "
-                         "timelines")
-    an.add_argument("--ranks", type=int, default=4,
-                    help="worker ranks for --backend=proc")
-    an.set_defaults(fn=_cmd_analyze)
-
     ex = sub.add_parser(
         "explain",
-        help="replay a flight record (repro chaos --record) and diagnose "
+        help="replay a flight record (repro run --record) and diagnose "
              "anomalies (retry storms, stragglers, checkpoint churn)",
     )
     ex.add_argument("record", help=".jsonl flight record to replay")

@@ -3,7 +3,8 @@
 :data:`DRIVERS` is the only code that knows, per driver, where its
 function lives (imported at first use), how to call it from a graph and
 the CLI's ``ranks``, ``machine`` and ``nodes``, and which rank counts it
-runs at.  The CLI, the chaos harness and the supervisor's shrink read it.
+runs at.  The runner (:mod:`repro.runner`) and the supervisor's shrink
+read it.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ def lacc(
         and ``LACCStats`` is derived from those spans.  They are recorded
         into the active tracer (:func:`repro.obs.activate`) when one is
         on, nesting each GraphBLAS primitive's span (with nvals/flops
-        counters) under its step — the ``python -m repro profile`` view;
+        counters) under its step — the ``python -m repro run --top`` view;
         otherwise into a private step-level tracer (near-zero cost).
     initial_parents / initial_active / start_iteration:
         Resume state (see :mod:`repro.core.snapshot`): start from this

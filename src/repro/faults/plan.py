@@ -534,8 +534,8 @@ def _shrink(seed: int = 0, after: int = 30, gap: int = 12) -> FaultPlan:
 
 
 #: name → factory, for ``FaultPlan`` construction by preset name
-#: (CLI ``--preset``, the differential fault matrix and the chaos
-#: harness).
+#: (CLI ``--faults``, the differential fault matrix and
+#: :mod:`repro.runner`).
 PRESETS = {
     "flaky": _flaky,
     "stragglers": _stragglers,
@@ -548,7 +548,7 @@ PRESETS = {
     "frame": _frame,
     "shrink": _shrink,
 }
-#: the presets of process faults (``repro chaos``); the rest damage
+#: the presets of process faults (``repro run --faults``); the rest damage
 #: payloads, delay or fail collectives, or crash a rank
 PROC_PRESETS = ("exit", "frame", "kill", "shrink", "stall")
 

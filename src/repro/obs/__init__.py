@@ -12,15 +12,12 @@ LACC drivers all hook into:
   :func:`activate` scopes the process-wide tracer and flight recorder
   together, and :func:`current` and :func:`flight_recorder` read them.
 * :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON and
-  JSON-lines exporters (loaded on first use).
+  flat span records (loaded on first use).
 * :mod:`repro.obs.render` — ASCII flamegraph and top-table renderers
   (loaded on first use).
-* :mod:`repro.obs.profile` — ``(result, tracer)`` one-callers behind the
-  ``python -m repro profile`` CLI (imported explicitly; it pulls in
-  :mod:`repro.core`).
 * :mod:`repro.obs.analytics` — per-rank load-imbalance reports (λ per
   LACC step, compute/comm/idle attribution, stragglers) behind
-  ``python -m repro analyze`` (imported explicitly, like ``profile``).
+  ``python -m repro run --analyze`` (imported explicitly).
 * :mod:`repro.obs.overhead` — disabled-mode overhead measurement shared
   by the CI gate and the tier-1 test suite (imported explicitly).
 * :mod:`repro.obs.flight` — the flight recorder: one append-only,
@@ -33,7 +30,7 @@ LACC drivers all hook into:
   pointers (loaded on first use).
 * :mod:`repro.obs.explain` — the run-diagnosis engine behind
   ``python -m repro explain``: it replays a flight record, such as the
-  one ``python -m repro chaos --record`` writes (imported explicitly).
+  one ``python -m repro run --record`` writes (imported explicitly).
 
 Typical use::
 
@@ -76,7 +73,7 @@ from .tracer import (
 _LAZY = {
     "export": (
         "chrome_trace", "merge_chrome_traces", "span_records",
-        "write_chrome_trace", "write_jsonl",
+        "write_chrome_trace",
     ),
     "render": ("flamegraph", "html_timeline", "top_table", "write_html_timeline"),
     "anomaly": (

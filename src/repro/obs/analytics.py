@@ -18,7 +18,7 @@ promotes it to an API.  :func:`analyze` turns a
 * **straggler attribution** — the worst (step, rank) pairs, i.e. which
   rank would hold up which superstep on a real machine.
 
-``python -m repro analyze`` wraps this behind the CLI.
+``python -m repro run --analyze`` wraps this behind the CLI.
 """
 
 from __future__ import annotations

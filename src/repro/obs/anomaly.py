@@ -31,7 +31,7 @@ overhead gate pins the disabled cost below 5 %.
 
 No detector reads LACC's own structure: the Figure 7 decay of the
 active set and the Figure 3 owner skew are normal behaviour, reported
-per step by ``repro analyze``, not anomalies.
+per step by ``repro run --analyze``, not anomalies.
 ``tests/obs/test_anomaly.py::test_clean_corpus_runs_raise_no_anomalies``
 pins zero anomalies on fault-free runs of every corpus graph under every
 driver.

@@ -2,8 +2,8 @@
 
 ``python -m repro explain`` is the front end; it only replays.  The
 engine replays a flight record (in memory, or a JSONL file written by
-:class:`~repro.obs.flight.FlightRecorder` — ``repro chaos --record``
-writes one for any driver under any fault preset), collects the detector
+:class:`~repro.obs.flight.FlightRecorder` — ``repro run --record``
+writes one for any driver, with or without a fault preset), collects the detector
 verdicts embedded in it, correlates each fault verdict with the delay
 attribution of :mod:`repro.obs.analytics` when the record carries the
 run's ``analytics`` row, and renders:

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and JSON-lines.
+"""Trace exporters: Chrome ``trace_event`` JSON and flat span records.
 
 Two machine-readable views of one :class:`~repro.obs.tracer.Tracer`:
 
@@ -6,10 +6,10 @@ Two machine-readable views of one :class:`~repro.obs.tracer.Tracer`:
   ``chrome://tracing`` and https://ui.perfetto.dev: duration events as
   matched ``"B"``/``"E"`` pairs with microsecond timestamps, span
   attributes and counters in ``args``.  Multiple tracers (e.g. one per
-  node count in a simulate sweep) merge into one file under distinct
+  node count in a ``dist`` sweep) merge into one file under distinct
   ``pid`` lanes via :func:`merge_chrome_traces`.
-* :func:`write_jsonl` — one JSON object per closed span (name, cat,
-  start, duration, depth, attrs, counters), convenient for ``jq``/pandas
+* :func:`span_records` — one dict per closed span (name, cat, start,
+  duration, depth, attrs, counters), convenient for pandas
   post-processing and for diffing runs.
 
 Timestamps are rebased so the earliest root starts at 0; with the
@@ -29,7 +29,6 @@ __all__ = [
     "merge_chrome_traces",
     "write_chrome_trace",
     "span_records",
-    "write_jsonl",
 ]
 
 
@@ -142,7 +141,7 @@ def merge_chrome_traces(traces: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Concatenate several :func:`chrome_trace` dicts into one file.
 
     Callers give each constituent trace a distinct ``pid`` so the viewer
-    shows them as separate process lanes (the simulate sweep uses the node
+    shows them as separate process lanes (a ``dist`` sweep uses the node
     count as the pid).
     """
     events: List[Dict[str, Any]] = []
@@ -184,10 +183,3 @@ def span_records(tracer: Tracer) -> List[Dict[str, Any]]:
         )
     return out
 
-
-def write_jsonl(tracer: Tracer, path: str) -> str:
-    """Write one JSON object per closed span, one per line."""
-    with open(path, "w") as fh:
-        for rec in span_records(tracer):
-            fh.write(json.dumps(rec) + "\n")
-    return path

@@ -38,7 +38,7 @@ Event kinds written by the instrumented layers
 ``anomaly``           a detector verdict (see :mod:`repro.obs.anomaly`)
 ``run_end``           driver exit: iterations, components (or the error)
 ``analytics``         the run's per-step λ / delay attribution
-                      (:mod:`repro.obs.analytics`), written by ``repro chaos``
+                      (:mod:`repro.obs.analytics`), written by ``repro run``
 
 Design constraints (shared with the tracer)
 -------------------------------------------

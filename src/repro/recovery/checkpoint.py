@@ -13,7 +13,8 @@ Two stores share one interface:
   default the zero-fault overhead budget is measured against.
 * :class:`DiskCheckpointStore` — one ``.npz`` per iteration via
   :func:`repro.graphblas.serialize.save_state`, surviving process
-  restarts (``python -m repro chaos --checkpoint-dir`` writes these).
+  restarts (``python -m repro run --faults P --checkpoint-dir`` writes
+  these).
 
 Both verify version + CRC on load and raise
 :class:`~repro.recovery.errors.CheckpointCorrupt` on mismatch; the

@@ -13,16 +13,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.chaos import chaos_run
 from repro.faults import CollectiveError, preset
 from repro.graphs import path_graph
+from repro.runner import run_driver
 
 SEEDS = (1, 5, 9)
 G = path_graph(200)
 
 
 def _run(driver, preset, seed, **kw):
-    return chaos_run(
+    return run_driver(
         G, driver=driver, ranks=4, preset=preset, seed=seed,
         backend="proc", stall_seconds=0.5, **kw,
     )
@@ -116,8 +116,8 @@ class TestCrossBackendLog:
     ])
     def test_chaos_log_byte_identical_on_sim_and_proc(self, driver, preset_name):
         logs = [
-            chaos_run(G, driver=driver, ranks=4, preset=preset_name, seed=3,
-                      backend=backend, stall_seconds=0.5).chaos_log
+            run_driver(G, driver=driver, ranks=4, preset=preset_name, seed=3,
+                       backend=backend, stall_seconds=0.5).chaos_log
             for backend in ("sim", "proc")
         ]
         assert logs[0] == logs[1]

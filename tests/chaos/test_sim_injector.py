@@ -15,10 +15,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.chaos.harness import chaos_run
 from repro.faults import CollectiveError, preset
 from repro.graphs import path_graph, star_graph
 from repro.mpisim import SimComm
+from repro.runner import run_driver
 
 ONES = [np.ones(2, dtype=np.int64)] * 4
 SEND = [[np.arange(i + j, dtype=np.int64) for j in range(4)] for i in range(4)]
@@ -83,19 +83,20 @@ class TestFireSim:
 
 
 class TestSupervisedSimChaos:
-    """chaos_run end-to-end on the simulator: fast full-chain checks."""
+    """run_driver under faults end-to-end on the simulator: fast
+    full-chain checks."""
 
     def test_kill_recovers_byte_identical(self):
-        r = chaos_run(path_graph(200), driver="spmd", ranks=4,
-                      preset="kill", seed=1, backend="sim")
+        r = run_driver(path_graph(200), driver="spmd", ranks=4,
+                       preset="kill", seed=1, backend="sim")
         assert r.ok
         assert r.recoveries >= 1
         assert r.rank_lost_events == 1
         assert "rank_lost" in r.anomaly_classes
 
     def test_shrink_repartitions_to_survivors(self):
-        r = chaos_run(path_graph(200), driver="spmd", ranks=4,
-                      preset="shrink", seed=2, backend="sim")
+        r = run_driver(path_graph(200), driver="spmd", ranks=4,
+                       preset="shrink", seed=2, backend="sim")
         assert r.ok
         assert r.shrunk_to == 3
         assert r.recoveries >= 2
@@ -103,34 +104,34 @@ class TestSupervisedSimChaos:
         assert any(e["action"] == "shrink" for e in r.recovery_events)
 
     def test_2d_shrinks_to_next_lower_square(self):
-        r = chaos_run(star_graph(150), driver="2d", ranks=4,
-                      preset="shrink", seed=3, backend="sim")
+        r = run_driver(star_graph(150), driver="2d", ranks=4,
+                       preset="shrink", seed=3, backend="sim")
         assert r.ok
         assert r.shrunk_to == 1  # next square below 4
         assert any(e["action"] == "shrink" for e in r.recovery_events)
 
     def test_2d_never_shrinks_below_min_ranks(self):
         # the only square in [2, 3] is none: no shrink, and no 2-rank grid
-        r = chaos_run(star_graph(150), driver="2d", ranks=4,
-                      preset="shrink", seed=3, backend="sim", min_ranks=2)
+        r = run_driver(star_graph(150), driver="2d", ranks=4,
+                       preset="shrink", seed=3, backend="sim", min_ranks=2)
         assert r.oracle_ok
         new = r.shrunk_to
         assert new is None or (new >= 2 and math.isqrt(new) ** 2 == new)
 
     def test_stall_is_a_clean_run_on_sim(self):
-        r = chaos_run(path_graph(200), driver="spmd", ranks=4,
-                      preset="stall", seed=0, backend="sim")
+        r = run_driver(path_graph(200), driver="spmd", ranks=4,
+                       preset="stall", seed=0, backend="sim")
         assert r.ok
         assert r.recoveries == 0
         assert r.anomaly_classes == []
 
     def test_chaos_log_recorded_in_report(self):
-        r = chaos_run(path_graph(200), driver="spmd", ranks=4,
-                      preset="kill", seed=1, backend="sim")
+        r = run_driver(path_graph(200), driver="spmd", ranks=4,
+                       preset="kill", seed=1, backend="sim")
         assert r.injected == {"kill": 1}
         assert "kill" in r.chaos_log
 
     def test_victim_rank_outside_the_world_is_rejected(self):
         with pytest.raises(ValueError, match="victim rank 7"):
-            chaos_run(path_graph(200), driver="spmd", ranks=4,
-                      preset="kill", rank=7, backend="sim")
+            run_driver(path_graph(200), driver="spmd", ranks=4,
+                       preset="kill", rank=7, backend="sim")

@@ -84,5 +84,6 @@ class TestLoadMachine:
         mf.write_text(json.dumps(VALID))
         gf = tmp_path / "g.mtx"
         gio.write_matrix_market(gf, gen.path_graph(12))
-        assert main(["simulate", str(gf), "--machine", str(mf), "--nodes", "1"]) == 0
+        assert main(["run", str(gf), "--driver", "dist", "--machine", str(mf),
+                     "--nodes", "1"]) == 0
         assert "TestBox" in capsys.readouterr().out

@@ -4,7 +4,6 @@ corpus graph under every driver, and by a ``permanent``-preset run."""
 
 import pytest
 
-from repro.chaos import chaos_run
 from repro.core.drivers import DRIVERS
 from repro.core.lacc import lacc
 from repro.core.lacc_2d import lacc_2d
@@ -20,6 +19,7 @@ from repro.obs.anomaly import (
 )
 from repro.obs.flight import FlightEvent, FlightRecorder, read_flight_jsonl
 from repro.obs.tracer import activate
+from repro.runner import run_driver
 
 
 def ev(kind, seq=0, iteration=None, rank=None, **data):
@@ -248,9 +248,9 @@ def test_permanent_preset_exhausts_the_budget(tmp_path):
     written before the serial replay, and its verdict names where that
     replay started — here from scratch, as the row's own detail says."""
     path = tmp_path / "perm.jsonl"
-    report = chaos_run(corpus.load("archaea"), driver="spmd",
-                       preset="permanent", seed=0, backend="sim",
-                       record_path=str(path))
+    report = run_driver(corpus.load("archaea"), driver="spmd",
+                        preset="permanent", seed=0, backend="sim",
+                        record_path=str(path))
     assert report.degraded and report.oracle_ok and not report.resumed
     events = read_flight_jsonl(str(path))
     degrade = next(e for e in events if e.kind == "recovery"

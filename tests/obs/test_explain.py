@@ -1,15 +1,15 @@
 """The ``repro explain`` engine end to end: diagnosis of synthetic
 records, and the acceptance scenarios — a clean simulated run diagnoses
 healthy, a stragglers-preset run names the straggler rank and the retry
-storm with correct iteration ranges.  The runs are ``chaos_run`` flight
+storm with correct iteration ranges.  The runs are ``run_driver`` flight
 records, diagnosed by replay."""
 
 import pytest
 
-from repro.chaos import chaos_run
 from repro.graphs import corpus
 from repro.obs.explain import RunDiagnosis, diagnose
 from repro.obs.flight import FlightRecorder, read_flight_jsonl
+from repro.runner import run_driver
 
 
 @pytest.fixture(scope="module")
@@ -18,11 +18,12 @@ def archaea():
 
 
 def _replay(g, tmp_path, name="run", **kw):
-    """``(report, events, diagnosis)`` of a recorded ``dist`` chaos run
-    (Edison, 16 nodes unless *kw* says otherwise, no checkpoints)."""
+    """``(report, events, diagnosis)`` of a recorded ``dist`` run
+    (Edison, 16 nodes unless *kw* says otherwise, clean unless *kw* names
+    a preset, no checkpoints)."""
     path = str(tmp_path / f"{name}.jsonl")
-    kw = {"nodes": 16, "preset": "none", "checkpoint_interval": 0, **kw}
-    report = chaos_run(g, driver="dist", backend="sim", record_path=path, **kw)
+    kw = {"nodes": 16, "checkpoint_interval": 0, **kw}
+    report = run_driver(g, driver="dist", backend="sim", record_path=path, **kw)
     events = read_flight_jsonl(path)
     return report, events, diagnose(events)
 

@@ -1,5 +1,5 @@
 """Exporter tests: Chrome trace_event schema validity, timestamp
-monotonicity, matched B/E pairs, merging, and the JSON-lines view."""
+monotonicity, matched B/E pairs, merging, and the flat span records."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.obs import (
     merge_chrome_traces,
     span_records,
     write_chrome_trace,
-    write_jsonl,
 )
 
 
@@ -135,16 +134,6 @@ class TestSpanRecords:
         assert recs["cond_hook"]["self_seconds"] == pytest.approx(
             recs["cond_hook"]["seconds"] - recs["mxv"]["seconds"]
         )
-
-    def test_jsonl_one_object_per_line(self, tracer, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        write_jsonl(tracer, str(path))
-        lines = open(path).read().splitlines()
-        assert len(lines) == 5
-        parsed = [json.loads(ln) for ln in lines]
-        assert parsed[0]["name"] == "run"
-        assert {"name", "cat", "depth", "t0", "seconds", "self_seconds",
-                "attrs", "counters"} <= set(parsed[0])
 
 
 class TestMultiLaneMerge:

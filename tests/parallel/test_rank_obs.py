@@ -18,9 +18,12 @@ observability"):
   not wall time).
 * **Salvage** — a SIGKILLed rank's eagerly-shipped flight events
   survive into the conductor's record as ``rank_event`` rows.
-* **Profiling costs no relay frames** — ``trace_lacc_proc`` sends the
-  workers no more frames than the same run with rank obs alone, apart
-  from the one collection command per worker.
+* **Profiling costs no relay frames** — a traced ``run_driver`` sends
+  the workers no more frames than the same run with rank obs alone,
+  apart from the one collection command per worker.
+* **Every observer on proc** — ``repro run`` writes each observer's
+  output for the spmd and 2d drivers on real processes, clean and under
+  faults.
 """
 
 from __future__ import annotations
@@ -268,17 +271,18 @@ class TestWorkerDeath:
 # end to end: the spmd driver under full per-rank obs
 # ----------------------------------------------------------------------
 class TestEndToEnd:
-    def test_trace_lacc_proc_merges_everything(self, tmp_path):
+    def test_runner_merges_everything(self, tmp_path):
         from repro.graphs import path_graph
-        from repro.obs.analytics import analyze_proc
         from repro.obs.explain import diagnose
         from repro.obs.flight import read_flight_jsonl
-        from repro.obs.profile import trace_lacc_proc
+        from repro.runner import run_driver
 
         g = path_graph(120)
         path = str(tmp_path / "fl.jsonl")
-        res, tracer, obs = trace_lacc_proc(g, ranks=2, flight_path=path)
-        assert res.n_components == 1
+        res = run_driver(g, "spmd", ranks=2, backend="proc", trace=True,
+                         analyze=True, record_path=path)
+        tracer, obs = res.tracer, res.rank_obs
+        assert res.components == 1
         assert sorted(obs.tracers) == [0, 1]
 
         # every worker collective carries the step whose span the rank
@@ -293,7 +297,7 @@ class TestEndToEnd:
             assert Counter(sp.attrs.get("step") for sp in tr.find(cat="collective")) == want
 
         # measured analytics: λ and an exact compute/comm/wait split
-        rep = analyze_proc(obs, n_iterations=res.n_iterations)
+        rep = res.analytics
         assert rep.source == "measured-proc"
         assert rep.ranks == 2
         assert all(s.lam >= 1.0 for s in rep.steps)
@@ -303,7 +307,7 @@ class TestEndToEnd:
         assert "measured" in rep.render()
 
         # merged chrome trace: conductor + one lane per rank
-        ev = obs.merged_trace(conductor=tracer)["traceEvents"]
+        ev = res.chrome_trace()["traceEvents"]
         pids = {e["pid"] for e in ev}
         assert {0, 1, 2} <= pids
 
@@ -316,12 +320,12 @@ class TestEndToEnd:
         shutdown_pools()
 
     def test_profiling_adds_no_per_collective_frames(self):
-        """``trace_lacc_proc`` may send each worker its one ``OP_OBS``
-        collection frame beyond what the same run gets under rank obs
-        alone; a query per collective would add dozens."""
+        """A traced, recorded ``run_driver`` may send each worker its one
+        ``OP_OBS`` collection frame beyond what the same run gets under
+        rank obs alone; a query per collective would add dozens."""
         from repro.core.lacc_spmd import lacc_spmd
         from repro.graphs import path_graph
-        from repro.obs.profile import trace_lacc_proc
+        from repro.runner import run_driver
 
         g = path_graph(120)
 
@@ -334,7 +338,47 @@ class TestEndToEnd:
                 return sum(int(s[3]) for s in pool.stats()) - before
 
         plain = frames_received(lambda: lacc_spmd(g, ranks=2))
-        profiled = frames_received(lambda: trace_lacc_proc(g, ranks=2))
+        profiled = frames_received(
+            lambda: run_driver(g, "spmd", ranks=2, trace=True, analyze=True))
         assert plain > 0
         assert 0 <= profiled - plain <= 2  # one OP_OBS frame per worker
+        shutdown_pools()
+
+    @pytest.mark.parametrize("faults", [[], ["--faults", "crash", "--after", "20"]],
+                             ids=["clean", "crash"])
+    @pytest.mark.parametrize("driver", ["spmd", "2d"])
+    def test_every_observer_on_proc(self, driver, faults, tmp_path, capsys):
+        """``repro run`` with every observer flag at once on real
+        processes: each file is written, the merged trace has a pid lane
+        per rank plus the conductor, the text shows each printed
+        observer, and the JSON record carries the keys CI reads."""
+        from repro.cli import main
+        from repro.graphs import generators as gen
+        from repro.graphs import io as gio
+
+        mtx = str(tmp_path / "g.mtx")
+        gio.write_matrix_market(mtx, gen.component_mixture([8, 5, 3], seed=1))
+        files = {"--trace": "trace.json", "--record": "fr.jsonl",
+                 "--out": "labels.txt"}
+        argv = ["run", mtx, "--driver", driver, "--backend", "proc",
+                "--ranks", "4", *faults, "--top", "--flame", "--analyze",
+                "--stats"]
+        argv += [x for flag, name in files.items()
+                 for x in (flag, str(tmp_path / name))]
+        for extra in ([], ["--json"]):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            for name in files.values():
+                assert (tmp_path / name).stat().st_size > 0
+            trace = json.loads((tmp_path / "trace.json").read_text())
+            assert {e["pid"] for e in trace["traceEvents"]} == {0, 1, 2, 3, 4}
+            if not extra:
+                for shows in ("levels deep", "#", "per-rank analytics",
+                              "largest component",
+                              "worker spans across 4 ranks"):
+                    assert shows in out
+        run, = json.loads(out)["runs"]
+        assert run["components"] == 3 and run["ok"]
+        assert run["analytics"]["source"] == "measured-proc"
+        assert run["injected"] == ({"crash": 1} if faults else {})
         shutdown_pools()

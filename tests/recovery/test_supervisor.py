@@ -22,7 +22,6 @@ from repro.core.lacc_spmd import lacc_spmd
 from repro.faults import FaultPlan, FaultRule, preset
 from repro.graphs import generators as gen
 from repro.mpisim.machine import LAPTOP
-from repro.chaos import chaos_run
 from repro.obs import Tracer, activate, chrome_trace
 from repro.obs.flight import FlightRecorder, read_flight_jsonl
 from repro.recovery import (
@@ -31,6 +30,7 @@ from repro.recovery import (
     Supervisor,
     SupervisorConfig,
 )
+from repro.runner import run_driver
 
 
 def oracle_labels(g):
@@ -285,9 +285,9 @@ class TestEscalation:
 
     def test_shrink_record_matches_flight_record(self, tmp_path):
         path = tmp_path / "shrink.jsonl"
-        r = chaos_run(gen.path_graph(200), driver="spmd", ranks=4,
-                      preset="shrink", seed=2, backend="sim",
-                      record_path=str(path))
+        r = run_driver(gen.path_graph(200), driver="spmd", ranks=4,
+                       preset="shrink", seed=2, backend="sim",
+                       record_path=str(path))
         assert r.shrunk_to == 3 and r.resumed
         got = flight_rows(read_flight_jsonl(str(path)))
         want = [(e["action"], e["iteration"], e["detail"])

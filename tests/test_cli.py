@@ -22,130 +22,154 @@ def mtx(tmp_path):
     return str(p)
 
 
+def _run(*argv):
+    """The exit code of ``repro run`` with *argv*."""
+    return main(["run", *argv])
+
+
+def _record(capsys, *argv):
+    """The ``--json`` record of ``repro run`` with *argv* (exit 0)."""
+    assert _run(*argv, "--json") == 0
+    return json.loads(capsys.readouterr().out)
+
+
+BASELINE_METHODS = ("union-find", "sv", "bfs", "label-prop", "fastsv")
+
+
 class TestCC:
+    """Labelling with the serial driver or a baseline method."""
+
     def test_basic(self, mtx, capsys):
-        assert main(["cc", mtx]) == 0
+        assert _run(mtx) == 0
         out = capsys.readouterr().out
-        assert "components: 3" in out
+        assert "serial [sim backend]: 3 components in" in out
 
     def test_all_methods(self, mtx, capsys):
-        for method in ("lacc", "union-find", "sv", "bfs", "label-prop", "fastsv"):
-            assert main(["cc", mtx, "--method", method]) == 0
-            assert "components: 3" in capsys.readouterr().out
+        for method in ("serial", *BASELINE_METHODS):
+            assert _run(mtx, "--driver", method) == 0
+            assert ": 3 components" in capsys.readouterr().out
 
     def test_stats(self, mtx, capsys):
-        assert main(["cc", mtx, "--stats"]) == 0
+        assert _run(mtx, "--stats") == 0
         out = capsys.readouterr().out
-        assert "iterations:" in out and "iter 1:" in out
+        assert "iterations," in out and "iter 1:" in out
 
     def test_labels_out(self, mtx, tmp_path, capsys):
         out_file = tmp_path / "labels.txt"
-        assert main(["cc", mtx, "--out", str(out_file)]) == 0
+        assert _run(mtx, "--out", str(out_file)) == 0
         labels = np.loadtxt(out_file, dtype=np.int64)
         assert labels.size == 16
         assert np.unique(labels).size == 3
 
     def test_corpus_name_as_graph(self, capsys):
-        assert main(["cc", "queen_4147", "--method", "union-find"]) == 0
-        assert "components: 1" in capsys.readouterr().out
+        assert _run("queen_4147", "--driver", "union-find") == 0
+        assert ": 1 components" in capsys.readouterr().out
 
     def test_edge_list_input(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
         p.write_text("0 1\n2 3\n")
-        assert main(["cc", str(p)]) == 0
-        assert "components: 2" in capsys.readouterr().out
+        assert _run(str(p)) == 0
+        assert ": 2 components" in capsys.readouterr().out
 
     def test_stats_works_for_every_method(self, mtx, capsys):
-        for method in ("lacc", "union-find", "sv", "bfs", "label-prop", "fastsv"):
-            assert main(["cc", mtx, "--method", method, "--stats"]) == 0
+        for method in ("serial", *BASELINE_METHODS):
+            assert _run(mtx, "--driver", method, "--stats") == 0
             out = capsys.readouterr().out
             assert "largest component: 8" in out, method
             assert "singletons: 0" in out, method
 
     def test_json_output(self, mtx, capsys):
-        assert main(["cc", mtx, "--json"]) == 0
-        d = json.loads(capsys.readouterr().out)
-        assert d["components"] == 3
-        assert d["method"] == "lacc"
-        assert d["largest_component"] == 8
-        assert len(d["iteration_stats"]) == d["iterations"]
+        d = _record(capsys, mtx)
+        assert d["driver"] == "serial"
+        run, = d["runs"]
+        assert run["components"] == 3
+        assert run["largest_component"] == 8
+        assert len(run["iteration_stats"]) == run["iterations"]
 
     def test_json_output_baseline_method(self, mtx, capsys):
-        assert main(["cc", mtx, "--method", "bfs", "--json"]) == 0
-        d = json.loads(capsys.readouterr().out)
-        assert d["components"] == 3
-        assert "iteration_stats" not in d
+        run, = _record(capsys, mtx, "--driver", "bfs")["runs"]
+        assert run["components"] == 3
+        assert run["iteration_stats"] is None
 
     def test_trace_output(self, mtx, tmp_path, capsys):
         f = tmp_path / "trace.json"
-        assert main(["cc", mtx, "--trace", str(f)]) == 0
+        assert _run(mtx, "--trace", str(f)) == 0
         doc = json.load(open(f))
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"lacc", "iteration", "cond_hook", "mxv"} <= names
 
     def test_trace_output_baseline_method(self, mtx, tmp_path):
         f = tmp_path / "trace.json"
-        assert main(["cc", mtx, "--method", "union-find", "--trace", str(f)]) == 0
+        assert _run(mtx, "--driver", "union-find", "--trace", str(f)) == 0
         doc = json.load(open(f))
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "B"}
         assert "union-find" in names
 
 
 class TestSimulate:
+    """``dist`` on the simulated machine, over a node sweep."""
+
     def test_basic(self, mtx, capsys):
-        assert main(["simulate", mtx, "--nodes", "1,4"]) == 0
+        assert _run(mtx, "--driver", "dist", "--nodes", "1,4") == 0
         out = capsys.readouterr().out
-        assert "LACC (ms)" in out and "simulated Edison" in out
+        assert "dist on simulated Edison, 1 nodes" in out
+        assert "dist on simulated Edison, 4 nodes" in out
+        assert "ms simulated" in out
 
     def test_with_parconnect(self, mtx, capsys):
-        assert main(["simulate", mtx, "--nodes", "4", "--parconnect"]) == 0
+        assert _run(mtx, "--driver", "dist", "--nodes", "4",
+                    "--parconnect") == 0
         out = capsys.readouterr().out
-        assert "ParConnect" in out and "x" in out
+        assert "ParConnect" in out and "x LACC's" in out
 
     def test_cori(self, mtx, capsys):
-        assert main(["simulate", mtx, "--machine", "cori", "--nodes", "1"]) == 0
+        assert _run(mtx, "--driver", "dist", "--machine", "cori",
+                    "--nodes", "1") == 0
         assert "Cori" in capsys.readouterr().out
 
     def test_stats_breakdown(self, mtx, capsys):
-        assert main(["simulate", mtx, "--nodes", "1,4", "--stats"]) == 0
+        assert _run(mtx, "--driver", "dist", "--nodes", "1,4", "--stats") == 0
         out = capsys.readouterr().out
         assert "steps:" in out and "cond_hook=" in out
         assert "iter 1:" in out and "words=" in out
 
     def test_json_output(self, mtx, capsys):
-        assert main(["simulate", mtx, "--nodes", "1,4", "--json"]) == 0
-        d = json.loads(capsys.readouterr().out)
-        assert d["machine"] == "Edison"
+        d = _record(capsys, mtx, "--driver", "dist", "--nodes", "1,4")
         assert [r["nodes"] for r in d["runs"]] == [1, 4]
         run = d["runs"][0]
+        assert run["machine"] == "Edison"
         assert run["components"] == 3
-        assert run["seconds"] > 0
+        assert run["simulated_seconds"] > 0
         assert sum(it["words_communicated"] for it in run["iteration_stats"]) > 0
 
     def test_trace_merges_node_counts(self, mtx, tmp_path):
         f = tmp_path / "sweep.json"
-        assert main(["simulate", mtx, "--nodes", "1,4", "--trace", str(f)]) == 0
+        assert _run(mtx, "--driver", "dist", "--nodes", "1,4",
+                    "--trace", str(f)) == 0
         doc = json.load(open(f))
         assert {e["pid"] for e in doc["traceEvents"]} == {1, 4}
 
 
 class TestProfile:
+    """The hotspot table, flamegraph and Chrome trace of a traced run."""
+
     def test_serial(self, mtx, capsys):
-        assert main(["profile", mtx]) == 0
+        assert _run(mtx, "--top") == 0
         out = capsys.readouterr().out
         assert "levels deep" in out and "wall seconds" in out
         assert "mxv" in out  # hotspot table includes primitives
 
     def test_simulated(self, mtx, capsys):
-        assert main(["profile", mtx, "--machine", "edison", "--nodes", "4"]) == 0
+        assert _run(mtx, "--driver", "dist", "--machine", "edison",
+                    "--nodes", "4", "--top") == 0
         out = capsys.readouterr().out
         assert "model seconds" in out and "ranks" in out
 
     def test_chrome_trace_acceptance(self, mtx, tmp_path, capsys):
-        """The headline check: profile --trace emits valid trace_event JSON
-        with >= 3 nesting levels and per-primitive counters."""
+        """The headline check: --trace emits valid trace_event JSON with
+        >= 3 nesting levels and per-primitive counters."""
         f = tmp_path / "out.json"
-        assert main(["profile", mtx, "--trace", str(f)]) == 0
+        assert _run(mtx, "--trace", str(f)) == 0
         doc = json.load(open(f))
         ev = doc["traceEvents"]
         # matched B/E pairs, monotone timestamps
@@ -166,12 +190,10 @@ class TestProfile:
         mxv = [e for e in ev if e["name"] == "mxv" and e["ph"] == "B"]
         assert mxv and all("flops" in e["args"] for e in mxv)
 
-    def test_jsonl_and_flame(self, mtx, tmp_path, capsys):
-        f = tmp_path / "spans.jsonl"
-        assert main(["profile", mtx, "--jsonl", str(f), "--flame"]) == 0
-        recs = [json.loads(ln) for ln in open(f)]
-        assert {r["name"] for r in recs} >= {"lacc", "iteration", "mxv"}
-        assert "#" in capsys.readouterr().out  # flamegraph bars
+    def test_flame(self, mtx, capsys):
+        assert _run(mtx, "--flame") == 0
+        out = capsys.readouterr().out
+        assert "#" in out and "lacc" in out  # flamegraph bars
 
 
 class TestCorpus:
@@ -232,75 +254,72 @@ class TestMCL:
 
 
 class TestFaults:
-    """``repro chaos`` under the collective-fault presets: fail loudly or
-    answer right."""
+    """``repro run --faults`` under the collective-fault presets: fail
+    loudly or answer right."""
 
     def test_transient_preset_matches(self, mtx, capsys):
-        assert main(["chaos", mtx, "--preset", "flaky", "--seed", "1",
-                     "--backend", "sim"]) == 0
+        assert _run(mtx, "--driver", "spmd", "--faults", "flaky", "--seed",
+                    "1", "--backend", "sim") == 0
         out = capsys.readouterr().out
-        assert "chaos 'flaky' on spmd" in out
+        assert "spmd × 4 ranks [sim backend], faults 'flaky'" in out
         assert "PASS  labels match union-find oracle" in out
 
     def test_permanent_preset_fails_loudly(self, mtx, capsys):
         # failing loudly is the documented contract — exit code stays 0
-        assert main(["chaos", mtx, "--preset", "permanent", "--seed", "0",
-                     "--max-recoveries", "0", "--backend", "sim"]) == 0
+        assert _run(mtx, "--driver", "spmd", "--faults", "permanent",
+                    "--seed", "0", "--max-recoveries", "0",
+                    "--backend", "sim") == 0
         out = capsys.readouterr().out
         assert "failed loudly" in out and "CollectiveError" in out
 
     def test_json_record(self, mtx, capsys):
-        assert main(["chaos", mtx, "--preset", "outage", "--seed", "2",
-                     "--backend", "sim", "--json"]) == 0
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["preset"] == "outage"
-        assert rec["injected"]["fail"] > 0
-        assert rec["ok"] and rec["oracle_ok"] and rec["error"] is None
+        run, = _record(capsys, mtx, "--driver", "spmd", "--faults", "outage",
+                       "--seed", "2", "--backend", "sim")["runs"]
+        assert run["preset"] == "outage"
+        assert run["injected"]["fail"] > 0
+        assert run["ok"] and run["oracle_ok"] and run["error"] is None
 
     def test_events_listing(self, mtx, tmp_path, capsys):
         # the flight record holds one fault row per injected fault
         path = tmp_path / "flaky.jsonl"
-        assert main(["chaos", mtx, "--preset", "flaky", "--seed", "0",
-                     "--backend", "sim", "--record", str(path), "--json"]) == 0
-        rec = json.loads(capsys.readouterr().out)
+        run, = _record(capsys, mtx, "--driver", "spmd", "--faults", "flaky",
+                       "--seed", "0", "--backend", "sim",
+                       "--record", str(path))["runs"]
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         faults = [r["data"] for r in rows if r["kind"] == "fault"]
-        assert len(faults) == sum(rec["injected"].values()) > 0
+        assert len(faults) == sum(run["injected"].values()) > 0
         for row in faults:
             assert {"collective", "fault_kind", "attempt"} <= set(row)
 
     def test_machine_mode_reports_priced_retries(self, mtx, tmp_path, capsys):
         trace = tmp_path / "faults.json"
-        assert main(
-            ["chaos", mtx, "--driver", "dist", "--preset", "outage",
-             "--seed", "0", "--machine", "laptop", "--nodes", "1",
-             "--trace", str(trace), "--json"]
-        ) == 0
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["simulated_seconds"] > rec["reference_seconds"]
+        run, = _record(capsys, mtx, "--driver", "dist", "--faults", "outage",
+                       "--seed", "0", "--machine", "laptop", "--nodes", "1",
+                       "--trace", str(trace))["runs"]
+        assert run["simulated_seconds"] > run["reference_seconds"]
         events = json.loads(trace.read_text())["traceEvents"]
         assert any(e.get("name") == "retry" for e in events)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos", "g.mtx", "--preset", "gremlins"])
+            build_parser().parse_args(["run", "g.mtx", "--faults", "gremlins"])
 
     def test_flag_the_preset_does_not_take_exits_2(self, mtx, capsys):
-        assert main(["chaos", mtx, "--preset", "flaky", "--after", "3",
-                     "--backend", "sim"]) == 2
+        assert _run(mtx, "--faults", "flaky", "--after", "3",
+                    "--backend", "sim") == 2
         assert "takes no --after" in capsys.readouterr().err
 
     def test_json_mismatch_exits_1(self, mtx, capsys, monkeypatch):
         import repro.graphs.validate as validate
 
         monkeypatch.setattr(validate, "same_partition", lambda a, b: False)
-        assert main(["chaos", mtx, "--driver", "spmd", "--preset", "flaky",
-                     "--backend", "sim", "--json"]) == 1
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["oracle_ok"] is False and rec["ok"] is False
+        assert _run(mtx, "--driver", "spmd", "--faults", "flaky",
+                    "--backend", "sim", "--json") == 1
+        run, = json.loads(capsys.readouterr().out)["runs"]
+        assert run["oracle_ok"] is False and run["ok"] is False
 
 
-#: ``repro chaos archaea --driver D --preset crash --seed 0 --after 5
+#: ``repro run archaea --driver D --faults crash --seed 0 --after 5
 #: --backend sim --json``: (components, iterations, attempts, recoveries,
 #: oracle_ok, [(event action, event iteration)], simulated_seconds)
 RECOVER_PINS = {
@@ -317,11 +336,9 @@ RECOVER_PINS = {
 class TestRecover:
     @pytest.mark.parametrize("driver", sorted(RECOVER_PINS))
     def test_crash_record_is_pinned(self, driver, capsys):
-        code = main(
-            ["chaos", "archaea", "--driver", driver, "--preset", "crash",
-             "--seed", "0", "--after", "5", "--backend", "sim", "--json"]
-        )
-        rec = json.loads(capsys.readouterr().out)
+        code = _run("archaea", "--driver", driver, "--faults", "crash",
+                    "--seed", "0", "--after", "5", "--backend", "sim", "--json")
+        rec, = json.loads(capsys.readouterr().out)["runs"]
         got = (
             rec["components"], rec["iterations"], rec["attempts"],
             rec["recoveries"], rec["oracle_ok"],
@@ -336,9 +353,9 @@ class TestRecover:
 
 class TestAnalyze:
     def test_json_output(self, mtx, capsys):
-        assert main(["analyze", mtx, "--nodes", "4", "--json"]) == 0
-        rec = json.loads(capsys.readouterr().out)
-        assert {"steps", "phases", "overall_lambda"} <= set(rec)
+        run, = _record(capsys, mtx, "--driver", "dist", "--nodes", "4",
+                       "--analyze")["runs"]
+        assert {"steps", "phases", "overall_lambda"} <= set(run["analytics"])
 
     def test_unanalyzable_result_exits_with_message(self, mtx, capsys,
                                                     monkeypatch):
@@ -348,21 +365,28 @@ class TestAnalyze:
             raise ValueError("result has no cost model to analyze")
 
         monkeypatch.setattr(analytics, "analyze", boom)
-        assert main(["analyze", mtx, "--nodes", "4"]) == 2
+        assert _run(mtx, "--driver", "dist", "--nodes", "4", "--analyze") == 2
         err = capsys.readouterr().err
         assert "cannot analyze" in err and "no cost model" in err
+
+    def test_driver_without_cost_model_cannot_analyze(self, mtx, capsys):
+        assert _run(mtx, "--driver", "spmd", "--backend", "sim",
+                    "--analyze") == 2
+        assert "cannot analyze" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
 def records(tmp_path_factory):
     """Flight records of a clean and a stragglers ``dist`` run on
-    archaea, written by ``repro chaos --record``."""
+    archaea, written by ``repro run --record``."""
     out = {}
     for preset in ("none", "stragglers"):
         path = str(tmp_path_factory.mktemp("fr") / f"{preset}.jsonl")
-        assert main(["chaos", "archaea", "--driver", "dist", "--machine",
-                     "edison", "--nodes", "16", "--preset", preset,
-                     "--interval", "0", "--record", path]) == 0
+        faults = [] if preset == "none" else ["--faults", preset,
+                                              "--interval", "0"]
+        assert main(["run", "archaea", "--driver", "dist", "--machine",
+                     "edison", "--nodes", "16", *faults,
+                     "--record", path]) == 0
         out[preset] = path
     return out
 
@@ -426,12 +450,12 @@ class TestExplain:
         # explain only replays: it takes no fault options at all
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["explain", "fr.jsonl", "--preset", "stragglers"]
+                ["explain", "fr.jsonl", "--faults", "stragglers"]
             )
 
     def test_failed_loudly_replays_as_did_not_complete(self, tmp_path, capsys):
         path = str(tmp_path / "perm.jsonl")
-        assert main(["chaos", "archaea", "--driver", "dist", "--preset",
+        assert main(["run", "archaea", "--driver", "dist", "--faults",
                      "permanent", "--max-recoveries", "0",
                      "--record", path]) == 0
         capsys.readouterr()
@@ -441,7 +465,7 @@ class TestExplain:
         # with a budget, the same preset degrades to a serial replay: the
         # header names the driver the run was started with
         path = str(tmp_path / "degraded.jsonl")
-        assert main(["chaos", "archaea", "--driver", "spmd", "--preset",
+        assert main(["run", "archaea", "--driver", "spmd", "--faults",
                      "permanent", "--backend", "sim", "--record", path]) == 1
         capsys.readouterr()
         assert main(["explain", path]) == 0
@@ -562,4 +586,133 @@ class TestParser:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["cc", "g.mtx", "--method", "magic"])
+            build_parser().parse_args(["run", "g.mtx", "--driver", "magic"])
+
+    def test_driver_choices_are_the_drivers_and_the_baselines(self):
+        import repro
+        from repro.core.drivers import DRIVERS
+
+        run = build_parser()._subparsers._group_actions[0].choices["run"]
+        driver = next(a for a in run._actions if a.dest == "driver")
+        assert driver.choices == [*DRIVERS, *repro.BASELINES]
+
+    @pytest.mark.parametrize("verb", ["cc", "simulate", "profile", "analyze",
+                                      "chaos"])
+    def test_retired_verbs_are_invalid_choices(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "archaea"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestRunRejects:
+    """Outside input a run cannot use exits 2 with one line, before any
+    graph is loaded."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--driver", "dist", "--nodes", "1,x"], "--nodes takes positive"),
+        (["--driver", "dist", "--nodes", "0"], "--nodes takes positive"),
+        (["--driver", "spmd", "--ranks", "0"], "does not run at 0 ranks"),
+        (["--driver", "2d", "--ranks", "3"], "does not run at 3 ranks"),
+        (["--ranks", "8"], "--driver serial takes no --ranks"),
+        (["--driver", "dist", "--ranks", "8"], "--driver dist takes no --ranks"),
+        (["--driver", "bfs", "--ranks", "8"], "--driver bfs takes no --ranks"),
+        (["--machine", "cori"], "--driver serial takes no --machine"),
+        (["--driver", "spmd", "--nodes", "4"], "--driver spmd takes no --nodes"),
+        (["--driver", "2d", "--parconnect"], "--driver 2d takes no --parconnect"),
+        (["--driver", "bfs", "--faults", "crash"], "--driver bfs takes no --faults"),
+        (["--driver", "bfs", "--analyze"], "--driver bfs takes no --analyze"),
+        (["--driver", "bfs", "--record", "x.jsonl"],
+         "--driver bfs takes no --record"),
+        (["--after", "3"], "a run without --faults takes no --after"),
+        (["--seed", "3"], "a run without --faults takes no --seed"),
+        (["--faults", "flaky", "--phase", "starcheck"],
+         "preset 'flaky' takes no --phase"),
+        (["--driver", "dist", "--nodes", "1,4", "--record", "x.jsonl"],
+         "--record takes one run"),
+    ])
+    def test_rejected_before_loading(self, argv, message, capsys):
+        assert _run("no-such-graph.mtx", *argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["no-such-graph.mtx"], "cannot read the graph"),
+        (["archaea", "--driver", "dist", "--machine", "no-such-machine"],
+         "unknown machine"),
+    ])
+    def test_unreadable_input_exits_2(self, argv, message, capsys):
+        assert _run(*argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    def test_victim_outside_the_world_exits_2(self, mtx, capsys):
+        assert _run(mtx, "--driver", "spmd", "--faults", "kill", "--rank",
+                    "7", "--backend", "sim") == 2
+        err = capsys.readouterr().err
+        assert "victim rank 7" in err and err.count("\n") == 1
+
+
+#: each observer flag and what shows that it worked: the file it writes,
+#: or a line of its text output
+OBSERVERS = {
+    "--trace": "trace.json", "--record": "fr.jsonl", "--out": "labels.txt",
+    "--top": "levels deep", "--flame": "#", "--analyze": "per-rank analytics",
+    "--stats": "largest component", "--json": '"runs"',
+}
+#: keys of the per-run JSON record that tests and CI read
+RUN_KEYS = {"components", "iterations", "largest_component",
+            "simulated_seconds", "wall_seconds", "iteration_stats", "ok",
+            "oracle_ok", "injected", "attempts", "recoveries",
+            "recovery_events", "resumed", "error", "reference_seconds",
+            "analytics"}
+
+
+@pytest.mark.parametrize("faults", [[], ["--faults", "crash", "--after", "20"]],
+                         ids=["clean", "crash"])
+@pytest.mark.parametrize("flag", sorted(OBSERVERS))
+@pytest.mark.parametrize("driver", ["serial", "dist", "spmd", "2d"])
+def test_every_observer_on_every_driver(driver, flag, faults, mtx, tmp_path,
+                                        capsys):
+    """Each observer flag works on every driver on sim, clean and under
+    faults (a crash after the first checkpoint, which every driver but
+    serial resumes from), alone and beside ``--json``.  ``--analyze``
+    needs a cost model off proc, which only ``dist`` charges."""
+    shows = OBSERVERS[flag]
+    args = [flag, str(tmp_path / shows)] if "." in shows else [flag]
+    for extra in ([], ["--json"]):
+        code = _run(mtx, "--driver", driver, "--backend", "sim", *faults,
+                    *args, *extra)
+        out, err = capsys.readouterr()
+        if flag == "--analyze" and driver != "dist":
+            assert code == 2 and "cannot analyze" in err
+            return
+        assert code == 0, err
+        if "." in shows:
+            assert (tmp_path / shows).stat().st_size > 0
+            (tmp_path / shows).unlink()
+        elif not extra:
+            assert shows in out
+    rec = json.loads(out)
+    assert (rec["graph"], rec["driver"], rec["backend"]) == ("g", driver, "sim")
+    run, = rec["runs"]
+    assert RUN_KEYS <= set(run)
+    assert run["components"] == 3 and run["ok"]
+    assert run["preset"] == ("crash" if faults else None)
+    crashed = bool(faults) and driver != "serial"  # serial has no collectives
+    assert run["injected"] == ({"crash": 1} if crashed else {})
+    assert (run["analytics"] is not None) is (flag == "--analyze")
+
+
+@pytest.mark.parametrize("driver", ["serial", "dist", "spmd", "2d"])
+def test_archaea_answer_on_every_driver(driver, capsys):
+    run, = _record(capsys, "archaea", "--driver", driver, "--backend",
+                   "sim")["runs"]
+    assert (run["components"], run["iterations"]) == (3001, 5)
+
+
+def test_plain_dist_run_charges_no_checkpoints(capsys):
+    """Without --faults the driver runs unsupervised: the model time is
+    the run's alone, with no checkpoint charges."""
+    assert _run("archaea", "--driver", "dist", "--nodes", "4") == 0
+    assert "2.437 ms simulated" in capsys.readouterr().out
