@@ -20,7 +20,7 @@ plus a small absolute noise floor):
 * **proc obs-off** — literal-SPMD ``lacc_spmd`` on the real-process
   backend with per-rank observability *disabled* (the default) vs. the
   same run with the null obs objects activated at the conductor.  Workers
-  must fork with no tracer and no flight ring and send no obs frame
+  must fork with no tracer and no flight record and send no obs frame
   (``not pool.obs`` is asserted), so the only admissible cost is
   the conductor's falsy checks.  Real forked processes schedule noisily,
   so this check gets a larger absolute noise floor.

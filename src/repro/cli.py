@@ -372,7 +372,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         with open(args.report, "w") as fh:
             json.dump(diag.to_dict(), fh, indent=2)
     if args.html:
-        write_html_timeline(events, args.html, title=f"flight: {diag.run_id}")
+        write_html_timeline(events, diag.anomalies, args.html,
+                            title=f"flight: {diag.run_id}")
 
     if args.json:
         print(json.dumps(diag.to_dict(), indent=2))
@@ -392,9 +393,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                   f"{', '.join(missing)} (detected: "
                   f"{', '.join(sorted(detected)) or 'none'})", file=sys.stderr)
             return 1
-    if args.expect_clean and detected:
-        print(f"expected a clean run but detected: "
-              f"{', '.join(sorted(detected))}", file=sys.stderr)
+    if args.expect_clean and not diag.healthy:
+        why = [] if diag.completed else [f"it did not complete ({diag.error})"]
+        if detected:
+            why.append(f"detected: {', '.join(sorted(detected))}")
+        print(f"expected a clean run but {'; '.join(why)}", file=sys.stderr)
         return 1
     return 0
 
@@ -581,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated anomaly classes that must be "
                          "detected; exit 1 otherwise (CI gate)")
     ex.add_argument("--expect-clean", action="store_true",
-                    help="exit 1 if any anomaly is detected (CI gate)")
+                    help="exit 1 if any anomaly is detected or the run did "
+                         "not complete (CI gate)")
     ex.set_defaults(fn=_cmd_explain)
 
     rg = sub.add_parser(

@@ -24,10 +24,10 @@ LACC drivers all hook into:
   causally-ordered, schema-versioned run record merging spans,
   fault/retry injections and recovery events, with the same
   null-object off switch.
-* :mod:`repro.obs.anomaly` — streaming detectors over the flight record
-  (retry storms, stragglers, checkpoint churn, lost ranks, shrink
-  recoveries) emitting :class:`Anomaly` verdicts with evidence
-  pointers (loaded on first use).
+* :mod:`repro.obs.anomaly` — :func:`detect` reads a finished flight
+  record once, at replay (retry storms, stragglers, checkpoint churn,
+  lost ranks, shrink recoveries), and returns :class:`Anomaly` verdicts
+  with evidence pointers (loaded on first use).
 * :mod:`repro.obs.explain` — the run-diagnosis engine behind
   ``python -m repro explain``: it replays a flight record, such as the
   one ``python -m repro run --record`` writes (imported explicitly).
@@ -76,10 +76,7 @@ _LAZY = {
         "write_chrome_trace",
     ),
     "render": ("flamegraph", "html_timeline", "top_table", "write_html_timeline"),
-    "anomaly": (
-        "Anomaly", "AnomalyDetector", "CheckpointChurnDetector",
-        "RetryStormDetector", "StragglerDetector", "default_detectors",
-    ),
+    "anomaly": ("Anomaly", "detect"),
 }
 _LAZY_NAMES = {name: mod for mod, names in _LAZY.items() for name in names}
 

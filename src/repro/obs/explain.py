@@ -3,8 +3,8 @@
 ``python -m repro explain`` is the front end; it only replays.  The
 engine replays a flight record (in memory, or a JSONL file written by
 :class:`~repro.obs.flight.FlightRecorder` — ``repro run --record``
-writes one for any driver, with or without a fault preset), collects the detector
-verdicts embedded in it, correlates each fault verdict with the delay
+writes one for any driver, with or without a fault preset), runs the
+detectors of :mod:`repro.obs.anomaly` over it, correlates each fault verdict with the delay
 attribution of :mod:`repro.obs.analytics` when the record carries the
 run's ``analytics`` row, and renders:
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .anomaly import detect
 from .flight import SCHEMA_VERSION, FlightEvent
 
 __all__ = ["RunDiagnosis", "diagnose"]
@@ -49,12 +50,8 @@ class RunDiagnosis:
     degraded: bool = False
     error: Optional[str] = None
     n_events: int = 0
-    #: events the recorder's ring buffer evicted before this replay (the
-    #: record's seq numbering has holes); nonzero also surfaces as a
-    #: ``record_truncated`` anomaly
-    n_dropped: int = 0
-    #: anomaly payloads (dicts as written into the record), causal order,
-    #: each possibly extended with a ``correlation`` block from analytics
+    #: :meth:`~repro.obs.anomaly.Anomaly.to_dict` of each verdict, by
+    #: first evidence seq, each possibly extended with a ``correlation`` block from analytics
     anomalies: List[Dict[str, Any]] = field(default_factory=list)
     #: :meth:`AnalyticsReport.to_dict` of the run, when available
     analytics: Optional[Dict[str, Any]] = None
@@ -98,7 +95,6 @@ class RunDiagnosis:
             "degraded": self.degraded,
             "error": self.error,
             "n_events": self.n_events,
-            "n_dropped": self.n_dropped,
             "healthy": self.healthy,
             "worst_severity": self.worst_severity,
             "anomaly_classes": self.anomaly_classes(),
@@ -128,8 +124,6 @@ class RunDiagnosis:
             + (": " + ", ".join(where) if where else ""),
         ]
         tally = f"{self.n_events} flight events"
-        if self.n_dropped:
-            tally += f", {self.n_dropped} dropped from the ring"
         if self.completed:
             done = []
             if self.n_iterations is not None:
@@ -207,8 +201,10 @@ def diagnose(events: List[FlightEvent]) -> RunDiagnosis:
     *events* is the record, e.g. ``recorder.events`` or
     :func:`~repro.obs.flight.read_flight_jsonl` output.  It must contain
     the ``run_meta`` header; drivers add ``run_start`` / ``iteration`` /
-    ``run_end`` and the detectors' ``anomaly`` events.  When it carries
-    an ``analytics`` row (the run's
+    ``run_end``.  The verdicts are :func:`~repro.obs.anomaly.detect`'s
+    on these events (``anomaly`` rows an older record carries are
+    ignored), so a record cut short is judged on what it holds.  When it
+    carries an ``analytics`` row (the run's
     :meth:`~repro.obs.analytics.AnalyticsReport.to_dict`), fault
     anomalies get a ``correlation`` block tying them to the model seconds
     the fault delays cost.
@@ -216,10 +212,6 @@ def diagnose(events: List[FlightEvent]) -> RunDiagnosis:
     if not events:
         raise ValueError("empty flight record: nothing to diagnose")
     d = RunDiagnosis(run_id="?", n_events=len(events))
-    # seq is assigned densely at append time, so holes mean the ring
-    # evicted events before this replay (a JSONL sink keeps everything,
-    # so file replays normally show zero)
-    d.n_dropped = max(0, max(ev.seq for ev in events) + 1 - len(events))
     d.analytics = next(
         (ev.data["report"] for ev in events if ev.kind == "analytics"), None
     )
@@ -249,34 +241,15 @@ def diagnose(events: List[FlightEvent]) -> RunDiagnosis:
             d.degraded = True
         elif ev.kind == "iteration" and ev.iteration is not None:
             d.n_iterations = max(d.n_iterations or 0, ev.iteration)
-        elif ev.kind == "anomaly":
-            a = dict(ev.data)
-            a.setdefault("seq", ev.seq)
-            # rank/step live on the event's coordinates, not in its data
-            a.setdefault("rank", ev.rank)
-            a.setdefault("step", ev.step)
-            if d.analytics is not None:
-                _correlate(a, d.analytics)
-            d.anomalies.append(a)
     if not saw_end and d.error is None:
         # a record that never reached run_end is itself suspicious, but
         # only mark it incomplete when the run clearly started
         if d.driver is not None:
             d.completed = False
             d.error = "flight record ends before run_end (crash or truncation)"
-    if d.n_dropped > 0:
-        # the evidence itself is incomplete: every other verdict below
-        # was reached without the evicted events, so say so loudly
-        d.anomalies.append(
-            {
-                "detector": "record_truncated",
-                "severity": "warning",
-                "message": (
-                    f"flight ring evicted {d.n_dropped} events before this "
-                    "replay — verdicts are based on an incomplete record "
-                    "(raise the recorder capacity or add a JSONL sink)"
-                ),
-                "dropped": d.n_dropped,
-            }
-        )
+    for anomaly in detect(events):
+        a = anomaly.to_dict()
+        if d.analytics is not None:
+            _correlate(a, d.analytics)
+        d.anomalies.append(a)
     return d

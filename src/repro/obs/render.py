@@ -202,11 +202,15 @@ def _ev_tooltip(ev: Any) -> str:
     return "\n".join(bits)
 
 
-def html_timeline(events: List[Any], title: str = "flight record") -> str:
+def html_timeline(events: List[Any], anomalies: List[Dict[str, Any]],
+                  title: str = "flight record") -> str:
     """Render flight events as a self-contained HTML+SVG timeline.
 
-    One lane per event kind on the run's clock (simulated milliseconds
-    for distributed runs), an anomaly band on top whose markers span the
+    *anomalies* are the record's verdicts as
+    :meth:`~repro.obs.anomaly.Anomaly.to_dict` dicts (e.g.
+    :attr:`~repro.obs.explain.RunDiagnosis.anomalies`).  One lane per
+    event kind on the run's clock (simulated milliseconds for
+    distributed runs), an anomaly band on top whose markers span the
     verdict's evidence window, and an anomaly table below.  Everything is
     inline — no scripts, no external assets — so the file is safe to
     attach to CI artifacts and open anywhere.
@@ -225,7 +229,6 @@ def html_timeline(events: List[Any], title: str = "flight record") -> str:
     run_id = next(
         (e.data.get("run_id") for e in events if e.kind == "run_meta"), None
     )
-    anomalies = [e for e in events if e.kind == "anomaly"]
     lanes = [(k, label, col) for k, label, col in _LANES
              if any(e.kind == k for e in events)]
     height = pad_t + (len(lanes) + 1) * lane_h + 30
@@ -251,16 +254,13 @@ def html_timeline(events: List[Any], title: str = "flight record") -> str:
         f'<text x="4" y="{y + lane_h - 10}" fill="#333">anomalies '
         f'({len(anomalies)})</text>'
     )
-    for ev in anomalies:
-        sev = ev.data.get("severity", "info")
-        colour = _SEV_COLOUR.get(sev, "#4878d0")
-        evid = [e for e in timed if e.seq in set(ev.data.get("evidence", []))]
-        if evid:
-            xa, xb = x(min(e.ts for e in evid)), x(max(e.ts for e in evid))
-        else:
-            xa = xb = x(ev.ts)
-        xb = max(xb, xa + 3)
-        msg = _html.escape(str(ev.data.get("message", "")))
+    for a in anomalies:
+        colour = _SEV_COLOUR.get(a.get("severity", "info"), "#4878d0")
+        evidence = set(a.get("evidence", []))
+        ts = [e.ts for e in timed if e.seq in evidence] or [t0]
+        xa = x(min(ts))
+        xb = max(x(max(ts)), xa + 3)
+        msg = _html.escape(str(a.get("message", "")))
         svg.append(
             f'<rect x="{xa:.1f}" y="{y + 4}" width="{xb - xa:.1f}" '
             f'height="{lane_h - 12}" fill="{colour}" fill-opacity="0.75" '
@@ -285,8 +285,7 @@ def html_timeline(events: List[Any], title: str = "flight record") -> str:
     svg.append("</svg>")
 
     rows: List[str] = []
-    for ev in anomalies:
-        d = ev.data
+    for d in anomalies:
         iters = (
             f"{d.get('first_iteration')}–{d.get('last_iteration')}"
             if d.get("first_iteration") is not None
@@ -332,9 +331,10 @@ def html_timeline(events: List[Any], title: str = "flight record") -> str:
 
 
 def write_html_timeline(
-    events: List[Any], path: str, title: Optional[str] = None
+    events: List[Any], anomalies: List[Dict[str, Any]], path: str,
+    title: Optional[str] = None
 ) -> str:
     """Write :func:`html_timeline` output to *path*; returns the path."""
     with open(path, "w") as fh:
-        fh.write(html_timeline(events, title=title or "flight record"))
+        fh.write(html_timeline(events, anomalies, title=title or "flight record"))
     return path

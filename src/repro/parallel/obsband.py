@@ -37,7 +37,7 @@ clock shared by the conductor and every worker.
 
 Obs-off is a true null path: :func:`rank_obs_enabled` gates the worker
 instruments in the pool (cache key ``(size, obs)``), so a plain proc
-run builds no tracer or flight ring in its workers and sends no obs
+run builds no tracer or flight record in its workers and sends no obs
 frame.
 """
 
@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.obs.flight import FlightEvent, FlightRecorder, merge_flight_events
+from repro.obs.flight import FlightEvent, FlightRecorder
 from repro.obs.tracer import Tracer
 
 __all__ = [
@@ -115,25 +115,19 @@ def enable_rank_obs(on: bool = True):
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-class _FlightSink:
-    """Flight-recorder detector hook that sends each event as a frame.
+class _ShippingRecorder(FlightRecorder):
+    """The worker's flight record: every event is also sent as one frame
+    the moment it is appended — the eager path that keeps a killed
+    rank's record salvageable."""
 
-    Registered as the (only) detector of the worker's recorder: it sees
-    every non-anomaly event at append time — the eager path that keeps a
-    killed rank's record salvageable.
-    """
+    def __init__(self, obs: "RankObs", **kw: Any):
+        self._obs = obs  # set first: the run_meta header ships too
+        super().__init__(**kw)
 
-    name = "flight_sink"
-
-    def __init__(self, obs: "RankObs"):
-        self._obs = obs
-
-    def on_event(self, ev: FlightEvent) -> List[Any]:
+    def record(self, kind: str, **kw: Any) -> FlightEvent:
+        ev = super().record(kind, **kw)
         self._obs._ship({"kind": "flight", "rank": self._obs.rank, "event": ev.to_dict()})
-        return []
-
-    def finish(self) -> List[Any]:
-        return []
+        return ev
 
 
 class _TracedEndpoint:
@@ -178,9 +172,6 @@ class RankObs:
     must start from zero for byte-identical replays.
     """
 
-    #: worker-side flight ring (small: events also stream out eagerly)
-    FLIGHT_CAPACITY = 4096
-
     def __init__(self, rank: int, size: int, ep, alive):
         self.rank = int(rank)
         self.size = int(size)
@@ -195,11 +186,8 @@ class RankObs:
         self.hb_tracer = Tracer(clock=time.monotonic)
         # deterministic clock: the collective-call counter.  No wall
         # time, no uuid, no pid — same-seed runs replay byte-identical.
-        self.flight = FlightRecorder(
-            run_id=f"rank-{self.rank}",
-            clock=lambda: float(self.calls),
-            capacity=self.FLIGHT_CAPACITY,
-            detectors=[_FlightSink(self)],
+        self.flight = _ShippingRecorder(
+            self, run_id=f"rank-{self.rank}", clock=lambda: float(self.calls)
         )
         self.flight.set_coords(rank=self.rank)
         self.flight.record("worker_start", rank=self.rank, size=self.size)
@@ -244,7 +232,6 @@ class RankObs:
             "rank": self.rank,
             "spans": self.tracer.to_dicts(),
             "hb_spans": self.hb_tracer.to_dicts(),
-            "flight_dropped": self.flight.dropped,
         })
         self._reset()
 
@@ -261,13 +248,6 @@ class RankObsResult:
     tracers: Dict[int, Tracer] = field(default_factory=dict)
     hb_tracers: Dict[int, Tracer] = field(default_factory=dict)
     flight_events: Dict[int, List[FlightEvent]] = field(default_factory=dict)
-    #: events each worker's own flight ring evicted
-    flight_dropped: Dict[int, int] = field(default_factory=dict)
-
-    def merged_flight(self, conductor=None) -> List[FlightEvent]:
-        """One rank-stamped flight record (see
-        :func:`~repro.obs.flight.merge_flight_events`)."""
-        return merge_flight_events(self.flight_events, conductor=conductor)
 
     def merged_trace(self, conductor: Optional[Tracer] = None) -> dict:
         """One Chrome trace, one pid lane per rank (+ conductor lane)."""
@@ -302,7 +282,6 @@ def collect_rank_obs(pool, *, merge_registry=None) -> RankObsResult:
         result.flight_events[r] = salvaged_flight_events(msgs)
         result.tracers[r] = Tracer.from_dicts(fin["spans"], clock=time.monotonic)
         result.hb_tracers[r] = Tracer.from_dicts(fin["hb_spans"], clock=time.monotonic)
-        result.flight_dropped[r] = int(fin["flight_dropped"])
     return result
 
 

@@ -249,7 +249,6 @@ def run_driver(
     from repro.obs import FlightRecorder, Tracer, activate, current
     from repro.obs.analytics import analyze as analyze_result
     from repro.obs.analytics import analyze_proc
-    from repro.obs.anomaly import default_detectors
 
     backend_name = backend if backend is not None else backend_mod.active()
     entry = DRIVERS.get(driver)
@@ -260,8 +259,7 @@ def run_driver(
                                           rank=rank, stall_seconds=stall_seconds))
     where = dict(ranks=ranks, machine=machine, nodes=nodes)
 
-    fr = (FlightRecorder(detectors=default_detectors(), path=record_path)
-          if record_path or plan is not None else None)
+    fr = FlightRecorder(path=record_path) if record_path or plan else None
     # proc runs observed from the conductor also trace inside every
     # worker: one clock (time.monotonic) for the merged trace, and under
     # faults a SIGKILLed rank's eagerly-shipped flight events get salvaged
@@ -370,13 +368,12 @@ def run_driver(
 
     from repro.baselines.union_find import connected_components as uf_labels
     from repro.graphs.validate import same_partition
+    from repro.obs.anomaly import detect
 
     report.chaos_log = plan.to_json()
     report.injected = plan.summary()
     report.rank_lost_events = len(fr.find("rank_lost"))
-    report.anomaly_classes = sorted(
-        {ev.data.get("detector", "?") for ev in fr.anomalies()}
-    )
+    report.anomaly_classes = sorted({a.detector for a in detect(fr.events)})
     report.reference_seconds = None if ref.cost is None else ref.cost.total_seconds
     if res is not None:
         report.attempts = res.attempts

@@ -30,8 +30,6 @@ def _faulted_run(A, preset_name, seed, nodes=4, with_flight=False):
     fr = FlightRecorder(run_id=f"{preset_name}-{seed}") if with_flight else None
     with activate(tr, flight=fr):
         res = lacc_dist(A, EDISON, nodes=nodes, faults=plan)
-    if fr is not None:
-        fr.finish()
     return plan, tr, fr, res
 
 

@@ -12,10 +12,12 @@ from repro.graphs import corpus
 from repro.mpisim import backend
 from repro.obs.anomaly import (
     Anomaly,
-    CheckpointChurnDetector,
-    RetryStormDetector,
-    StragglerDetector,
-    default_detectors,
+    checkpoint_churn,
+    detect,
+    rank_lost,
+    retry_storm,
+    shrink_recovery,
+    straggler,
 )
 from repro.obs.flight import FlightEvent, FlightRecorder, read_flight_jsonl
 from repro.obs.tracer import activate
@@ -27,14 +29,6 @@ def ev(kind, seq=0, iteration=None, rank=None, **data):
         seq=seq, ts=float(seq), kind=kind, rank=rank,
         iteration=iteration, data=data,
     )
-
-
-def drain(det, events):
-    out = []
-    for e in events:
-        out.extend(det.on_event(e))
-    out.extend(det.finish())
-    return out
 
 
 def test_anomaly_rejects_bad_severity():
@@ -66,8 +60,7 @@ def _storm_events(iterations, per_iter=4, kind="fault"):
 
 
 def test_retry_storm_fires_and_names_dominant_collective():
-    det = RetryStormDetector(threshold=3)
-    out = drain(det, _storm_events([1, 2, 3]))
+    out = retry_storm(_storm_events([1, 2, 3]))
     assert len(out) == 1
     (a,) = out
     assert a.detector == "retry_storm" and a.severity == "warning"
@@ -77,50 +70,64 @@ def test_retry_storm_fires_and_names_dominant_collective():
 
 
 def test_retry_storm_splits_non_consecutive_iterations():
-    det = RetryStormDetector(threshold=3)
-    out = drain(det, _storm_events([1, 2]) + _storm_events([6, 7]))
+    out = retry_storm(_storm_events([1, 2]) + _storm_events([6, 7]))
     assert len(out) == 2
     assert (out[0].first_iteration, out[0].last_iteration) == (1, 2)
     assert (out[1].first_iteration, out[1].last_iteration) == (6, 7)
 
 
 def test_retry_storm_silent_below_threshold():
-    det = RetryStormDetector(threshold=3)
-    assert drain(det, _storm_events([1, 2, 3, 4], per_iter=2)) == []
+    assert retry_storm(_storm_events([1, 2, 3, 4], per_iter=2)) == []
 
 
 def test_retry_storm_critical_on_permanent_failure():
-    det = RetryStormDetector(threshold=3)
     events = _storm_events([1]) + [
         ev("collective_error", seq=99, iteration=1, collective="alltoallv",
            kinds=["fail"], attempts=4)
     ]
-    out = drain(det, events)
+    out = retry_storm(events)
     assert len(out) == 1 and out[0].severity == "critical"
     assert "permanent" in out[0].message
 
 
 def test_retry_storm_counts_retransmissions():
-    det = RetryStormDetector(threshold=3)
     events = _storm_events([1], per_iter=2) + [
         ev("retry", seq=50 + i, iteration=1, collective="allreduce",
            attempt=i + 1)
         for i in range(2)
     ]
-    out = drain(det, events)
+    out = retry_storm(events)
     assert len(out) == 1 and out[0].data["retries"] == 2
+
+
+def test_retry_storm_groups_consecutive_events_of_one_iteration():
+    """Groups are runs of equal iteration in record order: a stormy
+    group that goes back an iteration (a rollback) extends the storm, a
+    quiet group ends it, and a repeat of an iteration after another one
+    is a group of its own."""
+    back = retry_storm(_storm_events([3, 1]))
+    assert [(a.first_iteration, a.last_iteration) for a in back] == [(3, 1)]
+    assert back[0].message.startswith("iterations 3–1: retry storm")
+    split = retry_storm(_storm_events([1]) + _storm_events([2], per_iter=2)
+                        + _storm_events([3]))
+    assert [(a.first_iteration, a.last_iteration) for a in split] == [
+        (1, 1), (3, 3)]
+    # 2 + 2 events of iteration 1 around one of iteration 2: no group of 3
+    interleaved = (_storm_events([1], per_iter=2)
+                   + _storm_events([2], per_iter=1)
+                   + _storm_events([1], per_iter=2))
+    assert retry_storm(interleaved) == []
 
 
 # -- straggler ------------------------------------------------------------
 
 def test_straggler_fires_on_repeated_delays_one_rank():
-    det = StragglerDetector(min_events=3)
     events = [
         ev("fault", seq=i, iteration=i + 1, rank=3, fault_kind="delay",
            delay_factor=4.0)
         for i in range(5)
     ]
-    out = drain(det, events)
+    out = straggler(events)
     assert len(out) == 1
     (a,) = out
     assert a.detector == "straggler" and a.rank == 3
@@ -129,72 +136,107 @@ def test_straggler_fires_on_repeated_delays_one_rank():
 
 
 def test_straggler_silent_on_scattered_delays():
-    det = StragglerDetector(min_events=3)
     events = [
         ev("fault", seq=i, iteration=i, rank=i, fault_kind="delay")
         for i in range(6)  # one delay per rank: jitter, not a straggler
     ]
-    assert drain(det, events) == []
+    assert straggler(events) == []
 
 
 def test_straggler_ignores_non_delay_faults():
-    det = StragglerDetector(min_events=2)
     events = [
         ev("fault", seq=i, iteration=i, rank=1, fault_kind="fail")
         for i in range(5)
     ]
-    assert drain(det, events) == []
+    assert straggler(events) == []
 
 
 # -- checkpoint churn -----------------------------------------------------
 
 def test_churn_fires_on_recovery_loop_without_progress():
-    det = CheckpointChurnDetector(loop_threshold=2)
     events = [
         ev("recovery", seq=i, iteration=4, action="rollback")
         for i in range(3)
     ]
-    out = drain(det, events)
+    out = checkpoint_churn(events)
     assert len(out) == 1
     assert out[0].detector == "checkpoint_churn"
     assert "without progress" in out[0].message
 
 
 def test_churn_silent_when_recoveries_make_progress():
-    det = CheckpointChurnDetector(loop_threshold=2)
     events = [
         ev("recovery", seq=i, iteration=2 * i + 2, action="rollback")
         for i in range(3)  # each recovery lands further along
     ]
-    assert drain(det, events) == []
+    assert checkpoint_churn(events) == []
 
 
 def test_churn_degrade_is_immediately_critical():
-    det = CheckpointChurnDetector()
-    out = det.on_event(ev("recovery", seq=1, iteration=7, action="degrade",
-                          from_iteration=5))
+    out = checkpoint_churn([ev("recovery", seq=1, iteration=7,
+                               action="degrade", from_iteration=5)])
     assert len(out) == 1 and out[0].severity == "critical"
     assert out[0].message.endswith("serial replay from iteration 5")
 
 
 def test_churn_silent_on_normal_checkpointing():
-    det = CheckpointChurnDetector()
     events = [
         ev("checkpoint", seq=i, iteration=i, words=10.0) for i in range(6)
     ]
-    assert drain(det, events) == []
+    assert checkpoint_churn(events) == []
 
 
-# -- the default set ------------------------------------------------------
+# -- rank loss and shrink -------------------------------------------------
 
-def test_default_detectors_fresh_instances_and_distinct_names():
-    a, b = default_detectors(), default_detectors()
-    assert len(a) == 5
-    assert all(x is not y for x, y in zip(a, b))
-    names = [d.name for d in a]
-    assert len(set(names)) == 5
-    assert "retry_storm" in names and "checkpoint_churn" in names
-    assert "rank_lost" in names and "shrink_recovery" in names
+def test_rank_lost_merges_repeated_losses_of_one_rank():
+    events = [
+        ev("rank_lost", seq=0, iteration=2, rank=2, collective="allgather"),
+        ev("rank_lost", seq=1, iteration=1, rank=1, collective="allreduce"),
+        ev("rank_lost", seq=2, iteration=4, rank=2, collective="alltoallv"),
+    ]
+    out = rank_lost(events)
+    assert [(a.rank, a.severity, a.message) for a in out] == [
+        (1, "critical", "rank 1 permanently lost during allreduce"),
+        (2, "critical",
+         "rank 2 permanently lost (2× , during allgather, alltoallv)"),
+    ]
+    assert (out[1].first_iteration, out[1].last_iteration) == (2, 4)
+    assert out[1].evidence == [0, 2]
+
+
+def test_shrink_recovery_names_old_and_new_ranks():
+    (a,) = shrink_recovery([
+        ev("recovery", seq=5, iteration=2, action="shrink", old_ranks=4,
+           new_ranks=3, lost_ranks=[1]),
+        ev("recovery", seq=6, iteration=2, action="rollback"),
+    ])
+    assert a.severity == "warning" and a.evidence == [5]
+    assert a.message == ("shrink-to-survivors: re-partitioned 4→3 ranks "
+                         "at iteration 2")
+    assert a.data["lost_ranks"] == [1]
+
+
+# -- the one entry point -------------------------------------------------
+
+def test_detect_orders_every_detector_by_first_evidence():
+    """One record carrying each detector's fault: detect() returns one
+    verdict per detector, ordered by the seq of its first evidence — not
+    by the order the detectors run in."""
+    events = [
+        ev("rank_lost", seq=0, iteration=1, rank=2, collective="allgather"),
+        ev("recovery", seq=1, iteration=1, action="shrink", old_ranks=4,
+           new_ranks=3, lost_ranks=[2]),
+        ev("recovery", seq=2, iteration=1, action="rollback"),
+        ev("recovery", seq=3, iteration=1, action="rollback"),
+        *[ev("fault", seq=4 + i, iteration=2, rank=1, fault_kind="delay",
+             collective="alltoallv") for i in range(3)],
+    ]
+    out = detect(events)
+    assert [a.detector for a in out] == [
+        "rank_lost", "shrink_recovery", "checkpoint_churn", "retry_storm",
+        "straggler",
+    ]
+    assert [a.evidence[0] for a in out] == [0, 1, 2, 4, 4]
 
 
 # -- the drivers' own records ---------------------------------------------
@@ -212,14 +254,13 @@ def test_unscoped_runs_raise_no_convergence_stall(run):
     a constant active count says nothing about convergence: its
     ``iteration`` events leave the count out, and the run raises no
     anomaly of any kind."""
-    fr = FlightRecorder(detectors=default_detectors())
+    fr = FlightRecorder()
     with activate(flight=fr):
         UNSCOPED_RUNS[run](corpus.load("archaea"))
-    fr.finish()
     iterations = fr.find("iteration")
     assert iterations
     assert all("active_vertices" not in e.data for e in iterations)
-    assert fr.anomalies() == []
+    assert detect(fr.events) == []
 
 
 # -- end to end -----------------------------------------------------------
@@ -233,12 +274,11 @@ def test_clean_corpus_runs_raise_no_anomalies(name):
     raised = {}
     for driver in sorted(DRIVERS):
         args, kw = DRIVERS[driver].call(g, ranks=4, nodes=16)
-        fr = FlightRecorder(detectors=default_detectors())
+        fr = FlightRecorder()
         with activate(flight=fr), backend.use("sim"):
             DRIVERS[driver].fn(*args, **kw)
-        fr.finish()
         assert fr.find("iteration"), driver
-        raised[driver] = [a.data["message"] for a in fr.anomalies()]
+        raised[driver] = [a.message for a in detect(fr.events)]
     assert raised == {driver: [] for driver in DRIVERS}
 
 
@@ -259,8 +299,8 @@ def test_permanent_preset_exhausts_the_budget(tmp_path):
                   and e.data["driver"] == "serial")
     assert degrade.seq < replay.seq
     assert degrade.data["detail"] == "serial replay from scratch"
-    churn = sorted(e.data["message"] for e in events if e.kind == "anomaly"
-                   and e.data["detector"] == "checkpoint_churn")
+    churn = sorted(a.message for a in detect(events)
+                   if a.detector == "checkpoint_churn")
     assert churn == [
         "recovery budget exhausted: run degraded to serial replay from "
         "scratch",

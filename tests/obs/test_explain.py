@@ -69,20 +69,30 @@ def test_diagnose_surfaces_run_end_error():
 
 
 def test_diagnose_collects_anomalies_with_coordinates():
-    from repro.obs.anomaly import Anomaly
-
     fr = FlightRecorder()
     _basic_record(fr)
-    fr.record_anomaly(
-        Anomaly(detector="straggler", severity="warning", message="rank 3 slow",
-                first_iteration=1, last_iteration=3, rank=3)
-    )
+    for it in (1, 2, 3):
+        fr.record("fault", rank=3, iteration=it, fault_kind="delay",
+                  collective="alltoallv")
     d = diagnose(fr.events)
     assert d.anomaly_classes() == ["straggler"]
     (a,) = d.anomalies
     assert a["rank"] == 3 and a["severity"] == "warning"
+    assert (a["first_iteration"], a["last_iteration"]) == (1, 3)
+    assert a["evidence"] == [6, 7, 8]
     assert d.worst_severity == "warning"
-    assert "rank 3 slow" in d.render()
+    assert "rank 3 is a persistent straggler" in d.render()
+
+
+def test_diagnose_ignores_anomaly_rows_of_older_records():
+    """Verdicts come from the events alone: an ``anomaly`` row an older
+    recorder wrote neither adds a verdict nor hides one."""
+    fr = FlightRecorder()
+    _basic_record(fr)
+    fr.record("anomaly", detector="straggler", severity="warning",
+              message="stale verdict", evidence=[])
+    d = diagnose(fr.events)
+    assert d.healthy and d.anomalies == []
 
 
 def test_worst_severity_ranks_critical_over_warning():
@@ -118,7 +128,6 @@ def test_clean_run_diagnoses_healthy(archaea, tmp_path):
     assert diag.healthy
     assert diag.n_components == 3001
     assert diag.analytics is not None  # correlation source was available
-    assert diag.n_dropped == 0
 
 
 def test_stragglers_preset_names_rank_and_retry_storm(archaea, tmp_path):
@@ -204,27 +213,19 @@ def test_replay_carries_the_run_correlation(archaea, tmp_path):
     assert "↳ fault delays/retries cost 2.309 ms" in diag.render()
 
 
-def test_ring_evicted_events_raise_record_truncated():
-    """A record whose ring evicted events must say so: nonzero
-    ``n_dropped``, a ``record_truncated`` anomaly (so ``--expect-clean``
-    fails on verdicts drawn from an incomplete record), and the tally
-    line in the rendering."""
-    fr = FlightRecorder(capacity=4)  # run_meta + 3 events survive
-    _basic_record(fr)  # records 5 events -> 2 evicted
-    d = diagnose(fr.events)
-    assert d.n_dropped == 2
-    assert "record_truncated" in d.anomaly_classes()
-    assert not d.healthy
-    (a,) = [x for x in d.anomalies if x["detector"] == "record_truncated"]
-    assert a["severity"] == "warning" and a["dropped"] == 2
-    assert "2 dropped from the ring" in d.render()
-    assert d.to_dict()["n_dropped"] == 2
-
-
-def test_complete_record_reports_zero_dropped():
-    fr = FlightRecorder(run_id="full")
-    _basic_record(fr)
-    d = diagnose(fr.events)
-    assert d.n_dropped == 0
-    assert "record_truncated" not in d.anomaly_classes()
-    assert "dropped from the ring" not in d.render()
+def test_cut_record_is_judged_on_the_events_it_holds(archaea, tmp_path):
+    """A stragglers record cut before its ``run_end`` (a crash, a killed
+    conductor) still names the retry storm and the straggler: verdicts
+    are drawn at replay, not written at close."""
+    _, _, full = _replay(archaea, tmp_path, preset="stragglers", seed=0)
+    lines = (tmp_path / "run.jsonl").read_text().splitlines(keepends=True)
+    end = next(i for i, line in enumerate(lines) if '"kind": "run_end"' in line)
+    (tmp_path / "cut.jsonl").write_text("".join(lines[:end]))
+    cut = diagnose(read_flight_jsonl(str(tmp_path / "cut.jsonl")))
+    assert not cut.completed and "run_end" in cut.error
+    assert {"retry_storm", "straggler"} <= set(cut.anomaly_classes())
+    # the verdict is the full record's, minus the analytics correlation
+    # (the analytics row follows run_end, so the cut dropped it)
+    straggler = next(a for a in full.anomalies if a["detector"] == "straggler")
+    del straggler["correlation"]
+    assert straggler in cut.anomalies

@@ -83,7 +83,6 @@ class TestFlamegraph:
 
 class TestHtmlTimeline:
     def _record(self):
-        from repro.obs.anomaly import Anomaly
         from repro.obs.flight import FlightRecorder
 
         fr = FlightRecorder(run_id="render-test", clock=lambda: 0.001)
@@ -93,18 +92,18 @@ class TestHtmlTimeline:
                   requests=500.0, worst_rank=0)
         fr.record("fault", iteration=1, rank=3, fault_kind="delay",
                   collective="alltoallv", delay_factor=4.0)
-        fr.record_anomaly(
-            Anomaly(detector="straggler", severity="warning",
-                    message="rank 3 slow", first_iteration=1,
-                    last_iteration=1, rank=3, evidence=[4])
-        )
         fr.record("run_end", n_iterations=1, n_components=7)
         return fr
+
+    #: the verdict the timeline draws over the record's fault (seq 4)
+    STRAGGLER = {"detector": "straggler", "severity": "warning",
+                 "message": "rank 3 slow", "first_iteration": 1,
+                 "last_iteration": 1, "rank": 3, "evidence": [4]}
 
     def test_self_contained_document(self):
         from repro.obs.render import html_timeline
 
-        page = html_timeline(self._record().events)
+        page = html_timeline(self._record().events, [self.STRAGGLER])
         assert page.lstrip().startswith("<!DOCTYPE html")
         assert "</html>" in page and "<svg" in page
         assert "<script" not in page        # no JS: opens anywhere
@@ -114,7 +113,7 @@ class TestHtmlTimeline:
     def test_anomaly_table_and_lanes(self):
         from repro.obs.render import html_timeline
 
-        page = html_timeline(self._record().events)
+        page = html_timeline(self._record().events, [self.STRAGGLER])
         assert "rank 3 slow" in page
         assert "straggler" in page
         for lane in ("iteration", "step", "fault"):
@@ -127,7 +126,7 @@ class TestHtmlTimeline:
         fr = FlightRecorder(clock=lambda: 0.001)
         fr.record("run_start", driver="dist")
         fr.record("run_end", n_iterations=1)
-        assert "no anomalies" in html_timeline(fr.events)
+        assert "no anomalies" in html_timeline(fr.events, [])
 
     def test_html_escapes_event_payloads(self):
         from repro.obs.anomaly import Anomaly
@@ -137,12 +136,10 @@ class TestHtmlTimeline:
         fr = FlightRecorder(clock=lambda: 0.001)
         fr.record("run_start", driver="dist")
         fr.record("iteration", iteration=1, active_vertices=10)
-        fr.record_anomaly(
-            Anomaly(detector="test", severity="warning",
-                    message='<script>alert("x")</script>', evidence=[2])
-        )
         fr.record("run_end")
-        page = html_timeline(fr.events)
+        verdict = Anomaly(detector="test", severity="warning",
+                          message='<script>alert("x")</script>', evidence=[2])
+        page = html_timeline(fr.events, [verdict.to_dict()])
         assert "<script" not in page
         assert "&lt;script&gt;" in page
 
@@ -150,6 +147,7 @@ class TestHtmlTimeline:
         from repro.obs.render import write_html_timeline
 
         path = str(tmp_path / "t.html")
-        out = write_html_timeline(self._record().events, path, title="T")
+        out = write_html_timeline(self._record().events, [self.STRAGGLER],
+                                  path, title="T")
         assert out == path
         assert "<svg" in open(path).read()

@@ -391,6 +391,17 @@ def records(tmp_path_factory):
     return out
 
 
+def _cut_before_run_end(path, tmp_path):
+    """A copy of the record at *path* without its lines from ``run_end``
+    on: the record of a run killed before it closed."""
+    lines = open(path).read().splitlines(keepends=True)
+    end = next(i for i, line in enumerate(lines)
+               if '"kind": "run_end"' in line)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:end]))
+    return cut
+
+
 class TestExplain:
     def test_clean_run_text_verdict(self, records, capsys):
         assert main(["explain", records["none"]]) == 0
@@ -445,6 +456,53 @@ class TestExplain:
         bad.write_text("not json\n")
         assert main(["explain", str(bad)]) == 2
         assert "cannot read flight record" in capsys.readouterr().err
+
+    def test_empty_record_exits_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["explain", str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot read flight record" in err
+
+    def test_file_without_run_meta_header_exits_2(self, tmp_path, capsys):
+        headless = tmp_path / "headless.jsonl"
+        headless.write_text('{"seq": 0, "ts": 0, "kind": "x"}\n')
+        assert main(["explain", str(headless), "--expect-clean"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a flight record" in err
+
+    def test_cut_record_keeps_its_verdicts_and_fails_clean_gate(
+            self, records, tmp_path, capsys):
+        """The stragglers record cut before ``run_end``: the verdicts are
+        drawn from the events it holds, and the run did not complete."""
+        cut = _cut_before_run_end(records["stragglers"], tmp_path)
+        assert main(["explain", str(cut),
+                     "--expect", "retry_storm,straggler"]) == 0
+        assert "DID NOT COMPLETE" in capsys.readouterr().out
+        assert main(["explain", str(cut), "--expect-clean"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "did not complete" in err and "straggler" in err
+
+    def test_expect_clean_fails_on_incomplete_run(self, records, tmp_path,
+                                                  capsys):
+        """No anomaly, but no completed run either: cut before run_end,
+        or ended by run_end's error."""
+        from repro.obs.flight import FlightRecorder
+
+        cut = _cut_before_run_end(records["none"], tmp_path)
+        failed = tmp_path / "failed.jsonl"
+        fr = FlightRecorder(path=str(failed))
+        fr.record("run_start", driver="dist", graph="g")
+        fr.record("run_end", error="alltoallv failed permanently")
+        fr.close()
+        for path, why in ((cut, "ends before run_end"),
+                          (failed, "alltoallv failed permanently")):
+            assert main(["explain", str(path), "--expect-clean"]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "did not complete" in err and why in err
+            assert "detected" not in err
 
     def test_unknown_preset_rejected(self):
         # explain only replays: it takes no fault options at all
