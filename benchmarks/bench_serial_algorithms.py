@@ -1,7 +1,7 @@
 """Serial algorithm comparison — LACC against the related-work baselines.
 
 Not a figure in the paper, but the context its §II-C surveys: wall-clock
-times of LACC (GraphBLAS), union-find (the optimal serial algorithm),
+times of LACC (GraphBLAS), union-find (the work-optimal serial algorithm),
 Shiloach–Vishkin, FastSV (the successor), BFS, label propagation and
 Multistep on representative corpus graphs.  All outputs are
 cross-validated against each other.
@@ -55,11 +55,12 @@ def test_serial_comparison(sweep, benchmark):
     for aname in ALGOS:
         rows.append([aname] + [f"{sweep[g, aname]*1e3:.1f}" for g in GRAPHS])
     body = format_table(["algorithm"] + [f"{g} (ms)" for g in GRAPHS], rows)
+    fastest = ", ".join(
+        f"{g}: {min(ALGOS, key=lambda a: sweep[g, a])}" for g in GRAPHS
+    )
     body += (
         "\n\nall labelings verified identical (up to renaming)."
-        "\nLACC's serial GraphBLAS formulation trades constant factors for"
-        "\nthe distributed-memory mapping; union-find remains the serial"
-        "\noptimum, as §II-C's work-inefficiency discussion notes."
+        f"\nfastest in this run: {fastest}."
     )
     emit("serial_algorithms", "Serial comparison: LACC vs related work", body)
 

@@ -20,7 +20,9 @@ min.  :func:`assign_min` is that write, and every driver's hooks call it.
 The steps work on the parent array: the only GraphBLAS call is the masked
 ``mxv`` (the paper's SpMV), whose input is the parent array wrapped as a
 vector; the hook filter, the root lookup and the scatter onto the roots
-act on the mxv output's arrays and the parent array.  The literal
+act on the mxv output's arrays and the parent array.  A fresh run's first
+conditional hook makes no GraphBLAS call at all: each row's minimum
+neighbour is its first stored column (see :func:`cond_hook`).  The literal
 GraphBLAS transcription (``ewise_mult`` → value-masked ``extract`` →
 ``ewise_mult`` → ``assign``) is ``repro.core.lacc_lagraph._hook``.
 """
@@ -110,11 +112,27 @@ def _scatter_hooks(
     return HookReport(int(idx.size), idx, vals, hook_vertices)
 
 
+def _first_column_hooks(A: "gb.Matrix", f: np.ndarray, active: Optional[np.ndarray]):
+    """:func:`cond_hook` on the identity forest with a neighbour-closed
+    scope: hook each scoped row whose first stored column is below it."""
+    rows = A.row_degrees() != 0
+    if active is not None:
+        rows &= active
+    rows = np.flatnonzero(rows)
+    first = A.indices[A.indptr[rows]]
+    hook = first < rows
+    rows, first = rows[hook], first[hook]
+    f[rows] = first
+    return HookReport(int(rows.size), rows, first, rows)
+
+
 def cond_hook(
     A: "gb.Matrix",
     f: np.ndarray,
     star: np.ndarray,
     active: Optional[np.ndarray] = None,
+    *,
+    fresh: bool = False,
 ) -> "HookReport":
     """Conditional star hooking (Algorithm 3).  Returns a
     :class:`HookReport` (int-comparable: number of trees hooked).
@@ -126,7 +144,16 @@ def cond_hook(
     When every scoped vertex has the same parent no neighbour can improve
     on a star's root, so the step is vacuous and skips the mxv: on a giant
     component this is the last iteration's pass over the whole matrix.
+
+    *fresh* promises that *f* is the identity forest and that every
+    neighbour of a scoped vertex is scoped, as on a run's first iteration
+    from the identity.  Every vertex is then a singleton star and every
+    neighbour's parent its own id, so a row's minimum is its first stored
+    column (CSR rows are sorted).  Each root is its star's only vertex and
+    receives at most one proposal: the hook runs no mxv and no min-combine.
     """
+    if fresh:
+        return _first_column_hooks(A, f, active)
     if f.size:
         differ = f != f[0 if active is None else np.argmax(active)]
         if active is not None:

@@ -22,7 +22,11 @@ sparsity benchmarks.
 One loop, :func:`_run`, is that program on the parent array: ``f``,
 ``star`` and the active bitmap stay plain NumPy arrays for the whole run,
 and GraphBLAS objects appear only at the hooks' masked ``mxv`` (the
-paper's SpMV).  Two drivers run it.  :func:`lacc` passes the no-op
+paper's SpMV).  A run from the identity forest skips its opening
+starcheck (every vertex is a singleton star), and its first conditional
+hook runs no ``mxv`` (each row's minimum neighbour is its first stored
+column); a starcheck after a hook that wrote no root is skipped too.
+Two drivers run it.  :func:`lacc` passes the no-op
 :class:`_Pricer`, the Null object of pricing in the idiom of
 ``NULL_TRACER``; :func:`repro.core.lacc_dist.lacc_dist` passes one that
 charges each step to an α–β machine model and maps the (permuted) working
@@ -320,13 +324,17 @@ def _run(
         fr.record("run_start", n=n, nnz=A.nvals, **run_start)
     iteration = start_iteration
     if n and A.nvals:
+        # a fresh start: the identity forest, every vertex a singleton
+        # star, with every vertex active, so every neighbour of a scoped
+        # vertex is scoped once the isolated ones retire
+        fresh = active.active_count == n and np.array_equal(f, np.arange(n))
         # isolated vertices are converged components from the start
         if active.enabled:
             active._active &= A.row_degrees() != 0
         name, attrs = run_span
         with tr.span(name, "run", n=n, nnz=A.nvals, **attrs,
                      **({"run_id": fr.run_id} if fr else {})):
-            star = starcheck(f, active.mask)
+            star = np.ones(n, dtype=bool) if fresh else starcheck(f, active.mask)
             while True:
                 iteration += 1
                 if iteration - start_iteration > max_iterations:
@@ -346,18 +354,24 @@ def _run(
 
                 with tr.span("iteration", "iteration", iteration=iteration) as it_span:
                     with _StepSpan(tr, pricer, it_stats, "cond_hook"):
-                        rep = cond_hook(A, f, star, active.mask)
+                        rep = cond_hook(A, f, star, active.mask, fresh=fresh)
+                        fresh = False
                         it_stats.cond_hooks = rep.count
                         pricer.hook("cond_hook", iteration, rep, active.mask)
+                    # a hook that wrote no root left f unchanged, so the
+                    # starcheck after it would return the star bitmap the
+                    # loop holds (the active set moves only after both)
                     with _StepSpan(tr, pricer, it_stats, "starcheck"):
-                        star = starcheck(f, active.mask)
+                        if rep.count:
+                            star = starcheck(f, active.mask)
                         pricer.starcheck(f, active.mask, iteration)
                     with _StepSpan(tr, pricer, it_stats, "uncond_hook"):
                         rep = uncond_hook(A, f, star, active.mask)
                         it_stats.uncond_hooks = rep.count
                         pricer.hook("uncond_hook", iteration, rep, active.mask, star)
                     with _StepSpan(tr, pricer, it_stats, "starcheck"):
-                        star = starcheck(f, active.mask)
+                        if rep.count:
+                            star = starcheck(f, active.mask)
                         pricer.starcheck(f, active.mask, iteration)
                         # Lemma 1 (strengthened, see convergence module):
                         # stars surviving unconditional hooking with no

@@ -61,9 +61,9 @@ def one_parent(f, active) -> bool:
     return np.unique(scoped).size <= 1
 
 
-def assert_cond_hook_exact(A, f, star, active):
+def assert_cond_hook_exact(A, f, star, active, fresh=False):
     got, want = f.copy(), f.copy()
-    assert_same_report(cond_hook(A, got, star, active),
+    assert_same_report(cond_hook(A, got, star, active, fresh=fresh),
                        mxv_cond_hook(A, want, star, active))
     assert got.tobytes() == want.tobytes()
 
@@ -97,13 +97,13 @@ def recorded(monkeypatch):
     rule's premise held."""
     rec = {"A": 0, "B": 0, "cond": None, "active": None}
 
-    def checked_cond_hook(A, f, star, active=None):
+    def checked_cond_hook(A, f, star, active=None, fresh=False):
         if rec["active"] is not None:
             assert active.tobytes() == rec["active"].tobytes()
         if one_parent(f, active):
             rec["A"] += 1
-        assert_cond_hook_exact(A, f, star, active)
-        rep = cond_hook(A, f, star, active)
+        assert_cond_hook_exact(A, f, star, active, fresh)
+        rep = cond_hook(A, f, star, active, fresh=fresh)
         rec["cond"] = rep.count
         return rep
 

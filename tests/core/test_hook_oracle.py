@@ -185,9 +185,11 @@ def oracle_converged_star_vertices(
 # ----------------------------------------------------------------------
 def on_arrays(oracle):
     """*oracle* (Vector parent and star) as a step on the parent array,
-    which it updates in place."""
+    which it updates in place.  The loop's ``fresh`` promise about the
+    state is accepted and not used: the oracle always runs its mxv."""
 
-    def step(A, f: np.ndarray, star: np.ndarray, active: Optional[np.ndarray] = None):
+    def step(A, f: np.ndarray, star: np.ndarray, active: Optional[np.ndarray] = None,
+             fresh: bool = False):
         v = Vector.dense(f)
         report = oracle(A, v, Vector.dense(star), active)
         f[:] = v.to_numpy()
